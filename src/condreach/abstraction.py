@@ -8,6 +8,7 @@ every transient kernel realizable by times inside the two cells.
 
 Bounds depend on the two cells only through the elapsed-time gap they
 admit, so a cache keyed by (min gap, max gap) is shared across layers.
+It is factored by the gap's two parts, its minimum and its spread.
 """
 
 from __future__ import annotations
@@ -35,50 +36,75 @@ class AbstractionError(ArithmeticError):
 class TransientBoundCache:
     """Transparent cache of (lower, upper) bound matrices per gap signature.
 
-    The key is the exact (min gap, max gap, eps) triple; cell endpoint
-    arithmetic is exact on representable binary fractions, so evidences
-    with uniform window spacing hit the cache across layers.
+    The bounds of a gap [g_min, g_max] are built from two parts: the
+    transient kernel K(g_min) and, for the spread g_max - g_min, the reach
+    matrix R and the invariance vector inv.  Upper is K @ R and lower is
+    K * inv.  `entries` maps each exact (g_min, g_max, eps) triple to its
+    finished pair; behind it `kernels` caches K by (g_min, eps) and
+    `spreads` caches (R, inv) by (spread, eps), so gaps that share a
+    minimum or a spread share that part.  Cell endpoint arithmetic is exact
+    on representable binary fractions, so evidences with uniform window
+    spacing hit the cache across layers.
     """
 
     entries: dict = field(default_factory=dict)
+    kernels: dict = field(default_factory=dict, repr=False)
+    spreads: dict = field(default_factory=dict, repr=False)
 
     def bound_matrices(self, ctmc, gap, eps):
         key = (float(gap[0]), float(gap[1]), float(eps))
         hit = self.entries.get(key)
         if hit is None:
-            hit = _compute_bound_matrices(ctmc, gap, eps)
+            hit = self._compute(ctmc, *key)
             self.entries[key] = hit
         return hit
 
+    def _compute(self, ctmc, g_min, g_max, eps):
+        """Sound bound matrices for all state pairs over an elapsed-time gap.
 
-def _compute_bound_matrices(ctmc, gap, eps):
-    """Sound bound matrices for all state pairs over an elapsed-time gap.
+        For elapsed time tau in [g_min, g_max]:
+          upper[s, s'] = P(visit s' at some point in [g_min, g_max] from s),
+          lower[s, s'] = P(in s' at g_min, no jump until g_max from s),
+        both of which bracket the transient probability at every tau.
+        """
+        if not 0 <= g_min <= g_max:
+            raise ValueError("gap must satisfy 0 <= min <= max")
+        K = self.kernels.get((g_min, eps))
+        if K is None:
+            K = self.kernels[(g_min, eps)] = transient_matrix(ctmc, g_min, eps)
+        if g_max == g_min:
+            K = np.clip(K, 0.0, 1.0)
+            return K, K
+        spread = g_max - g_min
+        parts = self.spreads.get((spread, eps))
+        if parts is None:
+            parts = self.spreads[(spread, eps)] = (
+                reach_matrix(ctmc, spread, eps),
+                invariance_vector(ctmc, spread)[None, :],
+            )
+        R, inv = parts
+        upper = np.clip(K @ R, 0.0, 1.0)
+        lower = np.clip(K * inv, 0.0, 1.0)
+        lower, upper = _snap_crossed(
+            lower, upper, "lower bound exceeds upper beyond tolerance"
+        )
+        lower.setflags(write=False)
+        upper.setflags(write=False)
+        return lower, upper
 
-    For elapsed time tau in [g_min, g_max]:
-      upper[s, s'] = P(visit s' at some point in [g_min, g_max] from s),
-      lower[s, s'] = P(in s' at g_min, no jump until g_max from s),
-    both of which bracket the transient probability at every tau.
+
+def _snap_crossed(lower, upper, message):
+    """Meet crossed bounds at their midpoint.
+
+    Entries where lower exceeds upper by at most _NOISE are float noise on
+    near-point intervals; a larger crossing raises AbstractionError.
     """
-    g_min, g_max = gap
-    if not 0 <= g_min <= g_max:
-        raise ValueError("gap must satisfy 0 <= min <= max")
-    K = transient_matrix(ctmc, g_min, eps)
-    if g_max == g_min:
-        K = np.clip(K, 0.0, 1.0)
-        return K, K
-    spread = g_max - g_min
-    upper = np.clip(K @ reach_matrix(ctmc, spread, eps), 0.0, 1.0)
-    lower = np.clip(K * invariance_vector(ctmc, spread)[None, :], 0.0, 1.0)
     bad = lower - upper
     if np.any(bad > _NOISE):
-        raise AbstractionError("lower bound exceeds upper beyond tolerance")
+        raise AbstractionError(message)
     mid = 0.5 * (lower + upper)
     noisy = bad > 0
-    lower = np.where(noisy, mid, lower)
-    upper = np.where(noisy, mid, upper)
-    lower.setflags(write=False)
-    upper.setflags(write=False)
-    return lower, upper
+    return np.where(noisy, mid, lower), np.where(noisy, mid, upper)
 
 
 @dataclass(frozen=True)
@@ -213,17 +239,11 @@ def abstract(
                 pm, pm2 = parent_maps[i], parent_maps[i + 1]
                 pL = parent.lower[i][np.ix_(pm, pm2)]
                 pU = parent.upper[i][np.ix_(pm, pm2)]
-                L = np.maximum(L, pL)
-                U = np.minimum(U, pU)
-                bad = L - U
-                if np.any(bad > _NOISE):
-                    raise AbstractionError(
-                        "parent intersection produced an empty interval"
-                    )
-                mid = 0.5 * (L + U)
-                noisy = bad > 0
-                L = np.where(noisy, mid, L)
-                U = np.where(noisy, mid, U)
+                L, U = _snap_crossed(
+                    np.maximum(L, pL),
+                    np.minimum(U, pU),
+                    "parent intersection produced an empty interval",
+                )
         _check_feasible(L, U, reset_masks[i], i)
         L.setflags(write=False)
         U.setflags(write=False)

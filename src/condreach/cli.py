@@ -7,6 +7,7 @@ proposition, invalid ordering, bad weight spec), 4 numeric failure.
 from __future__ import annotations
 
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -17,7 +18,11 @@ from .driver import AnalysisConfig, analyze
 from .evidence import EvidenceError, SemanticError, parse_evidence, parse_formula
 from .simulate import sample_envelope
 from .solver import SolverError
-from .unfolding import conditional_weight, evidence_likelihood
+from .unfolding import (
+    ZeroLikelihoodWarning,
+    conditional_weight,
+    evidence_likelihood,
+)
 
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
@@ -226,7 +231,16 @@ def cmd_precise(model, evidence, weight_spec, transient_tol):
     omega = _load_evidence(evidence, ctmc)
     rho = _to_precise(omega, evidence)
     weights = _parse_weights(weight_spec, ctmc, transient_tol)
-    value = conditional_weight(ctmc, rho, weights, transient_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ZeroLikelihoodWarning)
+        try:
+            value = conditional_weight(ctmc, rho, weights, transient_tol)
+        except ZeroLikelihoodWarning:
+            raise CliError(
+                f"{evidence}: evidence has zero likelihood; "
+                "the conditional weight is undefined",
+                EXIT_NUMERIC,
+            ) from None
     click.echo(f"{value:.12g}")
 
 

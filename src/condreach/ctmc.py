@@ -9,11 +9,11 @@ distribution (no negative entries).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import poisson
 
 DEFAULT_TRANSIENT_TOL = 1e-10
 
@@ -229,37 +229,68 @@ def serialize_ctmc(ctmc):
 
 
 def _poisson_weights(mean, eps):
-    """Poisson pmf values 0..K with truncated tail mass below eps."""
+    """Poisson pmf values 0..K whose dropped tail mass is at most 0.1 * eps.
+
+    The pmf is evaluated at the mode through lgamma, extended outward by the
+    ratio p(k + 1) / p(k) = mean / (k + 1) and normalized (Fox & Glynn, CACM
+    1988).  K is one past the smallest k whose tail mass beyond k is at
+    most 0.1 * eps; the tail is summed from the right, so it keeps its
+    relative accuracy.
+    """
     if mean <= 0.0:
         return np.array([1.0])
-    hi = int(poisson.ppf(1.0 - 0.1 * eps, mean)) + 1
-    weights = poisson.pmf(np.arange(hi + 1), mean)
-    return weights
+    mode = int(mean)
+    p_mode = math.exp(mode * math.log(mean) - mean - math.lgamma(mode + 1))
+    left = p_mode * np.cumprod(np.arange(mode, 0, -1) / mean)[::-1]
+    # Extend the right side until the mass beyond its last term, bounded by
+    # a geometric series of ratio r = mean / (k + 1), is far below 0.1 * eps.
+    span = 16 + int(10.0 * math.sqrt(mean))
+    while True:
+        right = p_mode * np.cumprod(mean / np.arange(mode + 1, mode + span))
+        r = mean / (mode + span)
+        rest = right[-1] * r / (1.0 - r)
+        if right[-1] + rest <= 1e-6 * eps:
+            break
+        span *= 2
+    pmf = np.concatenate((left, [p_mode], right))
+    # The terms cover all but `rest` of the mass; normalizing removes the
+    # rounding of p_mode, which every term shares.
+    pmf /= pmf.sum() + rest
+    tail = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0) + rest
+    cut = int(np.argmax(tail <= 0.1 * eps))
+    return pmf[: cut + 2]
 
 
-def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):
-    """Full transient kernel K with K[s, s'] = Pr_s(t)(s').
+def _uniformized_sum(ctmc, t, eps, step):
+    """sum_k pois(k; lam*t) X_k with X_0 = I and X_{k+1} = step(P, X_k).
 
-    Uniformization: K = sum_k pois(k; lam*t) P^k with P the uniformized
-    jump matrix at rate lam = max exit rate (slightly inflated).
+    P is the uniformized jump matrix at rate lam = max exit rate (slightly
+    inflated).  The truncated Poisson tail is put on the last X_k, so rows
+    of stochastic X_k stay within eps of stochastic.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     n = ctmc.n_states
     lam = float(np.max(ctmc.exit_rates)) * _RATE_INFLATION
     if t == 0.0 or lam == 0.0:
         return np.eye(n)
     P = np.eye(n) + ctmc.generator() / lam
     weights = _poisson_weights(lam * t, eps)
-    acc = weights[0] * np.eye(n)
-    power = np.eye(n)
+    X = np.eye(n)
+    acc = weights[0] * X
     for w in weights[1:]:
-        power = power @ P
-        acc += w * power
-    # Distribute the truncated tail onto the final power so rows stay
-    # within eps of stochastic.
-    acc += (1.0 - weights.sum()) * power
+        X = step(P, X)
+        acc += w * X
+    acc += (1.0 - weights.sum()) * X
     return acc
+
+
+def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):
+    """Full transient kernel K with K[s, s'] = Pr_s(t)(s').
+
+    Uniformization: K = sum_k pois(k; lam*t) P^k.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return _uniformized_sum(ctmc, t, eps, lambda P, X: X @ P)
 
 
 def transient(ctmc, source, t, eps=DEFAULT_TRANSIENT_TOL):
@@ -282,20 +313,15 @@ def reach_matrix(ctmc, duration, eps=DEFAULT_TRANSIENT_TOL):
     """
     if duration < 0:
         raise ValueError("duration must be nonnegative")
-    n = ctmc.n_states
-    lam = float(np.max(ctmc.exit_rates)) * _RATE_INFLATION
-    if duration == 0.0 or lam == 0.0:
-        return np.eye(n)
-    P = np.eye(n) + ctmc.generator() / lam
-    weights = _poisson_weights(lam * duration, eps)
-    X = np.eye(n)
-    acc = weights[0] * X
-    for w in weights[1:]:
-        X = P @ X
-        np.fill_diagonal(X, 1.0)
-        acc += w * X
-    acc += (1.0 - weights.sum()) * X
+    acc = _uniformized_sum(ctmc, duration, eps, _absorbing_step)
     return np.clip(acc, 0.0, 1.0)
+
+
+def _absorbing_step(P, X):
+    """One step of P with every column's target state held absorbing."""
+    X = P @ X
+    np.fill_diagonal(X, 1.0)
+    return X
 
 
 def _reach_vector(ctmc, target_mask, duration, eps):

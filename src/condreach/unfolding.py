@@ -18,6 +18,10 @@ import numpy as np
 from .ctmc import DEFAULT_TRANSIENT_TOL, transient_matrix
 
 
+class ZeroLikelihoodWarning(UserWarning):
+    """The evidence has zero likelihood, so conditioning on it is undefined."""
+
+
 @dataclass(frozen=True)
 class LayeredChain:
     """Discrete-time chain unfolded along the evidence times.
@@ -114,7 +118,8 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     Solves the reset fixpoint v0 = alpha + beta * v0 in closed form; the
     geometric reset loop has return mass beta < 1 whenever the evidence
     has positive likelihood.  Zero-likelihood evidence yields beta = 1
-    and returns 0 under the 0/0 = 0 convention.
+    and returns 0 under the 0/0 = 0 convention, with a
+    ZeroLikelihoodWarning.
     """
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):
@@ -123,7 +128,11 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     alpha, beta = _backward_affine(chain, w)
     denom = 1.0 - beta
     if denom <= 1e-12:
-        warnings.warn("evidence has zero likelihood, returning 0", stacklevel=2)
+        warnings.warn(
+            "evidence has zero likelihood, returning 0",
+            ZeroLikelihoodWarning,
+            stacklevel=2,
+        )
         return 0.0
     return float(alpha / denom)
 
@@ -161,7 +170,11 @@ def bayes_quotient_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     dist = _masked_forward(chain)
     likelihood = dist.sum()
     if likelihood <= 1e-12:
-        warnings.warn("evidence has zero likelihood, returning 0", stacklevel=2)
+        warnings.warn(
+            "evidence has zero likelihood, returning 0",
+            ZeroLikelihoodWarning,
+            stacklevel=2,
+        )
         return 0.0
     return float(dist @ w / likelihood)
 
@@ -172,6 +185,8 @@ def conditional_distribution(ctmc, rho, eps=DEFAULT_TRANSIENT_TOL):
     dist = _masked_forward(chain)
     likelihood = dist.sum()
     if likelihood <= 1e-12:
-        warnings.warn("evidence has zero likelihood", stacklevel=2)
+        warnings.warn(
+            "evidence has zero likelihood", ZeroLikelihoodWarning, stacklevel=2
+        )
         return np.zeros_like(dist)
     return dist / likelihood

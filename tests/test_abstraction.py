@@ -10,8 +10,14 @@ from condreach.abstraction import (
     reachable_states,
     restrict_reachable,
 )
-from condreach.ctmc import transient_matrix
+from condreach.ctmc import (
+    invariance_vector,
+    parse_ctmc,
+    reach_matrix,
+    transient_matrix,
+)
 from condreach.evidence import TimeSet, coarsest_partition
+from condreach.fixtures import fixture_text
 from condreach.solver import Scheduler
 
 
@@ -50,6 +56,40 @@ def test_cache_reuses_entries(invent):
     b = cache.bound_matrices(invent, (0.2, 0.4), 1e-10)
     assert a[0] is b[0] and a[1] is b[1]
     assert len(cache.entries) == 1
+
+
+def _direct_bounds(ctmc, g_min, g_max, eps):
+    """Unfactored build: every part computed afresh for the gap."""
+    K = transient_matrix(ctmc, g_min, eps)
+    if g_max == g_min:
+        K = np.clip(K, 0.0, 1.0)
+        return K, K
+    spread = g_max - g_min
+    upper = np.clip(K @ reach_matrix(ctmc, spread, eps), 0.0, 1.0)
+    lower = np.clip(K * invariance_vector(ctmc, spread)[None, :], 0.0, 1.0)
+    mid = 0.5 * (lower + upper)
+    noisy = lower > upper
+    return np.where(noisy, mid, lower), np.where(noisy, mid, upper)
+
+
+@pytest.mark.parametrize("model", ["invent.ctmc", "tandem.ctmc"])
+def test_factored_cache_matches_direct_build(model):
+    ctmc = parse_ctmc(fixture_text(model))
+    gaps = [
+        (0.25, 0.5), (0.25, 0.75), (0.5, 0.75), (0.5, 1.0),
+        (0.0, 0.25), (1.0, 1.25), (0.8, 0.8), (0.25, 0.25),
+    ]
+    cache = _cache()
+    for g_min, g_max in gaps:
+        L, U = cache.bound_matrices(ctmc, (g_min, g_max), 1e-10)
+        dL, dU = _direct_bounds(ctmc, g_min, g_max, 1e-10)
+        np.testing.assert_array_equal(L, dL)
+        np.testing.assert_array_equal(U, dU)
+    # Gaps sharing a minimum share its kernel, gaps sharing a spread its
+    # reach matrix and invariance vector.
+    assert len(cache.entries) == len(gaps)
+    assert len(cache.kernels) == len({g for g, _ in gaps})
+    assert len(cache.spreads) == len({h - g for g, h in gaps if h > g})
 
 
 def test_bad_gap_rejected(invent):

@@ -155,6 +155,18 @@ def test_exit_code_numeric_error(runner, tmp_path):
     assert res.exit_code == 4
 
 
+def test_precise_zero_likelihood_exits_numeric(runner, tmp_path):
+    ev = tmp_path / "impossible.evidence"
+    ev.write_text("evidence\nobs empty @ 0..0\n")
+    res = runner.invoke(main, ["precise", INVENT, str(ev), "--weights", WEIGHTS])
+    assert res.exit_code == 4
+    assert "zero likelihood" in res.output
+    # The likelihood itself is well defined: 0.
+    res = runner.invoke(main, ["likelihood", INVENT, str(ev)])
+    assert res.exit_code == 0
+    assert float(res.output) == 0.0
+
+
 def test_missing_weight_option(runner):
     res = runner.invoke(main, ["analyze", INVENT, INVENT1])
     assert res.exit_code == 2  # click usage error

@@ -1,14 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.stats import poisson
 
+import condreach
 from condreach.ctmc import (
     Ctmc,
     ModelError,
+    _poisson_weights,
     bounded_reachability,
     bounded_reachability_vector,
     from_rates,
@@ -98,6 +105,35 @@ def test_transient_zero_time_is_identity(invent):
 def test_transient_rejects_negative(invent):
     with pytest.raises(ValueError):
         transient_matrix(invent, -0.1)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-12])
+def test_poisson_weights_match_scipy(eps):
+    for mean in np.concatenate((np.geomspace(1e-4, 250.0, 300), [0.5, 1, 7, 250])):
+        w = _poisson_weights(mean, eps)
+        # Never fewer terms than the scipy cutoff used before: 0..ppf + 1.
+        assert len(w) >= int(poisson.ppf(1.0 - 0.1 * eps, mean)) + 2
+        np.testing.assert_allclose(
+            w, poisson.pmf(np.arange(len(w)), mean), rtol=0, atol=1e-13
+        )
+        assert poisson.sf(len(w) - 1, mean) <= 0.1 * eps
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(condreach.__file__).resolve().parents[1])
+    code = (
+        "import sys, condreach; "
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_reach_matrix_against_absorbing_oracle(invent):

@@ -105,11 +105,11 @@ def test_trace_csv_shape(invent, invent1, invent_weights):
     lines = trace.to_csv().strip().splitlines()
     assert lines[0] == (
         "iter,elapsed_s,lower,upper,splits,imdp_states,imdp_actions,"
-        "imdp_transitions,unfold_s,solve_s"
+        "imdp_transitions,abstract_s,prune_s,solve_s"
     )
     assert len(lines) == 3
     first = lines[1].split(",")
-    assert first[0] == "1" and len(first) == 10
+    assert first[0] == "1" and len(first) == 11
 
 
 def test_min_direction(invent, invent1, invent_weights):
