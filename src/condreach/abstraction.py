@@ -9,6 +9,12 @@ every transient kernel realizable by times inside the two cells.
 Bounds depend on the two cells only through the elapsed-time gap they
 admit, so a cache keyed by (min gap, max gap) is shared across layers.
 It is factored by the gap's two parts, its minimum and its spread.
+
+Reachability advances one layer per step (reachable_step): the followed
+rows of every (cell, next cell) block are contracted against U in one
+einsum, whose sum is positive exactly where some followed row has
+support.  A forward pass is one step per layer, and consistency repair
+takes the same steps as it fixes each layer's choices.
 """
 
 from __future__ import annotations
@@ -278,29 +284,37 @@ def _check_feasible(L, U, reset, layer):
         )
 
 
+def reachable_step(imdp, i, reach, choice=None):
+    """Reachable states of layer i + 1 given those of layer i.
+
+    reach is layer i's (n_cells, n_states) mask and choice its scheduler
+    choices (every action is explored when None).  The masked rows of U
+    are summed per next cell in one contraction; U >= 0, so a sum is
+    positive exactly where some followed row has support.
+    """
+    U = imdp.upper[i]
+    rows = (reach & ~imdp.reset_masks[i]).astype(float)
+    if choice is None:
+        flow = np.einsum("js,jkst->kt", rows, U)
+    else:
+        follow = choice[:, None, :] == np.arange(U.shape[1])[:, None]
+        flow = np.einsum("jks,jkst->kt", follow * rows[:, None, :], U)
+    return flow > 0
+
+
 def reachable_states(imdp, scheduler=None):
     """Per-layer masks of abstract states forward-reachable from the start.
 
     With a scheduler, only chosen actions are followed; otherwise every
     action is explored.  Reset states redirect to the initial abstract
-    state, which is reachable by definition, so one forward pass suffices.
+    state, which is reachable by definition, so one forward pass of
+    reachable_step suffices.
     """
-    reach = [np.zeros_like(a) for a in imdp.active]
+    reach = [np.zeros_like(imdp.active[0])]
     reach[0][0, imdp.initial] = True
     for i in range(imdp.n_layers - 1):
-        U = imdp.upper[i]
-        reset = imdp.reset_masks[i]
-        for j in range(imdp.n_cells(i)):
-            here = reach[i][j] & ~reset
-            if not here.any():
-                continue
-            for j2 in range(imdp.n_cells(i + 1)):
-                if scheduler is None:
-                    rows = here
-                else:
-                    rows = here & (scheduler.choices[i][j] == j2)
-                if rows.any():
-                    reach[i + 1][j2] |= (U[j, j2][rows] > 0).any(axis=0)
+        choice = None if scheduler is None else scheduler.choices[i]
+        reach.append(reachable_step(imdp, i, reach[i], choice))
     return tuple(reach)
 
 

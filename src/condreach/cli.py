@@ -178,15 +178,11 @@ def _add(options):
               default="guided", show_default=True)
 @click.option("--direction", type=click.Choice(["max", "min"]),
               default="max", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help="Trace CSV path (stdout if omitted).")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker cap; computations currently use one worker.")
 @_add(_common)
 def cmd_analyze(model, evidence, weight_spec, time_limit, max_iters,
-                width_target, vi_tol, mode, direction, seed, out, threads,
-                transient_tol):
+                width_target, vi_tol, mode, direction, out, transient_tol):
     """Refinement loop producing sound lower/upper bounds and a trace."""
     ctmc = _load_model(model)
     omega = _load_evidence(evidence, ctmc)
@@ -200,7 +196,6 @@ def cmd_analyze(model, evidence, weight_spec, time_limit, max_iters,
             vi_tol=vi_tol,
             mode=mode,
             direction=direction,
-            seed=seed,
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_SEMANTIC) from None

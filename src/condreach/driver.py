@@ -20,7 +20,6 @@ class AnalysisConfig:
     vi_tol: float = DEFAULT_VI_TOL
     mode: str = "guided"
     direction: str = "max"
-    seed: int = 0
 
     def __post_init__(self):
         if self.time_limit <= 0:
@@ -124,6 +123,8 @@ def analyze(ctmc, omega, weights, config=AnalysisConfig()):
     cache = TransientBoundCache()
     psi = coarsest_partition(omega)
     parent_imdp = parent_psi = None
+    # Each solve starts from the previous iteration's fixpoint for it.
+    fixpoints = (0.0, 0.0, 0.0)
     rows = []
     pending_splits = 0
     start = time.monotonic()
@@ -144,8 +145,10 @@ def analyze(ctmc, omega, weights, config=AnalysisConfig()):
         pruned = restrict_reachable(imdp)
         t2 = time.monotonic()
         report = compute_bounds(
-            pruned, weights, tol=config.vi_tol, direction=config.direction
+            pruned, weights, tol=config.vi_tol, direction=config.direction,
+            start=fixpoints,
         )
+        fixpoints = report.info["fixpoints"]
         solve_s = time.monotonic() - t2
         states, actions, transitions = pruned.sizes()
         rows.append(

@@ -6,6 +6,20 @@ The sweep also propagates, through the distributions actually chosen,
 the sensitivity of every value to the injected initial value; the reset
 fixpoint is then solved in closed form and re-swept until the choices
 stabilize (policy iteration on a scalar).
+
+Each layer of a sweep is one batched numpy kernel over all (cell, next
+cell) pairs.  Nature's optimum over an interval polytope is its greedy
+extreme point: a row starts at its lower bounds and pours its slack
+into successors in value order (greedy_distribution states it for one
+block and is kept as the tests' oracle).  What does not depend on the
+values, the room U - L stored successor-major and the slack 1 - sum L,
+is prepared once per compute_bounds call and shared by its three
+solves.  A sweep then sorts the next layer's values with one stable
+argsort, gathers the room rows in that order, clips their running sum
+against the slack, and takes each q-value as L @ v plus the clipped
+fill dotted with the sorted values; betas reuse the same fill.  The
+terminal copy step is the identity, so its q-values are the next
+layer's values.
 """
 
 from __future__ import annotations
@@ -14,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abstraction import reachable_states
+from .abstraction import reachable_states, reachable_step
 
 DEFAULT_VI_TOL = 1e-9
 _MAX_SWEEPS = 10000
@@ -70,7 +84,62 @@ def greedy_distribution(lower, upper, values, maximize):
     return p[..., inverse]
 
 
-def _sweep(imdp, weights, v0, outer, inner, fixed=None):
+def _prepare(imdp):
+    """Value-independent arrays of each layer's batched greedy.
+
+    With nc and nc2 the cell counts of a layer and the next, and its rows
+    numbered m = j * n + s over (cell, state), a layer gets the triple
+    (lower, room, slack), all successor-major:
+    lower[j2, t, m] = L[j, j2, s, t], shape (nc2, n, nc * n); room is
+    U - L in the same order, flattened to (nc2 * n, nc * n); and
+    slack[j2, 0, m] = 1 - sum_t L[j, j2, s, t].  An identity layer, such
+    as the terminal copy step, gets None.
+    """
+    n = imdp.n_states
+    eye = np.eye(n)
+    layout = []
+    for L, U in zip(imdp.lower, imdp.upper):
+        nc, nc2 = L.shape[:2]
+        if np.array_equal(L, U) and (L == eye).all():
+            layout.append(None)
+            continue
+        lower = np.ascontiguousarray(L.transpose(1, 3, 0, 2))
+        room = np.ascontiguousarray((U - L).transpose(1, 3, 0, 2))
+        slack = (1.0 - L.sum(axis=-1)).transpose(1, 0, 2)
+        layout.append((
+            lower.reshape(nc2, n, nc * n),
+            room.reshape(nc2 * n, nc * n),
+            slack.reshape(nc2, 1, nc * n),
+        ))
+    return layout
+
+
+def _q_values(layer, vb, maximize):
+    """Inner-optimal expectations of next-layer vectors, for every row.
+
+    vb has shape (nc2, k, n): k vectors per next cell, the first of which
+    orders the successors.  Returns q of shape (nc2, k, m), where
+    q[j2, :, j * n + s] is the expectation of vb[j2] under the greedy
+    extreme point of row s of cell j towards next cell j2.
+    """
+    if layer is None:
+        return vb
+    lower, room, slack = layer
+    nc2, _, n = vb.shape
+    v = vb[:, 0]
+    order = np.argsort(-v if maximize else v, axis=-1, kind="stable")
+    rows = (order + n * np.arange(nc2)[:, None]).ravel()
+    gathered = room[rows].reshape(nc2, n, -1)
+    # Room poured before each successor, then the slack left for it.
+    fill = np.cumsum(gathered, axis=1)
+    fill -= gathered
+    np.subtract(slack, fill, out=fill)
+    np.clip(fill, 0.0, gathered, out=fill)
+    ordered = np.take_along_axis(vb, order[:, None, :], axis=2)
+    return vb @ lower + ordered @ fill
+
+
+def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
     """One backward pass; returns (values, betas, choices).
 
     values[i] has shape (n_cells_i, n_states); betas is the derivative
@@ -88,32 +157,25 @@ def _sweep(imdp, weights, v0, outer, inner, fixed=None):
     for i in range(n_layers - 2, -1, -1):
         nc = imdp.n_cells(i)
         nc2 = imdp.n_cells(i + 1)
-        q_val = np.empty((nc, nc2, n))
-        q_beta = np.empty((nc, nc2, n))
-        for j2 in range(nc2):
-            vn = values[i + 1][j2]
-            bn = betas[i + 1][j2]
-            p = greedy_distribution(
-                imdp.lower[i][:, j2], imdp.upper[i][:, j2], vn, inner == "max"
-            )
-            q_val[:, j2] = p @ vn
-            q_beta[:, j2] = p @ bn
+        vb = np.stack((values[i + 1], betas[i + 1]), axis=1)
+        q = _q_values(layout[i], vb, inner == "max")
+        q = np.broadcast_to(q.reshape(nc2, 2, -1, n), (nc2, 2, nc, n))
+        q_val, q_beta = q[:, 0], q[:, 1]
         if fixed is not None:
             choice = fixed.choices[i].copy()
             # Reset rows carry -1; give them a valid gather index, their
             # values are overwritten below anyway.
             gather = np.maximum(choice, 0)
         elif outer == "max":
-            gather = choice = np.argmax(q_val, axis=1)
+            gather = choice = np.argmax(q_val, axis=0)
         else:
-            gather = choice = np.argmin(q_val, axis=1)
-        take = gather[:, None, :]
-        val = np.take_along_axis(q_val, take, axis=1)[:, 0, :]
-        beta = np.take_along_axis(q_beta, take, axis=1)[:, 0, :]
+            gather = choice = np.argmin(q_val, axis=0)
+        take = gather[None]
+        val = np.take_along_axis(q_val, take, axis=0)[0]
+        beta = np.take_along_axis(q_beta, take, axis=0)[0]
         reset = imdp.reset_masks[i]
         val[:, reset] = v0
         beta[:, reset] = 1.0
-        choice = np.asarray(choice)
         choice[:, reset] = -1
         values[i] = val
         betas[i] = beta
@@ -121,11 +183,15 @@ def _sweep(imdp, weights, v0, outer, inner, fixed=None):
     return values, betas, choices
 
 
-def _solve(imdp, weights, outer, inner, tol, fixed=None):
+def _solve(imdp, weights, outer, inner, tol, fixed=None, v0=0.0,
+           layout=None):
     """Iterate sweeps until the reset fixpoint stabilizes."""
-    v0 = 0.0
+    if layout is None:
+        layout = _prepare(imdp)
     for _ in range(_MAX_SWEEPS):
-        values, betas, choices = _sweep(imdp, weights, v0, outer, inner, fixed)
+        values, betas, choices = _sweep(
+            imdp, layout, weights, v0, outer, inner, fixed
+        )
         f = values[0][0, imdp.initial]
         b = betas[0][0, imdp.initial]
         if b >= 1.0 - 1e-12:
@@ -138,7 +204,7 @@ def _solve(imdp, weights, outer, inner, tol, fixed=None):
         v0_new = (f - b * v0) / (1.0 - b)
         if abs(v0_new - v0) <= tol:
             values, _, choices = _sweep(
-                imdp, weights, v0_new, outer, inner, fixed
+                imdp, layout, weights, v0_new, outer, inner, fixed
             )
             return values, Scheduler(tuple(choices)), v0_new
         v0 = v0_new
@@ -146,22 +212,27 @@ def _solve(imdp, weights, outer, inner, tol, fixed=None):
 
 
 def robust_value_iteration(
-    imdp, weights, outer="max", inner="max", tol=DEFAULT_VI_TOL
+    imdp, weights, outer="max", inner="max", tol=DEFAULT_VI_TOL, v0=0.0,
+    layout=None,
 ):
     """Optimal robust values and the outer-optimal scheduler.
 
     outer optimizes over actions (next-layer cells), inner over the
     feasible distributions inside the interval bounds.  Argmax ties
-    break to the lowest-indexed action.
+    break to the lowest-indexed action.  v0 is the first guess of the
+    reset value; layout is the model's prepared arrays, built when
+    omitted.
     """
-    values, sched, _ = _solve(imdp, weights, outer, inner, tol)
+    values, sched, _ = _solve(imdp, weights, outer, inner, tol, v0=v0,
+                              layout=layout)
     return values, sched
 
 
-def evaluate_scheduler(imdp, weights, sched, inner, tol=DEFAULT_VI_TOL):
+def evaluate_scheduler(imdp, weights, sched, inner, tol=DEFAULT_VI_TOL,
+                       v0=0.0, layout=None):
     """Value of a fixed scheduler under adversarial (or friendly) nature."""
     values, _, value = _solve(imdp, weights, outer=None, inner=inner,
-                              tol=tol, fixed=sched)
+                              tol=tol, fixed=sched, v0=v0, layout=layout)
     return values, value
 
 
@@ -173,23 +244,26 @@ def reachable_under(imdp, sched):
 def repair_consistency(imdp, sched):
     """Make per-cell choices uniform by majority vote over reachable states.
 
-    Layers are fixed front to back; reachability is recomputed after each
-    layer since earlier repairs change which later states are reachable.
-    Ties (and cells with no reachable voters) resolve to the lowest
-    action index among the votes of all non-reset states.
+    Layers are fixed front to back.  Reachability of layer i + 1 depends
+    only on the choices at layers up to i, so it is carried forward one
+    layer at a time as each layer's choices are fixed.  Ties (and cells
+    with no reachable voters) resolve to the lowest action index among
+    the votes of all non-reset states.
     """
     choices = [c.copy() for c in sched.choices]
+    reach = np.zeros_like(imdp.active[0])
+    reach[0, imdp.initial] = True
     for i in range(imdp.n_layers - 1):
-        reach = reachable_states(imdp, Scheduler(tuple(choices)))
         reset = imdp.reset_masks[i]
         for j in range(imdp.n_cells(i)):
             eligible = ~reset & imdp.active[i][j]
             if not eligible.any():
                 continue
-            voters = reach[i][j] & eligible
+            voters = reach[j] & eligible
             votes = choices[i][j][voters if voters.any() else eligible]
             winner = np.bincount(votes).argmax()
             choices[i][j][eligible] = winner
+        reach = reachable_step(imdp, i, reach, choices[i])
     return Scheduler(tuple(choices))
 
 
@@ -206,7 +280,8 @@ def audit_consistency(imdp, sched, reach=None):
     return True
 
 
-def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max"):
+def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
+                   start=(0.0, 0.0, 0.0)):
     """Sound bound pair on the optimal conditional weight.
 
     Maximization: the upper bound is the unrestricted robust optimum
@@ -214,23 +289,32 @@ def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max"):
     evaluates, pessimistically, the consistent scheduler obtained by
     repairing the max/min-optimal one.  Minimization flips every
     direction symmetrically.
+
+    start holds the first reset-value guesses of the three solves; a
+    refinement loop passes the previous model's info["fixpoints"], which
+    are close to the refined model's and save sweeps.
     """
     if direction not in ("max", "min"):
         raise ValueError("direction must be 'max' or 'min'")
     opt, pess = ("max", "min") if direction == "max" else ("min", "max")
+    layout = _prepare(imdp)
 
     vals_outer, sigma_star = robust_value_iteration(
-        imdp, weights, outer=opt, inner=opt, tol=tol
+        imdp, weights, outer=opt, inner=opt, tol=tol, v0=start[0],
+        layout=layout,
     )
     outer_bound = float(vals_outer[0][0, imdp.initial])
 
-    _, sigma_minus = robust_value_iteration(
-        imdp, weights, outer=opt, inner=pess, tol=tol
+    vals_minus, sigma_minus = robust_value_iteration(
+        imdp, weights, outer=opt, inner=pess, tol=tol, v0=start[1],
+        layout=layout,
     )
     sigma_hat = repair_consistency(imdp, sigma_minus)
     _, inner_bound = evaluate_scheduler(imdp, weights, sigma_hat, inner=pess,
-                                        tol=tol)
+                                        tol=tol, v0=start[2], layout=layout)
     inner_bound = float(inner_bound)
+    fixpoints = (outer_bound, float(vals_minus[0][0, imdp.initial]),
+                 inner_bound)
 
     if direction == "max":
         lower, upper = inner_bound, outer_bound
@@ -241,5 +325,5 @@ def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max"):
         upper=upper,
         guide_scheduler=sigma_star,
         repaired_scheduler=sigma_hat,
-        info={"direction": direction},
+        info={"direction": direction, "fixpoints": fixpoints},
     )

@@ -55,3 +55,35 @@ def random_chain():
         return from_rates(names, names[0], rates, labels)
 
     return make
+
+
+@pytest.fixture(scope="session")
+def imdp_cases(invent, invent1, invent_weights):
+    """Pruned interval MDPs of invent1 and tandem1, with their weights.
+
+    Each evidence is abstracted at its coarsest partition and at a refined
+    one (every positive-width cell bisected, twice for invent1 and once for
+    tandem1), so the solver and reachability kernels see one-cell and
+    many-cell layers of a 3-state and a 120-state chain.
+    """
+    from condreach.abstraction import abstract, restrict_reachable
+    from condreach.driver import all_split_targets, apply_splits
+    from condreach.evidence import coarsest_partition
+
+    tandem = parse_ctmc(fixture_text("tandem.ctmc"))
+    tandem1 = parse_evidence(fixture_text("tandem1.evidence"))
+    tandem_weights = weight_from_property(
+        tandem, tandem.satisfying(parse_formula("second_full")), 0.5
+    )
+    cases = {}
+    for name, ctmc, omega, weights, rounds in (
+        ("invent1", invent, invent1, invent_weights, 2),
+        ("tandem1", tandem, tandem1, tandem_weights, 1),
+    ):
+        psi = coarsest_partition(omega)
+        for level in range(rounds + 1):
+            if level:
+                psi = apply_splits(psi, all_split_targets(psi))
+            imdp = restrict_reachable(abstract(ctmc, omega, psi))
+            cases[f"{name}-refined{level}"] = (imdp, weights)
+    return cases

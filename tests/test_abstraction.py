@@ -189,6 +189,79 @@ def test_scheduler_reachability(invent, invent1):
         assert np.all(r <= f)
 
 
+def _reference_reachable(imdp, scheduler=None):
+    """Forward pass looping over every (cell, next cell) pair."""
+    reach = [np.zeros_like(a) for a in imdp.active]
+    reach[0][0, imdp.initial] = True
+    for i in range(imdp.n_layers - 1):
+        U = imdp.upper[i]
+        reset = imdp.reset_masks[i]
+        for j in range(imdp.n_cells(i)):
+            here = reach[i][j] & ~reset
+            for j2 in range(imdp.n_cells(i + 1)):
+                rows = here
+                if scheduler is not None:
+                    rows = here & (scheduler.choices[i][j] == j2)
+                if rows.any():
+                    reach[i + 1][j2] |= (U[j, j2][rows] > 0).any(axis=0)
+    return tuple(reach)
+
+
+def _random_scheduler(imdp, rng):
+    choices = []
+    for i in range(imdp.n_layers - 1):
+        c = rng.integers(0, imdp.n_cells(i + 1),
+                         (imdp.n_cells(i), imdp.n_states))
+        c[:, imdp.reset_masks[i]] = -1
+        choices.append(c)
+    return Scheduler(tuple(choices))
+
+
+def _sparse_imdp(rng):
+    """Random layered interval MDP whose rows have random sparse support."""
+    n = int(rng.integers(2, 5))
+    counts = [1, *rng.integers(1, 4, int(rng.integers(1, 4))), 1]
+    layers = tuple(
+        tuple(TimeSet.point(float(10 * i + j)) for j in range(c))
+        for i, c in enumerate(counts)
+    )
+    lower, upper = [], []
+    for nc, nc2 in zip(counts, counts[1:]):
+        support = rng.random((nc, nc2, n, n)) < 0.4
+        support[..., 0] |= ~support.any(axis=-1)
+        U = support * rng.uniform(0.5, 1.0, support.shape)
+        lower.append(np.zeros_like(U))
+        upper.append(U)
+    return IntervalMdp(
+        layers=layers,
+        lower=tuple(lower),
+        upper=tuple(upper),
+        reset_masks=tuple(rng.random(n) < 0.2 for _ in layers),
+        initial=0,
+        n_states=n,
+        active=tuple(np.ones((c, n), bool) for c in counts),
+    )
+
+
+def test_reachable_states_matches_per_cell_loop(imdp_cases):
+    rng = np.random.default_rng(11)
+    for name, (imdp, _) in imdp_cases.items():
+        schedulers = [None] + [_random_scheduler(imdp, rng) for _ in range(5)]
+        for sched in schedulers:
+            got = reachable_states(imdp, sched)
+            want = _reference_reachable(imdp, sched)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == bool, name
+                np.testing.assert_array_equal(g, w, err_msg=name)
+    for _ in range(100):
+        imdp = _sparse_imdp(rng)
+        for sched in (None, _random_scheduler(imdp, rng)):
+            for g, w in zip(reachable_states(imdp, sched),
+                            _reference_reachable(imdp, sched)):
+                np.testing.assert_array_equal(g, w)
+
+
 def test_infeasible_intervals_raise(invent):
     layers = ((TimeSet.point(0.0),), (TimeSet.point(1.0),))
     n = 3

@@ -10,6 +10,9 @@ from condreach.solver import (
     BoundsReport,
     Scheduler,
     SolverError,
+    _prepare,
+    _q_values,
+    _sweep,
     audit_consistency,
     compute_bounds,
     evaluate_scheduler,
@@ -18,6 +21,11 @@ from condreach.solver import (
     robust_value_iteration,
 )
 from condreach.unfolding import conditional_weight
+from test_abstraction import (
+    _random_scheduler,
+    _reference_reachable,
+    _sparse_imdp,
+)
 
 
 def _random_intervals(rng, k):
@@ -216,3 +224,198 @@ def test_robust_vi_monotone_in_inner(invent, invent1, invent_weights, seed):
     vmax, _ = robust_value_iteration(imdp, invent_weights, "max", "max")
     vmin, _ = robust_value_iteration(imdp, invent_weights, "max", "min")
     assert vmax[0][0, imdp.initial] >= vmin[0][0, imdp.initial] - 1e-9
+
+
+def _reference_sweep(imdp, weights, v0, outer, inner, fixed=None):
+    """Backward pass calling greedy_distribution once per interval row.
+
+    Returns (values, betas, choices, q-values), the q-values of layer i
+    with shape (n_cells_i, n_cells_{i+1}, n_states).
+    """
+    n_layers, n = imdp.n_layers, imdp.n_states
+    values = [None] * n_layers
+    betas = [None] * n_layers
+    choices = [None] * (n_layers - 1)
+    q_vals = [None] * (n_layers - 1)
+    values[-1] = np.tile(np.asarray(weights, float),
+                         (imdp.n_cells(n_layers - 1), 1))
+    betas[-1] = np.zeros_like(values[-1])
+    for i in range(n_layers - 2, -1, -1):
+        nc, nc2 = imdp.n_cells(i), imdp.n_cells(i + 1)
+        q_val = np.empty((nc, nc2, n))
+        q_beta = np.empty((nc, nc2, n))
+        for j in range(nc):
+            for j2 in range(nc2):
+                vn, bn = values[i + 1][j2], betas[i + 1][j2]
+                for s in range(n):
+                    p = greedy_distribution(
+                        imdp.lower[i][j, j2, s], imdp.upper[i][j, j2, s],
+                        vn, inner == "max",
+                    )
+                    q_val[j, j2, s] = p @ vn
+                    q_beta[j, j2, s] = p @ bn
+        if fixed is not None:
+            choice = fixed.choices[i].copy()
+        elif outer == "max":
+            choice = q_val.argmax(axis=1)
+        else:
+            choice = q_val.argmin(axis=1)
+        take = np.maximum(choice, 0)[:, None, :]
+        val = np.take_along_axis(q_val, take, axis=1)[:, 0]
+        beta = np.take_along_axis(q_beta, take, axis=1)[:, 0]
+        reset = imdp.reset_masks[i]
+        val[:, reset] = v0
+        beta[:, reset] = 1.0
+        choice[:, reset] = -1
+        values[i], betas[i], choices[i], q_vals[i] = val, beta, choice, q_val
+    return values, betas, choices, q_vals
+
+
+def _separated(q_val, outer):
+    """Rows whose best two q-values differ by more than 1e-12."""
+    if q_val.shape[1] < 2:
+        return np.ones((q_val.shape[0], q_val.shape[2]), bool)
+    ranked = np.sort(q_val, axis=1)
+    if outer == "max":
+        gap = ranked[:, -1] - ranked[:, -2]
+    else:
+        gap = ranked[:, 1] - ranked[:, 0]
+    return gap > 1e-12
+
+
+@pytest.mark.parametrize("outer", ["max", "min"])
+@pytest.mark.parametrize("inner", ["max", "min"])
+def test_batched_sweep_matches_row_greedy(imdp_cases, outer, inner):
+    v0 = 0.0375
+    for name, (imdp, weights) in imdp_cases.items():
+        layout = _prepare(imdp)
+        values, betas, choices = _sweep(imdp, layout, weights, v0, outer,
+                                        inner)
+        ref_vals, ref_betas, ref_choices, q_vals = _reference_sweep(
+            imdp, weights, v0, outer, inner
+        )
+        for i in range(imdp.n_layers):
+            np.testing.assert_allclose(values[i], ref_vals[i], rtol=0,
+                                       atol=1e-12, err_msg=name)
+            np.testing.assert_allclose(betas[i], ref_betas[i], rtol=0,
+                                       atol=1e-12, err_msg=name)
+        for i, q_val in enumerate(q_vals):
+            sure = _separated(q_val, outer)
+            np.testing.assert_array_equal(
+                choices[i][sure], ref_choices[i][sure], err_msg=name
+            )
+        # Under one fixed scheduler both passes follow the same actions.
+        fixed = Scheduler(tuple(choices))
+        values, betas, _ = _sweep(imdp, layout, weights, v0, None, inner,
+                                  fixed)
+        ref_vals, ref_betas, _, _ = _reference_sweep(imdp, weights, v0, None,
+                                                     inner, fixed)
+        for i in range(imdp.n_layers):
+            np.testing.assert_allclose(values[i], ref_vals[i], rtol=0,
+                                       atol=1e-12, err_msg=name)
+            np.testing.assert_allclose(betas[i], ref_betas[i], rtol=0,
+                                       atol=1e-12, err_msg=name)
+
+
+def _one_step_imdp(lower, upper):
+    """Two-layer interval MDP holding one (nc, nc2, n, n) bound pair."""
+    from condreach.abstraction import IntervalMdp
+    from condreach.evidence import TimeSet
+
+    nc, nc2, n, _ = lower.shape
+    layers = (
+        tuple(TimeSet.point(float(j)) for j in range(nc)),
+        tuple(TimeSet.point(float(10 + j)) for j in range(nc2)),
+    )
+    return IntervalMdp(
+        layers=layers,
+        lower=(lower,),
+        upper=(upper,),
+        reset_masks=tuple(np.zeros(n, bool) for _ in layers),
+        initial=0,
+        n_states=n,
+        active=tuple(np.ones((len(row), n), bool) for row in layers),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    nc=st.integers(1, 3),
+    nc2=st.integers(1, 3),
+    n=st.integers(1, 6),
+    maximize=st.booleans(),
+)
+def test_q_values_match_greedy_on_tied_values(seed, nc, nc2, n, maximize):
+    # Feasible rows around a random distribution with some zero and some
+    # point-interval entries; values take three levels, so successors tie.
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(n), (nc, nc2, n))
+    p[rng.random(p.shape) < 0.3] = 0.0
+    p[..., 0] += p.sum(axis=-1) == 0
+    p /= p.sum(axis=-1, keepdims=True)
+    lower = p * rng.uniform(0.0, 1.0, p.shape)
+    upper = np.minimum(1.0, p + rng.uniform(0.0, 0.5, p.shape))
+    tight = rng.random(p.shape) < 0.2
+    lower[tight] = upper[tight] = p[tight]
+    vb = np.stack(
+        (rng.integers(0, 3, (nc2, n)) / 2.0, rng.uniform(0, 1, (nc2, n))),
+        axis=1,
+    )
+    layer = _prepare(_one_step_imdp(lower, upper))[0]
+    q = _q_values(layer, vb, maximize).reshape(nc2, 2, nc, n)
+    for j in range(nc):
+        for j2 in range(nc2):
+            for s in range(n):
+                row = greedy_distribution(lower[j, j2, s], upper[j, j2, s],
+                                          vb[j2, 0], maximize)
+                np.testing.assert_allclose(q[j2, :, j, s], vb[j2] @ row,
+                                           rtol=0, atol=1e-12)
+
+
+def _reference_repair(imdp, sched):
+    """Repair that reruns the full forward pass before fixing each layer."""
+    choices = [c.copy() for c in sched.choices]
+    for i in range(imdp.n_layers - 1):
+        reach = _reference_reachable(imdp, Scheduler(tuple(choices)))
+        reset = imdp.reset_masks[i]
+        for j in range(imdp.n_cells(i)):
+            eligible = ~reset & imdp.active[i][j]
+            if not eligible.any():
+                continue
+            voters = reach[i][j] & eligible
+            votes = choices[i][j][voters if voters.any() else eligible]
+            choices[i][j][eligible] = np.bincount(votes).argmax()
+    return Scheduler(tuple(choices))
+
+
+def test_one_pass_repair_matches_rerun_reachability(imdp_cases):
+    rng = np.random.default_rng(3)
+    for name, (imdp, weights) in imdp_cases.items():
+        _, sigma_minus = robust_value_iteration(imdp, weights, "max", "min")
+        schedulers = [sigma_minus]
+        schedulers += [_random_scheduler(imdp, rng) for _ in range(4)]
+        for sched in schedulers:
+            got = repair_consistency(imdp, sched)
+            want = _reference_repair(imdp, sched)
+            for g, w in zip(got.choices, want.choices):
+                np.testing.assert_array_equal(g, w, err_msg=name)
+    # Sparse supports, where a repaired choice changes what is reachable.
+    for _ in range(200):
+        imdp = _sparse_imdp(rng)
+        sched = _random_scheduler(imdp, rng)
+        got = repair_consistency(imdp, sched)
+        want = _reference_repair(imdp, sched)
+        for g, w in zip(got.choices, want.choices):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_warm_start_keeps_bounds(imdp_cases):
+    # The reset value's first guess changes the number of sweeps, not the
+    # fixpoint the solves converge to.
+    for name, (imdp, weights) in imdp_cases.items():
+        cold = compute_bounds(imdp, weights)
+        for start in (cold.info["fixpoints"], (1.0, 0.5, 1.0)):
+            warm = compute_bounds(imdp, weights, start=start)
+            assert warm.lower == pytest.approx(cold.lower, abs=1e-9), name
+            assert warm.upper == pytest.approx(cold.upper, abs=1e-9), name
