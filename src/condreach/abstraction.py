@@ -10,6 +10,13 @@ Bounds depend on the two cells only through the elapsed-time gap they
 admit, so a cache keyed by (min gap, max gap) is shared across layers.
 It is factored by the gap's two parts, its minimum and its spread.
 
+Each partition is abstracted on its own.  Refinement still nests: a
+child cell pair admits a sub-gap of its parent pair's gap, and the
+bounds are monotone in the gap.  The chance to visit s' inside a smaller
+window can only fall, and the chance to stay in s' over it can only
+rise, so every child interval lies inside its parent's.  The tests check
+this; nothing clips to it.
+
 Reachability advances one layer per step (reachable_step): the followed
 rows of every (cell, next cell) block are contracted against U in one
 einsum, whose sum is positive exactly where some followed row has
@@ -91,26 +98,16 @@ class TransientBoundCache:
         R, inv = parts
         upper = np.clip(K @ R, 0.0, 1.0)
         lower = np.clip(K * inv, 0.0, 1.0)
-        lower, upper = _snap_crossed(
-            lower, upper, "lower bound exceeds upper beyond tolerance"
-        )
+        # Lower above upper by at most _NOISE is float noise on near-point
+        # intervals: such entries meet at their midpoint.
+        crossed = lower - upper
+        if np.any(crossed > _NOISE):
+            raise AbstractionError("lower bound exceeds upper beyond tolerance")
+        noisy = crossed > 0
+        lower[noisy] = upper[noisy] = 0.5 * (lower[noisy] + upper[noisy])
         lower.setflags(write=False)
         upper.setflags(write=False)
         return lower, upper
-
-
-def _snap_crossed(lower, upper, message):
-    """Meet crossed bounds at their midpoint.
-
-    Entries where lower exceeds upper by at most _NOISE are float noise on
-    near-point intervals; a larger crossing raises AbstractionError.
-    """
-    bad = lower - upper
-    if np.any(bad > _NOISE):
-        raise AbstractionError(message)
-    mid = 0.5 * (lower + upper)
-    noisy = bad > 0
-    return np.where(noisy, mid, lower), np.where(noisy, mid, upper)
 
 
 @dataclass(frozen=True)
@@ -175,36 +172,12 @@ class IntervalMdp:
         return states, actions, transitions
 
 
-def _cell_parent_map(cells, parent_cells):
-    """Index of the unique parent cell containing each child cell."""
-    mapping = []
-    for cell in cells:
-        hits = [
-            pj
-            for pj, p in enumerate(parent_cells)
-            if p.lo <= cell.lo and cell.hi <= p.hi
-        ]
-        if len(hits) != 1:
-            raise AbstractionError("cell does not nest inside a unique parent")
-        mapping.append(hits[0])
-    return mapping
-
-
-def abstract(
-    ctmc,
-    omega,
-    psi,
-    eps=DEFAULT_TRANSIENT_TOL,
-    cache=None,
-    parent=None,
-    parent_psi=None,
-):
+def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
     """Build the interval MDP for evidence omega under partition psi.
 
-    When the previous iteration's model and partition are supplied, each
-    child interval is intersected with its parent's: both bracket the
-    same set of realizable transient probabilities, so the intersection
-    stays sound and makes refinement nesting exact by construction.
+    The model depends only on the partition and the bound cache.  A
+    refined partition's intervals nest inside the coarser ones because
+    the gap bounds are monotone; they are not clipped to them.
     """
     omega.bind_check(ctmc.alphabet)
     if cache is None:
@@ -215,17 +188,7 @@ def abstract(
         *psi.cells,
         (psi.anchor_star,),
     )
-    reset_masks = [np.zeros(n, dtype=bool)]
-    for obs in omega.formulas:
-        reset_masks.append(~ctmc.satisfying(obs))
-    reset_masks.append(np.zeros(n, dtype=bool))
-
-    parent_maps = None
-    if parent is not None:
-        parent_maps = [[0]]
-        for row, p_row in zip(psi.cells, parent_psi.cells):
-            parent_maps.append(_cell_parent_map(row, p_row))
-        parent_maps.append([0])
+    reset_masks = ctmc.reset_masks(omega.formulas)
 
     lower, upper = [], []
     n_layers = len(layers)
@@ -241,15 +204,6 @@ def abstract(
                 for j2, cell2 in enumerate(layers[i + 1]):
                     gap = (cell2.lo - cell.hi, cell2.hi - cell.lo)
                     L[j, j2], U[j, j2] = cache.bound_matrices(ctmc, gap, eps)
-            if parent is not None:
-                pm, pm2 = parent_maps[i], parent_maps[i + 1]
-                pL = parent.lower[i][np.ix_(pm, pm2)]
-                pU = parent.upper[i][np.ix_(pm, pm2)]
-                L, U = _snap_crossed(
-                    np.maximum(L, pL),
-                    np.minimum(U, pU),
-                    "parent intersection produced an empty interval",
-                )
         _check_feasible(L, U, reset_masks[i], i)
         L.setflags(write=False)
         U.setflags(write=False)
@@ -263,7 +217,7 @@ def abstract(
         layers=layers,
         lower=tuple(lower),
         upper=tuple(upper),
-        reset_masks=tuple(reset_masks),
+        reset_masks=reset_masks,
         initial=ctmc.initial,
         n_states=n,
         active=active,
@@ -335,33 +289,3 @@ def restrict_reachable(imdp):
         n_states=imdp.n_states,
         active=active,
     )
-
-
-def debug_dump(imdp, state_names=None):
-    """Deterministic one-line-per-transition text dump for golden tests."""
-    if state_names is None:
-        state_names = [str(s) for s in range(imdp.n_states)]
-    lines = []
-    for i in range(imdp.n_layers - 1):
-        reset = imdp.reset_masks[i]
-        for j in range(imdp.n_cells(i)):
-            for s in range(imdp.n_states):
-                if not imdp.active[i][j, s]:
-                    continue
-                if reset[s]:
-                    lines.append(
-                        f"<{state_names[s]},{i},{j}> --reset--> "
-                        f"<{state_names[imdp.initial]},0,0> [1,1]"
-                    )
-                    continue
-                for j2 in range(imdp.n_cells(i + 1)):
-                    L = imdp.lower[i][j, j2, s]
-                    U = imdp.upper[i][j, j2, s]
-                    for s2 in range(imdp.n_states):
-                        if U[s2] > 0:
-                            lines.append(
-                                f"<{state_names[s]},{i},{j}> --{j2}--> "
-                                f"<{state_names[s2]},{i + 1},{j2}> "
-                                f"[{L[s2]:.12g},{U[s2]:.12g}]"
-                            )
-    return "\n".join(lines) + "\n"

@@ -131,11 +131,9 @@ def _parse_weights(spec, ctmc, eps):
 
 
 def _to_precise(omega, path):
-    from .evidence import EvidenceError as Err
-
     try:
         return omega.to_precise()
-    except Err:
+    except EvidenceError:
         raise CliError(
             f"{path}: evidence has nondegenerate time windows; "
             "this command needs precisely timed evidence",
@@ -149,19 +147,19 @@ def main():
     imprecisely known times."""
 
 
-_common = [
-    click.option("--transient-tol", type=float, default=1e-10,
-                 show_default=True, help="Transient truncation tolerance."),
-]
+def _write_csv(csv, out):
+    """Write a CSV document to the path out, or to stdout when out is None."""
+    if out is None:
+        sys.stdout.write(csv)
+    else:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(csv)
 
 
-def _add(options):
-    def wrap(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-
-    return wrap
+_transient_tol_option = click.option(
+    "--transient-tol", type=float, default=1e-10, show_default=True,
+    help="Transient truncation tolerance.",
+)
 
 
 @main.command("analyze")
@@ -180,7 +178,7 @@ def _add(options):
               default="max", show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help="Trace CSV path (stdout if omitted).")
-@_add(_common)
+@_transient_tol_option
 def cmd_analyze(model, evidence, weight_spec, time_limit, max_iters,
                 width_target, vi_tol, mode, direction, out, transient_tol):
     """Refinement loop producing sound lower/upper bounds and a trace."""
@@ -203,12 +201,7 @@ def cmd_analyze(model, evidence, weight_spec, time_limit, max_iters,
         trace = analyze(ctmc, omega, weights, config)
     except (SolverError, AbstractionError) as exc:
         raise CliError(str(exc), EXIT_NUMERIC) from None
-    csv = trace.to_csv()
-    if out is None:
-        sys.stdout.write(csv)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv)
+    _write_csv(trace.to_csv(), out)
     click.echo(
         f"lower={trace.lower:.12g} upper={trace.upper:.12g} "
         f"iters={len(trace.rows)} total_s={trace.total_s:.2f}"
@@ -219,7 +212,7 @@ def cmd_analyze(model, evidence, weight_spec, time_limit, max_iters,
 @click.argument("model", type=click.Path())
 @click.argument("evidence", type=click.Path())
 @click.option("--weights", "weight_spec", required=True)
-@_add(_common)
+@_transient_tol_option
 def cmd_precise(model, evidence, weight_spec, transient_tol):
     """Exact conditional weight for precisely timed evidence."""
     ctmc = _load_model(model)
@@ -242,7 +235,7 @@ def cmd_precise(model, evidence, weight_spec, transient_tol):
 @main.command("likelihood")
 @click.argument("model", type=click.Path())
 @click.argument("evidence", type=click.Path())
-@_add(_common)
+@_transient_tol_option
 def cmd_likelihood(model, evidence, transient_tol):
     """Probability that the model generates precisely timed evidence."""
     ctmc = _load_model(model)
@@ -259,7 +252,7 @@ def cmd_likelihood(model, evidence, transient_tol):
 @click.option("-n", "n", type=int, default=500, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-@_add(_common)
+@_transient_tol_option
 def cmd_sample(model, evidence, weight_spec, n, seed, out, transient_tol):
     """Exact conditional weights of sampled precise instances."""
     ctmc = _load_model(model)
@@ -268,10 +261,5 @@ def cmd_sample(model, evidence, weight_spec, n, seed, out, transient_tol):
     if n < 1:
         raise CliError("need at least one sample", EXIT_SEMANTIC)
     env = sample_envelope(ctmc, omega, weights, n, seed, transient_tol)
-    csv = env.to_csv()
-    if out is None:
-        sys.stdout.write(csv)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv)
+    _write_csv(env.to_csv(), out)
     click.echo(f"min={env.min:.12g} max={env.max:.12g} n={n}", err=True)

@@ -110,6 +110,16 @@ class Ctmc:
         """Boolean vector of states satisfying an observation formula."""
         return np.array([formula.holds(lab) for lab in self.labels], dtype=bool)
 
+    def reset_masks(self, formulas):
+        """Per-layer masks of the states violating each observation.
+
+        The observation layers sit between the anchor layer at time 0 and
+        the final copy layer, whose masks are all False.
+        """
+        violating = (~self.satisfying(obs) for obs in formulas)
+        n = self.n_states
+        return (np.zeros(n, dtype=bool), *violating, np.zeros(n, dtype=bool))
+
     def absorbing_variant(self, absorb_mask):
         """Copy of the chain with the masked states made absorbing."""
         jp = self.jump_probs.copy()

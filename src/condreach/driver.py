@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .abstraction import TransientBoundCache, abstract, restrict_reachable
 from .ctmc import DEFAULT_TRANSIENT_TOL
@@ -122,7 +122,6 @@ def analyze(ctmc, omega, weights, config=AnalysisConfig()):
     omega.bind_check(ctmc.alphabet)
     cache = TransientBoundCache()
     psi = coarsest_partition(omega)
-    parent_imdp = parent_psi = None
     # Each solve starts from the previous iteration's fixpoint for it.
     fixpoints = (0.0, 0.0, 0.0)
     rows = []
@@ -132,15 +131,7 @@ def analyze(ctmc, omega, weights, config=AnalysisConfig()):
     while True:
         iteration += 1
         t0 = time.monotonic()
-        imdp = abstract(
-            ctmc,
-            omega,
-            psi,
-            eps=config.transient_tol,
-            cache=cache,
-            parent=parent_imdp,
-            parent_psi=parent_psi,
-        )
+        imdp = abstract(ctmc, omega, psi, eps=config.transient_tol, cache=cache)
         t1 = time.monotonic()
         pruned = restrict_reachable(imdp)
         t2 = time.monotonic()
@@ -184,7 +175,6 @@ def analyze(ctmc, omega, weights, config=AnalysisConfig()):
             targets = all_split_targets(psi)
         if not targets:
             break
-        parent_imdp, parent_psi = imdp, psi
         psi = apply_splits(psi, targets)
         pending_splits = len(targets)
 

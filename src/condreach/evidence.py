@@ -36,15 +36,10 @@ class Formula:
     literals: tuple
 
     def __post_init__(self):
-        seen = {}
-        for ap, pol in self.literals:
+        # Contradictory literals are legal: the formula is unsatisfiable.
+        for ap, _ in self.literals:
             if not ap or not isinstance(ap, str):
                 raise EvidenceError("atomic proposition must be a nonempty string")
-            if ap in seen and seen[ap] != pol:
-                # Contradictory literals are legal input; the formula is
-                # simply unsatisfiable.  Keep both so `holds` is honest.
-                pass
-            seen[ap] = pol
 
     @property
     def aps(self):
@@ -301,24 +296,8 @@ class TimePartition:
     def anchor_star(self):
         return TimeSet.point(self.t_star)
 
-    @property
-    def max_width(self):
-        return max(
-            cell.hi - cell.lo for row in self.cells for cell in row
-        )
-
     def cell_counts(self):
         return tuple(len(row) for row in self.cells)
-
-    def lookup(self, index, t):
-        """Cell index containing time t within observation `index`.
-
-        Boundary points shared by two cells resolve to the lower cell.
-        """
-        for j, cell in enumerate(self.cells[index]):
-            if cell.lo <= t <= cell.hi:
-                return j
-        raise EvidenceError(f"time {t} outside observation {index}'s cells")
 
     def split_cell(self, index, j):
         """Bisect cell j of observation `index` at its midpoint."""

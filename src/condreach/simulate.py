@@ -59,6 +59,14 @@ def simulate_states_at(ctmc, checkpoints, n, rng):
     return out
 
 
+def _accepted(ctmc, rho, states):
+    """Paths whose state at every observation time satisfies its formula."""
+    accept = np.ones(len(states), dtype=bool)
+    for k, obs in enumerate(rho.formulas):
+        accept &= ctmc.satisfying(obs)[states[:, k]]
+    return accept
+
+
 @dataclass(frozen=True)
 class RejectionEstimate:
     value: float
@@ -77,10 +85,7 @@ def rejection_conditional_weight(ctmc, rho, weights, n, rng):
     """
     weights = np.asarray(weights, dtype=float)
     states = simulate_states_at(ctmc, rho.times, n, rng)
-    masks = [ctmc.satisfying(obs) for obs in rho.formulas]
-    accept = np.ones(len(states), dtype=bool)
-    for k, mask in enumerate(masks):
-        accept &= mask[states[:, k]]
+    accept = _accepted(ctmc, rho, states)
     n_acc = int(accept.sum())
     if n_acc == 0:
         return RejectionEstimate(0.0, np.inf, 0.0, 0)
@@ -92,10 +97,7 @@ def rejection_conditional_weight(ctmc, rho, weights, n, rng):
 def empirical_likelihood(ctmc, rho, n, rng):
     """Acceptance-rate estimate of the evidence probability with its sigma."""
     states = simulate_states_at(ctmc, rho.times, n, rng)
-    accept = np.ones(len(states), dtype=bool)
-    for k, obs in enumerate(rho.formulas):
-        accept &= ctmc.satisfying(obs)[states[:, k]]
-    rate = accept.mean()
+    rate = _accepted(ctmc, rho, states).mean()
     sigma = float(np.sqrt(max(rate * (1.0 - rate), 1e-12) / n))
     return float(rate), sigma
 

@@ -39,15 +39,12 @@ class LayeredChain:
         and the final layer are all-False.
     initial : int
         CTMC initial state index (layer-0 entry node).
-    conditioned : bool
-        Whether reset redirection has been applied to the kernels.
     """
 
     times: tuple
     kernels: tuple
     reset_masks: tuple
     initial: int
-    conditioned: bool = False
 
     @property
     def n_layers(self):
@@ -69,29 +66,8 @@ def unfold_precise(ctmc, rho, eps=DEFAULT_TRANSIENT_TOL):
         kernels.append(transient_matrix(ctmc, t - prev, eps))
         prev = t
     kernels.append(np.eye(n))
-    masks = [np.zeros(n, dtype=bool)]
-    for obs in rho.formulas:
-        masks.append(~ctmc.satisfying(obs))
-    masks.append(np.zeros(n, dtype=bool))
-    return LayeredChain(times, tuple(kernels), tuple(masks), ctmc.initial)
-
-
-def condition(chain):
-    """Redirect reset nodes to the layer-0 initial node.
-
-    The returned chain's kernels are no longer layer-(i)-to-(i+1) maps
-    for reset rows; those rows are zeroed and the redirection is handled
-    by the solver via the reset masks.  Marking `conditioned` keeps the
-    intent explicit.
-    """
-    kernels = []
-    for i, K in enumerate(chain.kernels):
-        K = K.copy()
-        K[chain.reset_masks[i]] = 0.0
-        kernels.append(K)
-    return LayeredChain(
-        chain.times, tuple(kernels), chain.reset_masks, chain.initial, True
-    )
+    masks = ctmc.reset_masks(rho.formulas)
+    return LayeredChain(times, tuple(kernels), masks, ctmc.initial)
 
 
 def _backward_affine(chain, w):
@@ -137,7 +113,7 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     return float(alpha / denom)
 
 
-def _masked_forward(chain, start=None):
+def _masked_forward(chain):
     """Forward distribution with reset nodes absorbed (dropped).
 
     Returns the sub-probability vector over last-layer states; its total
@@ -145,7 +121,7 @@ def _masked_forward(chain, start=None):
     """
     n = chain.n_states
     dist = np.zeros(n)
-    dist[chain.initial if start is None else start] = 1.0
+    dist[chain.initial] = 1.0
     for i in range(chain.n_layers - 1):
         dist = dist @ chain.kernels[i]
         dist[chain.reset_masks[i + 1]] = 0.0
@@ -177,16 +153,3 @@ def bayes_quotient_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
         )
         return 0.0
     return float(dist @ w / likelihood)
-
-
-def conditional_distribution(ctmc, rho, eps=DEFAULT_TRANSIENT_TOL):
-    """Posterior state distribution at the last observation time."""
-    chain = unfold_precise(ctmc, rho, eps)
-    dist = _masked_forward(chain)
-    likelihood = dist.sum()
-    if likelihood <= 1e-12:
-        warnings.warn(
-            "evidence has zero likelihood", ZeroLikelihoodWarning, stacklevel=2
-        )
-        return np.zeros_like(dist)
-    return dist / likelihood

@@ -58,7 +58,63 @@ def random_chain():
 
 
 @pytest.fixture(scope="session")
-def imdp_cases(invent, invent1, invent_weights):
+def tandem():
+    return parse_ctmc(fixture_text("tandem.ctmc"))
+
+
+@pytest.fixture(scope="session")
+def tandem1():
+    return parse_evidence(fixture_text("tandem1.evidence"))
+
+
+@pytest.fixture(scope="session")
+def tandem_weights(tandem):
+    target = tandem.satisfying(parse_formula("second_full"))
+    return weight_from_property(tandem, target, 0.5)
+
+
+@pytest.fixture(scope="session")
+def assert_nested():
+    """Check that a refined interval MDP nests inside the coarser one.
+
+    Each child cell is mapped to the one parent cell that contains it, and
+    every (cell, next cell) block of the child must lie inside the block
+    of the parent cell pair, within atol.
+    """
+
+    def parent_cells(row, parent_row):
+        mapping = []
+        for cell in row:
+            hits = [
+                pj for pj, p in enumerate(parent_row)
+                if p.lo <= cell.lo and cell.hi <= p.hi
+            ]
+            assert len(hits) == 1, f"{cell} is not inside one parent cell"
+            mapping.append(hits[0])
+        return mapping
+
+    def check(child, child_psi, parent, parent_psi, atol):
+        maps = [
+            [0],
+            *(parent_cells(row, prow)
+              for row, prow in zip(child_psi.cells, parent_psi.cells)),
+            [0],
+        ]
+        for i in range(child.n_layers - 1):
+            pairs = np.ix_(maps[i], maps[i + 1])
+            assert np.all(
+                child.lower[i] >= parent.lower[i][pairs] - atol
+            ), f"lower bound below the parent's at layer {i}"
+            assert np.all(
+                child.upper[i] <= parent.upper[i][pairs] + atol
+            ), f"upper bound above the parent's at layer {i}"
+
+    return check
+
+
+@pytest.fixture(scope="session")
+def imdp_cases(invent, invent1, invent_weights, tandem, tandem1,
+               tandem_weights):
     """Pruned interval MDPs of invent1 and tandem1, with their weights.
 
     Each evidence is abstracted at its coarsest partition and at a refined
@@ -70,11 +126,6 @@ def imdp_cases(invent, invent1, invent_weights):
     from condreach.driver import all_split_targets, apply_splits
     from condreach.evidence import coarsest_partition
 
-    tandem = parse_ctmc(fixture_text("tandem.ctmc"))
-    tandem1 = parse_evidence(fixture_text("tandem1.evidence"))
-    tandem_weights = weight_from_property(
-        tandem, tandem.satisfying(parse_formula("second_full")), 0.5
-    )
     cases = {}
     for name, ctmc, omega, weights, rounds in (
         ("invent1", invent, invent1, invent_weights, 2),

@@ -6,7 +6,6 @@ from condreach.abstraction import (
     IntervalMdp,
     TransientBoundCache,
     abstract,
-    debug_dump,
     reachable_states,
     restrict_reachable,
 )
@@ -16,9 +15,10 @@ from condreach.ctmc import (
     reach_matrix,
     transient_matrix,
 )
+from condreach.driver import apply_splits, guided_split_targets
 from condreach.evidence import TimeSet, coarsest_partition
 from condreach.fixtures import fixture_text
-from condreach.solver import Scheduler
+from condreach.solver import Scheduler, compute_bounds, reachable_under
 
 
 def _cache():
@@ -128,25 +128,27 @@ def test_feasibility_of_rows(invent, invent1):
         assert np.all(hi >= 1.0 - 1e-9)
 
 
-def test_parent_intersection_nests(invent, invent1):
-    cache = _cache()
-    psi = coarsest_partition(invent1)
-    parent = abstract(invent, invent1, psi, cache=cache)
-    child_psi = psi.split_cell(1, 0).split_cell(3, 0)
-    child = abstract(
-        invent, invent1, child_psi, cache=cache, parent=parent,
-        parent_psi=psi,
-    )
-    # Every child interval sits inside the unique parent interval.
-    for i in range(child.n_layers - 1):
-        for j in range(child.n_cells(i)):
-            for j2 in range(child.n_cells(i + 1)):
-                pj = 0 if i in (0, child.n_layers - 2) else 0
-                # Coarsest parent has one cell everywhere.
-                pL = parent.lower[i][0, 0]
-                pU = parent.upper[i][0, 0]
-                assert np.all(child.lower[i][j, j2] >= pL - 1e-12)
-                assert np.all(child.upper[i][j, j2] <= pU + 1e-12)
+def test_parent_intersection_nests(invent, invent1, invent_weights, tandem,
+                                   tandem1, tandem_weights, assert_nested):
+    # Each partition is abstracted on its own; over two guided refinement
+    # rounds every child block must still lie inside its parent's.
+    for ctmc, omega, w in (
+        (invent, invent1, invent_weights),
+        (tandem, tandem1, tandem_weights),
+    ):
+        cache = _cache()
+        psi = coarsest_partition(omega)
+        imdp = abstract(ctmc, omega, psi, cache=cache)
+        for _ in range(2):
+            pruned = restrict_reachable(imdp)
+            report = compute_bounds(pruned, w)
+            reach = reachable_under(pruned, report.guide_scheduler)
+            targets = guided_split_targets(psi, reach)
+            assert targets
+            child_psi = apply_splits(psi, targets)
+            child = abstract(ctmc, omega, child_psi, cache=cache)
+            assert_nested(child, child_psi, imdp, psi, atol=1e-12)
+            psi, imdp = child_psi, child
 
 
 def test_reachable_and_restrict(invent, invent1):
@@ -272,12 +274,3 @@ def test_infeasible_intervals_raise(invent):
     with pytest.raises(AbstractionError):
         _check_feasible(lower, upper, np.zeros(n, dtype=bool), 0)
 
-
-def test_debug_dump_deterministic(invent, invent1):
-    psi = coarsest_partition(invent1)
-    imdp = restrict_reachable(abstract(invent, invent1, psi))
-    d1 = debug_dump(imdp, invent.state_names)
-    d2 = debug_dump(imdp, invent.state_names)
-    assert d1 == d2
-    assert "--reset-->" in d1
-    assert d1.count("\n") > 10

@@ -221,10 +221,7 @@ def test_criterion_5_interval_soundness(invent, invent1):
         from condreach.driver import all_split_targets, apply_splits
 
         child = apply_splits(partitions[-1], all_split_targets(partitions[-1]))
-        models.append(
-            abstract(invent, invent1, child, cache=cache,
-                     parent=models[-1], parent_psi=partitions[-1])
-        )
+        models.append(abstract(invent, invent1, child, cache=cache))
         partitions.append(child)
 
     checked = 0
@@ -245,7 +242,7 @@ def test_criterion_5_interval_soundness(invent, invent1):
 
 
 def test_criterion_6_refinement_nesting(invent, invent1, invent_weights,
-                                        random_chain):
+                                        random_chain, assert_nested):
     rng = np.random.default_rng(17)
     other = random_chain(rng, 5)
     other_omega = ImpreciseEvidence(
@@ -275,28 +272,10 @@ def test_criterion_6_refinement_nesting(invent, invent1, invent_weights,
             if not targets:
                 break
             child_psi = apply_splits(psi, targets)
-            child = abstract(chain, omega, child_psi, cache=cache,
-                             parent=imdp, parent_psi=psi)
+            child = abstract(chain, omega, child_psi, cache=cache)
             assert refines(child_psi, psi)
             # Child transition intervals nest inside their parents'.
-            from condreach.abstraction import _cell_parent_map
-
-            maps = [[0]]
-            for row, prow in zip(child_psi.cells, psi.cells):
-                maps.append(_cell_parent_map(row, prow))
-            maps.append([0])
-            for i in range(child.n_layers - 1):
-                for j in range(child.n_cells(i)):
-                    for j2 in range(child.n_cells(i + 1)):
-                        pj, pj2 = maps[i][j], maps[i + 1][j2]
-                        assert np.all(
-                            child.lower[i][j, j2]
-                            >= imdp.lower[i][pj, pj2] - 1e-9
-                        )
-                        assert np.all(
-                            child.upper[i][j, j2]
-                            <= imdp.upper[i][pj, pj2] + 1e-9
-                        )
+            assert_nested(child, child_psi, imdp, psi, atol=1e-9)
             psi, imdp = child_psi, child
             rounds += 1
     print(f"criterion 6: PASS nesting held over {rounds} refinement rounds")
@@ -324,9 +303,7 @@ def test_criterion_8_consistency_repair(invent, invent1, invent_weights,
     audited = 0
     psi = coarsest_partition(invent1)
     cache = TransientBoundCache()
-    imdp = None
     for _ in range(3):
-        parent, parent_psi = imdp, psi if imdp is not None else (None, None)
         imdp = abstract(invent, invent1, psi, cache=cache)
         pruned = restrict_reachable(imdp)
         report = compute_bounds(pruned, invent_weights)

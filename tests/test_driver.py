@@ -63,6 +63,11 @@ def test_analyze_iterates_and_tightens(invent, invent1, invent_weights):
     assert all(r.splits > 0 for r in trace.rows[1:])
     # Lower bounds may only rely on sound schedulers: order always holds.
     assert all(r.lower <= r.upper + 1e-9 for r in trace.rows)
+    # Nested refinements cannot loosen the outer bound beyond the solver
+    # tolerance.
+    tol = AnalysisConfig().vi_tol
+    uppers = [r.upper for r in trace.rows]
+    assert all(b <= a + tol for a, b in zip(uppers, uppers[1:]))
     assert refines(trace.final_partition, coarsest_partition(invent1))
 
 

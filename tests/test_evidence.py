@@ -153,7 +153,6 @@ def test_coarsest_partition(invent1):
     assert psi.cell_counts() == (1, 1, 1, 1)
     assert psi.t_star == pytest.approx(3.1 + 1.0)
     assert psi.anchor_zero.is_point and psi.anchor_star.is_point
-    assert psi.max_width == pytest.approx(0.2)
 
 
 def test_split_and_lookup(invent1):
@@ -161,11 +160,6 @@ def test_split_and_lookup(invent1):
     child = psi.split_cell(1, 0)
     assert child.cell_counts() == (1, 2, 1, 1)
     assert child.cells[1][0].hi == child.cells[1][1].lo == pytest.approx(1.0)
-    # Shared boundary resolves to the lower cell.
-    assert child.lookup(1, 1.0) == 0
-    assert child.lookup(1, 1.05) == 1
-    with pytest.raises(EvidenceError):
-        child.lookup(1, 5.0)
     with pytest.raises(EvidenceError):
         psi.split_cell(0, 0)  # point cell
 

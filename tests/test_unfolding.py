@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from condreach.evidence import PreciseEvidence, parse_formula
 from condreach.unfolding import (
     bayes_quotient_weight,
-    condition,
-    conditional_distribution,
     conditional_weight,
     evidence_likelihood,
     unfold_precise,
@@ -32,13 +30,6 @@ def test_unfold_shapes(invent):
     np.testing.assert_array_equal(
         chain.reset_masks[1], np.array([True, False, False])
     )
-    assert not chain.conditioned
-
-
-def test_condition_zeroes_reset_rows(invent):
-    chain = condition(unfold_precise(invent, _rho((1.0, "empty"))))
-    assert chain.conditioned
-    np.testing.assert_array_equal(chain.kernels[1][[1, 2]], 0.0)
 
 
 def test_trivial_evidence_is_unconditional(invent, invent_weights):
@@ -61,8 +52,6 @@ def test_single_observation_closed_form(two_state):
         math.exp(-0.6), abs=1e-10
     )
     assert conditional_weight(two_state, rho, w) == pytest.approx(0.25, abs=1e-12)
-    post = conditional_distribution(two_state, rho)
-    np.testing.assert_allclose(post, [1.0, 0.0], atol=1e-12)
 
 
 def test_frozen_midpoint_values(invent, invent_weights):
@@ -103,13 +92,12 @@ def test_zero_likelihood_returns_zero(invent, invent_weights):
     rho = _rho((0.0, "empty"))
     with pytest.warns(UserWarning):
         assert conditional_weight(invent, rho, invent_weights) == 0.0
-    with pytest.warns(UserWarning):
-        np.testing.assert_array_equal(conditional_distribution(invent, rho), 0.0)
 
 
 def test_posterior_sums_to_one(invent):
+    # The weight of the indicator of state s is the posterior mass of s.
     rho = _rho((0.5, "nonempty"), (1.5, "empty"))
-    post = conditional_distribution(invent, rho)
+    post = np.array([conditional_weight(invent, rho, e) for e in np.eye(3)])
     assert post.sum() == pytest.approx(1.0, abs=1e-10)
     assert post[0] == pytest.approx(1.0, abs=1e-10)  # only empty state
 
