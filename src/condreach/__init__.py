@@ -43,6 +43,7 @@ from .solver import (
     robust_value_iteration,
 )
 from .unfolding import (
+    ZeroLikelihoodError,
     conditional_weight,
     evidence_likelihood,
     unfold_precise,
@@ -67,6 +68,7 @@ __all__ = [
     "TimePartition",
     "TimeSet",
     "TransientBoundCache",
+    "ZeroLikelihoodError",
     "abstract",
     "analyze",
     "bounded_reachability",

@@ -1,10 +1,11 @@
 """Interval MDP abstraction of the conditioned unfolding.
 
 Abstract states are (layer, cell, CTMC state) triples.  Layer 0 is the
-anchor {0}, layers 1..d hold the partition cells of the d observation
-windows, and the final layer is the terminal copy.  An action picks the
-next-layer cell; its interval distribution over successor states brackets
-every transient kernel realizable by times inside the two cells.
+anchor {0} and layers 1..d hold the partition cells of the d observation
+windows; the last observation layer carries the weights.  An action
+picks the next-layer cell; its interval distribution over successor
+states brackets every transient kernel realizable by times inside the
+two cells.
 
 Bounds depend on the two cells only through the elapsed-time gap they
 admit, so a cache keyed by (min gap, max gap) is shared across layers.
@@ -117,8 +118,8 @@ class IntervalMdp:
     Attributes
     ----------
     layers : tuple
-        Per layer, the tuple of TimeSet cells (layer 0 and the final
-        layer hold a single anchor cell each).
+        Per layer, the tuple of TimeSet cells: the anchor {0}, then the
+        cells of each observation window.
     lower, upper : tuple of ndarray
         Per layer i < last, arrays of shape
         (n_cells_i, n_cells_{i+1}, n_states, n_states); entry
@@ -127,7 +128,7 @@ class IntervalMdp:
     reset_masks : tuple of ndarray
         Per layer, the states violating that layer's observation; such
         abstract states carry a single probability-1 redirect to the
-        initial abstract state instead of their interval rows.
+        initial abstract state instead of their rows or weights.
     initial : int
         CTMC initial state; the initial abstract state is (0, 0, initial).
     active : tuple of ndarray
@@ -153,20 +154,17 @@ class IntervalMdp:
     def sizes(self):
         """(states, actions, transitions) over active abstract states.
 
-        Terminal-layer states are absorbing and contribute no actions or
-        transitions; reset states contribute one of each.
+        Reset states contribute one action and one transition each; the
+        other last-layer states are terminal and contribute none.
         """
         states = sum(int(a.sum()) for a in self.active)
-        actions = transitions = 0
+        actions = transitions = sum(
+            int(a[:, r].sum()) for a, r in zip(self.active, self.reset_masks)
+        )
         for i in range(self.n_layers - 1):
-            act = self.active[i]
             reset = self.reset_masks[i]
-            n_reset = int(act[:, reset].sum())
-            actions += n_reset
-            transitions += n_reset
-            n_next = self.n_cells(i + 1)
-            live = act[:, ~reset]
-            actions += int(live.sum()) * n_next
+            live = self.active[i][:, ~reset]
+            actions += int(live.sum()) * self.n_cells(i + 1)
             out_deg = (self.upper[i][:, :, ~reset, :] > 0).sum(axis=(1, 3))
             transitions += int(out_deg[live].sum())
         return states, actions, transitions
@@ -183,27 +181,18 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
     if cache is None:
         cache = TransientBoundCache()
     n = ctmc.n_states
-    layers = (
-        (psi.anchor_zero,),
-        *psi.cells,
-        (psi.anchor_star,),
-    )
+    layers = ((psi.anchor_zero,), *psi.cells)
     reset_masks = ctmc.reset_masks(omega.formulas)
 
     lower, upper = [], []
-    n_layers = len(layers)
-    for i in range(n_layers - 1):
+    for i in range(len(layers) - 1):
         nc, nc2 = len(layers[i]), len(layers[i + 1])
         L = np.empty((nc, nc2, n, n))
         U = np.empty((nc, nc2, n, n))
-        if i == n_layers - 2:
-            # Terminal copy step: exact identity.
-            L[:] = U[:] = np.eye(n)
-        else:
-            for j, cell in enumerate(layers[i]):
-                for j2, cell2 in enumerate(layers[i + 1]):
-                    gap = (cell2.lo - cell.hi, cell2.hi - cell.lo)
-                    L[j, j2], U[j, j2] = cache.bound_matrices(ctmc, gap, eps)
+        for j, cell in enumerate(layers[i]):
+            for j2, cell2 in enumerate(layers[i + 1]):
+                gap = (cell2.lo - cell.hi, cell2.hi - cell.lo)
+                L[j, j2], U[j, j2] = cache.bound_matrices(ctmc, gap, eps)
         _check_feasible(L, U, reset_masks[i], i)
         L.setflags(write=False)
         U.setflags(write=False)

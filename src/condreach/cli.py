@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 parse error, 3 semantic error (unknown atomic
-proposition, invalid ordering, bad weight spec), 4 numeric failure.
+Exit codes: 0 success, 2 parse error (including a non-finite number in a
+model or evidence file), 3 semantic error (unknown atomic proposition,
+invalid ordering, bad weight spec, non-finite option), 4 numeric failure
+(zero-likelihood evidence, non-convergence).
 """
 
 from __future__ import annotations
 
+import math
 import sys
-import warnings
 
 import click
 import numpy as np
@@ -19,7 +21,7 @@ from .evidence import EvidenceError, SemanticError, parse_evidence, parse_formul
 from .simulate import sample_envelope
 from .solver import SolverError
 from .unfolding import (
-    ZeroLikelihoodWarning,
+    ZeroLikelihoodError,
     conditional_weight,
     evidence_likelihood,
 )
@@ -81,8 +83,10 @@ def _parse_weights(spec, ctmc, eps):
             raise CliError(
                 f"bad weight horizon {horizon_txt!r}", EXIT_SEMANTIC
             ) from None
-        if horizon < 0:
-            raise CliError("weight horizon must be nonnegative", EXIT_SEMANTIC)
+        if not 0 <= horizon < math.inf:
+            raise CliError(
+                "weight horizon must be finite and nonnegative", EXIT_SEMANTIC
+            )
         return weight_from_property(ctmc, ctmc.satisfying(formula), horizon, eps)
     if spec.startswith("file:"):
         path = spec[len("file:"):]
@@ -113,9 +117,10 @@ def _parse_weights(spec, ctmc, eps):
                     f"{path}: line {lineno}: bad weight {parts[1]!r}",
                     EXIT_PARSE,
                 ) from None
-            if value < 0:
+            if not 0 <= value < math.inf:
                 raise CliError(
-                    f"{path}: line {lineno}: weights must be nonnegative",
+                    f"{path}: line {lineno}: weights must be finite and "
+                    "nonnegative",
                     EXIT_SEMANTIC,
                 )
             weights[state] = value
@@ -156,9 +161,18 @@ def _write_csv(csv, out):
             fh.write(csv)
 
 
+def _positive_finite(ctx, param, value):
+    """Reject a tolerance that is not a positive finite number."""
+    if not 0 < value < math.inf:
+        raise CliError(
+            f"{param.opts[0]} must be positive and finite", EXIT_SEMANTIC
+        )
+    return value
+
+
 _transient_tol_option = click.option(
     "--transient-tol", type=float, default=1e-10, show_default=True,
-    help="Transient truncation tolerance.",
+    callback=_positive_finite, help="Transient truncation tolerance.",
 )
 
 
@@ -184,7 +198,6 @@ def cmd_analyze(model, evidence, weight_spec, time_limit, max_iters,
     """Refinement loop producing sound lower/upper bounds and a trace."""
     ctmc = _load_model(model)
     omega = _load_evidence(evidence, ctmc)
-    weights = _parse_weights(weight_spec, ctmc, transient_tol)
     try:
         config = AnalysisConfig(
             time_limit=time_limit,
@@ -197,9 +210,10 @@ def cmd_analyze(model, evidence, weight_spec, time_limit, max_iters,
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_SEMANTIC) from None
+    weights = _parse_weights(weight_spec, ctmc, transient_tol)
     try:
         trace = analyze(ctmc, omega, weights, config)
-    except (SolverError, AbstractionError) as exc:
+    except (SolverError, AbstractionError, ZeroLikelihoodError) as exc:
         raise CliError(str(exc), EXIT_NUMERIC) from None
     _write_csv(trace.to_csv(), out)
     click.echo(
@@ -219,16 +233,10 @@ def cmd_precise(model, evidence, weight_spec, transient_tol):
     omega = _load_evidence(evidence, ctmc)
     rho = _to_precise(omega, evidence)
     weights = _parse_weights(weight_spec, ctmc, transient_tol)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ZeroLikelihoodWarning)
-        try:
-            value = conditional_weight(ctmc, rho, weights, transient_tol)
-        except ZeroLikelihoodWarning:
-            raise CliError(
-                f"{evidence}: evidence has zero likelihood; "
-                "the conditional weight is undefined",
-                EXIT_NUMERIC,
-            ) from None
+    try:
+        value = conditional_weight(ctmc, rho, weights, transient_tol)
+    except ZeroLikelihoodError as exc:
+        raise CliError(f"{evidence}: {exc}", EXIT_NUMERIC) from None
     click.echo(f"{value:.12g}")
 
 
@@ -260,6 +268,9 @@ def cmd_sample(model, evidence, weight_spec, n, seed, out, transient_tol):
     weights = _parse_weights(weight_spec, ctmc, transient_tol)
     if n < 1:
         raise CliError("need at least one sample", EXIT_SEMANTIC)
-    env = sample_envelope(ctmc, omega, weights, n, seed, transient_tol)
+    try:
+        env = sample_envelope(ctmc, omega, weights, n, seed, transient_tol)
+    except ZeroLikelihoodError as exc:
+        raise CliError(f"{evidence}: {exc}", EXIT_NUMERIC) from None
     _write_csv(env.to_csv(), out)
     click.echo(f"min={env.min:.12g} max={env.max:.12g} n={n}", err=True)

@@ -58,6 +58,8 @@ class Ctmc:
             raise ModelError("jump_probs shape does not match state count")
         if self.exit_rates.shape != (n,):
             raise ModelError("exit_rates shape does not match state count")
+        if not np.all(np.isfinite(self.exit_rates)):
+            raise ModelError("exit rates must be finite")
         if np.any(self.exit_rates < 0):
             raise ModelError("negative exit rate")
         if np.any(self.jump_probs < 0) or np.any(self.jump_probs > 1):
@@ -113,12 +115,11 @@ class Ctmc:
     def reset_masks(self, formulas):
         """Per-layer masks of the states violating each observation.
 
-        The observation layers sit between the anchor layer at time 0 and
-        the final copy layer, whose masks are all False.
+        The observation layers follow the anchor layer at time 0, whose
+        mask is all False.
         """
         violating = (~self.satisfying(obs) for obs in formulas)
-        n = self.n_states
-        return (np.zeros(n, dtype=bool), *violating, np.zeros(n, dtype=bool))
+        return (np.zeros(self.n_states, dtype=bool), *violating)
 
     def absorbing_variant(self, absorb_mask):
         """Copy of the chain with the masked states made absorbing."""
@@ -205,8 +206,8 @@ def parse_ctmc(text):
                 value = float(parts[3])
             except ValueError:
                 raise ModelError(f"line {lineno}: bad rate {parts[3]!r}") from None
-            if value <= 0:
-                raise ModelError(f"line {lineno}: rate must be positive")
+            if not 0 < value < math.inf:
+                raise ModelError(f"line {lineno}: rate must be positive and finite")
             if (src, dst) in rates:
                 raise ModelError(f"line {lineno}: duplicate rate {src} -> {dst}")
             rates[(src, dst)] = value
@@ -247,6 +248,10 @@ def _poisson_weights(mean, eps):
     most 0.1 * eps; the tail is summed from the right, so it keeps its
     relative accuracy.
     """
+    if not 0 < eps < math.inf:
+        raise ValueError("truncation tolerance must be positive and finite")
+    if not 0 <= mean < math.inf:
+        raise ValueError("Poisson mean must be finite and nonnegative")
     if mean <= 0.0:
         return np.array([1.0])
     mode = int(mean)
@@ -278,6 +283,8 @@ def _uniformized_sum(ctmc, t, eps, step):
     inflated).  The truncated Poisson tail is put on the last X_k, so rows
     of stochastic X_k stay within eps of stochastic.
     """
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     n = ctmc.n_states
     lam = float(np.max(ctmc.exit_rates)) * _RATE_INFLATION
     if t == 0.0 or lam == 0.0:
@@ -298,8 +305,6 @@ def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):
 
     Uniformization: K = sum_k pois(k; lam*t) P^k.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     return _uniformized_sum(ctmc, t, eps, lambda P, X: X @ P)
 
 
@@ -321,8 +326,6 @@ def reach_matrix(ctmc, duration, eps=DEFAULT_TRANSIENT_TOL):
     the base chain only in row s', so their matrix powers are obtained by
     forcing the diagonal back to 1 after each multiplication.
     """
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
     acc = _uniformized_sum(ctmc, duration, eps, _absorbing_step)
     return np.clip(acc, 0.0, 1.0)
 

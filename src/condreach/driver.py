@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -22,10 +23,13 @@ class AnalysisConfig:
     direction: str = "max"
 
     def __post_init__(self):
-        if self.time_limit <= 0:
-            raise ValueError("time limit must be positive")
-        if self.transient_tol <= 0 or self.vi_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.time_limit < math.inf:
+            raise ValueError("time limit must be positive and finite")
+        if not (0 < self.transient_tol < math.inf
+                and 0 < self.vi_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if self.width_target is not None and not math.isfinite(self.width_target):
+            raise ValueError("width target must be finite")
         if self.mode not in ("guided", "full"):
             raise ValueError("mode must be 'guided' or 'full'")
         if self.direction not in ("max", "min"):

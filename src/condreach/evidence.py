@@ -8,6 +8,7 @@ for the abstraction loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,8 @@ class TimeSet:
             raise EvidenceError("time set must be nonempty")
         prev_hi = None
         for lo, hi in self.intervals:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise EvidenceError(f"interval [{lo}, {hi}] is not finite")
             if lo > hi:
                 raise EvidenceError(f"interval [{lo}, {hi}] is reversed")
             if lo < 0:
@@ -161,8 +164,10 @@ class PreciseEvidence:
     def __post_init__(self):
         prev = None
         for t, obs in self.observations:
-            if t < 0:
-                raise EvidenceError("observation times must be nonnegative")
+            if not 0 <= t < math.inf:
+                raise EvidenceError(
+                    "observation times must be finite and nonnegative"
+                )
             if prev is not None and t <= prev:
                 raise SemanticError("observation times must strictly increase")
             if not isinstance(obs, Formula):
@@ -260,13 +265,11 @@ def sample_instance(omega, rng):
 class TimePartition:
     """Per-observation ordered cells covering each time set.
 
-    cells[i] is a tuple of TimeSet cells for observation i.  The synthetic
-    anchor cells {0} and {t_star} bracket the layers; t_star sits strictly
-    after the last window.
+    cells[i] is a tuple of TimeSet cells for observation i.  The
+    synthetic anchor cell {0} precedes them.
     """
 
     cells: tuple
-    t_star: float
 
     def __post_init__(self):
         if not self.cells:
@@ -281,8 +284,6 @@ class TimePartition:
                 if prev_hi is not None and cell.lo < prev_hi:
                     raise EvidenceError("cells must be ordered and non-overlapping")
                 prev_hi = cell.hi
-        if self.t_star <= self.cells[-1][-1].hi:
-            raise EvidenceError("t_star must lie after the last window")
 
     @property
     def n_obs(self):
@@ -291,10 +292,6 @@ class TimePartition:
     @property
     def anchor_zero(self):
         return TimeSet.point(0.0)
-
-    @property
-    def anchor_star(self):
-        return TimeSet.point(self.t_star)
 
     def cell_counts(self):
         return tuple(len(row) for row in self.cells)
@@ -310,23 +307,19 @@ class TimePartition:
         row[j : j + 1] = [TimeSet.of((a, m)), TimeSet.of((m, b))]
         cells = list(self.cells)
         cells[index] = tuple(row)
-        return TimePartition(tuple(cells), self.t_star)
+        return TimePartition(tuple(cells))
 
 
-def coarsest_partition(omega, t_star=None):
-    """One cell per maximal interval of each time set, plus anchors."""
-    cells = tuple(
+def coarsest_partition(omega):
+    """One cell per maximal interval of each time set."""
+    return TimePartition(tuple(
         tuple(TimeSet.of(iv) for iv in ts.intervals) for ts in omega.time_sets
-    )
-    if t_star is None:
-        last = omega.time_sets[-1].hi
-        t_star = last + max(1.0, 0.05 * last)
-    return TimePartition(cells, float(t_star))
+    ))
 
 
 def refines(child, parent):
     """Structural nesting check: every child cell inside one parent cell."""
-    if child.n_obs != parent.n_obs or child.t_star != parent.t_star:
+    if child.n_obs != parent.n_obs:
         return False
     for c_row, p_row in zip(child.cells, parent.cells):
         for cell in c_row:

@@ -18,8 +18,8 @@ solves.  A sweep then sorts the next layer's values with one stable
 argsort, gathers the room rows in that order, clips their running sum
 against the slack, and takes each q-value as L @ v plus the clipped
 fill dotted with the sorted values; betas reuse the same fill.  The
-terminal copy step is the identity, so its q-values are the next
-layer's values.
+last observation layer carries the weights, or the reset value v0 on
+its violating states.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abstraction import reachable_states, reachable_step
+from .unfolding import ZeroLikelihoodError
 
 DEFAULT_VI_TOL = 1e-9
 _MAX_SWEEPS = 10000
 
 
 class SolverError(ArithmeticError):
-    """Raised on non-convergence, e.g. (near-)zero evidence likelihood."""
+    """Raised on non-convergence or on a lower bound above the upper."""
 
 
 @dataclass(frozen=True)
@@ -92,17 +93,13 @@ def _prepare(imdp):
     (lower, room, slack), all successor-major:
     lower[j2, t, m] = L[j, j2, s, t], shape (nc2, n, nc * n); room is
     U - L in the same order, flattened to (nc2 * n, nc * n); and
-    slack[j2, 0, m] = 1 - sum_t L[j, j2, s, t].  An identity layer, such
-    as the terminal copy step, gets None.
+    slack[j2, 0, m] = 1 - sum_t L[j, j2, s, t].  The last observation
+    layer has no successors and no triple; it carries the weights.
     """
     n = imdp.n_states
-    eye = np.eye(n)
     layout = []
     for L, U in zip(imdp.lower, imdp.upper):
         nc, nc2 = L.shape[:2]
-        if np.array_equal(L, U) and (L == eye).all():
-            layout.append(None)
-            continue
         lower = np.ascontiguousarray(L.transpose(1, 3, 0, 2))
         room = np.ascontiguousarray((U - L).transpose(1, 3, 0, 2))
         slack = (1.0 - L.sum(axis=-1)).transpose(1, 0, 2)
@@ -122,8 +119,6 @@ def _q_values(layer, vb, maximize):
     q[j2, :, j * n + s] is the expectation of vb[j2] under the greedy
     extreme point of row s of cell j towards next cell j2.
     """
-    if layer is None:
-        return vb
     lower, room, slack = layer
     nc2, _, n = vb.shape
     v = vb[:, 0]
@@ -144,7 +139,8 @@ def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
 
     values[i] has shape (n_cells_i, n_states); betas is the derivative
     of each value with respect to the injected initial value v0 under
-    the choices made during this pass.
+    the choices made during this pass.  The last layer takes the weights,
+    and its reset states take v0 with beta 1.
     """
     n_layers = imdp.n_layers
     n = imdp.n_states
@@ -154,6 +150,9 @@ def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
     w = np.asarray(weights, dtype=float)
     values[-1] = np.tile(w, (imdp.n_cells(n_layers - 1), 1))
     betas[-1] = np.zeros_like(values[-1])
+    reset = imdp.reset_masks[-1]
+    values[-1][:, reset] = v0
+    betas[-1][:, reset] = 1.0
     for i in range(n_layers - 2, -1, -1):
         nc = imdp.n_cells(i)
         nc2 = imdp.n_cells(i + 1)
@@ -195,7 +194,7 @@ def _solve(imdp, weights, outer, inner, tol, fixed=None, v0=0.0,
         f = values[0][0, imdp.initial]
         b = betas[0][0, imdp.initial]
         if b >= 1.0 - 1e-12:
-            raise SolverError(
+            raise ZeroLikelihoodError(
                 "reset loop does not contract; the evidence has (near-)zero "
                 "likelihood"
             )

@@ -1,16 +1,15 @@
 """Exact conditional analysis for precisely timed evidence.
 
-The chain is unfolded into layers at times 0, t_1, ..., t_d and a final
-copy layer.  Conditioning redirects every layer-i node whose state
-violates the i-th observation back to the initial node with probability
-1; the alternative used for likelihood computation absorbs those nodes
-instead, so the mass reaching the final layer is exactly the probability
-of generating the evidence.
+The chain is unfolded into layers at times 0, t_1, ..., t_d; the last
+observation layer carries the weights.  Conditioning redirects every
+layer-i node whose state violates the i-th observation back to the
+initial node with probability 1; the alternative used for likelihood
+computation absorbs those nodes instead, so the mass left on the last
+layer is exactly the probability of generating the evidence.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,13 @@ import numpy as np
 from .ctmc import DEFAULT_TRANSIENT_TOL, transient_matrix
 
 
-class ZeroLikelihoodWarning(UserWarning):
-    """The evidence has zero likelihood, so conditioning on it is undefined."""
+class ZeroLikelihoodError(ArithmeticError):
+    """The evidence has (near-)zero likelihood: conditioning is undefined."""
+
+
+_UNDEFINED = (
+    "evidence has zero likelihood; the conditional weight is undefined"
+)
 
 
 @dataclass(frozen=True)
@@ -29,14 +33,12 @@ class LayeredChain:
     Attributes
     ----------
     times : tuple of float
-        Layer time stamps: 0, t_1, ..., t_d, then the final copy layer
-        (stamped with t_d again; it only duplicates the last layer).
+        Layer time stamps: 0, t_1, ..., t_d.
     kernels : tuple of ndarray
-        kernels[i] maps layer i to layer i+1; the last kernel is the
-        identity copy step.
+        kernels[i] maps layer i to layer i+1.
     reset_masks : tuple of ndarray
-        Boolean per-layer masks of evidence-violating nodes.  Layers 0
-        and the final layer are all-False.
+        Boolean per-layer masks of evidence-violating nodes.  Layer 0 is
+        all-False.
     initial : int
         CTMC initial state index (layer-0 entry node).
     """
@@ -56,35 +58,34 @@ class LayeredChain:
 
 
 def unfold_precise(ctmc, rho, eps=DEFAULT_TRANSIENT_TOL):
-    """Layered chain over 0, t_1, ..., t_d plus the final copy layer."""
+    """Layered chain over 0, t_1, ..., t_d."""
     rho.bind_check(ctmc.alphabet)
-    n = ctmc.n_states
-    times = (0.0, *rho.times, rho.times[-1])
-    kernels = []
-    prev = 0.0
-    for t in rho.times:
-        kernels.append(transient_matrix(ctmc, t - prev, eps))
-        prev = t
-    kernels.append(np.eye(n))
+    times = (0.0, *rho.times)
+    kernels = tuple(
+        transient_matrix(ctmc, t - prev, eps)
+        for prev, t in zip(times, times[1:])
+    )
     masks = ctmc.reset_masks(rho.formulas)
-    return LayeredChain(times, tuple(kernels), masks, ctmc.initial)
+    return LayeredChain(times, kernels, masks, ctmc.initial)
 
 
 def _backward_affine(chain, w):
     """Backward propagation of values affine in the unknown initial value.
 
     Each node value is alpha + beta * v0 where v0 is the value of the
-    layer-0 initial node.  Reset nodes have (alpha, beta) = (0, 1).
-    Returns the (alpha, beta) pair of the initial node.
+    layer-0 initial node.  Last-layer nodes start at (w, 0), and reset
+    nodes have (alpha, beta) = (0, 1).  Returns the (alpha, beta) pair of
+    the initial node.
     """
-    alpha = np.asarray(w, dtype=float)
+    alpha = np.array(w, dtype=float)
     beta = np.zeros_like(alpha)
-    for i in range(chain.n_layers - 2, -1, -1):
-        K = chain.kernels[i]
-        alpha, beta = K @ alpha, K @ beta
+    for i in range(chain.n_layers - 1, -1, -1):
         reset = chain.reset_masks[i]
         alpha[reset] = 0.0
         beta[reset] = 1.0
+        if i:
+            K = chain.kernels[i - 1]
+            alpha, beta = K @ alpha, K @ beta
     return alpha[chain.initial], beta[chain.initial]
 
 
@@ -93,9 +94,8 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
 
     Solves the reset fixpoint v0 = alpha + beta * v0 in closed form; the
     geometric reset loop has return mass beta < 1 whenever the evidence
-    has positive likelihood.  Zero-likelihood evidence yields beta = 1
-    and returns 0 under the 0/0 = 0 convention, with a
-    ZeroLikelihoodWarning.
+    has positive likelihood.  Evidence of (near-)zero likelihood, with
+    beta within 1e-12 of 1, raises ZeroLikelihoodError.
     """
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):
@@ -104,12 +104,7 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     alpha, beta = _backward_affine(chain, w)
     denom = 1.0 - beta
     if denom <= 1e-12:
-        warnings.warn(
-            "evidence has zero likelihood, returning 0",
-            ZeroLikelihoodWarning,
-            stacklevel=2,
-        )
-        return 0.0
+        raise ZeroLikelihoodError(_UNDEFINED)
     return float(alpha / denom)
 
 
@@ -139,17 +134,13 @@ def bayes_quotient_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
 
     Computes E[w at t_d; evidence holds] / P(evidence holds) on the
     absorb-on-violation chain.  Independent of the reset-fixpoint route
-    in :func:`conditional_weight`; the two must agree.
+    in :func:`conditional_weight`; the two must agree, and both raise
+    ZeroLikelihoodError on (near-)zero likelihood.
     """
     w = np.asarray(w, dtype=float)
     chain = unfold_precise(ctmc, rho, eps)
     dist = _masked_forward(chain)
     likelihood = dist.sum()
     if likelihood <= 1e-12:
-        warnings.warn(
-            "evidence has zero likelihood, returning 0",
-            ZeroLikelihoodWarning,
-            stacklevel=2,
-        )
-        return 0.0
+        raise ZeroLikelihoodError(_UNDEFINED)
     return float(dist @ w / likelihood)

@@ -102,18 +102,19 @@ def test_bad_gap_rejected(invent):
 def test_abstract_shapes(invent, invent1):
     psi = coarsest_partition(invent1)
     imdp = abstract(invent, invent1, psi)
-    assert imdp.n_layers == 6  # anchor + 4 observations + terminal
-    assert [imdp.n_cells(i) for i in range(6)] == [1, 1, 1, 1, 1, 1]
+    assert imdp.n_layers == 5  # anchor + 4 observations
+    assert [imdp.n_cells(i) for i in range(5)] == [1, 1, 1, 1, 1]
     assert imdp.initial == invent.initial
-    # Terminal copy step is the exact identity.
-    np.testing.assert_array_equal(imdp.lower[-1][0, 0], np.eye(3))
-    np.testing.assert_array_equal(imdp.upper[-1][0, 0], np.eye(3))
     # Observation layers reset exactly the violating states.
     np.testing.assert_array_equal(
         imdp.reset_masks[1], np.array([True, False, False])
     )
     np.testing.assert_array_equal(
         imdp.reset_masks[3], np.array([False, True, True])
+    )
+    # The last observation layer has its own mask, not an all-False one.
+    np.testing.assert_array_equal(
+        imdp.reset_masks[4], np.array([True, False, False])
     )
 
 
@@ -169,11 +170,13 @@ def test_sizes_count_reset_as_single_action(invent, invent1):
     psi = coarsest_partition(invent1)
     imdp = abstract(invent, invent1, psi)
     states, actions, transitions = imdp.sizes()
-    # 6 layers x 1 cell x 3 states, all active before pruning.
-    assert states == 18
-    n_reset = sum(int(m.sum()) for m in imdp.reset_masks[:-1])
-    live = 5 * 3 - n_reset
-    assert actions == live + n_reset  # one action per cell pair or reset
+    # 5 layers x 1 cell x 3 states, all active before pruning.
+    assert states == 15
+    n_reset = [int(m.sum()) for m in imdp.reset_masks]
+    # The last layer's reset states redirect; its other states are terminal.
+    assert n_reset[-1] > 0
+    live = 4 * 3 - sum(n_reset[:-1])
+    assert actions == live + sum(n_reset)  # one per cell pair or reset
 
 
 def test_scheduler_reachability(invent, invent1):

@@ -226,7 +226,7 @@ def test_criterion_5_interval_soundness(invent, invent1):
 
     checked = 0
     for imdp in models:
-        for i in range(imdp.n_layers - 2):  # terminal step is identity
+        for i in range(imdp.n_layers - 1):
             for j, cell in enumerate(imdp.layers[i]):
                 for j2, cell2 in enumerate(imdp.layers[i + 1]):
                     L = imdp.lower[i][j, j2]

@@ -170,3 +170,67 @@ def test_precise_zero_likelihood_exits_numeric(runner, tmp_path):
 def test_missing_weight_option(runner):
     res = runner.invoke(main, ["analyze", INVENT, INVENT1])
     assert res.exit_code == 2  # click usage error
+
+
+def test_sample_zero_likelihood_exits_numeric(runner, tmp_path):
+    ev = tmp_path / "impossible.evidence"
+    ev.write_text("evidence\nobs empty @ 0..0\n")
+    res = runner.invoke(
+        main, ["sample", INVENT, str(ev), "--weights", WEIGHTS, "-n", "3"]
+    )
+    assert res.exit_code == 4
+    assert "zero likelihood" in res.output
+
+
+_MODEL = fixture_text("invent.ctmc")
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["analyze", "{nan_rate}", INVENT1, "--weights", WEIGHTS], 2),
+        (["analyze", "{inf_rate}", INVENT1, "--weights", WEIGHTS], 2),
+        (["analyze", INVENT, "{nan_window}", "--weights", WEIGHTS], 2),
+        (["sample", INVENT, "{nan_window}", "--weights", WEIGHTS], 2),
+        (["analyze", INVENT, "{inf_window}", "--weights", WEIGHTS], 2),
+        (["analyze", INVENT, INVENT1, "--weights", "prop:'empty'@inf"], 3),
+        (["analyze", INVENT, INVENT1, "--weights", "prop:'empty'@nan"], 3),
+        (["analyze", INVENT, INVENT1, "--weights", "file:{nan_weights}"], 3),
+        (["analyze", INVENT, INVENT1, "--weights", WEIGHTS,
+          "--time-limit", "nan"], 3),
+        (["analyze", INVENT, INVENT1, "--weights", WEIGHTS,
+          "--time-limit", "inf"], 3),
+        (["analyze", INVENT, INVENT1, "--weights", WEIGHTS,
+          "--vi-tol", "nan"], 3),
+        (["analyze", INVENT, INVENT1, "--weights", WEIGHTS,
+          "--width-target", "nan"], 3),
+        (["analyze", INVENT, INVENT1, "--weights", WEIGHTS,
+          "--transient-tol", "nan"], 3),
+        (["analyze", INVENT, INVENT1, "--weights", WEIGHTS,
+          "--transient-tol", "inf"], 3),
+        (["precise", INVENT, "{points}", "--weights", WEIGHTS,
+          "--transient-tol", "nan"], 3),
+        (["likelihood", INVENT, "{points}", "--transient-tol", "nan"], 3),
+        (["sample", INVENT, INVENT1, "--weights", WEIGHTS,
+          "--transient-tol", "nan"], 3),
+    ],
+)
+def test_non_finite_input_exit_codes(runner, tmp_path, args, code):
+    # Every non-finite number is refused at the input boundary with a
+    # documented exit code, never a traceback or a hang.
+    files = {
+        "nan_rate": _MODEL.replace("rate s0 s1 3", "rate s0 s1 nan"),
+        "inf_rate": _MODEL.replace("rate s0 s1 3", "rate s0 s1 inf"),
+        "nan_window": "evidence\nobs empty @ nan..nan\n",
+        "inf_window": "evidence\nobs empty @ 1..inf\n",
+        "nan_weights": "s0 1.0\ns1 nan\ns2 0.25\n",
+    }
+    paths = {"points": _points_evidence(tmp_path)}
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        paths[name] = str(path)
+    res = runner.invoke(main, [a.format(**paths) for a in args])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == code, res.output
+    assert "Traceback" not in res.output

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from condreach.driver import (
     AnalysisConfig,
@@ -15,7 +17,11 @@ from condreach.evidence import (
     parse_formula,
     refines,
 )
-from condreach.unfolding import conditional_weight
+from condreach.unfolding import (
+    bayes_quotient_weight,
+    conditional_weight,
+    evidence_likelihood,
+)
 
 
 def test_config_validation():
@@ -100,6 +106,43 @@ def test_degenerate_evidence_single_iteration(invent, invent_weights):
                     AnalysisConfig(time_limit=60))
     assert len(trace.rows) == 1  # nothing left to split
     exact = conditional_weight(invent, omega.to_precise(), invent_weights)
+    assert trace.lower == pytest.approx(exact, abs=1e-9)
+    assert trace.upper == pytest.approx(exact, abs=1e-9)
+
+
+_FORMULAS = ("true", "a", "!a", "b", "!b", "a & b", "a & !b", "!a & !b")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 6),
+    times=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4,
+                   unique=True),
+    formulas=st.lists(st.sampled_from(_FORMULAS), min_size=4, max_size=4),
+    direction=st.sampled_from(["max", "min"]),
+)
+def test_point_evidence_unfoldings_agree(random_chain, seed, n, times,
+                                         formulas, direction):
+    # On point evidence the reset-fixpoint unfolding, the Bayes quotient
+    # and the one-iteration interval MDP must all give the same weight.
+    # The last observation's formula is random, so both unfoldings' resets
+    # on the last layer are exercised.
+    rng = np.random.default_rng(seed)
+    ctmc = random_chain(rng, n)
+    w = rng.uniform(0.0, 1.0, n)
+    omega = ImpreciseEvidence(tuple(
+        (TimeSet.point(t), parse_formula(f))
+        for t, f in zip(sorted(times), formulas)
+    ))
+    assume(all(obs.aps <= ctmc.alphabet for obs in omega.formulas))
+    rho = omega.to_precise()
+    assume(evidence_likelihood(ctmc, rho) >= 1e-3)
+    exact = conditional_weight(ctmc, rho, w)
+    assert exact == pytest.approx(bayes_quotient_weight(ctmc, rho, w),
+                                  abs=1e-11)
+    trace = analyze(ctmc, omega, w, AnalysisConfig(direction=direction))
+    assert len(trace.rows) == 1
     assert trace.lower == pytest.approx(exact, abs=1e-9)
     assert trace.upper == pytest.approx(exact, abs=1e-9)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from condreach.evidence import PreciseEvidence, parse_formula
 from condreach.unfolding import (
+    ZeroLikelihoodError,
     bayes_quotient_weight,
     conditional_weight,
     evidence_likelihood,
@@ -23,9 +24,9 @@ def _rho(*pairs):
 def test_unfold_shapes(invent):
     rho = _rho((1.0, "nonempty"), (2.0, "empty"))
     chain = unfold_precise(invent, rho)
-    assert chain.n_layers == 4  # 0, t1, t2, copy
-    assert chain.times == (0.0, 1.0, 2.0, 2.0)
-    np.testing.assert_array_equal(chain.kernels[-1], np.eye(3))
+    assert chain.n_layers == 3  # 0, t1, t2
+    assert chain.times == (0.0, 1.0, 2.0)
+    assert len(chain.kernels) == 2
     assert not chain.reset_masks[0].any()
     np.testing.assert_array_equal(
         chain.reset_masks[1], np.array([True, False, False])
@@ -86,12 +87,15 @@ def test_fixpoint_agrees_with_bayes_quotient(
     assert 0.0 <= a <= invent_weights.max() + 1e-12
 
 
-def test_zero_likelihood_returns_zero(invent, invent_weights):
+def test_zero_likelihood_raises(invent, invent_weights):
     # The initial state is nonempty, so observing empty at time 0 is
-    # impossible.
+    # impossible; both routes refuse to condition on it.
     rho = _rho((0.0, "empty"))
-    with pytest.warns(UserWarning):
-        assert conditional_weight(invent, rho, invent_weights) == 0.0
+    assert evidence_likelihood(invent, rho) == 0.0
+    with pytest.raises(ZeroLikelihoodError):
+        conditional_weight(invent, rho, invent_weights)
+    with pytest.raises(ZeroLikelihoodError):
+        bayes_quotient_weight(invent, rho, invent_weights)
 
 
 def test_posterior_sums_to_one(invent):
