@@ -11,6 +11,7 @@ from .abstraction import (
 from .ctmc import (
     Ctmc,
     ModelError,
+    UniformizationError,
     bounded_reachability,
     invariance,
     parse_ctmc,
@@ -68,6 +69,7 @@ __all__ = [
     "TimePartition",
     "TimeSet",
     "TransientBoundCache",
+    "UniformizationError",
     "ZeroLikelihoodError",
     "abstract",
     "analyze",

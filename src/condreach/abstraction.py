@@ -8,8 +8,12 @@ states brackets every transient kernel realizable by times inside the
 two cells.
 
 Bounds depend on the two cells only through the elapsed-time gap they
-admit, so a cache keyed by (min gap, max gap) is shared across layers.
-It is factored by the gap's two parts, its minimum and its spread.
+admit.  A layer is built without a loop over cell pairs: the gaps of all
+pairs come from the cells' endpoint arrays by broadcasting, the distinct
+gaps are found with np.unique, the bound cache answers them in one
+batched call, and the stacks are scattered back to the pairs.  The cache
+keeps the gap's two parts, kernels by its minimum and reach matrices by
+its spread, across layers and iterations.
 
 Each partition is abstracted on its own.  Refinement still nests: a
 child cell pair admits a sub-gap of its parent pair's gap, and the
@@ -27,7 +31,7 @@ takes the same steps as it fixes each layer's choices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,66 +50,117 @@ class AbstractionError(ArithmeticError):
     """Raised when computed interval bounds are numerically infeasible."""
 
 
-@dataclass(frozen=True)
+class _KeyedStacks:
+    """Stacks of arrays keyed by a float, with the keys kept sorted."""
+
+    def __init__(self):
+        self.keys = np.empty(0)
+        self.values = ()
+
+    def get(self, queries, compute):
+        """The stacked values of every query, in query order.
+
+        Keys not stored yet are computed by one call compute(keys), which
+        returns a tuple of stacks in the order of its sorted keys.
+        """
+        uniq, inverse = np.unique(queries, return_inverse=True)
+        pos = np.searchsorted(self.keys, uniq)
+        stored = pos < len(self.keys)
+        stored[stored] = self.keys[pos[stored]] == uniq[stored]
+        if not stored.all():
+            new, at = uniq[~stored], pos[~stored]
+            fresh = compute(new)
+            if self.values:
+                fresh = tuple(
+                    np.insert(old, at, part, axis=0)
+                    for old, part in zip(self.values, fresh)
+                )
+            self.keys = np.insert(self.keys, at, new)
+            self.values = fresh
+            pos = np.searchsorted(self.keys, uniq)
+        take = pos[inverse.reshape(-1)]
+        return tuple(v[take] for v in self.values)
+
+
 class TransientBoundCache:
-    """Transparent cache of (lower, upper) bound matrices per gap signature.
+    """Transparent cache of (lower, upper) bound matrices per gap.
 
     The bounds of a gap [g_min, g_max] are built from two parts: the
     transient kernel K(g_min) and, for the spread g_max - g_min, the reach
     matrix R and the invariance vector inv.  Upper is K @ R and lower is
-    K * inv.  `entries` maps each exact (g_min, g_max, eps) triple to its
-    finished pair; behind it `kernels` caches K by (g_min, eps) and
-    `spreads` caches (R, inv) by (spread, eps), so gaps that share a
-    minimum or a spread share that part.  Cell endpoint arithmetic is exact
-    on representable binary fractions, so evidences with uniform window
-    spacing hit the cache across layers.
+    K * inv.  The kernels are kept by gap minimum and the (R, inv) pairs
+    by spread, per tolerance, in sorted key arrays; finished (lower,
+    upper) pairs are not kept, since assembling them is one batched
+    product.  A batch of gaps computes its missing kernels in one
+    transient_matrix call and its missing spreads in one reach_matrix
+    call, so gaps that share a minimum or a spread share that part.  Cell
+    endpoint arithmetic is exact on representable binary fractions, so
+    evidences with uniform window spacing hit the cache across layers.
     """
 
-    entries: dict = field(default_factory=dict)
-    kernels: dict = field(default_factory=dict, repr=False)
-    spreads: dict = field(default_factory=dict, repr=False)
+    def __init__(self):
+        self._parts = {}
 
-    def bound_matrices(self, ctmc, gap, eps):
-        key = (float(gap[0]), float(gap[1]), float(eps))
-        hit = self.entries.get(key)
-        if hit is None:
-            hit = self._compute(ctmc, *key)
-            self.entries[key] = hit
-        return hit
+    @property
+    def entries(self):
+        """Keys of every stored kernel and spread.
 
-    def _compute(self, ctmc, g_min, g_max, eps):
-        """Sound bound matrices for all state pairs over an elapsed-time gap.
+        Its length grows exactly when a call computes a new part;
+        bench/run.py reads it to count misses.
+        """
+        stores = [s for pair in self._parts.values() for s in pair]
+        return np.concatenate([s.keys for s in stores] or [np.empty(0)])
 
-        For elapsed time tau in [g_min, g_max]:
+    def bound_matrices(self, ctmc, gaps, eps):
+        """Sound bound matrices for all state pairs over elapsed-time gaps.
+
+        gaps is one (g_min, g_max) pair, giving one (lower, upper) pair of
+        (n, n) arrays, or an (m, 2) array of them, giving two (m, n, n)
+        stacks.  For elapsed time tau in [g_min, g_max]:
           upper[s, s'] = P(visit s' at some point in [g_min, g_max] from s),
           lower[s, s'] = P(in s' at g_min, no jump until g_max from s),
         both of which bracket the transient probability at every tau.
         """
-        if not 0 <= g_min <= g_max:
+        gaps = np.asarray(gaps, dtype=float)
+        lower, upper = self._bounds(ctmc, gaps.reshape(-1, 2), float(eps))
+        if gaps.ndim == 1:
+            return lower[0], upper[0]
+        return lower, upper
+
+    def _bounds(self, ctmc, gaps, eps):
+        g_min, g_max = gaps[:, 0], gaps[:, 1]
+        if not np.all((0 <= g_min) & (g_min <= g_max)):
             raise ValueError("gap must satisfy 0 <= min <= max")
-        K = self.kernels.get((g_min, eps))
-        if K is None:
-            K = self.kernels[(g_min, eps)] = transient_matrix(ctmc, g_min, eps)
-        if g_max == g_min:
-            K = np.clip(K, 0.0, 1.0)
-            return K, K
-        spread = g_max - g_min
-        parts = self.spreads.get((spread, eps))
-        if parts is None:
-            parts = self.spreads[(spread, eps)] = (
-                reach_matrix(ctmc, spread, eps),
-                invariance_vector(ctmc, spread)[None, :],
+        kernels, spreads = self._parts.setdefault(
+            eps, (_KeyedStacks(), _KeyedStacks())
+        )
+        (K,) = kernels.get(g_min, lambda t: (transient_matrix(ctmc, t, eps),))
+        # A point gap brackets its one kernel exactly.
+        lower = np.clip(K, 0.0, 1.0)
+        upper = lower.copy()
+        wide = g_max > g_min
+        if wide.any():
+            R, inv = spreads.get(
+                g_max[wide] - g_min[wide],
+                lambda h: (
+                    reach_matrix(ctmc, h, eps),
+                    invariance_vector(ctmc, h)[:, None, :],
+                ),
             )
-        R, inv = parts
-        upper = np.clip(K @ R, 0.0, 1.0)
-        lower = np.clip(K * inv, 0.0, 1.0)
-        # Lower above upper by at most _NOISE is float noise on near-point
-        # intervals: such entries meet at their midpoint.
-        crossed = lower - upper
-        if np.any(crossed > _NOISE):
-            raise AbstractionError("lower bound exceeds upper beyond tolerance")
-        noisy = crossed > 0
-        lower[noisy] = upper[noisy] = 0.5 * (lower[noisy] + upper[noisy])
+            K = K[wide]
+            hi = np.clip(K @ R, 0.0, 1.0)
+            lo = np.clip(K * inv, 0.0, 1.0)
+            # Lower above upper by at most _NOISE is float noise on
+            # near-point intervals: such entries meet at their midpoint.
+            crossed = lo - hi
+            if np.any(crossed > _NOISE):
+                raise AbstractionError(
+                    "lower bound exceeds upper beyond tolerance"
+                )
+            noisy = crossed > 0
+            lo[noisy] = hi[noisy] = 0.5 * (lo[noisy] + hi[noisy])
+            lower[wide] = lo
+            upper[wide] = hi
         lower.setflags(write=False)
         upper.setflags(write=False)
         return lower, upper
@@ -184,15 +239,24 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
     layers = ((psi.anchor_zero,), *psi.cells)
     reset_masks = ctmc.reset_masks(omega.formulas)
 
+    ends = [np.array([(c.lo, c.hi) for c in row]).T for row in layers]
     lower, upper = [], []
     for i in range(len(layers) - 1):
-        nc, nc2 = len(layers[i]), len(layers[i + 1])
-        L = np.empty((nc, nc2, n, n))
-        U = np.empty((nc, nc2, n, n))
-        for j, cell in enumerate(layers[i]):
-            for j2, cell2 in enumerate(layers[i + 1]):
-                gap = (cell2.lo - cell.hi, cell2.hi - cell.lo)
-                L[j, j2], U[j, j2] = cache.bound_matrices(ctmc, gap, eps)
+        (lo, hi), (lo2, hi2) = ends[i], ends[i + 1]
+        # gaps[j, j2] = (cell2.lo - cell.hi, cell2.hi - cell.lo).
+        gaps = np.stack(
+            (lo2[None, :] - hi[:, None], hi2[None, :] - lo[:, None]), axis=-1
+        )
+        # Viewed as complex numbers g_min + i g_max, the pairs sort and
+        # compare exactly and lexicographically, much faster than axis=0.
+        uniq, inverse = np.unique(
+            gaps.view(np.complex128).reshape(-1), return_inverse=True
+        )
+        uniq = uniq.view(float).reshape(-1, 2)
+        Lu, Uu = cache.bound_matrices(ctmc, uniq, eps)
+        take, shape = inverse.reshape(-1), (len(lo), len(lo2), n, n)
+        L = Lu[take].reshape(shape)
+        U = Uu[take].reshape(shape)
         _check_feasible(L, U, reset_masks[i], i)
         L.setflags(write=False)
         U.setflags(write=False)

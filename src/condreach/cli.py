@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 parse error (including a non-finite number in a
 model or evidence file), 3 semantic error (unknown atomic proposition,
 invalid ordering, bad weight spec, non-finite option), 4 numeric failure
-(zero-likelihood evidence, non-convergence).
+(zero-likelihood evidence, non-convergence, a chain too stiff to
+uniformize over the times asked).
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ import click
 import numpy as np
 
 from .abstraction import AbstractionError
-from .ctmc import ModelError, parse_ctmc, weight_from_property
+from .ctmc import (
+    ModelError,
+    UniformizationError,
+    parse_ctmc,
+    weight_from_property,
+)
 from .driver import AnalysisConfig, analyze
 from .evidence import EvidenceError, SemanticError, parse_evidence, parse_formula
 from .simulate import sample_envelope
@@ -87,7 +93,12 @@ def _parse_weights(spec, ctmc, eps):
             raise CliError(
                 "weight horizon must be finite and nonnegative", EXIT_SEMANTIC
             )
-        return weight_from_property(ctmc, ctmc.satisfying(formula), horizon, eps)
+        try:
+            return weight_from_property(
+                ctmc, ctmc.satisfying(formula), horizon, eps
+            )
+        except UniformizationError as exc:
+            raise CliError(f"weight horizon: {exc}", EXIT_NUMERIC) from None
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         weights = np.full(ctmc.n_states, np.nan)
@@ -213,7 +224,8 @@ def cmd_analyze(model, evidence, weight_spec, time_limit, max_iters,
     weights = _parse_weights(weight_spec, ctmc, transient_tol)
     try:
         trace = analyze(ctmc, omega, weights, config)
-    except (SolverError, AbstractionError, ZeroLikelihoodError) as exc:
+    except (SolverError, AbstractionError, ZeroLikelihoodError,
+            UniformizationError) as exc:
         raise CliError(str(exc), EXIT_NUMERIC) from None
     _write_csv(trace.to_csv(), out)
     click.echo(
@@ -235,7 +247,7 @@ def cmd_precise(model, evidence, weight_spec, transient_tol):
     weights = _parse_weights(weight_spec, ctmc, transient_tol)
     try:
         value = conditional_weight(ctmc, rho, weights, transient_tol)
-    except ZeroLikelihoodError as exc:
+    except (ZeroLikelihoodError, UniformizationError) as exc:
         raise CliError(f"{evidence}: {exc}", EXIT_NUMERIC) from None
     click.echo(f"{value:.12g}")
 
@@ -249,7 +261,10 @@ def cmd_likelihood(model, evidence, transient_tol):
     ctmc = _load_model(model)
     omega = _load_evidence(evidence, ctmc)
     rho = _to_precise(omega, evidence)
-    value = evidence_likelihood(ctmc, rho, transient_tol)
+    try:
+        value = evidence_likelihood(ctmc, rho, transient_tol)
+    except UniformizationError as exc:
+        raise CliError(f"{evidence}: {exc}", EXIT_NUMERIC) from None
     click.echo(f"{value:.12g}")
 
 
@@ -270,7 +285,7 @@ def cmd_sample(model, evidence, weight_spec, n, seed, out, transient_tol):
         raise CliError("need at least one sample", EXIT_SEMANTIC)
     try:
         env = sample_envelope(ctmc, omega, weights, n, seed, transient_tol)
-    except ZeroLikelihoodError as exc:
+    except (ZeroLikelihoodError, UniformizationError) as exc:
         raise CliError(f"{evidence}: {exc}", EXIT_NUMERIC) from None
     _write_csv(env.to_csv(), out)
     click.echo(f"min={env.min:.12g} max={env.max:.12g} n={n}", err=True)

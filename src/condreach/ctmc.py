@@ -21,9 +21,18 @@ DEFAULT_TRANSIENT_TOL = 1e-10
 # the uniformized jump matrix keeps a strictly positive diagonal.
 _RATE_INFLATION = 1.0 + 1e-6
 
+# Largest Poisson mean lam * t that uniformization accepts.  Its cost is
+# about lam * t matrix products, so a larger mean means a chain too stiff
+# for the time asked; the bundled models stay below about 250.
+MAX_POISSON_MEAN = 1e5
+
 
 class ModelError(ValueError):
     """Raised for malformed or inconsistent chain definitions."""
+
+
+class UniformizationError(ArithmeticError):
+    """The Poisson mean of a uniformization exceeds MAX_POISSON_MEAN."""
 
 
 @dataclass(frozen=True)
@@ -276,34 +285,62 @@ def _poisson_weights(mean, eps):
     return pmf[: cut + 2]
 
 
-def _uniformized_sum(ctmc, t, eps, step):
-    """sum_k pois(k; lam*t) X_k with X_0 = I and X_{k+1} = step(P, X_k).
+def _uniformized_sum(ctmc, times, eps, step):
+    """sum_k pois(k; lam*t) X_k for every t in times, with X_0 = I and
+    X_{k+1} = step(P, X_k).
 
     P is the uniformized jump matrix at rate lam = max exit rate (slightly
-    inflated).  The truncated Poisson tail is put on the last X_k, so rows
-    of stochastic X_k stay within eps of stochastic.
+    inflated).  One power sequence serves the whole batch: it is stepped
+    up to the longest Poisson cut among the times, and each time adds its
+    own weights in the same order as a run of its own would, so every
+    result is bit-identical to a separate call.  A time's truncated tail is
+    put on its own last X_k, so rows of stochastic X_k stay within eps of
+    stochastic.  Returns an array of shape times.shape + (n, n).
     """
-    if not 0 <= t < math.inf:
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    times = np.asarray(times, dtype=float)
+    if not np.all((0 <= times) & (times < math.inf)):
+        raise ValueError(f"times must be finite and nonnegative, got {times}")
     n = ctmc.n_states
+    flat = times.reshape(-1)
     lam = float(np.max(ctmc.exit_rates)) * _RATE_INFLATION
-    if t == 0.0 or lam == 0.0:
-        return np.eye(n)
+    if lam == 0.0 or not np.any(flat):
+        return np.tile(np.eye(n), (*times.shape, 1, 1))
+    means = lam * flat
+    if np.max(means) > MAX_POISSON_MEAN:
+        raise UniformizationError(
+            f"Poisson mean {np.max(means):.6g} of uniformization exceeds "
+            f"{MAX_POISSON_MEAN:g}; the chain is too stiff for this time"
+        )
+    weights = [_poisson_weights(mean, eps) for mean in means]
+    cuts = np.array([len(w) for w in weights])
+    # Longest cut first, so the times still summing at step k are the
+    # first live[k] of the batch: those whose cut exceeds k.
+    order = np.argsort(-cuts, kind="stable")
+    W = np.zeros((cuts.max(), flat.size))
+    for col, i in enumerate(order):
+        W[: cuts[i], col] = weights[i]
+    tails = np.array([1.0 - weights[i].sum() for i in order])[:, None, None]
+    live = np.searchsorted(-cuts[order], -np.arange(len(W) + 1), side="left")
     P = np.eye(n) + ctmc.generator() / lam
-    weights = _poisson_weights(lam * t, eps)
     X = np.eye(n)
-    acc = weights[0] * X
-    for w in weights[1:]:
-        X = step(P, X)
-        acc += w * X
-    acc += (1.0 - weights.sum()) * X
-    return acc
+    acc = W[0, :, None, None] * X
+    for k in range(len(W)):
+        if k:
+            X = step(P, X)
+            acc[: live[k]] += W[k, : live[k], None, None] * X
+        # Times whose cut ends at k put their tail on X_k.
+        done = slice(live[k + 1], live[k])
+        acc[done] += tails[done] * X
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out.reshape(*times.shape, n, n)
 
 
 def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):
     """Full transient kernel K with K[s, s'] = Pr_s(t)(s').
 
-    Uniformization: K = sum_k pois(k; lam*t) P^k.
+    Uniformization: K = sum_k pois(k; lam*t) P^k.  An array of times gives
+    a stack of kernels, all from one power sequence.
     """
     return _uniformized_sum(ctmc, t, eps, lambda P, X: X @ P)
 
@@ -324,7 +361,8 @@ def reach_matrix(ctmc, duration, eps=DEFAULT_TRANSIENT_TOL):
     `duration` starting from s.  A single uniformization pass serves all
     target columns: the chains with target s' made absorbing differ from
     the base chain only in row s', so their matrix powers are obtained by
-    forcing the diagonal back to 1 after each multiplication.
+    forcing the diagonal back to 1 after each multiplication.  An array of
+    durations gives a stack of matrices from one power sequence.
     """
     acc = _uniformized_sum(ctmc, duration, eps, _absorbing_step)
     return np.clip(acc, 0.0, 1.0)
@@ -383,10 +421,14 @@ def invariance(ctmc, state, tau):
 
 
 def invariance_vector(ctmc, tau):
-    """Per-state invariance probabilities over [0, tau]."""
-    if tau < 0:
+    """Per-state invariance probabilities over [0, tau].
+
+    An array of durations gives one row per duration.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0):
         raise ValueError("tau must be nonnegative")
-    return np.exp(-ctmc.effective_exit_rates() * tau)
+    return np.exp(-ctmc.effective_exit_rates() * tau[..., None])
 
 
 def weight_from_property(ctmc, target_mask, horizon, eps=DEFAULT_TRANSIENT_TOL):

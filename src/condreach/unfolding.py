@@ -58,13 +58,14 @@ class LayeredChain:
 
 
 def unfold_precise(ctmc, rho, eps=DEFAULT_TRANSIENT_TOL):
-    """Layered chain over 0, t_1, ..., t_d."""
+    """Layered chain over 0, t_1, ..., t_d.
+
+    The kernels of all the gaps between layers come from one batched
+    uniformization.
+    """
     rho.bind_check(ctmc.alphabet)
     times = (0.0, *rho.times)
-    kernels = tuple(
-        transient_matrix(ctmc, t - prev, eps)
-        for prev, t in zip(times, times[1:])
-    )
+    kernels = tuple(transient_matrix(ctmc, np.diff(times), eps))
     masks = ctmc.reset_masks(rho.formulas)
     return LayeredChain(times, kernels, masks, ctmc.initial)
 

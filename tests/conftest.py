@@ -74,6 +74,47 @@ def tandem_weights(tandem):
 
 
 @pytest.fixture(scope="session")
+def per_time_uniformization():
+    """The uniformization sum of one time at a time, as an oracle.
+
+    Steps its own power sequence for each time and adds the weights in
+    order, with the truncated tail on the last power; kind "transient"
+    gives the kernel, "reach" the all-pairs reach matrix.  The package's
+    batched core must reproduce it bit for bit.
+    """
+    from condreach.ctmc import _RATE_INFLATION, _poisson_weights
+
+    def steps(kind):
+        if kind == "transient":
+            return lambda P, X: X @ P
+
+        def absorbing(P, X):
+            X = P @ X
+            np.fill_diagonal(X, 1.0)
+            return X
+
+        return absorbing
+
+    def run(ctmc, t, eps=1e-10, kind="transient"):
+        step = steps(kind)
+        n = ctmc.n_states
+        lam = float(np.max(ctmc.exit_rates)) * _RATE_INFLATION
+        if t == 0.0 or lam == 0.0:
+            return np.eye(n)
+        P = np.eye(n) + ctmc.generator() / lam
+        weights = _poisson_weights(lam * t, eps)
+        X = np.eye(n)
+        acc = weights[0] * X
+        for w in weights[1:]:
+            X = step(P, X)
+            acc += w * X
+        acc += (1.0 - weights.sum()) * X
+        return np.clip(acc, 0.0, 1.0) if kind == "reach" else acc
+
+    return run
+
+
+@pytest.fixture(scope="session")
 def assert_nested():
     """Check that a refined interval MDP nests inside the coarser one.
 

@@ -50,12 +50,36 @@ def test_bounds_tighten_with_gap(invent):
     assert (Un - Ln).mean() < (Uw - Lw).mean()
 
 
-def test_cache_reuses_entries(invent):
+@pytest.fixture()
+def computed(monkeypatch):
+    """Record the times of every kernel and reach matrix the cache computes."""
+    import condreach.abstraction as abstraction
+
+    log = {"kernels": [], "spreads": []}
+    for attr, key in (("transient_matrix", "kernels"),
+                      ("reach_matrix", "spreads")):
+        fn = getattr(abstraction, attr)
+
+        def counted(ctmc, t, eps, fn=fn, key=key):
+            log[key].extend(np.atleast_1d(t).tolist())
+            return fn(ctmc, t, eps)
+
+        monkeypatch.setattr(abstraction, attr, counted)
+    return log
+
+
+def test_cache_reuses_entries(invent, computed):
     cache = _cache()
     a = cache.bound_matrices(invent, (0.2, 0.4), 1e-10)
+    assert len(computed["kernels"]) == len(computed["spreads"]) == 1
+    size = len(cache.entries)
     b = cache.bound_matrices(invent, (0.2, 0.4), 1e-10)
-    assert a[0] is b[0] and a[1] is b[1]
-    assert len(cache.entries) == 1
+    # A repeated gap computes nothing new and gives the same bounds.
+    assert len(computed["kernels"]) == len(computed["spreads"]) == 1
+    assert len(cache.entries) == size
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
+    assert not a[0].flags.writeable and not a[1].flags.writeable
 
 
 def _direct_bounds(ctmc, g_min, g_max, eps):
@@ -73,30 +97,95 @@ def _direct_bounds(ctmc, g_min, g_max, eps):
 
 
 @pytest.mark.parametrize("model", ["invent.ctmc", "tandem.ctmc"])
-def test_factored_cache_matches_direct_build(model):
+def test_factored_cache_matches_direct_build(model, computed):
     ctmc = parse_ctmc(fixture_text(model))
     gaps = [
         (0.25, 0.5), (0.25, 0.75), (0.5, 0.75), (0.5, 1.0),
         (0.0, 0.25), (1.0, 1.25), (0.8, 0.8), (0.25, 0.25),
     ]
+    direct = [_direct_bounds(ctmc, g, h, 1e-10) for g, h in gaps]
+    computed["kernels"].clear()
+    computed["spreads"].clear()
     cache = _cache()
-    for g_min, g_max in gaps:
+    for (g_min, g_max), (dL, dU) in zip(gaps, direct):
         L, U = cache.bound_matrices(ctmc, (g_min, g_max), 1e-10)
-        dL, dU = _direct_bounds(ctmc, g_min, g_max, 1e-10)
         np.testing.assert_array_equal(L, dL)
         np.testing.assert_array_equal(U, dU)
     # Gaps sharing a minimum share its kernel, gaps sharing a spread its
-    # reach matrix and invariance vector.
-    assert len(cache.entries) == len(gaps)
-    assert len(cache.kernels) == len({g for g, _ in gaps})
-    assert len(cache.spreads) == len({h - g for g, h in gaps if h > g})
+    # reach matrix and invariance vector: each is computed once.
+    minima = {g for g, _ in gaps}
+    spreads = {h - g for g, h in gaps if h > g}
+    assert sorted(computed["kernels"]) == sorted(minima)
+    assert sorted(computed["spreads"]) == sorted(spreads)
+    # The array form on a fresh cache gives the same stacks, computing
+    # each minimum and spread once in one batched call each.
+    computed["kernels"].clear()
+    computed["spreads"].clear()
+    L, U = _cache().bound_matrices(ctmc, np.array(gaps), 1e-10)
+    np.testing.assert_array_equal(L, [d[0] for d in direct])
+    np.testing.assert_array_equal(U, [d[1] for d in direct])
+    assert sorted(computed["kernels"]) == sorted(minima)
+    assert sorted(computed["spreads"]) == sorted(spreads)
+    # Asking again, in any order, computes nothing new.
+    L2, _ = cache.bound_matrices(ctmc, np.array(gaps[::-1]), 1e-10)
+    np.testing.assert_array_equal(L2, L[::-1])
+    assert len(computed["kernels"]) == len(minima)
 
 
 def test_bad_gap_rejected(invent):
-    with pytest.raises(ValueError):
-        _cache().bound_matrices(invent, (1.0, 0.5), 1e-10)
-    with pytest.raises(ValueError):
-        _cache().bound_matrices(invent, (-0.1, 0.5), 1e-10)
+    for bad in ((1.0, 0.5), (-0.1, 0.5), (np.nan, 0.5)):
+        with pytest.raises(ValueError):
+            _cache().bound_matrices(invent, bad, 1e-10)
+        with pytest.raises(ValueError):
+            _cache().bound_matrices(
+                invent, np.array([(0.2, 0.4), bad]), 1e-10
+            )
+
+
+def _per_pair_build(ctmc, omega, psi, eps, direct):
+    """L and U of every layer, built cell pair by cell pair."""
+    layers = ((psi.anchor_zero,), *psi.cells)
+    n = ctmc.n_states
+    lower, upper = [], []
+    for row, row2 in zip(layers, layers[1:]):
+        L = np.empty((len(row), len(row2), n, n))
+        U = np.empty_like(L)
+        for j, cell in enumerate(row):
+            for j2, cell2 in enumerate(row2):
+                gap = (cell2.lo - cell.hi, cell2.hi - cell.lo)
+                if gap not in direct:
+                    direct[gap] = _direct_bounds(ctmc, *gap, eps)
+                L[j, j2], U[j, j2] = direct[gap]
+        lower.append(L)
+        upper.append(U)
+    return lower, upper
+
+
+def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
+                                         tandem, tandem1, tandem_weights):
+    # The gap-grouped build equals a cell-pair loop bit for bit, over three
+    # guided refinement rounds.
+    for ctmc, omega, w in (
+        (invent, invent1, invent_weights),
+        (tandem, tandem1, tandem_weights),
+    ):
+        cache, direct = _cache(), {}
+        psi = coarsest_partition(omega)
+        for level in range(4):
+            imdp = abstract(ctmc, omega, psi, 1e-10, cache)
+            want_L, want_U = _per_pair_build(ctmc, omega, psi, 1e-10, direct)
+            assert len(imdp.lower) == len(want_L)
+            for L, U, dL, dU in zip(imdp.lower, imdp.upper, want_L, want_U):
+                np.testing.assert_array_equal(L, dL)
+                np.testing.assert_array_equal(U, dU)
+            if level == 3:
+                break
+            pruned = restrict_reachable(imdp)
+            report = compute_bounds(pruned, w)
+            reach = reachable_under(pruned, report.guide_scheduler)
+            targets = guided_split_targets(psi, reach)
+            assert targets
+            psi = apply_splits(psi, targets)
 
 
 def test_abstract_shapes(invent, invent1):

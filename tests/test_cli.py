@@ -213,10 +213,23 @@ _MODEL = fixture_text("invent.ctmc")
         (["likelihood", INVENT, "{points}", "--transient-tol", "nan"], 3),
         (["sample", INVENT, INVENT1, "--weights", WEIGHTS,
           "--transient-tol", "nan"], 3),
+        # A chain too stiff to uniformize over the times asked: exit 4.
+        (["precise", "{stiff}", "{stiff_points}", "--weights",
+          "prop:'y'@0.1"], 4),
+        (["precise", "{stiff}", "{stiff_points}", "--weights",
+          "file:{stiff_weights}"], 4),
+        (["likelihood", "{stiff}", "{stiff_points}"], 4),
+        (["analyze", "{stiff}", "{stiff_points}", "--weights",
+          "file:{stiff_weights}"], 4),
+        (["analyze", "{stiff}", "{stiff_window}", "--weights",
+          "file:{stiff_weights}"], 4),
+        (["sample", "{stiff}", "{stiff_window}", "--weights",
+          "file:{stiff_weights}", "-n", "2"], 4),
     ],
 )
 def test_non_finite_input_exit_codes(runner, tmp_path, args, code):
-    # Every non-finite number is refused at the input boundary with a
+    # Every non-finite number is refused at the input boundary, and a
+    # chain too stiff for uniformization before any work, each with a
     # documented exit code, never a traceback or a hang.
     files = {
         "nan_rate": _MODEL.replace("rate s0 s1 3", "rate s0 s1 nan"),
@@ -224,6 +237,13 @@ def test_non_finite_input_exit_codes(runner, tmp_path, args, code):
         "nan_window": "evidence\nobs empty @ nan..nan\n",
         "inf_window": "evidence\nobs empty @ 1..inf\n",
         "nan_weights": "s0 1.0\ns1 nan\ns2 0.25\n",
+        "stiff": (
+            "ctmc\nstate a x\nstate b y\ninit a\n"
+            "rate a b 1e9\nrate b a 1e9\n"
+        ),
+        "stiff_points": "evidence\nobs x @ 100..100\n",
+        "stiff_window": "evidence\nobs x @ 99..100\n",
+        "stiff_weights": "a 0.0\nb 1.0\n",
     }
     paths = {"points": _points_evidence(tmp_path)}
     for name, text in files.items():

@@ -13,8 +13,10 @@ from scipy.stats import poisson
 
 import condreach
 from condreach.ctmc import (
+    MAX_POISSON_MEAN,
     Ctmc,
     ModelError,
+    UniformizationError,
     _poisson_weights,
     bounded_reachability,
     bounded_reachability_vector,
@@ -29,6 +31,7 @@ from condreach.ctmc import (
     weight_from_property,
 )
 from condreach.evidence import parse_formula
+from condreach.fixtures import fixture_text
 
 
 def test_parse_basic(invent):
@@ -105,6 +108,69 @@ def test_transient_zero_time_is_identity(invent):
 def test_transient_rejects_negative(invent):
     with pytest.raises(ValueError):
         transient_matrix(invent, -0.1)
+    with pytest.raises(ValueError):
+        transient_matrix(invent, np.array([0.5, -0.1]))
+
+
+def _assert_batch_matches_per_time(ctmc, times, oracle, eps=1e-10):
+    times = np.asarray(times, dtype=float)
+    K = transient_matrix(ctmc, times, eps)
+    R = reach_matrix(ctmc, times, eps)
+    assert K.shape == R.shape == (len(times), ctmc.n_states, ctmc.n_states)
+    for t, k, r in zip(times, K, R):
+        np.testing.assert_array_equal(k, oracle(ctmc, t, eps), err_msg=t)
+        np.testing.assert_array_equal(
+            r, oracle(ctmc, t, eps, kind="reach"), err_msg=t
+        )
+
+
+# Times with 0, repeats, and Poisson cuts from 1 term to a few hundred.
+_BATCH_TIMES = [0.0, 1.0, 1e-9, 0.25, 1.0, 6.0, 0.0, 0.1, 2.0, 6.0, 3e-4]
+
+
+@pytest.mark.parametrize("model", ["invent.ctmc", "tandem.ctmc"])
+def test_batched_core_matches_per_time_loop(model, per_time_uniformization):
+    ctmc = parse_ctmc(fixture_text(model))
+    _assert_batch_matches_per_time(ctmc, _BATCH_TIMES, per_time_uniformization)
+    # A scalar time gives one matrix, equal to its batch entry.
+    np.testing.assert_array_equal(
+        transient_matrix(ctmc, 0.25), transient_matrix(ctmc, [0.25])[0]
+    )
+    assert transient_matrix(ctmc, np.empty(0)).shape == (
+        0, ctmc.n_states, ctmc.n_states
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 6),
+    times=st.lists(
+        st.sampled_from([0.0, 1e-6, 0.05, 0.3, 1.0, 4.0]) | st.floats(0.0, 5.0),
+        min_size=1, max_size=6,
+    ),
+    eps=st.sampled_from([1e-6, 1e-10, 1e-12]),
+)
+def test_batched_core_matches_per_time_loop_random(
+    random_chain, per_time_uniformization, seed, n, times, eps
+):
+    chain = random_chain(np.random.default_rng(seed), n)
+    _assert_batch_matches_per_time(chain, times, per_time_uniformization, eps)
+
+
+def test_stiff_uniformization_refused():
+    chain = from_rates(["a", "b"], "a", {("a", "b"): 1e9, ("b", "a"): 1e9}, {})
+    # The core refuses before weighting or allocating anything.
+    for fn in (transient_matrix, reach_matrix):
+        with pytest.raises(UniformizationError):
+            fn(chain, 100.0)
+        with pytest.raises(UniformizationError):
+            fn(chain, [1e-12, 100.0])
+    # A mean inside the limit is accepted; a zero time never uniformizes.
+    np.testing.assert_array_equal(transient_matrix(chain, 0.0), np.eye(2))
+    slow = from_rates(["a", "b"], "a", {("a", "b"): 1.0, ("b", "a"): 1.0}, {})
+    K = transient_matrix(slow, 0.5 * MAX_POISSON_MEAN / (1.0 + 1e-6))
+    np.testing.assert_allclose(K, 0.5, atol=1e-9)
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-12])

@@ -109,3 +109,41 @@ def test_posterior_sums_to_one(invent):
 def test_rejects_negative_weights(invent):
     with pytest.raises(ValueError):
         conditional_weight(invent, _rho((1.0, "true")), np.array([1.0, -1.0, 0.0]))
+
+
+def test_batched_unfolding_matches_per_gap(
+    monkeypatch, per_time_uniformization, invent, invent1, invent_weights,
+    tandem, tandem1, tandem_weights,
+):
+    # One batched call for all gap kernels gives bit-identical weights and
+    # likelihoods to kernels computed gap by gap.
+    import condreach.unfolding as unfolding
+    from condreach.evidence import sample_instance
+
+    def per_gap(ctmc, rho, eps):
+        times = (0.0, *rho.times)
+        kernels = tuple(
+            per_time_uniformization(ctmc, t - prev, eps)
+            for prev, t in zip(times, times[1:])
+        )
+        masks = ctmc.reset_masks(rho.formulas)
+        return unfolding.LayeredChain(times, kernels, masks, ctmc.initial)
+
+    def values(ctmc, rho, w):
+        return [
+            float(conditional_weight(ctmc, rho, w)).hex(),
+            float(bayes_quotient_weight(ctmc, rho, w)).hex(),
+            float(evidence_likelihood(ctmc, rho)).hex(),
+        ]
+
+    for ctmc, omega, w in (
+        (invent, invent1, invent_weights),
+        (tandem, tandem1, tandem_weights),
+    ):
+        rng = np.random.default_rng(5)
+        instances = [sample_instance(omega, rng) for _ in range(20)]
+        got = [values(ctmc, rho, w) for rho in instances]
+        with monkeypatch.context() as m:
+            m.setattr(unfolding, "unfold_precise", per_gap)
+            want = [values(ctmc, rho, w) for rho in instances]
+        assert got == want
