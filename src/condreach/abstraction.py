@@ -96,10 +96,14 @@ class TransientBoundCache:
     call, so gaps that share a minimum or a spread share that part.  Cell
     endpoint arithmetic is exact on representable binary fractions, so
     evidences with uniform window spacing hit the cache across layers.
+
+    The parts are keyed by time and tolerance only, so a cache serves the
+    one chain object it first served and refuses any other.
     """
 
     def __init__(self):
         self._parts = {}
+        self._chain = None
 
     @property
     def entries(self):
@@ -131,6 +135,10 @@ class TransientBoundCache:
         g_min, g_max = gaps[:, 0], gaps[:, 1]
         if not np.all((0 <= g_min) & (g_min <= g_max)):
             raise ValueError("gap must satisfy 0 <= min <= max")
+        if self._chain is None:
+            self._chain = ctmc
+        elif ctmc is not self._chain:
+            raise ValueError("a bound cache serves one chain only")
         kernels, spreads = self._parts.setdefault(
             eps, (_KeyedStacks(), _KeyedStacks())
         )

@@ -1,10 +1,20 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 parse error (including a non-finite number in a
-model or evidence file), 3 semantic error (unknown atomic proposition,
-invalid ordering, bad weight spec, non-finite option), 4 numeric failure
-(zero-likelihood evidence, non-convergence, a chain too stiff to
-uniformize over the times asked).
+A failure is a typed error, raised where it arises, and its type alone
+decides the exit code (EXIT_CODES, most specific type first):
+
+- 2, parse error: ModelError, EvidenceError, or a file that cannot be
+  opened, read or decoded as UTF-8 (OSError, UnicodeError);
+- 3, semantic error (SemanticError): an unknown atomic proposition or
+  state, invalid ordering, windowed evidence where a command needs
+  precise timing, a bad weight spec or weight, a bad option value;
+- 4, numeric failure (any ArithmeticError): zero-likelihood evidence,
+  non-convergence, a chain too stiff to uniformize over the times asked.
+
+Success is 0, and click's own usage errors exit 2.  The loader adds the
+path to a failure in a model, evidence or weights file; the group's
+handler maps every other failure of the table.  Any other exception is
+a bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -15,7 +25,6 @@ import sys
 import click
 import numpy as np
 
-from .abstraction import AbstractionError
 from .ctmc import (
     ModelError,
     UniformizationError,
@@ -25,139 +34,125 @@ from .ctmc import (
 from .driver import AnalysisConfig, analyze
 from .evidence import EvidenceError, SemanticError, parse_evidence, parse_formula
 from .simulate import sample_envelope
-from .solver import SolverError
-from .unfolding import (
-    ZeroLikelihoodError,
-    conditional_weight,
-    evidence_likelihood,
-)
+from .unfolding import conditional_weight, evidence_likelihood
 
-EXIT_PARSE = 2
-EXIT_SEMANTIC = 3
-EXIT_NUMERIC = 4
+# Looked up in order: a SemanticError is also an EvidenceError.
+EXIT_CODES = {
+    SemanticError: 3,
+    ModelError: 2,
+    EvidenceError: 2,
+    OSError: 2,
+    UnicodeError: 2,
+    ArithmeticError: 4,
+}
+_FAILURES = tuple(EXIT_CODES)
 
 
 class CliError(click.ClickException):
-    def __init__(self, message, code):
+    """A failure of the table, shown as its message with its exit code."""
+
+    def __init__(self, message, exc):
         super().__init__(message)
-        self.exit_code = code
+        self.exit_code = next(
+            code for family, code in EXIT_CODES.items()
+            if isinstance(exc, family)
+        )
 
 
-def _load_model(path):
+class _Main(click.Group):
+    """The one handler that turns a failure into its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _FAILURES as exc:
+            raise CliError(str(exc), exc) from None
+
+
+def _read(path, parse):
+    """parse applied to the UTF-8 text of the file at path.
+
+    A failure keeps its exit code and gets the path in its message.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_ctmc(fh.read())
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror}", EXIT_PARSE) from None
-    except ModelError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_PARSE) from None
+            return parse(fh.read())
+    except _FAILURES as exc:
+        detail = getattr(exc, "strerror", None) or exc
+        raise CliError(f"{path}: {detail}", exc) from None
 
 
-def _load_evidence(path, ctmc):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            omega = parse_evidence(fh.read())
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror}", EXIT_PARSE) from None
-    except SemanticError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_SEMANTIC) from None
-    except EvidenceError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_PARSE) from None
-    try:
+def _evidence(path, ctmc):
+    """The evidence file at path, checked against the model's labels."""
+
+    def parse(text):
+        omega = parse_evidence(text)
         omega.bind_check(ctmc.alphabet)
-    except EvidenceError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_SEMANTIC) from None
-    return omega
+        return omega
+
+    return _read(path, parse)
 
 
-def _parse_weights(spec, ctmc, eps):
-    """`prop:'<formula>'@<horizon>` or `file:<path>` to a weight vector."""
-    if spec.startswith("prop:"):
-        body = spec[len("prop:"):]
-        if "@" not in body:
-            raise CliError("weight property needs '@<horizon>'", EXIT_SEMANTIC)
-        formula_txt, horizon_txt = body.rsplit("@", 1)
-        formula_txt = formula_txt.strip().strip("'\"")
+def _parse_weights(text, ctmc):
+    """Weight vector from `<state> <weight>` lines, one per state."""
+    weights = np.full(ctmc.n_states, np.nan)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ModelError(f"line {lineno}: expected '<state> <weight>'")
+        name, value_txt = parts
+        if name not in ctmc.state_names:
+            raise SemanticError(f"line {lineno}: unknown state {name!r}")
+        state = ctmc.state_index(name)
+        if not np.isnan(weights[state]):
+            raise ModelError(f"line {lineno}: duplicate weight for {name!r}")
         try:
-            formula = parse_formula(formula_txt)
-            formula.bind_check(ctmc.alphabet)
-        except EvidenceError as exc:
-            raise CliError(f"weight formula: {exc}", EXIT_SEMANTIC) from None
-        try:
-            horizon = float(horizon_txt)
+            value = float(value_txt)
         except ValueError:
-            raise CliError(
-                f"bad weight horizon {horizon_txt!r}", EXIT_SEMANTIC
+            raise ModelError(
+                f"line {lineno}: bad weight {value_txt!r}"
             ) from None
-        if not 0 <= horizon < math.inf:
-            raise CliError(
-                "weight horizon must be finite and nonnegative", EXIT_SEMANTIC
+        if not 0 <= value < math.inf:
+            raise SemanticError(
+                f"line {lineno}: weights must be finite and nonnegative"
             )
-        try:
-            return weight_from_property(
-                ctmc, ctmc.satisfying(formula), horizon, eps
-            )
-        except UniformizationError as exc:
-            raise CliError(f"weight horizon: {exc}", EXIT_NUMERIC) from None
+        weights[state] = value
+    if np.isnan(weights).any():
+        missing = ctmc.state_names[int(np.isnan(weights).argmax())]
+        raise SemanticError(f"missing weight for state {missing}")
+    return weights
+
+
+def _weights(spec, ctmc, eps):
+    """`prop:'<formula>'@<horizon>` or `file:<path>` to a weight vector."""
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        weights = np.full(ctmc.n_states, np.nan)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise CliError(f"{path}: {exc.strerror}", EXIT_PARSE) from None
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise CliError(
-                    f"{path}: line {lineno}: expected '<state> <weight>'",
-                    EXIT_PARSE,
-                )
-            try:
-                state = ctmc.state_index(parts[0])
-            except ModelError as exc:
-                raise CliError(f"{path}: line {lineno}: {exc}", EXIT_SEMANTIC)
-            try:
-                value = float(parts[1])
-            except ValueError:
-                raise CliError(
-                    f"{path}: line {lineno}: bad weight {parts[1]!r}",
-                    EXIT_PARSE,
-                ) from None
-            if not 0 <= value < math.inf:
-                raise CliError(
-                    f"{path}: line {lineno}: weights must be finite and "
-                    "nonnegative",
-                    EXIT_SEMANTIC,
-                )
-            weights[state] = value
-        if np.isnan(weights).any():
-            missing = ctmc.state_names[int(np.isnan(weights).argmax())]
-            raise CliError(
-                f"{path}: missing weight for state {missing}", EXIT_SEMANTIC
-            )
-        return weights
-    raise CliError(
-        "weight spec must start with 'prop:' or 'file:'", EXIT_SEMANTIC
-    )
-
-
-def _to_precise(omega, path):
+        return _read(path, lambda text: _parse_weights(text, ctmc))
+    if not spec.startswith("prop:"):
+        raise SemanticError("weight spec must start with 'prop:' or 'file:'")
+    if "@" not in spec:
+        raise SemanticError("weight property needs '@<horizon>'")
+    formula_txt, horizon_txt = spec[len("prop:"):].rsplit("@", 1)
+    formula = parse_formula(formula_txt.strip().strip("'\""))
+    formula.bind_check(ctmc.alphabet)
     try:
-        return omega.to_precise()
-    except EvidenceError:
-        raise CliError(
-            f"{path}: evidence has nondegenerate time windows; "
-            "this command needs precisely timed evidence",
-            EXIT_SEMANTIC,
-        ) from None
+        horizon = float(horizon_txt)
+    except ValueError:
+        raise SemanticError(f"bad weight horizon {horizon_txt!r}") from None
+    if not 0 <= horizon < math.inf:
+        raise SemanticError("weight horizon must be finite and nonnegative")
+    try:
+        return weight_from_property(
+            ctmc, ctmc.satisfying(formula), horizon, eps
+        )
+    except UniformizationError as exc:
+        raise UniformizationError(f"weight horizon: {exc}") from None
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Bounds on conditional reachability in labeled CTMCs observed at
     imprecisely known times."""
@@ -175,9 +170,7 @@ def _write_csv(csv, out):
 def _positive_finite(ctx, param, value):
     """Reject a tolerance that is not a positive finite number."""
     if not 0 < value < math.inf:
-        raise CliError(
-            f"{param.opts[0]} must be positive and finite", EXIT_SEMANTIC
-        )
+        raise SemanticError(f"{param.opts[0]} must be positive and finite")
     return value
 
 
@@ -207,26 +200,19 @@ _transient_tol_option = click.option(
 def cmd_analyze(model, evidence, weight_spec, time_limit, max_iters,
                 width_target, vi_tol, mode, direction, out, transient_tol):
     """Refinement loop producing sound lower/upper bounds and a trace."""
-    ctmc = _load_model(model)
-    omega = _load_evidence(evidence, ctmc)
-    try:
-        config = AnalysisConfig(
-            time_limit=time_limit,
-            max_iters=max_iters,
-            width_target=width_target,
-            transient_tol=transient_tol,
-            vi_tol=vi_tol,
-            mode=mode,
-            direction=direction,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_SEMANTIC) from None
-    weights = _parse_weights(weight_spec, ctmc, transient_tol)
-    try:
-        trace = analyze(ctmc, omega, weights, config)
-    except (SolverError, AbstractionError, ZeroLikelihoodError,
-            UniformizationError) as exc:
-        raise CliError(str(exc), EXIT_NUMERIC) from None
+    ctmc = _read(model, parse_ctmc)
+    omega = _evidence(evidence, ctmc)
+    config = AnalysisConfig(
+        time_limit=time_limit,
+        max_iters=max_iters,
+        width_target=width_target,
+        transient_tol=transient_tol,
+        vi_tol=vi_tol,
+        mode=mode,
+        direction=direction,
+    )
+    weights = _weights(weight_spec, ctmc, transient_tol)
+    trace = analyze(ctmc, omega, weights, config)
     _write_csv(trace.to_csv(), out)
     click.echo(
         f"lower={trace.lower:.12g} upper={trace.upper:.12g} "
@@ -241,14 +227,10 @@ def cmd_analyze(model, evidence, weight_spec, time_limit, max_iters,
 @_transient_tol_option
 def cmd_precise(model, evidence, weight_spec, transient_tol):
     """Exact conditional weight for precisely timed evidence."""
-    ctmc = _load_model(model)
-    omega = _load_evidence(evidence, ctmc)
-    rho = _to_precise(omega, evidence)
-    weights = _parse_weights(weight_spec, ctmc, transient_tol)
-    try:
-        value = conditional_weight(ctmc, rho, weights, transient_tol)
-    except (ZeroLikelihoodError, UniformizationError) as exc:
-        raise CliError(f"{evidence}: {exc}", EXIT_NUMERIC) from None
+    ctmc = _read(model, parse_ctmc)
+    rho = _evidence(evidence, ctmc).to_precise()
+    weights = _weights(weight_spec, ctmc, transient_tol)
+    value = conditional_weight(ctmc, rho, weights, transient_tol)
     click.echo(f"{value:.12g}")
 
 
@@ -258,13 +240,9 @@ def cmd_precise(model, evidence, weight_spec, transient_tol):
 @_transient_tol_option
 def cmd_likelihood(model, evidence, transient_tol):
     """Probability that the model generates precisely timed evidence."""
-    ctmc = _load_model(model)
-    omega = _load_evidence(evidence, ctmc)
-    rho = _to_precise(omega, evidence)
-    try:
-        value = evidence_likelihood(ctmc, rho, transient_tol)
-    except UniformizationError as exc:
-        raise CliError(f"{evidence}: {exc}", EXIT_NUMERIC) from None
+    ctmc = _read(model, parse_ctmc)
+    rho = _evidence(evidence, ctmc).to_precise()
+    value = evidence_likelihood(ctmc, rho, transient_tol)
     click.echo(f"{value:.12g}")
 
 
@@ -278,14 +256,9 @@ def cmd_likelihood(model, evidence, transient_tol):
 @_transient_tol_option
 def cmd_sample(model, evidence, weight_spec, n, seed, out, transient_tol):
     """Exact conditional weights of sampled precise instances."""
-    ctmc = _load_model(model)
-    omega = _load_evidence(evidence, ctmc)
-    weights = _parse_weights(weight_spec, ctmc, transient_tol)
-    if n < 1:
-        raise CliError("need at least one sample", EXIT_SEMANTIC)
-    try:
-        env = sample_envelope(ctmc, omega, weights, n, seed, transient_tol)
-    except (ZeroLikelihoodError, UniformizationError) as exc:
-        raise CliError(f"{evidence}: {exc}", EXIT_NUMERIC) from None
+    ctmc = _read(model, parse_ctmc)
+    omega = _evidence(evidence, ctmc)
+    weights = _weights(weight_spec, ctmc, transient_tol)
+    env = sample_envelope(ctmc, omega, weights, n, seed, transient_tol)
     _write_csv(env.to_csv(), out)
     click.echo(f"min={env.min:.12g} max={env.max:.12g} n={n}", err=True)

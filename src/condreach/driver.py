@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .abstraction import TransientBoundCache, abstract, restrict_reachable
 from .ctmc import DEFAULT_TRANSIENT_TOL
-from .evidence import coarsest_partition
+from .evidence import SemanticError, coarsest_partition
 from .solver import DEFAULT_VI_TOL, compute_bounds, reachable_under
 
 
@@ -24,16 +24,18 @@ class AnalysisConfig:
 
     def __post_init__(self):
         if not 0 < self.time_limit < math.inf:
-            raise ValueError("time limit must be positive and finite")
+            raise SemanticError("time limit must be positive and finite")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise SemanticError("max iterations must be at least 1")
         if not (0 < self.transient_tol < math.inf
                 and 0 < self.vi_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+            raise SemanticError("tolerances must be positive and finite")
         if self.width_target is not None and not math.isfinite(self.width_target):
-            raise ValueError("width target must be finite")
+            raise SemanticError("width target must be finite")
         if self.mode not in ("guided", "full"):
-            raise ValueError("mode must be 'guided' or 'full'")
+            raise SemanticError("mode must be 'guided' or 'full'")
         if self.direction not in ("max", "min"):
-            raise ValueError("direction must be 'max' or 'min'")
+            raise SemanticError("direction must be 'max' or 'min'")
 
 
 @dataclass(frozen=True)

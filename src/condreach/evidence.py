@@ -79,7 +79,7 @@ def parse_formula(text):
             pol = False
             part = part[1:].strip()
         if not part or any(c.isspace() for c in part) or part in ("true", "!"):
-            raise EvidenceError(f"bad literal {part!r}")
+            raise EvidenceError(f"bad literal {part!r} in formula {text!r}")
         literals.append((part, pol))
     return Formula(tuple(sorted(set(literals))))
 
@@ -232,7 +232,10 @@ class ImpreciseEvidence:
 
     def to_precise(self):
         if not self.is_precise:
-            raise EvidenceError("evidence has nondegenerate time windows")
+            raise SemanticError(
+                "evidence has nondegenerate time windows; "
+                "this command needs precisely timed evidence"
+            )
         return PreciseEvidence(
             tuple((ts.lo, obs) for ts, obs in self.observations)
         )

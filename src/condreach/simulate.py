@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctmc import DEFAULT_TRANSIENT_TOL
-from .evidence import is_instance, sample_instance
+from .evidence import SemanticError, is_instance, sample_instance
 from .unfolding import conditional_weight
 
 
@@ -131,7 +131,9 @@ def sample_envelope(ctmc, omega, weights, n, seed=0, eps=DEFAULT_TRANSIENT_TOL):
     so the envelope maximum is a lower bound on the true supremum.
     """
     if n < 1:
-        raise ValueError("need at least one sample")
+        raise SemanticError("need at least one sample")
+    if seed < 0:
+        raise SemanticError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(n):

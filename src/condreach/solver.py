@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abstraction import reachable_states, reachable_step
-from .unfolding import ZeroLikelihoodError
+from .unfolding import ZERO_LIKELIHOOD, ZeroLikelihoodError
 
 DEFAULT_VI_TOL = 1e-9
 _MAX_SWEEPS = 10000
@@ -193,7 +193,7 @@ def _solve(imdp, weights, outer, inner, tol, fixed=None, v0=0.0,
         )
         f = values[0][0, imdp.initial]
         b = betas[0][0, imdp.initial]
-        if b >= 1.0 - 1e-12:
+        if b >= 1.0 - ZERO_LIKELIHOOD:
             raise ZeroLikelihoodError(
                 "reset loop does not contract; the evidence has (near-)zero "
                 "likelihood"

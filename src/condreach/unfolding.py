@@ -21,6 +21,11 @@ class ZeroLikelihoodError(ArithmeticError):
     """The evidence has (near-)zero likelihood: conditioning is undefined."""
 
 
+# A likelihood, or a reset loop's escape mass 1 - beta, at or below this
+# is treated as zero.
+ZERO_LIKELIHOOD = 1e-12
+
+
 _UNDEFINED = (
     "evidence has zero likelihood; the conditional weight is undefined"
 )
@@ -96,7 +101,7 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     Solves the reset fixpoint v0 = alpha + beta * v0 in closed form; the
     geometric reset loop has return mass beta < 1 whenever the evidence
     has positive likelihood.  Evidence of (near-)zero likelihood, with
-    beta within 1e-12 of 1, raises ZeroLikelihoodError.
+    beta within ZERO_LIKELIHOOD of 1, raises ZeroLikelihoodError.
     """
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):
@@ -104,7 +109,7 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     chain = unfold_precise(ctmc, rho, eps)
     alpha, beta = _backward_affine(chain, w)
     denom = 1.0 - beta
-    if denom <= 1e-12:
+    if denom <= ZERO_LIKELIHOOD:
         raise ZeroLikelihoodError(_UNDEFINED)
     return float(alpha / denom)
 
@@ -142,6 +147,6 @@ def bayes_quotient_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     chain = unfold_precise(ctmc, rho, eps)
     dist = _masked_forward(chain)
     likelihood = dist.sum()
-    if likelihood <= 1e-12:
+    if likelihood <= ZERO_LIKELIHOOD:
         raise ZeroLikelihoodError(_UNDEFINED)
     return float(dist @ w / likelihood)

@@ -142,6 +142,58 @@ def test_bad_gap_rejected(invent):
             )
 
 
+def test_cache_refuses_a_second_chain(invent, invent1):
+    # The cache keys its parts by time and tolerance only: shared with a
+    # faster chain, it would hand that chain the first chain's bounds.
+    fast = parse_ctmc(
+        fixture_text("invent.ctmc").replace("rate s0 s1 3", "rate s0 s1 30")
+    )
+    psi = coarsest_partition(invent1)
+    cache = _cache()
+    first = abstract(invent, invent1, psi, cache=cache)
+    fresh = abstract(fast, invent1, psi)
+    assert max(
+        np.abs(a - b).max() for a, b in zip(first.upper, fresh.upper)
+    ) > 0.2
+    with pytest.raises(ValueError):
+        abstract(fast, invent1, psi, cache=cache)
+    # The chain it first served is still served.
+    again = abstract(invent, invent1, psi, cache=cache)
+    for a, b in zip(first.upper, again.upper):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_crossed_bounds_meet_at_midpoint(invent, monkeypatch):
+    # An invariance vector inflated above 1 lifts lower above upper on a
+    # near-point gap.  By float noise (at most _NOISE) the two meet at
+    # their midpoint; beyond it the bounds are refused.
+    import condreach.abstraction as abstraction
+
+    gap = np.array([[1.0, 1.0 + 2.0**-45]])
+
+    def inflate(excess):
+        monkeypatch.setattr(
+            abstraction, "invariance_vector",
+            lambda ctmc, tau: np.full((len(tau), ctmc.n_states), 1 + excess),
+        )
+
+    inflate(1e-12)
+    L, U = _cache().bound_matrices(invent, gap, 1e-10)
+    K = transient_matrix(invent, gap[:, 0], 1e-10)
+    R = reach_matrix(invent, gap[:, 1] - gap[:, 0], 1e-10)
+    lo = np.clip(K * (1 + 1e-12), 0.0, 1.0)
+    hi = np.clip(K @ R, 0.0, 1.0)
+    crossed = lo > hi
+    assert crossed.any() and (lo - hi).max() <= abstraction._NOISE
+    mid = 0.5 * (lo + hi)
+    np.testing.assert_array_equal(L, np.where(crossed, mid, lo))
+    np.testing.assert_array_equal(U, np.where(crossed, mid, hi))
+    assert np.all(L <= U)
+    inflate(1e-6)
+    with pytest.raises(AbstractionError):
+        _cache().bound_matrices(invent, gap, 1e-10)
+
+
 def _per_pair_build(ctmc, omega, psi, eps, direct):
     """L and U of every layer, built cell pair by cell pair."""
     layers = ((psi.anchor_zero,), *psi.cells)

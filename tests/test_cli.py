@@ -225,6 +225,28 @@ _MODEL = fixture_text("invent.ctmc")
           "file:{stiff_weights}"], 4),
         (["sample", "{stiff}", "{stiff_window}", "--weights",
           "file:{stiff_weights}", "-n", "2"], 4),
+        # A file that is not UTF-8 is a parse error, whatever it holds.
+        (["analyze", "{latin1_model}", INVENT1, "--weights", WEIGHTS], 2),
+        (["analyze", INVENT, "{latin1_window}", "--weights", WEIGHTS], 2),
+        (["analyze", INVENT, INVENT1, "--weights", "file:{latin1_weights}"],
+         2),
+        # Like a duplicate rate in a model file.
+        (["analyze", INVENT, INVENT1, "--weights", "file:{twice_weights}"],
+         2),
+        (["sample", INVENT, INVENT1, "--weights", WEIGHTS, "--seed", "-1"],
+         3),
+        (["sample", INVENT, INVENT1, "--weights", WEIGHTS, "-n", "0"], 3),
+        (["analyze", INVENT, INVENT1, "--weights", WEIGHTS,
+          "--max-iters", "0"], 3),
+        (["analyze", INVENT, INVENT1, "--weights", WEIGHTS,
+          "--max-iters", "-3"], 3),
+        # The exit code follows the error's type, not where it is caught:
+        # a malformed weight formula is a parse error, as in evidence.
+        (["analyze", INVENT, INVENT1, "--weights", "prop:'empty &'@0.1"], 2),
+        (["analyze", INVENT, INVENT1, "--weights", "file:{unknown_state}"],
+         3),
+        (["analyze", INVENT, INVENT1, "--weights", WEIGHTS,
+          "--max-iters", "1", "--out", "{missing_dir}/trace.csv"], 2),
     ],
 )
 def test_non_finite_input_exit_codes(runner, tmp_path, args, code):
@@ -244,13 +266,40 @@ def test_non_finite_input_exit_codes(runner, tmp_path, args, code):
         "stiff_points": "evidence\nobs x @ 100..100\n",
         "stiff_window": "evidence\nobs x @ 99..100\n",
         "stiff_weights": "a 0.0\nb 1.0\n",
+        "latin1_model": _MODEL.replace("empty", "empt\xff").encode("latin-1"),
+        "latin1_window": "evidence\nobs \xe9 @ 1..2\n".encode("latin-1"),
+        "latin1_weights": "s0 1.0\ns1 0.5\ns\xb2 0.25\n".encode("latin-1"),
+        "twice_weights": "s0 1.0\ns1 0.5\ns2 0.25\ns1 0.75\n",
+        "unknown_state": "s0 1.0\ns1 0.5\ns9 0.25\n",
     }
-    paths = {"points": _points_evidence(tmp_path)}
+    paths = {
+        "points": _points_evidence(tmp_path),
+        "missing_dir": str(tmp_path / "missing"),
+    }
     for name, text in files.items():
         path = tmp_path / name
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         paths[name] = str(path)
     res = runner.invoke(main, [a.format(**paths) for a in args])
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == code, res.output
     assert "Traceback" not in res.output
+
+
+def test_unlisted_error_is_a_traceback(runner, monkeypatch):
+    # The exit-code table covers typed failures only; any other exception
+    # is a bug and must surface as itself, not as a documented exit code.
+    import condreach.cli as cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    res = runner.invoke(
+        main, ["analyze", INVENT, INVENT1, "--weights", WEIGHTS]
+    )
+    assert isinstance(res.exception, KeyError)
+    assert res.exit_code == 1

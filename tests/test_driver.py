@@ -12,6 +12,7 @@ from condreach.driver import (
 )
 from condreach.evidence import (
     ImpreciseEvidence,
+    SemanticError,
     TimeSet,
     coarsest_partition,
     parse_formula,
@@ -34,6 +35,10 @@ def test_config_validation():
         AnalysisConfig(direction="up")
     with pytest.raises(ValueError):
         AnalysisConfig(vi_tol=-1)
+    # A bad setting is a semantic error, which the CLI maps to exit 3.
+    for bad in (0, -3):
+        with pytest.raises(SemanticError):
+            AnalysisConfig(max_iters=bad)
 
 
 def test_all_split_targets_skips_points(invent1):

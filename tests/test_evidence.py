@@ -119,7 +119,7 @@ def test_instances(invent1):
 
 
 def test_to_precise(invent1):
-    with pytest.raises(EvidenceError):
+    with pytest.raises(SemanticError, match="precisely timed"):
         invent1.to_precise()
     points = ImpreciseEvidence(
         ((TimeSet.point(1.0), parse_formula("a")),)
