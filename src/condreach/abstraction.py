@@ -8,12 +8,14 @@ states brackets every transient kernel realizable by times inside the
 two cells.
 
 Bounds depend on the two cells only through the elapsed-time gap they
-admit.  A layer is built without a loop over cell pairs: the gaps of all
-pairs come from the cells' endpoint arrays by broadcasting, the distinct
-gaps are found with np.unique, the bound cache answers them in one
-batched call, and the stacks are scattered back to the pairs.  The cache
-keeps the gap's two parts, kernels by its minimum and reach matrices by
-its spread, across layers and iterations.
+admit, so the model is stored by distinct gap.  A layer is built without
+a loop over cell pairs: the gaps of all pairs come from the cells'
+endpoint arrays by broadcasting, the distinct gaps are found with
+np.unique, and the bound cache answers them in one batched call.  The
+layer keeps those (gap, n, n) stacks and np.unique's inverse as an
+(n_cells, n_next_cells) gap index; nothing is scattered to the pairs.
+The cache keeps the gap's two parts, kernels by its minimum and reach
+matrices by its spread, across layers and iterations.
 
 Each partition is abstracted on its own.  Refinement still nests: a
 child cell pair admits a sub-gap of its parent pair's gap, and the
@@ -22,11 +24,12 @@ window can only fall, and the chance to stay in s' over it can only
 rise, so every child interval lies inside its parent's.  The tests check
 this; nothing clips to it.
 
-Reachability advances one layer per step (reachable_step): the followed
-rows of every (cell, next cell) block are contracted against U in one
-einsum, whose sum is positive exactly where some followed row has
-support.  A forward pass is one step per layer, and consistency repair
-takes the same steps as it fixes each layer's choices.
+Reachability advances one layer per step (reachable_step): the supports
+of the followed rows of U's gap stacks are gathered, grouped by next
+cell, and or-reduced per group.  A forward pass is one step per layer,
+and consistency repair takes the same steps as it fixes each layer's
+choices.  Pruning is such a pass over every action: restrict_reachable
+returns its masks, and the model is never copied.
 """
 
 from __future__ import annotations
@@ -176,36 +179,37 @@ class TransientBoundCache:
 
 @dataclass(frozen=True)
 class IntervalMdp:
-    """Layered interval MDP.
+    """Layered interval MDP, stored by distinct gap.
 
     Attributes
     ----------
     layers : tuple
         Per layer, the tuple of TimeSet cells: the anchor {0}, then the
         cells of each observation window.
-    lower, upper : tuple of ndarray
-        Per layer i < last, arrays of shape
-        (n_cells_i, n_cells_{i+1}, n_states, n_states); entry
-        [j, j2, s, s'] bounds the transition probability of abstract
-        state (i, j, s) under action j2 into (i+1, j2, s').
+    gap_lower, gap_upper : tuple of ndarray
+        Per layer i < last, the (n_gaps_i, n_states, n_states) bound
+        stacks of the distinct gaps between layer i's cells and layer
+        i + 1's.
+    gap_index : tuple of ndarray
+        Per layer i < last, an int array (n_cells_i, n_cells_{i+1}) of
+        gap numbers.  With g = gap_index[i][j, j2], entry [g, s, s'] of
+        gap_lower[i] and gap_upper[i] bounds the transition probability
+        of abstract state (i, j, s) under action j2 into (i+1, j2, s').
     reset_masks : tuple of ndarray
         Per layer, the states violating that layer's observation; such
         abstract states carry a single probability-1 redirect to the
         initial abstract state instead of their rows or weights.
     initial : int
         CTMC initial state; the initial abstract state is (0, 0, initial).
-    active : tuple of ndarray
-        Per layer, (n_cells, n_states) masks of materialized states; all
-        True until restrict_reachable prunes.
     """
 
     layers: tuple
-    lower: tuple
-    upper: tuple
+    gap_lower: tuple
+    gap_upper: tuple
+    gap_index: tuple
     reset_masks: tuple
     initial: int
     n_states: int
-    active: tuple
 
     @property
     def n_layers(self):
@@ -214,21 +218,27 @@ class IntervalMdp:
     def n_cells(self, i):
         return len(self.layers[i])
 
-    def sizes(self):
-        """(states, actions, transitions) over active abstract states.
+    def sizes(self, active=None):
+        """(states, actions, transitions) over the active abstract states.
 
+        active holds per-layer (n_cells, n_states) masks, such as
+        restrict_reachable's; every state is active when it is None.
         Reset states contribute one action and one transition each; the
         other last-layer states are terminal and contribute none.
         """
-        states = sum(int(a.sum()) for a in self.active)
+        if active is None:
+            active = [np.ones((len(r), self.n_states), bool) for r in self.layers]
+        states = sum(int(a.sum()) for a in active)
         actions = transitions = sum(
-            int(a[:, r].sum()) for a, r in zip(self.active, self.reset_masks)
+            int(a[:, r].sum()) for a, r in zip(active, self.reset_masks)
         )
         for i in range(self.n_layers - 1):
             reset = self.reset_masks[i]
-            live = self.active[i][:, ~reset]
+            live = active[i][:, ~reset]
             actions += int(live.sum()) * self.n_cells(i + 1)
-            out_deg = (self.upper[i][:, :, ~reset, :] > 0).sum(axis=(1, 3))
+            # Successors with support per gap and row, summed over actions.
+            degree = (self.gap_upper[i][:, ~reset, :] > 0).sum(axis=2)
+            out_deg = degree[self.gap_index[i]].sum(axis=1)
             transitions += int(out_deg[live].sum())
         return states, actions, transitions
 
@@ -243,12 +253,11 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
     omega.bind_check(ctmc.alphabet)
     if cache is None:
         cache = TransientBoundCache()
-    n = ctmc.n_states
     layers = ((psi.anchor_zero,), *psi.cells)
     reset_masks = ctmc.reset_masks(omega.formulas)
 
     ends = [np.array([(c.lo, c.hi) for c in row]).T for row in layers]
-    lower, upper = [], []
+    gap_lower, gap_upper, gap_index = [], [], []
     for i in range(len(layers) - 1):
         (lo, hi), (lo2, hi2) = ends[i], ends[i + 1]
         # gaps[j, j2] = (cell2.lo - cell.hi, cell2.hi - cell.lo).
@@ -260,42 +269,41 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
         uniq, inverse = np.unique(
             gaps.view(np.complex128).reshape(-1), return_inverse=True
         )
-        uniq = uniq.view(float).reshape(-1, 2)
-        Lu, Uu = cache.bound_matrices(ctmc, uniq, eps)
-        take, shape = inverse.reshape(-1), (len(lo), len(lo2), n, n)
-        L = Lu[take].reshape(shape)
-        U = Uu[take].reshape(shape)
-        _check_feasible(L, U, reset_masks[i], i)
-        L.setflags(write=False)
-        U.setflags(write=False)
-        lower.append(L)
-        upper.append(U)
+        L, U = cache.bound_matrices(ctmc, uniq.view(float).reshape(-1, 2), eps)
+        index = inverse.reshape(len(lo), len(lo2))
+        index.setflags(write=False)
+        _check_feasible(L, U, index, reset_masks[i], i)
+        gap_lower.append(L)
+        gap_upper.append(U)
+        gap_index.append(index)
 
-    active = tuple(
-        np.ones((len(row), n), dtype=bool) for row in layers
-    )
     return IntervalMdp(
         layers=layers,
-        lower=tuple(lower),
-        upper=tuple(upper),
+        gap_lower=tuple(gap_lower),
+        gap_upper=tuple(gap_upper),
+        gap_index=tuple(gap_index),
         reset_masks=reset_masks,
         initial=ctmc.initial,
-        n_states=n,
-        active=active,
+        n_states=ctmc.n_states,
     )
 
 
-def _check_feasible(L, U, reset, layer):
-    """Every non-reset row must admit a distribution inside its intervals."""
-    lo_sum = L[:, :, ~reset, :].sum(axis=3)
-    hi_sum = U[:, :, ~reset, :].sum(axis=3)
-    if np.any(lo_sum > 1.0 + _NOISE) or np.any(hi_sum < 1.0 - _NOISE):
-        j, j2, s = np.unravel_index(
-            np.argmax(np.maximum(lo_sum - 1.0, 1.0 - hi_sum)), lo_sum.shape
-        )
+def _check_feasible(L, U, index, reset, layer):
+    """Every non-reset row must admit a distribution inside its intervals.
+
+    L and U are a layer's gap stacks and index its gap numbers; a gap's
+    infeasible row is named by the first cell pair that admits the gap.
+    """
+    rows = np.flatnonzero(~reset)
+    excess = np.maximum(
+        L.sum(axis=2)[:, rows] - 1.0, 1.0 - U.sum(axis=2)[:, rows]
+    )
+    if np.any(excess > _NOISE):
+        g, r = np.unravel_index(np.argmax(excess), excess.shape)
+        j, j2 = np.argwhere(index == g)[0]
         raise AbstractionError(
             f"infeasible interval row at layer {layer}, cell {j}, "
-            f"action {j2}, state row {s}"
+            f"action {j2}, state {rows[r]}"
         )
 
 
@@ -303,18 +311,28 @@ def reachable_step(imdp, i, reach, choice=None):
     """Reachable states of layer i + 1 given those of layer i.
 
     reach is layer i's (n_cells, n_states) mask and choice its scheduler
-    choices (every action is explored when None).  The masked rows of U
-    are summed per next cell in one contraction; U >= 0, so a sum is
-    positive exactly where some followed row has support.
+    choices (every action is explored when None).  Each followed row is
+    a row of a gap stack of U; their supports are gathered grouped by
+    next cell and or-reduced per group.
     """
-    U = imdp.upper[i]
-    rows = (reach & ~imdp.reset_masks[i]).astype(float)
+    U, index = imdp.gap_upper[i], imdp.gap_index[i]
+    n = imdp.n_states
+    nc, nc2 = index.shape
+    rows = reach & ~imdp.reset_masks[i]
     if choice is None:
-        flow = np.einsum("js,jkst->kt", rows, U)
+        follow = np.broadcast_to(rows, (nc2, nc, n))
     else:
-        follow = choice[:, None, :] == np.arange(U.shape[1])[:, None]
-        flow = np.einsum("jks,jkst->kt", follow * rows[:, None, :], U)
-    return flow > 0
+        follow = (choice == np.arange(nc2)[:, None, None]) & rows
+    # follow[j2, j, s]: row s of gap index[j, j2] leads into next cell j2.
+    row_ids = index.T[:, :, None] * n + np.arange(n)
+    support = (U > 0).reshape(-1, n)[row_ids[follow]]
+    counts = follow.sum(axis=(1, 2))
+    flow = np.zeros((nc2, n), dtype=bool)
+    some = counts > 0
+    if some.any():
+        starts = np.cumsum(counts)[some] - counts[some]
+        flow[some] = np.logical_or.reduceat(support, starts, axis=0)
+    return flow
 
 
 def reachable_states(imdp, scheduler=None):
@@ -325,7 +343,7 @@ def reachable_states(imdp, scheduler=None):
     state, which is reachable by definition, so one forward pass of
     reachable_step suffices.
     """
-    reach = [np.zeros_like(imdp.active[0])]
+    reach = [np.zeros((1, imdp.n_states), dtype=bool)]
     reach[0][0, imdp.initial] = True
     for i in range(imdp.n_layers - 1):
         choice = None if scheduler is None else scheduler.choices[i]
@@ -334,19 +352,10 @@ def reachable_states(imdp, scheduler=None):
 
 
 def restrict_reachable(imdp):
-    """Prune abstract states unreachable under any action.
+    """Per-layer masks of the abstract states that pruning keeps.
 
-    Only the active masks change; bounds arrays are shared, so values of
-    surviving states are untouched.
+    These are the states reachable under some scheduler.  The model is
+    not copied: sizes() counts the masked states, and consistency
+    repair takes its fallback voters from them.
     """
-    reach = reachable_states(imdp)
-    active = tuple(a & r for a, r in zip(imdp.active, reach))
-    return IntervalMdp(
-        layers=imdp.layers,
-        lower=imdp.lower,
-        upper=imdp.upper,
-        reset_masks=imdp.reset_masks,
-        initial=imdp.initial,
-        n_states=imdp.n_states,
-        active=active,
-    )
+    return reachable_states(imdp)

@@ -19,8 +19,10 @@ a bug and surfaces as a traceback.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -144,12 +146,18 @@ def _weights(spec, ctmc, eps):
         raise SemanticError(f"bad weight horizon {horizon_txt!r}") from None
     if not 0 <= horizon < math.inf:
         raise SemanticError("weight horizon must be finite and nonnegative")
-    try:
-        return weight_from_property(
-            ctmc, ctmc.satisfying(formula), horizon, eps
-        )
-    except UniformizationError as exc:
-        raise UniformizationError(f"weight horizon: {exc}") from None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            weights = weight_from_property(
+                ctmc, ctmc.satisfying(formula), horizon, eps
+            )
+        except UniformizationError as exc:
+            raise UniformizationError(f"weight horizon: {exc}") from None
+    # A warning, such as an empty target set, is one line on stderr.
+    for w in caught:
+        click.echo(f"warning: {w.message}", err=True)
+    return weights
 
 
 @click.group(cls=_Main)
@@ -158,13 +166,14 @@ def main():
     imprecisely known times."""
 
 
-def _write_csv(csv, out):
-    """Write a CSV document to the path out, or to stdout when out is None."""
+def _open_out(out):
+    """The file out opened for writing, or stdout when out is None.
+
+    Opened before the work, so that a bad path fails before a long run.
+    """
     if out is None:
-        sys.stdout.write(csv)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv)
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8", newline="\n")
 
 
 def _positive_finite(ctx, param, value):
@@ -212,8 +221,9 @@ def cmd_analyze(model, evidence, weight_spec, time_limit, max_iters,
         direction=direction,
     )
     weights = _weights(weight_spec, ctmc, transient_tol)
-    trace = analyze(ctmc, omega, weights, config)
-    _write_csv(trace.to_csv(), out)
+    with _open_out(out) as sink:
+        trace = analyze(ctmc, omega, weights, config)
+        sink.write(trace.to_csv())
     click.echo(
         f"lower={trace.lower:.12g} upper={trace.upper:.12g} "
         f"iters={len(trace.rows)} total_s={trace.total_s:.2f}"
@@ -259,6 +269,7 @@ def cmd_sample(model, evidence, weight_spec, n, seed, out, transient_tol):
     ctmc = _read(model, parse_ctmc)
     omega = _evidence(evidence, ctmc)
     weights = _weights(weight_spec, ctmc, transient_tol)
-    env = sample_envelope(ctmc, omega, weights, n, seed, transient_tol)
-    _write_csv(env.to_csv(), out)
+    with _open_out(out) as sink:
+        env = sample_envelope(ctmc, omega, weights, n, seed, transient_tol)
+        sink.write(env.to_csv())
     click.echo(f"min={env.min:.12g} max={env.max:.12g} n={n}", err=True)

@@ -139,15 +139,15 @@ def analyze(ctmc, omega, weights, config=AnalysisConfig()):
         t0 = time.monotonic()
         imdp = abstract(ctmc, omega, psi, eps=config.transient_tol, cache=cache)
         t1 = time.monotonic()
-        pruned = restrict_reachable(imdp)
+        active = restrict_reachable(imdp)
         t2 = time.monotonic()
         report = compute_bounds(
-            pruned, weights, tol=config.vi_tol, direction=config.direction,
-            start=fixpoints,
+            imdp, weights, tol=config.vi_tol, direction=config.direction,
+            start=fixpoints, active=active,
         )
         fixpoints = report.info["fixpoints"]
         solve_s = time.monotonic() - t2
-        states, actions, transitions = pruned.sizes()
+        states, actions, transitions = imdp.sizes(active)
         rows.append(
             TraceRow(
                 iteration=iteration,
@@ -175,7 +175,7 @@ def analyze(ctmc, omega, weights, config=AnalysisConfig()):
             break
 
         if config.mode == "guided":
-            reach = reachable_under(pruned, report.guide_scheduler)
+            reach = reachable_under(imdp, report.guide_scheduler)
             targets = guided_split_targets(psi, reach)
         else:
             targets = all_split_targets(psi)

@@ -7,19 +7,24 @@ the sensitivity of every value to the injected initial value; the reset
 fixpoint is then solved in closed form and re-swept until the choices
 stabilize (policy iteration on a scalar).
 
-Each layer of a sweep is one batched numpy kernel over all (cell, next
-cell) pairs.  Nature's optimum over an interval polytope is its greedy
-extreme point: a row starts at its lower bounds and pours its slack
-into successors in value order (greedy_distribution states it for one
-block and is kept as the tests' oracle).  What does not depend on the
-values, the room U - L stored successor-major and the slack 1 - sum L,
-is prepared once per compute_bounds call and shared by its three
-solves.  A sweep then sorts the next layer's values with one stable
-argsort, gathers the room rows in that order, clips their running sum
-against the slack, and takes each q-value as L @ v plus the clipped
-fill dotted with the sorted values; betas reuse the same fill.  The
-last observation layer carries the weights, or the reset value v0 on
-its violating states.
+Each layer of a sweep is one batched numpy kernel over its rows.
+Nature's optimum over an interval polytope is its greedy extreme point:
+a row starts at its lower bounds and pours its slack into successors in
+value order (greedy_distribution states it for one block and is kept as
+the tests' oracle).  What does not depend on the values, the room
+U - L stored successor-major and the slack 1 - sum L, is prepared once
+per compute_bounds call from the model's gap stacks and shared by its
+three solves.  A sweep then sorts the next layer's values with one
+stable argsort, gathers the room rows in that order, clips their
+running sum against the slack, and takes each q-value as L @ v plus the
+clipped fill dotted with the sorted values; betas reuse the same fill.
+
+The last observation layer carries the weights, or the reset value v0
+on its violating states, in every cell alike.  A greedy depends only on
+its row's intervals and on the vector it orders by, so the step into
+that layer runs once per distinct gap and gathers the q-values to the
+cell pairs through the gap index; every other step has a row per
+(cell, next cell, state), gathered from the gap stacks once.
 """
 
 from __future__ import annotations
@@ -88,27 +93,47 @@ def greedy_distribution(lower, upper, values, maximize):
 def _prepare(imdp):
     """Value-independent arrays of each layer's batched greedy.
 
-    With nc and nc2 the cell counts of a layer and the next, and its rows
-    numbered m = j * n + s over (cell, state), a layer gets the triple
-    (lower, room, slack), all successor-major:
-    lower[j2, t, m] = L[j, j2, s, t], shape (nc2, n, nc * n); room is
-    U - L in the same order, flattened to (nc2 * n, nc * n); and
-    slack[j2, 0, m] = 1 - sum_t L[j, j2, s, t].  The last observation
-    layer has no successors and no triple; it carries the weights.
+    Every layer but the last gets the rows of all its cell pairs (see
+    _rows), gathered once from the gap stacks.  In the last step all
+    next cells carry the same vectors, so a row's greedy depends on its
+    gap alone: that layer gets one row per gap and state, numbered as if
+    each gap were a cell with a single next cell.  The last observation
+    layer has no successors and no arrays; it carries the weights.
     """
-    n = imdp.n_states
     layout = []
-    for L, U in zip(imdp.lower, imdp.upper):
-        nc, nc2 = L.shape[:2]
-        lower = np.ascontiguousarray(L.transpose(1, 3, 0, 2))
-        room = np.ascontiguousarray((U - L).transpose(1, 3, 0, 2))
-        slack = (1.0 - L.sum(axis=-1)).transpose(1, 0, 2)
-        layout.append((
-            lower.reshape(nc2, n, nc * n),
-            room.reshape(nc2 * n, nc * n),
-            slack.reshape(nc2, 1, nc * n),
-        ))
+    last = imdp.n_layers - 2
+    for i, (L, U, index) in enumerate(
+        zip(imdp.gap_lower, imdp.gap_upper, imdp.gap_index)
+    ):
+        if i == last:
+            index = np.arange(len(L))[:, None]
+        layout.append(_rows(L, U, index))
     return layout
+
+
+def _rows(L, U, index):
+    """The triple (lower, room, slack) of the rows of index's cell pairs.
+
+    L and U are (g, n, n) gap stacks and index an (nc, nc2) array of gap
+    numbers.  Rows are numbered m = j * n + s over (cell, state), and all
+    three arrays are successor-major: lower[j2, t, m] is
+    L[index[j, j2], s, t], shape (nc2, n, nc * n); room is U - L in the
+    same order, flattened to (nc2 * n, nc * n); and slack[j2, 0, m] is
+    1 - sum_t L[index[j, j2], s, t].
+    """
+    g, n, _ = L.shape
+    nc, nc2 = index.shape
+    # Row t * g + k of a stack transposed to (t, g, s) is gap k's
+    # column t; take[j2, t, j] picks it for the pair (j, j2).
+    take = index.T[:, None, :] + g * np.arange(n)[:, None]
+    lower = L.transpose(2, 0, 1).reshape(n * g, n)[take]
+    room = (U - L).transpose(2, 0, 1).reshape(n * g, n)[take]
+    slack = (1.0 - L.sum(axis=-1))[index.T]
+    return (
+        lower.reshape(nc2, n, nc * n),
+        room.reshape(nc2 * n, nc * n),
+        slack.reshape(nc2, 1, nc * n),
+    )
 
 
 def _q_values(layer, vb, maximize):
@@ -157,8 +182,14 @@ def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
         nc = imdp.n_cells(i)
         nc2 = imdp.n_cells(i + 1)
         vb = np.stack((values[i + 1], betas[i + 1]), axis=1)
-        q = _q_values(layout[i], vb, inner == "max")
-        q = np.broadcast_to(q.reshape(nc2, 2, -1, n), (nc2, 2, nc, n))
+        if i == n_layers - 2:
+            # One greedy per gap on the one vector pair of the last
+            # layer, gathered to (nc2, 2, nc, n) through the gap index.
+            q = _q_values(layout[i], vb[:1], inner == "max")
+            q = q.reshape(2, -1, n)[:, imdp.gap_index[i].T].swapaxes(0, 1)
+        else:
+            q = _q_values(layout[i], vb, inner == "max")
+            q = q.reshape(nc2, 2, nc, n)
         q_val, q_beta = q[:, 0], q[:, 1]
         if fixed is not None:
             choice = fixed.choices[i].copy()
@@ -240,22 +271,24 @@ def reachable_under(imdp, sched):
     return reachable_states(imdp, sched)
 
 
-def repair_consistency(imdp, sched):
+def repair_consistency(imdp, sched, active=None):
     """Make per-cell choices uniform by majority vote over reachable states.
 
     Layers are fixed front to back.  Reachability of layer i + 1 depends
     only on the choices at layers up to i, so it is carried forward one
     layer at a time as each layer's choices are fixed.  Ties (and cells
     with no reachable voters) resolve to the lowest action index among
-    the votes of all non-reset states.
+    the votes of all active non-reset states.  active holds per-layer
+    masks, such as restrict_reachable's; every state is active when it
+    is None.
     """
     choices = [c.copy() for c in sched.choices]
-    reach = np.zeros_like(imdp.active[0])
+    reach = np.zeros((1, imdp.n_states), dtype=bool)
     reach[0, imdp.initial] = True
     for i in range(imdp.n_layers - 1):
         reset = imdp.reset_masks[i]
         for j in range(imdp.n_cells(i)):
-            eligible = ~reset & imdp.active[i][j]
+            eligible = ~reset if active is None else ~reset & active[i][j]
             if not eligible.any():
                 continue
             voters = reach[j] & eligible
@@ -280,7 +313,7 @@ def audit_consistency(imdp, sched, reach=None):
 
 
 def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
-                   start=(0.0, 0.0, 0.0)):
+                   start=(0.0, 0.0, 0.0), active=None):
     """Sound bound pair on the optimal conditional weight.
 
     Maximization: the upper bound is the unrestricted robust optimum
@@ -291,7 +324,8 @@ def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
 
     start holds the first reset-value guesses of the three solves; a
     refinement loop passes the previous model's info["fixpoints"], which
-    are close to the refined model's and save sweeps.
+    are close to the refined model's and save sweeps.  active is passed
+    to repair_consistency.
     """
     if direction not in ("max", "min"):
         raise ValueError("direction must be 'max' or 'min'")
@@ -308,7 +342,7 @@ def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
         imdp, weights, outer=opt, inner=pess, tol=tol, v0=start[1],
         layout=layout,
     )
-    sigma_hat = repair_consistency(imdp, sigma_minus)
+    sigma_hat = repair_consistency(imdp, sigma_minus, active)
     _, inner_bound = evaluate_scheduler(imdp, weights, sigma_hat, inner=pess,
                                         tol=tol, v0=start[2], layout=layout)
     inner_bound = float(inner_bound)

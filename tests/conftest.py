@@ -115,7 +115,84 @@ def per_time_uniformization():
 
 
 @pytest.fixture(scope="session")
-def assert_nested():
+def dense_bounds():
+    """Per-layer (lower, upper) arrays of an interval MDP, one per cell pair.
+
+    Scatters each layer's gap stacks through its gap index, Lg[index],
+    into (n_cells_i, n_cells_{i+1}, n, n) arrays: block [j, j2] bounds
+    the rows of cell j under action j2.
+    """
+
+    def scatter(imdp):
+        return [
+            (L[index], U[index])
+            for L, U, index in zip(
+                imdp.gap_lower, imdp.gap_upper, imdp.gap_index
+            )
+        ]
+
+    return scatter
+
+
+@pytest.fixture(scope="session")
+def reference_sweep(dense_bounds):
+    """Backward pass calling greedy_distribution once per interval row.
+
+    The dense reference of the solver's sweep: each layer's bounds are
+    scattered to its cell pairs and every (cell, action, state) row gets
+    its own greedy.  Returns (values, betas, choices, q-values), the
+    q-values of layer i with shape (n_cells_i, n_cells_{i+1}, n_states).
+    """
+    from condreach.solver import greedy_distribution
+
+    def sweep(imdp, weights, v0, outer, inner, fixed=None):
+        n_layers, n = imdp.n_layers, imdp.n_states
+        dense = dense_bounds(imdp)
+        values = [None] * n_layers
+        betas = [None] * n_layers
+        choices = [None] * (n_layers - 1)
+        q_vals = [None] * (n_layers - 1)
+        values[-1] = np.tile(np.asarray(weights, float),
+                             (imdp.n_cells(n_layers - 1), 1))
+        betas[-1] = np.zeros_like(values[-1])
+        values[-1][:, imdp.reset_masks[-1]] = v0
+        betas[-1][:, imdp.reset_masks[-1]] = 1.0
+        for i in range(n_layers - 2, -1, -1):
+            nc, nc2 = imdp.n_cells(i), imdp.n_cells(i + 1)
+            L, U = dense[i]
+            q_val = np.empty((nc, nc2, n))
+            q_beta = np.empty((nc, nc2, n))
+            for j in range(nc):
+                for j2 in range(nc2):
+                    vn, bn = values[i + 1][j2], betas[i + 1][j2]
+                    for s in range(n):
+                        p = greedy_distribution(
+                            L[j, j2, s], U[j, j2, s], vn, inner == "max"
+                        )
+                        q_val[j, j2, s] = p @ vn
+                        q_beta[j, j2, s] = p @ bn
+            if fixed is not None:
+                choice = fixed.choices[i].copy()
+            elif outer == "max":
+                choice = q_val.argmax(axis=1)
+            else:
+                choice = q_val.argmin(axis=1)
+            take = np.maximum(choice, 0)[:, None, :]
+            val = np.take_along_axis(q_val, take, axis=1)[:, 0]
+            beta = np.take_along_axis(q_beta, take, axis=1)[:, 0]
+            reset = imdp.reset_masks[i]
+            val[:, reset] = v0
+            beta[:, reset] = 1.0
+            choice[:, reset] = -1
+            values[i], betas[i], choices[i] = val, beta, choice
+            q_vals[i] = q_val
+        return values, betas, choices, q_vals
+
+    return sweep
+
+
+@pytest.fixture(scope="session")
+def assert_nested(dense_bounds):
     """Check that a refined interval MDP nests inside the coarser one.
 
     Each child cell is mapped to the one parent cell that contains it, and
@@ -141,13 +218,15 @@ def assert_nested():
               for row, prow in zip(child_psi.cells, parent_psi.cells)),
             [0],
         ]
+        child_bounds, parent_bounds = dense_bounds(child), dense_bounds(parent)
         for i in range(child.n_layers - 1):
             pairs = np.ix_(maps[i], maps[i + 1])
+            (cL, cU), (pL, pU) = child_bounds[i], parent_bounds[i]
             assert np.all(
-                child.lower[i] >= parent.lower[i][pairs] - atol
+                cL >= pL[pairs] - atol
             ), f"lower bound below the parent's at layer {i}"
             assert np.all(
-                child.upper[i] <= parent.upper[i][pairs] + atol
+                cU <= pU[pairs] + atol
             ), f"upper bound above the parent's at layer {i}"
 
     return check
@@ -156,14 +235,14 @@ def assert_nested():
 @pytest.fixture(scope="session")
 def imdp_cases(invent, invent1, invent_weights, tandem, tandem1,
                tandem_weights):
-    """Pruned interval MDPs of invent1 and tandem1, with their weights.
+    """Interval MDPs of invent1 and tandem1, with their weights.
 
     Each evidence is abstracted at its coarsest partition and at a refined
     one (every positive-width cell bisected, twice for invent1 and once for
     tandem1), so the solver and reachability kernels see one-cell and
     many-cell layers of a 3-state and a 120-state chain.
     """
-    from condreach.abstraction import abstract, restrict_reachable
+    from condreach.abstraction import abstract
     from condreach.driver import all_split_targets, apply_splits
     from condreach.evidence import coarsest_partition
 
@@ -176,6 +255,7 @@ def imdp_cases(invent, invent1, invent_weights, tandem, tandem1,
         for level in range(rounds + 1):
             if level:
                 psi = apply_splits(psi, all_split_targets(psi))
-            imdp = restrict_reachable(abstract(ctmc, omega, psi))
-            cases[f"{name}-refined{level}"] = (imdp, weights)
+            cases[f"{name}-refined{level}"] = (
+                abstract(ctmc, omega, psi), weights
+            )
     return cases

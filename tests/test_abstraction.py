@@ -142,7 +142,7 @@ def test_bad_gap_rejected(invent):
             )
 
 
-def test_cache_refuses_a_second_chain(invent, invent1):
+def test_cache_refuses_a_second_chain(invent, invent1, dense_bounds):
     # The cache keys its parts by time and tolerance only: shared with a
     # faster chain, it would hand that chain the first chain's bounds.
     fast = parse_ctmc(
@@ -153,14 +153,15 @@ def test_cache_refuses_a_second_chain(invent, invent1):
     first = abstract(invent, invent1, psi, cache=cache)
     fresh = abstract(fast, invent1, psi)
     assert max(
-        np.abs(a - b).max() for a, b in zip(first.upper, fresh.upper)
+        np.abs(a[1] - b[1]).max()
+        for a, b in zip(dense_bounds(first), dense_bounds(fresh))
     ) > 0.2
     with pytest.raises(ValueError):
         abstract(fast, invent1, psi, cache=cache)
     # The chain it first served is still served.
     again = abstract(invent, invent1, psi, cache=cache)
-    for a, b in zip(first.upper, again.upper):
-        np.testing.assert_array_equal(a, b)
+    for a, b in zip(dense_bounds(first), dense_bounds(again)):
+        np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_crossed_bounds_meet_at_midpoint(invent, monkeypatch):
@@ -214,7 +215,8 @@ def _per_pair_build(ctmc, omega, psi, eps, direct):
 
 
 def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
-                                         tandem, tandem1, tandem_weights):
+                                         tandem, tandem1, tandem_weights,
+                                         dense_bounds):
     # The gap-grouped build equals a cell-pair loop bit for bit, over three
     # guided refinement rounds.
     for ctmc, omega, w in (
@@ -226,15 +228,15 @@ def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
         for level in range(4):
             imdp = abstract(ctmc, omega, psi, 1e-10, cache)
             want_L, want_U = _per_pair_build(ctmc, omega, psi, 1e-10, direct)
-            assert len(imdp.lower) == len(want_L)
-            for L, U, dL, dU in zip(imdp.lower, imdp.upper, want_L, want_U):
+            dense = dense_bounds(imdp)
+            assert len(dense) == len(want_L)
+            for (L, U), dL, dU in zip(dense, want_L, want_U):
                 np.testing.assert_array_equal(L, dL)
                 np.testing.assert_array_equal(U, dU)
             if level == 3:
                 break
-            pruned = restrict_reachable(imdp)
-            report = compute_bounds(pruned, w)
-            reach = reachable_under(pruned, report.guide_scheduler)
+            report = compute_bounds(imdp, w, active=restrict_reachable(imdp))
+            reach = reachable_under(imdp, report.guide_scheduler)
             targets = guided_split_targets(psi, reach)
             assert targets
             psi = apply_splits(psi, targets)
@@ -259,13 +261,13 @@ def test_abstract_shapes(invent, invent1):
     )
 
 
-def test_feasibility_of_rows(invent, invent1):
+def test_feasibility_of_rows(invent, invent1, dense_bounds):
     psi = coarsest_partition(invent1)
     imdp = abstract(invent, invent1, psi)
-    for i in range(imdp.n_layers - 1):
+    for i, (L, U) in enumerate(dense_bounds(imdp)):
         keep = ~imdp.reset_masks[i]
-        lo = imdp.lower[i][:, :, keep, :].sum(axis=3)
-        hi = imdp.upper[i][:, :, keep, :].sum(axis=3)
+        lo = L[:, :, keep, :].sum(axis=3)
+        hi = U[:, :, keep, :].sum(axis=3)
         assert np.all(lo <= 1.0 + 1e-9)
         assert np.all(hi >= 1.0 - 1e-9)
 
@@ -282,9 +284,8 @@ def test_parent_intersection_nests(invent, invent1, invent_weights, tandem,
         psi = coarsest_partition(omega)
         imdp = abstract(ctmc, omega, psi, cache=cache)
         for _ in range(2):
-            pruned = restrict_reachable(imdp)
-            report = compute_bounds(pruned, w)
-            reach = reachable_under(pruned, report.guide_scheduler)
+            report = compute_bounds(imdp, w, active=restrict_reachable(imdp))
+            reach = reachable_under(imdp, report.guide_scheduler)
             targets = guided_split_targets(psi, reach)
             assert targets
             child_psi = apply_splits(psi, targets)
@@ -299,11 +300,14 @@ def test_reachable_and_restrict(invent, invent1):
     reach = reachable_states(imdp)
     # Layer 0 holds only the initial abstract state.
     assert reach[0][0].sum() == 1 and reach[0][0, imdp.initial]
-    pruned = restrict_reachable(imdp)
-    states, actions, transitions = pruned.sizes()
-    full_states = sum(a.sum() for a in imdp.active)
+    active = restrict_reachable(imdp)
+    for a, r in zip(active, reach):
+        np.testing.assert_array_equal(a, r)
+    states, actions, transitions = imdp.sizes(active)
+    full_states, _, _ = imdp.sizes()
+    assert full_states == sum(len(row) for row in imdp.layers) * 3
     assert states < full_states
-    assert actions >= states - pruned.active[-1].sum()
+    assert actions >= states - active[-1].sum()
     assert transitions >= actions
 
 
@@ -322,7 +326,7 @@ def test_sizes_count_reset_as_single_action(invent, invent1):
 
 def test_scheduler_reachability(invent, invent1):
     psi = coarsest_partition(invent1)
-    imdp = restrict_reachable(abstract(invent, invent1, psi))
+    imdp = abstract(invent, invent1, psi)
     choices = tuple(
         np.zeros((imdp.n_cells(i), imdp.n_states), dtype=int)
         for i in range(imdp.n_layers - 1)
@@ -337,10 +341,10 @@ def test_scheduler_reachability(invent, invent1):
 
 def _reference_reachable(imdp, scheduler=None):
     """Forward pass looping over every (cell, next cell) pair."""
-    reach = [np.zeros_like(a) for a in imdp.active]
+    reach = [np.zeros((len(row), imdp.n_states), bool) for row in imdp.layers]
     reach[0][0, imdp.initial] = True
     for i in range(imdp.n_layers - 1):
-        U = imdp.upper[i]
+        U, index = imdp.gap_upper[i], imdp.gap_index[i]
         reset = imdp.reset_masks[i]
         for j in range(imdp.n_cells(i)):
             here = reach[i][j] & ~reset
@@ -349,7 +353,8 @@ def _reference_reachable(imdp, scheduler=None):
                 if scheduler is not None:
                     rows = here & (scheduler.choices[i][j] == j2)
                 if rows.any():
-                    reach[i + 1][j2] |= (U[j, j2][rows] > 0).any(axis=0)
+                    block = U[index[j, j2]]
+                    reach[i + 1][j2] |= (block[rows] > 0).any(axis=0)
     return tuple(reach)
 
 
@@ -364,28 +369,34 @@ def _random_scheduler(imdp, rng):
 
 
 def _sparse_imdp(rng):
-    """Random layered interval MDP whose rows have random sparse support."""
+    """Random layered interval MDP whose rows have random sparse support.
+
+    Each layer has between one gap and one gap per cell pair, and the
+    gap index picks among them at random, so cell pairs share gaps.
+    """
     n = int(rng.integers(2, 5))
     counts = [1, *rng.integers(1, 4, int(rng.integers(1, 4))), 1]
     layers = tuple(
         tuple(TimeSet.point(float(10 * i + j)) for j in range(c))
         for i, c in enumerate(counts)
     )
-    lower, upper = [], []
+    lower, upper, index = [], [], []
     for nc, nc2 in zip(counts, counts[1:]):
-        support = rng.random((nc, nc2, n, n)) < 0.4
+        g = int(rng.integers(1, nc * nc2 + 1))
+        support = rng.random((g, n, n)) < 0.4
         support[..., 0] |= ~support.any(axis=-1)
         U = support * rng.uniform(0.5, 1.0, support.shape)
         lower.append(np.zeros_like(U))
         upper.append(U)
+        index.append(rng.integers(0, g, (nc, nc2)))
     return IntervalMdp(
         layers=layers,
-        lower=tuple(lower),
-        upper=tuple(upper),
+        gap_lower=tuple(lower),
+        gap_upper=tuple(upper),
+        gap_index=tuple(index),
         reset_masks=tuple(rng.random(n) < 0.2 for _ in layers),
         initial=0,
         n_states=n,
-        active=tuple(np.ones((c, n), bool) for c in counts),
     )
 
 
@@ -409,12 +420,100 @@ def test_reachable_states_matches_per_cell_loop(imdp_cases):
 
 
 def test_infeasible_intervals_raise(invent):
-    layers = ((TimeSet.point(0.0),), (TimeSet.point(1.0),))
     n = 3
-    lower = np.full((1, 1, n, n), 0.6)
-    upper = np.full((1, 1, n, n), 0.7)
+    lower = np.full((1, n, n), 0.6)
+    upper = np.full((1, n, n), 0.7)
     from condreach.abstraction import _check_feasible
 
     with pytest.raises(AbstractionError):
-        _check_feasible(lower, upper, np.zeros(n, dtype=bool), 0)
+        _check_feasible(lower, upper, np.zeros((1, 1), int),
+                        np.zeros(n, dtype=bool), 0)
 
+
+
+def test_infeasible_row_is_named_by_cell_action_and_state():
+    # Three gaps shared by a 3 x 2 layer.  Only gap 2's row of state 2
+    # is infeasible; state 0 resets, so state 2 is the second non-reset
+    # row, and the error must name the state itself.
+    from condreach.abstraction import _check_feasible
+
+    n = 3
+    lower = np.zeros((3, n, n))
+    upper = np.ones((3, n, n))
+    upper[2, 2] = 0.2
+    upper[:, 0] = 0.0  # a reset row is never checked
+    index = np.array([[0, 1], [1, 0], [0, 2]])
+    reset = np.array([True, False, False])
+    with pytest.raises(AbstractionError) as err:
+        _check_feasible(lower, upper, index, reset, 4)
+    assert str(err.value) == (
+        "infeasible interval row at layer 4, cell 2, action 1, state 2"
+    )
+    upper[2, 2] = 1.0
+    _check_feasible(lower, upper, index, reset, 4)
+
+
+def test_model_is_stored_by_gap(tandem, tandem1):
+    # No attribute holds a per-pair (nc, nc2, n, n) array, even on layers
+    # whose cell pairs outnumber their distinct gaps.
+    import dataclasses
+
+    from condreach.driver import all_split_targets
+
+    psi = coarsest_partition(tandem1)
+    for _ in range(2):
+        psi = apply_splits(psi, all_split_targets(psi))
+    imdp = abstract(tandem, tandem1, psi)
+    n = imdp.n_states
+    dense = set()
+    for i, index in enumerate(imdp.gap_index):
+        nc, nc2 = imdp.n_cells(i), imdp.n_cells(i + 1)
+        assert index.shape == (nc, nc2)
+        g = len(imdp.gap_lower[i])
+        assert imdp.gap_lower[i].shape == imdp.gap_upper[i].shape == (g, n, n)
+        assert index.min() == 0 and index.max() == g - 1
+        if nc * nc2 > g:
+            dense.add((nc, nc2, n, n))
+    assert dense, "no layer shares gaps between its cell pairs"
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            for v in value:
+                yield from arrays(v)
+
+    for f in dataclasses.fields(imdp):
+        for a in arrays(getattr(imdp, f.name)):
+            assert a.shape not in dense, f.name
+
+
+def _reference_sizes(imdp, active):
+    """(states, actions, transitions) counted state by state and action
+    by action over the active abstract states."""
+    states = actions = transitions = 0
+    for i in range(imdp.n_layers):
+        for j in range(imdp.n_cells(i)):
+            for s in np.flatnonzero(active[i][j]):
+                states += 1
+                if imdp.reset_masks[i][s]:
+                    actions += 1
+                    transitions += 1
+                elif i < imdp.n_layers - 1:
+                    for j2 in range(imdp.n_cells(i + 1)):
+                        block = imdp.gap_upper[i][imdp.gap_index[i][j, j2]]
+                        actions += 1
+                        transitions += int((block[s] > 0).sum())
+    return states, actions, transitions
+
+
+def test_sizes_match_per_action_count(imdp_cases):
+    rng = np.random.default_rng(29)
+    imdps = [imdp for imdp, _ in imdp_cases.values()]
+    imdps += [_sparse_imdp(rng) for _ in range(50)]
+    for imdp in imdps:
+        every = [np.ones((len(row), imdp.n_states), bool)
+                 for row in imdp.layers]
+        assert imdp.sizes() == _reference_sizes(imdp, every)
+        active = restrict_reachable(imdp)
+        assert imdp.sizes(active) == _reference_sizes(imdp, active)

@@ -122,15 +122,17 @@ def _scheduler_instance(ctmc, trace, omega):
     Follows the chosen next-layer cells from the initial abstract state
     and takes each chosen cell's midpoint as the observation time.  The
     repair only normalizes choices of active (reachable) states, so the
-    pruned abstraction is rebuilt to read the votes from those states.
+    abstraction's reach masks are rebuilt to read the votes from those
+    states.
     """
     sched = trace.final_report.repaired_scheduler
     psi = trace.final_partition
-    imdp = restrict_reachable(abstract(ctmc, omega, psi))
+    imdp = abstract(ctmc, omega, psi)
+    active = restrict_reachable(imdp)
     cell = 0
     times = []
     for i in range(len(omega)):
-        eligible = imdp.active[i][cell] & ~imdp.reset_masks[i]
+        eligible = active[i][cell] & ~imdp.reset_masks[i]
         votes = sched.choices[i][cell][eligible]
         assert votes.size and (votes == votes[0]).all()
         cell = int(votes[0])
@@ -229,8 +231,9 @@ def test_criterion_5_interval_soundness(invent, invent1):
         for i in range(imdp.n_layers - 1):
             for j, cell in enumerate(imdp.layers[i]):
                 for j2, cell2 in enumerate(imdp.layers[i + 1]):
-                    L = imdp.lower[i][j, j2]
-                    U = imdp.upper[i][j, j2]
+                    gap = imdp.gap_index[i][j, j2]
+                    L = imdp.gap_lower[i][gap]
+                    U = imdp.gap_upper[i][gap]
                     ts = rng.uniform(cell.lo, cell.hi, 100)
                     tps = rng.uniform(cell2.lo, cell2.hi, 100)
                     for t, tp in zip(ts, tps):
@@ -262,12 +265,11 @@ def test_criterion_6_refinement_nesting(invent, invent1, invent_weights,
         psi = coarsest_partition(omega)
         imdp = abstract(chain, omega, psi, cache=cache)
         for _ in range(5):
-            report = compute_bounds(restrict_reachable(imdp), w)
+            report = compute_bounds(imdp, w, active=restrict_reachable(imdp))
             from condreach.driver import apply_splits, guided_split_targets
             from condreach.solver import reachable_under
 
-            reach = reachable_under(restrict_reachable(imdp),
-                                    report.guide_scheduler)
+            reach = reachable_under(imdp, report.guide_scheduler)
             targets = guided_split_targets(psi, reach)
             if not targets:
                 break
@@ -305,9 +307,9 @@ def test_criterion_8_consistency_repair(invent, invent1, invent_weights,
     cache = TransientBoundCache()
     for _ in range(3):
         imdp = abstract(invent, invent1, psi, cache=cache)
-        pruned = restrict_reachable(imdp)
-        report = compute_bounds(pruned, invent_weights)
-        assert audit_consistency(pruned, report.repaired_scheduler)
+        report = compute_bounds(imdp, invent_weights,
+                                active=restrict_reachable(imdp))
+        assert audit_consistency(imdp, report.repaired_scheduler)
         assert report.lower <= report.upper + 1e-9
         audited += 1
         from condreach.driver import all_split_targets, apply_splits

@@ -303,3 +303,43 @@ def test_unlisted_error_is_a_traceback(runner, monkeypatch):
     )
     assert isinstance(res.exception, KeyError)
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "sample"])
+def test_unwritable_out_fails_before_the_work(runner, tmp_path, monkeypatch,
+                                              command):
+    # --out is opened before the refinement or the sampling starts, so a
+    # path into a missing directory exits 2 without running either.
+    import condreach.cli as cli
+    import condreach.driver as driver
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before --out was opened")
+
+    monkeypatch.setattr(driver, "analyze", never)
+    monkeypatch.setattr(cli, "analyze", never)
+    monkeypatch.setattr(cli, "sample_envelope", never)
+    res = runner.invoke(
+        main,
+        [command, INVENT, INVENT1, "--weights", WEIGHTS,
+         "--out", str(tmp_path / "nodir" / "x.csv")],
+    )
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2
+    assert "No such file or directory" in res.output
+
+
+def test_empty_target_warns_on_one_stderr_line(runner, tmp_path):
+    # The empty-target warning is one `warning:` line on stderr, not a
+    # Python warning with a source line; stdout and the exit code are
+    # those of a normal run.
+    ev = _points_evidence(tmp_path)
+    res = runner.invoke(
+        main,
+        ["precise", INVENT, ev, "--weights", "prop:'empty & !empty'@0.1"],
+    )
+    assert res.exit_code == 0
+    assert res.stdout == "0\n"
+    assert res.stderr.splitlines() == [
+        "warning: empty target set, all weights are 0"
+    ]

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -185,21 +186,68 @@ def test_poisson_weights_match_scipy(eps):
         assert poisson.sf(len(w) - 1, mean) <= 0.1 * eps
 
 
-def test_import_does_not_load_scipy():
-    src = str(Path(condreach.__file__).resolve().parents[1])
-    code = (
-        "import sys, condreach; "
-        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    )
+# What `import condreach` may load besides its own modules: numpy and
+# these standard modules, with whatever they load themselves.  scipy,
+# which the tests use as an oracle, is not among them.
+_IMPORT_DEPENDENCIES = (
+    "__future__", "dataclasses", "math", "time", "warnings", "numpy",
+)
+_PACKAGE_MODULES = {
+    "condreach",
+    "condreach.abstraction",
+    "condreach.ctmc",
+    "condreach.driver",
+    "condreach.evidence",
+    "condreach.simulate",
+    "condreach.solver",
+    "condreach.unfolding",
+}
+
+# Runs in a fresh interpreter: loads the dependencies, wraps every numpy
+# function so that a call made from condreach's own code is recorded,
+# then imports condreach and reports the new modules and the calls.
+_IMPORT_PROBE = """
+import json, sys
+for name in {deps!r}:
+    __import__(name)
+import numpy
+
+package = {package!r}
+calls = []
+
+def spy(name, fn):
+    def wrapper(*args, **kwargs):
+        if sys._getframe(1).f_code.co_filename.startswith(package):
+            calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name, value in list(vars(numpy).items()):
+    if callable(value) and not isinstance(value, type):
+        setattr(numpy, name, spy(name, value))
+before = set(sys.modules)
+import condreach
+print(json.dumps([sorted(set(sys.modules) - before), calls]))
+"""
+
+
+def test_import_loads_pinned_modules_and_does_no_numpy_work():
+    # The cold import is part of every command's set-up time: it may load
+    # nothing beyond the pinned dependencies and compute nothing.
+    package = Path(condreach.__file__).resolve().parent
+    code = _IMPORT_PROBE.format(deps=_IMPORT_DEPENDENCIES,
+                                package=str(package))
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=str(package.parent)),
         capture_output=True,
         text=True,
         check=True,
         timeout=60,
     )
-    assert done.stdout.strip() == "False"
+    modules, calls = json.loads(done.stdout.strip().splitlines()[-1])
+    assert set(modules) == _PACKAGE_MODULES
+    assert calls == []
 
 
 def test_reach_matrix_against_absorbing_oracle(invent):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from condreach.abstraction import abstract, restrict_reachable
+from condreach.abstraction import IntervalMdp, abstract, restrict_reachable
 from condreach.evidence import coarsest_partition
 from condreach.solver import (
     BoundsReport,
@@ -12,6 +12,7 @@ from condreach.solver import (
     SolverError,
     _prepare,
     _q_values,
+    _rows,
     _sweep,
     audit_consistency,
     compute_bounds,
@@ -90,9 +91,7 @@ def test_degenerate_imdp_reproduces_exact_value(invent, invent_weights):
             (TimeSet.point(t), parse_formula(f)) for t, f in zip(times, forms)
         )
     )
-    imdp = restrict_reachable(
-        abstract(invent, omega, coarsest_partition(omega))
-    )
+    imdp = abstract(invent, omega, coarsest_partition(omega))
     report = compute_bounds(imdp, invent_weights)
     exact = conditional_weight(invent, omega.to_precise(), invent_weights)
     assert report.lower == pytest.approx(exact, abs=1e-9)
@@ -100,9 +99,7 @@ def test_degenerate_imdp_reproduces_exact_value(invent, invent_weights):
 
 
 def test_bounds_order_and_direction(invent, invent1, invent_weights):
-    imdp = restrict_reachable(
-        abstract(invent, invent1, coarsest_partition(invent1))
-    )
+    imdp = abstract(invent, invent1, coarsest_partition(invent1))
     rmax = compute_bounds(imdp, invent_weights, direction="max")
     rmin = compute_bounds(imdp, invent_weights, direction="min")
     assert rmax.lower <= rmax.upper
@@ -114,9 +111,7 @@ def test_bounds_order_and_direction(invent, invent1, invent_weights):
 
 
 def test_repaired_scheduler_is_consistent(invent, invent1, invent_weights):
-    imdp = restrict_reachable(
-        abstract(invent, invent1, coarsest_partition(invent1))
-    )
+    imdp = abstract(invent, invent1, coarsest_partition(invent1))
     report = compute_bounds(imdp, invent_weights)
     assert audit_consistency(imdp, report.repaired_scheduler)
     # Evaluating a consistent scheduler pessimistically stays below the
@@ -132,9 +127,8 @@ def _toy_imdp(n_mid=2):
 
     Layer 1 has a single cell whose three states are all reachable, so a
     repair vote there has three voters; they choose among layer 2's two
-    cells.
+    cells.  Every cell pair of a layer shares its one gap.
     """
-    from condreach.abstraction import IntervalMdp
     from condreach.evidence import TimeSet
 
     n = 3
@@ -144,20 +138,17 @@ def _toy_imdp(n_mid=2):
         tuple(TimeSet.of((2.0 + j, 2.5 + j)) for j in range(n_mid)),
         (TimeSet.point(9.0),),
     )
-    lower = []
-    upper = []
-    for i in range(3):
-        nc, nc2 = len(layers[i]), len(layers[i + 1])
-        lower.append(np.zeros((nc, nc2, n, n)))
-        upper.append(np.ones((nc, nc2, n, n)))
     return IntervalMdp(
         layers=layers,
-        lower=tuple(lower),
-        upper=tuple(upper),
+        gap_lower=(np.zeros((1, n, n)),) * 3,
+        gap_upper=(np.ones((1, n, n)),) * 3,
+        gap_index=tuple(
+            np.zeros((len(row), len(row2)), int)
+            for row, row2 in zip(layers, layers[1:])
+        ),
         reset_masks=tuple(np.zeros(n, bool) for _ in layers),
         initial=0,
         n_states=n,
-        active=tuple(np.ones((len(row), n), bool) for row in layers),
     )
 
 
@@ -206,9 +197,7 @@ def test_zero_likelihood_evidence_raises(invent, invent_weights):
     omega = ImpreciseEvidence(
         ((TimeSet.point(0.0), parse_formula("empty")),)
     )
-    imdp = restrict_reachable(
-        abstract(invent, omega, coarsest_partition(omega))
-    )
+    imdp = abstract(invent, omega, coarsest_partition(omega))
     with pytest.raises(ZeroLikelihoodError):
         compute_bounds(imdp, invent_weights)
 
@@ -218,59 +207,10 @@ def test_zero_likelihood_evidence_raises(invent, invent_weights):
 def test_robust_vi_monotone_in_inner(invent, invent1, invent_weights, seed):
     # For the same outer direction, friendly nature never does worse
     # than adversarial nature.
-    imdp = restrict_reachable(
-        abstract(invent, invent1, coarsest_partition(invent1))
-    )
+    imdp = abstract(invent, invent1, coarsest_partition(invent1))
     vmax, _ = robust_value_iteration(imdp, invent_weights, "max", "max")
     vmin, _ = robust_value_iteration(imdp, invent_weights, "max", "min")
     assert vmax[0][0, imdp.initial] >= vmin[0][0, imdp.initial] - 1e-9
-
-
-def _reference_sweep(imdp, weights, v0, outer, inner, fixed=None):
-    """Backward pass calling greedy_distribution once per interval row.
-
-    Returns (values, betas, choices, q-values), the q-values of layer i
-    with shape (n_cells_i, n_cells_{i+1}, n_states).
-    """
-    n_layers, n = imdp.n_layers, imdp.n_states
-    values = [None] * n_layers
-    betas = [None] * n_layers
-    choices = [None] * (n_layers - 1)
-    q_vals = [None] * (n_layers - 1)
-    values[-1] = np.tile(np.asarray(weights, float),
-                         (imdp.n_cells(n_layers - 1), 1))
-    betas[-1] = np.zeros_like(values[-1])
-    values[-1][:, imdp.reset_masks[-1]] = v0
-    betas[-1][:, imdp.reset_masks[-1]] = 1.0
-    for i in range(n_layers - 2, -1, -1):
-        nc, nc2 = imdp.n_cells(i), imdp.n_cells(i + 1)
-        q_val = np.empty((nc, nc2, n))
-        q_beta = np.empty((nc, nc2, n))
-        for j in range(nc):
-            for j2 in range(nc2):
-                vn, bn = values[i + 1][j2], betas[i + 1][j2]
-                for s in range(n):
-                    p = greedy_distribution(
-                        imdp.lower[i][j, j2, s], imdp.upper[i][j, j2, s],
-                        vn, inner == "max",
-                    )
-                    q_val[j, j2, s] = p @ vn
-                    q_beta[j, j2, s] = p @ bn
-        if fixed is not None:
-            choice = fixed.choices[i].copy()
-        elif outer == "max":
-            choice = q_val.argmax(axis=1)
-        else:
-            choice = q_val.argmin(axis=1)
-        take = np.maximum(choice, 0)[:, None, :]
-        val = np.take_along_axis(q_val, take, axis=1)[:, 0]
-        beta = np.take_along_axis(q_beta, take, axis=1)[:, 0]
-        reset = imdp.reset_masks[i]
-        val[:, reset] = v0
-        beta[:, reset] = 1.0
-        choice[:, reset] = -1
-        values[i], betas[i], choices[i], q_vals[i] = val, beta, choice, q_val
-    return values, betas, choices, q_vals
 
 
 def _separated(q_val, outer):
@@ -287,13 +227,14 @@ def _separated(q_val, outer):
 
 @pytest.mark.parametrize("outer", ["max", "min"])
 @pytest.mark.parametrize("inner", ["max", "min"])
-def test_batched_sweep_matches_row_greedy(imdp_cases, outer, inner):
+def test_batched_sweep_matches_row_greedy(imdp_cases, reference_sweep,
+                                         outer, inner):
     v0 = 0.0375
     for name, (imdp, weights) in imdp_cases.items():
         layout = _prepare(imdp)
         values, betas, choices = _sweep(imdp, layout, weights, v0, outer,
                                         inner)
-        ref_vals, ref_betas, ref_choices, q_vals = _reference_sweep(
+        ref_vals, ref_betas, ref_choices, q_vals = reference_sweep(
             imdp, weights, v0, outer, inner
         )
         for i in range(imdp.n_layers):
@@ -310,34 +251,13 @@ def test_batched_sweep_matches_row_greedy(imdp_cases, outer, inner):
         fixed = Scheduler(tuple(choices))
         values, betas, _ = _sweep(imdp, layout, weights, v0, None, inner,
                                   fixed)
-        ref_vals, ref_betas, _, _ = _reference_sweep(imdp, weights, v0, None,
-                                                     inner, fixed)
+        ref_vals, ref_betas, _, _ = reference_sweep(imdp, weights, v0, None,
+                                                    inner, fixed)
         for i in range(imdp.n_layers):
             np.testing.assert_allclose(values[i], ref_vals[i], rtol=0,
                                        atol=1e-12, err_msg=name)
             np.testing.assert_allclose(betas[i], ref_betas[i], rtol=0,
                                        atol=1e-12, err_msg=name)
-
-
-def _one_step_imdp(lower, upper):
-    """Two-layer interval MDP holding one (nc, nc2, n, n) bound pair."""
-    from condreach.abstraction import IntervalMdp
-    from condreach.evidence import TimeSet
-
-    nc, nc2, n, _ = lower.shape
-    layers = (
-        tuple(TimeSet.point(float(j)) for j in range(nc)),
-        tuple(TimeSet.point(float(10 + j)) for j in range(nc2)),
-    )
-    return IntervalMdp(
-        layers=layers,
-        lower=(lower,),
-        upper=(upper,),
-        reset_masks=tuple(np.zeros(n, bool) for _ in layers),
-        initial=0,
-        n_states=n,
-        active=tuple(np.ones((len(row), n), bool) for row in layers),
-    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,7 +287,9 @@ def test_q_values_match_greedy_on_tied_values(seed, nc, nc2, n, maximize):
         (rng.integers(0, 3, (nc2, n)) / 2.0, rng.uniform(0, 1, (nc2, n))),
         axis=1,
     )
-    layer = _prepare(_one_step_imdp(lower, upper))[0]
+    # One gap per cell pair: the rows of a layer before the last.
+    index = np.arange(nc * nc2).reshape(nc, nc2)
+    layer = _rows(lower.reshape(-1, n, n), upper.reshape(-1, n, n), index)
     q = _q_values(layer, vb, maximize).reshape(nc2, 2, nc, n)
     for j in range(nc):
         for j2 in range(nc2):
@@ -378,14 +300,94 @@ def test_q_values_match_greedy_on_tied_values(seed, nc, nc2, n, maximize):
                                            rtol=0, atol=1e-12)
 
 
-def _reference_repair(imdp, sched):
+def _random_gap_imdp(rng, n, counts):
+    """Random interval MDP whose cell pairs share gaps at random.
+
+    Each layer draws between one gap and one gap per cell pair, with
+    feasible rows around a random distribution (some entries zero, some
+    point intervals), and a random gap index over them.
+    """
+    from condreach.evidence import TimeSet
+
+    layers = tuple(
+        tuple(TimeSet.point(float(10 * i + j)) for j in range(c))
+        for i, c in enumerate(counts)
+    )
+    lower, upper, index = [], [], []
+    for nc, nc2 in zip(counts, counts[1:]):
+        g = int(rng.integers(1, nc * nc2 + 1))
+        p = rng.dirichlet(np.ones(n), (g, n))
+        p[rng.random(p.shape) < 0.3] = 0.0
+        p[..., 0] += p.sum(axis=-1) == 0
+        p /= p.sum(axis=-1, keepdims=True)
+        lo = p * rng.uniform(0.0, 1.0, p.shape)
+        hi = np.minimum(1.0, p + rng.uniform(0.0, 0.5, p.shape))
+        tight = rng.random(p.shape) < 0.2
+        lo[tight] = hi[tight] = p[tight]
+        lower.append(lo)
+        upper.append(hi)
+        index.append(rng.integers(0, g, (nc, nc2)))
+    return IntervalMdp(
+        layers=layers,
+        gap_lower=tuple(lower),
+        gap_upper=tuple(upper),
+        gap_index=tuple(index),
+        reset_masks=tuple(rng.random(n) < 0.2 for _ in layers),
+        initial=0,
+        n_states=n,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 5),
+    cells=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    tied=st.booleans(),
+    outer=st.sampled_from(["max", "min"]),
+    inner=st.sampled_from(["max", "min"]),
+)
+@example(seed=7, n=1, cells=[3, 2], tied=True, outer="max", inner="min")
+def test_sweep_by_gap_matches_dense_reference(reference_sweep, seed, n, cells,
+                                              tied, outer, inner):
+    # Values, betas and choices of the by-gap sweep equal the dense
+    # per-row reference, with gaps repeated across cell pairs and weights
+    # tied (three levels) or not.
+    rng = np.random.default_rng(seed)
+    imdp = _random_gap_imdp(rng, n, [1, *cells])
+    if tied:
+        weights = rng.integers(0, 3, n) / 2.0
+    else:
+        weights = rng.uniform(0.0, 1.0, n)
+    v0 = 0.3
+    layout = _prepare(imdp)
+    values, betas, choices = _sweep(imdp, layout, weights, v0, outer, inner)
+    ref_vals, ref_betas, ref_choices, q_vals = reference_sweep(
+        imdp, weights, v0, outer, inner
+    )
+    for i in range(imdp.n_layers):
+        np.testing.assert_allclose(values[i], ref_vals[i], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(betas[i], ref_betas[i], rtol=0, atol=1e-12)
+    for i, q_val in enumerate(q_vals):
+        sure = _separated(q_val, outer)
+        np.testing.assert_array_equal(choices[i][sure], ref_choices[i][sure])
+    fixed = Scheduler(tuple(choices))
+    values, betas, _ = _sweep(imdp, layout, weights, v0, None, inner, fixed)
+    ref_vals, ref_betas, _, _ = reference_sweep(imdp, weights, v0, None, inner,
+                                                fixed)
+    for i in range(imdp.n_layers):
+        np.testing.assert_allclose(values[i], ref_vals[i], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(betas[i], ref_betas[i], rtol=0, atol=1e-12)
+
+
+def _reference_repair(imdp, sched, active):
     """Repair that reruns the full forward pass before fixing each layer."""
     choices = [c.copy() for c in sched.choices]
     for i in range(imdp.n_layers - 1):
         reach = _reference_reachable(imdp, Scheduler(tuple(choices)))
         reset = imdp.reset_masks[i]
         for j in range(imdp.n_cells(i)):
-            eligible = ~reset & imdp.active[i][j]
+            eligible = ~reset & active[i][j]
             if not eligible.any():
                 continue
             voters = reach[i][j] & eligible
@@ -397,20 +399,25 @@ def _reference_repair(imdp, sched):
 def test_one_pass_repair_matches_rerun_reachability(imdp_cases):
     rng = np.random.default_rng(3)
     for name, (imdp, weights) in imdp_cases.items():
+        active = restrict_reachable(imdp)
         _, sigma_minus = robust_value_iteration(imdp, weights, "max", "min")
         schedulers = [sigma_minus]
         schedulers += [_random_scheduler(imdp, rng) for _ in range(4)]
         for sched in schedulers:
-            got = repair_consistency(imdp, sched)
-            want = _reference_repair(imdp, sched)
+            got = repair_consistency(imdp, sched, active)
+            want = _reference_repair(imdp, sched, active)
             for g, w in zip(got.choices, want.choices):
                 np.testing.assert_array_equal(g, w, err_msg=name)
     # Sparse supports, where a repaired choice changes what is reachable.
     for _ in range(200):
         imdp = _sparse_imdp(rng)
         sched = _random_scheduler(imdp, rng)
-        got = repair_consistency(imdp, sched)
-        want = _reference_repair(imdp, sched)
+        active = restrict_reachable(imdp) if rng.random() < 0.5 else None
+        got = repair_consistency(imdp, sched, active)
+        want = _reference_repair(
+            imdp, sched, active or [np.ones((len(row), imdp.n_states), bool)
+                                    for row in imdp.layers]
+        )
         for g, w in zip(got.choices, want.choices):
             np.testing.assert_array_equal(g, w)
 
