@@ -299,18 +299,35 @@ class TimePartition:
     def cell_counts(self):
         return tuple(len(row) for row in self.cells)
 
+    def split(self, targets):
+        """Bisect every targeted cell at its midpoint, in one pass.
+
+        targets holds (observation, cell) index pairs into this
+        partition; a pair named twice splits its cell once.  The new
+        partition is validated once, however many cells split.
+        """
+        by_row = {}
+        for i, j in targets:
+            i = range(self.n_obs)[i]
+            by_row.setdefault(i, set()).add(range(len(self.cells[i]))[j])
+        cells = list(self.cells)
+        for i, marked in by_row.items():
+            row = []
+            for j, cell in enumerate(cells[i]):
+                if j not in marked:
+                    row.append(cell)
+                    continue
+                a, b = cell.lo, cell.hi
+                if a == b:
+                    raise EvidenceError("cannot split a point cell")
+                m = 0.5 * (a + b)
+                row += (TimeSet.of((a, m)), TimeSet.of((m, b)))
+            cells[i] = tuple(row)
+        return TimePartition(tuple(cells))
+
     def split_cell(self, index, j):
         """Bisect cell j of observation `index` at its midpoint."""
-        cell = self.cells[index][j]
-        a, b = cell.lo, cell.hi
-        if a == b:
-            raise EvidenceError("cannot split a point cell")
-        m = 0.5 * (a + b)
-        row = list(self.cells[index])
-        row[j : j + 1] = [TimeSet.of((a, m)), TimeSet.of((m, b))]
-        cells = list(self.cells)
-        cells[index] = tuple(row)
-        return TimePartition(tuple(cells))
+        return self.split([(index, j)])
 
 
 def coarsest_partition(omega):

@@ -15,10 +15,11 @@ from .unfolding import conditional_weight
 def simulate_states_at(ctmc, checkpoints, n, rng):
     """States of n independent paths at the given checkpoint times.
 
-    Returns an (n, len(checkpoints)) int array.  Paths use exponential
-    residence times at the full exit rate; self-loop jumps re-enter the
-    same state, which leaves every checkpoint reading unchanged.  The
-    state at a jump instant is the post-jump state.
+    Returns an (n, len(checkpoints)) array of the smallest unsigned int
+    type that holds every state.  Paths use exponential residence times
+    at the full exit rate; self-loop jumps re-enter the same state,
+    which leaves every checkpoint reading unchanged.  The state at a
+    jump instant is the post-jump state.
     """
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
@@ -26,7 +27,7 @@ def simulate_states_at(ctmc, checkpoints, n, rng):
     if checkpoints.size and np.any(np.diff(checkpoints) < 0):
         raise ValueError("checkpoints must be sorted")
     m = checkpoints.size
-    out = np.empty((n, m), dtype=np.int64)
+    out = np.empty((n, m), dtype=np.min_scalar_type(ctmc.n_states - 1))
     state = np.full(n, ctmc.initial, dtype=np.int64)
     now = np.zeros(n)
     ptr = np.zeros(n, dtype=np.int64)
@@ -39,17 +40,17 @@ def simulate_states_at(ctmc, checkpoints, n, rng):
         moving = r > 0
         dt[moving] = rng.exponential(1.0 / r[moving])
         nxt = now[alive] + dt
-        # Record every checkpoint passed before the next jump fires.
-        while True:
-            rec = ptr[alive] < m
-            rec[rec] = checkpoints[ptr[alive][rec]] < nxt[rec]
-            if not rec.any():
-                break
-            idx = alive[rec]
-            out[idx, ptr[idx]] = state[idx]
-            ptr[idx] += 1
-        done = ptr[alive] >= m
-        jumping = ~done
+        # Checkpoints first to end - 1 come before the next jump and read
+        # the current state.
+        first = ptr[alive]
+        end = np.searchsorted(checkpoints, nxt)
+        count = end - first
+        shift = np.repeat(first - np.cumsum(count) + count, count)
+        out[np.repeat(alive, count), np.arange(shift.size) + shift] = (
+            np.repeat(state[alive], count)
+        )
+        ptr[alive] = end
+        jumping = end < m
         idx = alive[jumping]
         if idx.size:
             u = rng.random(idx.size)
@@ -83,15 +84,26 @@ def rejection_conditional_weight(ctmc, rho, weights, n, rng):
     mean weight of the final-time state over accepted paths, with the
     binomial-normal standard error of that mean.
     """
-    weights = np.asarray(weights, dtype=float)
     states = simulate_states_at(ctmc, rho.times, n, rng)
+    return rejection_estimate(ctmc, rho, weights, states)
+
+
+def rejection_estimate(ctmc, rho, weights, states):
+    """The estimate of rejection_conditional_weight from simulated states.
+
+    states[:, k] holds the paths' states at rho's k-th observation time,
+    so one simulation at the union of several instances' times serves
+    them all.
+    """
+    weights = np.asarray(weights, dtype=float)
     accept = _accepted(ctmc, rho, states)
     n_acc = int(accept.sum())
     if n_acc == 0:
         return RejectionEstimate(0.0, np.inf, 0.0, 0)
     vals = weights[states[accept, -1]]
     sigma = float(vals.std(ddof=1) / np.sqrt(n_acc)) if n_acc > 1 else np.inf
-    return RejectionEstimate(float(vals.mean()), sigma, n_acc / n, n_acc)
+    return RejectionEstimate(float(vals.mean()), sigma, n_acc / len(states),
+                             n_acc)
 
 
 def empirical_likelihood(ctmc, rho, n, rng):

@@ -19,6 +19,16 @@ stable argsort, gathers the room rows in that order, clips their
 running sum against the slack, and takes each q-value as L @ v plus the
 clipped fill dotted with the sorted values; betas reuse the same fill.
 
+The fill, the mass each sorted successor takes beyond its lower bound,
+depends on the values only through their order.  Each prepared layer
+keeps the last fill it built with its order, and a sweep whose argsort
+repeats that order takes the fill instead of rebuilding it.  The reuse
+is exact: the stored array is the one the rebuild would compute, and
+the q-values come from the same formula.  It hits often, because
+warm-started solves converge in few sweeps, the step into the last
+layer orders by the weights and v0 alone, and the last two solves share
+their inner direction.
+
 The last observation layer carries the weights, or the reset value v0
 on its violating states, in every cell alike.  A greedy depends only on
 its row's intervals and on the vector it orders by, so the step into
@@ -98,7 +108,8 @@ def _prepare(imdp):
     next cells carry the same vectors, so a row's greedy depends on its
     gap alone: that layer gets one row per gap and state, numbered as if
     each gap were a cell with a single next cell.  The last observation
-    layer has no successors and no arrays; it carries the weights.
+    layer has no successors and no arrays; it carries the weights.  Each
+    layer's fill memo (see _q_values) lives as long as the layout.
     """
     layout = []
     last = imdp.n_layers - 2
@@ -111,15 +122,34 @@ def _prepare(imdp):
     return layout
 
 
+class _Layer:
+    """A step's value-independent greedy arrays and its fill memo.
+
+    lower, room and slack are described at _rows.  memo is None or the
+    (order, fill) pair of the last fill _q_values built.  A fill depends
+    on the direction only through the order, so one slot serves both;
+    each solve keeps one inner direction.  built and reused count the
+    _q_values calls that computed a fill and that took the stored one.
+    """
+
+    __slots__ = ("lower", "room", "slack", "memo", "built", "reused")
+
+    def __init__(self, lower, room, slack):
+        self.lower, self.room, self.slack = lower, room, slack
+        self.memo = None
+        self.built = self.reused = 0
+
+
 def _rows(L, U, index):
-    """The triple (lower, room, slack) of the rows of index's cell pairs.
+    """The greedy arrays (lower, room, slack) of index's cell pairs.
 
     L and U are (g, n, n) gap stacks and index an (nc, nc2) array of gap
     numbers.  Rows are numbered m = j * n + s over (cell, state), and all
     three arrays are successor-major: lower[j2, t, m] is
     L[index[j, j2], s, t], shape (nc2, n, nc * n); room is U - L in the
     same order, flattened to (nc2 * n, nc * n); and slack[j2, 0, m] is
-    1 - sum_t L[index[j, j2], s, t].
+    1 - sum_t L[index[j, j2], s, t].  They come as a _Layer with an
+    empty fill memo.
     """
     g, n, _ = L.shape
     nc, nc2 = index.shape
@@ -129,7 +159,7 @@ def _rows(L, U, index):
     lower = L.transpose(2, 0, 1).reshape(n * g, n)[take]
     room = (U - L).transpose(2, 0, 1).reshape(n * g, n)[take]
     slack = (1.0 - L.sum(axis=-1))[index.T]
-    return (
+    return _Layer(
         lower.reshape(nc2, n, nc * n),
         room.reshape(nc2 * n, nc * n),
         slack.reshape(nc2, 1, nc * n),
@@ -143,20 +173,31 @@ def _q_values(layer, vb, maximize):
     orders the successors.  Returns q of shape (nc2, k, m), where
     q[j2, :, j * n + s] is the expectation of vb[j2] under the greedy
     extreme point of row s of cell j towards next cell j2.
+
+    The fill is a function of the layer and the order alone, so when the
+    order equals the memo's, the memo's fill is taken as it is;
+    otherwise the fill is built and replaces the memo.
     """
-    lower, room, slack = layer
     nc2, _, n = vb.shape
     v = vb[:, 0]
     order = np.argsort(-v if maximize else v, axis=-1, kind="stable")
-    rows = (order + n * np.arange(nc2)[:, None]).ravel()
-    gathered = room[rows].reshape(nc2, n, -1)
-    # Room poured before each successor, then the slack left for it.
-    fill = np.cumsum(gathered, axis=1)
-    fill -= gathered
-    np.subtract(slack, fill, out=fill)
-    np.clip(fill, 0.0, gathered, out=fill)
+    memo = layer.memo
+    if memo is not None and np.array_equal(memo[0], order):
+        fill = memo[1]
+        layer.reused += 1
+    else:
+        rows = (order + n * np.arange(nc2)[:, None]).ravel()
+        gathered = layer.room[rows].reshape(nc2, n, -1)
+        # Room poured before each successor, then the slack left for it.
+        fill = np.cumsum(gathered, axis=1)
+        fill -= gathered
+        np.subtract(layer.slack, fill, out=fill)
+        np.clip(fill, 0.0, gathered, out=fill)
+        fill.flags.writeable = False
+        layer.memo = (order, fill)
+        layer.built += 1
     ordered = np.take_along_axis(vb, order[:, None, :], axis=2)
-    return vb @ lower + ordered @ fill
+    return vb @ layer.lower + ordered @ fill
 
 
 def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
@@ -218,7 +259,7 @@ def _solve(imdp, weights, outer, inner, tol, fixed=None, v0=0.0,
     """Iterate sweeps until the reset fixpoint stabilizes."""
     if layout is None:
         layout = _prepare(imdp)
-    for _ in range(_MAX_SWEEPS):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         values, betas, choices = _sweep(
             imdp, layout, weights, v0, outer, inner, fixed
         )
@@ -232,13 +273,19 @@ def _solve(imdp, weights, outer, inner, tol, fixed=None, v0=0.0,
         # The pass computes f = alpha + b * v0 under frozen choices; the
         # frozen-choice fixpoint is alpha / (1 - b).
         v0_new = (f - b * v0) / (1.0 - b)
-        if abs(v0_new - v0) <= tol:
+        delta = abs(v0_new - v0)
+        if delta <= tol:
             values, _, choices = _sweep(
                 imdp, layout, weights, v0_new, outer, inner, fixed
             )
             return values, Scheduler(tuple(choices)), v0_new
         v0 = v0_new
-    raise SolverError("value iteration did not converge")
+    solve = "fixed scheduler" if fixed is not None else f"outer {outer}"
+    raise SolverError(
+        f"value iteration did not converge ({solve}, inner {inner}): "
+        f"sweeps {sweeps}, last reset-value change {delta:.3g}, "
+        f"b = {b:.12g}"
+    )
 
 
 def robust_value_iteration(
@@ -326,25 +373,37 @@ def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
     refinement loop passes the previous model's info["fixpoints"], which
     are close to the refined model's and save sweeps.  active is passed
     to repair_consistency.
+
+    info holds the direction, the three fixpoints, the sweeps of each
+    solve, and how many greedy fills the sweeps built and reused.
     """
     if direction not in ("max", "min"):
         raise ValueError("direction must be 'max' or 'min'")
     opt, pess = ("max", "min") if direction == "max" else ("min", "max")
     layout = _prepare(imdp)
+    # Every sweep calls _q_values once per layer, layer 0 included.
+    first = layout[0]
+    sweeps = []
+
+    def count_sweeps():
+        sweeps.append(first.built + first.reused - sum(sweeps))
 
     vals_outer, sigma_star = robust_value_iteration(
         imdp, weights, outer=opt, inner=opt, tol=tol, v0=start[0],
         layout=layout,
     )
+    count_sweeps()
     outer_bound = float(vals_outer[0][0, imdp.initial])
 
     vals_minus, sigma_minus = robust_value_iteration(
         imdp, weights, outer=opt, inner=pess, tol=tol, v0=start[1],
         layout=layout,
     )
+    count_sweeps()
     sigma_hat = repair_consistency(imdp, sigma_minus, active)
     _, inner_bound = evaluate_scheduler(imdp, weights, sigma_hat, inner=pess,
                                         tol=tol, v0=start[2], layout=layout)
+    count_sweeps()
     inner_bound = float(inner_bound)
     fixpoints = (outer_bound, float(vals_minus[0][0, imdp.initial]),
                  inner_bound)
@@ -358,5 +417,11 @@ def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
         upper=upper,
         guide_scheduler=sigma_star,
         repaired_scheduler=sigma_hat,
-        info={"direction": direction, "fixpoints": fixpoints},
+        info={
+            "direction": direction,
+            "fixpoints": fixpoints,
+            "sweeps": tuple(sweeps),
+            "fills_built": sum(layer.built for layer in layout),
+            "fills_reused": sum(layer.reused for layer in layout),
+        },
     )

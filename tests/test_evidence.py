@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condreach.driver import all_split_targets
 from condreach.evidence import (
     EvidenceError,
     Formula,
@@ -177,13 +178,7 @@ def test_random_split_chain_nests(invent1, data):
     psi = coarsest_partition(invent1)
     current = psi
     for _ in range(4):
-        splittable = [
-            (i, j)
-            for i, row in enumerate(current.cells)
-            for j, cell in enumerate(row)
-            if cell.hi > cell.lo
-        ]
-        i, j = data.draw(st.sampled_from(splittable))
+        i, j = data.draw(st.sampled_from(all_split_targets(current)))
         current = current.split_cell(i, j)
     assert refines(current, psi)
     # Total covered length never changes under splitting.
@@ -191,3 +186,20 @@ def test_random_split_chain_nests(invent1, data):
         assert sum(c.total_length for c in row) == pytest.approx(
             sum(c.total_length for c in orig)
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_pass_split_matches_chained_split_cell(invent1, data):
+    # A partition refined by a few random splits, then a random target
+    # set split in one pass and one cell at a time, last index first.
+    psi = coarsest_partition(invent1)
+    for _ in range(data.draw(st.integers(0, 4))):
+        psi = psi.split_cell(*data.draw(st.sampled_from(all_split_targets(psi))))
+    targets = data.draw(st.sets(st.sampled_from(all_split_targets(psi))))
+    chained = psi
+    for i, j in sorted(targets, reverse=True):
+        chained = chained.split_cell(i, j)
+    assert psi.split(targets) == chained
+    assert psi.split(list(targets) * 2) == chained
+    assert psi.split([]) == psi

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condreach.ctmc import transient
 from condreach.evidence import PreciseEvidence, parse_formula, sample_instance
@@ -41,6 +43,62 @@ def test_checkpoint_zero_is_initial(invent):
 def test_absorbing_state_terminates(two_state):
     out = simulate_states_at(two_state, [50.0], 200, np.random.default_rng(1))
     assert np.all(out[:, 0] == 1)  # everyone has decayed to b
+
+
+def _reference_states_at(ctmc, checkpoints, n, rng):
+    """simulate_states_at recording one checkpoint per inner round."""
+    checkpoints = np.asarray(checkpoints, dtype=float)
+    m = checkpoints.size
+    out = np.empty((n, m), dtype=np.int64)
+    state = np.full(n, ctmc.initial, dtype=np.int64)
+    now = np.zeros(n)
+    ptr = np.zeros(n, dtype=np.int64)
+    jump_cdf = np.cumsum(ctmc.jump_probs, axis=1)
+    alive = np.arange(n)
+    while alive.size:
+        r = ctmc.exit_rates[state[alive]]
+        dt = np.full(alive.size, np.inf)
+        moving = r > 0
+        dt[moving] = rng.exponential(1.0 / r[moving])
+        nxt = now[alive] + dt
+        while True:
+            rec = ptr[alive] < m
+            rec[rec] = checkpoints[ptr[alive][rec]] < nxt[rec]
+            if not rec.any():
+                break
+            idx = alive[rec]
+            out[idx, ptr[idx]] = state[idx]
+            ptr[idx] += 1
+        jumping = ptr[alive] < m
+        idx = alive[jumping]
+        if idx.size:
+            u = rng.random(idx.size)
+            state[idx] = (u[:, None] < jump_cdf[state[idx]]).argmax(axis=1)
+            now[idx] = nxt[jumping]
+        alive = idx
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n_states=st.integers(1, 6),
+       m=st.integers(0, 8), absorbing=st.booleans())
+def test_recording_matches_per_checkpoint_loop(random_chain, two_state, seed,
+                                               n_states, m, absorbing):
+    # Same random draws, same states, at sorted checkpoints with repeats
+    # and time 0, on random chains and on one with an absorbing state.
+    rng = np.random.default_rng(seed)
+    chain = two_state if absorbing else random_chain(rng, n_states)
+    if rng.random() < 0.5:
+        times = rng.choice([0.0, 0.3, 1.0, 2.5], m)
+    else:
+        times = rng.uniform(0.0, 3.0, m)
+    checkpoints = np.sort(times)
+    got = simulate_states_at(chain, checkpoints, 300,
+                             np.random.default_rng(seed))
+    want = _reference_states_at(chain, checkpoints, 300,
+                                np.random.default_rng(seed))
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, want)
 
 
 def test_rejection_matches_exact(invent, invent_weights):

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from condreach import solver
 from condreach.abstraction import IntervalMdp, abstract, restrict_reachable
 from condreach.evidence import coarsest_partition
 from condreach.solver import (
@@ -182,11 +183,23 @@ def test_audit_detects_inconsistency():
     assert not audit_consistency(imdp, _toy_sched([0, 1, 1]))
 
 
-def test_bounds_report_validates_order():
+def test_bounds_report_validates_order(monkeypatch, invent, invent1,
+                                      invent_weights):
     s = Scheduler((np.zeros((1, 1), int),))
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="lower bound 0.9 exceeds upper"):
         BoundsReport(lower=0.9, upper=0.1, guide_scheduler=s,
                      repaired_scheduler=s)
+    # Non-convergence names the solve, its sweeps, the last change of the
+    # reset value and the sensitivity b.
+    imdp = abstract(invent, invent1, coarsest_partition(invent1))
+    _, sched = robust_value_iteration(imdp, invent_weights)
+    monkeypatch.setattr(solver, "_MAX_SWEEPS", 1)
+    tail = r": sweeps 1, last reset-value change 0\.\d+, b = 0\.\d+$"
+    with pytest.raises(SolverError, match=r"\(outer max, inner min\)" + tail):
+        robust_value_iteration(imdp, invent_weights, "max", "min")
+    with pytest.raises(SolverError,
+                       match=r"\(fixed scheduler, inner max\)" + tail):
+        evaluate_scheduler(imdp, invent_weights, sched, "max")
 
 
 def test_zero_likelihood_evidence_raises(invent, invent_weights):
@@ -378,6 +391,70 @@ def test_sweep_by_gap_matches_dense_reference(reference_sweep, seed, n, cells,
     for i in range(imdp.n_layers):
         np.testing.assert_allclose(values[i], ref_vals[i], rtol=0, atol=1e-12)
         np.testing.assert_allclose(betas[i], ref_betas[i], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 5),
+    nc=st.integers(1, 4),
+    nc2=st.integers(1, 4),
+    maximize=st.booleans(),
+)
+def test_fill_memo_matches_fresh_layer(seed, n, nc, nc2, maximize):
+    # One layer is fed a sequence of vectors; each result is bit-equal to
+    # the one of a freshly built layer, whatever the memo holds.
+    rng = np.random.default_rng(seed)
+    imdp = _random_gap_imdp(rng, n, [nc, nc2])
+    L, U, index = imdp.gap_lower[0], imdp.gap_upper[0], imdp.gap_index[0]
+    layer = _rows(L, U, index)
+
+    def check(vb, maximize):
+        got = _q_values(layer, vb, maximize)
+        want = _q_values(_rows(L, U, index), vb, maximize)
+        assert np.array_equal(got, want)
+
+    vb = rng.uniform(0.0, 1.0, (nc2, 2, n))
+    check(vb, maximize)
+    assert (layer.built, layer.reused) == (1, 0)
+    # New values in the same order, and new betas.
+    vb = np.stack((2.0 * vb[:, 0] + 0.5, rng.uniform(0.0, 1.0, (nc2, n))),
+                  axis=1)
+    check(vb, maximize)
+    assert (layer.built, layer.reused) == (1, 1)
+    # The other direction, then back.
+    check(vb, not maximize)
+    check(vb, maximize)
+    # The order changes in the last next cell alone.
+    vb = vb.copy()
+    vb[-1, 0] = vb[-1, 0, ::-1]
+    check(vb, maximize)
+    # Values tied at three levels, then the same ties with new betas.
+    vb[:, 0] = rng.integers(0, 3, (nc2, n)) / 2.0
+    check(vb, maximize)
+    vb[:, 1] = rng.uniform(0.0, 1.0, (nc2, n))
+    check(vb, maximize)
+    assert layer.built + layer.reused == 7
+    assert layer.reused >= 2
+
+
+def test_fill_counters_count_every_greedy(monkeypatch, imdp_cases):
+    # On refined tandem1 the sweeps reuse fills, every _q_values call
+    # either builds or reuses one, and each sweep calls it once per layer.
+    imdp, weights = imdp_cases["tandem1-refined1"]
+    calls = []
+    q_values = solver._q_values
+
+    def counted(*args):
+        calls.append(1)
+        return q_values(*args)
+
+    monkeypatch.setattr(solver, "_q_values", counted)
+    info = compute_bounds(imdp, weights).info
+    assert info["fills_reused"] > 0
+    assert info["fills_built"] + info["fills_reused"] == len(calls)
+    assert len(info["sweeps"]) == 3 and min(info["sweeps"]) >= 2
+    assert sum(info["sweeps"]) * (imdp.n_layers - 1) == len(calls)
 
 
 def _reference_repair(imdp, sched, active):
