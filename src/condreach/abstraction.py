@@ -183,9 +183,9 @@ class IntervalMdp:
 
     Attributes
     ----------
-    layers : tuple
-        Per layer, the tuple of TimeSet cells: the anchor {0}, then the
-        cells of each observation window.
+    layers : tuple of ndarray
+        Per layer, the (n_cells, 2) array of [lo, hi] cell endpoints: the
+        anchor [0, 0], then each observation window's partition cells.
     gap_lower, gap_upper : tuple of ndarray
         Per layer i < last, the (n_gaps_i, n_states, n_states) bound
         stacks of the distinct gaps between layer i's cells and layer
@@ -248,18 +248,19 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
 
     The model depends only on the partition and the bound cache.  A
     refined partition's intervals nest inside the coarser ones because
-    the gap bounds are monotone; they are not clipped to them.
+    the gap bounds are monotone; they are not clipped to them.  A psi
+    that does not tile omega's windows raises SemanticError.
     """
     omega.bind_check(ctmc.alphabet)
+    psi.check_covers(omega)
     if cache is None:
         cache = TransientBoundCache()
-    layers = ((psi.anchor_zero,), *psi.cells)
+    layers = (np.zeros((1, 2)), *psi.cells)
     reset_masks = ctmc.reset_masks(omega.formulas)
 
-    ends = [np.array([(c.lo, c.hi) for c in row]).T for row in layers]
     gap_lower, gap_upper, gap_index = [], [], []
     for i in range(len(layers) - 1):
-        (lo, hi), (lo2, hi2) = ends[i], ends[i + 1]
+        (lo, hi), (lo2, hi2) = layers[i].T, layers[i + 1].T
         # gaps[j, j2] = (cell2.lo - cell.hi, cell2.hi - cell.lo).
         gaps = np.stack(
             (lo2[None, :] - hi[:, None], hi2[None, :] - lo[:, None]), axis=-1

@@ -88,32 +88,20 @@ class AnalysisTrace:
 
 
 def guided_split_targets(psi, reachable):
-    """Positive-width cells touched by the reachable abstract states.
+    """Per observation, the splittable cells reachable states touch.
 
     reachable is the per-layer mask tuple; observation index i maps to
     model layer i + 1 (layer 0 is the anchor).
     """
-    targets = []
-    for i, row in enumerate(psi.cells):
-        for j, cell in enumerate(row):
-            if cell.hi > cell.lo and reachable[i + 1][j].any():
-                targets.append((i, j))
-    return targets
+    return tuple(
+        ok & reach.any(axis=1)
+        for ok, reach in zip(psi.splittable(), reachable[1:])
+    )
 
 
-def all_split_targets(psi):
-    """Every positive-width cell."""
-    return [
-        (i, j)
-        for i, row in enumerate(psi.cells)
-        for j, cell in enumerate(row)
-        if cell.hi > cell.lo
-    ]
-
-
-def apply_splits(psi, targets):
-    """Bisect every targeted cell of psi in one pass."""
-    return psi.split(targets)
+def apply_splits(psi, marks):
+    """Bisect every marked cell of psi in one pass."""
+    return psi.split(marks)
 
 
 def analyze(ctmc, omega, weights, config=AnalysisConfig()):
@@ -174,12 +162,12 @@ def analyze(ctmc, omega, weights, config=AnalysisConfig()):
 
         if config.mode == "guided":
             reach = reachable_under(imdp, report.guide_scheduler)
-            targets = guided_split_targets(psi, reach)
+            marks = guided_split_targets(psi, reach)
         else:
-            targets = all_split_targets(psi)
-        if not targets:
+            marks = psi.splittable()
+        pending_splits = sum(int(m.sum()) for m in marks)
+        if not pending_splits:
             break
-        psi = apply_splits(psi, targets)
-        pending_splits = len(targets)
+        psi = apply_splits(psi, marks)
 
     return AnalysisTrace(tuple(rows), psi, report)

@@ -2,8 +2,10 @@
 
 Precise evidence fixes each observation time exactly; imprecise evidence
 only confines each time to a finite union of closed intervals.  A time
-partition decomposes those unions into cells and is the refinement unit
-for the abstraction loop.
+partition decomposes those unions into cells, held as one (n, 2) array
+of endpoints per observation, and is the refinement unit for the
+abstraction loop: split() bisects the cells that per-observation masks
+mark.
 """
 
 from __future__ import annotations
@@ -264,12 +266,14 @@ def sample_instance(omega, rng):
 # Time partitions.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimePartition:
-    """Per-observation ordered cells covering each time set.
+    """Per-observation ordered cells covering each time window.
 
-    cells[i] is a tuple of TimeSet cells for observation i.  The
-    synthetic anchor cell {0} precedes them.
+    cells[i] is a read-only (n_i, 2) float array whose rows are the
+    [lo, hi] endpoints of observation i's cells in time order; cells may
+    touch but not overlap.  Split decisions are boolean masks, one per
+    observation, over these rows.
     """
 
     cells: tuple
@@ -277,77 +281,83 @@ class TimePartition:
     def __post_init__(self):
         if not self.cells:
             raise EvidenceError("partition needs at least one observation")
+        rows = []
         for row in self.cells:
-            if not row:
-                raise EvidenceError("each observation needs at least one cell")
-            prev_hi = None
-            for cell in row:
-                if len(cell.intervals) != 1:
-                    raise EvidenceError("partition cells are single intervals")
-                if prev_hi is not None and cell.lo < prev_hi:
-                    raise EvidenceError("cells must be ordered and non-overlapping")
-                prev_hi = cell.hi
-
-    @property
-    def n_obs(self):
-        return len(self.cells)
-
-    @property
-    def anchor_zero(self):
-        return TimeSet.point(0.0)
+            row = np.array(row, dtype=float)
+            if row.ndim != 2 or row.shape[1] != 2 or not len(row):
+                raise EvidenceError("partition rows need shape (n, 2) with n >= 1")
+            if not np.isfinite(row).all() or (row < 0).any():
+                raise EvidenceError("cell endpoints must be finite and nonnegative")
+            # Flat lo_0, hi_0, lo_1, ... is sorted iff no cell is reversed or overlaps.
+            if (np.diff(row.reshape(-1)) < 0).any():
+                raise EvidenceError("cells must be ordered, unreversed and disjoint")
+            row.setflags(write=False)
+            rows.append(row)
+        object.__setattr__(self, "cells", tuple(rows))
 
     def cell_counts(self):
         return tuple(len(row) for row in self.cells)
 
-    def split(self, targets):
-        """Bisect every targeted cell at its midpoint, in one pass.
+    def splittable(self):
+        """Per observation, the mask of cells whose midpoint lies strictly
+        inside them; point and ulp-wide cells cannot split."""
+        masks = []
+        for lo, hi in (row.T for row in self.cells):
+            mid = 0.5 * (lo + hi)
+            masks.append((lo < mid) & (mid < hi))
+        return tuple(masks)
 
-        targets holds (observation, cell) index pairs into this
-        partition; a pair named twice splits its cell once.  The new
-        partition is validated once, however many cells split.
+    def split(self, marks):
+        """Bisect every marked cell at its midpoint, in one pass.
+
+        marks holds one boolean mask per observation over its cells, each
+        marked cell splittable.  A row repeats its marked cells and moves
+        the endpoint each two copies share to the midpoint.
         """
-        by_row = {}
-        for i, j in targets:
-            i = range(self.n_obs)[i]
-            by_row.setdefault(i, set()).add(range(len(self.cells[i]))[j])
-        cells = list(self.cells)
-        for i, marked in by_row.items():
-            row = []
-            for j, cell in enumerate(cells[i]):
-                if j not in marked:
-                    row.append(cell)
-                    continue
-                a, b = cell.lo, cell.hi
-                if a == b:
-                    raise EvidenceError("cannot split a point cell")
-                m = 0.5 * (a + b)
-                row += (TimeSet.of((a, m)), TimeSet.of((m, b)))
-            cells[i] = tuple(row)
-        return TimePartition(tuple(cells))
+        if len(marks) != len(self.cells):
+            raise EvidenceError(f"need one split mask per row, got {len(marks)}")
+        rows = []
+        for row, mark, ok in zip(self.cells, marks, self.splittable()):
+            mark = np.asarray(mark, dtype=bool)
+            if mark.shape != ok.shape:
+                raise EvidenceError(f"split mask {mark.shape} for {len(row)} cells")
+            if (mark & ~ok).any():
+                raise EvidenceError("cannot split a cell without interior midpoint")
+            at = np.flatnonzero(mark)
+            mid = 0.5 * (row[at, 0] + row[at, 1])
+            at += np.arange(len(at))  # where each first copy lands
+            row = np.repeat(row, 1 + mark, axis=0)
+            row[at, 1] = row[at + 1, 0] = mid
+            rows.append(row)
+        return TimePartition(tuple(rows))
 
-    def split_cell(self, index, j):
-        """Bisect cell j of observation `index` at its midpoint."""
-        return self.split([(index, j)])
+    def check_covers(self, omega):
+        """Raise SemanticError unless row i, with touching cells merged, is
+        exactly the intervals of observation i's time set."""
+        if len(self.cells) != len(omega):
+            raise SemanticError("partition needs one row per observation")
+        for i, (row, ts) in enumerate(zip(self.cells, omega.time_sets)):
+            # Flat lo_0, hi_0, lo_1, ... without each touching hi_k, lo_k+1.
+            ends = row.reshape(-1)
+            joint = np.zeros(len(ends), bool)
+            joint[1:-1:2] = joint[2::2] = ends[1:-1:2] == ends[2::2]
+            if not np.array_equal(ends[~joint], np.ravel(ts.intervals)):
+                raise SemanticError(f"partition row {i} does not tile its window")
 
 
 def coarsest_partition(omega):
     """One cell per maximal interval of each time set."""
-    return TimePartition(tuple(
-        tuple(TimeSet.of(iv) for iv in ts.intervals) for ts in omega.time_sets
-    ))
+    return TimePartition(tuple(np.array(ts.intervals) for ts in omega.time_sets))
 
 
 def refines(child, parent):
     """Structural nesting check: every child cell inside one parent cell."""
-    if child.n_obs != parent.n_obs:
+    if len(child.cells) != len(parent.cells):
         return False
-    for c_row, p_row in zip(child.cells, parent.cells):
-        for cell in c_row:
-            hits = [
-                p for p in p_row if p.lo <= cell.lo and cell.hi <= p.hi
-            ]
-            if len(hits) != 1:
-                return False
+    for c, p in zip(child.cells, parent.cells):
+        inside = (p[:, 0] <= c[:, :1]) & (c[:, 1:] <= p[:, 1])
+        if (inside.sum(axis=1) != 1).any():
+            return False
     return True
 
 

@@ -195,21 +195,17 @@ def reference_sweep(dense_bounds):
 def assert_nested(dense_bounds):
     """Check that a refined interval MDP nests inside the coarser one.
 
-    Each child cell is mapped to the one parent cell that contains it, and
-    every (cell, next cell) block of the child must lie inside the block
-    of the parent cell pair, within atol.
+    Each child cell is mapped to the one parent cell that contains it (the
+    broadcast of evidence.refines), and every (cell, next cell) block of
+    the child must lie inside the block of the parent cell pair, within
+    atol.
     """
 
     def parent_cells(row, parent_row):
-        mapping = []
-        for cell in row:
-            hits = [
-                pj for pj, p in enumerate(parent_row)
-                if p.lo <= cell.lo and cell.hi <= p.hi
-            ]
-            assert len(hits) == 1, f"{cell} is not inside one parent cell"
-            mapping.append(hits[0])
-        return mapping
+        inside = (parent_row[:, 0] <= row[:, :1]) & (row[:, 1:] <= parent_row[:, 1])
+        lost = inside.sum(axis=1) != 1
+        assert not lost.any(), f"{row[lost]} not each inside one parent cell"
+        return inside.argmax(axis=1)
 
     def check(child, child_psi, parent, parent_psi, atol):
         maps = [
@@ -243,7 +239,7 @@ def imdp_cases(invent, invent1, invent_weights, tandem, tandem1,
     many-cell layers of a 3-state and a 120-state chain.
     """
     from condreach.abstraction import abstract
-    from condreach.driver import all_split_targets, apply_splits
+    from condreach.driver import apply_splits
     from condreach.evidence import coarsest_partition
 
     cases = {}
@@ -254,7 +250,7 @@ def imdp_cases(invent, invent1, invent_weights, tandem, tandem1,
         psi = coarsest_partition(omega)
         for level in range(rounds + 1):
             if level:
-                psi = apply_splits(psi, all_split_targets(psi))
+                psi = apply_splits(psi, psi.splittable())
             cases[f"{name}-refined{level}"] = (
                 abstract(ctmc, omega, psi), weights
             )

@@ -16,7 +16,12 @@ from condreach.ctmc import (
     transient_matrix,
 )
 from condreach.driver import apply_splits, guided_split_targets
-from condreach.evidence import TimeSet, coarsest_partition
+from condreach.evidence import (
+    SemanticError,
+    TimePartition,
+    coarsest_partition,
+    parse_evidence,
+)
 from condreach.fixtures import fixture_text
 from condreach.solver import Scheduler, compute_bounds, reachable_under
 
@@ -197,15 +202,15 @@ def test_crossed_bounds_meet_at_midpoint(invent, monkeypatch):
 
 def _per_pair_build(ctmc, omega, psi, eps, direct):
     """L and U of every layer, built cell pair by cell pair."""
-    layers = ((psi.anchor_zero,), *psi.cells)
+    layers = (np.zeros((1, 2)), *psi.cells)
     n = ctmc.n_states
     lower, upper = [], []
     for row, row2 in zip(layers, layers[1:]):
         L = np.empty((len(row), len(row2), n, n))
         U = np.empty_like(L)
-        for j, cell in enumerate(row):
-            for j2, cell2 in enumerate(row2):
-                gap = (cell2.lo - cell.hi, cell2.hi - cell.lo)
+        for j, (lo, hi) in enumerate(row):
+            for j2, (lo2, hi2) in enumerate(row2):
+                gap = (lo2 - hi, hi2 - lo)
                 if gap not in direct:
                     direct[gap] = _direct_bounds(ctmc, *gap, eps)
                 L[j, j2], U[j, j2] = direct[gap]
@@ -238,8 +243,31 @@ def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
             report = compute_bounds(imdp, w, active=restrict_reachable(imdp))
             reach = reachable_under(imdp, report.guide_scheduler)
             targets = guided_split_targets(psi, reach)
-            assert targets
+            assert any(m.any() for m in targets)
             psi = apply_splits(psi, targets)
+
+
+def test_abstract_refuses_a_partition_of_another_evidence(invent, invent1,
+                                                         invent2):
+    # invent3 has nine windows; invent1's first four are the same.
+    invent3 = parse_evidence(fixture_text("invent3.evidence"))
+    with pytest.raises(SemanticError):
+        abstract(invent, invent3, coarsest_partition(invent1))
+    with pytest.raises(SemanticError):
+        abstract(invent, invent1, coarsest_partition(invent3))
+    # Touching cells merge back into their window; invent2 has invent1's
+    # windows under other formulas.
+    psi = coarsest_partition(invent1)
+    refined = psi.split(psi.splittable())
+    abstract(invent, invent1, refined)
+    abstract(invent, invent2, refined)
+    for base, shift in ((psi, [[0.05, 0.05]]),  # a shifted cell
+                        (refined, [[0.0, 0.0], [0.05, 0.05]]),
+                        (refined, [[0.0, 0.0], [0.05, 0.0]])):  # a hole
+        rows = list(base.cells)
+        rows[2] = rows[2] + shift
+        with pytest.raises(SemanticError):
+            abstract(invent, invent1, TimePartition(tuple(rows)))
 
 
 def test_abstract_shapes(invent, invent1):
@@ -287,7 +315,7 @@ def test_parent_intersection_nests(invent, invent1, invent_weights, tandem,
             report = compute_bounds(imdp, w, active=restrict_reachable(imdp))
             reach = reachable_under(imdp, report.guide_scheduler)
             targets = guided_split_targets(psi, reach)
-            assert targets
+            assert any(m.any() for m in targets)
             child_psi = apply_splits(psi, targets)
             child = abstract(ctmc, omega, child_psi, cache=cache)
             assert_nested(child, child_psi, imdp, psi, atol=1e-12)
@@ -377,7 +405,7 @@ def _sparse_imdp(rng):
     n = int(rng.integers(2, 5))
     counts = [1, *rng.integers(1, 4, int(rng.integers(1, 4))), 1]
     layers = tuple(
-        tuple(TimeSet.point(float(10 * i + j)) for j in range(c))
+        np.repeat(10.0 * i + np.arange(c), 2).reshape(c, 2)
         for i, c in enumerate(counts)
     )
     lower, upper, index = [], [], []
@@ -458,11 +486,9 @@ def test_model_is_stored_by_gap(tandem, tandem1):
     # whose cell pairs outnumber their distinct gaps.
     import dataclasses
 
-    from condreach.driver import all_split_targets
-
     psi = coarsest_partition(tandem1)
     for _ in range(2):
-        psi = apply_splits(psi, all_split_targets(psi))
+        psi = apply_splits(psi, psi.splittable())
     imdp = abstract(tandem, tandem1, psi)
     n = imdp.n_states
     dense = set()

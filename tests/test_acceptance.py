@@ -140,8 +140,7 @@ def _scheduler_instance(ctmc, trace, omega):
         votes = sched.choices[i][cell][eligible]
         assert votes.size and (votes == votes[0]).all()
         cell = int(votes[0])
-        c = psi.cells[i][cell]
-        times.append(0.5 * (c.lo + c.hi))
+        times.append(psi.cells[i][cell].mean())
     from condreach.evidence import PreciseEvidence
 
     return PreciseEvidence(tuple(zip(times, omega.formulas)))
@@ -228,22 +227,22 @@ def test_criterion_5_interval_soundness(invent, invent1):
     imdp = abstract(invent, invent1, psi, cache=cache)
     models = [imdp]
     for _ in range(2):
-        from condreach.driver import all_split_targets, apply_splits
+        from condreach.driver import apply_splits
 
-        child = apply_splits(partitions[-1], all_split_targets(partitions[-1]))
+        child = apply_splits(partitions[-1], partitions[-1].splittable())
         models.append(abstract(invent, invent1, child, cache=cache))
         partitions.append(child)
 
     checked = 0
     for imdp in models:
         for i in range(imdp.n_layers - 1):
-            for j, cell in enumerate(imdp.layers[i]):
-                for j2, cell2 in enumerate(imdp.layers[i + 1]):
+            for j, (lo, hi) in enumerate(imdp.layers[i]):
+                for j2, (lo2, hi2) in enumerate(imdp.layers[i + 1]):
                     gap = imdp.gap_index[i][j, j2]
                     L = imdp.gap_lower[i][gap]
                     U = imdp.gap_upper[i][gap]
-                    ts = rng.uniform(cell.lo, cell.hi, 100)
-                    tps = rng.uniform(cell2.lo, cell2.hi, 100)
+                    ts = rng.uniform(lo, hi, 100)
+                    tps = rng.uniform(lo2, hi2, 100)
                     for t, tp in zip(ts, tps):
                         K = transient_matrix(invent, tp - t)
                         assert np.all(L <= K + 1e-9)
@@ -279,7 +278,7 @@ def test_criterion_6_refinement_nesting(invent, invent1, invent_weights,
 
             reach = reachable_under(imdp, report.guide_scheduler)
             targets = guided_split_targets(psi, reach)
-            if not targets:
+            if not any(m.any() for m in targets):
                 break
             child_psi = apply_splits(psi, targets)
             child = abstract(chain, omega, child_psi, cache=cache)
@@ -320,9 +319,9 @@ def test_criterion_8_consistency_repair(invent, invent1, invent_weights,
         assert audit_consistency(imdp, report.repaired_scheduler)
         assert report.lower <= report.upper + 1e-9
         audited += 1
-        from condreach.driver import all_split_targets, apply_splits
+        from condreach.driver import apply_splits
 
-        psi = apply_splits(psi, all_split_targets(psi))
+        psi = apply_splits(psi, psi.splittable())
     for trace in invent_runs.values():
         assert trace.lower <= trace.upper + 1e-9
 

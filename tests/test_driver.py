@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from condreach.driver import (
     AnalysisConfig,
-    all_split_targets,
     analyze,
     apply_splits,
     guided_split_targets,
@@ -41,10 +40,12 @@ def test_config_validation():
             AnalysisConfig(max_iters=bad)
 
 
-def test_all_split_targets_skips_points(invent1):
+def test_splittable_skips_points(invent1):
     psi = coarsest_partition(invent1)
     # Observation 0 is the point window {0}; the other three can split.
-    assert all_split_targets(psi) == [(1, 0), (2, 0), (3, 0)]
+    assert [m.tolist() for m in psi.splittable()] == [
+        [False], [True], [True], [True]
+    ]
 
 
 def test_guided_targets_respect_reachability(invent1):
@@ -52,12 +53,14 @@ def test_guided_targets_respect_reachability(invent1):
     # Reachability masks: layer i+1 belongs to observation i.
     reach = [np.ones((1, 3), bool) for _ in range(6)]
     reach[3] = np.zeros((1, 3), bool)  # observation 2 unreachable
-    assert guided_split_targets(psi, reach) == [(1, 0), (3, 0)]
+    assert [m.tolist() for m in guided_split_targets(psi, reach)] == [
+        [False], [True], [False], [True]
+    ]
 
 
 def test_apply_splits_keeps_indices_valid(invent1):
     psi = coarsest_partition(invent1)
-    child = apply_splits(psi, [(1, 0), (3, 0)])
+    child = apply_splits(psi, [[False], [True], [False], [True]])
     assert child.cell_counts() == (1, 2, 1, 2)
     assert refines(child, psi)
 
@@ -173,3 +176,11 @@ def test_min_direction(invent, invent1, invent_weights):
     assert tmin.lower <= tmin.upper
     # The minimal conditional weight cannot exceed the maximal one.
     assert tmin.lower <= tmax.upper + 1e-9
+
+
+def test_full_mode_counts_every_splittable_cell(invent, invent1, invent_weights):
+    # invent1's three windows each bisect every cell: 3, then 6 splits.
+    trace = analyze(invent, invent1, invent_weights,
+                    AnalysisConfig(mode="full", max_iters=3))
+    assert [r.splits for r in trace.rows] == [0, 3, 6]
+    assert trace.final_partition.cell_counts() == (1, 4, 4, 4)

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condreach.driver import all_split_targets
+from condreach.abstraction import abstract
+from condreach.driver import AnalysisConfig, analyze
 from condreach.evidence import (
     EvidenceError,
     Formula,
     ImpreciseEvidence,
     PreciseEvidence,
     SemanticError,
+    TimePartition,
     TimeSet,
     coarsest_partition,
     is_instance,
@@ -149,27 +151,60 @@ def test_parse_evidence_rejects():
 # --- partitions -------------------------------------------------------------
 
 
-def test_coarsest_partition(invent1):
+def _targets(psi):
+    """Every splittable cell of psi as an (observation, cell) pair."""
+    return [(i, int(j)) for i, m in enumerate(psi.splittable())
+            for j in np.flatnonzero(m)]
+
+
+def _marks(psi, targets):
+    """Split masks of psi marking exactly the given (observation, cell)
+    pairs."""
+    marks = [np.zeros(n, bool) for n in psi.cell_counts()]
+    for i, j in targets:
+        marks[i][j] = True
+    return marks
+
+
+def _same(a, b):
+    return len(a.cells) == len(b.cells) and all(
+        np.array_equal(r, r2) for r, r2 in zip(a.cells, b.cells)
+    )
+
+
+def test_coarsest_partition(invent, invent1):
     psi = coarsest_partition(invent1)
     assert psi.cell_counts() == (1, 1, 1, 1)
-    assert psi.anchor_zero.is_point
+    for row, ts in zip(psi.cells, invent1.time_sets):
+        np.testing.assert_array_equal(row, ts.intervals)
+        assert not row.flags.writeable
+    # The abstraction puts the point anchor {0} before the cells.
+    np.testing.assert_array_equal(
+        abstract(invent, invent1, psi).layers[0], [[0.0, 0.0]]
+    )
 
 
 def test_split_and_lookup(invent1):
     psi = coarsest_partition(invent1)
-    child = psi.split_cell(1, 0)
+    child = psi.split(_marks(psi, [(1, 0)]))
     assert child.cell_counts() == (1, 2, 1, 1)
-    assert child.cells[1][0].hi == child.cells[1][1].lo == pytest.approx(1.0)
+    assert child.cells[1][0, 1] == child.cells[1][1, 0] == pytest.approx(1.0)
     with pytest.raises(EvidenceError):
-        psi.split_cell(0, 0)  # point cell
+        psi.split(_marks(psi, [(0, 0)]))  # point cell
 
 
 def test_refines(invent1):
     psi = coarsest_partition(invent1)
-    child = psi.split_cell(2, 0).split_cell(1, 0)
+    child = psi.split(_marks(psi, [(2, 0)]))
+    child = child.split(_marks(child, [(1, 0)]))
     assert refines(child, psi)
     assert refines(psi, psi)
     assert not refines(psi, child)
+    # A point cell on a shared endpoint lies in two parent cells, not one.
+    parent = TimePartition(([[0.0, 1.0], [1.0, 2.0]],))
+    assert not refines(
+        TimePartition(([[0.0, 1.0], [1.0, 1.0], [1.0, 2.0]],)), parent
+    )
 
 
 @settings(max_examples=30, deadline=None)
@@ -178,14 +213,12 @@ def test_random_split_chain_nests(invent1, data):
     psi = coarsest_partition(invent1)
     current = psi
     for _ in range(4):
-        i, j = data.draw(st.sampled_from(all_split_targets(current)))
-        current = current.split_cell(i, j)
+        target = data.draw(st.sampled_from(_targets(current)))
+        current = current.split(_marks(current, [target]))
     assert refines(current, psi)
     # Total covered length never changes under splitting.
     for row, orig in zip(current.cells, psi.cells):
-        assert sum(c.total_length for c in row) == pytest.approx(
-            sum(c.total_length for c in orig)
-        )
+        assert np.diff(row).sum() == pytest.approx(np.diff(orig).sum())
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,11 +228,70 @@ def test_one_pass_split_matches_chained_split_cell(invent1, data):
     # set split in one pass and one cell at a time, last index first.
     psi = coarsest_partition(invent1)
     for _ in range(data.draw(st.integers(0, 4))):
-        psi = psi.split_cell(*data.draw(st.sampled_from(all_split_targets(psi))))
-    targets = data.draw(st.sets(st.sampled_from(all_split_targets(psi))))
+        psi = psi.split(_marks(psi, [data.draw(st.sampled_from(_targets(psi)))]))
+    targets = data.draw(st.sets(st.sampled_from(_targets(psi))))
     chained = psi
-    for i, j in sorted(targets, reverse=True):
-        chained = chained.split_cell(i, j)
-    assert psi.split(targets) == chained
-    assert psi.split(list(targets) * 2) == chained
-    assert psi.split([]) == psi
+    for target in sorted(targets, reverse=True):
+        chained = chained.split(_marks(chained, [target]))
+    marks = _marks(psi, targets)
+    assert _same(psi.split(marks), chained)
+    assert _same(psi.split([m.tolist() for m in marks]), chained)
+    assert _same(psi.split(_marks(psi, [])), psi)
+
+
+def test_ulp_wide_cell_is_never_split(invent, invent_weights):
+    # The midpoint of an ulp-wide cell rounds onto an endpoint, so
+    # bisecting it would only add a point cell and never tighten.
+    ulp = (1.0, np.nextafter(1.0, 2.0))
+    psi = TimePartition((np.array([ulp]), np.array([[1.5, 2.0]])))
+    assert [m.tolist() for m in psi.splittable()] == [[False], [True]]
+    with pytest.raises(EvidenceError):
+        psi.split([[True], [False]])
+    for _ in range(3):
+        psi = psi.split((np.zeros(1, bool), psi.splittable()[1]))
+    assert psi.cell_counts() == (1, 8)
+    np.testing.assert_array_equal(psi.cells[0], [ulp])
+    # Full mode runs out of cells to split after one iteration.
+    true = parse_formula("true")
+    omega = ImpreciseEvidence(((TimeSet.of(ulp), true),
+                               (TimeSet.point(2.0), true)))
+    trace = analyze(invent, omega, invent_weights,
+                    AnalysisConfig(mode="full", max_iters=5))
+    assert len(trace.rows) == 1
+    assert _same(trace.final_partition, coarsest_partition(omega))
+
+
+@pytest.mark.parametrize("row", [
+    [1.0, 2.0],                # one-dimensional
+    np.zeros((1, 3)),          # three endpoints
+    np.zeros((0, 2)),          # no cell
+    [[1.0, np.inf]],           # not finite
+    [[np.nan, 1.0]],
+    [[-1.0, 1.0]],             # negative
+    [[2.0, 1.0]],              # reversed
+    [[0.0, 2.0], [1.0, 3.0]],  # overlapping
+    [[1.0, 2.0], [0.0, 0.5]],  # out of order
+])
+def test_partition_rejects(row):
+    with pytest.raises(EvidenceError):
+        TimePartition(([[0.0, 0.0]], row))
+
+
+def test_partition_accepts_touching_cells():
+    psi = TimePartition(([[0.0, 1.0], [1.0, 1.0], [1.0, 2.0]],))
+    assert psi.cell_counts() == (3,)
+    with pytest.raises(ValueError):
+        psi.cells[0][0, 0] = 5.0  # read-only
+    with pytest.raises(EvidenceError):
+        TimePartition(())
+
+
+def test_split_rejects_bad_masks(invent1):
+    psi = coarsest_partition(invent1)
+    marks = _marks(psi, [(1, 0)])
+    with pytest.raises(EvidenceError):
+        psi.split(marks[:3])  # one mask short
+    with pytest.raises(EvidenceError):
+        psi.split([*marks[:3], np.zeros(2, bool)])  # one entry too many
+    with pytest.raises(EvidenceError):
+        psi.split(_marks(psi, [(0, 0), (1, 0)]))  # the point cell {0}

@@ -130,14 +130,12 @@ def _toy_imdp(n_mid=2):
     repair vote there has three voters; they choose among layer 2's two
     cells.  Every cell pair of a layer shares its one gap.
     """
-    from condreach.evidence import TimeSet
-
     n = 3
     layers = (
-        (TimeSet.point(0.0),),
-        (TimeSet.of((1.0, 1.5)),),
-        tuple(TimeSet.of((2.0 + j, 2.5 + j)) for j in range(n_mid)),
-        (TimeSet.point(9.0),),
+        np.zeros((1, 2)),
+        np.array([[1.0, 1.5]]),
+        2.0 + np.arange(n_mid)[:, None] + [0.0, 0.5],
+        np.array([[9.0, 9.0]]),
     )
     return IntervalMdp(
         layers=layers,
@@ -320,10 +318,8 @@ def _random_gap_imdp(rng, n, counts):
     feasible rows around a random distribution (some entries zero, some
     point intervals), and a random gap index over them.
     """
-    from condreach.evidence import TimeSet
-
     layers = tuple(
-        tuple(TimeSet.point(float(10 * i + j)) for j in range(c))
+        np.repeat(10.0 * i + np.arange(c), 2).reshape(c, 2)
         for i, c in enumerate(counts)
     )
     lower, upper, index = [], [], []
