@@ -8,14 +8,15 @@ states brackets every transient kernel realizable by times inside the
 two cells.
 
 Bounds depend on the two cells only through the elapsed-time gap they
-admit, so the model is stored by distinct gap.  A layer is built without
+admit, so the model is stored by distinct gap.  A model is built without
 a loop over cell pairs: the gaps of all pairs come from the cells'
-endpoint arrays by broadcasting, the distinct gaps are found with
-np.unique, and the bound cache answers them in one batched call.  The
-layer keeps those (gap, n, n) stacks and np.unique's inverse as an
-(n_cells, n_next_cells) gap index; nothing is scattered to the pairs.
-The cache keeps the gap's two parts, kernels by its minimum and reach
-matrices by its spread, across layers and iterations.
+endpoint arrays by broadcasting, each layer's distinct gaps are found
+with np.unique, and the bound cache answers the distinct gaps of every
+layer in one batched call per model.  Each layer keeps its slice of the
+returned (gap, n, n) stacks and np.unique's inverse as an (n_cells,
+n_next_cells) gap index; nothing is scattered to the pairs.  The cache
+keeps the gap's two parts, kernels by its minimum and reach matrices by
+its spread, across layers and iterations.
 
 Each partition is abstracted on its own.  Refinement still nests: a
 child cell pair admits a sub-gap of its parent pair's gap, and the
@@ -64,7 +65,8 @@ class _KeyedStacks:
         """The stacked values of every query, in query order.
 
         Keys not stored yet are computed by one call compute(keys), which
-        returns a tuple of stacks in the order of its sorted keys.
+        returns a tuple of stacks in the order of its sorted keys.  The
+        returned stacks are fresh copies, free to be written.
         """
         uniq, inverse = np.unique(queries, return_inverse=True)
         pos = np.searchsorted(self.keys, uniq)
@@ -94,11 +96,12 @@ class TransientBoundCache:
     K * inv.  The kernels are kept by gap minimum and the (R, inv) pairs
     by spread, per tolerance, in sorted key arrays; finished (lower,
     upper) pairs are not kept, since assembling them is one batched
-    product.  A batch of gaps computes its missing kernels in one
-    transient_matrix call and its missing spreads in one reach_matrix
-    call, so gaps that share a minimum or a spread share that part.  Cell
-    endpoint arithmetic is exact on representable binary fractions, so
-    evidences with uniform window spacing hit the cache across layers.
+    product, made in place in the freshly gathered kernels.  A batch of
+    gaps computes its missing kernels in one transient_matrix call and its
+    missing spreads in one reach_matrix call, so gaps that share a minimum
+    or a spread share that part.  Cell endpoint arithmetic is exact on
+    representable binary fractions, so evidences with uniform window
+    spacing hit the cache across layers.
 
     The parts are keyed by time and tolerance only, so a cache serves the
     one chain object it first served and refuses any other.
@@ -145,33 +148,31 @@ class TransientBoundCache:
         kernels, spreads = self._parts.setdefault(
             eps, (_KeyedStacks(), _KeyedStacks())
         )
-        (K,) = kernels.get(g_min, lambda t: (transient_matrix(ctmc, t, eps),))
-        # A point gap brackets its one kernel exactly.
-        lower = np.clip(K, 0.0, 1.0)
-        upper = lower.copy()
-        wide = g_max > g_min
-        if wide.any():
-            R, inv = spreads.get(
-                g_max[wide] - g_min[wide],
-                lambda h: (
-                    reach_matrix(ctmc, h, eps),
-                    invariance_vector(ctmc, h)[:, None, :],
-                ),
-            )
-            K = K[wide]
-            hi = np.clip(K @ R, 0.0, 1.0)
-            lo = np.clip(K * inv, 0.0, 1.0)
-            # Lower above upper by at most _NOISE is float noise on
-            # near-point intervals: such entries meet at their midpoint.
-            crossed = lo - hi
-            if np.any(crossed > _NOISE):
+        # The gathered kernels are a fresh copy, so they become lower in
+        # place.  A point gap's spread is 0, with R = I and inv = 1, so it
+        # brackets its one kernel exactly.
+        (lower,) = kernels.get(g_min, lambda t: (transient_matrix(ctmc, t, eps),))
+        R, inv = spreads.get(
+            g_max - g_min,
+            lambda h: (
+                reach_matrix(ctmc, h, eps),
+                invariance_vector(ctmc, h)[:, None, :],
+            ),
+        )
+        upper = lower @ R
+        lower *= inv
+        np.clip(lower, 0.0, 1.0, out=lower)
+        np.clip(upper, 0.0, 1.0, out=upper)
+        # Lower above upper by at most _NOISE is float noise on near-point
+        # intervals: such entries meet at their midpoint.
+        noisy = lower > upper
+        if noisy.any():
+            lo, hi = lower[noisy], upper[noisy]
+            if np.any(lo - hi > _NOISE):
                 raise AbstractionError(
                     "lower bound exceeds upper beyond tolerance"
                 )
-            noisy = crossed > 0
-            lo[noisy] = hi[noisy] = 0.5 * (lo[noisy] + hi[noisy])
-            lower[wide] = lo
-            upper[wide] = hi
+            lower[noisy] = upper[noisy] = 0.5 * (lo + hi)
         lower.setflags(write=False)
         upper.setflags(write=False)
         return lower, upper
@@ -246,10 +247,13 @@ class IntervalMdp:
 def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
     """Build the interval MDP for evidence omega under partition psi.
 
-    The model depends only on the partition and the bound cache.  A
-    refined partition's intervals nest inside the coarser ones because
-    the gap bounds are monotone; they are not clipped to them.  A psi
-    that does not tile omega's windows raises SemanticError.
+    The model depends only on the partition and the bound cache, which
+    it calls once with the distinct gaps of every layer, so the missing
+    kernels and spreads of the whole model are computed in one
+    transient_matrix and one reach_matrix call.  A refined partition's
+    intervals nest inside the coarser ones because the gap bounds are
+    monotone; they are not clipped to them.  A psi that does not tile
+    omega's windows raises SemanticError.
     """
     omega.bind_check(ctmc.alphabet)
     psi.check_covers(omega)
@@ -258,7 +262,9 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
     layers = (np.zeros((1, 2)), *psi.cells)
     reset_masks = ctmc.reset_masks(omega.formulas)
 
-    gap_lower, gap_upper, gap_index = [], [], []
+    # Per layer, the distinct gaps between its cells and the next
+    # layer's, and each cell pair's gap number.
+    uniqs, gap_index = [], []
     for i in range(len(layers) - 1):
         (lo, hi), (lo2, hi2) = layers[i].T, layers[i + 1].T
         # gaps[j, j2] = (cell2.lo - cell.hi, cell2.hi - cell.lo).
@@ -270,13 +276,18 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
         uniq, inverse = np.unique(
             gaps.view(np.complex128).reshape(-1), return_inverse=True
         )
-        L, U = cache.bound_matrices(ctmc, uniq.view(float).reshape(-1, 2), eps)
         index = inverse.reshape(len(lo), len(lo2))
         index.setflags(write=False)
-        _check_feasible(L, U, index, reset_masks[i], i)
-        gap_lower.append(L)
-        gap_upper.append(U)
+        uniqs.append(uniq)
         gap_index.append(index)
+    # One cache call for the whole model; each layer keeps its slice.
+    L, U = cache.bound_matrices(
+        ctmc, np.concatenate(uniqs).view(float).reshape(-1, 2), eps
+    )
+    ends = np.cumsum([len(u) for u in uniqs])[:-1]
+    gap_lower, gap_upper = np.split(L, ends), np.split(U, ends)
+    for i, index in enumerate(gap_index):
+        _check_feasible(gap_lower[i], gap_upper[i], index, reset_masks[i], i)
 
     return IntervalMdp(
         layers=layers,

@@ -9,6 +9,7 @@ distribution (no negative entries).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -248,41 +249,83 @@ def serialize_ctmc(ctmc):
     return "\n".join(lines) + "\n"
 
 
-def _poisson_weights(mean, eps):
-    """Poisson pmf values 0..K whose dropped tail mass is at most 0.1 * eps.
+def _poisson_table(means, eps):
+    """Truncated Poisson pmfs of an array of means, one row per mean.
 
-    The pmf is evaluated at the mode through lgamma, extended outward by the
-    ratio p(k + 1) / p(k) = mean / (k + 1) and normalized (Fox & Glynn, CACM
-    1988).  K is one past the smallest k whose tail mass beyond k is at
-    most 0.1 * eps; the tail is summed from the right, so it keeps its
-    relative accuracy.
+    Returns (W, cuts): W[i, :cuts[i]] are the pmf values at 0..cuts[i] - 1
+    of means[i], whose dropped tail mass is at most 0.1 * eps; entries
+    after them are padding.  Each pmf is evaluated at its mode through
+    lgamma, extended outward by the ratio p(k + 1) / p(k) = mean / (k + 1)
+    and normalized (Fox & Glynn, CACM 1988).  The cut is one past the
+    smallest k whose tail mass beyond k is at most 0.1 * eps; the tail is
+    summed from the right, so it keeps its relative accuracy.  Every row
+    is bit-identical to the same steps run on its mean alone: the ratio
+    products are row-wise cumprods padded with 1, the mode terms come from
+    math.exp and math.lgamma, and each row's sum runs over exactly its own
+    terms (_row_sums).
     """
     if not 0 < eps < math.inf:
         raise ValueError("truncation tolerance must be positive and finite")
-    if not 0 <= mean < math.inf:
+    means = np.asarray(means, dtype=float).reshape(-1)
+    listed = means.tolist()
+    if not all(0 <= x < math.inf for x in listed):
         raise ValueError("Poisson mean must be finite and nonnegative")
-    if mean <= 0.0:
-        return np.array([1.0])
-    mode = int(mean)
-    p_mode = math.exp(mode * math.log(mean) - mean - math.lgamma(mode + 1))
-    left = p_mode * np.cumprod(np.arange(mode, 0, -1) / mean)[::-1]
-    # Extend the right side until the mass beyond its last term, bounded by
-    # a geometric series of ratio r = mean / (k + 1), is far below 0.1 * eps.
-    span = 16 + int(10.0 * math.sqrt(mean))
+    modes = means.astype(np.int64)
+    p_mode = np.array([
+        math.exp(int(x) * math.log(x) - x - math.lgamma(int(x) + 1)) if x else 1.0
+        for x in listed
+    ])
+    col_means = means[:, None]
+    # Extend each right side until the mass beyond its last term, bounded
+    # by a geometric series of ratio r = mean / (k + 1), is far below
+    # 0.1 * eps; a row that falls short doubles its span.
+    span = 16 + (10.0 * np.sqrt(means)).astype(np.int64)
     while True:
-        right = p_mode * np.cumprod(mean / np.arange(mode + 1, mode + span))
-        r = mean / (mode + span)
-        rest = right[-1] * r / (1.0 - r)
-        if right[-1] + rest <= 1e-6 * eps:
+        ends = modes + span
+        # One column past the longest row, so every row ends in a zero.
+        k = np.arange(float(ends.max() + 1))
+        # Left of the mode the products run from the mode down, right of
+        # it from the mode up.  The ratios (k + 1) / mean and mean / k are
+        # at most 1 exactly on their own side, so clipping at 1 pads the
+        # other side with exact 1s; a 0 ratio zeroes a row past its end.
+        # A mean below 1 has no left side, so dividing it by max(mean, 1)
+        # changes nothing but keeps a zero mean finite.
+        left = np.minimum((k + 1) / np.maximum(col_means, 1.0), 1.0)
+        right = np.ones(left.shape)
+        np.minimum(col_means / k[1:], 1.0, out=right[:, 1:])
+        right[k >= ends[:, None]] = 0.0
+        pmf = (p_mode[:, None] * left[:, ::-1].cumprod(axis=1)[:, ::-1]
+               * right.cumprod(axis=1))
+        last = pmf[np.arange(len(means)), ends - 1]
+        r = means / ends
+        rest = last * r / (1.0 - r)
+        short = last + rest > 1e-6 * eps
+        if not short.any():
             break
-        span *= 2
-    pmf = np.concatenate((left, [p_mode], right))
+        span[short] *= 2
     # The terms cover all but `rest` of the mass; normalizing removes the
-    # rounding of p_mode, which every term shares.
-    pmf /= pmf.sum() + rest
-    tail = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0) + rest
-    cut = int(np.argmax(tail <= 0.1 * eps))
-    return pmf[: cut + 2]
+    # rounding of p_mode, which every term of a row shares.
+    pmf /= (_row_sums(pmf, ends) + rest)[:, None]
+    # beyond[i, k]: the mass of row i beyond term k, summed from the
+    # right; the zeros past each row's end add exactly nothing.
+    beyond = pmf[:, :0:-1].cumsum(axis=1)[:, ::-1] + rest[:, None]
+    cuts = (beyond <= 0.1 * eps).argmax(axis=1) + 2
+    cuts[means == 0] = 1  # a zero mean has the one term 1 at k = 0
+    return pmf[:, : cuts.max()], cuts
+
+
+def _row_sums(table, lengths):
+    """Sum of each row's first lengths[i] entries, rounded as a sum of
+    that slice alone: numpy sums pairwise in blocks set by the length, so
+    summing zero-padded rows would round differently.  Each run of rows of
+    one length is summed in one call."""
+    sums = np.empty(len(table))
+    at = 0
+    for n, run in itertools.groupby(lengths.tolist()):
+        end = at + len(list(run))
+        sums[at:end] = np.add.reduce(table[at:end, :n], axis=1)
+        at = end
+    return sums
 
 
 def _uniformized_sum(ctmc, times, eps, step):
@@ -290,9 +333,10 @@ def _uniformized_sum(ctmc, times, eps, step):
     X_{k+1} = step(P, X_k).
 
     P is the uniformized jump matrix at rate lam = max exit rate (slightly
-    inflated).  One power sequence serves the whole batch: it is stepped
-    up to the longest Poisson cut among the times, and each time adds its
-    own weights in the same order as a run of its own would, so every
+    inflated).  One power sequence serves the whole batch: the Poisson
+    weights of all times come from one table (_poisson_table), the powers
+    are stepped up to the longest cut among the times, and each time adds
+    its own weights in the same order as a run of its own would, so every
     result is bit-identical to a separate call.  A time's truncated tail is
     put on its own last X_k, so rows of stochastic X_k stay within eps of
     stochastic.  Returns an array of shape times.shape + (n, n).
@@ -311,16 +355,14 @@ def _uniformized_sum(ctmc, times, eps, step):
             f"Poisson mean {np.max(means):.6g} of uniformization exceeds "
             f"{MAX_POISSON_MEAN:g}; the chain is too stiff for this time"
         )
-    weights = [_poisson_weights(mean, eps) for mean in means]
-    cuts = np.array([len(w) for w in weights])
+    W, cuts = _poisson_table(means, eps)
     # Longest cut first, so the times still summing at step k are the
     # first live[k] of the batch: those whose cut exceeds k.
     order = np.argsort(-cuts, kind="stable")
-    W = np.zeros((cuts.max(), flat.size))
-    for col, i in enumerate(order):
-        W[: cuts[i], col] = weights[i]
-    tails = np.array([1.0 - weights[i].sum() for i in order])[:, None, None]
-    live = np.searchsorted(-cuts[order], -np.arange(len(W) + 1), side="left")
+    W, cuts = W[order], cuts[order]
+    tails = (1.0 - _row_sums(W, cuts))[:, None, None]
+    live = np.searchsorted(-cuts, -np.arange(W.shape[1] + 1), side="left")
+    W = W.T
     P = np.eye(n) + ctmc.generator() / lam
     X = np.eye(n)
     acc = W[0, :, None, None] * X

@@ -281,19 +281,15 @@ class TimePartition:
     def __post_init__(self):
         if not self.cells:
             raise EvidenceError("partition needs at least one observation")
-        rows = []
-        for row in self.cells:
-            row = np.array(row, dtype=float)
-            if row.ndim != 2 or row.shape[1] != 2 or not len(row):
-                raise EvidenceError("partition rows need shape (n, 2) with n >= 1")
-            if not np.isfinite(row).all() or (row < 0).any():
-                raise EvidenceError("cell endpoints must be finite and nonnegative")
-            # Flat lo_0, hi_0, lo_1, ... is sorted iff no cell is reversed or overlaps.
-            if (np.diff(row.reshape(-1)) < 0).any():
-                raise EvidenceError("cells must be ordered, unreversed and disjoint")
-            row.setflags(write=False)
-            rows.append(row)
-        object.__setattr__(self, "cells", tuple(rows))
+        rows = tuple(_checked_row(np.array(row, dtype=float)) for row in self.cells)
+        object.__setattr__(self, "cells", rows)
+
+    @classmethod
+    def _of_checked(cls, rows):
+        """A partition of rows that _checked_row has already passed."""
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "cells", rows)
+        return psi
 
     def cell_counts(self):
         return tuple(len(row) for row in self.cells)
@@ -312,24 +308,29 @@ class TimePartition:
 
         marks holds one boolean mask per observation over its cells, each
         marked cell splittable.  A row repeats its marked cells and moves
-        the endpoint each two copies share to the midpoint.
+        the endpoint each two copies share to the midpoint; a row with no
+        mark is kept as it is, since rows are read-only.
         """
         if len(marks) != len(self.cells):
             raise EvidenceError(f"need one split mask per row, got {len(marks)}")
         rows = []
-        for row, mark, ok in zip(self.cells, marks, self.splittable()):
+        for row, mark in zip(self.cells, marks):
             mark = np.asarray(mark, dtype=bool)
-            if mark.shape != ok.shape:
+            if mark.shape != (len(row),):
                 raise EvidenceError(f"split mask {mark.shape} for {len(row)} cells")
-            if (mark & ~ok).any():
-                raise EvidenceError("cannot split a cell without interior midpoint")
+            if not mark.any():
+                rows.append(row)
+                continue
             at = np.flatnonzero(mark)
-            mid = 0.5 * (row[at, 0] + row[at, 1])
+            lo, hi = row[at].T
+            mid = 0.5 * (lo + hi)
+            if not ((lo < mid) & (mid < hi)).all():
+                raise EvidenceError("cannot split a cell without interior midpoint")
             at += np.arange(len(at))  # where each first copy lands
             row = np.repeat(row, 1 + mark, axis=0)
             row[at, 1] = row[at + 1, 0] = mid
-            rows.append(row)
-        return TimePartition(tuple(rows))
+            rows.append(_checked_row(row))
+        return TimePartition._of_checked(tuple(rows))
 
     def check_covers(self, omega):
         """Raise SemanticError unless row i, with touching cells merged, is
@@ -343,6 +344,20 @@ class TimePartition:
             joint[1:-1:2] = joint[2::2] = ends[1:-1:2] == ends[2::2]
             if not np.array_equal(ends[~joint], np.ravel(ts.intervals)):
                 raise SemanticError(f"partition row {i} does not tile its window")
+
+
+def _checked_row(row):
+    """Freeze a float partition row after checking it, or raise
+    EvidenceError."""
+    if row.ndim != 2 or row.shape[1] != 2 or not len(row):
+        raise EvidenceError("partition rows need shape (n, 2) with n >= 1")
+    if not np.isfinite(row).all() or (row < 0).any():
+        raise EvidenceError("cell endpoints must be finite and nonnegative")
+    # Flat lo_0, hi_0, lo_1, ... is sorted iff no cell is reversed or overlaps.
+    if (np.diff(row.reshape(-1)) < 0).any():
+        raise EvidenceError("cells must be ordered, unreversed and disjoint")
+    row.setflags(write=False)
+    return row
 
 
 def coarsest_partition(omega):

@@ -117,9 +117,10 @@ def test_factored_cache_matches_direct_build(model, computed):
         np.testing.assert_array_equal(L, dL)
         np.testing.assert_array_equal(U, dU)
     # Gaps sharing a minimum share its kernel, gaps sharing a spread its
-    # reach matrix and invariance vector: each is computed once.
+    # reach matrix and invariance vector: each is computed once.  Point
+    # gaps share the spread 0, whose reach matrix is the identity.
     minima = {g for g, _ in gaps}
-    spreads = {h - g for g, h in gaps if h > g}
+    spreads = {h - g for g, h in gaps}
     assert sorted(computed["kernels"]) == sorted(minima)
     assert sorted(computed["spreads"]) == sorted(spreads)
     # The array form on a fresh cache gives the same stacks, computing
@@ -198,6 +199,92 @@ def test_crossed_bounds_meet_at_midpoint(invent, monkeypatch):
     inflate(1e-6)
     with pytest.raises(AbstractionError):
         _cache().bound_matrices(invent, gap, 1e-10)
+
+
+def test_in_place_assembly_keeps_the_cache_intact(tandem):
+    # Two calls with overlapping gap sets, each mixing point and wide
+    # gaps, then one of wide gaps only whose minima are every stored
+    # kernel in order: lower is assembled in the gathered kernel copy and
+    # upper written in place, never in a stored part.
+    eps = 1e-10
+    calls = [
+        np.array([(0.5, 0.5), (0.5, 1.0), (0.25, 0.75), (1.0, 1.0)]),
+        np.array([(0.25, 0.75), (1.0, 1.0), (0.5, 0.75), (0.0, 0.0),
+                  (0.5, 1.0)]),
+        np.array([(0.0, 0.25), (0.25, 0.75), (0.5, 1.0), (1.0, 1.25)]),
+    ]
+    cache = _cache()
+    first = cache.bound_matrices(tandem, calls[0], eps)
+    kept = [a.copy() for a in first]
+    stored = [(store.keys.copy(), [v.copy() for v in store.values])
+              for store in cache._parts[eps]]
+    results = [first] + [cache.bound_matrices(tandem, g, eps) for g in calls[1:]]
+    for gaps, got in zip(calls, results):
+        fresh = _cache().bound_matrices(tandem, gaps, eps)
+        for a, b in zip(got, fresh):
+            np.testing.assert_array_equal(a, b)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0, 0] = 0.5
+    # A gap gets the same bits from a mixed batch and an all-wide one.
+    for a, b in zip(results[0], results[2]):
+        np.testing.assert_array_equal(a[[1, 2]], b[[2, 1]])
+    for a, b in zip(first, kept):
+        np.testing.assert_array_equal(a, b)
+    # Every kernel and spread stored before the later calls keeps its bits.
+    for (keys, values), store in zip(stored, cache._parts[eps]):
+        at = np.searchsorted(store.keys, keys)
+        np.testing.assert_array_equal(store.keys[at], keys)
+        for old, now in zip(values, store.values):
+            np.testing.assert_array_equal(now[at], old)
+
+
+@pytest.fixture()
+def part_calls(monkeypatch):
+    """Count the cache's calls to transient_matrix and reach_matrix, the
+    names bench/run.py's tracer wraps."""
+    import condreach.abstraction as abstraction
+
+    calls = {"transient_matrix": 0, "reach_matrix": 0}
+    for attr in calls:
+
+        def counted(*args, fn=getattr(abstraction, attr), attr=attr):
+            calls[attr] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(abstraction, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("chain, evidence",
+                         [("invent", "invent1"), ("tandem", "tandem1")])
+def test_one_cache_call_per_model(chain, evidence, part_calls, request):
+    ctmc = request.getfixturevalue(chain)
+    omega = request.getfixturevalue(evidence)
+
+    def build(psi, cache=None):
+        before = dict(part_calls)
+        imdp = abstract(ctmc, omega, psi, cache=cache)
+        made = [part_calls[k] - before[k] for k in part_calls]
+        return imdp, made
+
+    cache = _cache()
+    psi = coarsest_partition(omega)
+    warm = []
+    for level in range(4):
+        if level:
+            psi = apply_splits(psi, psi.splittable())
+        imdp, made = build(psi, cache)
+        assert max(made) <= 1, made
+        warm.append((psi, imdp))
+    # A model from the warm cache equals a cold-cache one bit for bit.
+    for psi, imdp in warm:
+        cold, made = build(psi)
+        assert made == [1, 1]
+        for name in ("gap_lower", "gap_upper", "gap_index"):
+            for a, b in zip(getattr(imdp, name), getattr(cold, name)):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
 
 
 def _per_pair_build(ctmc, omega, psi, eps, direct):

@@ -18,7 +18,7 @@ from condreach.ctmc import (
     Ctmc,
     ModelError,
     UniformizationError,
-    _poisson_weights,
+    _poisson_table,
     bounded_reachability,
     bounded_reachability_vector,
     from_rates,
@@ -176,14 +176,47 @@ def test_stiff_uniformization_refused():
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-12])
 def test_poisson_weights_match_scipy(eps):
-    for mean in np.concatenate((np.geomspace(1e-4, 250.0, 300), [0.5, 1, 7, 250])):
-        w = _poisson_weights(mean, eps)
+    means = np.concatenate((np.geomspace(1e-4, 250.0, 300), [0.5, 1, 7, 250]))
+    W, cuts = _poisson_table(means, eps)
+    for mean, row, cut in zip(means, W, cuts):
+        w = row[:cut]
         # Never fewer terms than the scipy cutoff used before: 0..ppf + 1.
         assert len(w) >= int(poisson.ppf(1.0 - 0.1 * eps, mean)) + 2
         np.testing.assert_allclose(
             w, poisson.pmf(np.arange(len(w)), mean), rtol=0, atol=1e-13
         )
         assert poisson.sf(len(w) - 1, mean) <= 0.1 * eps
+
+
+# Means at the table's edges: zero, tiny, on and just below an integer
+# mode, and large; and any float up to 1e3.
+_EDGE_MEANS = st.sampled_from(
+    [0.0, 3e-5, 1.0, 6.0, 5.9999, math.nextafter(6.0, 0.0), 250.0, 1e3]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    means=st.lists(_EDGE_MEANS | st.floats(0.0, 1e3), min_size=1, max_size=8),
+    eps=st.sampled_from([1e-6, 1e-10, 1e-14]),
+)
+def test_poisson_table_matches_one_mean_oracle(poisson_oracle, means, eps):
+    # Every row, and its cut, is bit-identical to its mean computed alone.
+    W, cuts = _poisson_table(np.array(means), eps)
+    assert W.shape == (len(means), max(cuts))
+    for mean, row, cut in zip(means, W, cuts):
+        w = poisson_oracle(mean, eps)
+        assert cut == len(w)
+        np.testing.assert_array_equal(row[:cut], w)
+
+
+def test_poisson_table_refuses_bad_input():
+    for eps in (0.0, -1e-10, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            _poisson_table(np.array([1.0]), eps)
+    for means in ([1.0, math.nan], [2.0, -1e-3], [0.5, math.inf], [-0.5]):
+        with pytest.raises(ValueError, match="mean"):
+            _poisson_table(np.array(means), 1e-10)
 
 
 # What `import condreach` may load besides its own modules: numpy and

@@ -184,3 +184,46 @@ def test_full_mode_counts_every_splittable_cell(invent, invent1, invent_weights)
                     AnalysisConfig(mode="full", max_iters=3))
     assert [r.splits for r in trace.rows] == [0, 3, 6]
     assert trace.final_partition.cell_counts() == (1, 4, 4, 4)
+
+
+# Per iteration (lower, upper, splits, IMDP states, actions, transitions)
+# of guided runs, recorded before the Poisson weights were batched and
+# the bound cache was called once per model.  A change that moves a bound
+# by more than 1e-12 relative, or a split or a size at all, shows here.
+_GOLDEN_TRACES = {
+    ("invent", "invent1", "invent_weights", 12): [
+        (0.02516602433324143, 0.1321218895642676, 0, 11, 9, 17),
+        (0.04224589151802469, 0.11558728629001724, 3, 20, 23, 51),
+        (0.058850935806006074, 0.11232808603605017, 3, 29, 43, 103),
+        (0.058850935806006074, 0.10229332550840009, 3, 38, 69, 173),
+        (0.06981351249969345, 0.10017625254880808, 3, 47, 101, 261),
+        (0.06981351249969336, 0.09856332406702904, 3, 56, 139, 367),
+        (0.06981351249969336, 0.0973315790575859, 3, 65, 183, 491),
+        (0.06981351249969336, 0.09347777158345263, 3, 74, 233, 633),
+        (0.07596600891858533, 0.09229537995510581, 3, 83, 289, 793),
+        (0.07596600891858549, 0.09126627404507472, 3, 92, 351, 971),
+        (0.07596600891858536, 0.09036987638489843, 3, 101, 419, 1167),
+        (0.0759660089185854, 0.08958844693190249, 3, 110, 493, 1381),
+    ],
+    ("tandem", "tandem1", "tandem_weights", 3): [
+        (1.6423681627444543e-05, 0.2871074334060104, 0, 241, 227, 12722),
+        (0.00011472577903939201, 0.18898181532715583, 2, 481, 662, 50404),
+        (0.0004531253552820694, 0.12375819941120243, 3, 841, 1723, 150592),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN_TRACES), ids=lambda c: c[1])
+def test_golden_trace(case, request):
+    chain, evidence, weights, cap = case
+    trace = analyze(
+        request.getfixturevalue(chain), request.getfixturevalue(evidence),
+        request.getfixturevalue(weights), AnalysisConfig(max_iters=cap),
+    )
+    golden = _GOLDEN_TRACES[case]
+    assert len(trace.rows) == len(golden)
+    for row, (lower, upper, *counts) in zip(trace.rows, golden):
+        assert row.lower == pytest.approx(lower, rel=1e-12, abs=0)
+        assert row.upper == pytest.approx(upper, rel=1e-12, abs=0)
+        assert [row.splits, row.imdp_states, row.imdp_actions,
+                row.imdp_transitions] == counts, row.iteration

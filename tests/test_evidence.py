@@ -193,6 +193,23 @@ def test_split_and_lookup(invent1):
         psi.split(_marks(psi, [(0, 0)]))  # point cell
 
 
+def test_split_reuses_unmarked_rows(invent1):
+    psi = coarsest_partition(invent1)
+    for _ in range(2):
+        psi = psi.split(psi.splittable())
+    child = psi.split(_marks(psi, [(1, 0), (1, 3), (3, 2)]))
+    for i, (row, new) in enumerate(zip(psi.cells, child.cells)):
+        if i in (1, 3):
+            assert new is not row and not new.flags.writeable
+        else:
+            assert new is row  # read-only, so shared as it is
+    assert child.cell_counts() == (1, 6, 4, 5)
+    # Rows handed to the constructor are still copied.
+    row = np.array([[0.0, 1.0]])
+    assert TimePartition((row,)).cells[0] is not row
+    assert row.flags.writeable
+
+
 def test_refines(invent1):
     psi = coarsest_partition(invent1)
     child = psi.split(_marks(psi, [(2, 0)]))
