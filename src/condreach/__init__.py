@@ -47,7 +47,6 @@ from .unfolding import (
     ZeroLikelihoodError,
     conditional_weight,
     evidence_likelihood,
-    unfold_precise,
 )
 
 __version__ = "0.1.0"
@@ -92,6 +91,5 @@ __all__ = [
     "serialize_evidence",
     "simulate_states_at",
     "transient",
-    "unfold_precise",
     "weight_from_property",
 ]

@@ -61,6 +61,9 @@ class Ctmc:
     exit_rates: np.ndarray
     labels: tuple
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    # Per atomic proposition, the read-only boolean column of the states
+    # that carry it.
+    _columns: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.state_names)
@@ -79,6 +82,11 @@ class Ctmc:
         if not 0 <= self.initial < n:
             raise ModelError("initial state out of range")
         self._index.update({name: i for i, name in enumerate(self.state_names)})
+        for s, lab in enumerate(self.labels):
+            for ap in lab:
+                self._columns.setdefault(ap, np.zeros(n, dtype=bool))[s] = True
+        for column in self._columns.values():
+            column.setflags(write=False)
         self.jump_probs.setflags(write=False)
         self.exit_rates.setflags(write=False)
 
@@ -89,10 +97,7 @@ class Ctmc:
     @property
     def alphabet(self):
         """All atomic propositions appearing on any state."""
-        aps = set()
-        for lab in self.labels:
-            aps |= lab
-        return frozenset(aps)
+        return frozenset(self._columns)
 
     def state_index(self, name):
         try:
@@ -119,8 +124,13 @@ class Ctmc:
         return self.exit_rates * (1.0 - np.diag(self.jump_probs))
 
     def satisfying(self, formula):
-        """Boolean vector of states satisfying an observation formula."""
-        return np.array([formula.holds(lab) for lab in self.labels], dtype=bool)
+        """Boolean vector of states satisfying an observation formula: the
+        AND of one column per literal, all True for `true`."""
+        mask = np.ones(self.n_states, dtype=bool)
+        absent = np.zeros(self.n_states, dtype=bool)
+        for ap, positive in formula.literals:
+            mask &= self._columns.get(ap, absent) == positive
+        return mask
 
     def reset_masks(self, formulas):
         """Per-layer masks of the states violating each observation.
@@ -328,54 +338,113 @@ def _row_sums(table, lengths):
     return sums
 
 
-def _uniformized_sum(ctmc, times, eps, step):
-    """sum_k pois(k; lam*t) X_k for every t in times, with X_0 = I and
-    X_{k+1} = step(P, X_k).
+@dataclass(frozen=True)
+class Uniformization:
+    """A chain's uniformized jump matrix and the truncated Poisson weights
+    of an array of times: what every uniformization sum is made of.
 
-    P is the uniformized jump matrix at rate lam = max exit rate (slightly
-    inflated).  One power sequence serves the whole batch: the Poisson
-    weights of all times come from one table (_poisson_table), the powers
-    are stepped up to the longest cut among the times, and each time adds
-    its own weights in the same order as a run of its own would, so every
-    result is bit-identical to a separate call.  A time's truncated tail is
-    put on its own last X_k, so rows of stochastic X_k stay within eps of
-    stochastic.  Returns an array of shape times.shape + (n, n).
+    P = I + Q / lam at the rate lam = max exit rate (slightly inflated);
+    it is None when no time takes a step (lam = 0, or every time is 0).
+    The weight rows are held longest cut first, and row rank[i] is time
+    i's: it holds pois(k; lam * times[i]) for k < cuts[rank[i]]
+    (_poisson_table), entries after them are padding, and tails[rank[i]]
+    is the mass it drops.  Built by :func:`uniformize`; kernels start its
+    power sum from the identity for all times at once, the exact
+    conditional analysis from a vector or block for one time.
     """
-    times = np.asarray(times, dtype=float)
-    if not np.all((0 <= times) & (times < math.inf)):
+
+    P: object
+    weights: np.ndarray
+    cuts: list
+    tails: np.ndarray
+    rank: np.ndarray
+
+    def power_sum(self, start, step, time=None):
+        """sum_k pois(k; lam * t) X_k with X_0 = start and X_{k+1} =
+        step(P, X_k), for every time t, or for the time of index `time`.
+
+        The one power loop of the package.  The powers are stepped up to
+        the longest cut among the times, and each time adds its own
+        weights in order, so its result is bit-identical to a run of its
+        own.  A time's truncated tail is put on its own last X_k, at the
+        step where its cut ends, so stochastic X_k stay within eps of
+        stochastic.  Returns an array of shape (number of times,) +
+        start.shape, or start.shape for one time.
+        """
+        W, cuts, tails = self.weights, self.cuts, self.tails
+        if time is not None:
+            row = slice(self.rank[time], self.rank[time] + 1)
+            W, cuts, tails = W[row], cuts[row], tails[row]
+        ones = (1,) * np.ndim(start)
+        W, tails = W.T, tails.reshape(-1, *ones)
+        P, X = self.P, start
+        acc = W[0].reshape(-1, *ones) * X
+        # The rows still summing are a prefix: the first `live`.
+        live, k = len(cuts), 1
+        while live:
+            # Steps k .. end - 1 serve the first `live` rows alike; then
+            # the rows whose cut is `end` put their tail on X_{end - 1}.
+            end = cuts[live - 1]
+            if live == 1:
+                # Python floats into a row of its own shape: faster than
+                # broadcasting, and rounded the same.
+                part, factors = acc[0], W[k:end, 0].tolist()
+            else:
+                part = acc[:live]
+                factors = W[k:end, :live].reshape(end - k, live, *ones)
+            for f in factors:
+                X = step(P, X)
+                part += f * X
+            done = cuts.index(end)
+            acc[done:live] += tails[done:live] * X
+            live, k = done, end
+        return acc[0] if time is not None else acc[self.rank]
+
+
+def uniformize(ctmc, times, eps=DEFAULT_TRANSIENT_TOL):
+    """The :class:`Uniformization` of ctmc over an array of times.
+
+    All the times' Poisson weights come from one table.  A time that is
+    negative or not finite raises ValueError; a Poisson mean above
+    MAX_POISSON_MEAN raises UniformizationError before the table is
+    built.
+    """
+    flat = np.asarray(times, dtype=float).reshape(-1)
+    # A nan fails both comparisons.
+    top = flat.max(initial=0.0)
+    if not (flat.min(initial=0.0) >= 0 and top < math.inf):
         raise ValueError(f"times must be finite and nonnegative, got {times}")
-    n = ctmc.n_states
-    flat = times.reshape(-1)
     lam = float(np.max(ctmc.exit_rates)) * _RATE_INFLATION
-    if lam == 0.0 or not np.any(flat):
-        return np.tile(np.eye(n), (*times.shape, 1, 1))
-    means = lam * flat
-    if np.max(means) > MAX_POISSON_MEAN:
+    m = len(flat)
+    if lam == 0.0 or top == 0.0:
+        # One term 1 and no tail: every sum is its start.
+        return Uniformization(
+            None, np.ones((m, 1)), [1] * m, np.zeros(m), np.arange(m)
+        )
+    if lam * top > MAX_POISSON_MEAN:
         raise UniformizationError(
-            f"Poisson mean {np.max(means):.6g} of uniformization exceeds "
+            f"Poisson mean {lam * top:.6g} of uniformization exceeds "
             f"{MAX_POISSON_MEAN:g}; the chain is too stiff for this time"
         )
+    means = lam * flat
     W, cuts = _poisson_table(means, eps)
-    # Longest cut first, so the times still summing at step k are the
-    # first live[k] of the batch: those whose cut exceeds k.
     order = np.argsort(-cuts, kind="stable")
     W, cuts = W[order], cuts[order]
-    tails = (1.0 - _row_sums(W, cuts))[:, None, None]
-    live = np.searchsorted(-cuts, -np.arange(W.shape[1] + 1), side="left")
-    W = W.T
-    P = np.eye(n) + ctmc.generator() / lam
-    X = np.eye(n)
-    acc = W[0, :, None, None] * X
-    for k in range(len(W)):
-        if k:
-            X = step(P, X)
-            acc[: live[k]] += W[k, : live[k], None, None] * X
-        # Times whose cut ends at k put their tail on X_k.
-        done = slice(live[k + 1], live[k])
-        acc[done] += tails[done] * X
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out.reshape(*times.shape, n, n)
+    P = np.eye(ctmc.n_states) + ctmc.generator() / lam
+    return Uniformization(
+        P, W, cuts.tolist(), 1.0 - _row_sums(W, cuts), np.argsort(order)
+    )
+
+
+def _uniformized_sum(ctmc, times, eps, step):
+    """sum_k pois(k; lam*t) X_k for every t in times, with X_0 = I and
+    X_{k+1} = step(P, X_k): the kernel form of the power sum, one power
+    sequence for the whole batch, each kernel bit-identical to a separate
+    call.  Returns an array of shape times.shape + (n, n).
+    """
+    n = ctmc.n_states
+    acc = uniformize(ctmc, times, eps).power_sum(np.eye(n), step)
+    return acc.reshape(*np.shape(times), n, n)
 
 
 def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):

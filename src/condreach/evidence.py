@@ -48,10 +48,6 @@ class Formula:
     def aps(self):
         return frozenset(ap for ap, _ in self.literals)
 
-    def holds(self, label_set):
-        """Evaluate against a state's atomic-proposition set."""
-        return all((ap in label_set) == pol for ap, pol in self.literals)
-
     def bind_check(self, alphabet):
         """Validate that every referenced AP exists in the model."""
         missing = self.aps - alphabet

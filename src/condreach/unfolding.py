@@ -6,15 +6,22 @@ layer-i node whose state violates the i-th observation back to the
 initial node with probability 1; the alternative used for likelihood
 computation absorbs those nodes instead, so the mass left on the last
 layer is exactly the probability of generating the evidence.
+
+No transient kernel is formed.  Each gap between layers moves a vector
+or an (n, 2) block through the gap's Poisson-weighted power series of the
+uniformized jump matrix, at O(n^2) per step, and one Poisson table serves
+all of the evidence's gaps (Fox & Glynn, CACM 1988).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .ctmc import DEFAULT_TRANSIENT_TOL, transient_matrix
+from .ctmc import DEFAULT_TRANSIENT_TOL, uniformize
+
+# transient_matrix is not called here.  It stays a module attribute,
+# because bench/run.py's tracer wraps unfolding.transient_matrix.
+from .ctmc import transient_matrix  # noqa: F401
 
 
 class ZeroLikelihoodError(ArithmeticError):
@@ -30,109 +37,77 @@ _UNDEFINED = (
     "evidence has zero likelihood; the conditional weight is undefined"
 )
 
-
-@dataclass(frozen=True)
-class LayeredChain:
-    """Discrete-time chain unfolded along the evidence times.
-
-    Attributes
-    ----------
-    times : tuple of float
-        Layer time stamps: 0, t_1, ..., t_d.
-    kernels : tuple of ndarray
-        kernels[i] maps layer i to layer i+1.
-    reset_masks : tuple of ndarray
-        Boolean per-layer masks of evidence-violating nodes.  Layer 0 is
-        all-False.
-    initial : int
-        CTMC initial state index (layer-0 entry node).
-    """
-
-    times: tuple
-    kernels: tuple
-    reset_masks: tuple
-    initial: int
-
-    @property
-    def n_layers(self):
-        return len(self.times)
-
-    @property
-    def n_states(self):
-        return self.kernels[0].shape[0]
+# One power-series step on a block of columns, P @ X (for K @ block), and
+# on a row vector, x @ P (for x @ K).  ndarray.dot has less call overhead
+# than @ on small arrays.
+_backward_step = np.ndarray.dot
 
 
-def unfold_precise(ctmc, rho, eps=DEFAULT_TRANSIENT_TOL):
-    """Layered chain over 0, t_1, ..., t_d.
+def _forward_step(P, x):
+    return x.dot(P)
 
-    The kernels of all the gaps between layers come from one batched
-    uniformization.
-    """
+
+def _layers(ctmc, rho, eps):
+    """The reset masks of the layers 0, t_1, ..., t_d (layer 0's is
+    all-False) and the uniformization of the d gaps between them."""
     rho.bind_check(ctmc.alphabet)
-    times = (0.0, *rho.times)
-    kernels = tuple(transient_matrix(ctmc, np.diff(times), eps))
-    masks = ctmc.reset_masks(rho.formulas)
-    return LayeredChain(times, kernels, masks, ctmc.initial)
+    gaps = np.diff((0.0, *rho.times))
+    return ctmc.reset_masks(rho.formulas), uniformize(ctmc, gaps, eps)
 
 
-def _backward_affine(chain, w):
-    """Backward propagation of values affine in the unknown initial value.
-
-    Each node value is alpha + beta * v0 where v0 is the value of the
-    layer-0 initial node.  Last-layer nodes start at (w, 0), and reset
-    nodes have (alpha, beta) = (0, 1).  Returns the (alpha, beta) pair of
-    the initial node.
-    """
-    alpha = np.array(w, dtype=float)
-    beta = np.zeros_like(alpha)
-    for i in range(chain.n_layers - 1, -1, -1):
-        reset = chain.reset_masks[i]
-        alpha[reset] = 0.0
-        beta[reset] = 1.0
-        if i:
-            K = chain.kernels[i - 1]
-            alpha, beta = K @ alpha, K @ beta
-    return alpha[chain.initial], beta[chain.initial]
+def _weights(w):
+    w = np.asarray(w, dtype=float)
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    return w
 
 
 def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     """Exact conditional expected weight at the last observation time.
 
-    Solves the reset fixpoint v0 = alpha + beta * v0 in closed form; the
-    geometric reset loop has return mass beta < 1 whenever the evidence
-    has positive likelihood.  Evidence of (near-)zero likelihood, with
-    beta within ZERO_LIKELIHOOD of 1, raises ZeroLikelihoodError.
+    Every node's value is affine in the unknown value v0 of the layer-0
+    initial node, alpha + beta * v0, and the reset fixpoint v0 = alpha +
+    beta * v0 of the initial node is solved in closed form.  beta is
+    carried as its complement 1 - beta, the mass that escapes the reset
+    loop, so the denominator is never formed by cancellation.  The
+    (alpha, 1 - beta) columns of all states start at (w, 1) on the last
+    layer, reset nodes get (0, 0), and each gap's kernel K is applied as
+    K @ block without forming K.  Evidence of (near-)zero likelihood,
+    with an escape mass at or below ZERO_LIKELIHOOD, raises
+    ZeroLikelihoodError.
     """
-    w = np.asarray(w, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    chain = unfold_precise(ctmc, rho, eps)
-    alpha, beta = _backward_affine(chain, w)
-    denom = 1.0 - beta
-    if denom <= ZERO_LIKELIHOOD:
+    w = _weights(w)
+    masks, gaps = _layers(ctmc, rho, eps)
+    block = np.ones((len(w), 2))
+    block[:, 0] = w
+    for i in range(len(masks) - 1, -1, -1):
+        block[masks[i]] = 0.0
+        if i:
+            block = gaps.power_sum(block, _backward_step, i - 1)
+    alpha, escape = block[ctmc.initial]
+    if escape <= ZERO_LIKELIHOOD:
         raise ZeroLikelihoodError(_UNDEFINED)
-    return float(alpha / denom)
+    return float(alpha / escape)
 
 
-def _masked_forward(chain):
+def _forward(ctmc, rho, eps):
     """Forward distribution with reset nodes absorbed (dropped).
 
     Returns the sub-probability vector over last-layer states; its total
     is the probability of never hitting a reset node.
     """
-    n = chain.n_states
-    dist = np.zeros(n)
-    dist[chain.initial] = 1.0
-    for i in range(chain.n_layers - 1):
-        dist = dist @ chain.kernels[i]
-        dist[chain.reset_masks[i + 1]] = 0.0
+    masks, gaps = _layers(ctmc, rho, eps)
+    dist = np.zeros(ctmc.n_states)
+    dist[ctmc.initial] = 1.0
+    for i in range(len(masks) - 1):
+        dist = gaps.power_sum(dist, _forward_step, i)
+        dist[masks[i + 1]] = 0.0
     return dist
 
 
 def evidence_likelihood(ctmc, rho, eps=DEFAULT_TRANSIENT_TOL):
     """Probability that the chain produces the observed label sequence."""
-    chain = unfold_precise(ctmc, rho, eps)
-    return float(_masked_forward(chain).sum())
+    return float(_forward(ctmc, rho, eps).sum())
 
 
 def bayes_quotient_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
@@ -143,9 +118,8 @@ def bayes_quotient_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     in :func:`conditional_weight`; the two must agree, and both raise
     ZeroLikelihoodError on (near-)zero likelihood.
     """
-    w = np.asarray(w, dtype=float)
-    chain = unfold_precise(ctmc, rho, eps)
-    dist = _masked_forward(chain)
+    w = _weights(w)
+    dist = _forward(ctmc, rho, eps)
     likelihood = dist.sum()
     if likelihood <= ZERO_LIKELIHOOD:
         raise ZeroLikelihoodError(_UNDEFINED)

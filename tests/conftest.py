@@ -1,11 +1,19 @@
 import math
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from condreach.ctmc import from_rates, parse_ctmc, weight_from_property
+from condreach.ctmc import (
+    from_rates,
+    parse_ctmc,
+    transient_matrix,
+    weight_from_property,
+)
 from condreach.evidence import parse_evidence, parse_formula
 from condreach.fixtures import fixture_text
+from condreach.unfolding import ZERO_LIKELIHOOD, ZeroLikelihoodError
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +36,17 @@ def invent1():
 @pytest.fixture(scope="session")
 def invent2():
     return parse_evidence(fixture_text("invent2.evidence"))
+
+
+@pytest.fixture(scope="session")
+def holds():
+    """Whether a formula holds on one state's label set: the per-state
+    loop that Ctmc.satisfying's column form must reproduce."""
+
+    def check(formula, label_set):
+        return all((ap in label_set) == pol for ap, pol in formula.literals)
+
+    return check
 
 
 @pytest.fixture(scope="session")
@@ -155,6 +174,109 @@ def per_time_uniformization():
         return np.clip(acc, 0.0, 1.0) if kind == "reach" else acc
 
     return run
+
+
+@dataclass(frozen=True)
+class LayeredChain:
+    """Discrete-time chain unfolded along the evidence times.
+
+    times are the layer time stamps 0, t_1, ..., t_d; kernels[i] maps
+    layer i to layer i + 1; reset_masks are the boolean per-layer masks of
+    evidence-violating nodes (layer 0's is all-False); initial is the
+    chain's initial state, the layer-0 entry node.
+    """
+
+    times: tuple
+    kernels: tuple
+    reset_masks: tuple
+    initial: int
+
+    @property
+    def n_layers(self):
+        return len(self.times)
+
+    @property
+    def n_states(self):
+        return self.kernels[0].shape[0]
+
+
+def unfold_precise(ctmc, rho, eps=1e-10):
+    """Layered chain over 0, t_1, ..., t_d, with every gap's n x n
+    transient kernel from one batched uniformization."""
+    rho.bind_check(ctmc.alphabet)
+    times = (0.0, *rho.times)
+    kernels = tuple(transient_matrix(ctmc, np.diff(times), eps))
+    masks = ctmc.reset_masks(rho.formulas)
+    return LayeredChain(times, kernels, masks, ctmc.initial)
+
+
+def _backward_affine(chain, w):
+    """Backward propagation of values affine in the unknown initial value.
+
+    Each node value is alpha + beta * v0, where v0 is the value of the
+    layer-0 initial node; beta is carried as its complement, the escape
+    mass 1 - beta.  Last-layer nodes start at (w, 1), and reset nodes have
+    (alpha, 1 - beta) = (0, 0).  Returns the pair of the initial node.
+    """
+    alpha = np.array(w, dtype=float)
+    escape = np.ones_like(alpha)
+    for i in range(chain.n_layers - 1, -1, -1):
+        reset = chain.reset_masks[i]
+        alpha[reset] = 0.0
+        escape[reset] = 0.0
+        if i:
+            K = chain.kernels[i - 1]
+            alpha, escape = K @ alpha, K @ escape
+    return alpha[chain.initial], escape[chain.initial]
+
+
+def _masked_forward(chain):
+    """Forward distribution with reset nodes absorbed (dropped): the
+    sub-probability vector over last-layer states, whose total is the
+    probability of never hitting a reset node."""
+    dist = np.zeros(chain.n_states)
+    dist[chain.initial] = 1.0
+    for i in range(chain.n_layers - 1):
+        dist = dist @ chain.kernels[i]
+        dist[chain.reset_masks[i + 1]] = 0.0
+    return dist
+
+
+def _kernel_conditional_weight(chain, w):
+    alpha, escape = _backward_affine(chain, w)
+    if escape <= ZERO_LIKELIHOOD:
+        raise ZeroLikelihoodError("zero likelihood")
+    return float(alpha / escape)
+
+
+def _kernel_evidence_likelihood(chain):
+    return float(_masked_forward(chain).sum())
+
+
+def _kernel_bayes_quotient_weight(chain, w):
+    dist = _masked_forward(chain)
+    likelihood = dist.sum()
+    if likelihood <= ZERO_LIKELIHOOD:
+        raise ZeroLikelihoodError("zero likelihood")
+    return float(dist @ w / likelihood)
+
+
+@pytest.fixture(scope="session")
+def kernel_oracle():
+    """The unfolding's three entry points through full n x n kernels.
+
+    unfold(ctmc, rho, eps) forms every gap's transient kernel;
+    conditional_weight(chain, w), bayes_quotient_weight(chain, w) and
+    evidence_likelihood(chain) multiply the unfolded chain's kernels by
+    vectors, and raise ZeroLikelihoodError where the package does.  The
+    package's vector route must agree with them to rounding.
+    """
+    return SimpleNamespace(
+        unfold=unfold_precise,
+        conditional_weight=_kernel_conditional_weight,
+        bayes_quotient_weight=_kernel_bayes_quotient_weight,
+        evidence_likelihood=_kernel_evidence_likelihood,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -31,8 +31,8 @@ from condreach.ctmc import (
     transient_matrix,
     weight_from_property,
 )
-from condreach.evidence import parse_formula
-from condreach.fixtures import fixture_text
+from condreach.evidence import Formula, parse_evidence, parse_formula
+from condreach.fixtures import fixture_path, fixture_text
 
 
 def test_parse_basic(invent):
@@ -346,6 +346,52 @@ def test_weight_from_property(invent, invent_weights):
     target = invent.satisfying(parse_formula("empty"))
     zero_h = weight_from_property(invent, target, 0.0)
     np.testing.assert_array_equal(zero_h, target.astype(float))
+
+
+def _assert_satisfying_matches_per_state(ctmc, formula, holds):
+    want = [holds(formula, lab) for lab in ctmc.labels]
+    got = ctmc.satisfying(formula)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, want, err_msg=str(formula))
+
+
+def test_satisfying_matches_per_state_on_fixtures(holds):
+    # Every formula of the bundled evidences and weights, and their
+    # negated literals, on both bundled models.
+    fixtures = fixture_path("")
+    formulas = {parse_formula(f) for f in
+                ("true", "empty", "second_full", "phase2", "!phase2")}
+    for path in fixtures.iterdir():
+        if path.name.endswith(".evidence"):
+            formulas |= set(parse_evidence(path.read_text()).formulas)
+    formulas |= {Formula(tuple((ap, not pol) for ap, pol in f.literals))
+                 for f in list(formulas)}
+    for model in ("invent.ctmc", "tandem.ctmc"):
+        ctmc = parse_ctmc(fixture_text(model))
+        assert ctmc.alphabet == frozenset().union(*ctmc.labels)
+        for formula in formulas:
+            _assert_satisfying_matches_per_state(ctmc, formula, holds)
+
+
+_APS = ("a", "b", "c")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    labels=st.lists(st.frozensets(st.sampled_from(_APS)), min_size=1,
+                    max_size=8),
+    literals=st.lists(st.tuples(st.sampled_from(_APS + ("absent",)),
+                                st.booleans()), max_size=5),
+)
+def test_satisfying_matches_per_state_random(holds, labels, literals):
+    # Random label sets and conjunctions, with contradictory literals and
+    # an atomic proposition that no state carries.
+    n = len(labels)
+    ctmc = Ctmc(tuple(f"s{i}" for i in range(n)), 0, np.eye(n), np.zeros(n),
+                tuple(labels))
+    formula = Formula(tuple(sorted(set(literals))))
+    assert ctmc.alphabet == frozenset().union(*labels)
+    _assert_satisfying_matches_per_state(ctmc, formula, holds)
 
 
 @settings(max_examples=40, deadline=None)

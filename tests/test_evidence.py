@@ -28,20 +28,20 @@ from condreach.evidence import (
 
 def test_parse_formula():
     f = parse_formula("a & !b")
-    assert f.holds({"a"})
-    assert not f.holds({"a", "b"})
-    assert not f.holds(set())
+    assert f.literals == (("a", True), ("b", False))
+    assert str(f) == "a & !b"
     assert str(parse_formula("true")) == "true"
-    assert parse_formula("true").holds(set())
+    assert parse_formula("true").literals == ()
 
 
 def test_formula_order_insensitive():
     assert parse_formula("a & !b") == parse_formula("!b & a")
 
 
-def test_contradiction_is_unsatisfiable_not_rejected():
-    f = parse_formula("a & !a")
-    assert not f.holds({"a"}) and not f.holds(set())
+def test_contradiction_is_unsatisfiable_not_rejected(two_state):
+    f = parse_formula("up & !up")
+    assert f.literals == (("up", False), ("up", True))
+    assert not two_state.satisfying(f).any()
 
 
 def test_formula_rejects_junk():

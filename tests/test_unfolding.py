@@ -1,17 +1,26 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from condreach.evidence import PreciseEvidence, parse_formula
+import condreach.ctmc as ctmc_module
+import condreach.unfolding as unfolding
+from condreach.ctmc import UniformizationError, from_rates
+from condreach.evidence import (
+    PreciseEvidence,
+    parse_evidence,
+    parse_formula,
+    sample_instance,
+)
+from condreach.fixtures import fixture_text
 from condreach.unfolding import (
     ZeroLikelihoodError,
     bayes_quotient_weight,
     conditional_weight,
     evidence_likelihood,
-    unfold_precise,
 )
 
 TRUE = parse_formula("true")
@@ -21,9 +30,9 @@ def _rho(*pairs):
     return PreciseEvidence(tuple((t, parse_formula(f)) for t, f in pairs))
 
 
-def test_unfold_shapes(invent):
+def test_unfold_shapes(invent, kernel_oracle):
     rho = _rho((1.0, "nonempty"), (2.0, "empty"))
-    chain = unfold_precise(invent, rho)
+    chain = kernel_oracle.unfold(invent, rho)
     assert chain.n_layers == 3  # 0, t1, t2
     assert chain.times == (0.0, 1.0, 2.0)
     assert len(chain.kernels) == 2
@@ -107,43 +116,177 @@ def test_posterior_sums_to_one(invent):
 
 
 def test_rejects_negative_weights(invent):
-    with pytest.raises(ValueError):
-        conditional_weight(invent, _rho((1.0, "true")), np.array([1.0, -1.0, 0.0]))
+    rho, w = _rho((1.0, "true")), np.array([1.0, -1.0, 0.0])
+    for fn in (conditional_weight, bayes_quotient_weight):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(invent, rho, w)
 
 
-def test_batched_unfolding_matches_per_gap(
-    monkeypatch, per_time_uniformization, invent, invent1, invent_weights,
-    tandem, tandem1, tandem_weights,
+def _calls(ctmc, rho, w):
+    """The three entry points on one instance, as calls without arguments."""
+    return (lambda: conditional_weight(ctmc, rho, w),
+            lambda: bayes_quotient_weight(ctmc, rho, w),
+            lambda: evidence_likelihood(ctmc, rho))
+
+
+def _outcomes(calls):
+    """Each call's value; a zero-likelihood refusal stands for its type."""
+    out = []
+    for call in calls:
+        try:
+            out.append(call())
+        except ZeroLikelihoodError:
+            out.append(ZeroLikelihoodError)
+    return out
+
+
+def _entry_points(ctmc, rho, w):
+    return _outcomes(_calls(ctmc, rho, w))
+
+
+def _oracle_points(oracle, ctmc, rho, w):
+    chain = oracle.unfold(ctmc, rho)
+    return _outcomes((lambda: oracle.conditional_weight(chain, w),
+                      lambda: oracle.bayes_quotient_weight(chain, w),
+                      lambda: oracle.evidence_likelihood(chain)))
+
+
+def _assert_match(got, want, rel):
+    # Below the smallest normal float, values keep no relative precision.
+    tiny = np.finfo(float).tiny
+    for g, v in zip(got, want):
+        if v is ZeroLikelihoodError:
+            assert g is ZeroLikelihoodError
+        else:
+            assert g == pytest.approx(v, rel=rel, abs=tiny)
+
+
+@pytest.mark.parametrize("model, evidence", [
+    ("invent", "invent1"), ("invent", "invent2"), ("invent", "invent3"),
+    ("invent", "invent4"), ("tandem", "tandem1"), ("tandem", "tandem2"),
+])
+def test_vector_route_matches_kernel_oracle(request, kernel_oracle, model,
+                                            evidence):
+    # The power series carried on vectors agrees with the full kernels
+    # on sampled instances of every bundled evidence, entry point by
+    # entry point.
+    ctmc = request.getfixturevalue(model)
+    w = request.getfixturevalue(f"{model}_weights")
+    omega = parse_evidence(fixture_text(f"{evidence}.evidence"))
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        rho = sample_instance(omega, rng)
+        _assert_match(_entry_points(ctmc, rho, w),
+                      _oracle_points(kernel_oracle, ctmc, rho, w), rel=1e-12)
+
+
+_FORMULAS = ["a", "!a", "b", "!b", "a & !b", "!a & b", "a & b", "true"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 6),
+    times=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5, unique=True),
+    formulas=st.lists(st.sampled_from(_FORMULAS), min_size=5, max_size=5),
+)
+def test_vector_route_matches_kernel_oracle_random(
+    random_chain, kernel_oracle, seed, n, times, formulas
 ):
-    # One batched call for all gap kernels gives bit-identical weights and
-    # likelihoods to kernels computed gap by gap.
-    import condreach.unfolding as unfolding
-    from condreach.evidence import sample_instance
+    rng = np.random.default_rng(seed)
+    ctmc = random_chain(rng, n, aps=("a", "b"))
+    w = rng.uniform(0.0, 1.0, n)
+    rho = PreciseEvidence(tuple(
+        (t, parse_formula(f)) for t, f in zip(sorted(times), formulas)
+    ))
+    assume(all(obs.aps <= ctmc.alphabet for obs in rho.formulas))
+    got = _entry_points(ctmc, rho, w)
+    want = _oracle_points(kernel_oracle, ctmc, rho, w)
+    _assert_match(got[2:], want[2:], rel=1e-12)
+    # Near the zero threshold the two routes may fall on either side of
+    # it; the refusal on exact zeros has tests of its own.
+    if want[2] > 2 * unfolding.ZERO_LIKELIHOOD:
+        _assert_match(got, want, rel=1e-12)
+        assert got[0] == pytest.approx(got[1], rel=1e-10, abs=0.0)
 
-    def per_gap(ctmc, rho, eps):
-        times = (0.0, *rho.times)
-        kernels = tuple(
-            per_time_uniformization(ctmc, t - prev, eps)
-            for prev, t in zip(times, times[1:])
-        )
-        masks = ctmc.reset_masks(rho.formulas)
-        return unfolding.LayeredChain(times, kernels, masks, ctmc.initial)
 
-    def values(ctmc, rho, w):
-        return [
-            float(conditional_weight(ctmc, rho, w)).hex(),
-            float(bayes_quotient_weight(ctmc, rho, w)).hex(),
-            float(evidence_likelihood(ctmc, rho)).hex(),
-        ]
+def test_zero_gap_observation_changes_nothing(invent, invent_weights,
+                                             kernel_oracle):
+    # invent1's first window is 0..0: an observation at time 0 that the
+    # initial state satisfies adds a zero gap and leaves every value as
+    # it is, bit for bit.
+    later = ((1.0, "nonempty"), (2.0, "empty"), (3.0, "nonempty"))
+    rho = _rho((0.0, "nonempty"), *later)
+    assert _entry_points(invent, rho, invent_weights) == _entry_points(
+        invent, _rho(*later), invent_weights
+    )
+    _assert_match(_entry_points(invent, rho, invent_weights),
+                  _oracle_points(kernel_oracle, invent, rho, invent_weights),
+                  rel=1e-12)
 
-    for ctmc, omega, w in (
-        (invent, invent1, invent_weights),
-        (tandem, tandem1, tandem_weights),
-    ):
-        rng = np.random.default_rng(5)
-        instances = [sample_instance(omega, rng) for _ in range(20)]
-        got = [values(ctmc, rho, w) for rho in instances]
-        with monkeypatch.context() as m:
-            m.setattr(unfolding, "unfold_precise", per_gap)
-            want = [values(ctmc, rho, w) for rho in instances]
-        assert got == want
+
+def test_all_absorbing_chain(kernel_oracle):
+    # No state moves (uniformization rate 0): the chain stays in its
+    # initial state, so the evidence either always or never holds.
+    chain = from_rates(["a", "b"], "a", {}, {"a": ["up"], "b": ["down"]})
+    w = np.array([0.25, 0.75])
+    held = _rho((0.5, "up"), (2.0, "up & !down"))
+    assert _entry_points(chain, held, w) == [0.25, 0.25, 1.0]
+    assert _oracle_points(kernel_oracle, chain, held, w) == [0.25, 0.25, 1.0]
+    never = _rho((0.5, "up"), (2.0, "down"))
+    assert _entry_points(chain, never, w) == [
+        ZeroLikelihoodError, ZeroLikelihoodError, 0.0
+    ]
+
+
+def test_zero_likelihood_after_a_positive_gap(two_state, kernel_oracle):
+    # Once in the absorbing state b, the chain never shows `up` again.
+    w = np.array([0.25, 0.75])
+    rho = _rho((0.4, "down"), (1.0, "up"))
+    got = _entry_points(two_state, rho, w)
+    assert got == [ZeroLikelihoodError, ZeroLikelihoodError, 0.0]
+    assert _oracle_points(kernel_oracle, two_state, rho, w) == got
+
+
+def test_stiff_gap_refused_before_the_poisson_table(monkeypatch):
+    chain = from_rates(["a", "b"], "a", {("a", "b"): 1e9, ("b", "a"): 1e9},
+                       {"a": ["up"], "b": ["down"]})
+    rho = _rho((1e-12, "true"), (100.0, "true"))
+
+    def never(*args):
+        raise AssertionError("Poisson table built for a refused mean")
+
+    monkeypatch.setattr(ctmc_module, "_poisson_table", never)
+    for call in _calls(chain, rho, np.ones(2)):
+        with pytest.raises(UniformizationError):
+            call()
+
+
+@pytest.mark.parametrize("times", [
+    (1.0, 0.5), (math.nan,), (math.inf,), (-1.0,),
+])
+def test_bad_gap_refused(invent, invent_weights, times):
+    # Evidence objects refuse such times themselves; the oracle refuses
+    # them again at the uniformization, for any object that gets past.
+    rho = SimpleNamespace(
+        times=times, formulas=(TRUE,) * len(times), bind_check=lambda a: None
+    )
+    for call in _calls(invent, rho, invent_weights):
+        with pytest.raises(ValueError, match="times"):
+            call()
+
+
+def test_oracle_forms_no_kernel(monkeypatch, invent, invent1, invent_weights,
+                                tandem, tandem1, tandem_weights):
+    # The three entry points never build an n x n kernel.
+    def never(*args, **kwargs):
+        raise AssertionError("transient kernel formed")
+
+    monkeypatch.setattr(ctmc_module, "transient_matrix", never)
+    monkeypatch.setattr(unfolding, "transient_matrix", never)
+    monkeypatch.setattr(ctmc_module, "_uniformized_sum", never)
+    for ctmc, omega, w in ((invent, invent1, invent_weights),
+                           (tandem, tandem1, tandem_weights)):
+        rho = sample_instance(omega, np.random.default_rng(3))
+        values = _entry_points(ctmc, rho, w)
+        assert all(0.0 < v <= 1.0 for v in values)
