@@ -199,9 +199,15 @@ class IntervalMdp:
     reset_masks : tuple of ndarray
         Per layer, the states violating that layer's observation; such
         abstract states carry a single probability-1 redirect to the
-        initial abstract state instead of their rows or weights.
+        initial abstract state instead of their rows or weights.  Their
+        rows in the gap stacks are kept but never solved, and the solver
+        sums the columns of a layer's reset successors into one
+        reset-sink column, since they all carry the reset value.
     initial : int
         CTMC initial state; the initial abstract state is (0, 0, initial).
+        It is the anchor layer's one state of the model: the gap stacks
+        of layer 0 keep a row for every CTMC state, and the solver reads
+        only this one.
     """
 
     layers: tuple

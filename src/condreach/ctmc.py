@@ -456,9 +456,18 @@ def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):
     return _uniformized_sum(ctmc, t, eps, lambda P, X: X @ P)
 
 
+def _forward_step(P, x):
+    """One power-series step on a row vector, x @ P (for x @ K);
+    ndarray.dot has less call overhead than @ on small arrays."""
+    return x.dot(P)
+
+
 def transient(ctmc, source, t, eps=DEFAULT_TRANSIENT_TOL):
-    """Transient distribution Pr_source(t) as a dense vector."""
-    dist = transient_matrix(ctmc, t, eps)[source]
+    """Transient distribution Pr_source(t) as a dense vector: the power
+    sum of the row vector e_source, not a row of the full kernel."""
+    start = np.zeros(ctmc.n_states)
+    start[source] = 1.0
+    dist = uniformize(ctmc, t, eps).power_sum(start, _forward_step, 0)
     total = dist.sum()
     if abs(total - 1.0) > 1e-9:
         raise ArithmeticError(f"transient distribution sums to {total}")

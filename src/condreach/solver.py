@@ -7,6 +7,16 @@ the sensitivity of every value to the injected initial value; the reset
 fixpoint is then solved in closed form and re-swept until the choices
 stabilize (policy iteration on a scalar).
 
+A sweep solves only the rows the model defines.  A reset state
+redirects to the initial state with probability 1, so it takes v0 with
+beta 1 and has no row, and the anchor layer's one state of the model is
+(0, 0, initial).  Every reset successor thus carries (v0, 1), and a
+step into two or more of them lumps them into one reset-sink column
+whose bounds are the sums of theirs: the greedy below pours the same
+mass into a run of equal-valued successors whether they are one column
+or many.  On tandem1 the anchor step solves 1 row instead of 120, and
+the step into the last layer orders 15 columns instead of 120.
+
 Each layer of a sweep is one batched numpy kernel over its rows.
 Nature's optimum over an interval polytope is its greedy extreme point:
 a row starts at its lower bounds and pours its slack into successors in
@@ -34,7 +44,7 @@ on its violating states, in every cell alike.  A greedy depends only on
 its row's intervals and on the vector it orders by, so the step into
 that layer runs once per distinct gap and gathers the q-values to the
 cell pairs through the gap index; every other step has a row per
-(cell, next cell, state), gathered from the gap stacks once.
+(cell, next cell, solved state), gathered from the gap stacks once.
 """
 
 from __future__ import annotations
@@ -59,7 +69,9 @@ class Scheduler:
     """Chosen next-layer cell per abstract state.
 
     choices[i] is an int array (n_cells_i, n_states); -1 marks reset
-    states, which have no choice.
+    states, which have no choice, and, in a solved scheduler, the
+    anchor's states other than the initial one, which are not states of
+    the model.
     """
 
     choices: tuple
@@ -103,82 +115,120 @@ def greedy_distribution(lower, upper, values, maximize):
 def _prepare(imdp):
     """Value-independent arrays of each layer's batched greedy.
 
-    Every layer but the last gets the rows of all its cell pairs (see
-    _rows), gathered once from the gap stacks.  In the last step all
-    next cells carry the same vectors, so a row's greedy depends on its
-    gap alone: that layer gets one row per gap and state, numbered as if
-    each gap were a cell with a single next cell.  The last observation
-    layer has no successors and no arrays; it carries the weights.  Each
-    layer's fill memo (see _q_values) lives as long as the layout.
+    A layer solves its non-reset rows, in the anchor layer the initial
+    one alone, against the next layer's columns with its reset states
+    lumped (see _rows).  Every layer but the last gets the rows of all
+    its cell pairs, gathered once from the gap stacks.  In the last step
+    all next cells carry the same vectors, so a row's greedy depends on
+    its gap alone: that layer gets one row per gap and state, numbered
+    as if each gap were a cell with a single next cell.  The last
+    observation layer has no successors and no arrays; it carries the
+    weights.  Each layer's fill memo (see _q_values) lives as long as
+    the layout.
     """
     layout = []
     last = imdp.n_layers - 2
     for i, (L, U, index) in enumerate(
         zip(imdp.gap_lower, imdp.gap_upper, imdp.gap_index)
     ):
-        if i == last:
-            index = np.arange(len(L))[:, None]
-        layout.append(_rows(L, U, index))
+        live = ~imdp.reset_masks[i]
+        if i == 0:
+            live &= np.arange(imdp.n_states) == imdp.initial
+        rows = np.flatnonzero(live)
+        sink = imdp.reset_masks[i + 1]
+        layer = _rows(L, U, np.arange(len(L))[:, None] if i == last else index,
+                      rows, sink if np.count_nonzero(sink) >= 2 else None)
+        layer.pick = (np.arange(len(index))[:, None], np.arange(len(rows)))
+        layout.append(layer)
     return layout
 
 
 class _Layer:
     """A step's value-independent greedy arrays and its fill memo.
 
-    lower, room and slack are described at _rows.  memo is None or the
-    (order, fill) pair of the last fill _q_values built.  A fill depends
-    on the direction only through the order, so one slot serves both;
-    each solve keeps one inner direction.  built and reused count the
-    _q_values calls that computed a fill and that took the stored one.
+    lower, room, slack, rows and cols are described at _rows, and pick
+    is the (cell, row) index pair _sweep gathers chosen q-values with.
+    memo is None or the (order, fill) pair of the last fill _q_values
+    built.  A fill depends on the direction only through the order, so
+    one slot serves both; each solve keeps one inner direction.  built
+    and reused count the _q_values calls that computed a fill and that
+    took the stored one.
     """
 
-    __slots__ = ("lower", "room", "slack", "memo", "built", "reused")
+    __slots__ = ("lower", "room", "slack", "rows", "cols", "pick", "memo",
+                 "built", "reused")
 
-    def __init__(self, lower, room, slack):
+    def __init__(self, lower, room, slack, rows, cols):
         self.lower, self.room, self.slack = lower, room, slack
-        self.memo = None
+        self.rows, self.cols = rows, cols
+        self.memo = self.pick = None
         self.built = self.reused = 0
 
 
-def _rows(L, U, index):
+def _rows(L, U, index, rows, sink=None):
     """The greedy arrays (lower, room, slack) of index's cell pairs.
 
     L and U are (g, n, n) gap stacks and index an (nc, nc2) array of gap
-    numbers.  Rows are numbered m = j * n + s over (cell, state), and all
-    three arrays are successor-major: lower[j2, t, m] is
-    L[index[j, j2], s, t], shape (nc2, n, nc * n); room is U - L in the
-    same order, flattened to (nc2 * n, nc * n); and slack[j2, 0, m] is
-    1 - sum_t L[index[j, j2], s, t].  They come as a _Layer with an
-    empty fill memo.
+    numbers.  rows holds the r states whose rows are solved.  sink is
+    None, keeping the n columns, or a mask of successors that carry
+    equal vectors, the reset states: they become one last column, after
+    the k - 1 others, whose lower bound and room are the sums of theirs,
+    while the slack stays 1 - sum L over the full row.
+
+    Rows are numbered m = j * r + s over (cell, solved state), and all
+    three arrays are successor-major: lower[j2, t, m] is column t of row
+    s of gap index[j, j2], shape (nc2, k, nc * r); room is U - L in the
+    same order, flattened to (nc2 * k, nc * r); and slack[j2, 0, m] is
+    the row's slack.  They come as a _Layer with an empty fill memo; its
+    cols gathers the k columns from a next layer's (.., n) array, None
+    for all n or the kept states and then one sink state.
     """
-    g, n, _ = L.shape
+    g = len(L)
     nc, nc2 = index.shape
-    # Row t * g + k of a stack transposed to (t, g, s) is gap k's
+    L = L[:, rows]
+    slack = 1.0 - L.sum(axis=-1)
+    room = U[:, rows] - L
+    cols = None
+    if sink is not None:
+        keep = np.flatnonzero(~sink)
+        cols = np.append(keep, np.flatnonzero(sink)[0])
+        L, room = (
+            np.concatenate(
+                (a[..., keep], a[..., sink].sum(axis=-1, keepdims=True)),
+                axis=-1,
+            )
+            for a in (L, room)
+        )
+    k = L.shape[2]
+    # Row t * g + p of a stack transposed to (t, g, s) is gap p's
     # column t; take[j2, t, j] picks it for the pair (j, j2).
-    take = index.T[:, None, :] + g * np.arange(n)[:, None]
-    lower = L.transpose(2, 0, 1).reshape(n * g, n)[take]
-    room = (U - L).transpose(2, 0, 1).reshape(n * g, n)[take]
-    slack = (1.0 - L.sum(axis=-1))[index.T]
+    take = index.T[:, None, :] + g * np.arange(k)[:, None]
+    lower = L.transpose(2, 0, 1).reshape(k * g, -1)[take]
+    room = room.transpose(2, 0, 1).reshape(k * g, -1)[take]
+    m = nc * len(rows)
     return _Layer(
-        lower.reshape(nc2, n, nc * n),
-        room.reshape(nc2 * n, nc * n),
-        slack.reshape(nc2, 1, nc * n),
+        lower.reshape(nc2, k, m),
+        room.reshape(nc2 * k, m),
+        slack[index.T].reshape(nc2, 1, m),
+        rows,
+        cols,
     )
 
 
 def _q_values(layer, vb, maximize):
     """Inner-optimal expectations of next-layer vectors, for every row.
 
-    vb has shape (nc2, k, n): k vectors per next cell, the first of which
-    orders the successors.  Returns q of shape (nc2, k, m), where
-    q[j2, :, j * n + s] is the expectation of vb[j2] under the greedy
-    extreme point of row s of cell j towards next cell j2.
+    vb has shape (nc2, c, k): c vectors per next cell over the layer's k
+    columns, the first of which orders the successors.  Returns q of
+    shape (nc2, c, m), where q[j2, :, j * r + s] is the expectation of
+    vb[j2] under the greedy extreme point of solved row s of cell j
+    towards next cell j2.
 
     The fill is a function of the layer and the order alone, so when the
     order equals the memo's, the memo's fill is taken as it is;
     otherwise the fill is built and replaces the memo.
     """
-    nc2, _, n = vb.shape
+    nc2, c, k = vb.shape
     v = vb[:, 0]
     order = np.argsort(-v if maximize else v, axis=-1, kind="stable")
     memo = layer.memo
@@ -186,8 +236,8 @@ def _q_values(layer, vb, maximize):
         fill = memo[1]
         layer.reused += 1
     else:
-        rows = (order + n * np.arange(nc2)[:, None]).ravel()
-        gathered = layer.room[rows].reshape(nc2, n, -1)
+        rows = (order + k * np.arange(nc2)[:, None]).ravel()
+        gathered = layer.room[rows].reshape(nc2, k, -1)
         # Room poured before each successor, then the slack left for it.
         fill = np.cumsum(gathered, axis=1)
         fill -= gathered
@@ -196,7 +246,8 @@ def _q_values(layer, vb, maximize):
         fill.flags.writeable = False
         layer.memo = (order, fill)
         layer.built += 1
-    ordered = np.take_along_axis(vb, order[:, None, :], axis=2)
+    ordered = vb[np.arange(nc2)[:, None, None], np.arange(c)[:, None],
+                 order[:, None, :]]
     return vb @ layer.lower + ordered @ fill
 
 
@@ -205,53 +256,49 @@ def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
 
     values[i] has shape (n_cells_i, n_states); betas is the derivative
     of each value with respect to the injected initial value v0 under
-    the choices made during this pass.  The last layer takes the weights,
-    and its reset states take v0 with beta 1.
+    the choices made during this pass.  The last layer takes the weights.
+    Reset states take v0 with beta 1 and choice -1, without a greedy;
+    the anchor's states other than the initial one are not states of the
+    model and take nan, nan and -1.
     """
     n_layers = imdp.n_layers
     n = imdp.n_states
-    values = [None] * n_layers
-    betas = [None] * n_layers
+    reset_vb = np.array([[v0], [1.0]])
+    # vbs[i][j, 0] and vbs[i][j, 1] are the values and betas of cell j.
+    vbs = [None] * n_layers
     choices = [None] * (n_layers - 1)
-    w = np.asarray(weights, dtype=float)
-    values[-1] = np.tile(w, (imdp.n_cells(n_layers - 1), 1))
-    betas[-1] = np.zeros_like(values[-1])
-    reset = imdp.reset_masks[-1]
-    values[-1][:, reset] = v0
-    betas[-1][:, reset] = 1.0
+    vbs[-1] = np.empty((imdp.n_cells(n_layers - 1), 2, n))
+    vbs[-1][:, 0] = weights
+    vbs[-1][:, 1] = 0.0
+    vbs[-1][:, :, imdp.reset_masks[-1]] = reset_vb
     for i in range(n_layers - 2, -1, -1):
+        layer = layout[i]
         nc = imdp.n_cells(i)
-        nc2 = imdp.n_cells(i + 1)
-        vb = np.stack((values[i + 1], betas[i + 1]), axis=1)
+        nxt = vbs[i + 1][:1] if i == n_layers - 2 else vbs[i + 1]
+        vb = nxt if layer.cols is None else nxt[:, :, layer.cols]
+        q = _q_values(layer, vb, inner == "max")
+        rows = layer.rows
         if i == n_layers - 2:
             # One greedy per gap on the one vector pair of the last
-            # layer, gathered to (nc2, 2, nc, n) through the gap index.
-            q = _q_values(layout[i], vb[:1], inner == "max")
-            q = q.reshape(2, -1, n)[:, imdp.gap_index[i].T].swapaxes(0, 1)
+            # layer, gathered to (2, nc2, nc, r) through the gap index.
+            q = q.reshape(2, len(imdp.gap_lower[i]), len(rows))
+            q = q[:, imdp.gap_index[i].T]
         else:
-            q = _q_values(layout[i], vb, inner == "max")
-            q = q.reshape(nc2, 2, nc, n)
-        q_val, q_beta = q[:, 0], q[:, 1]
+            q = q.reshape(len(vb), 2, nc, len(rows)).swapaxes(0, 1)
         if fixed is not None:
-            choice = fixed.choices[i].copy()
-            # Reset rows carry -1; give them a valid gather index, their
-            # values are overwritten below anyway.
-            gather = np.maximum(choice, 0)
+            choice = fixed.choices[i][:, rows]
         elif outer == "max":
-            gather = choice = np.argmax(q_val, axis=0)
+            choice = np.argmax(q[0], axis=0)
         else:
-            gather = choice = np.argmin(q_val, axis=0)
-        take = gather[None]
-        val = np.take_along_axis(q_val, take, axis=0)[0]
-        beta = np.take_along_axis(q_beta, take, axis=0)[0]
-        reset = imdp.reset_masks[i]
-        val[:, reset] = v0
-        beta[:, reset] = 1.0
-        choice[:, reset] = -1
-        values[i] = val
-        betas[i] = beta
-        choices[i] = choice
-    return values, betas, choices
+            choice = np.argmin(q[0], axis=0)
+        cell, row = layer.pick
+        vb_i = np.full((nc, 2, n), np.nan) if i == 0 else np.empty((nc, 2, n))
+        vb_i[:, :, imdp.reset_masks[i]] = reset_vb
+        vb_i[:, :, rows] = q[:, choice, cell, row].swapaxes(0, 1)
+        vbs[i] = vb_i
+        choices[i] = np.full((nc, n), -1)
+        choices[i][:, rows] = choice
+    return [a[:, 0] for a in vbs], [a[:, 1] for a in vbs], choices
 
 
 def _solve(imdp, weights, outer, inner, tol, fixed=None, v0=0.0,
@@ -299,6 +346,11 @@ def robust_value_iteration(
     break to the lowest-indexed action.  v0 is the first guess of the
     reset value; layout is the model's prepared arrays, built when
     omitted.
+
+    values[i] is an (n_cells_i, n_states) array, and the scheduler's
+    choices are described at Scheduler.  Reset states hold the reset
+    fixpoint v0 and choice -1.  In the anchor layer only the initial
+    state is a state of the model; its other entries hold nan and -1.
     """
     values, sched, _ = _solve(imdp, weights, outer, inner, tol, v0=v0,
                               layout=layout)
@@ -375,7 +427,10 @@ def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
     to repair_consistency.
 
     info holds the direction, the three fixpoints, the sweeps of each
-    solve, and how many greedy fills the sweeps built and reused.
+    solve, and how many greedy fills the sweeps built and reused.  Per
+    layer, info["rows"] holds the rows solved against the dense
+    n_cells * n_states, and info["columns"] the successor columns against
+    n_states.
     """
     if direction not in ("max", "min"):
         raise ValueError("direction must be 'max' or 'min'")
@@ -423,5 +478,13 @@ def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
             "sweeps": tuple(sweeps),
             "fills_built": sum(layer.built for layer in layout),
             "fills_reused": sum(layer.reused for layer in layout),
+            "rows": tuple(
+                (imdp.n_cells(i) * len(layer.rows),
+                 imdp.n_cells(i) * imdp.n_states)
+                for i, layer in enumerate(layout)
+            ),
+            "columns": tuple(
+                (layer.lower.shape[1], imdp.n_states) for layer in layout
+            ),
         },
     )

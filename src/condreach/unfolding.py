@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ctmc import DEFAULT_TRANSIENT_TOL, uniformize
+from .ctmc import DEFAULT_TRANSIENT_TOL, _forward_step, uniformize
 
 # transient_matrix is not called here.  It stays a module attribute,
 # because bench/run.py's tracer wraps unfolding.transient_matrix.
@@ -37,14 +37,9 @@ _UNDEFINED = (
     "evidence has zero likelihood; the conditional weight is undefined"
 )
 
-# One power-series step on a block of columns, P @ X (for K @ block), and
-# on a row vector, x @ P (for x @ K).  ndarray.dot has less call overhead
-# than @ on small arrays.
+# One power-series step on a block of columns, P @ X (for K @ block);
+# ctmc._forward_step is the one on a row vector.
 _backward_step = np.ndarray.dot
-
-
-def _forward_step(P, x):
-    return x.dot(P)
 
 
 def _layers(ctmc, rho, eps):

@@ -89,8 +89,20 @@ def tandem1():
 
 
 @pytest.fixture(scope="session")
+def tandem2():
+    return parse_evidence(fixture_text("tandem2.evidence"))
+
+
+@pytest.fixture(scope="session")
 def tandem_weights(tandem):
     target = tandem.satisfying(parse_formula("second_full"))
+    return weight_from_property(tandem, target, 0.5)
+
+
+@pytest.fixture(scope="session")
+def tandem_phase2_weights(tandem):
+    # The weight `phase2@0.5`: second_full makes tandem2's answer exactly 1.
+    target = tandem.satisfying(parse_formula("phase2"))
     return weight_from_property(tandem, target, 0.5)
 
 

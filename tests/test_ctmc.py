@@ -405,6 +405,22 @@ def test_transient_rows_are_distributions(random_chain, seed, n, t):
     K = transient_matrix(chain, t)
     assert np.all(K >= -1e-12)
     np.testing.assert_allclose(K.sum(axis=1), 1.0, atol=1e-9)
+    # One row by the vector power sum is that row of the kernel.
+    for s in range(n):
+        np.testing.assert_allclose(transient(chain, s, t), K[s], rtol=0,
+                                   atol=1e-14)
+
+
+def test_transient_builds_no_kernel(monkeypatch, tandem):
+    want = transient_matrix(tandem, 2.75)[tandem.initial]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("transient built a kernel")
+
+    monkeypatch.setattr(condreach.ctmc, "transient_matrix", refuse)
+    monkeypatch.setattr(condreach.ctmc, "_uniformized_sum", refuse)
+    got = transient(tandem, tandem.initial, 2.75)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 @settings(max_examples=25, deadline=None)

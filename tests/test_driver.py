@@ -187,11 +187,14 @@ def test_full_mode_counts_every_splittable_cell(invent, invent1, invent_weights)
 
 
 # Per iteration (lower, upper, splits, IMDP states, actions, transitions)
-# of guided runs, recorded before the Poisson weights were batched and
-# the bound cache was called once per model.  A change that moves a bound
-# by more than 1e-12 relative, or a split or a size at all, shows here.
+# of refinement runs, keyed by (chain, evidence, weights, cap, mode).  The
+# guided runs were recorded before the Poisson weights were batched and
+# the bound cache was called once per model, the full-mode tandem2 run
+# before the solver lumped reset successors into one column.  A change
+# that moves a bound by more than 1e-12 relative, or a split or a size at
+# all, shows here.
 _GOLDEN_TRACES = {
-    ("invent", "invent1", "invent_weights", 12): [
+    ("invent", "invent1", "invent_weights", 12, "guided"): [
         (0.02516602433324143, 0.1321218895642676, 0, 11, 9, 17),
         (0.04224589151802469, 0.11558728629001724, 3, 20, 23, 51),
         (0.058850935806006074, 0.11232808603605017, 3, 29, 43, 103),
@@ -205,25 +208,41 @@ _GOLDEN_TRACES = {
         (0.07596600891858536, 0.09036987638489843, 3, 101, 419, 1167),
         (0.0759660089185854, 0.08958844693190249, 3, 110, 493, 1381),
     ],
-    ("tandem", "tandem1", "tandem_weights", 3): [
+    ("tandem", "tandem1", "tandem_weights", 3, "guided"): [
         (1.6423681627444543e-05, 0.2871074334060104, 0, 241, 227, 12722),
         (0.00011472577903939201, 0.18898181532715583, 2, 481, 662, 50404),
         (0.0004531253552820694, 0.12375819941120243, 3, 841, 1723, 150592),
     ],
+    ("tandem", "tandem2", "tandem_phase2_weights", 4, "full"): [
+        (0.09529602445027945, 0.9635967831538439, 0, 241, 239, 2262),
+        (0.09718533983857525, 0.6361371919418881, 2, 481, 510, 8364),
+        (0.10386984368784165, 0.3209980449005693, 4, 961, 1148, 32088),
+        (0.11449089396591731, 0.21177663168658248, 8, 1921, 2808, 125616),
+    ],
 }
+
+# Per golden case, a looser relative tolerance on its first rows.  The
+# outer bound of tandem2's coarse models sits near 1: the reset fixpoint
+# v0 = alpha / (1 - b) amplifies rounding by 1 / (1 - b), and summing
+# the reset successors as one column moved row 1's upper bound by
+# 3.5e-12 relative.  No padding covers that amplification yet.
+_LOOSE_ROWS = {"tandem2": (2, 1e-10)}
 
 
 @pytest.mark.parametrize("case", list(_GOLDEN_TRACES), ids=lambda c: c[1])
 def test_golden_trace(case, request):
-    chain, evidence, weights, cap = case
+    chain, evidence, weights, cap, mode = case
     trace = analyze(
         request.getfixturevalue(chain), request.getfixturevalue(evidence),
-        request.getfixturevalue(weights), AnalysisConfig(max_iters=cap),
+        request.getfixturevalue(weights),
+        AnalysisConfig(max_iters=cap, mode=mode),
     )
     golden = _GOLDEN_TRACES[case]
     assert len(trace.rows) == len(golden)
-    for row, (lower, upper, *counts) in zip(trace.rows, golden):
-        assert row.lower == pytest.approx(lower, rel=1e-12, abs=0)
-        assert row.upper == pytest.approx(upper, rel=1e-12, abs=0)
+    loose, loose_rel = _LOOSE_ROWS.get(evidence, (0, None))
+    for k, (row, (lower, upper, *counts)) in enumerate(zip(trace.rows, golden)):
+        rel = loose_rel if k < loose else 1e-12
+        assert row.lower == pytest.approx(lower, rel=rel, abs=0)
+        assert row.upper == pytest.approx(upper, rel=rel, abs=0)
         assert [row.splits, row.imdp_states, row.imdp_actions,
                 row.imdp_transitions] == counts, row.iteration

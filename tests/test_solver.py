@@ -236,6 +236,30 @@ def _separated(q_val, outer):
     return gap > 1e-12
 
 
+def _model_rows(imdp, i, a):
+    """Layer i of a sweep's (n_cells_i, n_states) array at the model's
+    states: the anchor layer holds one, the initial state."""
+    return a[:, [imdp.initial]] if i == 0 else a
+
+
+def _assert_sweep_matches(imdp, got, want, q_vals=None, outer=None,
+                          err_msg=""):
+    """Values and betas of two sweeps agree to 1e-12 at every model row,
+    and so do the choices wherever the best q-value is separated."""
+    for i in range(imdp.n_layers):
+        for a, b in zip(got[:2], want[:2]):
+            np.testing.assert_allclose(
+                _model_rows(imdp, i, a[i]), _model_rows(imdp, i, b[i]),
+                rtol=0, atol=1e-12, err_msg=err_msg,
+            )
+    for i, q_val in enumerate(q_vals or ()):
+        sure = _model_rows(imdp, i, _separated(q_val, outer))
+        np.testing.assert_array_equal(
+            _model_rows(imdp, i, got[2][i])[sure],
+            _model_rows(imdp, i, want[2][i])[sure], err_msg=err_msg,
+        )
+
+
 @pytest.mark.parametrize("outer", ["max", "min"])
 @pytest.mark.parametrize("inner", ["max", "min"])
 def test_batched_sweep_matches_row_greedy(imdp_cases, reference_sweep,
@@ -243,32 +267,14 @@ def test_batched_sweep_matches_row_greedy(imdp_cases, reference_sweep,
     v0 = 0.0375
     for name, (imdp, weights) in imdp_cases.items():
         layout = _prepare(imdp)
-        values, betas, choices = _sweep(imdp, layout, weights, v0, outer,
-                                        inner)
-        ref_vals, ref_betas, ref_choices, q_vals = reference_sweep(
-            imdp, weights, v0, outer, inner
-        )
-        for i in range(imdp.n_layers):
-            np.testing.assert_allclose(values[i], ref_vals[i], rtol=0,
-                                       atol=1e-12, err_msg=name)
-            np.testing.assert_allclose(betas[i], ref_betas[i], rtol=0,
-                                       atol=1e-12, err_msg=name)
-        for i, q_val in enumerate(q_vals):
-            sure = _separated(q_val, outer)
-            np.testing.assert_array_equal(
-                choices[i][sure], ref_choices[i][sure], err_msg=name
-            )
+        got = _sweep(imdp, layout, weights, v0, outer, inner)
+        *want, q_vals = reference_sweep(imdp, weights, v0, outer, inner)
+        _assert_sweep_matches(imdp, got, want, q_vals, outer, name)
         # Under one fixed scheduler both passes follow the same actions.
-        fixed = Scheduler(tuple(choices))
-        values, betas, _ = _sweep(imdp, layout, weights, v0, None, inner,
-                                  fixed)
-        ref_vals, ref_betas, _, _ = reference_sweep(imdp, weights, v0, None,
-                                                    inner, fixed)
-        for i in range(imdp.n_layers):
-            np.testing.assert_allclose(values[i], ref_vals[i], rtol=0,
-                                       atol=1e-12, err_msg=name)
-            np.testing.assert_allclose(betas[i], ref_betas[i], rtol=0,
-                                       atol=1e-12, err_msg=name)
+        fixed = Scheduler(tuple(got[2]))
+        got = _sweep(imdp, layout, weights, v0, None, inner, fixed)
+        *want, _ = reference_sweep(imdp, weights, v0, None, inner, fixed)
+        _assert_sweep_matches(imdp, got, want, err_msg=name)
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,7 +306,8 @@ def test_q_values_match_greedy_on_tied_values(seed, nc, nc2, n, maximize):
     )
     # One gap per cell pair: the rows of a layer before the last.
     index = np.arange(nc * nc2).reshape(nc, nc2)
-    layer = _rows(lower.reshape(-1, n, n), upper.reshape(-1, n, n), index)
+    layer = _rows(lower.reshape(-1, n, n), upper.reshape(-1, n, n), index,
+                  np.arange(n))
     q = _q_values(layer, vb, maximize).reshape(nc2, 2, nc, n)
     for j in range(nc):
         for j2 in range(nc2):
@@ -311,12 +318,13 @@ def test_q_values_match_greedy_on_tied_values(seed, nc, nc2, n, maximize):
                                            rtol=0, atol=1e-12)
 
 
-def _random_gap_imdp(rng, n, counts):
+def _random_gap_imdp(rng, n, counts, reset_p=0.2):
     """Random interval MDP whose cell pairs share gaps at random.
 
     Each layer draws between one gap and one gap per cell pair, with
     feasible rows around a random distribution (some entries zero, some
-    point intervals), and a random gap index over them.
+    point intervals), and a random gap index over them.  Each state of
+    each layer resets with probability reset_p.
     """
     layers = tuple(
         np.repeat(10.0 * i + np.arange(c), 2).reshape(c, 2)
@@ -341,10 +349,31 @@ def _random_gap_imdp(rng, n, counts):
         gap_lower=tuple(lower),
         gap_upper=tuple(upper),
         gap_index=tuple(index),
-        reset_masks=tuple(rng.random(n) < 0.2 for _ in layers),
+        reset_masks=tuple(rng.random(n) < reset_p for _ in layers),
         initial=0,
         n_states=n,
     )
+
+
+def _check_random_sweep(reference_sweep, rng, imdp, tied, outer, inner):
+    """Check a free and a fixed-scheduler sweep of imdp against the dense
+    reference, with weights tied at three levels or not; returns the
+    layout."""
+    n = imdp.n_states
+    if tied:
+        weights = rng.integers(0, 3, n) / 2.0
+    else:
+        weights = rng.uniform(0.0, 1.0, n)
+    v0 = 0.3
+    layout = _prepare(imdp)
+    got = _sweep(imdp, layout, weights, v0, outer, inner)
+    *want, q_vals = reference_sweep(imdp, weights, v0, outer, inner)
+    _assert_sweep_matches(imdp, got, want, q_vals, outer)
+    fixed = Scheduler(tuple(got[2]))
+    got = _sweep(imdp, layout, weights, v0, None, inner, fixed)
+    *want, _ = reference_sweep(imdp, weights, v0, None, inner, fixed)
+    _assert_sweep_matches(imdp, got, want)
+    return layout
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,29 +393,38 @@ def test_sweep_by_gap_matches_dense_reference(reference_sweep, seed, n, cells,
     # tied (three levels) or not.
     rng = np.random.default_rng(seed)
     imdp = _random_gap_imdp(rng, n, [1, *cells])
-    if tied:
-        weights = rng.integers(0, 3, n) / 2.0
-    else:
-        weights = rng.uniform(0.0, 1.0, n)
-    v0 = 0.3
-    layout = _prepare(imdp)
-    values, betas, choices = _sweep(imdp, layout, weights, v0, outer, inner)
-    ref_vals, ref_betas, ref_choices, q_vals = reference_sweep(
-        imdp, weights, v0, outer, inner
-    )
-    for i in range(imdp.n_layers):
-        np.testing.assert_allclose(values[i], ref_vals[i], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(betas[i], ref_betas[i], rtol=0, atol=1e-12)
-    for i, q_val in enumerate(q_vals):
-        sure = _separated(q_val, outer)
-        np.testing.assert_array_equal(choices[i][sure], ref_choices[i][sure])
-    fixed = Scheduler(tuple(choices))
-    values, betas, _ = _sweep(imdp, layout, weights, v0, None, inner, fixed)
-    ref_vals, ref_betas, _, _ = reference_sweep(imdp, weights, v0, None, inner,
-                                                fixed)
-    for i in range(imdp.n_layers):
-        np.testing.assert_allclose(values[i], ref_vals[i], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(betas[i], ref_betas[i], rtol=0, atol=1e-12)
+    _check_random_sweep(reference_sweep, rng, imdp, tied, outer, inner)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 6),
+    cells=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    reset_p=st.floats(0.5, 1.0),
+    tied=st.booleans(),
+    outer=st.sampled_from(["max", "min"]),
+    inner=st.sampled_from(["max", "min"]),
+)
+# Steps into 0, 3 (all but one) and 1 reset successors of 4; then into
+# 5 (all but one), 6 (all) and 2 of 6.
+@example(seed=394, n=4, cells=[2, 2, 1], reset_p=0.5, tied=False,
+         outer="max", inner="min")
+@example(seed=15, n=6, cells=[2, 1, 2], reset_p=0.7, tied=True, outer="min",
+         inner="max")
+def test_sweep_with_dense_resets_matches_dense_reference(
+    reference_sweep, seed, n, cells, reset_p, tied, outer, inner
+):
+    # Most states reset, so steps lump two or more reset successors into
+    # one sink column, or keep their columns with fewer; the sweep still
+    # equals the dense per-row reference at every model row.
+    rng = np.random.default_rng(seed)
+    imdp = _random_gap_imdp(rng, n, [1, *cells], reset_p)
+    layout = _check_random_sweep(reference_sweep, rng, imdp, tied, outer,
+                                 inner)
+    for layer, reset in zip(layout, imdp.reset_masks[1:]):
+        k = n if reset.sum() < 2 else n - reset.sum() + 1
+        assert layer.lower.shape[1] == k
 
 
 @settings(max_examples=80, deadline=None)
@@ -403,11 +441,11 @@ def test_fill_memo_matches_fresh_layer(seed, n, nc, nc2, maximize):
     rng = np.random.default_rng(seed)
     imdp = _random_gap_imdp(rng, n, [nc, nc2])
     L, U, index = imdp.gap_lower[0], imdp.gap_upper[0], imdp.gap_index[0]
-    layer = _rows(L, U, index)
+    layer = _rows(L, U, index, np.arange(n))
 
     def check(vb, maximize):
         got = _q_values(layer, vb, maximize)
-        want = _q_values(_rows(L, U, index), vb, maximize)
+        want = _q_values(_rows(L, U, index, np.arange(n)), vb, maximize)
         assert np.array_equal(got, want)
 
     vb = rng.uniform(0.0, 1.0, (nc2, 2, n))
@@ -451,6 +489,24 @@ def test_fill_counters_count_every_greedy(monkeypatch, imdp_cases):
     assert info["fills_built"] + info["fills_reused"] == len(calls)
     assert len(info["sweeps"]) == 3 and min(info["sweeps"]) >= 2
     assert sum(info["sweeps"]) * (imdp.n_layers - 1) == len(calls)
+
+
+def test_info_counts_solved_rows_and_columns(imdp_cases):
+    # tandem1's anchor layer solves its one state, the initial one, and
+    # every layer solves only its non-reset rows, towards the next
+    # layer's non-reset states and one reset sink.
+    imdp, weights = imdp_cases["tandem1-refined1"]
+    info = compute_bounds(imdp, weights).info
+    n = imdp.n_states
+    assert info["rows"][0] == (1, n)
+    for i in range(1, imdp.n_layers - 1):
+        live = n - int(imdp.reset_masks[i].sum())
+        nc = imdp.n_cells(i)
+        assert info["rows"][i] == (nc * live, nc * n)
+    for i, (kept, dense) in enumerate(info["columns"]):
+        resets = int(imdp.reset_masks[i + 1].sum())
+        assert resets >= 2 and dense == n
+        assert kept == n - resets + 1
 
 
 def _reference_repair(imdp, sched, active):
