@@ -55,11 +55,24 @@ class AbstractionError(ArithmeticError):
 
 
 class _KeyedStacks:
-    """Stacks of arrays keyed by a float, with the keys kept sorted."""
+    """Stacks of arrays keyed by a float.
+
+    The values are appended to buffers, in the order they are computed,
+    and a buffer that fills is replaced by one of twice the size, so a
+    stored value is copied O(1) times on average.  keys is kept sorted,
+    and rows maps keys[i] to its row in the buffers.
+    """
 
     def __init__(self):
         self.keys = np.empty(0)
-        self.values = ()
+        self.rows = np.empty(0, dtype=np.intp)
+        self.buffers = ()
+        self.size = 0
+
+    @property
+    def values(self):
+        """Copies of the stored stacks in key order."""
+        return tuple(buf[self.rows] for buf in self.buffers)
 
     def get(self, queries, compute):
         """The stacked values of every query, in query order.
@@ -74,17 +87,28 @@ class _KeyedStacks:
         stored[stored] = self.keys[pos[stored]] == uniq[stored]
         if not stored.all():
             new, at = uniq[~stored], pos[~stored]
-            fresh = compute(new)
-            if self.values:
-                fresh = tuple(
-                    np.insert(old, at, part, axis=0)
-                    for old, part in zip(self.values, fresh)
-                )
+            rows = self._append(compute(new))
             self.keys = np.insert(self.keys, at, new)
-            self.values = fresh
+            self.rows = np.insert(self.rows, at, rows)
             pos = np.searchsorted(self.keys, uniq)
-        take = pos[inverse.reshape(-1)]
-        return tuple(v[take] for v in self.values)
+        take = self.rows[pos[inverse.reshape(-1)]]
+        return tuple(buf[take] for buf in self.buffers)
+
+    def _append(self, fresh):
+        """Append the stacks fresh to the buffers; returns their rows."""
+        start, end = self.size, self.size + len(fresh[0])
+        if not self.buffers or end > len(self.buffers[0]):
+            grown = tuple(
+                np.empty((max(end, 2 * start), *part.shape[1:]), part.dtype)
+                for part in fresh
+            )
+            for buf, old in zip(grown, self.buffers):
+                buf[:start] = old[:start]
+            self.buffers = grown
+        for buf, part in zip(self.buffers, fresh):
+            buf[start:end] = part
+        self.size = end
+        return np.arange(start, end)
 
 
 class TransientBoundCache:
@@ -94,14 +118,15 @@ class TransientBoundCache:
     transient kernel K(g_min) and, for the spread g_max - g_min, the reach
     matrix R and the invariance vector inv.  Upper is K @ R and lower is
     K * inv.  The kernels are kept by gap minimum and the (R, inv) pairs
-    by spread, per tolerance, in sorted key arrays; finished (lower,
-    upper) pairs are not kept, since assembling them is one batched
-    product, made in place in the freshly gathered kernels.  A batch of
-    gaps computes its missing kernels in one transient_matrix call and its
-    missing spreads in one reach_matrix call, so gaps that share a minimum
-    or a spread share that part.  Cell endpoint arithmetic is exact on
-    representable binary fractions, so evidences with uniform window
-    spacing hit the cache across layers.
+    by spread, per tolerance, in append-only buffers indexed by sorted
+    keys (_KeyedStacks); finished (lower, upper) pairs are not kept,
+    since assembling them is one batched product, made in place in the
+    freshly gathered kernels.  A batch of gaps computes its missing
+    kernels in one transient_matrix call and its missing spreads in one
+    reach_matrix call, so gaps that share a minimum or a spread share that
+    part.  Cell endpoint arithmetic is exact on representable binary
+    fractions, so evidences with uniform window spacing hit the cache
+    across layers.
 
     The parts are keyed by time and tolerance only, so a cache serves the
     one chain object it first served and refuses any other.

@@ -4,7 +4,10 @@ A chain is stored as a jump distribution plus per-state exit rates; the
 rate matrix R(s, s') = jump_probs[s, s'] * exit_rates[s] is derived on
 demand.  Transient distributions are computed by uniformization with
 Poisson truncation, which keeps every intermediate vector a proper
-distribution (no negative entries).
+distribution (no negative entries).  Vectors and blocks are stepped
+through their power series one product at a time; a transient kernel is
+its truncated series evaluated as one polynomial in the uniformized jump
+matrix, in about 2 sqrt(cut) matrix products.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ DEFAULT_TRANSIENT_TOL = 1e-10
 # the uniformized jump matrix keeps a strictly positive diagonal.
 _RATE_INFLATION = 1.0 + 1e-6
 
-# Largest Poisson mean lam * t that uniformization accepts.  Its cost is
-# about lam * t matrix products, so a larger mean means a chain too stiff
-# for the time asked; the bundled models stay below about 250.
+# Largest Poisson mean lam * t that uniformization accepts.  The power loop
+# takes about lam * t steps (a kernel about 2 sqrt(lam * t) products, with
+# sqrt(lam * t) powers held), so a larger mean means a chain too stiff for
+# the time asked; the bundled models stay below about 250.
 MAX_POISSON_MEAN = 1e5
 
 
@@ -348,9 +352,10 @@ class Uniformization:
     The weight rows are held longest cut first, and row rank[i] is time
     i's: it holds pois(k; lam * times[i]) for k < cuts[rank[i]]
     (_poisson_table), entries after them are padding, and tails[rank[i]]
-    is the mass it drops.  Built by :func:`uniformize`; kernels start its
-    power sum from the identity for all times at once, the exact
-    conditional analysis from a vector or block for one time.
+    is the mass it drops.  Built by :func:`uniformize`.  Transient kernels
+    evaluate each time's truncated series as a polynomial in P (kernels);
+    reach matrices, reachability vectors and the exact conditional
+    analysis step a start through the series (power_sum).
     """
 
     P: object
@@ -363,8 +368,10 @@ class Uniformization:
         """sum_k pois(k; lam * t) X_k with X_0 = start and X_{k+1} =
         step(P, X_k), for every time t, or for the time of index `time`.
 
-        The one power loop of the package.  The powers are stepped up to
-        the longest cut among the times, and each time adds its own
+        The package's power loop, for a step that is not a product with
+        P alone (the absorbing step of reach matrices) or a start smaller
+        than n x n (vectors and column blocks).  The powers are stepped
+        up to the longest cut among the times, and each time adds its own
         weights in order, so its result is bit-identical to a run of its
         own.  A time's truncated tail is put on its own last X_k, at the
         step where its cut ends, so stochastic X_k stay within eps of
@@ -399,6 +406,64 @@ class Uniformization:
             acc[done:live] += tails[done:live] * X
             live, k = done, end
         return acc[0] if time is not None else acc[self.rank]
+
+    def kernels(self, n):
+        """The transient kernels sum_k pois(k; lam * t) P^k of every time
+        t, as an (m, n, n) stack in time order.
+
+        A time of cut c has the polynomial sum_{k < c} a_k P^k, whose
+        coefficients are its weights with its tail added to a_{c - 1}.
+        It is evaluated in about 2 sqrt(c) products (Paterson & Stockmeyer,
+        SIAM J. Comput. 1973): with s = ceil(sqrt(c)) and b = ceil(c / s),
+        block j is B_j = sum_{i < s} a_{js + i} P^i, and Horner's rule in
+        P^s adds the blocks, A <- A @ P^s + B_j, from the last one down.
+        The powers P^0 .. P^s are stepped once for the batch, as the power
+        loop steps them.  Times of equal (s, b) share stacked matmuls,
+        which make one BLAS call per kernel, and s and b depend on the
+        time's own cut only, so every kernel is bit-identical to a call of
+        its own.  All coefficients and matrices are nonnegative, so no
+        step cancels, and each entry's rounding error stays relative.
+        """
+        m = len(self.cuts)
+        out = np.empty((m, n, n))
+        if not m:
+            return out
+        cuts = np.array(self.cuts)
+        # (s, b) rises with the cut in lexicographic order, and the rows
+        # are held by cut, so times of equal (s, b) are runs of rows.
+        s = [math.isqrt(c - 1) + 1 for c in self.cuts]
+        b = [-(-c // k) for c, k in zip(self.cuts, s)]
+        width = max(k * j for k, j in zip(s, b))
+        top = max(k if j > 1 else k - 1 for k, j in zip(s, b))
+        # The coefficients: each row's weights up to its cut, its tail on
+        # the last, zeros after it to fill its last block (width is at
+        # least the longest cut, the table's width).
+        coef = np.zeros((m, width))
+        coef[:, : self.weights.shape[1]] = self.weights
+        coef[np.arange(width) >= cuts[:, None]] = 0.0
+        coef[np.arange(m), cuts - 1] += self.tails
+        # P^0 .. P^top; P^1 is P itself, the rest are stepped by P.
+        powers = np.empty((top + 1, n, n))
+        powers[0] = np.eye(n)
+        if top:
+            powers[1] = self.P
+        for i in range(2, top + 1):
+            np.matmul(powers[i - 1], self.P, out=powers[i])
+        flat = powers.reshape(top + 1, n * n)
+        times = np.argsort(self.rank)
+        at = 0
+        for (k, j), run in itertools.groupby(zip(s, b)):
+            end = at + len(list(run))
+            # blocks[:, i] holds block i of every row, each a (1, s) row,
+            # so a block is a stacked product of one row per kernel.
+            blocks = coef[at:end, : k * j].reshape(end - at, j, 1, k)
+            A = np.matmul(blocks[:, j - 1], flat[:k]).reshape(-1, n, n)
+            for i in range(j - 2, -1, -1):
+                A = A @ powers[k]
+                A += np.matmul(blocks[:, i], flat[:k]).reshape(-1, n, n)
+            out[times[at:end]] = A
+            at = end
+        return out
 
 
 def uniformize(ctmc, times, eps=DEFAULT_TRANSIENT_TOL):
@@ -436,30 +501,27 @@ def uniformize(ctmc, times, eps=DEFAULT_TRANSIENT_TOL):
     )
 
 
-def _uniformized_sum(ctmc, times, eps, step):
-    """sum_k pois(k; lam*t) X_k for every t in times, with X_0 = I and
-    X_{k+1} = step(P, X_k): the kernel form of the power sum, one power
-    sequence for the whole batch, each kernel bit-identical to a separate
-    call.  Returns an array of shape times.shape + (n, n).
-    """
-    n = ctmc.n_states
-    acc = uniformize(ctmc, times, eps).power_sum(np.eye(n), step)
-    return acc.reshape(*np.shape(times), n, n)
-
-
 def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):
     """Full transient kernel K with K[s, s'] = Pr_s(t)(s').
 
-    Uniformization: K = sum_k pois(k; lam*t) P^k.  An array of times gives
-    a stack of kernels, all from one power sequence.
+    Uniformization: K = sum_k pois(k; lam*t) P^k, evaluated as a
+    polynomial in P (Uniformization.kernels).  An array of times gives a
+    stack of kernels from one set of powers, each bit-identical to a call
+    of its own.
     """
-    return _uniformized_sum(ctmc, t, eps, lambda P, X: X @ P)
+    n = ctmc.n_states
+    K = uniformize(ctmc, t, eps).kernels(n)
+    return K.reshape(*np.shape(t), n, n)
 
 
 def _forward_step(P, x):
     """One power-series step on a row vector, x @ P (for x @ K);
     ndarray.dot has less call overhead than @ on small arrays."""
     return x.dot(P)
+
+
+# One power-series step on a column vector or block, P @ X (for K @ X).
+_backward_step = np.ndarray.dot
 
 
 def transient(ctmc, source, t, eps=DEFAULT_TRANSIENT_TOL):
@@ -481,11 +543,14 @@ def reach_matrix(ctmc, duration, eps=DEFAULT_TRANSIENT_TOL):
     `duration` starting from s.  A single uniformization pass serves all
     target columns: the chains with target s' made absorbing differ from
     the base chain only in row s', so their matrix powers are obtained by
-    forcing the diagonal back to 1 after each multiplication.  An array of
-    durations gives a stack of matrices from one power sequence.
+    forcing the diagonal back to 1 after each multiplication.  Such a step
+    is not a product with one matrix, so the powers are stepped through
+    the power loop from the identity.  An array of durations gives a stack
+    of matrices from one power sequence.
     """
-    acc = _uniformized_sum(ctmc, duration, eps, _absorbing_step)
-    return np.clip(acc, 0.0, 1.0)
+    n = ctmc.n_states
+    acc = uniformize(ctmc, duration, eps).power_sum(np.eye(n), _absorbing_step)
+    return np.clip(acc.reshape(*np.shape(duration), n, n), 0.0, 1.0)
 
 
 def _absorbing_step(P, X):
@@ -496,12 +561,14 @@ def _absorbing_step(P, X):
 
 
 def _reach_vector(ctmc, target_mask, duration, eps):
-    """P(reach target within duration) from every state, target absorbing."""
+    """P(reach target within duration) from every state, target absorbing:
+    the power sum of the target's indicator column."""
     if not np.any(target_mask):
         return np.zeros(ctmc.n_states)
     absorbed = ctmc.absorbing_variant(target_mask)
-    K = transient_matrix(absorbed, duration, eps)
-    return K[:, target_mask].sum(axis=1)
+    return uniformize(absorbed, duration, eps).power_sum(
+        target_mask.astype(float), _backward_step, 0
+    )
 
 
 def bounded_reachability_vector(ctmc, target_mask, window, eps=DEFAULT_TRANSIENT_TOL):
@@ -521,7 +588,7 @@ def bounded_reachability_vector(ctmc, target_mask, window, eps=DEFAULT_TRANSIENT
     reach = _reach_vector(ctmc, target_mask, b - a, eps)
     if a == 0.0:
         return reach
-    return transient_matrix(ctmc, a, eps) @ reach
+    return uniformize(ctmc, a, eps).power_sum(reach, _backward_step, 0)
 
 
 def bounded_reachability(ctmc, source, target_mask, window, eps=DEFAULT_TRANSIENT_TOL):

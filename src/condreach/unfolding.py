@@ -17,7 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ctmc import DEFAULT_TRANSIENT_TOL, _forward_step, uniformize
+from .ctmc import (
+    DEFAULT_TRANSIENT_TOL,
+    _backward_step,
+    _forward_step,
+    uniformize,
+)
 
 # transient_matrix is not called here.  It stays a module attribute,
 # because bench/run.py's tracer wraps unfolding.transient_matrix.
@@ -36,10 +41,6 @@ ZERO_LIKELIHOOD = 1e-12
 _UNDEFINED = (
     "evidence has zero likelihood; the conditional weight is undefined"
 )
-
-# One power-series step on a block of columns, P @ X (for K @ block);
-# ctmc._forward_step is the one on a row vector.
-_backward_step = np.ndarray.dot
 
 
 def _layers(ctmc, rho, eps):

@@ -154,7 +154,10 @@ def per_time_uniformization():
     Steps its own power sequence for each time and adds the weights in
     order, with the truncated tail on the last power; kind "transient"
     gives the kernel, "reach" the all-pairs reach matrix.  The package's
-    batched core must reproduce it bit for bit.
+    reach matrices, which step the same sequence, must reproduce it bit
+    for bit.  Its kernels, which the package evaluates as polynomials,
+    must agree with it within the a-priori rounding bound of sums of
+    nonnegative terms (test_ctmc._kernel_tolerance).
     """
     from condreach.ctmc import _RATE_INFLATION
 

@@ -5,6 +5,7 @@ from condreach.abstraction import (
     AbstractionError,
     IntervalMdp,
     TransientBoundCache,
+    _KeyedStacks,
     abstract,
     reachable_states,
     restrict_reachable,
@@ -237,6 +238,31 @@ def test_in_place_assembly_keeps_the_cache_intact(tandem):
         np.testing.assert_array_equal(store.keys[at], keys)
         for old, now in zip(values, store.values):
             np.testing.assert_array_equal(now[at], old)
+
+
+def test_keyed_stacks_compute_each_key_once():
+    # Batches of overlapping keys in any order: each get returns fresh
+    # copies of its queries' values in query order and computes only the
+    # keys not stored yet, while the buffers grow and the keys stay sorted.
+    store = _KeyedStacks()
+    computed = []
+
+    def compute(keys):
+        assert np.all(np.diff(keys) > 0)
+        computed.extend(keys.tolist())
+        return np.stack((keys, 2 * keys), axis=1), -keys
+
+    rng = np.random.default_rng(7)
+    for size in (1, 5, 3, 17, 2, 40, 9, 60):
+        queries = rng.choice(np.arange(60.0) / 4, size)
+        pairs, negs = store.get(queries, compute)
+        np.testing.assert_array_equal(pairs,
+                                      np.stack((queries, 2 * queries), 1))
+        np.testing.assert_array_equal(negs, -queries)
+        pairs[:] = negs[:] = np.nan
+    assert sorted(computed) == sorted(set(computed)) == store.keys.tolist()
+    assert store.size == len(computed) <= len(store.buffers[0])
+    np.testing.assert_array_equal(store.values[1], -store.keys)
 
 
 @pytest.fixture()

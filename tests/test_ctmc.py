@@ -14,6 +14,7 @@ from scipy.stats import poisson
 
 import condreach
 from condreach.ctmc import (
+    _RATE_INFLATION,
     MAX_POISSON_MEAN,
     Ctmc,
     ModelError,
@@ -113,16 +114,88 @@ def test_transient_rejects_negative(invent):
         transient_matrix(invent, np.array([0.5, -0.1]))
 
 
-def _assert_batch_matches_per_time(ctmc, times, oracle, eps=1e-10):
+# Unit roundoff and the smallest subnormal of float64.
+_U = np.finfo(float).eps / 2
+_TINY = np.finfo(float).smallest_subnormal
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u): a quantity rounded k times along its
+    path lies within relative gamma_k of its exact value."""
+    return k * _U / (1 - k * _U)
+
+
+def _kernel_tolerance(cut, n):
+    """A-priori bound on |polynomial kernel - sequential oracle| for a
+    time of Poisson cut `cut` on n states, as (relative, absolute) parts.
+
+    Every term is nonnegative, so a sum of terms each rounded at most k
+    times along its path lies within gamma_k of the exact sum, whatever
+    the order (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3); an n-term product of entries within gamma_a and gamma_b lies
+    within gamma_{a + b + n}.  Counted against the exact polynomial E in
+    the same float P and weights:
+
+    - the oracle steps X_k = X_{k-1} @ P, within gamma_{kn}, and adds the
+      cut weighted terms and the tail left to right, each one product:
+      depth (cut - 1) n + cut + 1;
+    - the polynomial, with s = ceil(sqrt(cut)) and b = ceil(cut / s),
+      steps P^i within gamma_{in}, rounds a_{cut - 1} = w + tail once,
+      forms a block as an s-term product of coefficients and powers,
+      depth (s - 1) n + s + 1, and each Horner step adds an n-term
+      product with P^s (depth sn) and a block: sn + n + 1 more.
+
+    E is at most the oracle's entry over 1 - gamma of its depth.  An
+    operation whose result is subnormal may add up to one subnormal
+    spacing of absolute error to an entry; the stochastic matrices carry
+    a row's absolute error with their row sums, about 1, so each row
+    stays within depth * n spacings, doubled for the rounding of those
+    row sums.
+    """
+    s = math.isqrt(cut - 1) + 1
+    b = -(-cut // s)
+    seq = (cut - 1) * n + cut + 1
+    poly = (s - 1) * n + s + 1 + (b - 1) * (s * n + n + 1)
+    rel = (_gamma(poly) + _gamma(seq)) / (1 - _gamma(seq))
+    return rel, 2 * (poly + seq) * n * _TINY
+
+
+def _assert_kernels_match_oracle(ctmc, times, oracle, poisson_oracle, eps):
+    """The kernels of a batch are nonnegative, each is bit-identical to
+    its call alone and to its entry in a permuted batch and in a
+    sub-batch, and each lies within _kernel_tolerance of the sequential
+    per-time oracle."""
     times = np.asarray(times, dtype=float)
+    n = ctmc.n_states
     K = transient_matrix(ctmc, times, eps)
+    assert K.shape == (len(times), n, n)
+    assert np.all(K >= 0.0)
+    order = np.arange(len(times))
+    for part in (np.roll(order[::-1], 1), order[::2], order[1::3]):
+        np.testing.assert_array_equal(
+            transient_matrix(ctmc, times[part], eps), K[part]
+        )
+    lam = float(np.max(ctmc.exit_rates)) * _RATE_INFLATION
+    for t, k in zip(times, K):
+        np.testing.assert_array_equal(transient_matrix(ctmc, t, eps), k,
+                                      err_msg=t)
+        rel, tiny = _kernel_tolerance(len(poisson_oracle(lam * t, eps)), n)
+        want = oracle(ctmc, t, eps)
+        assert np.all(np.abs(k - want) <= rel * want + tiny), t
+
+
+def _assert_batch_matches_per_time(ctmc, times, oracle, poisson_oracle,
+                                   eps=1e-10):
+    """Reach matrices equal the per-time oracle bit for bit; kernels pass
+    _assert_kernels_match_oracle."""
+    times = np.asarray(times, dtype=float)
     R = reach_matrix(ctmc, times, eps)
-    assert K.shape == R.shape == (len(times), ctmc.n_states, ctmc.n_states)
-    for t, k, r in zip(times, K, R):
-        np.testing.assert_array_equal(k, oracle(ctmc, t, eps), err_msg=t)
+    assert R.shape == (len(times), ctmc.n_states, ctmc.n_states)
+    for t, r in zip(times, R):
         np.testing.assert_array_equal(
             r, oracle(ctmc, t, eps, kind="reach"), err_msg=t
         )
+    _assert_kernels_match_oracle(ctmc, times, oracle, poisson_oracle, eps)
 
 
 # Times with 0, repeats, and Poisson cuts from 1 term to a few hundred.
@@ -130,9 +203,11 @@ _BATCH_TIMES = [0.0, 1.0, 1e-9, 0.25, 1.0, 6.0, 0.0, 0.1, 2.0, 6.0, 3e-4]
 
 
 @pytest.mark.parametrize("model", ["invent.ctmc", "tandem.ctmc"])
-def test_batched_core_matches_per_time_loop(model, per_time_uniformization):
+def test_batched_core_matches_per_time_loop(model, per_time_uniformization,
+                                            poisson_oracle):
     ctmc = parse_ctmc(fixture_text(model))
-    _assert_batch_matches_per_time(ctmc, _BATCH_TIMES, per_time_uniformization)
+    _assert_batch_matches_per_time(ctmc, _BATCH_TIMES, per_time_uniformization,
+                                   poisson_oracle)
     # A scalar time gives one matrix, equal to its batch entry.
     np.testing.assert_array_equal(
         transient_matrix(ctmc, 0.25), transient_matrix(ctmc, [0.25])[0]
@@ -140,6 +215,45 @@ def test_batched_core_matches_per_time_loop(model, per_time_uniformization):
     assert transient_matrix(ctmc, np.empty(0)).shape == (
         0, ctmc.n_states, ctmc.n_states
     )
+
+
+def _time_with_cut(ctmc, cut, eps):
+    """A time whose Poisson cut on ctmc is `cut`: the middle one of a fine
+    grid of times that have it."""
+    lam = float(np.max(ctmc.exit_rates)) * _RATE_INFLATION
+    means = np.geomspace(1e-12, 100.0, 20000)
+    hit = np.flatnonzero(_poisson_table(means, eps)[1] == cut)
+    assert len(hit), cut
+    return float(means[hit[len(hit) // 2]] / lam)
+
+
+# Cuts whose polynomial has one block (2), a square number of terms (4,
+# 9, 16), full last blocks (6 = 3 * 2, 12 = 4 * 3) and a last block of
+# one coefficient (3 = 2 + 1, 7 = 3 * 2 + 1, 13 = 4 * 3 + 1).
+_EDGE_CUTS = (2, 3, 4, 6, 7, 9, 12, 13, 16)
+
+
+@pytest.mark.parametrize("model", ["invent.ctmc", "tandem.ctmc"])
+def test_kernel_edge_cuts_match_per_time_loop(model, per_time_uniformization,
+                                              poisson_oracle):
+    ctmc = parse_ctmc(fixture_text(model))
+    eps = 1e-10
+    lam = float(np.max(ctmc.exit_rates)) * _RATE_INFLATION
+    # t = 0 has cut 1 beside the positive times; two times repeat.
+    times = [0.0] + [_time_with_cut(ctmc, c, eps) for c in _EDGE_CUTS]
+    cuts = [len(poisson_oracle(lam * t, eps)) for t in times]
+    assert cuts == [1, *_EDGE_CUTS]
+    _assert_kernels_match_oracle(ctmc, times + times[3:5],
+                                 per_time_uniformization, poisson_oracle, eps)
+
+
+def test_kernels_without_a_step():
+    # lam = 0: every kernel is the identity, at any time, in any batch.
+    frozen = from_rates(["a", "b", "c"], "a", {}, {})
+    K = transient_matrix(frozen, [0.0, 1.0, 5.0, 1e9])
+    np.testing.assert_array_equal(K, np.broadcast_to(np.eye(3), (4, 3, 3)))
+    assert transient_matrix(frozen, np.empty(0)).shape == (0, 3, 3)
+    assert transient_matrix(frozen, np.empty((0, 2))).shape == (0, 2, 3, 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,10 +267,11 @@ def test_batched_core_matches_per_time_loop(model, per_time_uniformization):
     eps=st.sampled_from([1e-6, 1e-10, 1e-12]),
 )
 def test_batched_core_matches_per_time_loop_random(
-    random_chain, per_time_uniformization, seed, n, times, eps
+    random_chain, per_time_uniformization, poisson_oracle, seed, n, times, eps
 ):
     chain = random_chain(np.random.default_rng(seed), n)
-    _assert_batch_matches_per_time(chain, times, per_time_uniformization, eps)
+    _assert_batch_matches_per_time(chain, times, per_time_uniformization,
+                                   poisson_oracle, eps)
 
 
 def test_stiff_uniformization_refused():
@@ -303,6 +418,31 @@ def test_reach_matrix_dominates_transient(invent):
         )
 
 
+@pytest.mark.parametrize("model, formula", [("invent.ctmc", "empty"),
+                                            ("tandem.ctmc", "second_full")])
+def test_reachability_vectors_form_no_kernel(monkeypatch, model, formula):
+    # Reachability vectors carry a column through the power series; the
+    # kernel route, K[:, target].sum(axis=1) and K(a) @ reach, agrees.
+    ctmc = parse_ctmc(fixture_text(model))
+    target = ctmc.satisfying(parse_formula(formula))
+    absorbed = ctmc.absorbing_variant(target)
+    want = transient_matrix(absorbed, 0.5)[:, target].sum(axis=1)
+    want_late = transient_matrix(ctmc, 0.25) @ want
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel was formed")
+
+    monkeypatch.setattr(condreach.ctmc, "transient_matrix", refuse)
+    monkeypatch.setattr(condreach.ctmc.Uniformization, "kernels", refuse)
+    got = weight_from_property(ctmc, target, 0.5)
+    late = bounded_reachability_vector(ctmc, target, (0.25, 0.75))
+    # A state in the target has reached it: its weight is the Poisson
+    # mass, 1 up to the rounding of the sum (exactly 1 on invent).
+    np.testing.assert_allclose(got[target], 1.0, rtol=0, atol=2 * _U)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(late, want_late, rtol=1e-13, atol=0)
+
+
 def test_bounded_reachability_window(two_state):
     # Reaching b inside [a, inf) from a: already 1 - exp(-1.5 a) plus the
     # rest; with b absorbing, any window [a, b] gives 1 - exp(-1.5 b).
@@ -418,7 +558,7 @@ def test_transient_builds_no_kernel(monkeypatch, tandem):
         raise AssertionError("transient built a kernel")
 
     monkeypatch.setattr(condreach.ctmc, "transient_matrix", refuse)
-    monkeypatch.setattr(condreach.ctmc, "_uniformized_sum", refuse)
+    monkeypatch.setattr(condreach.ctmc.Uniformization, "kernels", refuse)
     got = transient(tandem, tandem.initial, 2.75)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 

@@ -284,7 +284,7 @@ def test_oracle_forms_no_kernel(monkeypatch, invent, invent1, invent_weights,
 
     monkeypatch.setattr(ctmc_module, "transient_matrix", never)
     monkeypatch.setattr(unfolding, "transient_matrix", never)
-    monkeypatch.setattr(ctmc_module, "_uniformized_sum", never)
+    monkeypatch.setattr(ctmc_module.Uniformization, "kernels", never)
     for ctmc, omega, w in ((invent, invent1, invent_weights),
                            (tandem, tandem1, tandem_weights)):
         rho = sample_instance(omega, np.random.default_rng(3))
