@@ -562,13 +562,17 @@ def _absorbing_step(P, X):
 
 def _reach_vector(ctmc, target_mask, duration, eps):
     """P(reach target within duration) from every state, target absorbing:
-    the power sum of the target's indicator column."""
+    the power sum of the target's indicator column.  Target states are
+    set to exactly 1, which their sum of Poisson weights and tail need
+    not round to."""
     if not np.any(target_mask):
         return np.zeros(ctmc.n_states)
     absorbed = ctmc.absorbing_variant(target_mask)
-    return uniformize(absorbed, duration, eps).power_sum(
+    reach = uniformize(absorbed, duration, eps).power_sum(
         target_mask.astype(float), _backward_step, 0
     )
+    reach[target_mask] = 1.0
+    return reach
 
 
 def bounded_reachability_vector(ctmc, target_mask, window, eps=DEFAULT_TRANSIENT_TOL):

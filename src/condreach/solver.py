@@ -4,8 +4,13 @@ The layered model is acyclic except for the single reset back-edge into
 the initial abstract state, so each value sweep is one backward pass.
 The sweep also propagates, through the distributions actually chosen,
 the sensitivity of every value to the injected initial value; the reset
-fixpoint is then solved in closed form and re-swept until the choices
-stabilize (policy iteration on a scalar).
+fixpoint is then solved in closed form and re-swept until it moves by
+at most the tolerance (policy iteration on a scalar).  A sweep keeps
+only what the layer before it and this update read: each layer's values
+and betas and its solved rows' choices.  A robust solve sweeps once
+more at the fixpoint and expands that sweep to the values and the
+scheduler it returns; the fixed-scheduler solve returns the fixpoint
+alone.
 
 A sweep solves only the rows the model defines.  A reset state
 redirects to the initial state with probability 1, so it takes v0 with
@@ -230,9 +235,9 @@ def _q_values(layer, vb, maximize):
     """
     nc2, c, k = vb.shape
     v = vb[:, 0]
-    order = np.argsort(-v if maximize else v, axis=-1, kind="stable")
+    order = (-v if maximize else v).argsort(kind="stable")
     memo = layer.memo
-    if memo is not None and np.array_equal(memo[0], order):
+    if memo is not None and (memo[0] == order).all():
         fill = memo[1]
         layer.reused += 1
     else:
@@ -252,14 +257,16 @@ def _q_values(layer, vb, maximize):
 
 
 def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
-    """One backward pass; returns (values, betas, choices).
+    """One backward pass; returns (vbs, choices), as _expand reads them.
 
-    values[i] has shape (n_cells_i, n_states); betas is the derivative
-    of each value with respect to the injected initial value v0 under
-    the choices made during this pass.  The last layer takes the weights.
-    Reset states take v0 with beta 1 and choice -1, without a greedy;
-    the anchor's states other than the initial one are not states of the
-    model and take nan, nan and -1.
+    vbs[i] has shape (n_cells_i, 2, n_states): the values and, at [:, 1],
+    the betas, the derivative of each value with respect to the injected
+    initial value v0 under the choices made during this pass.  The last
+    layer takes the weights in every cell alike and holds one cell.
+    Reset states take v0 with beta 1, without a greedy.  choices[i]
+    holds the chosen next cell of each of layer i's solved rows, shape
+    (n_cells_i, len(layout[i].rows)).  The anchor's states other than
+    the initial one are not states of the model and are left unset.
     """
     n_layers = imdp.n_layers
     n = imdp.n_states
@@ -267,14 +274,14 @@ def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
     # vbs[i][j, 0] and vbs[i][j, 1] are the values and betas of cell j.
     vbs = [None] * n_layers
     choices = [None] * (n_layers - 1)
-    vbs[-1] = np.empty((imdp.n_cells(n_layers - 1), 2, n))
+    vbs[-1] = np.empty((1, 2, n))
     vbs[-1][:, 0] = weights
     vbs[-1][:, 1] = 0.0
     vbs[-1][:, :, imdp.reset_masks[-1]] = reset_vb
     for i in range(n_layers - 2, -1, -1):
         layer = layout[i]
         nc = imdp.n_cells(i)
-        nxt = vbs[i + 1][:1] if i == n_layers - 2 else vbs[i + 1]
+        nxt = vbs[i + 1]
         vb = nxt if layer.cols is None else nxt[:, :, layer.cols]
         q = _q_values(layer, vb, inner == "max")
         rows = layer.rows
@@ -288,30 +295,39 @@ def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
         if fixed is not None:
             choice = fixed.choices[i][:, rows]
         elif outer == "max":
-            choice = np.argmax(q[0], axis=0)
+            choice = q[0].argmax(axis=0)
         else:
-            choice = np.argmin(q[0], axis=0)
+            choice = q[0].argmin(axis=0)
         cell, row = layer.pick
-        vb_i = np.full((nc, 2, n), np.nan) if i == 0 else np.empty((nc, 2, n))
+        vb_i = np.empty((nc, 2, n))
         vb_i[:, :, imdp.reset_masks[i]] = reset_vb
         vb_i[:, :, rows] = q[:, choice, cell, row].swapaxes(0, 1)
         vbs[i] = vb_i
-        choices[i] = np.full((nc, n), -1)
-        choices[i][:, rows] = choice
-    return [a[:, 0] for a in vbs], [a[:, 1] for a in vbs], choices
+        choices[i] = choice
+    return vbs, choices
 
 
-def _solve(imdp, weights, outer, inner, tol, fixed=None, v0=0.0,
-           layout=None):
-    """Iterate sweeps until the reset fixpoint stabilizes."""
-    if layout is None:
-        layout = _prepare(imdp)
+def _expand(imdp, layout, vbs, choices):
+    """A sweep's (values, betas, choices), each layer an (n_cells_i,
+    n_states) array: the anchor's states other than the initial one take
+    nan, nan and -1, and reset states choice -1."""
+    unset = ~imdp.reset_masks[0]
+    unset[layout[0].rows] = False
+    vbs[0][:, :, unset] = np.nan
+    vbs[-1] = np.repeat(vbs[-1], imdp.n_cells(imdp.n_layers - 1), axis=0)
+    full = []
+    for layer, choice in zip(layout, choices):
+        c = np.full((len(choice), imdp.n_states), -1)
+        c[:, layer.rows] = choice
+        full.append(c)
+    return [a[:, 0] for a in vbs], [a[:, 1] for a in vbs], full
+
+
+def _solve(imdp, layout, weights, outer, inner, tol, fixed=None, v0=0.0):
+    """Sweep until the reset fixpoint stabilizes; returns the fixpoint."""
     for sweeps in range(1, _MAX_SWEEPS + 1):
-        values, betas, choices = _sweep(
-            imdp, layout, weights, v0, outer, inner, fixed
-        )
-        f = values[0][0, imdp.initial]
-        b = betas[0][0, imdp.initial]
+        vbs, _ = _sweep(imdp, layout, weights, v0, outer, inner, fixed)
+        f, b = vbs[0][0, :, imdp.initial]
         if b >= 1.0 - ZERO_LIKELIHOOD:
             raise ZeroLikelihoodError(
                 "reset loop does not contract; the evidence has (near-)zero "
@@ -322,10 +338,7 @@ def _solve(imdp, weights, outer, inner, tol, fixed=None, v0=0.0,
         v0_new = (f - b * v0) / (1.0 - b)
         delta = abs(v0_new - v0)
         if delta <= tol:
-            values, _, choices = _sweep(
-                imdp, layout, weights, v0_new, outer, inner, fixed
-            )
-            return values, Scheduler(tuple(choices)), v0_new
+            return v0_new
         v0 = v0_new
     solve = "fixed scheduler" if fixed is not None else f"outer {outer}"
     raise SolverError(
@@ -348,21 +361,31 @@ def robust_value_iteration(
     omitted.
 
     values[i] is an (n_cells_i, n_states) array, and the scheduler's
-    choices are described at Scheduler.  Reset states hold the reset
-    fixpoint v0 and choice -1.  In the anchor layer only the initial
-    state is a state of the model; its other entries hold nan and -1.
+    choices are described at Scheduler.  Both come from one more sweep
+    at the reset fixpoint, so the choices are greedy for the values.
+    Reset states hold the reset fixpoint v0 and choice -1.  In the
+    anchor layer only the initial state is a state of the model; its
+    other entries hold nan and -1.
     """
-    values, sched, _ = _solve(imdp, weights, outer, inner, tol, v0=v0,
-                              layout=layout)
-    return values, sched
+    if layout is None:
+        layout = _prepare(imdp)
+    v0 = _solve(imdp, layout, weights, outer, inner, tol, v0=v0)
+    values, _, choices = _expand(
+        imdp, layout, *_sweep(imdp, layout, weights, v0, outer, inner)
+    )
+    return values, Scheduler(tuple(choices))
 
 
 def evaluate_scheduler(imdp, weights, sched, inner, tol=DEFAULT_VI_TOL,
                        v0=0.0, layout=None):
-    """Value of a fixed scheduler under adversarial (or friendly) nature."""
-    values, _, value = _solve(imdp, weights, outer=None, inner=inner,
-                              tol=tol, fixed=sched, v0=v0, layout=layout)
-    return values, value
+    """Value of a fixed scheduler under adversarial (or friendly) nature.
+
+    Returns the reset fixpoint, the value of the initial state; no sweep
+    runs past the one that finds it.
+    """
+    if layout is None:
+        layout = _prepare(imdp)
+    return _solve(imdp, layout, weights, None, inner, tol, fixed=sched, v0=v0)
 
 
 def reachable_under(imdp, sched):
@@ -375,9 +398,12 @@ def repair_consistency(imdp, sched, active=None):
 
     Layers are fixed front to back.  Reachability of layer i + 1 depends
     only on the choices at layers up to i, so it is carried forward one
-    layer at a time as each layer's choices are fixed.  Ties (and cells
-    with no reachable voters) resolve to the lowest action index among
-    the votes of all active non-reset states.  active holds per-layer
+    layer at a time as each layer's choices are fixed.  A cell's voters
+    are its reachable eligible states, or all its eligible states when
+    none is reachable; eligible states are the active non-reset ones, and
+    a cell with none keeps its choices.  One bincount over
+    cell * n_next + choice counts every cell's votes, and the argmax per
+    cell breaks ties to the lowest action index.  active holds per-layer
     masks, such as restrict_reachable's; every state is active when it
     is None.
     """
@@ -385,15 +411,17 @@ def repair_consistency(imdp, sched, active=None):
     reach = np.zeros((1, imdp.n_states), dtype=bool)
     reach[0, imdp.initial] = True
     for i in range(imdp.n_layers - 1):
-        reset = imdp.reset_masks[i]
-        for j in range(imdp.n_cells(i)):
-            eligible = ~reset if active is None else ~reset & active[i][j]
-            if not eligible.any():
-                continue
-            voters = reach[j] & eligible
-            votes = choices[i][j][voters if voters.any() else eligible]
-            winner = np.bincount(votes).argmax()
-            choices[i][j][eligible] = winner
+        nc, n_next = imdp.n_cells(i), imdp.n_cells(i + 1)
+        eligible = np.broadcast_to(~imdp.reset_masks[i], reach.shape)
+        if active is not None:
+            eligible = eligible & active[i]
+        voters = reach & eligible
+        voters = np.where(voters.any(axis=1, keepdims=True), voters, eligible)
+        cell, state = np.nonzero(voters)
+        ballots = cell * n_next + choices[i][cell, state]
+        votes = np.bincount(ballots, minlength=nc * n_next)
+        winner = votes.reshape(nc, n_next).argmax(axis=1)
+        np.copyto(choices[i], winner[:, None], where=eligible)
         reach = reachable_step(imdp, i, reach, choices[i])
     return Scheduler(tuple(choices))
 
@@ -427,10 +455,12 @@ def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
     to repair_consistency.
 
     info holds the direction, the three fixpoints, the sweeps of each
-    solve, and how many greedy fills the sweeps built and reused.  Per
-    layer, info["rows"] holds the rows solved against the dense
-    n_cells * n_states, and info["columns"] the successor columns against
-    n_states.
+    solve, and how many greedy fills the sweeps built and reused.  A
+    robust solve's sweeps include the one at its fixpoint that gives its
+    values and scheduler; the fixed-scheduler solve stops at the sweep
+    that finds its fixpoint.  Per layer, info["rows"] holds the rows
+    solved against the dense n_cells * n_states, and info["columns"] the
+    successor columns against n_states.
     """
     if direction not in ("max", "min"):
         raise ValueError("direction must be 'max' or 'min'")
@@ -456,10 +486,11 @@ def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
     )
     count_sweeps()
     sigma_hat = repair_consistency(imdp, sigma_minus, active)
-    _, inner_bound = evaluate_scheduler(imdp, weights, sigma_hat, inner=pess,
-                                        tol=tol, v0=start[2], layout=layout)
+    inner_bound = float(evaluate_scheduler(
+        imdp, weights, sigma_hat, inner=pess, tol=tol, v0=start[2],
+        layout=layout,
+    ))
     count_sweeps()
-    inner_bound = float(inner_bound)
     fixpoints = (outer_bound, float(vals_minus[0][0, imdp.initial]),
                  inner_bound)
 

@@ -436,11 +436,26 @@ def test_reachability_vectors_form_no_kernel(monkeypatch, model, formula):
     monkeypatch.setattr(condreach.ctmc.Uniformization, "kernels", refuse)
     got = weight_from_property(ctmc, target, 0.5)
     late = bounded_reachability_vector(ctmc, target, (0.25, 0.75))
-    # A state in the target has reached it: its weight is the Poisson
-    # mass, 1 up to the rounding of the sum (exactly 1 on invent).
-    np.testing.assert_allclose(got[target], 1.0, rtol=0, atol=2 * _U)
+    # A state in the target has reached it: its weight is exactly 1.
+    np.testing.assert_array_equal(got[target], 1.0)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
     np.testing.assert_allclose(late, want_late, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("model, formula, horizon", [
+    ("tandem.ctmc", "second_full", 0.5),
+    ("tandem.ctmc", "phase2", 0.5),
+    ("invent.ctmc", "empty", 0.1),
+])
+def test_target_weights_are_exactly_one(model, formula, horizon):
+    # On tandem the power loop's sum of a target row's Poisson weights
+    # and its tail round to 1 - 2**-53; a target state counts as reached.
+    ctmc = parse_ctmc(fixture_text(model))
+    target = ctmc.satisfying(parse_formula(formula))
+    weights = weight_from_property(ctmc, target, horizon)
+    assert target.any()
+    assert np.all(weights[target] == 1.0)
+    assert np.all(weights[~target] < 1.0)
 
 
 def test_bounded_reachability_window(two_state):

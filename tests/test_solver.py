@@ -11,6 +11,7 @@ from condreach.solver import (
     BoundsReport,
     Scheduler,
     SolverError,
+    _expand,
     _prepare,
     _q_values,
     _rows,
@@ -117,7 +118,7 @@ def test_repaired_scheduler_is_consistent(invent, invent1, invent_weights):
     assert audit_consistency(imdp, report.repaired_scheduler)
     # Evaluating a consistent scheduler pessimistically stays below the
     # robust optimum.
-    _, val = evaluate_scheduler(
+    val = evaluate_scheduler(
         imdp, invent_weights, report.repaired_scheduler, inner="min"
     )
     assert val <= report.upper + 1e-9
@@ -260,6 +261,23 @@ def _assert_sweep_matches(imdp, got, want, q_vals=None, outer=None,
         )
 
 
+def _full_sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
+    """A sweep's expanded (values, betas, choices).
+
+    A second sweep with the same arguments, as _solve runs it before
+    the fixpoint, must read (f, b) equal to the expanded values[0][0,
+    initial] and betas[0][0, initial] bit for bit, although it may take
+    its fills from the layers' memos.
+    """
+    full = _expand(imdp, layout,
+                   *_sweep(imdp, layout, weights, v0, outer, inner, fixed))
+    vbs, _ = _sweep(imdp, layout, weights, v0, outer, inner, fixed)
+    f, b = vbs[0][0, :, imdp.initial]
+    assert f.tobytes() == full[0][0][0, imdp.initial].tobytes()
+    assert b.tobytes() == full[1][0][0, imdp.initial].tobytes()
+    return full
+
+
 @pytest.mark.parametrize("outer", ["max", "min"])
 @pytest.mark.parametrize("inner", ["max", "min"])
 def test_batched_sweep_matches_row_greedy(imdp_cases, reference_sweep,
@@ -267,12 +285,12 @@ def test_batched_sweep_matches_row_greedy(imdp_cases, reference_sweep,
     v0 = 0.0375
     for name, (imdp, weights) in imdp_cases.items():
         layout = _prepare(imdp)
-        got = _sweep(imdp, layout, weights, v0, outer, inner)
+        got = _full_sweep(imdp, layout, weights, v0, outer, inner)
         *want, q_vals = reference_sweep(imdp, weights, v0, outer, inner)
         _assert_sweep_matches(imdp, got, want, q_vals, outer, name)
         # Under one fixed scheduler both passes follow the same actions.
         fixed = Scheduler(tuple(got[2]))
-        got = _sweep(imdp, layout, weights, v0, None, inner, fixed)
+        got = _full_sweep(imdp, layout, weights, v0, None, inner, fixed)
         *want, _ = reference_sweep(imdp, weights, v0, None, inner, fixed)
         _assert_sweep_matches(imdp, got, want, err_msg=name)
 
@@ -366,11 +384,11 @@ def _check_random_sweep(reference_sweep, rng, imdp, tied, outer, inner):
         weights = rng.uniform(0.0, 1.0, n)
     v0 = 0.3
     layout = _prepare(imdp)
-    got = _sweep(imdp, layout, weights, v0, outer, inner)
+    got = _full_sweep(imdp, layout, weights, v0, outer, inner)
     *want, q_vals = reference_sweep(imdp, weights, v0, outer, inner)
     _assert_sweep_matches(imdp, got, want, q_vals, outer)
     fixed = Scheduler(tuple(got[2]))
-    got = _sweep(imdp, layout, weights, v0, None, inner, fixed)
+    got = _full_sweep(imdp, layout, weights, v0, None, inner, fixed)
     *want, _ = reference_sweep(imdp, weights, v0, None, inner, fixed)
     _assert_sweep_matches(imdp, got, want)
     return layout
@@ -491,6 +509,30 @@ def test_fill_counters_count_every_greedy(monkeypatch, imdp_cases):
     assert sum(info["sweeps"]) * (imdp.n_layers - 1) == len(calls)
 
 
+def test_sweeps_stop_at_the_fixpoint(monkeypatch, imdp_cases):
+    # Warm-started at their own cold fixpoints, the robust solves take the
+    # sweep that finds it and one more for their values and schedulers;
+    # the fixed-scheduler solve is read only for its fixpoint and stops
+    # at the first.  Each sweep runs once per counted sweep.
+    calls = []
+    sweep = solver._sweep
+
+    def counted(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(solver, "_sweep", counted)
+    for name in ("invent1-refined0", "tandem1-refined0"):
+        imdp, weights = imdp_cases[name]
+        cold = compute_bounds(imdp, weights)
+        assert sum(cold.info["sweeps"]) == len(calls), name
+        calls.clear()
+        warm = compute_bounds(imdp, weights, start=cold.info["fixpoints"])
+        assert warm.info["sweeps"] == (2, 2, 1), name
+        assert len(calls) == 5, name
+        calls.clear()
+
+
 def test_info_counts_solved_rows_and_columns(imdp_cases):
     # tandem1's anchor layer solves its one state, the initial one, and
     # every layer solves only its non-reset rows, towards the next
@@ -525,30 +567,83 @@ def _reference_repair(imdp, sched, active):
     return Scheduler(tuple(choices))
 
 
+def _all_active(imdp):
+    return [np.ones((len(row), imdp.n_states), bool) for row in imdp.layers]
+
+
+def _assert_repair_matches_reference(imdp, sched, active, err_msg=""):
+    got = repair_consistency(imdp, sched, active)
+    want = _reference_repair(
+        imdp, sched, _all_active(imdp) if active is None else active
+    )
+    for g, w in zip(got.choices, want.choices):
+        np.testing.assert_array_equal(g, w, err_msg=err_msg)
+    return got
+
+
+def _tied_votes_imdp():
+    """Six-state interval MDP whose rows may move anywhere, with cells
+    (1, 2, 3, 3, 1): every state a chosen row leads into is reachable."""
+    n = 6
+    counts = (1, 2, 3, 3, 1)
+    layers = tuple(
+        np.repeat(10.0 * i + np.arange(c), 2).reshape(c, 2)
+        for i, c in enumerate(counts)
+    )
+    return IntervalMdp(
+        layers=layers,
+        gap_lower=(np.zeros((1, n, n)),) * 4,
+        gap_upper=(np.ones((1, n, n)),) * 4,
+        gap_index=tuple(np.zeros((c, c2), int)
+                        for c, c2 in zip(counts, counts[1:])),
+        reset_masks=tuple(np.zeros(n, bool) for _ in counts),
+        initial=0,
+        n_states=n,
+    )
+
+
 def test_one_pass_repair_matches_rerun_reachability(imdp_cases):
     rng = np.random.default_rng(3)
     for name, (imdp, weights) in imdp_cases.items():
         active = restrict_reachable(imdp)
+        _, sigma_star = robust_value_iteration(imdp, weights, "max", "max")
         _, sigma_minus = robust_value_iteration(imdp, weights, "max", "min")
         schedulers = [sigma_minus]
         schedulers += [_random_scheduler(imdp, rng) for _ in range(4)]
         for sched in schedulers:
-            got = repair_consistency(imdp, sched, active)
-            want = _reference_repair(imdp, sched, active)
-            for g, w in zip(got.choices, want.choices):
-                np.testing.assert_array_equal(g, w, err_msg=name)
+            _assert_repair_matches_reference(imdp, sched, active, name)
+        # Every state active: solved schedulers hold -1 at the anchor's
+        # states other than the initial one, which never vote.
+        for sched in (sigma_star, sigma_minus):
+            assert (sched.choices[0] == -1).any()
+            _assert_repair_matches_reference(imdp, sched, None, name)
+    # Three-way ties, a cell with no reachable voter, and a cell with no
+    # eligible state.  The anchor chooses layer 1's cell 1, so its cell 0
+    # falls back to its eligible states, which elect action 2; cell 1
+    # ties 2-2-2 and elects action 0, which leaves layer 2's cells 1 and
+    # 2 unreached.  There cell 0 ties 2-2-2 among its reachable voters and
+    # cell 1 among its eligible states, both electing 0, and cell 2 has
+    # no eligible state, so it keeps its mixed choices.
+    imdp = _tied_votes_imdp()
+    sched = Scheduler((
+        np.array([[1, -1, -1, -1, -1, -1]]),
+        np.array([[2, 2, 2, 1, 1, 0], [2, 1, 0, 0, 1, 2]]),
+        np.array([[1, 2, 0, 2, 1, 0], [2, 2, 1, 1, 0, 0], [2, 0, 1, 2, 0, 1]]),
+        np.array([[0] * 6] * 3),
+    ))
+    active = _all_active(imdp)
+    active[2][2] = False
+    got = _assert_repair_matches_reference(imdp, sched, active)
+    np.testing.assert_array_equal(got.choices[1], [[2] * 6, [0] * 6])
+    np.testing.assert_array_equal(got.choices[2][:2], [[0] * 6, [0] * 6])
+    np.testing.assert_array_equal(got.choices[2][2], sched.choices[2][2])
+    _assert_repair_matches_reference(imdp, sched, None)
     # Sparse supports, where a repaired choice changes what is reachable.
     for _ in range(200):
         imdp = _sparse_imdp(rng)
         sched = _random_scheduler(imdp, rng)
         active = restrict_reachable(imdp) if rng.random() < 0.5 else None
-        got = repair_consistency(imdp, sched, active)
-        want = _reference_repair(
-            imdp, sched, active or [np.ones((len(row), imdp.n_states), bool)
-                                    for row in imdp.layers]
-        )
-        for g, w in zip(got.choices, want.choices):
-            np.testing.assert_array_equal(g, w)
+        _assert_repair_matches_reference(imdp, sched, active)
 
 
 def test_warm_start_keeps_bounds(imdp_cases):
