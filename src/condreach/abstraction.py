@@ -14,9 +14,10 @@ endpoint arrays by broadcasting, each layer's distinct gaps are found
 with np.unique, and the bound cache answers the distinct gaps of every
 layer in one batched call per model.  Each layer keeps its slice of the
 returned (gap, n, n) stacks and np.unique's inverse as an (n_cells,
-n_next_cells) gap index; nothing is scattered to the pairs.  The cache
-keeps the gap's two parts, kernels by its minimum and reach matrices by
-its spread, across layers and iterations.
+n_next_cells) gap index; nothing is scattered to the pairs.  The cache,
+one per chain and transient tolerance, keeps the gap's two parts across
+layers and iterations: kernels by its minimum and reach matrices by its
+spread, each in one sorted-key stack.
 
 Each partition is abstracted on its own.  Refinement still nests: a
 child cell pair admits a sub-gap of its parent pair's gap, and the
@@ -54,32 +55,28 @@ class AbstractionError(ArithmeticError):
     """Raised when computed interval bounds are numerically infeasible."""
 
 
-class _KeyedStacks:
-    """Stacks of arrays keyed by a float.
+class _KeyedStack:
+    """A stack of arrays keyed by a float, filled on demand by compute.
 
-    The values are appended to buffers, in the order they are computed,
-    and a buffer that fills is replaced by one of twice the size, so a
-    stored value is copied O(1) times on average.  keys is kept sorted,
-    and rows maps keys[i] to its row in the buffers.
+    compute(keys) returns the values of the sorted keys not stored yet,
+    stacked along axis 0.  They are appended to one buffer, in the order
+    they are computed, and a buffer that fills is replaced by one of
+    twice the size, so a stored value is copied O(1) times on average.
+    keys is kept sorted, and rows maps keys[i] to its row in the buffer.
     """
 
-    def __init__(self):
+    def __init__(self, compute):
+        self.compute = compute
         self.keys = np.empty(0)
         self.rows = np.empty(0, dtype=np.intp)
-        self.buffers = ()
+        self.buffer = None
         self.size = 0
 
-    @property
-    def values(self):
-        """Copies of the stored stacks in key order."""
-        return tuple(buf[self.rows] for buf in self.buffers)
-
-    def get(self, queries, compute):
+    def get(self, queries):
         """The stacked values of every query, in query order.
 
-        Keys not stored yet are computed by one call compute(keys), which
-        returns a tuple of stacks in the order of its sorted keys.  The
-        returned stacks are fresh copies, free to be written.
+        Keys not stored yet are computed by one call compute(keys).  The
+        returned stack is a fresh copy, free to be written.
         """
         uniq, inverse = np.unique(queries, return_inverse=True)
         pos = np.searchsorted(self.keys, uniq)
@@ -87,54 +84,51 @@ class _KeyedStacks:
         stored[stored] = self.keys[pos[stored]] == uniq[stored]
         if not stored.all():
             new, at = uniq[~stored], pos[~stored]
-            rows = self._append(compute(new))
+            rows = self._append(self.compute(new))
             self.keys = np.insert(self.keys, at, new)
             self.rows = np.insert(self.rows, at, rows)
             pos = np.searchsorted(self.keys, uniq)
-        take = self.rows[pos[inverse.reshape(-1)]]
-        return tuple(buf[take] for buf in self.buffers)
+        return self.buffer[self.rows[pos[inverse.reshape(-1)]]]
 
     def _append(self, fresh):
-        """Append the stacks fresh to the buffers; returns their rows."""
-        start, end = self.size, self.size + len(fresh[0])
-        if not self.buffers or end > len(self.buffers[0]):
-            grown = tuple(
-                np.empty((max(end, 2 * start), *part.shape[1:]), part.dtype)
-                for part in fresh
-            )
-            for buf, old in zip(grown, self.buffers):
-                buf[:start] = old[:start]
-            self.buffers = grown
-        for buf, part in zip(self.buffers, fresh):
-            buf[start:end] = part
+        """Append the stack fresh to the buffer; returns its rows."""
+        start, end = self.size, self.size + len(fresh)
+        if self.buffer is None or end > len(self.buffer):
+            grown = np.empty((max(end, 2 * start), *fresh.shape[1:]),
+                             fresh.dtype)
+            if self.buffer is not None:
+                grown[:start] = self.buffer[:start]
+            self.buffer = grown
+        self.buffer[start:end] = fresh
         self.size = end
         return np.arange(start, end)
 
 
 class TransientBoundCache:
-    """Transparent cache of (lower, upper) bound matrices per gap.
+    """Transparent cache of (lower, upper) bound matrices per gap, for one
+    chain at one transient tolerance (abstract refuses any other).
 
-    The bounds of a gap [g_min, g_max] are built from two parts: the
-    transient kernel K(g_min) and, for the spread g_max - g_min, the reach
-    matrix R and the invariance vector inv.  Upper is K @ R and lower is
-    K * inv.  The kernels are kept by gap minimum and the (R, inv) pairs
-    by spread, per tolerance, in append-only buffers indexed by sorted
-    keys (_KeyedStacks); finished (lower, upper) pairs are not kept,
-    since assembling them is one batched product, made in place in the
-    freshly gathered kernels.  A batch of gaps computes its missing
-    kernels in one transient_matrix call and its missing spreads in one
-    reach_matrix call, so gaps that share a minimum or a spread share that
-    part.  Cell endpoint arithmetic is exact on representable binary
-    fractions, so evidences with uniform window spacing hit the cache
-    across layers.
-
-    The parts are keyed by time and tolerance only, so a cache serves the
-    one chain object it first served and refuses any other.
+    The bounds of a gap [g_min, g_max] are built from the transient
+    kernel K(g_min) and the reach matrix R of the spread g_max - g_min:
+    upper is K @ R, and lower is K scaled column-wise by the spread's
+    invariance vector, an elementwise exp taken per call.  Kernels are
+    kept by gap minimum and reach matrices by spread, each in a
+    _KeyedStack, so gaps that share a minimum or a spread share that
+    part, and a batch computes its missing kernels and spreads in one
+    transient_matrix and one reach_matrix call.  Finished pairs are not
+    kept: assembling them is one batched product, made in place in the
+    freshly gathered kernels.  Cell endpoint arithmetic is exact on
+    representable binary fractions, so evidences with uniform window
+    spacing hit the cache across layers.
     """
 
-    def __init__(self):
-        self._parts = {}
-        self._chain = None
+    def __init__(self, ctmc, eps=DEFAULT_TRANSIENT_TOL):
+        eps = float(eps)
+        self.ctmc, self.eps = ctmc, eps
+        # The closures capture ctmc and eps, never self: a cache in a
+        # reference cycle would wait for the cyclic collector to be freed.
+        self._kernels = _KeyedStack(lambda t: transient_matrix(ctmc, t, eps))
+        self._spreads = _KeyedStack(lambda h: reach_matrix(ctmc, h, eps))
 
     @property
     def entries(self):
@@ -143,49 +137,30 @@ class TransientBoundCache:
         Its length grows exactly when a call computes a new part;
         bench/run.py reads it to count misses.
         """
-        stores = [s for pair in self._parts.values() for s in pair]
-        return np.concatenate([s.keys for s in stores] or [np.empty(0)])
+        return np.concatenate((self._kernels.keys, self._spreads.keys))
 
-    def bound_matrices(self, ctmc, gaps, eps):
+    def bound_matrices(self, gaps):
         """Sound bound matrices for all state pairs over elapsed-time gaps.
 
-        gaps is one (g_min, g_max) pair, giving one (lower, upper) pair of
-        (n, n) arrays, or an (m, 2) array of them, giving two (m, n, n)
-        stacks.  For elapsed time tau in [g_min, g_max]:
+        gaps is an (m, 2) array of (g_min, g_max) pairs; the result is a
+        (lower, upper) pair of read-only (m, n, n) stacks.  For elapsed
+        time tau in [g_min, g_max]:
           upper[s, s'] = P(visit s' at some point in [g_min, g_max] from s),
           lower[s, s'] = P(in s' at g_min, no jump until g_max from s),
         both of which bracket the transient probability at every tau.
         """
         gaps = np.asarray(gaps, dtype=float)
-        lower, upper = self._bounds(ctmc, gaps.reshape(-1, 2), float(eps))
-        if gaps.ndim == 1:
-            return lower[0], upper[0]
-        return lower, upper
-
-    def _bounds(self, ctmc, gaps, eps):
-        g_min, g_max = gaps[:, 0], gaps[:, 1]
-        if not np.all((0 <= g_min) & (g_min <= g_max)):
-            raise ValueError("gap must satisfy 0 <= min <= max")
-        if self._chain is None:
-            self._chain = ctmc
-        elif ctmc is not self._chain:
-            raise ValueError("a bound cache serves one chain only")
-        kernels, spreads = self._parts.setdefault(
-            eps, (_KeyedStacks(), _KeyedStacks())
-        )
+        if gaps.shape[1:] != (2,) or not np.all(
+            (0 <= gaps[:, 0]) & (gaps[:, 0] <= gaps[:, 1])
+        ):
+            raise ValueError("gaps must be (min, max) rows, 0 <= min <= max")
+        g_min, spread = gaps[:, 0], gaps[:, 1] - gaps[:, 0]
         # The gathered kernels are a fresh copy, so they become lower in
-        # place.  A point gap's spread is 0, with R = I and inv = 1, so it
-        # brackets its one kernel exactly.
-        (lower,) = kernels.get(g_min, lambda t: (transient_matrix(ctmc, t, eps),))
-        R, inv = spreads.get(
-            g_max - g_min,
-            lambda h: (
-                reach_matrix(ctmc, h, eps),
-                invariance_vector(ctmc, h)[:, None, :],
-            ),
-        )
-        upper = lower @ R
-        lower *= inv
+        # place.  A point gap's spread is 0, with R = I and invariance 1,
+        # so it brackets its one kernel exactly.
+        lower = self._kernels.get(g_min)
+        upper = lower @ self._spreads.get(spread)
+        lower *= invariance_vector(self.ctmc, spread)[:, None, :]
         np.clip(lower, 0.0, 1.0, out=lower)
         np.clip(upper, 0.0, 1.0, out=upper)
         # Lower above upper by at most _NOISE is float noise on near-point
@@ -284,12 +259,15 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
     transient_matrix and one reach_matrix call.  A refined partition's
     intervals nest inside the coarser ones because the gap bounds are
     monotone; they are not clipped to them.  A psi that does not tile
-    omega's windows raises SemanticError.
+    omega's windows raises SemanticError, and a cache built for another
+    chain or tolerance raises ValueError.
     """
     omega.bind_check(ctmc.alphabet)
     psi.check_covers(omega)
     if cache is None:
-        cache = TransientBoundCache()
+        cache = TransientBoundCache(ctmc, eps)
+    elif cache.ctmc is not ctmc or cache.eps != eps:
+        raise ValueError("the bound cache serves another chain or tolerance")
     layers = (np.zeros((1, 2)), *psi.cells)
     reset_masks = ctmc.reset_masks(omega.formulas)
 
@@ -313,7 +291,7 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
         gap_index.append(index)
     # One cache call for the whole model; each layer keeps its slice.
     L, U = cache.bound_matrices(
-        ctmc, np.concatenate(uniqs).view(float).reshape(-1, 2), eps
+        np.concatenate(uniqs).view(float).reshape(-1, 2)
     )
     ends = np.cumsum([len(u) for u in uniqs])[:-1]
     gap_lower, gap_upper = np.split(L, ends), np.split(U, ends)

@@ -166,6 +166,9 @@ def from_rates(names, initial, rates, labels):
     labels : dict mapping state name to iterable of APs
     """
     idx = {name: i for i, name in enumerate(names)}
+    for name in (initial, *(end for pair in rates for end in pair)):
+        if name not in idx:
+            raise ModelError(f"unknown state {name!r}")
     n = len(names)
     R = np.zeros((n, n))
     for (src, dst), rate in rates.items():

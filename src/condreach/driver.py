@@ -10,6 +10,7 @@ from .abstraction import TransientBoundCache, abstract, restrict_reachable
 from .ctmc import DEFAULT_TRANSIENT_TOL
 from .evidence import SemanticError, coarsest_partition
 from .solver import DEFAULT_VI_TOL, compute_bounds, reachable_under
+from .unfolding import _weights
 
 
 @dataclass(frozen=True)
@@ -107,12 +108,15 @@ def apply_splits(psi, marks):
 def analyze(ctmc, omega, weights, config=AnalysisConfig()):
     """Run the abstraction-refinement loop and collect the trace.
 
-    Iteration 1 uses the coarsest partition.  Termination is checked
-    only between iterations: time budget exhausted, bound width at or
-    below target, iteration cap reached, or nothing left to split.
+    weights must hold one finite, nonnegative weight per state
+    (ValueError otherwise).  Iteration 1 uses the coarsest partition.
+    Termination is checked only between iterations: time budget
+    exhausted, bound width at or below target, iteration cap reached, or
+    nothing left to split.
     """
     omega.bind_check(ctmc.alphabet)
-    cache = TransientBoundCache()
+    weights = _weights(weights, ctmc.n_states)
+    cache = TransientBoundCache(ctmc, config.transient_tol)
     psi = coarsest_partition(omega)
     # Each solve starts from the previous iteration's fixpoint for it.
     fixpoints = (0.0, 0.0, 0.0)

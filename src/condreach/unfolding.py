@@ -51,10 +51,14 @@ def _layers(ctmc, rho, eps):
     return ctmc.reset_masks(rho.formulas), uniformize(ctmc, gaps, eps)
 
 
-def _weights(w):
+def _weights(w, n_states):
+    """w as a float vector, checked to hold one finite, nonnegative
+    weight per state; ValueError otherwise."""
     w = np.asarray(w, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    if w.shape != (n_states,):
+        raise ValueError(f"weights must be a vector of {n_states} entries")
+    if not np.all((0 <= w) & (w < np.inf)):
+        raise ValueError("weights must be finite and nonnegative")
     return w
 
 
@@ -72,7 +76,7 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     with an escape mass at or below ZERO_LIKELIHOOD, raises
     ZeroLikelihoodError.
     """
-    w = _weights(w)
+    w = _weights(w, ctmc.n_states)
     masks, gaps = _layers(ctmc, rho, eps)
     block = np.ones((len(w), 2))
     block[:, 0] = w
@@ -114,7 +118,7 @@ def bayes_quotient_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     in :func:`conditional_weight`; the two must agree, and both raise
     ZeroLikelihoodError on (near-)zero likelihood.
     """
-    w = _weights(w)
+    w = _weights(w, ctmc.n_states)
     dist = _forward(ctmc, rho, eps)
     likelihood = dist.sum()
     if likelihood <= ZERO_LIKELIHOOD:

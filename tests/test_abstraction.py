@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from condreach.abstraction import (
     AbstractionError,
     IntervalMdp,
     TransientBoundCache,
-    _KeyedStacks,
+    _KeyedStack,
     abstract,
     reachable_states,
     restrict_reachable,
@@ -27,12 +30,18 @@ from condreach.fixtures import fixture_text
 from condreach.solver import Scheduler, compute_bounds, reachable_under
 
 
-def _cache():
-    return TransientBoundCache()
+def _cache(ctmc):
+    return TransientBoundCache(ctmc, 1e-10)
+
+
+def _bounds(cache, g_min, g_max):
+    """The (lower, upper) matrices of one gap, through the array form."""
+    L, U = cache.bound_matrices([(g_min, g_max)])
+    return L[0], U[0]
 
 
 def test_point_gap_is_exact(invent):
-    L, U = _cache().bound_matrices(invent, (0.8, 0.8), 1e-10)
+    L, U = _bounds(_cache(invent), 0.8, 0.8)
     K = transient_matrix(invent, 0.8)
     np.testing.assert_allclose(L, K, atol=1e-12)
     np.testing.assert_allclose(U, K, atol=1e-12)
@@ -40,7 +49,7 @@ def test_point_gap_is_exact(invent):
 
 def test_bounds_sandwich_transient(invent):
     g_min, g_max = 0.5, 1.3
-    L, U = _cache().bound_matrices(invent, (g_min, g_max), 1e-10)
+    L, U = _bounds(_cache(invent), g_min, g_max)
     for tau in np.linspace(g_min, g_max, 25):
         K = transient_matrix(invent, tau)
         assert np.all(L <= K + 1e-9)
@@ -48,8 +57,8 @@ def test_bounds_sandwich_transient(invent):
 
 
 def test_bounds_tighten_with_gap(invent):
-    Lw, Uw = _cache().bound_matrices(invent, (0.5, 1.5), 1e-10)
-    Ln, Un = _cache().bound_matrices(invent, (0.9, 1.1), 1e-10)
+    Lw, Uw = _bounds(_cache(invent), 0.5, 1.5)
+    Ln, Un = _bounds(_cache(invent), 0.9, 1.1)
     # A narrower gap admits fewer kernels, but the one-sided constructions
     # are only guaranteed comparable on the shared reference point side;
     # check the interval width shrinks on average.
@@ -75,11 +84,11 @@ def computed(monkeypatch):
 
 
 def test_cache_reuses_entries(invent, computed):
-    cache = _cache()
-    a = cache.bound_matrices(invent, (0.2, 0.4), 1e-10)
+    cache = _cache(invent)
+    a = cache.bound_matrices([(0.2, 0.4)])
     assert len(computed["kernels"]) == len(computed["spreads"]) == 1
     size = len(cache.entries)
-    b = cache.bound_matrices(invent, (0.2, 0.4), 1e-10)
+    b = cache.bound_matrices([(0.2, 0.4)])
     # A repeated gap computes nothing new and gives the same bounds.
     assert len(computed["kernels"]) == len(computed["spreads"]) == 1
     assert len(cache.entries) == size
@@ -112,29 +121,29 @@ def test_factored_cache_matches_direct_build(model, computed):
     direct = [_direct_bounds(ctmc, g, h, 1e-10) for g, h in gaps]
     computed["kernels"].clear()
     computed["spreads"].clear()
-    cache = _cache()
+    cache = _cache(ctmc)
     for (g_min, g_max), (dL, dU) in zip(gaps, direct):
-        L, U = cache.bound_matrices(ctmc, (g_min, g_max), 1e-10)
+        L, U = _bounds(cache, g_min, g_max)
         np.testing.assert_array_equal(L, dL)
         np.testing.assert_array_equal(U, dU)
     # Gaps sharing a minimum share its kernel, gaps sharing a spread its
-    # reach matrix and invariance vector: each is computed once.  Point
-    # gaps share the spread 0, whose reach matrix is the identity.
+    # reach matrix: each is computed once.  Point gaps share the spread
+    # 0, whose reach matrix is the identity.
     minima = {g for g, _ in gaps}
     spreads = {h - g for g, h in gaps}
     assert sorted(computed["kernels"]) == sorted(minima)
     assert sorted(computed["spreads"]) == sorted(spreads)
-    # The array form on a fresh cache gives the same stacks, computing
-    # each minimum and spread once in one batched call each.
+    # All gaps in one call on a fresh cache give the same stacks,
+    # computing each minimum and spread once in one batched call each.
     computed["kernels"].clear()
     computed["spreads"].clear()
-    L, U = _cache().bound_matrices(ctmc, np.array(gaps), 1e-10)
+    L, U = _cache(ctmc).bound_matrices(np.array(gaps))
     np.testing.assert_array_equal(L, [d[0] for d in direct])
     np.testing.assert_array_equal(U, [d[1] for d in direct])
     assert sorted(computed["kernels"]) == sorted(minima)
     assert sorted(computed["spreads"]) == sorted(spreads)
     # Asking again, in any order, computes nothing new.
-    L2, _ = cache.bound_matrices(ctmc, np.array(gaps[::-1]), 1e-10)
+    L2, _ = cache.bound_matrices(np.array(gaps[::-1]))
     np.testing.assert_array_equal(L2, L[::-1])
     assert len(computed["kernels"]) == len(minima)
 
@@ -142,21 +151,23 @@ def test_factored_cache_matches_direct_build(model, computed):
 def test_bad_gap_rejected(invent):
     for bad in ((1.0, 0.5), (-0.1, 0.5), (np.nan, 0.5)):
         with pytest.raises(ValueError):
-            _cache().bound_matrices(invent, bad, 1e-10)
+            _cache(invent).bound_matrices(np.array([bad]))
         with pytest.raises(ValueError):
-            _cache().bound_matrices(
-                invent, np.array([(0.2, 0.4), bad]), 1e-10
-            )
+            _cache(invent).bound_matrices(np.array([(0.2, 0.4), bad]))
+    # Gaps come as (m, 2) rows only.
+    for shape in ((2,), (1, 3), (1, 2, 1)):
+        with pytest.raises(ValueError):
+            _cache(invent).bound_matrices(np.full(shape, 0.5))
 
 
 def test_cache_refuses_a_second_chain(invent, invent1, dense_bounds):
-    # The cache keys its parts by time and tolerance only: shared with a
-    # faster chain, it would hand that chain the first chain's bounds.
+    # The cache keys its parts by time only: shared with a faster chain,
+    # it would hand that chain the first chain's bounds.
     fast = parse_ctmc(
         fixture_text("invent.ctmc").replace("rate s0 s1 3", "rate s0 s1 30")
     )
     psi = coarsest_partition(invent1)
-    cache = _cache()
+    cache = _cache(invent)
     first = abstract(invent, invent1, psi, cache=cache)
     fresh = abstract(fast, invent1, psi)
     assert max(
@@ -165,10 +176,43 @@ def test_cache_refuses_a_second_chain(invent, invent1, dense_bounds):
     ) > 0.2
     with pytest.raises(ValueError):
         abstract(fast, invent1, psi, cache=cache)
-    # The chain it first served is still served.
+    # The chain it was built for is still served.
     again = abstract(invent, invent1, psi, cache=cache)
     for a, b in zip(dense_bounds(first), dense_bounds(again)):
         np.testing.assert_array_equal(a[1], b[1])
+
+
+def test_cache_refuses_another_tolerance(invent, invent1, dense_bounds):
+    # Kernels truncated at one tolerance must not serve another.
+    psi = coarsest_partition(invent1)
+    cache = TransientBoundCache(invent, 1e-6)
+    with pytest.raises(ValueError):
+        abstract(invent, invent1, psi, cache=cache)
+    with pytest.raises(ValueError):
+        abstract(invent, invent1, psi, eps=1e-8, cache=cache)
+    built = abstract(invent, invent1, psi, eps=1e-6, cache=cache)
+    fresh = abstract(invent, invent1, psi, eps=1e-6)
+    for a, b in zip(dense_bounds(built), dense_bounds(fresh)):
+        np.testing.assert_array_equal(a[1], b[1])
+
+
+def test_finished_cache_is_freed_without_the_cycle_collector(invent,
+                                                             invent1):
+    # A cache that referred to itself, say through its stores' compute
+    # closures, would outlive its last reference until the cyclic
+    # collector ran, keeping every stored kernel alive.
+    psi = coarsest_partition(invent1)
+    cache = TransientBoundCache(invent)
+    abstract(invent, invent1, psi, cache=cache)
+    freed = weakref.ref(cache)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del cache
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_crossed_bounds_meet_at_midpoint(invent, monkeypatch):
@@ -186,7 +230,7 @@ def test_crossed_bounds_meet_at_midpoint(invent, monkeypatch):
         )
 
     inflate(1e-12)
-    L, U = _cache().bound_matrices(invent, gap, 1e-10)
+    L, U = _cache(invent).bound_matrices(gap)
     K = transient_matrix(invent, gap[:, 0], 1e-10)
     R = reach_matrix(invent, gap[:, 1] - gap[:, 0], 1e-10)
     lo = np.clip(K * (1 + 1e-12), 0.0, 1.0)
@@ -199,7 +243,7 @@ def test_crossed_bounds_meet_at_midpoint(invent, monkeypatch):
     assert np.all(L <= U)
     inflate(1e-6)
     with pytest.raises(AbstractionError):
-        _cache().bound_matrices(invent, gap, 1e-10)
+        _cache(invent).bound_matrices(gap)
 
 
 def test_in_place_assembly_keeps_the_cache_intact(tandem):
@@ -207,21 +251,20 @@ def test_in_place_assembly_keeps_the_cache_intact(tandem):
     # gaps, then one of wide gaps only whose minima are every stored
     # kernel in order: lower is assembled in the gathered kernel copy and
     # upper written in place, never in a stored part.
-    eps = 1e-10
     calls = [
         np.array([(0.5, 0.5), (0.5, 1.0), (0.25, 0.75), (1.0, 1.0)]),
         np.array([(0.25, 0.75), (1.0, 1.0), (0.5, 0.75), (0.0, 0.0),
                   (0.5, 1.0)]),
         np.array([(0.0, 0.25), (0.25, 0.75), (0.5, 1.0), (1.0, 1.25)]),
     ]
-    cache = _cache()
-    first = cache.bound_matrices(tandem, calls[0], eps)
+    cache = _cache(tandem)
+    stores = (cache._kernels, cache._spreads)
+    first = cache.bound_matrices(calls[0])
     kept = [a.copy() for a in first]
-    stored = [(store.keys.copy(), [v.copy() for v in store.values])
-              for store in cache._parts[eps]]
-    results = [first] + [cache.bound_matrices(tandem, g, eps) for g in calls[1:]]
+    stored = [(s.keys.copy(), s.buffer[s.rows].copy()) for s in stores]
+    results = [first] + [cache.bound_matrices(g) for g in calls[1:]]
     for gaps, got in zip(calls, results):
-        fresh = _cache().bound_matrices(tandem, gaps, eps)
+        fresh = _cache(tandem).bound_matrices(gaps)
         for a, b in zip(got, fresh):
             np.testing.assert_array_equal(a, b)
             assert not a.flags.writeable
@@ -233,36 +276,35 @@ def test_in_place_assembly_keeps_the_cache_intact(tandem):
     for a, b in zip(first, kept):
         np.testing.assert_array_equal(a, b)
     # Every kernel and spread stored before the later calls keeps its bits.
-    for (keys, values), store in zip(stored, cache._parts[eps]):
+    for (keys, values), store in zip(stored, stores):
         at = np.searchsorted(store.keys, keys)
         np.testing.assert_array_equal(store.keys[at], keys)
-        for old, now in zip(values, store.values):
-            np.testing.assert_array_equal(now[at], old)
+        np.testing.assert_array_equal(store.buffer[store.rows[at]], values)
 
 
-def test_keyed_stacks_compute_each_key_once():
-    # Batches of overlapping keys in any order: each get returns fresh
-    # copies of its queries' values in query order and computes only the
-    # keys not stored yet, while the buffers grow and the keys stay sorted.
-    store = _KeyedStacks()
+def test_keyed_stack_computes_each_key_once():
+    # Batches of overlapping keys in any order: each get returns a fresh
+    # copy of its queries' values in query order and computes only the
+    # keys not stored yet, while the buffer grows and the keys stay sorted.
     computed = []
 
     def compute(keys):
         assert np.all(np.diff(keys) > 0)
         computed.extend(keys.tolist())
-        return np.stack((keys, 2 * keys), axis=1), -keys
+        return np.stack((keys, 2 * keys), axis=1)
 
+    store = _KeyedStack(compute)
     rng = np.random.default_rng(7)
     for size in (1, 5, 3, 17, 2, 40, 9, 60):
         queries = rng.choice(np.arange(60.0) / 4, size)
-        pairs, negs = store.get(queries, compute)
+        pairs = store.get(queries)
         np.testing.assert_array_equal(pairs,
                                       np.stack((queries, 2 * queries), 1))
-        np.testing.assert_array_equal(negs, -queries)
-        pairs[:] = negs[:] = np.nan
+        pairs[:] = np.nan
     assert sorted(computed) == sorted(set(computed)) == store.keys.tolist()
-    assert store.size == len(computed) <= len(store.buffers[0])
-    np.testing.assert_array_equal(store.values[1], -store.keys)
+    assert store.size == len(computed) <= len(store.buffer)
+    np.testing.assert_array_equal(store.buffer[store.rows][:, 1],
+                                  2 * store.keys)
 
 
 @pytest.fixture()
@@ -294,7 +336,7 @@ def test_one_cache_call_per_model(chain, evidence, part_calls, request):
         made = [part_calls[k] - before[k] for k in part_calls]
         return imdp, made
 
-    cache = _cache()
+    cache = _cache(ctmc)
     psi = coarsest_partition(omega)
     warm = []
     for level in range(4):
@@ -341,7 +383,7 @@ def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
         (invent, invent1, invent_weights),
         (tandem, tandem1, tandem_weights),
     ):
-        cache, direct = _cache(), {}
+        cache, direct = _cache(ctmc), {}
         psi = coarsest_partition(omega)
         for level in range(4):
             imdp = abstract(ctmc, omega, psi, 1e-10, cache)
@@ -421,7 +463,7 @@ def test_parent_intersection_nests(invent, invent1, invent_weights, tandem,
         (invent, invent1, invent_weights),
         (tandem, tandem1, tandem_weights),
     ):
-        cache = _cache()
+        cache = _cache(ctmc)
         psi = coarsest_partition(omega)
         imdp = abstract(ctmc, omega, psi, cache=cache)
         for _ in range(2):

@@ -221,7 +221,7 @@ def test_criterion_4_transient_accuracy(random_chain):
 
 def test_criterion_5_interval_soundness(invent, invent1):
     rng = np.random.default_rng(99)
-    cache = TransientBoundCache()
+    cache = TransientBoundCache(invent)
     psi = coarsest_partition(invent1)
     partitions = [psi]
     imdp = abstract(invent, invent1, psi, cache=cache)
@@ -268,7 +268,7 @@ def test_criterion_6_refinement_nesting(invent, invent1, invent_weights,
     ]
     rounds = 0
     for chain, omega, w in cases:
-        cache = TransientBoundCache()
+        cache = TransientBoundCache(chain)
         psi = coarsest_partition(omega)
         imdp = abstract(chain, omega, psi, cache=cache)
         for _ in range(5):
@@ -311,7 +311,7 @@ def test_criterion_8_consistency_repair(invent, invent1, invent_weights,
     # bound order holds on each iteration's final report.
     audited = 0
     psi = coarsest_partition(invent1)
-    cache = TransientBoundCache()
+    cache = TransientBoundCache(invent)
     for _ in range(3):
         imdp = abstract(invent, invent1, psi, cache=cache)
         report = compute_bounds(imdp, invent_weights,

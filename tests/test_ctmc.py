@@ -593,6 +593,16 @@ def test_state_index_errors(invent):
         invent.state_index("nope")
 
 
+@pytest.mark.parametrize("initial, rates", [
+    ("b", {}),
+    ("a", {("a", "b"): 1.0}),
+    ("a", {("b", "a"): 1.0}),
+])
+def test_from_rates_rejects_unknown_states(initial, rates):
+    with pytest.raises(ModelError, match="unknown state 'b'"):
+        from_rates(["a"], initial, rates, {})
+
+
 def test_ctmc_validation_rejects_bad_rows():
     with pytest.raises(ModelError):
         Ctmc(

@@ -40,6 +40,16 @@ def test_config_validation():
             AnalysisConfig(max_iters=bad)
 
 
+@pytest.mark.parametrize("w", [
+    [-1.0, 0.0, 1.0], [1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]],
+    [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+])
+def test_analyze_rejects_malformed_weights(invent, invent1, w):
+    # analyze checks the weights as the exact oracles do, before any work.
+    with pytest.raises(ValueError, match="weights must be"):
+        analyze(invent, invent1, w, AnalysisConfig(max_iters=1))
+
+
 def test_splittable_skips_points(invent1):
     psi = coarsest_partition(invent1)
     # Observation 0 is the point window {0}; the other three can split.

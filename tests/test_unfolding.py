@@ -122,6 +122,19 @@ def test_rejects_negative_weights(invent):
             fn(invent, rho, w)
 
 
+@pytest.mark.parametrize("w", [
+    [1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]], 0.5,
+    [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+])
+def test_rejects_malformed_weights(invent, w):
+    # One finite, nonnegative weight per state, or a ValueError that says
+    # so; never a numpy broadcast or indexing error.
+    rho = _rho((1.0, "true"))
+    for fn in (conditional_weight, bayes_quotient_weight):
+        with pytest.raises(ValueError, match="weights must be"):
+            fn(invent, rho, w)
+
+
 def _calls(ctmc, rho, w):
     """The three entry points on one instance, as calls without arguments."""
     return (lambda: conditional_weight(ctmc, rho, w),
