@@ -12,8 +12,6 @@ from .ctmc import (
     Ctmc,
     ModelError,
     UniformizationError,
-    bounded_reachability,
-    invariance,
     parse_ctmc,
     serialize_ctmc,
     transient,
@@ -34,7 +32,7 @@ from .evidence import (
     sample_instance,
     serialize_evidence,
 )
-from .simulate import sample_envelope, simulate_states_at
+from .simulate import sample_envelope
 from .solver import (
     BoundsReport,
     Scheduler,
@@ -72,12 +70,10 @@ __all__ = [
     "ZeroLikelihoodError",
     "abstract",
     "analyze",
-    "bounded_reachability",
     "coarsest_partition",
     "compute_bounds",
     "conditional_weight",
     "evidence_likelihood",
-    "invariance",
     "is_instance",
     "parse_ctmc",
     "parse_evidence",
@@ -89,7 +85,6 @@ __all__ = [
     "sample_instance",
     "serialize_ctmc",
     "serialize_evidence",
-    "simulate_states_at",
     "transient",
     "weight_from_property",
 ]

@@ -225,16 +225,14 @@ class IntervalMdp:
     def n_cells(self, i):
         return len(self.layers[i])
 
-    def sizes(self, active=None):
+    def sizes(self, active):
         """(states, actions, transitions) over the active abstract states.
 
         active holds per-layer (n_cells, n_states) masks, such as
-        restrict_reachable's; every state is active when it is None.
-        Reset states contribute one action and one transition each; the
-        other last-layer states are terminal and contribute none.
+        restrict_reachable's.  Reset states contribute one action and one
+        transition each; the other last-layer states are terminal and
+        contribute none.
         """
-        if active is None:
-            active = [np.ones((len(r), self.n_states), bool) for r in self.layers]
         states = sum(int(a.sum()) for a in active)
         actions = transitions = sum(
             int(a[:, r].sum()) for a, r in zip(active, self.reset_masks)
@@ -376,7 +374,6 @@ def restrict_reachable(imdp):
     """Per-layer masks of the abstract states that pruning keeps.
 
     These are the states reachable under some scheduler.  The model is
-    not copied: sizes() counts the masked states, and consistency
-    repair takes its fallback voters from them.
+    not copied: sizes() counts the masked states.
     """
     return reachable_states(imdp)

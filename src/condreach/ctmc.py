@@ -85,7 +85,11 @@ class Ctmc:
             raise ModelError("jump distribution rows must sum to 1")
         if not 0 <= self.initial < n:
             raise ModelError("initial state out of range")
+        if len(self.labels) != n:
+            raise ModelError("labels do not match state count")
         self._index.update({name: i for i, name in enumerate(self.state_names)})
+        if len(self._index) != n:
+            raise ModelError("state names must be distinct")
         for s, lab in enumerate(self.labels):
             for ap in lab:
                 self._columns.setdefault(ap, np.zeros(n, dtype=bool))[s] = True
@@ -563,57 +567,6 @@ def _absorbing_step(P, X):
     return X
 
 
-def _reach_vector(ctmc, target_mask, duration, eps):
-    """P(reach target within duration) from every state, target absorbing:
-    the power sum of the target's indicator column.  Target states are
-    set to exactly 1, which their sum of Poisson weights and tail need
-    not round to."""
-    if not np.any(target_mask):
-        return np.zeros(ctmc.n_states)
-    absorbed = ctmc.absorbing_variant(target_mask)
-    reach = uniformize(absorbed, duration, eps).power_sum(
-        target_mask.astype(float), _backward_step, 0
-    )
-    reach[target_mask] = 1.0
-    return reach
-
-
-def bounded_reachability_vector(ctmc, target_mask, window, eps=DEFAULT_TRANSIENT_TOL):
-    """P(occupy a target state at some time in [a, b]) from every state.
-
-    Two phases: transient to a on the unmodified chain, then time-bounded
-    reachability over b - a with the target made absorbing.  States in the
-    target at time a count as reached.
-    """
-    a, b = window
-    if not (0 <= a <= b):
-        raise ValueError("window must satisfy 0 <= a <= b")
-    target_mask = np.asarray(target_mask, dtype=bool)
-    if not np.any(target_mask):
-        warnings.warn("empty target set, reachability is 0", stacklevel=2)
-        return np.zeros(ctmc.n_states)
-    reach = _reach_vector(ctmc, target_mask, b - a, eps)
-    if a == 0.0:
-        return reach
-    return uniformize(ctmc, a, eps).power_sum(reach, _backward_step, 0)
-
-
-def bounded_reachability(ctmc, source, target_mask, window, eps=DEFAULT_TRANSIENT_TOL):
-    """Single-source version of :func:`bounded_reachability_vector`."""
-    return float(bounded_reachability_vector(ctmc, target_mask, window, eps)[source])
-
-
-def invariance(ctmc, state, tau):
-    """P(no state-changing jump from `state` within tau).
-
-    Self-loops do not leave the state, so the effective rate is
-    E(s) * (1 - jump(s, s)).
-    """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return float(np.exp(-ctmc.effective_exit_rates()[state] * tau))
-
-
 def invariance_vector(ctmc, tau):
     """Per-state invariance probabilities over [0, tau].
 
@@ -626,11 +579,26 @@ def invariance_vector(ctmc, tau):
 
 
 def weight_from_property(ctmc, target_mask, horizon, eps=DEFAULT_TRANSIENT_TOL):
-    """State weights w(s) = P(reach target within horizon from s)."""
+    """State weights w(s) = P(reach target within horizon from s).
+
+    The power sum of the target's indicator column on the chain with the
+    target made absorbing.  Target states are set to exactly 1, which
+    their sum of Poisson weights and tail need not round to.  A negative
+    or nan horizon raises ValueError; an empty target warns and gives
+    all weights 0.
+    """
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     target_mask = np.asarray(target_mask, dtype=bool)
     if not np.any(target_mask):
         warnings.warn("empty target set, all weights are 0", stacklevel=2)
         return np.zeros(ctmc.n_states)
+    indicator = target_mask.astype(float)
     if horizon == 0.0:
-        return target_mask.astype(float)
-    return bounded_reachability_vector(ctmc, target_mask, (0.0, horizon), eps)
+        return indicator
+    absorbed = ctmc.absorbing_variant(target_mask)
+    reach = uniformize(absorbed, horizon, eps).power_sum(
+        indicator, _backward_step, 0
+    )
+    reach[target_mask] = 1.0
+    return reach

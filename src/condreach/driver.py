@@ -133,7 +133,7 @@ def analyze(ctmc, omega, weights, config=AnalysisConfig()):
         t2 = time.monotonic()
         report = compute_bounds(
             imdp, weights, tol=config.vi_tol, direction=config.direction,
-            start=fixpoints, active=active,
+            start=fixpoints,
         )
         fixpoints = report.info["fixpoints"]
         solve_s = time.monotonic() - t2

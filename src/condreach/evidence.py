@@ -361,17 +361,6 @@ def coarsest_partition(omega):
     return TimePartition(tuple(np.array(ts.intervals) for ts in omega.time_sets))
 
 
-def refines(child, parent):
-    """Structural nesting check: every child cell inside one parent cell."""
-    if len(child.cells) != len(parent.cells):
-        return False
-    for c, p in zip(child.cells, parent.cells):
-        inside = (p[:, 0] <= c[:, :1]) & (c[:, 1:] <= p[:, 1])
-        if (inside.sum(axis=1) != 1).any():
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Evidence file parsing.
 

@@ -76,7 +76,8 @@ class Scheduler:
     choices[i] is an int array (n_cells_i, n_states); -1 marks reset
     states, which have no choice, and, in a solved scheduler, the
     anchor's states other than the initial one, which are not states of
-    the model.
+    the model.  A repaired scheduler is consistent: every non-reset
+    state of a cell holds the cell's one choice.
     """
 
     choices: tuple
@@ -393,19 +394,19 @@ def reachable_under(imdp, sched):
     return reachable_states(imdp, sched)
 
 
-def repair_consistency(imdp, sched, active=None):
-    """Make per-cell choices uniform by majority vote over reachable states.
+def repair_consistency(imdp, sched):
+    """Make each cell's choice uniform by majority vote over its states.
 
     Layers are fixed front to back.  Reachability of layer i + 1 depends
     only on the choices at layers up to i, so it is carried forward one
     layer at a time as each layer's choices are fixed.  A cell's voters
-    are its reachable eligible states, or all its eligible states when
-    none is reachable; eligible states are the active non-reset ones, and
-    a cell with none keeps its choices.  One bincount over
-    cell * n_next + choice counts every cell's votes, and the argmax per
-    cell breaks ties to the lowest action index.  active holds per-layer
-    masks, such as restrict_reachable's; every state is active when it
-    is None.
+    are its reachable non-reset states, or all its non-reset states when
+    none is reachable.  One bincount over cell * n_next + choice counts
+    every cell's votes, and the argmax per cell breaks ties to the lowest
+    action index.  Every non-reset state of a cell then takes its cell's
+    winner, so the result holds one choice per cell, the anchor's states
+    other than the initial one included; a cell whose states are all
+    reset keeps its -1.
     """
     choices = [c.copy() for c in sched.choices]
     reach = np.zeros((1, imdp.n_states), dtype=bool)
@@ -413,8 +414,6 @@ def repair_consistency(imdp, sched, active=None):
     for i in range(imdp.n_layers - 1):
         nc, n_next = imdp.n_cells(i), imdp.n_cells(i + 1)
         eligible = np.broadcast_to(~imdp.reset_masks[i], reach.shape)
-        if active is not None:
-            eligible = eligible & active[i]
         voters = reach & eligible
         voters = np.where(voters.any(axis=1, keepdims=True), voters, eligible)
         cell, state = np.nonzero(voters)
@@ -426,21 +425,8 @@ def repair_consistency(imdp, sched, active=None):
     return Scheduler(tuple(choices))
 
 
-def audit_consistency(imdp, sched, reach=None):
-    """Check that reachable states sharing a cell share an action."""
-    if reach is None:
-        reach = reachable_states(imdp, sched)
-    for i in range(imdp.n_layers - 1):
-        reset = imdp.reset_masks[i]
-        for j in range(imdp.n_cells(i)):
-            acts = sched.choices[i][j][reach[i][j] & ~reset]
-            if acts.size and not (acts == acts[0]).all():
-                return False
-    return True
-
-
 def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
-                   start=(0.0, 0.0, 0.0), active=None):
+                   start=(0.0, 0.0, 0.0)):
     """Sound bound pair on the optimal conditional weight.
 
     Maximization: the upper bound is the unrestricted robust optimum
@@ -451,8 +437,7 @@ def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
 
     start holds the first reset-value guesses of the three solves; a
     refinement loop passes the previous model's info["fixpoints"], which
-    are close to the refined model's and save sweeps.  active is passed
-    to repair_consistency.
+    are close to the refined model's and save sweeps.
 
     info holds the direction, the three fixpoints, the sweeps of each
     solve, and how many greedy fills the sweeps built and reused.  A
@@ -485,7 +470,7 @@ def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
         layout=layout,
     )
     count_sweeps()
-    sigma_hat = repair_consistency(imdp, sigma_minus, active)
+    sigma_hat = repair_consistency(imdp, sigma_minus)
     inner_bound = float(evaluate_scheduler(
         imdp, weights, sigma_hat, inner=pess, tol=tol, v0=start[2],
         layout=layout,

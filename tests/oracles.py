@@ -1,0 +1,143 @@
+"""Independent oracles that only the tests use.
+
+- Monte-Carlo path simulation with rejection conditioning, against the
+  exact transient distributions, conditional weights and likelihoods;
+- audit_consistency, which checks that reachable states sharing a cell
+  share an action, against consistency repair;
+- refines, the structural nesting check of two time partitions, against
+  the partition split.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from condreach.abstraction import reachable_states
+
+
+def simulate_states_at(ctmc, checkpoints, n, rng):
+    """States of n independent paths at the given checkpoint times.
+
+    Returns an (n, len(checkpoints)) array of the smallest unsigned int
+    type that holds every state.  Paths use exponential residence times
+    at the full exit rate; self-loop jumps re-enter the same state,
+    which leaves every checkpoint reading unchanged.  The state at a
+    jump instant is the post-jump state.
+    """
+    if isinstance(rng, (int, np.integer)) or rng is None:
+        rng = np.random.default_rng(rng)
+    checkpoints = np.asarray(checkpoints, dtype=float)
+    if checkpoints.size and np.any(np.diff(checkpoints) < 0):
+        raise ValueError("checkpoints must be sorted")
+    m = checkpoints.size
+    out = np.empty((n, m), dtype=np.min_scalar_type(ctmc.n_states - 1))
+    state = np.full(n, ctmc.initial, dtype=np.int64)
+    now = np.zeros(n)
+    ptr = np.zeros(n, dtype=np.int64)
+    jump_cdf = np.cumsum(ctmc.jump_probs, axis=1)
+    rates = ctmc.exit_rates
+    alive = np.arange(n)
+    while alive.size:
+        r = rates[state[alive]]
+        dt = np.full(alive.size, np.inf)
+        moving = r > 0
+        dt[moving] = rng.exponential(1.0 / r[moving])
+        nxt = now[alive] + dt
+        # Checkpoints first to end - 1 come before the next jump and read
+        # the current state.
+        first = ptr[alive]
+        end = np.searchsorted(checkpoints, nxt)
+        count = end - first
+        shift = np.repeat(first - np.cumsum(count) + count, count)
+        out[np.repeat(alive, count), np.arange(shift.size) + shift] = (
+            np.repeat(state[alive], count)
+        )
+        ptr[alive] = end
+        jumping = end < m
+        idx = alive[jumping]
+        if idx.size:
+            u = rng.random(idx.size)
+            state[idx] = (u[:, None] < jump_cdf[state[idx]]).argmax(axis=1)
+            now[idx] = nxt[jumping]
+        alive = idx
+    return out
+
+
+def _accepted(ctmc, rho, states):
+    """Paths whose state at every observation time satisfies its formula."""
+    accept = np.ones(len(states), dtype=bool)
+    for k, obs in enumerate(rho.formulas):
+        accept &= ctmc.satisfying(obs)[states[:, k]]
+    return accept
+
+
+@dataclass(frozen=True)
+class RejectionEstimate:
+    value: float
+    sigma: float
+    acceptance_rate: float
+    n_accepted: int
+
+
+def rejection_conditional_weight(ctmc, rho, weights, n, rng):
+    """Conditional expected weight by keeping evidence-consistent paths.
+
+    Paths are sampled forward; a path is accepted when its state at every
+    observation time satisfies the observed formula.  The estimate is the
+    mean weight of the final-time state over accepted paths, with the
+    binomial-normal standard error of that mean.
+    """
+    states = simulate_states_at(ctmc, rho.times, n, rng)
+    return rejection_estimate(ctmc, rho, weights, states)
+
+
+def rejection_estimate(ctmc, rho, weights, states):
+    """The estimate of rejection_conditional_weight from simulated states.
+
+    states[:, k] holds the paths' states at rho's k-th observation time,
+    so one simulation at the union of several instances' times serves
+    them all.
+    """
+    weights = np.asarray(weights, dtype=float)
+    accept = _accepted(ctmc, rho, states)
+    n_acc = int(accept.sum())
+    if n_acc == 0:
+        return RejectionEstimate(0.0, np.inf, 0.0, 0)
+    vals = weights[states[accept, -1]]
+    sigma = float(vals.std(ddof=1) / np.sqrt(n_acc)) if n_acc > 1 else np.inf
+    return RejectionEstimate(float(vals.mean()), sigma, n_acc / len(states),
+                             n_acc)
+
+
+def empirical_likelihood(ctmc, rho, n, rng):
+    """Acceptance-rate estimate of the evidence probability with its sigma."""
+    states = simulate_states_at(ctmc, rho.times, n, rng)
+    rate = _accepted(ctmc, rho, states).mean()
+    sigma = float(np.sqrt(max(rate * (1.0 - rate), 1e-12) / n))
+    return float(rate), sigma
+
+
+def audit_consistency(imdp, sched, reach=None):
+    """Check that reachable states sharing a cell share an action."""
+    if reach is None:
+        reach = reachable_states(imdp, sched)
+    for i in range(imdp.n_layers - 1):
+        reset = imdp.reset_masks[i]
+        for j in range(imdp.n_cells(i)):
+            acts = sched.choices[i][j][reach[i][j] & ~reset]
+            if acts.size and not (acts == acts[0]).all():
+                return False
+    return True
+
+
+def refines(child, parent):
+    """Structural nesting check: every child cell inside one parent cell."""
+    if len(child.cells) != len(parent.cells):
+        return False
+    for c, p in zip(child.cells, parent.cells):
+        inside = (p[:, 0] <= c[:, :1]) & (c[:, 1:] <= p[:, 1])
+        if (inside.sum(axis=1) != 1).any():
+            return False
+    return True

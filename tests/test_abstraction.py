@@ -395,7 +395,7 @@ def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
                 np.testing.assert_array_equal(U, dU)
             if level == 3:
                 break
-            report = compute_bounds(imdp, w, active=restrict_reachable(imdp))
+            report = compute_bounds(imdp, w)
             reach = reachable_under(imdp, report.guide_scheduler)
             targets = guided_split_targets(psi, reach)
             assert any(m.any() for m in targets)
@@ -467,7 +467,7 @@ def test_parent_intersection_nests(invent, invent1, invent_weights, tandem,
         psi = coarsest_partition(omega)
         imdp = abstract(ctmc, omega, psi, cache=cache)
         for _ in range(2):
-            report = compute_bounds(imdp, w, active=restrict_reachable(imdp))
+            report = compute_bounds(imdp, w)
             reach = reachable_under(imdp, report.guide_scheduler)
             targets = guided_split_targets(psi, reach)
             assert any(m.any() for m in targets)
@@ -475,6 +475,11 @@ def test_parent_intersection_nests(invent, invent1, invent_weights, tandem,
             child = abstract(ctmc, omega, child_psi, cache=cache)
             assert_nested(child, child_psi, imdp, psi, atol=1e-12)
             psi, imdp = child_psi, child
+
+
+def _every_state(imdp):
+    """Per-layer masks that hold every abstract state."""
+    return [np.ones((len(row), imdp.n_states), bool) for row in imdp.layers]
 
 
 def test_reachable_and_restrict(invent, invent1):
@@ -487,7 +492,7 @@ def test_reachable_and_restrict(invent, invent1):
     for a, r in zip(active, reach):
         np.testing.assert_array_equal(a, r)
     states, actions, transitions = imdp.sizes(active)
-    full_states, _, _ = imdp.sizes()
+    full_states, _, _ = imdp.sizes(_every_state(imdp))
     assert full_states == sum(len(row) for row in imdp.layers) * 3
     assert states < full_states
     assert actions >= states - active[-1].sum()
@@ -497,7 +502,7 @@ def test_reachable_and_restrict(invent, invent1):
 def test_sizes_count_reset_as_single_action(invent, invent1):
     psi = coarsest_partition(invent1)
     imdp = abstract(invent, invent1, psi)
-    states, actions, transitions = imdp.sizes()
+    states, actions, transitions = imdp.sizes(_every_state(imdp))
     # 5 layers x 1 cell x 3 states, all active before pruning.
     assert states == 15
     n_reset = [int(m.sum()) for m in imdp.reset_masks]
@@ -693,8 +698,7 @@ def test_sizes_match_per_action_count(imdp_cases):
     imdps = [imdp for imdp, _ in imdp_cases.values()]
     imdps += [_sparse_imdp(rng) for _ in range(50)]
     for imdp in imdps:
-        every = [np.ones((len(row), imdp.n_states), bool)
-                 for row in imdp.layers]
-        assert imdp.sizes() == _reference_sizes(imdp, every)
+        every = _every_state(imdp)
+        assert imdp.sizes(every) == _reference_sizes(imdp, every)
         active = restrict_reachable(imdp)
         assert imdp.sizes(active) == _reference_sizes(imdp, active)

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 from scipy.linalg import expm
 
-from condreach.abstraction import TransientBoundCache, abstract, restrict_reachable
+from condreach.abstraction import TransientBoundCache, abstract
 from condreach.cli import main as cli_main
 from condreach.ctmc import transient_matrix
 from condreach.driver import AnalysisConfig, analyze
@@ -19,22 +19,22 @@ from condreach.evidence import (
     TimeSet,
     coarsest_partition,
     parse_formula,
-    refines,
     sample_instance,
 )
 from condreach.fixtures import fixture_path
-from condreach.simulate import (
-    rejection_estimate,
-    sample_envelope,
-    simulate_states_at,
-)
+from condreach.simulate import sample_envelope
 from condreach.solver import (
-    audit_consistency,
     compute_bounds,
     greedy_distribution,
     repair_consistency,
 )
 from condreach.unfolding import bayes_quotient_weight, conditional_weight
+from oracles import (
+    audit_consistency,
+    refines,
+    rejection_estimate,
+    simulate_states_at,
+)
 from test_solver import _lp_optimum, _random_intervals, _toy_imdp, _toy_sched
 
 INVENT = str(fixture_path("invent.ctmc"))
@@ -125,19 +125,16 @@ def _scheduler_instance(ctmc, trace, omega):
 
     Follows the chosen next-layer cells from the initial abstract state
     and takes each chosen cell's midpoint as the observation time.  The
-    repair only normalizes choices of active (reachable) states, so the
-    abstraction's reach masks are rebuilt to read the votes from those
+    repaired scheduler holds one choice per cell over its non-reset
     states.
     """
     sched = trace.final_report.repaired_scheduler
     psi = trace.final_partition
-    imdp = abstract(ctmc, omega, psi)
-    active = restrict_reachable(imdp)
+    reset_masks = ctmc.reset_masks(omega.formulas)
     cell = 0
     times = []
     for i in range(len(omega)):
-        eligible = active[i][cell] & ~imdp.reset_masks[i]
-        votes = sched.choices[i][cell][eligible]
+        votes = sched.choices[i][cell][~reset_masks[i]]
         assert votes.size and (votes == votes[0]).all()
         cell = int(votes[0])
         times.append(psi.cells[i][cell].mean())
@@ -272,7 +269,7 @@ def test_criterion_6_refinement_nesting(invent, invent1, invent_weights,
         psi = coarsest_partition(omega)
         imdp = abstract(chain, omega, psi, cache=cache)
         for _ in range(5):
-            report = compute_bounds(imdp, w, active=restrict_reachable(imdp))
+            report = compute_bounds(imdp, w)
             from condreach.driver import apply_splits, guided_split_targets
             from condreach.solver import reachable_under
 
@@ -314,8 +311,7 @@ def test_criterion_8_consistency_repair(invent, invent1, invent_weights,
     cache = TransientBoundCache(invent)
     for _ in range(3):
         imdp = abstract(invent, invent1, psi, cache=cache)
-        report = compute_bounds(imdp, invent_weights,
-                                active=restrict_reachable(imdp))
+        report = compute_bounds(imdp, invent_weights)
         assert audit_consistency(imdp, report.repaired_scheduler)
         assert report.lower <= report.upper + 1e-9
         audited += 1

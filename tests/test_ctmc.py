@@ -20,10 +20,7 @@ from condreach.ctmc import (
     ModelError,
     UniformizationError,
     _poisson_table,
-    bounded_reachability,
-    bounded_reachability_vector,
     from_rates,
-    invariance,
     invariance_vector,
     parse_ctmc,
     reach_matrix,
@@ -421,13 +418,12 @@ def test_reach_matrix_dominates_transient(invent):
 @pytest.mark.parametrize("model, formula", [("invent.ctmc", "empty"),
                                             ("tandem.ctmc", "second_full")])
 def test_reachability_vectors_form_no_kernel(monkeypatch, model, formula):
-    # Reachability vectors carry a column through the power series; the
-    # kernel route, K[:, target].sum(axis=1) and K(a) @ reach, agrees.
+    # A weight vector carries a column through the power series; the
+    # kernel route, K[:, target].sum(axis=1), agrees.
     ctmc = parse_ctmc(fixture_text(model))
     target = ctmc.satisfying(parse_formula(formula))
     absorbed = ctmc.absorbing_variant(target)
     want = transient_matrix(absorbed, 0.5)[:, target].sum(axis=1)
-    want_late = transient_matrix(ctmc, 0.25) @ want
 
     def refuse(*args, **kwargs):
         raise AssertionError("a kernel was formed")
@@ -435,11 +431,9 @@ def test_reachability_vectors_form_no_kernel(monkeypatch, model, formula):
     monkeypatch.setattr(condreach.ctmc, "transient_matrix", refuse)
     monkeypatch.setattr(condreach.ctmc.Uniformization, "kernels", refuse)
     got = weight_from_property(ctmc, target, 0.5)
-    late = bounded_reachability_vector(ctmc, target, (0.25, 0.75))
     # A state in the target has reached it: its weight is exactly 1.
     np.testing.assert_array_equal(got[target], 1.0)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(late, want_late, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("model, formula, horizon", [
@@ -458,28 +452,33 @@ def test_target_weights_are_exactly_one(model, formula, horizon):
     assert np.all(weights[~target] < 1.0)
 
 
-def test_bounded_reachability_window(two_state):
-    # Reaching b inside [a, inf) from a: already 1 - exp(-1.5 a) plus the
-    # rest; with b absorbing, any window [a, b] gives 1 - exp(-1.5 b).
+def test_weight_from_property_closed_form(two_state):
+    # From a, b is reached within h with probability 1 - exp(-1.5 h).
     tgt = np.array([False, True])
-    val = bounded_reachability(two_state, 0, tgt, (0.5, 1.25))
-    assert val == pytest.approx(1.0 - math.exp(-1.5 * 1.25), abs=1e-10)
+    w = weight_from_property(two_state, tgt, 1.25)
+    assert w[0] == pytest.approx(1.0 - math.exp(-1.5 * 1.25), abs=1e-10)
+    assert w[1] == 1.0
 
 
-def test_bounded_reachability_empty_target_warns(invent):
-    with pytest.warns(UserWarning):
-        out = bounded_reachability_vector(invent, np.zeros(3, bool), (0, 1))
-    np.testing.assert_array_equal(out, 0.0)
+def test_weight_from_property_empty_target_warns(invent):
+    for horizon in (0.0, 1.0):
+        with pytest.warns(UserWarning, match="empty target"):
+            out = weight_from_property(invent, np.zeros(3, bool), horizon)
+        np.testing.assert_array_equal(out, 0.0)
 
 
-def test_bounded_reachability_rejects_bad_window(invent):
-    with pytest.raises(ValueError):
-        bounded_reachability_vector(invent, np.ones(3, bool), (2.0, 1.0))
+@pytest.mark.parametrize("horizon", [-1.0, -1e-300, math.nan])
+def test_weight_from_property_rejects_bad_horizon(invent, horizon):
+    for target in (np.ones(3, bool), np.zeros(3, bool)):
+        with pytest.raises(ValueError, match="horizon"):
+            weight_from_property(invent, target, horizon)
 
 
 def test_invariance_closed_form(invent):
     # s1 has exit rate 5 and no self-loop.
-    assert invariance(invent, 1, 0.3) == pytest.approx(math.exp(-1.5), abs=1e-12)
+    assert invariance_vector(invent, 0.3)[1] == pytest.approx(
+        math.exp(-1.5), abs=1e-12
+    )
     np.testing.assert_allclose(
         invariance_vector(invent, 0.1),
         np.exp(-invent.exit_rates * 0.1),
@@ -492,7 +491,10 @@ def test_invariance_ignores_self_loops():
         ["a", "b"], "a", {("a", "a"): 9.0, ("a", "b"): 2.0}, {}
     )
     # Only the rate that actually leaves the state counts.
-    assert invariance(chain, 0, 1.0) == pytest.approx(math.exp(-2.0), abs=1e-12)
+    np.testing.assert_allclose(
+        invariance_vector(chain, 1.0), [math.exp(-2.0), 1.0], rtol=0,
+        atol=1e-12,
+    )
 
 
 def test_weight_from_property(invent, invent_weights):
@@ -601,6 +603,22 @@ def test_state_index_errors(invent):
 def test_from_rates_rejects_unknown_states(initial, rates):
     with pytest.raises(ModelError, match="unknown state 'b'"):
         from_rates(["a"], initial, rates, {})
+
+
+def test_ctmc_rejects_labels_of_another_length():
+    # Too few labels used to drop state b from serialize_ctmc; too many
+    # raised a bare IndexError.
+    for labels in ((frozenset({"x"}),),
+                   (frozenset(), frozenset(), frozenset({"x"}))):
+        with pytest.raises(ModelError, match="labels"):
+            Ctmc(("a", "b"), 0, np.eye(2), np.zeros(2), labels)
+
+
+def test_ctmc_rejects_duplicate_state_names():
+    with pytest.raises(ModelError, match="distinct"):
+        from_rates(["a", "a"], "a", {}, {})
+    with pytest.raises(ModelError, match="distinct"):
+        Ctmc(("a", "b", "a"), 0, np.eye(3), np.zeros(3), (frozenset(),) * 3)
 
 
 def test_ctmc_validation_rejects_bad_rows():

@@ -15,13 +15,13 @@ from condreach.evidence import (
     TimeSet,
     coarsest_partition,
     parse_formula,
-    refines,
 )
 from condreach.unfolding import (
     bayes_quotient_weight,
     conditional_weight,
     evidence_likelihood,
 )
+from oracles import refines
 
 
 def test_config_validation():

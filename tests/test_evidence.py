@@ -17,10 +17,10 @@ from condreach.evidence import (
     is_instance,
     parse_evidence,
     parse_formula,
-    refines,
     sample_instance,
     serialize_evidence,
 )
+from oracles import refines
 
 
 # --- formulas ---------------------------------------------------------------

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from condreach.ctmc import transient
 from condreach.evidence import PreciseEvidence, parse_formula, sample_instance
-from condreach.simulate import (
+from condreach.simulate import sample_envelope
+from condreach.unfolding import conditional_weight, evidence_likelihood
+from oracles import (
     empirical_likelihood,
     rejection_conditional_weight,
-    sample_envelope,
     simulate_states_at,
 )
-from condreach.unfolding import conditional_weight, evidence_likelihood
 
 
 def test_simulated_marginals_match_transient(invent):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from condreach import solver
-from condreach.abstraction import IntervalMdp, abstract, restrict_reachable
+from condreach.abstraction import IntervalMdp, abstract
+from condreach.driver import AnalysisConfig, analyze
 from condreach.evidence import coarsest_partition
 from condreach.solver import (
     BoundsReport,
@@ -16,7 +17,6 @@ from condreach.solver import (
     _q_values,
     _rows,
     _sweep,
-    audit_consistency,
     compute_bounds,
     evaluate_scheduler,
     greedy_distribution,
@@ -24,6 +24,7 @@ from condreach.solver import (
     robust_value_iteration,
 )
 from condreach.unfolding import ZeroLikelihoodError, conditional_weight
+from oracles import audit_consistency
 from test_abstraction import (
     _random_scheduler,
     _reference_reachable,
@@ -122,6 +123,19 @@ def test_repaired_scheduler_is_consistent(invent, invent1, invent_weights):
         imdp, invent_weights, report.repaired_scheduler, inner="min"
     )
     assert val <= report.upper + 1e-9
+
+
+def test_repaired_scheduler_holds_one_choice_per_cell(invent, invent1,
+                                                      invent_weights):
+    # At cap 10 a cell of the refined model has reachable states and
+    # states no scheduler reaches; the repaired scheduler still makes one
+    # choice for all of them, and at the anchor for every state.
+    trace = analyze(invent, invent1, invent_weights,
+                    AnalysisConfig(max_iters=10))
+    imdp = abstract(invent, invent1, trace.final_partition)
+    sched = trace.final_report.repaired_scheduler
+    _assert_one_choice_per_cell(imdp, sched)
+    assert (sched.choices[0] >= 0).all()
 
 
 def _toy_imdp(n_mid=2):
@@ -551,34 +565,34 @@ def test_info_counts_solved_rows_and_columns(imdp_cases):
         assert kept == n - resets + 1
 
 
-def _reference_repair(imdp, sched, active):
+def _reference_repair(imdp, sched):
     """Repair that reruns the full forward pass before fixing each layer."""
     choices = [c.copy() for c in sched.choices]
     for i in range(imdp.n_layers - 1):
         reach = _reference_reachable(imdp, Scheduler(tuple(choices)))
-        reset = imdp.reset_masks[i]
+        eligible = ~imdp.reset_masks[i]
+        if not eligible.any():
+            continue
         for j in range(imdp.n_cells(i)):
-            eligible = ~reset & active[i][j]
-            if not eligible.any():
-                continue
             voters = reach[i][j] & eligible
             votes = choices[i][j][voters if voters.any() else eligible]
             choices[i][j][eligible] = np.bincount(votes).argmax()
     return Scheduler(tuple(choices))
 
 
-def _all_active(imdp):
-    return [np.ones((len(row), imdp.n_states), bool) for row in imdp.layers]
-
-
-def _assert_repair_matches_reference(imdp, sched, active, err_msg=""):
-    got = repair_consistency(imdp, sched, active)
-    want = _reference_repair(
-        imdp, sched, _all_active(imdp) if active is None else active
-    )
+def _assert_repair_matches_reference(imdp, sched, err_msg=""):
+    got = repair_consistency(imdp, sched)
+    want = _reference_repair(imdp, sched)
     for g, w in zip(got.choices, want.choices):
         np.testing.assert_array_equal(g, w, err_msg=err_msg)
     return got
+
+
+def _assert_one_choice_per_cell(imdp, sched, err_msg=""):
+    """Every non-reset state of a cell holds the cell's one choice."""
+    for i, reset in enumerate(imdp.reset_masks[:-1]):
+        live = sched.choices[i][:, ~reset]
+        assert (live == live[:, :1]).all(), f"{err_msg} layer {i}"
 
 
 def _tied_votes_imdp():
@@ -605,25 +619,23 @@ def _tied_votes_imdp():
 def test_one_pass_repair_matches_rerun_reachability(imdp_cases):
     rng = np.random.default_rng(3)
     for name, (imdp, weights) in imdp_cases.items():
-        active = restrict_reachable(imdp)
         _, sigma_star = robust_value_iteration(imdp, weights, "max", "max")
         _, sigma_minus = robust_value_iteration(imdp, weights, "max", "min")
-        schedulers = [sigma_minus]
+        schedulers = [sigma_star, sigma_minus]
         schedulers += [_random_scheduler(imdp, rng) for _ in range(4)]
-        for sched in schedulers:
-            _assert_repair_matches_reference(imdp, sched, active, name)
-        # Every state active: solved schedulers hold -1 at the anchor's
-        # states other than the initial one, which never vote.
+        # Solved schedulers hold -1 at the anchor's states other than the
+        # initial one, which never vote and take the anchor's choice.
         for sched in (sigma_star, sigma_minus):
             assert (sched.choices[0] == -1).any()
-            _assert_repair_matches_reference(imdp, sched, None, name)
-    # Three-way ties, a cell with no reachable voter, and a cell with no
-    # eligible state.  The anchor chooses layer 1's cell 1, so its cell 0
-    # falls back to its eligible states, which elect action 2; cell 1
-    # ties 2-2-2 and elects action 0, which leaves layer 2's cells 1 and
-    # 2 unreached.  There cell 0 ties 2-2-2 among its reachable voters and
-    # cell 1 among its eligible states, both electing 0, and cell 2 has
-    # no eligible state, so it keeps its mixed choices.
+        for sched in schedulers:
+            got = _assert_repair_matches_reference(imdp, sched, name)
+            _assert_one_choice_per_cell(imdp, got, name)
+    # Three-way ties and cells with no reachable voter.  The anchor
+    # chooses layer 1's cell 1, so its cell 0 falls back to its non-reset
+    # states, which elect action 2; cell 1 ties 2-2-2 and elects action 0,
+    # which leaves layer 2's cells 1 and 2 unreached.  There cell 0 ties
+    # 2-2-2 among its reachable voters, and cells 1 and 2 among all their
+    # states; each elects 0.
     imdp = _tied_votes_imdp()
     sched = Scheduler((
         np.array([[1, -1, -1, -1, -1, -1]]),
@@ -631,19 +643,15 @@ def test_one_pass_repair_matches_rerun_reachability(imdp_cases):
         np.array([[1, 2, 0, 2, 1, 0], [2, 2, 1, 1, 0, 0], [2, 0, 1, 2, 0, 1]]),
         np.array([[0] * 6] * 3),
     ))
-    active = _all_active(imdp)
-    active[2][2] = False
-    got = _assert_repair_matches_reference(imdp, sched, active)
+    got = _assert_repair_matches_reference(imdp, sched)
     np.testing.assert_array_equal(got.choices[1], [[2] * 6, [0] * 6])
-    np.testing.assert_array_equal(got.choices[2][:2], [[0] * 6, [0] * 6])
-    np.testing.assert_array_equal(got.choices[2][2], sched.choices[2][2])
-    _assert_repair_matches_reference(imdp, sched, None)
+    np.testing.assert_array_equal(got.choices[2], [[0] * 6] * 3)
     # Sparse supports, where a repaired choice changes what is reachable.
     for _ in range(200):
         imdp = _sparse_imdp(rng)
         sched = _random_scheduler(imdp, rng)
-        active = restrict_reachable(imdp) if rng.random() < 0.5 else None
-        _assert_repair_matches_reference(imdp, sched, active)
+        got = _assert_repair_matches_reference(imdp, sched)
+        _assert_one_choice_per_cell(imdp, got)
 
 
 def test_warm_start_keeps_bounds(imdp_cases):
