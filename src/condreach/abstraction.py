@@ -12,12 +12,14 @@ admit, so the model is stored by distinct gap.  A model is built without
 a loop over cell pairs: the gaps of all pairs come from the cells'
 endpoint arrays by broadcasting, each layer's distinct gaps are found
 with np.unique, and the bound cache answers the distinct gaps of every
-layer in one batched call per model.  Each layer keeps its slice of the
-returned (gap, n, n) stacks and np.unique's inverse as an (n_cells,
-n_next_cells) gap index; nothing is scattered to the pairs.  The cache,
-one per chain and transient tolerance, keeps the gap's two parts across
-layers and iterations: kernels by its minimum and reach matrices by its
-spread, each in one sorted-key stack.
+layer in one batched call per model.  Each layer keeps its (gap, rows,
+n) stacks and np.unique's inverse as an (n_cells, n_next_cells) gap
+index; nothing is scattered to the pairs.  A layer's stacks hold only
+the rows of the states the model defines there (IntervalMdp.rows): the
+initial state in the anchor layer, the non-reset states after it.  The
+cache, one per chain and transient tolerance, keeps the gap's two parts
+across layers and iterations: kernels by its minimum and reach matrices
+by its spread, each in one sorted-key stack.
 
 Each partition is abstracted on its own.  Refinement still nests: a
 child cell pair admits a sub-gap of its parent pair's gap, and the
@@ -37,6 +39,7 @@ returns its masks, and the model is never copied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,10 +52,21 @@ from .ctmc import (
 
 # Floating-point slack for lower > upper inversions on near-point cells.
 _NOISE = 1e-9
+# Floats per chunk of gaps (1 MB) in the stacked products and column
+# lumps: it bounds the copies of reach matrices and rows they gather,
+# and a small chain's gaps all fit in one chunk, so one call.
+_CHUNK = 2**17
 
 
 class AbstractionError(ArithmeticError):
     """Raised when computed interval bounds are numerically infeasible."""
+
+
+def _chunks(m, size):
+    """Slices that cut m gaps of size floats each into _CHUNK-float
+    chunks, at least one gap per chunk."""
+    step = max(1, _CHUNK // max(size, 1))
+    return [slice(at, at + step) for at in range(0, m, step)]
 
 
 class _KeyedStack:
@@ -63,6 +77,7 @@ class _KeyedStack:
     they are computed, and a buffer that fills is replaced by one of
     twice the size, so a stored value is copied O(1) times on average.
     keys is kept sorted, and rows maps keys[i] to its row in the buffer.
+    get hands out buffer rows, not copies: callers gather what they read.
     """
 
     def __init__(self, compute):
@@ -73,10 +88,10 @@ class _KeyedStack:
         self.size = 0
 
     def get(self, queries):
-        """The stacked values of every query, in query order.
+        """The buffer row of every query's value, in query order.
 
         Keys not stored yet are computed by one call compute(keys).  The
-        returned stack is a fresh copy, free to be written.
+        rows index self.buffer until the next get that computes.
         """
         uniq, inverse = np.unique(queries, return_inverse=True)
         pos = np.searchsorted(self.keys, uniq)
@@ -88,7 +103,7 @@ class _KeyedStack:
             self.keys = np.insert(self.keys, at, new)
             self.rows = np.insert(self.rows, at, rows)
             pos = np.searchsorted(self.keys, uniq)
-        return self.buffer[self.rows[pos[inverse.reshape(-1)]]]
+        return self.rows[pos[inverse.reshape(-1)]]
 
     def _append(self, fresh):
         """Append the stack fresh to the buffer; returns its rows."""
@@ -114,10 +129,11 @@ class TransientBoundCache:
     invariance vector, an elementwise exp taken per call.  Kernels are
     kept by gap minimum and reach matrices by spread, each in a
     _KeyedStack, so gaps that share a minimum or a spread share that
-    part, and a batch computes its missing kernels and spreads in one
+    part, and a call computes its missing kernels and spreads in one
     transient_matrix and one reach_matrix call.  Finished pairs are not
-    kept: assembling them is one batched product, made in place in the
-    freshly gathered kernels.  Cell endpoint arithmetic is exact on
+    kept: assembling them takes the kernels' requested rows, gathered
+    straight from the buffer, times the buffered reach matrices, a chunk
+    of gaps at a time.  Cell endpoint arithmetic is exact on
     representable binary fractions, so evidences with uniform window
     spacing hit the cache across layers.
     """
@@ -139,28 +155,57 @@ class TransientBoundCache:
         """
         return np.concatenate((self._kernels.keys, self._spreads.keys))
 
-    def bound_matrices(self, gaps):
-        """Sound bound matrices for all state pairs over elapsed-time gaps.
+    def bound_matrices(self, gaps, rows):
+        """Sound bound matrices over elapsed-time gaps, on chosen rows.
 
-        gaps is an (m, 2) array of (g_min, g_max) pairs; the result is a
-        (lower, upper) pair of read-only (m, n, n) stacks.  For elapsed
-        time tau in [g_min, g_max]:
+        gaps holds parts, each an (m, 2) array of (g_min, g_max) pairs,
+        and rows as many int arrays of r state ids.  The result holds per
+        part a (lower, upper) pair of read-only (m, r, n) stacks: row k of
+        a gap's matrices is state rows[k]'s.  For elapsed time tau in
+        [g_min, g_max]:
           upper[s, s'] = P(visit s' at some point in [g_min, g_max] from s),
           lower[s, s'] = P(in s' at g_min, no jump until g_max from s),
         both of which bracket the transient probability at every tau.
+        The missing parts of every part's gaps are computed together.
         """
-        gaps = np.asarray(gaps, dtype=float)
-        if gaps.shape[1:] != (2,) or not np.all(
-            (0 <= gaps[:, 0]) & (gaps[:, 0] <= gaps[:, 1])
-        ):
-            raise ValueError("gaps must be (min, max) rows, 0 <= min <= max")
-        g_min, spread = gaps[:, 0], gaps[:, 1] - gaps[:, 0]
-        # The gathered kernels are a fresh copy, so they become lower in
-        # place.  A point gap's spread is 0, with R = I and invariance 1,
-        # so it brackets its one kernel exactly.
-        lower = self._kernels.get(g_min)
-        upper = lower @ self._spreads.get(spread)
-        lower *= invariance_vector(self.ctmc, spread)[:, None, :]
+        gaps = [np.asarray(g, dtype=float) for g in gaps]
+        for g in gaps:
+            if g.shape[1:] != (2,) or not np.all(
+                (0 <= g[:, 0]) & (g[:, 0] <= g[:, 1])
+            ):
+                raise ValueError(
+                    "gaps must be (min, max) rows, 0 <= min <= max"
+                )
+        if len(rows) != len(gaps):
+            raise ValueError("rows must hold one state array per gap part")
+        every = np.concatenate(gaps)
+        g_min, spread = every[:, 0], every[:, 1] - every[:, 0]
+        kernels, spreads = self._kernels.get(g_min), self._spreads.get(spread)
+        inv = invariance_vector(self.ctmc, spread)
+        ends = np.cumsum([0, *map(len, gaps)])
+        return [
+            self._assemble(kernels[a:b], spreads[a:b], inv[a:b],
+                           np.asarray(r, dtype=np.intp))
+            for a, b, r in zip(ends, ends[1:], rows)
+        ]
+
+    def _assemble(self, kernels, spreads, inv, rows):
+        """The bound stacks of the gaps whose parts sit at buffer rows
+        kernels and spreads, with invariance vectors inv, on rows."""
+        # BLAS runs a one-row product as gemv, whose sums round otherwise
+        # than gemm's rows; a doubled row keeps the full product's bits.
+        r = len(rows)
+        lower = self._kernels.buffer[kernels[:, None],
+                                     np.repeat(rows, 2) if r == 1 else rows]
+        upper = np.empty_like(lower)
+        R = self._spreads.buffer
+        for part in _chunks(len(lower), self.ctmc.n_states ** 2):
+            np.matmul(lower[part], R[spreads[part]], out=upper[part])
+        lower, upper = lower[:, :r], upper[:, :r]
+        # lower is a fresh gather, so it is scaled in place.  A point
+        # gap's spread is 0, with R = I and invariance 1, so it brackets
+        # its one kernel exactly.
+        lower *= inv[:, None, :]
         np.clip(lower, 0.0, 1.0, out=lower)
         np.clip(upper, 0.0, 1.0, out=upper)
         # Lower above upper by at most _NOISE is float noise on near-point
@@ -180,7 +225,7 @@ class TransientBoundCache:
 
 @dataclass(frozen=True)
 class IntervalMdp:
-    """Layered interval MDP, stored by distinct gap.
+    """Layered interval MDP, stored by distinct gap on its live rows.
 
     Attributes
     ----------
@@ -188,26 +233,26 @@ class IntervalMdp:
         Per layer, the (n_cells, 2) array of [lo, hi] cell endpoints: the
         anchor [0, 0], then each observation window's partition cells.
     gap_lower, gap_upper : tuple of ndarray
-        Per layer i < last, the (n_gaps_i, n_states, n_states) bound
+        Per layer i < last, the (n_gaps_i, len(rows[i]), n_states) bound
         stacks of the distinct gaps between layer i's cells and layer
-        i + 1's.
+        i + 1's, on the rows of the states in rows[i].
     gap_index : tuple of ndarray
         Per layer i < last, an int array (n_cells_i, n_cells_{i+1}) of
-        gap numbers.  With g = gap_index[i][j, j2], entry [g, s, s'] of
-        gap_lower[i] and gap_upper[i] bounds the transition probability
-        of abstract state (i, j, s) under action j2 into (i+1, j2, s').
+        gap numbers.  With g = gap_index[i][j, j2] and s = rows[i][k],
+        entry [g, k, s'] of gap_lower[i] and gap_upper[i] bounds the
+        transition probability of abstract state (i, j, s) under action
+        j2 into (i+1, j2, s').
     reset_masks : tuple of ndarray
         Per layer, the states violating that layer's observation; such
         abstract states carry a single probability-1 redirect to the
-        initial abstract state instead of their rows or weights.  Their
-        rows in the gap stacks are kept but never solved, and the solver
-        sums the columns of a layer's reset successors into one
-        reset-sink column, since they all carry the reset value.
+        initial abstract state instead of rows or weights, so the gap
+        stacks hold no row of theirs.  The solver sums the columns of a
+        layer's reset successors into one reset-sink column, since they
+        all carry the reset value.
     initial : int
         CTMC initial state; the initial abstract state is (0, 0, initial).
-        It is the anchor layer's one state of the model: the gap stacks
-        of layer 0 keep a row for every CTMC state, and the solver reads
-        only this one.
+        It is the anchor layer's one state of the model, and the anchor's
+        gap stacks hold its row alone.
     """
 
     layers: tuple
@@ -217,6 +262,17 @@ class IntervalMdp:
     reset_masks: tuple
     initial: int
     n_states: int
+
+    def __post_init__(self):
+        for i, (L, U) in enumerate(zip(self.gap_lower, self.gap_upper)):
+            shape = (len(self.rows[i]), self.n_states)
+            if not L.shape[1:] == U.shape[1:] == shape:
+                raise ValueError(f"layer {i}'s stacks do not hold its rows")
+
+    @cached_property
+    def rows(self):
+        """Per layer i < last, the states whose rows its gap stacks hold."""
+        return _stack_rows(self.reset_masks, self.initial)
 
     @property
     def n_layers(self):
@@ -229,36 +285,50 @@ class IntervalMdp:
         """(states, actions, transitions) over the active abstract states.
 
         active holds per-layer (n_cells, n_states) masks, such as
-        restrict_reachable's.  Reset states contribute one action and one
-        transition each; the other last-layer states are terminal and
-        contribute none.
+        restrict_reachable's; of the anchor layer only the initial state,
+        the one state the model defines there, counts.  Reset states
+        contribute one action and one transition each; the other
+        last-layer states are terminal and contribute none.
         """
-        states = sum(int(a.sum()) for a in active)
-        actions = transitions = sum(
-            int(a[:, r].sum()) for a, r in zip(active, self.reset_masks)
-        )
-        for i in range(self.n_layers - 1):
-            reset = self.reset_masks[i]
-            live = active[i][:, ~reset]
-            actions += int(live.sum()) * self.n_cells(i + 1)
-            # Successors with support per gap and row, summed over actions.
-            degree = (self.gap_upper[i][:, ~reset, :] > 0).sum(axis=2)
-            out_deg = degree[self.gap_index[i]].sum(axis=1)
-            transitions += int(out_deg[live].sum())
+        states = actions = transitions = 0
+        last = self.n_layers - 1
+        for i, (a, reset) in enumerate(zip(active, self.reset_masks)):
+            resets = int(a[:, reset].sum())
+            live = a[:, self.rows[i] if i < last else ~reset]
+            states += resets + int(live.sum())
+            actions += resets
+            transitions += resets
+            if i < last:
+                actions += int(live.sum()) * self.n_cells(i + 1)
+                # Successors with support per gap and row, summed over
+                # actions.
+                degree = (self.gap_upper[i] > 0).sum(axis=2)
+                out_deg = degree[self.gap_index[i]].sum(axis=1)
+                transitions += int(out_deg[live].sum())
         return states, actions, transitions
+
+
+def _stack_rows(reset_masks, initial):
+    """Per layer but the last, the states whose rows its gap stacks hold:
+    the initial state in the anchor layer, and the non-reset states in
+    every later one.  The rows no solve reads are never stored."""
+    return (
+        np.array([initial]),
+        *(np.flatnonzero(~reset) for reset in reset_masks[1:-1]),
+    )
 
 
 def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
     """Build the interval MDP for evidence omega under partition psi.
 
     The model depends only on the partition and the bound cache, which
-    it calls once with the distinct gaps of every layer, so the missing
-    kernels and spreads of the whole model are computed in one
-    transient_matrix and one reach_matrix call.  A refined partition's
-    intervals nest inside the coarser ones because the gap bounds are
-    monotone; they are not clipped to them.  A psi that does not tile
-    omega's windows raises SemanticError, and a cache built for another
-    chain or tolerance raises ValueError.
+    it calls once with the distinct gaps and the stored rows of every
+    layer, so the missing kernels and spreads of the whole model are
+    computed in one transient_matrix and one reach_matrix call.  A
+    refined partition's intervals nest inside the coarser ones because
+    the gap bounds are monotone; they are not clipped to them.  A psi
+    that does not tile omega's windows raises SemanticError, and a cache
+    built for another chain or tolerance raises ValueError.
     """
     omega.bind_check(ctmc.alphabet)
     psi.check_covers(omega)
@@ -268,6 +338,7 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
         raise ValueError("the bound cache serves another chain or tolerance")
     layers = (np.zeros((1, 2)), *psi.cells)
     reset_masks = ctmc.reset_masks(omega.formulas)
+    rows = _stack_rows(reset_masks, ctmc.initial)
 
     # Per layer, the distinct gaps between its cells and the next
     # layer's, and each cell pair's gap number.
@@ -285,21 +356,18 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
         )
         index = inverse.reshape(len(lo), len(lo2))
         index.setflags(write=False)
-        uniqs.append(uniq)
+        uniqs.append(uniq.view(float).reshape(-1, 2))
         gap_index.append(index)
-    # One cache call for the whole model; each layer keeps its slice.
-    L, U = cache.bound_matrices(
-        np.concatenate(uniqs).view(float).reshape(-1, 2)
-    )
-    ends = np.cumsum([len(u) for u in uniqs])[:-1]
-    gap_lower, gap_upper = np.split(L, ends), np.split(U, ends)
-    for i, index in enumerate(gap_index):
-        _check_feasible(gap_lower[i], gap_upper[i], index, reset_masks[i], i)
+    # One cache call for the whole model.
+    stacks = cache.bound_matrices(uniqs, rows)
+    for i, ((L, U), index) in enumerate(zip(stacks, gap_index)):
+        _check_feasible(L, U, index, rows[i], i)
+    gap_lower, gap_upper = zip(*stacks)
 
     return IntervalMdp(
         layers=layers,
-        gap_lower=tuple(gap_lower),
-        gap_upper=tuple(gap_upper),
+        gap_lower=gap_lower,
+        gap_upper=gap_upper,
         gap_index=tuple(gap_index),
         reset_masks=reset_masks,
         initial=ctmc.initial,
@@ -307,16 +375,14 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
     )
 
 
-def _check_feasible(L, U, index, reset, layer):
-    """Every non-reset row must admit a distribution inside its intervals.
+def _check_feasible(L, U, index, rows, layer):
+    """Every stored row must admit a distribution inside its intervals.
 
-    L and U are a layer's gap stacks and index its gap numbers; a gap's
-    infeasible row is named by the first cell pair that admits the gap.
+    L and U are a layer's gap stacks, rows their states and index its
+    gap numbers; a gap's infeasible row is named by the first cell pair
+    that admits the gap.
     """
-    rows = np.flatnonzero(~reset)
-    excess = np.maximum(
-        L.sum(axis=2)[:, rows] - 1.0, 1.0 - U.sum(axis=2)[:, rows]
-    )
+    excess = np.maximum(L.sum(axis=2) - 1.0, 1.0 - U.sum(axis=2))
     if np.any(excess > _NOISE):
         g, r = np.unravel_index(np.argmax(excess), excess.shape)
         j, j2 = np.argwhere(index == g)[0]
@@ -331,19 +397,20 @@ def reachable_step(imdp, i, reach, choice=None):
 
     reach is layer i's (n_cells, n_states) mask and choice its scheduler
     choices (every action is explored when None).  Each followed row is
-    a row of a gap stack of U; their supports are gathered grouped by
-    next cell and or-reduced per group.
+    a stored row of a gap stack of U, those of the reached states in
+    imdp.rows[i]; their supports are gathered grouped by next cell and
+    or-reduced per group.
     """
-    U, index = imdp.gap_upper[i], imdp.gap_index[i]
-    n = imdp.n_states
+    U, index, rows = imdp.gap_upper[i], imdp.gap_index[i], imdp.rows[i]
+    n, r = imdp.n_states, len(rows)
     nc, nc2 = index.shape
-    rows = reach & ~imdp.reset_masks[i]
+    live = reach[:, rows]
     if choice is None:
-        follow = np.broadcast_to(rows, (nc2, nc, n))
+        follow = np.broadcast_to(live, (nc2, nc, r))
     else:
-        follow = (choice == np.arange(nc2)[:, None, None]) & rows
-    # follow[j2, j, s]: row s of gap index[j, j2] leads into next cell j2.
-    row_ids = index.T[:, :, None] * n + np.arange(n)
+        follow = (choice[:, rows] == np.arange(nc2)[:, None, None]) & live
+    # follow[j2, j, k]: row k of gap index[j, j2] leads into next cell j2.
+    row_ids = index.T[:, :, None] * r + np.arange(r)
     support = (U > 0).reshape(-1, n)[row_ids[follow]]
     counts = follow.sum(axis=(1, 2))
     flow = np.zeros((nc2, n), dtype=bool)

@@ -167,12 +167,17 @@ def from_rates(names, initial, rates, labels):
     names : sequence of str
     initial : str
     rates : dict mapping (src, dst) names to positive rates
-    labels : dict mapping state name to iterable of APs
+    labels : dict mapping state name to iterable of APs (not a str,
+        which would be read as its characters)
     """
     idx = {name: i for i, name in enumerate(names)}
-    for name in (initial, *(end for pair in rates for end in pair)):
+    for name in (initial, *(end for pair in rates for end in pair), *labels):
         if name not in idx:
             raise ModelError(f"unknown state {name!r}")
+    for name, aps in labels.items():
+        if isinstance(aps, str):
+            raise ModelError(f"labels of {name!r} must be a collection of "
+                             f"APs, not the string {aps!r}")
     n = len(names)
     R = np.zeros((n, n))
     for (src, dst), rate in rates.items():

@@ -172,6 +172,9 @@ def analyze(ctmc, omega, weights, config=AnalysisConfig()):
         pending_splits = sum(int(m.sum()) for m in marks)
         if not pending_splits:
             break
+        # The next model is built from the partition alone: drop this one
+        # first, so that one model is alive at a time.
+        del imdp, active
         psi = apply_splits(psi, marks)
 
     return AnalysisTrace(tuple(rows), psi, report)

@@ -12,15 +12,16 @@ more at the fixpoint and expands that sweep to the values and the
 scheduler it returns; the fixed-scheduler solve returns the fixpoint
 alone.
 
-A sweep solves only the rows the model defines.  A reset state
-redirects to the initial state with probability 1, so it takes v0 with
-beta 1 and has no row, and the anchor layer's one state of the model is
-(0, 0, initial).  Every reset successor thus carries (v0, 1), and a
-step into two or more of them lumps them into one reset-sink column
-whose bounds are the sums of theirs: the greedy below pours the same
-mass into a run of equal-valued successors whether they are one column
-or many.  On tandem1 the anchor step solves 1 row instead of 120, and
-the step into the last layer orders 15 columns instead of 120.
+A sweep solves the rows the model defines, the only rows its gap stacks
+hold.  A reset state redirects to the initial state with probability 1,
+so it takes v0 with beta 1 and has no row, and the anchor layer's one
+state of the model is (0, 0, initial).  Every reset successor thus
+carries (v0, 1), and a step into two or more of them lumps them into one
+reset-sink column whose bounds are the sums of theirs: the greedy below
+pours the same mass into a run of equal-valued successors whether they
+are one column or many.  On tandem1 the anchor step solves 1 row instead
+of 120, and the step into the last layer orders 15 columns instead of
+120.
 
 Each layer of a sweep is one batched numpy kernel over its rows.
 Nature's optimum over an interval polytope is its greedy extreme point:
@@ -58,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abstraction import reachable_states, reachable_step
+from .abstraction import _chunks, reachable_states, reachable_step
 from .unfolding import ZERO_LIKELIHOOD, ZeroLikelihoodError
 
 DEFAULT_VI_TOL = 1e-9
@@ -121,10 +122,11 @@ def greedy_distribution(lower, upper, values, maximize):
 def _prepare(imdp):
     """Value-independent arrays of each layer's batched greedy.
 
-    A layer solves its non-reset rows, in the anchor layer the initial
-    one alone, against the next layer's columns with its reset states
-    lumped (see _rows).  Every layer but the last gets the rows of all
-    its cell pairs, gathered once from the gap stacks.  In the last step
+    A layer solves the rows its gap stacks hold (IntervalMdp.rows), its
+    non-reset states and in the anchor layer the initial one alone,
+    against the next layer's columns with its reset states lumped (see
+    _rows).  Every layer but the last gets the rows of all its cell
+    pairs, gathered once from the gap stacks.  In the last step
     all next cells carry the same vectors, so a row's greedy depends on
     its gap alone: that layer gets one row per gap and state, numbered
     as if each gap were a cell with a single next cell.  The last
@@ -134,13 +136,9 @@ def _prepare(imdp):
     """
     layout = []
     last = imdp.n_layers - 2
-    for i, (L, U, index) in enumerate(
-        zip(imdp.gap_lower, imdp.gap_upper, imdp.gap_index)
+    for i, (L, U, index, rows) in enumerate(
+        zip(imdp.gap_lower, imdp.gap_upper, imdp.gap_index, imdp.rows)
     ):
-        live = ~imdp.reset_masks[i]
-        if i == 0:
-            live &= np.arange(imdp.n_states) == imdp.initial
-        rows = np.flatnonzero(live)
         sink = imdp.reset_masks[i + 1]
         layer = _rows(L, U, np.arange(len(L))[:, None] if i == last else index,
                       rows, sink if np.count_nonzero(sink) >= 2 else None)
@@ -174,12 +172,14 @@ class _Layer:
 def _rows(L, U, index, rows, sink=None):
     """The greedy arrays (lower, room, slack) of index's cell pairs.
 
-    L and U are (g, n, n) gap stacks and index an (nc, nc2) array of gap
-    numbers.  rows holds the r states whose rows are solved.  sink is
-    None, keeping the n columns, or a mask of successors that carry
+    L and U are (g, r, n) gap stacks, whose rows are those of the r
+    states in rows, and index an (nc, nc2) array of gap numbers.  sink
+    is None, keeping the n columns, or a mask of successors that carry
     equal vectors, the reset states: they become one last column, after
     the k - 1 others, whose lower bound and room are the sums of theirs,
-    while the slack stays 1 - sum L over the full row.
+    while the slack stays 1 - sum L over the full row.  The columns are
+    taken and lumped a chunk of gaps at a time, so no room U - L or
+    gathered column set of the whole stack is formed.
 
     Rows are numbered m = j * r + s over (cell, solved state), and all
     three arrays are successor-major: lower[j2, t, m] is column t of row
@@ -189,29 +189,30 @@ def _rows(L, U, index, rows, sink=None):
     cols gathers the k columns from a next layer's (.., n) array, None
     for all n or the kept states and then one sink state.
     """
-    g = len(L)
+    g, r, n = L.shape
     nc, nc2 = index.shape
-    L = L[:, rows]
     slack = 1.0 - L.sum(axis=-1)
-    room = U[:, rows] - L
     cols = None
     if sink is not None:
         keep = np.flatnonzero(~sink)
         cols = np.append(keep, np.flatnonzero(sink)[0])
-        L, room = (
-            np.concatenate(
-                (a[..., keep], a[..., sink].sum(axis=-1, keepdims=True)),
-                axis=-1,
-            )
-            for a in (L, room)
-        )
-    k = L.shape[2]
-    # Row t * g + p of a stack transposed to (t, g, s) is gap p's
-    # column t; take[j2, t, j] picks it for the pair (j, j2).
+    k = n if cols is None else len(cols)
+    # Both stacks transposed to (t, g, s): row t * g + p is gap p's
+    # column t, and take[j2, t, j] picks it for the pair (j, j2).
+    lower, room = np.empty((2, k, g, r))
+    for part in _chunks(g, r * n):
+        lo = L[part]
+        for a, out in ((lo, lower), (U[part] - lo, room)):
+            if sink is not None:
+                a = np.concatenate(
+                    (a[..., keep], a[..., sink].sum(axis=-1, keepdims=True)),
+                    axis=-1,
+                )
+            out[:, part] = a.transpose(2, 0, 1)
     take = index.T[:, None, :] + g * np.arange(k)[:, None]
-    lower = L.transpose(2, 0, 1).reshape(k * g, -1)[take]
-    room = room.transpose(2, 0, 1).reshape(k * g, -1)[take]
-    m = nc * len(rows)
+    lower = lower.reshape(k * g, r)[take]
+    room = room.reshape(k * g, r)[take]
+    m = nc * r
     return _Layer(
         lower.reshape(nc2, k, m),
         room.reshape(nc2 * k, m),

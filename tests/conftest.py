@@ -299,8 +299,9 @@ def dense_bounds():
     """Per-layer (lower, upper) arrays of an interval MDP, one per cell pair.
 
     Scatters each layer's gap stacks through its gap index, Lg[index],
-    into (n_cells_i, n_cells_{i+1}, n, n) arrays: block [j, j2] bounds
-    the rows of cell j under action j2.
+    into (n_cells_i, n_cells_{i+1}, r_i, n) arrays: block [j, j2] bounds
+    the stored rows of cell j under action j2, row k being the one of
+    state imdp.rows[i][k].
     """
 
     def scatter(imdp):
@@ -319,9 +320,10 @@ def reference_sweep(dense_bounds):
     """Backward pass calling greedy_distribution once per interval row.
 
     The dense reference of the solver's sweep: each layer's bounds are
-    scattered to its cell pairs and every (cell, action, state) row gets
-    its own greedy.  Returns (values, betas, choices, q-values), the
-    q-values of layer i with shape (n_cells_i, n_cells_{i+1}, n_states).
+    scattered to its cell pairs and every (cell, action, stored state)
+    row gets its own greedy.  Returns (values, betas, choices, q-values),
+    the q-values of layer i with shape (n_cells_i, n_cells_{i+1},
+    n_states).
     """
     from condreach.solver import greedy_distribution
 
@@ -340,14 +342,16 @@ def reference_sweep(dense_bounds):
         for i in range(n_layers - 2, -1, -1):
             nc, nc2 = imdp.n_cells(i), imdp.n_cells(i + 1)
             L, U = dense[i]
-            q_val = np.empty((nc, nc2, n))
-            q_beta = np.empty((nc, nc2, n))
+            # States without a stored row (resets, and the anchor's
+            # states other than the initial one) keep nan q-values.
+            q_val = np.full((nc, nc2, n), np.nan)
+            q_beta = np.full((nc, nc2, n), np.nan)
             for j in range(nc):
                 for j2 in range(nc2):
                     vn, bn = values[i + 1][j2], betas[i + 1][j2]
-                    for s in range(n):
+                    for k, s in enumerate(imdp.rows[i]):
                         p = greedy_distribution(
-                            L[j, j2, s], U[j, j2, s], vn, inner == "max"
+                            L[j, j2, k], U[j, j2, k], vn, inner == "max"
                         )
                         q_val[j, j2, s] = p @ vn
                         q_beta[j, j2, s] = p @ bn
@@ -388,6 +392,10 @@ def assert_nested(dense_bounds):
         return inside.argmax(axis=1)
 
     def check(child, child_psi, parent, parent_psi, atol):
+        # Both models store the rows of the same states, set by the
+        # evidence alone.
+        for a, b in zip(child.rows, parent.rows):
+            np.testing.assert_array_equal(a, b)
         maps = [
             [0],
             *(parent_cells(row, prow)

@@ -34,9 +34,16 @@ def _cache(ctmc):
     return TransientBoundCache(ctmc, 1e-10)
 
 
+def _stacks(cache, gaps):
+    """The (lower, upper) stacks of an (m, 2) array of gaps on every row,
+    through a one-part call."""
+    [stacks] = cache.bound_matrices([gaps], [np.arange(cache.ctmc.n_states)])
+    return stacks
+
+
 def _bounds(cache, g_min, g_max):
     """The (lower, upper) matrices of one gap, through the array form."""
-    L, U = cache.bound_matrices([(g_min, g_max)])
+    L, U = _stacks(cache, [(g_min, g_max)])
     return L[0], U[0]
 
 
@@ -85,10 +92,10 @@ def computed(monkeypatch):
 
 def test_cache_reuses_entries(invent, computed):
     cache = _cache(invent)
-    a = cache.bound_matrices([(0.2, 0.4)])
+    a = _stacks(cache, [(0.2, 0.4)])
     assert len(computed["kernels"]) == len(computed["spreads"]) == 1
     size = len(cache.entries)
-    b = cache.bound_matrices([(0.2, 0.4)])
+    b = _stacks(cache, [(0.2, 0.4)])
     # A repeated gap computes nothing new and gives the same bounds.
     assert len(computed["kernels"]) == len(computed["spreads"]) == 1
     assert len(cache.entries) == size
@@ -137,13 +144,13 @@ def test_factored_cache_matches_direct_build(model, computed):
     # computing each minimum and spread once in one batched call each.
     computed["kernels"].clear()
     computed["spreads"].clear()
-    L, U = _cache(ctmc).bound_matrices(np.array(gaps))
+    L, U = _stacks(_cache(ctmc), np.array(gaps))
     np.testing.assert_array_equal(L, [d[0] for d in direct])
     np.testing.assert_array_equal(U, [d[1] for d in direct])
     assert sorted(computed["kernels"]) == sorted(minima)
     assert sorted(computed["spreads"]) == sorted(spreads)
     # Asking again, in any order, computes nothing new.
-    L2, _ = cache.bound_matrices(np.array(gaps[::-1]))
+    L2, _ = _stacks(cache, np.array(gaps[::-1]))
     np.testing.assert_array_equal(L2, L[::-1])
     assert len(computed["kernels"]) == len(minima)
 
@@ -151,13 +158,22 @@ def test_factored_cache_matches_direct_build(model, computed):
 def test_bad_gap_rejected(invent):
     for bad in ((1.0, 0.5), (-0.1, 0.5), (np.nan, 0.5)):
         with pytest.raises(ValueError):
-            _cache(invent).bound_matrices(np.array([bad]))
+            _stacks(_cache(invent), np.array([bad]))
         with pytest.raises(ValueError):
-            _cache(invent).bound_matrices(np.array([(0.2, 0.4), bad]))
+            _stacks(_cache(invent), np.array([(0.2, 0.4), bad]))
+        # A bad gap in any part is refused.
+        with pytest.raises(ValueError):
+            _cache(invent).bound_matrices(
+                [np.array([(0.2, 0.4)]), np.array([bad])], [[0], [1, 2]]
+            )
     # Gaps come as (m, 2) rows only.
     for shape in ((2,), (1, 3), (1, 2, 1)):
         with pytest.raises(ValueError):
-            _cache(invent).bound_matrices(np.full(shape, 0.5))
+            _stacks(_cache(invent), np.full(shape, 0.5))
+    # Each part of gaps takes one array of row states.
+    for rows in ([], [[0], [1]]):
+        with pytest.raises(ValueError):
+            _cache(invent).bound_matrices([np.array([(0.2, 0.4)])], rows)
 
 
 def test_cache_refuses_a_second_chain(invent, invent1, dense_bounds):
@@ -230,7 +246,7 @@ def test_crossed_bounds_meet_at_midpoint(invent, monkeypatch):
         )
 
     inflate(1e-12)
-    L, U = _cache(invent).bound_matrices(gap)
+    L, U = _stacks(_cache(invent), gap)
     K = transient_matrix(invent, gap[:, 0], 1e-10)
     R = reach_matrix(invent, gap[:, 1] - gap[:, 0], 1e-10)
     lo = np.clip(K * (1 + 1e-12), 0.0, 1.0)
@@ -243,7 +259,7 @@ def test_crossed_bounds_meet_at_midpoint(invent, monkeypatch):
     assert np.all(L <= U)
     inflate(1e-6)
     with pytest.raises(AbstractionError):
-        _cache(invent).bound_matrices(gap)
+        _stacks(_cache(invent), gap)
 
 
 def test_in_place_assembly_keeps_the_cache_intact(tandem):
@@ -259,12 +275,12 @@ def test_in_place_assembly_keeps_the_cache_intact(tandem):
     ]
     cache = _cache(tandem)
     stores = (cache._kernels, cache._spreads)
-    first = cache.bound_matrices(calls[0])
+    first = _stacks(cache, calls[0])
     kept = [a.copy() for a in first]
     stored = [(s.keys.copy(), s.buffer[s.rows].copy()) for s in stores]
-    results = [first] + [cache.bound_matrices(g) for g in calls[1:]]
+    results = [first] + [_stacks(cache, g) for g in calls[1:]]
     for gaps, got in zip(calls, results):
-        fresh = _cache(tandem).bound_matrices(gaps)
+        fresh = _stacks(_cache(tandem), gaps)
         for a, b in zip(got, fresh):
             np.testing.assert_array_equal(a, b)
             assert not a.flags.writeable
@@ -283,9 +299,10 @@ def test_in_place_assembly_keeps_the_cache_intact(tandem):
 
 
 def test_keyed_stack_computes_each_key_once():
-    # Batches of overlapping keys in any order: each get returns a fresh
-    # copy of its queries' values in query order and computes only the
-    # keys not stored yet, while the buffer grows and the keys stay sorted.
+    # Batches of overlapping keys in any order: each get returns the
+    # buffer rows of its queries' values in query order and computes only
+    # the keys not stored yet, while the buffer grows and the keys stay
+    # sorted.
     computed = []
 
     def compute(keys):
@@ -297,9 +314,12 @@ def test_keyed_stack_computes_each_key_once():
     rng = np.random.default_rng(7)
     for size in (1, 5, 3, 17, 2, 40, 9, 60):
         queries = rng.choice(np.arange(60.0) / 4, size)
-        pairs = store.get(queries)
+        rows = store.get(queries)
+        assert rows.shape == queries.shape and rows.max() < store.size
+        pairs = store.buffer[rows]
         np.testing.assert_array_equal(pairs,
                                       np.stack((queries, 2 * queries), 1))
+        # A gathered copy is free to be written; the buffer keeps its values.
         pairs[:] = np.nan
     assert sorted(computed) == sorted(set(computed)) == store.keys.tolist()
     assert store.size == len(computed) <= len(store.buffer)
@@ -374,11 +394,34 @@ def _per_pair_build(ctmc, omega, psi, eps, direct):
     return lower, upper
 
 
+def _stored_states(reset_masks, initial):
+    """Per layer but the last, the states whose rows a model stores: the
+    initial one in the anchor layer, the non-reset ones after it."""
+    return [np.array([initial])] + [
+        np.flatnonzero(~reset) for reset in reset_masks[1:-1]
+    ]
+
+
+def _from_dense(layers, lower, upper, gap_index, reset_masks, initial=0):
+    """An IntervalMdp from dense (g, n, n) gap stacks, keeping the rows of
+    the states it stores."""
+    rows = _stored_states(reset_masks, initial)
+    return IntervalMdp(
+        layers=layers,
+        gap_lower=tuple(L[:, r] for L, r in zip(lower, rows)),
+        gap_upper=tuple(U[:, r] for U, r in zip(upper, rows)),
+        gap_index=tuple(gap_index),
+        reset_masks=tuple(reset_masks),
+        initial=initial,
+        n_states=lower[0].shape[-1],
+    )
+
+
 def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
                                          tandem, tandem1, tandem_weights,
                                          dense_bounds):
-    # The gap-grouped build equals a cell-pair loop bit for bit, over three
-    # guided refinement rounds.
+    # The gap-grouped build equals a cell-pair loop bit for bit on its
+    # stored rows, over three guided refinement rounds.
     for ctmc, omega, w in (
         (invent, invent1, invent_weights),
         (tandem, tandem1, tandem_weights),
@@ -390,9 +433,10 @@ def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
             want_L, want_U = _per_pair_build(ctmc, omega, psi, 1e-10, direct)
             dense = dense_bounds(imdp)
             assert len(dense) == len(want_L)
-            for (L, U), dL, dU in zip(dense, want_L, want_U):
-                np.testing.assert_array_equal(L, dL)
-                np.testing.assert_array_equal(U, dU)
+            for (L, U), dL, dU, rows in zip(dense, want_L, want_U,
+                                            imdp.rows):
+                np.testing.assert_array_equal(L, dL[:, :, rows])
+                np.testing.assert_array_equal(U, dU[:, :, rows])
             if level == 3:
                 break
             report = compute_bounds(imdp, w)
@@ -400,6 +444,44 @@ def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
             targets = guided_split_targets(psi, reach)
             assert any(m.any() for m in targets)
             psi = apply_splits(psi, targets)
+
+
+def test_stacks_hold_exactly_the_live_rows(tandem, tandem1, tandem2,
+                                          dense_bounds):
+    # Each layer stores the rows of the states the model defines there,
+    # the initial one in the anchor layer and the non-reset ones after
+    # it, and they equal those rows of the dense per-pair build bit for
+    # bit.  tandem2 resets most states of its middle layer.
+    for omega, rounds in ((tandem1, 1), (tandem2, 2)):
+        psi = coarsest_partition(omega)
+        for _ in range(rounds):
+            psi = apply_splits(psi, psi.splittable())
+        imdp = abstract(tandem, omega, psi, 1e-10)
+        want = _stored_states(imdp.reset_masks, tandem.initial)
+        assert len(imdp.rows) == len(want) == imdp.n_layers - 1
+        np.testing.assert_array_equal(imdp.rows[0], [tandem.initial])
+        n = imdp.n_states
+        want_L, want_U = _per_pair_build(tandem, omega, psi, 1e-10, {})
+        for i, rows in enumerate(imdp.rows):
+            np.testing.assert_array_equal(rows, want[i])
+            g = len(imdp.gap_lower[i])
+            assert imdp.gap_lower[i].shape == (g, len(rows), n)
+            assert imdp.gap_upper[i].shape == (g, len(rows), n)
+            L, U = dense_bounds(imdp)[i]
+            np.testing.assert_array_equal(L, want_L[i][:, :, rows])
+            np.testing.assert_array_equal(U, want_U[i][:, :, rows])
+        assert min(len(r) for r in imdp.rows[1:]) < n
+    # A model whose stacks do not hold its rows is refused.
+    with pytest.raises(ValueError):
+        IntervalMdp(
+            layers=imdp.layers,
+            gap_lower=(imdp.gap_lower[0][:, [0, 0]], *imdp.gap_lower[1:]),
+            gap_upper=(imdp.gap_upper[0][:, [0, 0]], *imdp.gap_upper[1:]),
+            gap_index=imdp.gap_index,
+            reset_masks=imdp.reset_masks,
+            initial=imdp.initial,
+            n_states=n,
+        )
 
 
 def test_abstract_refuses_a_partition_of_another_evidence(invent, invent1,
@@ -448,9 +530,10 @@ def test_feasibility_of_rows(invent, invent1, dense_bounds):
     psi = coarsest_partition(invent1)
     imdp = abstract(invent, invent1, psi)
     for i, (L, U) in enumerate(dense_bounds(imdp)):
-        keep = ~imdp.reset_masks[i]
-        lo = L[:, :, keep, :].sum(axis=3)
-        hi = U[:, :, keep, :].sum(axis=3)
+        # Every stored row is a non-reset state's.
+        assert not imdp.reset_masks[i][imdp.rows[i]].any()
+        lo = L.sum(axis=3)
+        hi = U.sum(axis=3)
         assert np.all(lo <= 1.0 + 1e-9)
         assert np.all(hi >= 1.0 - 1e-9)
 
@@ -493,7 +576,8 @@ def test_reachable_and_restrict(invent, invent1):
         np.testing.assert_array_equal(a, r)
     states, actions, transitions = imdp.sizes(active)
     full_states, _, _ = imdp.sizes(_every_state(imdp))
-    assert full_states == sum(len(row) for row in imdp.layers) * 3
+    # Of the anchor layer only the initial state is a state of the model.
+    assert full_states == 1 + sum(len(row) for row in imdp.layers[1:]) * 3
     assert states < full_states
     assert actions >= states - active[-1].sum()
     assert transitions >= actions
@@ -503,12 +587,14 @@ def test_sizes_count_reset_as_single_action(invent, invent1):
     psi = coarsest_partition(invent1)
     imdp = abstract(invent, invent1, psi)
     states, actions, transitions = imdp.sizes(_every_state(imdp))
-    # 5 layers x 1 cell x 3 states, all active before pruning.
-    assert states == 15
+    # The anchor's initial state and 4 layers x 1 cell x 3 states, all
+    # active before pruning.
+    assert states == 13
     n_reset = [int(m.sum()) for m in imdp.reset_masks]
+    assert n_reset[0] == 0
     # The last layer's reset states redirect; its other states are terminal.
     assert n_reset[-1] > 0
-    live = 4 * 3 - sum(n_reset[:-1])
+    live = 1 + 3 * 3 - sum(n_reset[1:-1])
     assert actions == live + sum(n_reset)  # one per cell pair or reset
 
 
@@ -533,13 +619,15 @@ def _reference_reachable(imdp, scheduler=None):
     reach[0][0, imdp.initial] = True
     for i in range(imdp.n_layers - 1):
         U, index = imdp.gap_upper[i], imdp.gap_index[i]
-        reset = imdp.reset_masks[i]
+        # Row k of a stack is state ids[k]'s; no reset state has a row.
+        ids = imdp.rows[i]
+        assert not imdp.reset_masks[i][ids].any()
         for j in range(imdp.n_cells(i)):
-            here = reach[i][j] & ~reset
+            here = reach[i][j][ids]
             for j2 in range(imdp.n_cells(i + 1)):
                 rows = here
                 if scheduler is not None:
-                    rows = here & (scheduler.choices[i][j] == j2)
+                    rows = here & (scheduler.choices[i][j][ids] == j2)
                 if rows.any():
                     block = U[index[j, j2]]
                     reach[i + 1][j2] |= (block[rows] > 0).any(axis=0)
@@ -577,15 +665,10 @@ def _sparse_imdp(rng):
         lower.append(np.zeros_like(U))
         upper.append(U)
         index.append(rng.integers(0, g, (nc, nc2)))
-    return IntervalMdp(
-        layers=layers,
-        gap_lower=tuple(lower),
-        gap_upper=tuple(upper),
-        gap_index=tuple(index),
-        reset_masks=tuple(rng.random(n) < 0.2 for _ in layers),
-        initial=0,
-        n_states=n,
-    )
+    reset_masks = [rng.random(n) < 0.2 for _ in layers]
+    # The anchor layer violates no observation.
+    reset_masks[0][:] = False
+    return _from_dense(layers, lower, upper, index, reset_masks)
 
 
 def test_reachable_states_matches_per_cell_loop(imdp_cases):
@@ -614,36 +697,35 @@ def test_infeasible_intervals_raise(invent):
     from condreach.abstraction import _check_feasible
 
     with pytest.raises(AbstractionError):
-        _check_feasible(lower, upper, np.zeros((1, 1), int),
-                        np.zeros(n, dtype=bool), 0)
+        _check_feasible(lower, upper, np.zeros((1, 1), int), np.arange(n), 0)
 
 
 
 def test_infeasible_row_is_named_by_cell_action_and_state():
     # Three gaps shared by a 3 x 2 layer.  Only gap 2's row of state 2
-    # is infeasible; state 0 resets, so state 2 is the second non-reset
-    # row, and the error must name the state itself.
+    # is infeasible; state 0 resets and has no row, so state 2 is the
+    # second stored row, and the error must name the state itself.
     from condreach.abstraction import _check_feasible
 
     n = 3
-    lower = np.zeros((3, n, n))
-    upper = np.ones((3, n, n))
-    upper[2, 2] = 0.2
-    upper[:, 0] = 0.0  # a reset row is never checked
+    rows = np.array([1, 2])
+    lower = np.zeros((3, len(rows), n))
+    upper = np.ones((3, len(rows), n))
+    upper[2, 1] = 0.2
     index = np.array([[0, 1], [1, 0], [0, 2]])
-    reset = np.array([True, False, False])
     with pytest.raises(AbstractionError) as err:
-        _check_feasible(lower, upper, index, reset, 4)
+        _check_feasible(lower, upper, index, rows, 4)
     assert str(err.value) == (
         "infeasible interval row at layer 4, cell 2, action 1, state 2"
     )
-    upper[2, 2] = 1.0
-    _check_feasible(lower, upper, index, reset, 4)
+    upper[2, 1] = 1.0
+    _check_feasible(lower, upper, index, rows, 4)
 
 
 def test_model_is_stored_by_gap(tandem, tandem1):
-    # No attribute holds a per-pair (nc, nc2, n, n) array, even on layers
-    # whose cell pairs outnumber their distinct gaps.
+    # No attribute holds a per-pair (nc, nc2, r, n) or (nc, nc2, n, n)
+    # array, even on layers whose cell pairs outnumber their distinct
+    # gaps.
     import dataclasses
 
     psi = coarsest_partition(tandem1)
@@ -655,11 +737,11 @@ def test_model_is_stored_by_gap(tandem, tandem1):
     for i, index in enumerate(imdp.gap_index):
         nc, nc2 = imdp.n_cells(i), imdp.n_cells(i + 1)
         assert index.shape == (nc, nc2)
-        g = len(imdp.gap_lower[i])
-        assert imdp.gap_lower[i].shape == imdp.gap_upper[i].shape == (g, n, n)
+        g, r = len(imdp.gap_lower[i]), len(imdp.rows[i])
+        assert imdp.gap_lower[i].shape == imdp.gap_upper[i].shape == (g, r, n)
         assert index.min() == 0 and index.max() == g - 1
         if nc * nc2 > g:
-            dense.add((nc, nc2, n, n))
+            dense.update(((nc, nc2, r, n), (nc, nc2, n, n)))
     assert dense, "no layer shares gaps between its cell pairs"
 
     def arrays(value):
@@ -676,20 +758,25 @@ def test_model_is_stored_by_gap(tandem, tandem1):
 
 def _reference_sizes(imdp, active):
     """(states, actions, transitions) counted state by state and action
-    by action over the active abstract states."""
+    by action over the active abstract states; of the anchor layer only
+    the initial state is one."""
     states = actions = transitions = 0
     for i in range(imdp.n_layers):
         for j in range(imdp.n_cells(i)):
             for s in np.flatnonzero(active[i][j]):
+                if i == 0 and s != imdp.initial:
+                    continue
                 states += 1
                 if imdp.reset_masks[i][s]:
                     actions += 1
                     transitions += 1
                 elif i < imdp.n_layers - 1:
+                    # The stored row of state s.
+                    [k] = np.flatnonzero(imdp.rows[i] == s)
                     for j2 in range(imdp.n_cells(i + 1)):
                         block = imdp.gap_upper[i][imdp.gap_index[i][j, j2]]
                         actions += 1
-                        transitions += int((block[s] > 0).sum())
+                        transitions += int((block[k] > 0).sum())
     return states, actions, transitions
 
 

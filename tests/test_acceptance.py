@@ -241,7 +241,8 @@ def test_criterion_5_interval_soundness(invent, invent1):
                     ts = rng.uniform(lo, hi, 100)
                     tps = rng.uniform(lo2, hi2, 100)
                     for t, tp in zip(ts, tps):
-                        K = transient_matrix(invent, tp - t)
+                        # The kernel's rows of the states the model stores.
+                        K = transient_matrix(invent, tp - t)[imdp.rows[i]]
                         assert np.all(L <= K + 1e-9)
                         assert np.all(K <= U + 1e-9)
                         checked += 1

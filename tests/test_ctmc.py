@@ -605,6 +605,22 @@ def test_from_rates_rejects_unknown_states(initial, rates):
         from_rates(["a"], initial, rates, {})
 
 
+def test_from_rates_rejects_labels_of_an_unknown_state():
+    # Such labels used to be dropped without a word.
+    with pytest.raises(ModelError, match="unknown state 'b'"):
+        from_rates(["a"], "a", {}, {"b": ["x"]})
+    chain = from_rates(["a", "b"], "a", {}, {"b": ["x"]})
+    assert chain.labels == (frozenset(), frozenset({"x"}))
+
+
+def test_from_rates_rejects_a_string_of_labels():
+    # A string used to give its state one label per character.
+    with pytest.raises(ModelError, match="labels of 'a'"):
+        from_rates(["a"], "a", {}, {"a": "xy"})
+    chain = from_rates(["a"], "a", {}, {"a": ("xy",)})
+    assert chain.labels == (frozenset({"xy"}),)
+
+
 def test_ctmc_rejects_labels_of_another_length():
     # Too few labels used to drop state b from serialize_ctmc; too many
     # raised a bare IndexError.

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from condreach import solver
-from condreach.abstraction import IntervalMdp, abstract
+from condreach.abstraction import abstract
 from condreach.driver import AnalysisConfig, analyze
 from condreach.evidence import coarsest_partition
 from condreach.solver import (
@@ -26,6 +26,7 @@ from condreach.solver import (
 from condreach.unfolding import ZeroLikelihoodError, conditional_weight
 from oracles import audit_consistency
 from test_abstraction import (
+    _from_dense,
     _random_scheduler,
     _reference_reachable,
     _sparse_imdp,
@@ -152,17 +153,13 @@ def _toy_imdp(n_mid=2):
         2.0 + np.arange(n_mid)[:, None] + [0.0, 0.5],
         np.array([[9.0, 9.0]]),
     )
-    return IntervalMdp(
-        layers=layers,
-        gap_lower=(np.zeros((1, n, n)),) * 3,
-        gap_upper=(np.ones((1, n, n)),) * 3,
-        gap_index=tuple(
-            np.zeros((len(row), len(row2)), int)
-            for row, row2 in zip(layers, layers[1:])
-        ),
-        reset_masks=tuple(np.zeros(n, bool) for _ in layers),
-        initial=0,
-        n_states=n,
+    return _from_dense(
+        layers,
+        (np.zeros((1, n, n)),) * 3,
+        (np.ones((1, n, n)),) * 3,
+        (np.zeros((len(row), len(row2)), int)
+         for row, row2 in zip(layers, layers[1:])),
+        [np.zeros(n, bool) for _ in layers],
     )
 
 
@@ -240,7 +237,8 @@ def test_robust_vi_monotone_in_inner(invent, invent1, invent_weights, seed):
 
 
 def _separated(q_val, outer):
-    """Rows whose best two q-values differ by more than 1e-12."""
+    """Rows whose best two q-values differ by more than 1e-12, and rows
+    without q-values (nan): a state with no stored row has no choice."""
     if q_val.shape[1] < 2:
         return np.ones((q_val.shape[0], q_val.shape[2]), bool)
     ranked = np.sort(q_val, axis=1)
@@ -248,7 +246,7 @@ def _separated(q_val, outer):
         gap = ranked[:, -1] - ranked[:, -2]
     else:
         gap = ranked[:, 1] - ranked[:, 0]
-    return gap > 1e-12
+    return (gap > 1e-12) | np.isnan(gap)
 
 
 def _model_rows(imdp, i, a):
@@ -350,13 +348,13 @@ def test_q_values_match_greedy_on_tied_values(seed, nc, nc2, n, maximize):
                                            rtol=0, atol=1e-12)
 
 
-def _random_gap_imdp(rng, n, counts, reset_p=0.2):
-    """Random interval MDP whose cell pairs share gaps at random.
+def _random_gap_stacks(rng, n, counts):
+    """Layers and dense (g, n, n) gap stacks whose cell pairs share gaps
+    at random: (layers, lower, upper, index).
 
     Each layer draws between one gap and one gap per cell pair, with
     feasible rows around a random distribution (some entries zero, some
-    point intervals), and a random gap index over them.  Each state of
-    each layer resets with probability reset_p.
+    point intervals), and a random gap index over them.
     """
     layers = tuple(
         np.repeat(10.0 * i + np.arange(c), 2).reshape(c, 2)
@@ -376,15 +374,18 @@ def _random_gap_imdp(rng, n, counts, reset_p=0.2):
         lower.append(lo)
         upper.append(hi)
         index.append(rng.integers(0, g, (nc, nc2)))
-    return IntervalMdp(
-        layers=layers,
-        gap_lower=tuple(lower),
-        gap_upper=tuple(upper),
-        gap_index=tuple(index),
-        reset_masks=tuple(rng.random(n) < reset_p for _ in layers),
-        initial=0,
-        n_states=n,
-    )
+    return layers, lower, upper, index
+
+
+def _random_gap_imdp(rng, n, counts, reset_p=0.2):
+    """Random interval MDP over _random_gap_stacks, storing the rows of
+    its initial anchor state and its non-reset states.  Each state of
+    each layer after the anchor resets with probability reset_p."""
+    layers, lower, upper, index = _random_gap_stacks(rng, n, counts)
+    reset_masks = [rng.random(n) < reset_p for _ in layers]
+    # The anchor layer violates no observation.
+    reset_masks[0][:] = False
+    return _from_dense(layers, lower, upper, index, reset_masks)
 
 
 def _check_random_sweep(reference_sweep, rng, imdp, tied, outer, inner):
@@ -471,8 +472,7 @@ def test_fill_memo_matches_fresh_layer(seed, n, nc, nc2, maximize):
     # One layer is fed a sequence of vectors; each result is bit-equal to
     # the one of a freshly built layer, whatever the memo holds.
     rng = np.random.default_rng(seed)
-    imdp = _random_gap_imdp(rng, n, [nc, nc2])
-    L, U, index = imdp.gap_lower[0], imdp.gap_upper[0], imdp.gap_index[0]
+    _, [L], [U], [index] = _random_gap_stacks(rng, n, [nc, nc2])
     layer = _rows(L, U, index, np.arange(n))
 
     def check(vb, maximize):
@@ -604,15 +604,12 @@ def _tied_votes_imdp():
         np.repeat(10.0 * i + np.arange(c), 2).reshape(c, 2)
         for i, c in enumerate(counts)
     )
-    return IntervalMdp(
-        layers=layers,
-        gap_lower=(np.zeros((1, n, n)),) * 4,
-        gap_upper=(np.ones((1, n, n)),) * 4,
-        gap_index=tuple(np.zeros((c, c2), int)
-                        for c, c2 in zip(counts, counts[1:])),
-        reset_masks=tuple(np.zeros(n, bool) for _ in counts),
-        initial=0,
-        n_states=n,
+    return _from_dense(
+        layers,
+        (np.zeros((1, n, n)),) * 4,
+        (np.ones((1, n, n)),) * 4,
+        (np.zeros((c, c2), int) for c, c2 in zip(counts, counts[1:])),
+        [np.zeros(n, bool) for _ in counts],
     )
 
 
