@@ -3,11 +3,13 @@
 A chain is stored as a jump distribution plus per-state exit rates; the
 rate matrix R(s, s') = jump_probs[s, s'] * exit_rates[s] is derived on
 demand.  Transient distributions are computed by uniformization with
-Poisson truncation, which keeps every intermediate vector a proper
-distribution (no negative entries).  Vectors and blocks are stepped
-through their power series one product at a time; a transient kernel is
-its truncated series evaluated as one polynomial in the uniformized jump
-matrix, in about 2 sqrt(cut) matrix products.
+Poisson truncation, which keeps every term nonnegative.  A time's
+truncated series is a polynomial in the uniformized jump matrix P,
+evaluated in about 2 sqrt(cut) matrix products (Paterson & Stockmeyer,
+SIAM J. Comput. 1973) on the powers P^0, P^1, ... that the chain keeps,
+stepped on demand: as whole kernels, or applied to a vector or a block
+without forming one.  Only reach matrices, whose absorbing step is not a
+product with P alone, step their series one product at a time.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ DEFAULT_TRANSIENT_TOL = 1e-10
 # the uniformized jump matrix keeps a strictly positive diagonal.
 _RATE_INFLATION = 1.0 + 1e-6
 
-# Largest Poisson mean lam * t that uniformization accepts.  The power loop
-# takes about lam * t steps (a kernel about 2 sqrt(lam * t) products, with
-# sqrt(lam * t) powers held), so a larger mean means a chain too stiff for
-# the time asked; the bundled models stay below about 250.
+# Largest Poisson mean lam * t that uniformization accepts.  A polynomial
+# takes about 2 sqrt(lam * t) products, with sqrt(lam * t) powers kept on
+# the chain, and a reach matrix about lam * t steps, so a larger mean means
+# a chain too stiff for the time asked; the bundled models stay below
+# about 250.
 MAX_POISSON_MEAN = 1e5
 
 
@@ -68,6 +71,9 @@ class Ctmc:
     # Per atomic proposition, the read-only boolean column of the states
     # that carry it.
     _columns: dict = field(default_factory=dict, repr=False, compare=False)
+    # The powers of the uniformized jump matrix stepped so far: empty, or
+    # one read-only (k + 1, n, n) array of P^0 .. P^k (jump_powers).
+    _powers: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.state_names)
@@ -112,6 +118,34 @@ class Ctmc:
             return self._index[name]
         except KeyError:
             raise ModelError(f"unknown state {name!r}") from None
+
+    @property
+    def uniformization_rate(self):
+        """lam: the largest exit rate, slightly inflated."""
+        return float(np.max(self.exit_rates)) * _RATE_INFLATION
+
+    def jump_powers(self, top):
+        """P^0 .. P^top of the uniformized jump matrix P = I + Q / lam, as a
+        read-only (top + 1, n, n) array.
+
+        lam, and so P, depend on the chain alone, so the chain keeps the
+        powers it has stepped, P^i = P^(i - 1) @ P, and steps on only when
+        a higher power is asked for, to exactly that power.  A top of 1
+        or more needs lam > 0.
+        """
+        n = self.n_states
+        have = self._powers[0] if self._powers else np.eye(n)[None]
+        if len(have) > top:
+            return have[: top + 1]
+        powers = np.empty((top + 1, n, n))
+        powers[: len(have)] = have
+        if len(have) == 1:
+            powers[1] = np.eye(n) + self.generator() / self.uniformization_rate
+        for i in range(max(len(have), 2), top + 1):
+            np.matmul(powers[i - 1], powers[1], out=powers[i])
+        powers.setflags(write=False)
+        self._powers[:] = [powers]
+        return powers
 
     def rate_matrix(self):
         """Dense transition rate matrix R(s, s') = jump(s, s') * exit(s)."""
@@ -359,44 +393,43 @@ class Uniformization:
     """A chain's uniformized jump matrix and the truncated Poisson weights
     of an array of times: what every uniformization sum is made of.
 
-    P = I + Q / lam at the rate lam = max exit rate (slightly inflated);
-    it is None when no time takes a step (lam = 0, or every time is 0).
-    The weight rows are held longest cut first, and row rank[i] is time
-    i's: it holds pois(k; lam * times[i]) for k < cuts[rank[i]]
-    (_poisson_table), entries after them are padding, and tails[rank[i]]
-    is the mass it drops.  Built by :func:`uniformize`.  Transient kernels
-    evaluate each time's truncated series as a polynomial in P (kernels);
-    reach matrices, reachability vectors and the exact conditional
-    analysis step a start through the series (power_sum).
+    powers(top) gives P^0 .. P^top of P = I + Q / lam, the rate lam being
+    the max exit rate (slightly inflated), from the chain's own table
+    (Ctmc.jump_powers); it is None when no time takes a step (lam = 0, or
+    every time is 0).  The weight rows are held longest cut first, and
+    row rank[i] is time i's: it holds pois(k; lam * times[i]) for k <
+    cuts[rank[i]] (_poisson_table), entries after them are padding, and
+    tails[rank[i]] >= 0 is the mass it drops.  Built by
+    :func:`uniformize`.  Each time's truncated series is a polynomial in
+    P, evaluated as whole kernels (kernels) or applied to a vector or a
+    block (series); reach matrices step their start through the series
+    (power_sum).
     """
 
-    P: object
+    powers: object
     weights: np.ndarray
     cuts: list
     tails: np.ndarray
     rank: np.ndarray
 
-    def power_sum(self, start, step, time=None):
+    def power_sum(self, start, step):
         """sum_k pois(k; lam * t) X_k with X_0 = start and X_{k+1} =
-        step(P, X_k), for every time t, or for the time of index `time`.
+        step(P, X_k), for every time t.
 
-        The package's power loop, for a step that is not a product with
-        P alone (the absorbing step of reach matrices) or a start smaller
-        than n x n (vectors and column blocks).  The powers are stepped
-        up to the longest cut among the times, and each time adds its own
+        The power loop, for a step that is not a product with P alone:
+        the absorbing step of reach matrices.  The powers are stepped up
+        to the longest cut among the times, and each time adds its own
         weights in order, so its result is bit-identical to a run of its
         own.  A time's truncated tail is put on its own last X_k, at the
         step where its cut ends, so stochastic X_k stay within eps of
         stochastic.  Returns an array of shape (number of times,) +
-        start.shape, or start.shape for one time.
+        start.shape.
         """
-        W, cuts, tails = self.weights, self.cuts, self.tails
-        if time is not None:
-            row = slice(self.rank[time], self.rank[time] + 1)
-            W, cuts, tails = W[row], cuts[row], tails[row]
+        cuts = self.cuts
         ones = (1,) * np.ndim(start)
-        W, tails = W.T, tails.reshape(-1, *ones)
-        P, X = self.P, start
+        W, tails = self.weights.T, self.tails.reshape(-1, *ones)
+        P = None if self.powers is None else self.powers(1)[1]
+        X = start
         acc = W[0].reshape(-1, *ones) * X
         # The rows still summing are a prefix: the first `live`.
         live, k = len(cuts), 1
@@ -404,20 +437,55 @@ class Uniformization:
             # Steps k .. end - 1 serve the first `live` rows alike; then
             # the rows whose cut is `end` put their tail on X_{end - 1}.
             end = cuts[live - 1]
-            if live == 1:
-                # Python floats into a row of its own shape: faster than
-                # broadcasting, and rounded the same.
-                part, factors = acc[0], W[k:end, 0].tolist()
-            else:
-                part = acc[:live]
-                factors = W[k:end, :live].reshape(end - k, live, *ones)
-            for f in factors:
+            part = acc[:live]
+            for f in W[k:end, :live].reshape(end - k, live, *ones):
                 X = step(P, X)
                 part += f * X
             done = cuts.index(end)
             acc[done:live] += tails[done:live] * X
             live, k = done, end
-        return acc[0] if time is not None else acc[self.rank]
+        return acc[self.rank]
+
+    def series(self, start, time, left=False):
+        """sum_k pois(k; lam * t) P^k @ start, or start @ P^k with left,
+        for the time t of index `time`: its kernel applied to a vector or
+        a block without forming the kernel.
+
+        The series is the time's polynomial of :meth:`kernels` (the same
+        coefficients, blocks and Horner's rule), with every power
+        replaced by its product with the start.  With s = ceil(sqrt(c))
+        and b = ceil(c / s) for the time's cut c, the terms P^i @ start
+        of i < s are one stacked product, the b blocks B_j @ start one
+        matmul by the coefficients, and Horner's rule in P^s adds them,
+        Y <- P^s @ Y + B_j @ start from the last block down (Y @ P^s with
+        left): about 2 sqrt(c) products with the start, where the power
+        loop takes c.  The start must be nonnegative for the error to
+        stay relative, as in kernels.
+        """
+        r = self.rank[time]
+        c = self.cuts[r]
+        s = math.isqrt(c - 1) + 1
+        b = -(-c // s)
+        coef = np.zeros(b * s)
+        coef[:c] = self.weights[r, :c]
+        coef[c - 1] += self.tails[r]
+        if c == 1:
+            # No power beyond P^0, and none at all when no time steps.
+            return coef[0] * start
+        powers = self.powers(s if b > 1 else s - 1)
+        if left:
+            terms = np.matmul(start, powers[:s])
+        else:
+            # One product of the stacked powers with the start.
+            terms = powers[:s].reshape(-1, powers.shape[2]) @ start
+            terms = terms.reshape(s, *np.shape(start))
+        blocks = coef.reshape(b, s) @ terms.reshape(s, -1)
+        blocks = blocks.reshape(b, *terms.shape[1:])
+        acc = blocks[b - 1]
+        for j in range(b - 2, -1, -1):
+            acc = acc @ powers[s] if left else powers[s] @ acc
+            acc += blocks[j]
+        return acc
 
     def kernels(self, n):
         """The transient kernels sum_k pois(k; lam * t) P^k of every time
@@ -429,12 +497,12 @@ class Uniformization:
         SIAM J. Comput. 1973): with s = ceil(sqrt(c)) and b = ceil(c / s),
         block j is B_j = sum_{i < s} a_{js + i} P^i, and Horner's rule in
         P^s adds the blocks, A <- A @ P^s + B_j, from the last one down.
-        The powers P^0 .. P^s are stepped once for the batch, as the power
-        loop steps them.  Times of equal (s, b) share stacked matmuls,
-        which make one BLAS call per kernel, and s and b depend on the
-        time's own cut only, so every kernel is bit-identical to a call of
-        its own.  All coefficients and matrices are nonnegative, so no
-        step cancels, and each entry's rounding error stays relative.
+        The powers P^0 .. P^s come from the chain's table.  Times of
+        equal (s, b) share stacked matmuls, which make one BLAS call per
+        kernel, and s and b depend on the time's own cut only, so every
+        kernel is bit-identical to a call of its own.  All coefficients
+        and matrices are nonnegative, so no step cancels, and each entry's
+        rounding error stays relative.
         """
         m = len(self.cuts)
         out = np.empty((m, n, n))
@@ -454,13 +522,8 @@ class Uniformization:
         coef[:, : self.weights.shape[1]] = self.weights
         coef[np.arange(width) >= cuts[:, None]] = 0.0
         coef[np.arange(m), cuts - 1] += self.tails
-        # P^0 .. P^top; P^1 is P itself, the rest are stepped by P.
-        powers = np.empty((top + 1, n, n))
-        powers[0] = np.eye(n)
-        if top:
-            powers[1] = self.P
-        for i in range(2, top + 1):
-            np.matmul(powers[i - 1], self.P, out=powers[i])
+        # A batch of cut-1 times needs P^0 alone, even when no time steps.
+        powers = self.powers(top) if top else np.eye(n)[None]
         flat = powers.reshape(top + 1, n * n)
         times = np.argsort(self.rank)
         at = 0
@@ -491,7 +554,7 @@ def uniformize(ctmc, times, eps=DEFAULT_TRANSIENT_TOL):
     top = flat.max(initial=0.0)
     if not (flat.min(initial=0.0) >= 0 and top < math.inf):
         raise ValueError(f"times must be finite and nonnegative, got {times}")
-    lam = float(np.max(ctmc.exit_rates)) * _RATE_INFLATION
+    lam = ctmc.uniformization_rate
     m = len(flat)
     if lam == 0.0 or top == 0.0:
         # One term 1 and no tail: every sum is its start.
@@ -507,9 +570,11 @@ def uniformize(ctmc, times, eps=DEFAULT_TRANSIENT_TOL):
     W, cuts = _poisson_table(means, eps)
     order = np.argsort(-cuts, kind="stable")
     W, cuts = W[order], cuts[order]
-    P = np.eye(ctmc.n_states) + ctmc.generator() / lam
+    # The weights sum to 1 within rounding, which can leave a dropped
+    # mass of -2.2e-16 (and a negative kernel entry) on a tiny time.
+    tails = np.maximum(1.0 - _row_sums(W, cuts), 0.0)
     return Uniformization(
-        P, W, cuts.tolist(), 1.0 - _row_sums(W, cuts), np.argsort(order)
+        ctmc.jump_powers, W, cuts.tolist(), tails, np.argsort(order)
     )
 
 
@@ -526,22 +591,12 @@ def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):
     return K.reshape(*np.shape(t), n, n)
 
 
-def _forward_step(P, x):
-    """One power-series step on a row vector, x @ P (for x @ K);
-    ndarray.dot has less call overhead than @ on small arrays."""
-    return x.dot(P)
-
-
-# One power-series step on a column vector or block, P @ X (for K @ X).
-_backward_step = np.ndarray.dot
-
-
 def transient(ctmc, source, t, eps=DEFAULT_TRANSIENT_TOL):
-    """Transient distribution Pr_source(t) as a dense vector: the power
-    sum of the row vector e_source, not a row of the full kernel."""
+    """Transient distribution Pr_source(t) as a dense vector: the series
+    of the row vector e_source, not a row of the full kernel."""
     start = np.zeros(ctmc.n_states)
     start[source] = 1.0
-    dist = uniformize(ctmc, t, eps).power_sum(start, _forward_step, 0)
+    dist = uniformize(ctmc, t, eps).series(start, 0, left=True)
     total = dist.sum()
     if abs(total - 1.0) > 1e-9:
         raise ArithmeticError(f"transient distribution sums to {total}")
@@ -586,7 +641,7 @@ def invariance_vector(ctmc, tau):
 def weight_from_property(ctmc, target_mask, horizon, eps=DEFAULT_TRANSIENT_TOL):
     """State weights w(s) = P(reach target within horizon from s).
 
-    The power sum of the target's indicator column on the chain with the
+    The series of the target's indicator column on the chain with the
     target made absorbing.  Target states are set to exactly 1, which
     their sum of Poisson weights and tail need not round to.  A negative
     or nan horizon raises ValueError; an empty target warns and gives
@@ -602,8 +657,6 @@ def weight_from_property(ctmc, target_mask, horizon, eps=DEFAULT_TRANSIENT_TOL):
     if horizon == 0.0:
         return indicator
     absorbed = ctmc.absorbing_variant(target_mask)
-    reach = uniformize(absorbed, horizon, eps).power_sum(
-        indicator, _backward_step, 0
-    )
+    reach = uniformize(absorbed, horizon, eps).series(indicator, 0)
     reach[target_mask] = 1.0
     return reach

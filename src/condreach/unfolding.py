@@ -7,22 +7,19 @@ initial node with probability 1; the alternative used for likelihood
 computation absorbs those nodes instead, so the mass left on the last
 layer is exactly the probability of generating the evidence.
 
-No transient kernel is formed.  Each gap between layers moves a vector
-or an (n, 2) block through the gap's Poisson-weighted power series of the
-uniformized jump matrix, at O(n^2) per step, and one Poisson table serves
-all of the evidence's gaps (Fox & Glynn, CACM 1988).
+No transient kernel is formed.  Each gap between layers applies its
+truncated Poisson series of the uniformized jump matrix (Fox & Glynn,
+CACM 1988) to a vector or an (n, 2) block, as a Paterson-Stockmeyer
+polynomial in about 2 sqrt(cut) products with the start, on the powers
+the chain keeps (Uniformization.series).  One Poisson table serves all of
+the evidence's gaps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ctmc import (
-    DEFAULT_TRANSIENT_TOL,
-    _backward_step,
-    _forward_step,
-    uniformize,
-)
+from .ctmc import DEFAULT_TRANSIENT_TOL, uniformize
 
 # transient_matrix is not called here.  It stays a module attribute,
 # because bench/run.py's tracer wraps unfolding.transient_matrix.
@@ -83,7 +80,7 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     for i in range(len(masks) - 1, -1, -1):
         block[masks[i]] = 0.0
         if i:
-            block = gaps.power_sum(block, _backward_step, i - 1)
+            block = gaps.series(block, i - 1)
     alpha, escape = block[ctmc.initial]
     if escape <= ZERO_LIKELIHOOD:
         raise ZeroLikelihoodError(_UNDEFINED)
@@ -100,7 +97,7 @@ def _forward(ctmc, rho, eps):
     dist = np.zeros(ctmc.n_states)
     dist[ctmc.initial] = 1.0
     for i in range(len(masks) - 1):
-        dist = gaps.power_sum(dist, _forward_step, i)
+        dist = gaps.series(dist, i, left=True)
         dist[masks[i + 1]] = 0.0
     return dist
 

@@ -153,17 +153,21 @@ def per_time_uniformization():
 
     Steps its own power sequence for each time and adds the weights in
     order, with the truncated tail on the last power; kind "transient"
-    gives the kernel, "reach" the all-pairs reach matrix.  The package's
+    gives the kernel, "reach" the all-pairs reach matrix.  Given a start,
+    it steps that in place of the identity: "transient" as start @ P^k
+    (a row vector or block), "column" as P^k @ start.  The package's
     reach matrices, which step the same sequence, must reproduce it bit
-    for bit.  Its kernels, which the package evaluates as polynomials,
-    must agree with it within the a-priori rounding bound of sums of
-    nonnegative terms (test_ctmc._kernel_tolerance).
+    for bit.  Its kernels and series, which the package evaluates as
+    polynomials, must agree with it within the a-priori rounding bound of
+    sums of nonnegative terms (test_ctmc._kernel_tolerance).
     """
     from condreach.ctmc import _RATE_INFLATION
 
     def steps(kind):
         if kind == "transient":
             return lambda P, X: X @ P
+        if kind == "column":
+            return lambda P, X: P @ X
 
         def absorbing(P, X):
             X = P @ X
@@ -172,20 +176,21 @@ def per_time_uniformization():
 
         return absorbing
 
-    def run(ctmc, t, eps=1e-10, kind="transient"):
+    def run(ctmc, t, eps=1e-10, kind="transient", start=None):
         step = steps(kind)
         n = ctmc.n_states
+        X = np.eye(n) if start is None else np.array(start, dtype=float)
         lam = float(np.max(ctmc.exit_rates)) * _RATE_INFLATION
         if t == 0.0 or lam == 0.0:
-            return np.eye(n)
+            return X
         P = np.eye(n) + ctmc.generator() / lam
         weights = _poisson_weights(lam * t, eps)
-        X = np.eye(n)
         acc = weights[0] * X
         for w in weights[1:]:
             X = step(P, X)
             acc += w * X
-        acc += (1.0 - weights.sum()) * X
+        # The dropped mass is nonnegative; its rounding can read -2**-52.
+        acc += max(1.0 - weights.sum(), 0.0) * X
         return np.clip(acc, 0.0, 1.0) if kind == "reach" else acc
 
     return run

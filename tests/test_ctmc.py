@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import poisson
@@ -27,6 +27,7 @@ from condreach.ctmc import (
     serialize_ctmc,
     transient,
     transient_matrix,
+    uniformize,
     weight_from_property,
 )
 from condreach.evidence import Formula, parse_evidence, parse_formula
@@ -122,9 +123,11 @@ def _gamma(k):
     return k * _U / (1 - k * _U)
 
 
-def _kernel_tolerance(cut, n):
+def _kernel_tolerance(cut, n, applied=False):
     """A-priori bound on |polynomial kernel - sequential oracle| for a
-    time of Poisson cut `cut` on n states, as (relative, absolute) parts.
+    time of Poisson cut `cut` on n states, as (relative, absolute) parts;
+    with `applied`, on |series - sequential oracle| of the polynomial
+    applied to a nonnegative start.
 
     Every term is nonnegative, so a sum of terms each rounded at most k
     times along its path lies within gamma_k of the exact sum, whatever
@@ -140,7 +143,10 @@ def _kernel_tolerance(cut, n):
       steps P^i within gamma_{in}, rounds a_{cut - 1} = w + tail once,
       forms a block as an s-term product of coefficients and powers,
       depth (s - 1) n + s + 1, and each Horner step adds an n-term
-      product with P^s (depth sn) and a block: sn + n + 1 more.
+      product with P^s (depth sn) and a block: sn + n + 1 more;
+    - applied to a start, each term P^i @ start (start @ P^i) is one
+      n-term product more, depth n, where the oracle steps the start
+      itself, X_k = P @ X_{k-1} (X_{k-1} @ P), at the same depth kn.
 
     E is at most the oracle's entry over 1 - gamma of its depth.  An
     operation whose result is subnormal may add up to one subnormal
@@ -152,7 +158,7 @@ def _kernel_tolerance(cut, n):
     s = math.isqrt(cut - 1) + 1
     b = -(-cut // s)
     seq = (cut - 1) * n + cut + 1
-    poly = (s - 1) * n + s + 1 + (b - 1) * (s * n + n + 1)
+    poly = (s - 1) * n + s + 1 + (b - 1) * (s * n + n + 1) + applied * n
     rel = (_gamma(poly) + _gamma(seq)) / (1 - _gamma(seq))
     return rel, 2 * (poly + seq) * n * _TINY
 
@@ -214,14 +220,18 @@ def test_batched_core_matches_per_time_loop(model, per_time_uniformization,
     )
 
 
-def _time_with_cut(ctmc, cut, eps):
-    """A time whose Poisson cut on ctmc is `cut`: the middle one of a fine
-    grid of times that have it."""
+def _times_with_cuts(ctmc, cuts, eps):
+    """Times whose Poisson cuts on ctmc are `cuts`: for each cut, the
+    middle one of a fine grid of times that have it."""
     lam = float(np.max(ctmc.exit_rates)) * _RATE_INFLATION
     means = np.geomspace(1e-12, 100.0, 20000)
-    hit = np.flatnonzero(_poisson_table(means, eps)[1] == cut)
-    assert len(hit), cut
-    return float(means[hit[len(hit) // 2]] / lam)
+    grid_cuts = _poisson_table(means, eps)[1]
+    times = []
+    for cut in cuts:
+        hit = np.flatnonzero(grid_cuts == cut)
+        assert len(hit), cut
+        times.append(float(means[hit[len(hit) // 2]] / lam))
+    return times
 
 
 # Cuts whose polynomial has one block (2), a square number of terms (4,
@@ -237,7 +247,7 @@ def test_kernel_edge_cuts_match_per_time_loop(model, per_time_uniformization,
     eps = 1e-10
     lam = float(np.max(ctmc.exit_rates)) * _RATE_INFLATION
     # t = 0 has cut 1 beside the positive times; two times repeat.
-    times = [0.0] + [_time_with_cut(ctmc, c, eps) for c in _EDGE_CUTS]
+    times = [0.0, *_times_with_cuts(ctmc, _EDGE_CUTS, eps)]
     cuts = [len(poisson_oracle(lam * t, eps)) for t in times]
     assert cuts == [1, *_EDGE_CUTS]
     _assert_kernels_match_oracle(ctmc, times + times[3:5],
@@ -269,6 +279,119 @@ def test_batched_core_matches_per_time_loop_random(
     chain = random_chain(np.random.default_rng(seed), n)
     _assert_batch_matches_per_time(chain, times, per_time_uniformization,
                                    poisson_oracle, eps)
+
+
+def _assert_series_match_oracle(ctmc, times, oracle, poisson_oracle, eps,
+                                rng):
+    """Each time's series of a vector and of a two-column block, from the
+    right, and of a vector and a two-row block, from the left, keeps its
+    start's shape, is nonnegative and lies within _kernel_tolerance of the
+    power loop on the same start."""
+    n = ctmc.n_states
+    gaps = uniformize(ctmc, times, eps)
+    for i, t in enumerate(times):
+        cut = len(poisson_oracle(ctmc.uniformization_rate * t, eps))
+        rel, tiny = _kernel_tolerance(cut, n, applied=True)
+        for start in (rng.uniform(size=n), rng.uniform(size=(n, 2))):
+            for left, kind in ((False, "column"), (True, "transient")):
+                x = start.T if left else start
+                got = gaps.series(x, i, left=left)
+                want = oracle(ctmc, t, eps, kind, start=x)
+                assert got.shape == x.shape
+                assert np.all(got >= 0.0)
+                assert np.all(np.abs(got - want) <= rel * want + tiny), (
+                    t, left, x.shape)
+
+
+@pytest.mark.parametrize("model", ["invent.ctmc", "tandem.ctmc"])
+def test_series_match_power_loop(model, per_time_uniformization,
+                                 poisson_oracle):
+    # The batch times, whose zeros have cut 1 beside positive times, and
+    # the polynomial's edge cuts, on vectors and blocks from both sides.
+    ctmc = parse_ctmc(fixture_text(model))
+    eps = 1e-10
+    times = _BATCH_TIMES + _times_with_cuts(ctmc, _EDGE_CUTS, eps)
+    _assert_series_match_oracle(ctmc, times, per_time_uniformization,
+                                poisson_oracle, eps, np.random.default_rng(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 6),
+    times=st.lists(
+        st.sampled_from([0.0, 1e-6, 0.05, 0.3, 1.0, 4.0]) | st.floats(0.0, 5.0),
+        min_size=1, max_size=4,
+    ),
+    eps=st.sampled_from([1e-6, 1e-10, 1e-12]),
+)
+# A tail that rounds to -2**-52, which the oracle must clamp as the
+# package does: the last power's entries are far above the start's
+# smallest ones.
+@example(seed=135302, n=5, times=[0.0, 0.0, 1e-06], eps=1e-10)
+def test_series_match_power_loop_random(
+    random_chain, per_time_uniformization, poisson_oracle, seed, n, times, eps
+):
+    rng = np.random.default_rng(seed)
+    chain = random_chain(rng, n)
+    _assert_series_match_oracle(chain, times, per_time_uniformization,
+                                poisson_oracle, eps, rng)
+
+
+def test_series_without_a_step():
+    # lam = 0: every series is its start, bit for bit, and no power is
+    # stepped.
+    frozen = from_rates(["a", "b", "c"], "a", {}, {})
+    gaps = uniformize(frozen, [0.0, 1.0, 1e9])
+    x = np.array([0.25, 0.5, 1.0])
+    for i in range(3):
+        for start in (x, np.stack((x, 1 - x), axis=1)):
+            np.testing.assert_array_equal(gaps.series(start, i), start)
+            np.testing.assert_array_equal(
+                gaps.series(start.T, i, left=True), start.T)
+    assert frozen._powers == []
+
+
+def test_jump_powers_are_stepped_once_to_the_power_asked():
+    chain = parse_ctmc(fixture_text("tandem.ctmc"))
+    n = chain.n_states
+    P = np.eye(n) + chain.generator() / chain.uniformization_rate
+    assert chain._powers == []
+    three = chain.jump_powers(3)
+    assert three.shape == (4, n, n) and not three.flags.writeable
+    # Each power is the one before it times P, as the kernels stepped them.
+    want = [np.eye(n), P]
+    want += [want[-1] @ P, (want[-1] @ P) @ P]
+    np.testing.assert_array_equal(three, want)
+    # A lower power is read from the table; a higher one steps on from
+    # it to exactly that power, and keeps the powers already stepped.
+    assert chain.jump_powers(2).base is three
+    assert chain._powers[0] is three
+    five = chain.jump_powers(5)
+    assert five.shape == (6, n, n) and chain._powers[0] is five
+    np.testing.assert_array_equal(five[:4], three)
+    np.testing.assert_array_equal(five[5], five[4] @ P)
+    # The kernels read their powers from the same table.
+    K = transient_matrix(chain, 0.05)
+    assert chain._powers[0] is five
+    np.testing.assert_allclose(K, expm(chain.generator() * 0.05), atol=1e-10)
+
+
+def test_tiny_time_has_no_negative_tail(random_chain):
+    # The Poisson weights of this time round to a sum above 1, which left
+    # a dropped mass of -2.2e-16 and a kernel entry of -5.8e-18.
+    chain = random_chain(np.random.default_rng(48656), 4)
+    t, eps = 1e-6, 1e-10
+    gaps = uniformize(chain, t, eps)
+    assert gaps.tails[0] == 0.0
+    ones = np.ones(4)
+    outputs = [
+        transient_matrix(chain, t, eps), reach_matrix(chain, t, eps),
+        gaps.series(ones, 0), gaps.series(ones, 0, left=True),
+        *(transient(chain, s, t, eps) for s in range(4)),
+    ]
+    for out in outputs:
+        assert np.all(out >= 0.0)
 
 
 def test_stiff_uniformization_refused():

@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from condreach.ctmc import Uniformization, parse_ctmc
 from condreach.driver import (
     AnalysisConfig,
     analyze,
@@ -19,7 +21,9 @@ from condreach.evidence import (
     TimeSet,
     coarsest_partition,
     parse_formula,
+    sample_instance,
 )
+from condreach.fixtures import fixture_text
 from condreach.unfolding import (
     bayes_quotient_weight,
     conditional_weight,
@@ -83,21 +87,54 @@ def test_one_model_alive_at_a_time(monkeypatch, tandem, tandem1,
     assert len(models) == len(trace.rows) == 4
 
 
-def test_analyze_peak_memory(tandem, tandem1, tandem_weights):
+def test_analyze_peak_memory(tandem1, tandem_weights):
     # The traced allocation peak of tandem1 at cap 8 stays under a fixed
-    # bound: 17.8 MB with one model alive on its live rows, against
+    # bound: 19.6 MB with one model alive on its live rows, against
     # 34.6 MB with the previous model and dense (gap, n, n) temporaries.
     # A dense temporary brought back fails here, not only in the
     # benchmark's peak RSS: keeping the previous model alive read
     # 23.8 MB, gathering whole kernels 21.0 MB and forming U - L over a
-    # whole stack 22.5 MB.
+    # whole stack 22.5 MB (before the chain kept its powers).  The chain
+    # is parsed here, so that its table of jump powers (15 of 120 x 120,
+    # 1.7 MB) is always counted, whatever ran before on a shared chain;
+    # a table stepped by doubling read 21.05 MB.
+    chain = parse_ctmc(fixture_text("tandem.ctmc"))
     tracemalloc.start()
     try:
-        analyze(tandem, tandem1, tandem_weights, AnalysisConfig(max_iters=8))
+        analyze(chain, tandem1, tandem_weights, AnalysisConfig(max_iters=8))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_chain_keeps_the_highest_power_asked(monkeypatch, tandem1,
+                                             tandem_weights):
+    # After an analyze and exact weights of sampled instances, the chain's
+    # table holds P^0 .. P^s for the largest s = ceil(sqrt(cut)) that a
+    # kernel or a series asked for, and no power more.
+    chain = parse_ctmc(fixture_text("tandem.ctmc"))
+    cuts = []
+    kernels, series = Uniformization.kernels, Uniformization.series
+
+    def seen_kernels(self, n):
+        cuts.extend(self.cuts)
+        return kernels(self, n)
+
+    def seen_series(self, start, time, left=False):
+        cuts.append(self.cuts[self.rank[time]])
+        return series(self, start, time, left)
+
+    monkeypatch.setattr(Uniformization, "kernels", seen_kernels)
+    monkeypatch.setattr(Uniformization, "series", seen_series)
+    analyze(chain, tandem1, tandem_weights, AnalysisConfig(max_iters=8))
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        conditional_weight(chain, sample_instance(tandem1, rng),
+                           tandem_weights)
+    top = max(math.isqrt(c - 1) + 1 for c in cuts)
+    assert top > 1
+    assert len(chain._powers[0]) == top + 1
 
 
 def test_splittable_skips_points(invent1):

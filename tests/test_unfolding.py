@@ -303,3 +303,15 @@ def test_oracle_forms_no_kernel(monkeypatch, invent, invent1, invent_weights,
         rho = sample_instance(omega, np.random.default_rng(3))
         values = _entry_points(ctmc, rho, w)
         assert all(0.0 < v <= 1.0 for v in values)
+
+
+def test_second_weight_adds_no_power(tandem1, tandem_weights):
+    # The powers of a chain's jump matrix are stepped once: a second call
+    # on the same chain reads them from the chain's table.
+    chain = ctmc_module.parse_ctmc(fixture_text("tandem.ctmc"))
+    rho = sample_instance(tandem1, np.random.default_rng(5))
+    first = _entry_points(chain, rho, tandem_weights)
+    table = chain._powers[0]
+    assert len(table) > 2
+    assert _entry_points(chain, rho, tandem_weights) == first
+    assert len(chain._powers) == 1 and chain._powers[0] is table
