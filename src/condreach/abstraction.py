@@ -12,14 +12,26 @@ admit, so the model is stored by distinct gap.  A model is built without
 a loop over cell pairs: the gaps of all pairs come from the cells'
 endpoint arrays by broadcasting, each layer's distinct gaps are found
 with np.unique, and the bound cache answers the distinct gaps of every
-layer in one batched call per model.  Each layer keeps its (gap, rows,
-n) stacks and np.unique's inverse as an (n_cells, n_next_cells) gap
-index; nothing is scattered to the pairs.  A layer's stacks hold only
-the rows of the states the model defines there (IntervalMdp.rows): the
-initial state in the anchor layer, the non-reset states after it.  The
-cache, one per chain and transient tolerance, keeps the gap's two parts
-across layers and iterations: kernels by its minimum and reach matrices
-by its spread, each in one sorted-key stack.
+layer in one batched call per model.  Each layer keeps its gap stacks
+and np.unique's inverse as an (n_cells, n_next_cells) gap index;
+nothing is scattered to the pairs.  A layer's stacks hold only the rows
+of the states the model defines there (IntervalMdp.rows): the initial
+state in the anchor layer, the non-reset states after it.  The cache,
+one per chain and transient tolerance, keeps the gap's two parts across
+layers and iterations: kernels by its minimum and reach matrices by its
+spread, each in one sorted-key stack.
+
+A gap's full lower and upper rows are never stored.  The cache builds
+them a chunk of gaps at a time and keeps only what is read (GapStacks):
+the greedy's lower bounds and room U - L on the solver's columns, the
+row's slack and feasibility excess, and the support U > 0 over all
+states.  The solver's columns are the next layer's non-reset states,
+then one reset-sink column (IntervalMdp.columns) when two or more of
+them reset: every reset successor carries the reset value, and a
+greedy pours the same mass into a run of equal-valued successors
+whether they are one column or many, so the sink's bounds are the sums
+of theirs.  On tandem1 a step into the last layer keeps 15 columns of
+120.
 
 Each partition is abstracted on its own.  Refinement still nests: a
 child cell pair admits a sub-gap of its parent pair's gap, and the
@@ -28,10 +40,10 @@ window can only fall, and the chance to stay in s' over it can only
 rise, so every child interval lies inside its parent's.  The tests check
 this; nothing clips to it.
 
-Reachability advances one layer per step (reachable_step): the supports
-of the followed rows of U's gap stacks are gathered, grouped by next
-cell, and or-reduced per group.  A forward pass is one step per layer,
-and consistency repair takes the same steps as it fixes each layer's
+Reachability advances one layer per step (reachable_step): the stored
+supports of the followed rows are gathered, grouped by next cell, and
+or-reduced per group.  A forward pass is one step per layer, and
+consistency repair takes the same steps as it fixes each layer's
 choices.  Pruning is such a pass over every action: restrict_reachable
 returns its masks, and the model is never copied.
 """
@@ -52,10 +64,11 @@ from .ctmc import (
 
 # Floating-point slack for lower > upper inversions on near-point cells.
 _NOISE = 1e-9
-# Floats per chunk of gaps (1 MB) in the stacked products and column
-# lumps: it bounds the copies of reach matrices and rows they gather,
-# and a small chain's gaps all fit in one chunk, so one call.
-_CHUNK = 2**17
+# Floats per chunk of gaps (512 KB): it bounds the full bound rows that
+# assembly holds until it reduces them, and the copies of reach matrices
+# the stacked products gather, and a small chain's gaps all fit in one
+# chunk, so one call.  On tandem1 a chunk holds 5 gaps of 104 rows.
+_CHUNK = 2**16
 
 
 class AbstractionError(ArithmeticError):
@@ -120,7 +133,7 @@ class _KeyedStack:
 
 
 class TransientBoundCache:
-    """Transparent cache of (lower, upper) bound matrices per gap, for one
+    """Transparent cache of the parts of interval bounds per gap, for one
     chain at one transient tolerance (abstract refuses any other).
 
     The bounds of a gap [g_min, g_max] are built from the transient
@@ -130,12 +143,13 @@ class TransientBoundCache:
     kept by gap minimum and reach matrices by spread, each in a
     _KeyedStack, so gaps that share a minimum or a spread share that
     part, and a call computes its missing kernels and spreads in one
-    transient_matrix and one reach_matrix call.  Finished pairs are not
-    kept: assembling them takes the kernels' requested rows, gathered
-    straight from the buffer, times the buffered reach matrices, a chunk
-    of gaps at a time.  Cell endpoint arithmetic is exact on
-    representable binary fractions, so evidences with uniform window
-    spacing hit the cache across layers.
+    transient_matrix and one reach_matrix call.  Finished bounds are not
+    kept, nor ever formed whole: a chunk of gaps at a time, assembly
+    takes the kernels' requested rows, gathered straight from the
+    buffer, times the buffered reach matrices, and reduces these full
+    rows to the GapStacks the solver reads.  Cell endpoint arithmetic is
+    exact on representable binary fractions, so evidences with uniform
+    window spacing hit the cache across layers.
     """
 
     def __init__(self, ctmc, eps=DEFAULT_TRANSIENT_TOL):
@@ -155,18 +169,20 @@ class TransientBoundCache:
         """
         return np.concatenate((self._kernels.keys, self._spreads.keys))
 
-    def bound_matrices(self, gaps, rows):
-        """Sound bound matrices over elapsed-time gaps, on chosen rows.
+    def bound_matrices(self, gaps, rows, sinks):
+        """Sound interval bounds over elapsed-time gaps, kept as read.
 
         gaps holds parts, each an (m, 2) array of (g_min, g_max) pairs,
-        and rows as many int arrays of r state ids.  The result holds per
-        part a (lower, upper) pair of read-only (m, r, n) stacks: row k of
-        a gap's matrices is state rows[k]'s.  For elapsed time tau in
-        [g_min, g_max]:
+        rows as many int arrays of r state ids, and sinks as many masks of
+        the successors lumped into one last column, or None to keep all
+        n.  For elapsed time tau in [g_min, g_max], the bounds
           upper[s, s'] = P(visit s' at some point in [g_min, g_max] from s),
-          lower[s, s'] = P(in s' at g_min, no jump until g_max from s),
-        both of which bracket the transient probability at every tau.
-        The missing parts of every part's gaps are computed together.
+          lower[s, s'] = P(in s' at g_min, no jump until g_max from s)
+        bracket the transient probability at every tau.  The result holds
+        per part a GapStacks of the m gaps, whose row k is state rows[k]'s
+        and whose k columns are the kept successors, in order, then the
+        sink.  The missing parts of every part's gaps are computed
+        together.
         """
         gaps = [np.asarray(g, dtype=float) for g in gaps]
         for g in gaps:
@@ -176,8 +192,10 @@ class TransientBoundCache:
                 raise ValueError(
                     "gaps must be (min, max) rows, 0 <= min <= max"
                 )
-        if len(rows) != len(gaps):
-            raise ValueError("rows must hold one state array per gap part")
+        if not len(rows) == len(sinks) == len(gaps):
+            raise ValueError(
+                "rows and sinks must hold one entry per gap part"
+            )
         every = np.concatenate(gaps)
         g_min, spread = every[:, 0], every[:, 1] - every[:, 0]
         kernels, spreads = self._kernels.get(g_min), self._spreads.get(spread)
@@ -185,13 +203,51 @@ class TransientBoundCache:
         ends = np.cumsum([0, *map(len, gaps)])
         return [
             self._assemble(kernels[a:b], spreads[a:b], inv[a:b],
-                           np.asarray(r, dtype=np.intp))
-            for a, b, r in zip(ends, ends[1:], rows)
+                           np.asarray(r, dtype=np.intp), sink)
+            for a, b, r, sink in zip(ends, ends[1:], rows, sinks)
         ]
 
-    def _assemble(self, kernels, spreads, inv, rows):
-        """The bound stacks of the gaps whose parts sit at buffer rows
-        kernels and spreads, with invariance vectors inv, on rows."""
+    def _assemble(self, kernels, spreads, inv, rows, sink):
+        """The GapStacks of the gaps whose parts sit at buffer rows
+        kernels and spreads, with invariance vectors inv, on rows, with
+        the successors in sink lumped.
+
+        Each chunk of gaps gets its full (lower, upper) rows from
+        _full_rows and is reduced to what is read before the next chunk
+        is built, so no whole (gaps, r, n) float stack is ever formed.
+        Chunks are cut by the r * n floats of a gap's rows, which keeps
+        every gap of the one-row anchor layer in one chunk: numpy sums
+        the gathered sink columns of a single row pairwise and those of
+        several rows in order, so a one-row chunk would round its sink
+        column otherwise.
+        """
+        n, m, r = self.ctmc.n_states, len(kernels), len(rows)
+        k = n if sink is None else n - np.count_nonzero(sink) + 1
+        lower, room = np.empty((2, k, m, r))
+        slack, excess = np.empty((2, m, r))
+        support = np.empty((m, r, n), dtype=bool)
+        for part in _chunks(m, r * n):
+            lo, up = self._full_rows(kernels[part], spreads[part], inv[part],
+                                     rows)
+            support[part] = up > 0
+            mass = lo.sum(axis=-1)
+            slack[part] = 1.0 - mass
+            excess[part] = np.maximum(mass - 1.0, 1.0 - up.sum(axis=-1))
+            for a, out in ((lo, lower), (np.subtract(up, lo, out=up), room)):
+                if sink is not None:
+                    a = np.concatenate(
+                        (a[..., ~sink],
+                         a[..., sink].sum(axis=-1, keepdims=True)),
+                        axis=-1,
+                    )
+                out[:, part] = a.transpose(2, 0, 1)
+        for a in (lower, room, slack, excess, support):
+            a.setflags(write=False)
+        return GapStacks(lower, room, slack, excess, support)
+
+    def _full_rows(self, kernels, spreads, inv, rows):
+        """The full (lower, upper) rows, (m, r, n) each, of the gaps whose
+        parts sit at buffer rows kernels and spreads, on rows."""
         # BLAS runs a one-row product as gemv, whose sums round otherwise
         # than gemm's rows; a doubled row keeps the full product's bits.
         r = len(rows)
@@ -218,37 +274,60 @@ class TransientBoundCache:
                     "lower bound exceeds upper beyond tolerance"
                 )
             lower[noisy] = upper[noisy] = 0.5 * (lo + hi)
-        lower.setflags(write=False)
-        upper.setflags(write=False)
         return lower, upper
 
 
 @dataclass(frozen=True)
+class GapStacks:
+    """What the solver and reachability read of one layer's gap bounds.
+
+    For the layer's g distinct gaps, its r stored rows (IntervalMdp.rows)
+    and the k successor columns its solves read (IntervalMdp.columns):
+
+    lower, room : ndarray
+        (k, g, r) floats, successor-major: [t, p, s] is column t of row s
+        of gap p, its lower bound and its room U - L.  A lumped reset-sink
+        column holds the sums of the successors it lumps.
+    slack, excess : ndarray
+        (g, r) floats over the full row of n successors: the slack
+        1 - sum L, and the feasibility excess max(sum L - 1, 1 - sum U).
+    support : ndarray
+        (g, r, n) bools, U > 0: the successors a row can reach.
+    """
+
+    lower: np.ndarray
+    room: np.ndarray
+    slack: np.ndarray
+    excess: np.ndarray
+    support: np.ndarray
+
+
+@dataclass(frozen=True)
 class IntervalMdp:
-    """Layered interval MDP, stored by distinct gap on its live rows.
+    """Layered interval MDP, stored by distinct gap as its solves read it.
 
     Attributes
     ----------
     layers : tuple of ndarray
         Per layer, the (n_cells, 2) array of [lo, hi] cell endpoints: the
         anchor [0, 0], then each observation window's partition cells.
-    gap_lower, gap_upper : tuple of ndarray
-        Per layer i < last, the (n_gaps_i, len(rows[i]), n_states) bound
-        stacks of the distinct gaps between layer i's cells and layer
-        i + 1's, on the rows of the states in rows[i].
+    stacks : tuple of GapStacks
+        Per layer i < last, the bounds of the distinct gaps between layer
+        i's cells and layer i + 1's: on the rows of the states in rows[i],
+        greedy columns over columns[i] and supports over all states.
     gap_index : tuple of ndarray
         Per layer i < last, an int array (n_cells_i, n_cells_{i+1}) of
         gap numbers.  With g = gap_index[i][j, j2] and s = rows[i][k],
-        entry [g, k, s'] of gap_lower[i] and gap_upper[i] bounds the
-        transition probability of abstract state (i, j, s) under action
-        j2 into (i+1, j2, s').
+        gap g's row k in stacks[i] bounds the transition probabilities of
+        abstract state (i, j, s) under action j2 into layer i + 1's cell
+        j2.
     reset_masks : tuple of ndarray
         Per layer, the states violating that layer's observation; such
         abstract states carry a single probability-1 redirect to the
         initial abstract state instead of rows or weights, so the gap
-        stacks hold no row of theirs.  The solver sums the columns of a
-        layer's reset successors into one reset-sink column, since they
-        all carry the reset value.
+        stacks hold no row of theirs.  A step into two or more of them
+        lumps their columns into one reset-sink column (columns), since
+        they all carry the reset value.
     initial : int
         CTMC initial state; the initial abstract state is (0, 0, initial).
         It is the anchor layer's one state of the model, and the anchor's
@@ -256,23 +335,40 @@ class IntervalMdp:
     """
 
     layers: tuple
-    gap_lower: tuple
-    gap_upper: tuple
+    stacks: tuple
     gap_index: tuple
     reset_masks: tuple
     initial: int
     n_states: int
 
     def __post_init__(self):
-        for i, (L, U) in enumerate(zip(self.gap_lower, self.gap_upper)):
-            shape = (len(self.rows[i]), self.n_states)
-            if not L.shape[1:] == U.shape[1:] == shape:
-                raise ValueError(f"layer {i}'s stacks do not hold its rows")
+        n = self.n_states
+        for i, (st, cols) in enumerate(zip(self.stacks, self.columns)):
+            g, r = len(st.slack), len(self.rows[i])
+            k = n if cols is None else len(cols)
+            if not (st.lower.shape == st.room.shape == (k, g, r)
+                    and st.slack.shape == st.excess.shape == (g, r)
+                    and st.support.shape == (g, r, n)
+                    and st.support.dtype == bool):
+                raise ValueError(
+                    f"layer {i}'s stacks do not hold its rows and columns"
+                )
 
     @cached_property
     def rows(self):
         """Per layer i < last, the states whose rows its gap stacks hold."""
         return _stack_rows(self.reset_masks, self.initial)
+
+    @cached_property
+    def columns(self):
+        """Per layer i < last, the next-layer states its greedy columns
+        stand for: None for all n in order, or the kept states, then the
+        first of the reset states lumped into the last column."""
+        return tuple(
+            None if sink is None
+            else np.append(np.flatnonzero(~sink), np.flatnonzero(sink)[0])
+            for sink in _sinks(self.reset_masks)
+        )
 
     @property
     def n_layers(self):
@@ -302,7 +398,7 @@ class IntervalMdp:
                 actions += int(live.sum()) * self.n_cells(i + 1)
                 # Successors with support per gap and row, summed over
                 # actions.
-                degree = (self.gap_upper[i] > 0).sum(axis=2)
+                degree = self.stacks[i].support.sum(axis=2)
                 out_deg = degree[self.gap_index[i]].sum(axis=1)
                 transitions += int(out_deg[live].sum())
         return states, actions, transitions
@@ -315,6 +411,16 @@ def _stack_rows(reset_masks, initial):
     return (
         np.array([initial]),
         *(np.flatnonzero(~reset) for reset in reset_masks[1:-1]),
+    )
+
+
+def _sinks(reset_masks):
+    """Per layer but the last, the mask of the next layer's reset states
+    where two or more reset, whose columns its stacks lump into one;
+    None where the stacks keep all n columns."""
+    return tuple(
+        reset if np.count_nonzero(reset) >= 2 else None
+        for reset in reset_masks[1:]
     )
 
 
@@ -359,15 +465,13 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
         uniqs.append(uniq.view(float).reshape(-1, 2))
         gap_index.append(index)
     # One cache call for the whole model.
-    stacks = cache.bound_matrices(uniqs, rows)
-    for i, ((L, U), index) in enumerate(zip(stacks, gap_index)):
-        _check_feasible(L, U, index, rows[i], i)
-    gap_lower, gap_upper = zip(*stacks)
+    stacks = cache.bound_matrices(uniqs, rows, _sinks(reset_masks))
+    for i, (st, index) in enumerate(zip(stacks, gap_index)):
+        _check_feasible(st.excess, index, rows[i], i)
 
     return IntervalMdp(
         layers=layers,
-        gap_lower=gap_lower,
-        gap_upper=gap_upper,
+        stacks=tuple(stacks),
         gap_index=tuple(gap_index),
         reset_masks=reset_masks,
         initial=ctmc.initial,
@@ -375,14 +479,13 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
     )
 
 
-def _check_feasible(L, U, index, rows, layer):
+def _check_feasible(excess, index, rows, layer):
     """Every stored row must admit a distribution inside its intervals.
 
-    L and U are a layer's gap stacks, rows their states and index its
-    gap numbers; a gap's infeasible row is named by the first cell pair
-    that admits the gap.
+    excess is a layer's (gaps, rows) feasibility excess (GapStacks),
+    rows their states and index its gap numbers; a gap's infeasible row
+    is named by the first cell pair that admits the gap.
     """
-    excess = np.maximum(L.sum(axis=2) - 1.0, 1.0 - U.sum(axis=2))
     if np.any(excess > _NOISE):
         g, r = np.unravel_index(np.argmax(excess), excess.shape)
         j, j2 = np.argwhere(index == g)[0]
@@ -397,11 +500,11 @@ def reachable_step(imdp, i, reach, choice=None):
 
     reach is layer i's (n_cells, n_states) mask and choice its scheduler
     choices (every action is explored when None).  Each followed row is
-    a stored row of a gap stack of U, those of the reached states in
-    imdp.rows[i]; their supports are gathered grouped by next cell and
-    or-reduced per group.
+    a stored row of the layer's gap stacks, those of the reached states
+    in imdp.rows[i]; their stored supports are gathered grouped by next
+    cell and or-reduced per group.
     """
-    U, index, rows = imdp.gap_upper[i], imdp.gap_index[i], imdp.rows[i]
+    index, rows = imdp.gap_index[i], imdp.rows[i]
     n, r = imdp.n_states, len(rows)
     nc, nc2 = index.shape
     live = reach[:, rows]
@@ -411,7 +514,7 @@ def reachable_step(imdp, i, reach, choice=None):
         follow = (choice[:, rows] == np.arange(nc2)[:, None, None]) & live
     # follow[j2, j, k]: row k of gap index[j, j2] leads into next cell j2.
     row_ids = index.T[:, :, None] * r + np.arange(r)
-    support = (U > 0).reshape(-1, n)[row_ids[follow]]
+    support = imdp.stacks[i].support.reshape(-1, n)[row_ids[follow]]
     counts = follow.sum(axis=(1, 2))
     flow = np.zeros((nc2, n), dtype=bool)
     some = counts > 0

@@ -5,7 +5,8 @@ the initial abstract state, so each value sweep is one backward pass.
 The sweep also propagates, through the distributions actually chosen,
 the sensitivity of every value to the injected initial value; the reset
 fixpoint is then solved in closed form and re-swept until it moves by
-at most the tolerance (policy iteration on a scalar).  A sweep keeps
+at most the tolerance (policy iteration on a scalar, safeguarded by a
+bracket of the root; see _solve).  A sweep keeps
 only what the layer before it and this update read: each layer's values
 and betas and its solved rows' choices.  A robust solve sweeps once
 more at the fixpoint and expands that sweep to the values and the
@@ -16,24 +17,27 @@ A sweep solves the rows the model defines, the only rows its gap stacks
 hold.  A reset state redirects to the initial state with probability 1,
 so it takes v0 with beta 1 and has no row, and the anchor layer's one
 state of the model is (0, 0, initial).  Every reset successor thus
-carries (v0, 1), and a step into two or more of them lumps them into one
+carries (v0, 1), and a step into two or more of them reads one
 reset-sink column whose bounds are the sums of theirs: the greedy below
 pours the same mass into a run of equal-valued successors whether they
-are one column or many.  On tandem1 the anchor step solves 1 row instead
-of 120, and the step into the last layer orders 15 columns instead of
-120.
+are one column or many.  The model's gap stacks are lumped so when they
+are assembled (abstraction.GapStacks); a sweep gathers a sink column's
+vectors from the first reset state (IntervalMdp.columns).  On tandem1
+the anchor step solves 1 row instead of 120, and the step into the last
+layer orders 15 columns instead of 120.
 
 Each layer of a sweep is one batched numpy kernel over its rows.
 Nature's optimum over an interval polytope is its greedy extreme point:
 a row starts at its lower bounds and pours its slack into successors in
 value order (greedy_distribution states it for one block and is kept as
-the tests' oracle).  What does not depend on the values, the room
-U - L stored successor-major and the slack 1 - sum L, is prepared once
-per compute_bounds call from the model's gap stacks and shared by its
-three solves.  A sweep then sorts the next layer's values with one
-stable argsort, gathers the room rows in that order, clips their
-running sum against the slack, and takes each q-value as L @ v plus the
-clipped fill dotted with the sorted values; betas reuse the same fill.
+the tests' oracle).  What does not depend on the values, the lower
+bounds, the room U - L and the slack 1 - sum L, the model stores per
+gap, successor-major; once per compute_bounds call they are gathered to
+the cell pairs and shared by the three solves.  A sweep then sorts the
+next layer's values with one stable argsort, gathers the room rows in
+that order, clips their running sum against the slack, and takes each
+q-value as L @ v plus the clipped fill dotted with the sorted values;
+betas reuse the same fill.
 
 The fill, the mass each sorted successor takes beyond its lower bound,
 depends on the values only through their order.  Each prepared layer
@@ -59,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abstraction import _chunks, reachable_states, reachable_step
+from .abstraction import reachable_states, reachable_step
 from .unfolding import ZERO_LIKELIHOOD, ZeroLikelihoodError
 
 DEFAULT_VI_TOL = 1e-9
@@ -124,24 +128,22 @@ def _prepare(imdp):
 
     A layer solves the rows its gap stacks hold (IntervalMdp.rows), its
     non-reset states and in the anchor layer the initial one alone,
-    against the next layer's columns with its reset states lumped (see
-    _rows).  Every layer but the last gets the rows of all its cell
-    pairs, gathered once from the gap stacks.  In the last step
-    all next cells carry the same vectors, so a row's greedy depends on
-    its gap alone: that layer gets one row per gap and state, numbered
-    as if each gap were a cell with a single next cell.  The last
-    observation layer has no successors and no arrays; it carries the
-    weights.  Each layer's fill memo (see _q_values) lives as long as
-    the layout.
+    against the columns its stacks keep (IntervalMdp.columns), the next
+    layer's reset states lumped.  Every layer but the last gets the rows
+    of all its cell pairs, gathered once from the gap stacks.  In the
+    last step all next cells carry the same vectors, so a row's greedy
+    depends on its gap alone: that layer gets one row per gap and state,
+    numbered as if each gap were a cell with a single next cell, which
+    are its stacks as they are stored.  The last observation layer has no successors and no arrays; it carries
+    the weights.  Each layer's fill memo (see _q_values) lives as long
+    as the layout.
     """
     layout = []
     last = imdp.n_layers - 2
-    for i, (L, U, index, rows) in enumerate(
-        zip(imdp.gap_lower, imdp.gap_upper, imdp.gap_index, imdp.rows)
+    for i, (stacks, index, rows, cols) in enumerate(
+        zip(imdp.stacks, imdp.gap_index, imdp.rows, imdp.columns)
     ):
-        sink = imdp.reset_masks[i + 1]
-        layer = _rows(L, U, np.arange(len(L))[:, None] if i == last else index,
-                      rows, sink if np.count_nonzero(sink) >= 2 else None)
+        layer = _rows(stacks, None if i == last else index, rows, cols)
         layer.pick = (np.arange(len(index))[:, None], np.arange(len(rows)))
         layout.append(layer)
     return layout
@@ -169,54 +171,37 @@ class _Layer:
         self.built = self.reused = 0
 
 
-def _rows(L, U, index, rows, sink=None):
+def _rows(stacks, index, rows, cols):
     """The greedy arrays (lower, room, slack) of index's cell pairs.
 
-    L and U are (g, r, n) gap stacks, whose rows are those of the r
-    states in rows, and index an (nc, nc2) array of gap numbers.  sink
-    is None, keeping the n columns, or a mask of successors that carry
-    equal vectors, the reset states: they become one last column, after
-    the k - 1 others, whose lower bound and room are the sums of theirs,
-    while the slack stays 1 - sum L over the full row.  The columns are
-    taken and lumped a chunk of gaps at a time, so no room U - L or
-    gathered column set of the whole stack is formed.
+    stacks is a layer's GapStacks, whose rows are those of the states in
+    rows and whose k columns stand for the next-layer states cols (None
+    for all n), and index an (nc, nc2) array of gap numbers.  Each array
+    is gathered from the stacks, which are successor-major already.
+    index None takes each gap as a cell with one next cell, nc = g and
+    nc2 = 1, whose arrays are views of the stacks.
 
     Rows are numbered m = j * r + s over (cell, solved state), and all
     three arrays are successor-major: lower[j2, t, m] is column t of row
     s of gap index[j, j2], shape (nc2, k, nc * r); room is U - L in the
     same order, flattened to (nc2 * k, nc * r); and slack[j2, 0, m] is
-    the row's slack.  They come as a _Layer with an empty fill memo; its
-    cols gathers the k columns from a next layer's (.., n) array, None
-    for all n or the kept states and then one sink state.
+    the row's slack.  They come as a _Layer with an empty fill memo.
     """
-    g, r, n = L.shape
+    k, g, r = stacks.lower.shape
+    if index is None:
+        m = g * r
+        return _Layer(stacks.lower.reshape(1, k, m),
+                      stacks.room.reshape(k, m),
+                      stacks.slack.reshape(1, 1, m), rows, cols)
     nc, nc2 = index.shape
-    slack = 1.0 - L.sum(axis=-1)
-    cols = None
-    if sink is not None:
-        keep = np.flatnonzero(~sink)
-        cols = np.append(keep, np.flatnonzero(sink)[0])
-    k = n if cols is None else len(cols)
-    # Both stacks transposed to (t, g, s): row t * g + p is gap p's
-    # column t, and take[j2, t, j] picks it for the pair (j, j2).
-    lower, room = np.empty((2, k, g, r))
-    for part in _chunks(g, r * n):
-        lo = L[part]
-        for a, out in ((lo, lower), (U[part] - lo, room)):
-            if sink is not None:
-                a = np.concatenate(
-                    (a[..., keep], a[..., sink].sum(axis=-1, keepdims=True)),
-                    axis=-1,
-                )
-            out[:, part] = a.transpose(2, 0, 1)
+    # Row t * g + p of a stack is gap p's column t, and take[j2, t, j]
+    # picks it for the pair (j, j2).
     take = index.T[:, None, :] + g * np.arange(k)[:, None]
-    lower = lower.reshape(k * g, r)[take]
-    room = room.reshape(k * g, r)[take]
     m = nc * r
     return _Layer(
-        lower.reshape(nc2, k, m),
-        room.reshape(nc2 * k, m),
-        slack[index.T].reshape(nc2, 1, m),
+        stacks.lower.reshape(k * g, r)[take].reshape(nc2, k, m),
+        stacks.room.reshape(k * g, r)[take].reshape(nc2 * k, m),
+        stacks.slack[index.T].reshape(nc2, 1, m),
         rows,
         cols,
     )
@@ -290,7 +275,7 @@ def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
         if i == n_layers - 2:
             # One greedy per gap on the one vector pair of the last
             # layer, gathered to (2, nc2, nc, r) through the gap index.
-            q = q.reshape(2, len(imdp.gap_lower[i]), len(rows))
+            q = q.reshape(2, len(imdp.stacks[i].slack), len(rows))
             q = q[:, imdp.gap_index[i].T]
         else:
             q = q.reshape(len(vb), 2, nc, len(rows)).swapaxes(0, 1)
@@ -326,7 +311,19 @@ def _expand(imdp, layout, vbs, choices):
 
 
 def _solve(imdp, layout, weights, outer, inner, tol, fixed=None, v0=0.0):
-    """Sweep until the reset fixpoint stabilizes; returns the fixpoint."""
+    """Sweep until the reset fixpoint stabilizes; returns the fixpoint.
+
+    A sweep at v0 reads f = g(v0), the initial state's value when the
+    reset states take v0, and b, its slope under the sweep's choices.
+    Every piece of h(v) = g(v) - v has slope b - 1 < 0, so h falls
+    strictly and has one root, on the side of v0 that the sign of f - v0
+    names.  The signs seen so far bracket the root in [lo, hi].  The
+    step is Newton's, the fixpoint under frozen choices, unless it
+    leaves the bracket by more than tol: then it is the bracket's
+    midpoint.  Newton alone can cycle where g is neither convex nor
+    concave, as in the max/min solve.
+    """
+    lo, hi = -np.inf, np.inf
     for sweeps in range(1, _MAX_SWEEPS + 1):
         vbs, _ = _sweep(imdp, layout, weights, v0, outer, inner, fixed)
         f, b = vbs[0][0, :, imdp.initial]
@@ -335,9 +332,17 @@ def _solve(imdp, layout, weights, outer, inner, tol, fixed=None, v0=0.0):
                 "reset loop does not contract; the evidence has (near-)zero "
                 "likelihood"
             )
+        if f >= v0:
+            lo = max(lo, v0)
+        else:
+            hi = min(hi, v0)
         # The pass computes f = alpha + b * v0 under frozen choices; the
-        # frozen-choice fixpoint is alpha / (1 - b).
+        # frozen-choice fixpoint is alpha / (1 - b).  It lies on the
+        # root's side of v0, so it can only leave the bracket across a
+        # bound already found.
         v0_new = (f - b * v0) / (1.0 - b)
+        if not lo - tol <= v0_new <= hi + tol:
+            v0_new = 0.5 * (lo + hi)
         delta = abs(v0_new - v0)
         if delta <= tol:
             return v0_new

@@ -300,41 +300,19 @@ def kernel_oracle():
 
 
 @pytest.fixture(scope="session")
-def dense_bounds():
-    """Per-layer (lower, upper) arrays of an interval MDP, one per cell pair.
-
-    Scatters each layer's gap stacks through its gap index, Lg[index],
-    into (n_cells_i, n_cells_{i+1}, r_i, n) arrays: block [j, j2] bounds
-    the stored rows of cell j under action j2, row k being the one of
-    state imdp.rows[i][k].
-    """
-
-    def scatter(imdp):
-        return [
-            (L[index], U[index])
-            for L, U, index in zip(
-                imdp.gap_lower, imdp.gap_upper, imdp.gap_index
-            )
-        ]
-
-    return scatter
-
-
-@pytest.fixture(scope="session")
-def reference_sweep(dense_bounds):
+def reference_sweep():
     """Backward pass calling greedy_distribution once per interval row.
 
-    The dense reference of the solver's sweep: each layer's bounds are
-    scattered to its cell pairs and every (cell, action, stored state)
-    row gets its own greedy.  Returns (values, betas, choices, q-values),
-    the q-values of layer i with shape (n_cells_i, n_cells_{i+1},
-    n_states).
+    The dense reference of the solver's sweep: dense holds each layer's
+    full bounds scattered to its cell pairs (as oracles.dense_bounds
+    gives them), and every (cell, action, stored state) row gets its own
+    greedy.  Returns (values, betas, choices, q-values), the q-values of
+    layer i with shape (n_cells_i, n_cells_{i+1}, n_states).
     """
     from condreach.solver import greedy_distribution
 
-    def sweep(imdp, weights, v0, outer, inner, fixed=None):
+    def sweep(imdp, dense, weights, v0, outer, inner, fixed=None):
         n_layers, n = imdp.n_layers, imdp.n_states
-        dense = dense_bounds(imdp)
         values = [None] * n_layers
         betas = [None] * n_layers
         choices = [None] * (n_layers - 1)
@@ -381,14 +359,16 @@ def reference_sweep(dense_bounds):
 
 
 @pytest.fixture(scope="session")
-def assert_nested(dense_bounds):
+def assert_nested():
     """Check that a refined interval MDP nests inside the coarser one.
 
     Each child cell is mapped to the one parent cell that contains it (the
     broadcast of evidence.refines), and every (cell, next cell) block of
     the child must lie inside the block of the parent cell pair, within
-    atol.
+    atol.  The blocks are built whole from cache, which serves both
+    models' chain and tolerance.
     """
+    from oracles import dense_bounds
 
     def parent_cells(row, parent_row):
         inside = (parent_row[:, 0] <= row[:, :1]) & (row[:, 1:] <= parent_row[:, 1])
@@ -396,7 +376,7 @@ def assert_nested(dense_bounds):
         assert not lost.any(), f"{row[lost]} not each inside one parent cell"
         return inside.argmax(axis=1)
 
-    def check(child, child_psi, parent, parent_psi, atol):
+    def check(child, child_psi, parent, parent_psi, atol, cache):
         # Both models store the rows of the same states, set by the
         # evidence alone.
         for a, b in zip(child.rows, parent.rows):
@@ -407,7 +387,8 @@ def assert_nested(dense_bounds):
               for row, prow in zip(child_psi.cells, parent_psi.cells)),
             [0],
         ]
-        child_bounds, parent_bounds = dense_bounds(child), dense_bounds(parent)
+        child_bounds = dense_bounds(child, cache)
+        parent_bounds = dense_bounds(parent, cache)
         for i in range(child.n_layers - 1):
             pairs = np.ix_(maps[i], maps[i + 1])
             (cL, cU), (pL, pU) = child_bounds[i], parent_bounds[i]
@@ -422,8 +403,18 @@ def assert_nested(dense_bounds):
 
 
 @pytest.fixture(scope="session")
-def imdp_cases(invent, invent1, invent_weights, tandem, tandem1,
-               tandem_weights):
+def case_caches(invent, tandem):
+    """The bound cache each of imdp_cases' models is built with, by the
+    name of its evidence (the case name up to its first '-')."""
+    from condreach.abstraction import TransientBoundCache
+
+    return {"invent1": TransientBoundCache(invent),
+            "tandem1": TransientBoundCache(tandem)}
+
+
+@pytest.fixture(scope="session")
+def imdp_cases(invent1, invent_weights, tandem1, tandem_weights,
+               case_caches):
     """Interval MDPs of invent1 and tandem1, with their weights.
 
     Each evidence is abstracted at its coarsest partition and at a refined
@@ -436,15 +427,16 @@ def imdp_cases(invent, invent1, invent_weights, tandem, tandem1,
     from condreach.evidence import coarsest_partition
 
     cases = {}
-    for name, ctmc, omega, weights, rounds in (
-        ("invent1", invent, invent1, invent_weights, 2),
-        ("tandem1", tandem, tandem1, tandem_weights, 1),
+    for name, omega, weights, rounds in (
+        ("invent1", invent1, invent_weights, 2),
+        ("tandem1", tandem1, tandem_weights, 1),
     ):
+        cache = case_caches[name]
         psi = coarsest_partition(omega)
         for level in range(rounds + 1):
             if level:
                 psi = apply_splits(psi, psi.splittable())
             cases[f"{name}-refined{level}"] = (
-                abstract(ctmc, omega, psi), weights
+                abstract(cache.ctmc, omega, psi, cache=cache), weights
             )
     return cases

@@ -5,7 +5,12 @@
 - audit_consistency, which checks that reachable states sharing a cell
   share an action, against consistency repair;
 - refines, the structural nesting check of two time partitions, against
-  the partition split.
+  the partition split;
+- the per-state interval bounds that models do not store:
+  full_bounds builds whole (gaps, rows, n) lower and upper stacks,
+  dense_bounds scatters a model's to its cell pairs, and lumped reduces
+  whole stacks to the GapStacks a model keeps, against the assembly's
+  reduction chunk by chunk.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from condreach.abstraction import reachable_states
+from condreach.abstraction import GapStacks, reachable_states
+from condreach.ctmc import invariance_vector
 
 
 def simulate_states_at(ctmc, checkpoints, n, rng):
@@ -141,3 +147,71 @@ def refines(child, parent):
         if (inside.sum(axis=1) != 1).any():
             return False
     return True
+
+
+def full_bounds(cache, gaps, rows):
+    """Whole (lower, upper) stacks, (m, r, n) each, of an (m, 2) array of
+    gaps on the given rows, from the cache's kernels and spreads.
+
+    Every gap's full rows come from one call of the assembly's full-row
+    build, where the cache builds and reduces them a chunk at a time.
+    """
+    gaps = np.asarray(gaps, dtype=float).reshape(-1, 2)
+    spread = gaps[:, 1] - gaps[:, 0]
+    kernels = cache._kernels.get(gaps[:, 0])
+    spreads = cache._spreads.get(spread)
+    inv = invariance_vector(cache.ctmc, spread)
+    return cache._full_rows(kernels, spreads, inv,
+                            np.asarray(rows, dtype=np.intp))
+
+
+def sinks_of(reset_masks):
+    """Per step, the next layer's reset mask where two or more states
+    reset, the successors a model lumps into one column; else None."""
+    return [reset if reset.sum() >= 2 else None for reset in reset_masks[1:]]
+
+
+def lumped(lower, upper, sink=None):
+    """The GapStacks of whole (g, r, n) lower and upper stacks.
+
+    The columns of the successors in sink become one last column that
+    holds the sums of their lower bounds and of their rooms; slack,
+    excess and support are taken over the full rows.
+    """
+    mass = lower.sum(axis=2)
+    excess = np.maximum(mass - 1.0, 1.0 - upper.sum(axis=2))
+    columns = []
+    for a in (lower, upper - lower):
+        if sink is not None:
+            a = np.concatenate(
+                (a[..., ~sink], a[..., sink].sum(axis=-1, keepdims=True)),
+                axis=-1,
+            )
+        columns.append(np.ascontiguousarray(a.transpose(2, 0, 1)))
+    return GapStacks(*columns, 1.0 - mass, excess, upper > 0)
+
+
+def layer_gaps(imdp, i):
+    """The (g_min, g_max) pairs of layer i's distinct gaps, in gap order,
+    each from the first cell pair that admits it."""
+    index = imdp.gap_index[i]
+    (lo, hi), (lo2, hi2) = imdp.layers[i].T, imdp.layers[i + 1].T
+    _, first = np.unique(index, return_index=True)
+    j, j2 = np.unravel_index(first, index.shape)
+    return np.stack((lo2[j2] - hi[j], hi2[j2] - lo[j]), axis=1)
+
+
+def dense_bounds(imdp, cache):
+    """Per-layer (lower, upper) arrays of a model, one block per cell pair.
+
+    Each layer's gap bounds are built whole from cache, which must serve
+    the model's chain and tolerance, and scattered through the gap index
+    into (n_cells_i, n_cells_{i+1}, r_i, n) arrays: block [j, j2] bounds
+    the stored rows of cell j under action j2, row k being the one of
+    state imdp.rows[i][k].
+    """
+    dense = []
+    for i, (index, rows) in enumerate(zip(imdp.gap_index, imdp.rows)):
+        L, U = full_bounds(cache, layer_gaps(imdp, i), rows)
+        dense.append((L[index], U[index]))
+    return dense

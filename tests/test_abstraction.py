@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 
 from condreach.abstraction import (
+    _CHUNK,
     AbstractionError,
     IntervalMdp,
     TransientBoundCache,
+    _check_feasible,
     _KeyedStack,
     abstract,
     reachable_states,
@@ -28,6 +31,7 @@ from condreach.evidence import (
 )
 from condreach.fixtures import fixture_text
 from condreach.solver import Scheduler, compute_bounds, reachable_under
+from oracles import dense_bounds, full_bounds, layer_gaps, lumped, sinks_of
 
 
 def _cache(ctmc):
@@ -35,16 +39,43 @@ def _cache(ctmc):
 
 
 def _stacks(cache, gaps):
-    """The (lower, upper) stacks of an (m, 2) array of gaps on every row,
-    through a one-part call."""
-    [stacks] = cache.bound_matrices([gaps], [np.arange(cache.ctmc.n_states)])
+    """The GapStacks of an (m, 2) array of gaps on every row, keeping
+    every column, through a one-part call."""
+    [stacks] = cache.bound_matrices(
+        [gaps], [np.arange(cache.ctmc.n_states)], [None]
+    )
     return stacks
+
+
+def _full(cache, gaps):
+    """The whole (lower, upper) stacks of an (m, 2) array of gaps on
+    every row, from the cache's parts."""
+    return full_bounds(cache, gaps, np.arange(cache.ctmc.n_states))
 
 
 def _bounds(cache, g_min, g_max):
     """The (lower, upper) matrices of one gap, through the array form."""
-    L, U = _stacks(cache, [(g_min, g_max)])
+    L, U = _full(cache, [(g_min, g_max)])
     return L[0], U[0]
+
+
+def _arrays(stacks):
+    """A GapStacks' arrays, in field order."""
+    return [getattr(stacks, f.name) for f in dataclasses.fields(stacks)]
+
+
+def _assert_stacks_equal(got, want):
+    """Two GapStacks hold the same arrays bit for bit, dtypes included."""
+    for f, a, b in zip(dataclasses.fields(got), _arrays(got), _arrays(want)):
+        assert a.dtype == b.dtype, f.name
+        np.testing.assert_array_equal(a, b, err_msg=f.name)
+
+
+def _gaps_of(stacks, gaps):
+    """The arrays of a GapStacks at the given gaps: lower and room keep
+    them on axis 1, the others on axis 0."""
+    lower, room, *rest = _arrays(stacks)
+    return [lower[:, gaps], room[:, gaps], *(a[gaps] for a in rest)]
 
 
 def test_point_gap_is_exact(invent):
@@ -99,9 +130,8 @@ def test_cache_reuses_entries(invent, computed):
     # A repeated gap computes nothing new and gives the same bounds.
     assert len(computed["kernels"]) == len(computed["spreads"]) == 1
     assert len(cache.entries) == size
-    np.testing.assert_array_equal(a[0], b[0])
-    np.testing.assert_array_equal(a[1], b[1])
-    assert not a[0].flags.writeable and not a[1].flags.writeable
+    _assert_stacks_equal(a, b)
+    assert not any(x.flags.writeable for x in _arrays(a))
 
 
 def _direct_bounds(ctmc, g_min, g_max, eps):
@@ -141,16 +171,19 @@ def test_factored_cache_matches_direct_build(model, computed):
     assert sorted(computed["kernels"]) == sorted(minima)
     assert sorted(computed["spreads"]) == sorted(spreads)
     # All gaps in one call on a fresh cache give the same stacks,
-    # computing each minimum and spread once in one batched call each.
+    # computing each minimum and spread once in one batched call each,
+    # and the stacks the cache keeps are their lumping.
     computed["kernels"].clear()
     computed["spreads"].clear()
-    L, U = _stacks(_cache(ctmc), np.array(gaps))
+    fresh = _cache(ctmc)
+    L, U = _full(fresh, np.array(gaps))
     np.testing.assert_array_equal(L, [d[0] for d in direct])
     np.testing.assert_array_equal(U, [d[1] for d in direct])
     assert sorted(computed["kernels"]) == sorted(minima)
     assert sorted(computed["spreads"]) == sorted(spreads)
+    _assert_stacks_equal(_stacks(fresh, np.array(gaps)), lumped(L, U))
     # Asking again, in any order, computes nothing new.
-    L2, _ = _stacks(cache, np.array(gaps[::-1]))
+    L2, _ = _full(cache, np.array(gaps[::-1]))
     np.testing.assert_array_equal(L2, L[::-1])
     assert len(computed["kernels"]) == len(minima)
 
@@ -164,19 +197,22 @@ def test_bad_gap_rejected(invent):
         # A bad gap in any part is refused.
         with pytest.raises(ValueError):
             _cache(invent).bound_matrices(
-                [np.array([(0.2, 0.4)]), np.array([bad])], [[0], [1, 2]]
+                [np.array([(0.2, 0.4)]), np.array([bad])], [[0], [1, 2]],
+                [None, None],
             )
     # Gaps come as (m, 2) rows only.
     for shape in ((2,), (1, 3), (1, 2, 1)):
         with pytest.raises(ValueError):
             _stacks(_cache(invent), np.full(shape, 0.5))
-    # Each part of gaps takes one array of row states.
-    for rows in ([], [[0], [1]]):
+    # Each part of gaps takes one array of row states and one sink.
+    for rows, sinks in (([], [None]), ([[0], [1]], [None]), ([[0]], []),
+                        ([[0]], [None, None])):
         with pytest.raises(ValueError):
-            _cache(invent).bound_matrices([np.array([(0.2, 0.4)])], rows)
+            _cache(invent).bound_matrices([np.array([(0.2, 0.4)])], rows,
+                                          sinks)
 
 
-def test_cache_refuses_a_second_chain(invent, invent1, dense_bounds):
+def test_cache_refuses_a_second_chain(invent, invent1):
     # The cache keys its parts by time only: shared with a faster chain,
     # it would hand that chain the first chain's bounds.
     fast = parse_ctmc(
@@ -186,19 +222,20 @@ def test_cache_refuses_a_second_chain(invent, invent1, dense_bounds):
     cache = _cache(invent)
     first = abstract(invent, invent1, psi, cache=cache)
     fresh = abstract(fast, invent1, psi)
+    # The upper bounds, lower plus room, of the two chains differ.
     assert max(
-        np.abs(a[1] - b[1]).max()
-        for a, b in zip(dense_bounds(first), dense_bounds(fresh))
+        np.abs((a.lower + a.room) - (b.lower + b.room)).max()
+        for a, b in zip(first.stacks, fresh.stacks)
     ) > 0.2
     with pytest.raises(ValueError):
         abstract(fast, invent1, psi, cache=cache)
     # The chain it was built for is still served.
     again = abstract(invent, invent1, psi, cache=cache)
-    for a, b in zip(dense_bounds(first), dense_bounds(again)):
-        np.testing.assert_array_equal(a[1], b[1])
+    for a, b in zip(first.stacks, again.stacks):
+        _assert_stacks_equal(a, b)
 
 
-def test_cache_refuses_another_tolerance(invent, invent1, dense_bounds):
+def test_cache_refuses_another_tolerance(invent, invent1):
     # Kernels truncated at one tolerance must not serve another.
     psi = coarsest_partition(invent1)
     cache = TransientBoundCache(invent, 1e-6)
@@ -208,8 +245,8 @@ def test_cache_refuses_another_tolerance(invent, invent1, dense_bounds):
         abstract(invent, invent1, psi, eps=1e-8, cache=cache)
     built = abstract(invent, invent1, psi, eps=1e-6, cache=cache)
     fresh = abstract(invent, invent1, psi, eps=1e-6)
-    for a, b in zip(dense_bounds(built), dense_bounds(fresh)):
-        np.testing.assert_array_equal(a[1], b[1])
+    for a, b in zip(built.stacks, fresh.stacks):
+        _assert_stacks_equal(a, b)
 
 
 def test_finished_cache_is_freed_without_the_cycle_collector(invent,
@@ -246,7 +283,7 @@ def test_crossed_bounds_meet_at_midpoint(invent, monkeypatch):
         )
 
     inflate(1e-12)
-    L, U = _stacks(_cache(invent), gap)
+    stacks = _stacks(_cache(invent), gap)
     K = transient_matrix(invent, gap[:, 0], 1e-10)
     R = reach_matrix(invent, gap[:, 1] - gap[:, 0], 1e-10)
     lo = np.clip(K * (1 + 1e-12), 0.0, 1.0)
@@ -254,9 +291,10 @@ def test_crossed_bounds_meet_at_midpoint(invent, monkeypatch):
     crossed = lo > hi
     assert crossed.any() and (lo - hi).max() <= abstraction._NOISE
     mid = 0.5 * (lo + hi)
-    np.testing.assert_array_equal(L, np.where(crossed, mid, lo))
-    np.testing.assert_array_equal(U, np.where(crossed, mid, hi))
-    assert np.all(L <= U)
+    _assert_stacks_equal(
+        stacks, lumped(np.where(crossed, mid, lo), np.where(crossed, mid, hi))
+    )
+    assert np.all(stacks.room >= 0.0)
     inflate(1e-6)
     with pytest.raises(AbstractionError):
         _stacks(_cache(invent), gap)
@@ -276,20 +314,20 @@ def test_in_place_assembly_keeps_the_cache_intact(tandem):
     cache = _cache(tandem)
     stores = (cache._kernels, cache._spreads)
     first = _stacks(cache, calls[0])
-    kept = [a.copy() for a in first]
+    kept = [a.copy() for a in _arrays(first)]
     stored = [(s.keys.copy(), s.buffer[s.rows].copy()) for s in stores]
     results = [first] + [_stacks(cache, g) for g in calls[1:]]
     for gaps, got in zip(calls, results):
-        fresh = _stacks(_cache(tandem), gaps)
-        for a, b in zip(got, fresh):
-            np.testing.assert_array_equal(a, b)
+        _assert_stacks_equal(got, _stacks(_cache(tandem), gaps))
+        for a in _arrays(got):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
-                a[0, 0, 0] = 0.5
+                a[(0,) * a.ndim] = 0
     # A gap gets the same bits from a mixed batch and an all-wide one.
-    for a, b in zip(results[0], results[2]):
-        np.testing.assert_array_equal(a[[1, 2]], b[[2, 1]])
-    for a, b in zip(first, kept):
+    for a, b in zip(_gaps_of(results[0], [1, 2]),
+                    _gaps_of(results[2], [2, 1])):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(_arrays(first), kept):
         np.testing.assert_array_equal(a, b)
     # Every kernel and spread stored before the later calls keeps its bits.
     for (keys, values), store in zip(stored, stores):
@@ -369,10 +407,11 @@ def test_one_cache_call_per_model(chain, evidence, part_calls, request):
     for psi, imdp in warm:
         cold, made = build(psi)
         assert made == [1, 1]
-        for name in ("gap_lower", "gap_upper", "gap_index"):
-            for a, b in zip(getattr(imdp, name), getattr(cold, name)):
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
+        for a, b in zip(imdp.stacks, cold.stacks):
+            _assert_stacks_equal(a, b)
+        for a, b in zip(imdp.gap_index, cold.gap_index):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 def _per_pair_build(ctmc, omega, psi, eps, direct):
@@ -403,13 +442,16 @@ def _stored_states(reset_masks, initial):
 
 
 def _from_dense(layers, lower, upper, gap_index, reset_masks, initial=0):
-    """An IntervalMdp from dense (g, n, n) gap stacks, keeping the rows of
-    the states it stores."""
+    """An IntervalMdp from dense (g, n, n) gap stacks: the lumping of the
+    rows of the states it stores."""
     rows = _stored_states(reset_masks, initial)
     return IntervalMdp(
         layers=layers,
-        gap_lower=tuple(L[:, r] for L, r in zip(lower, rows)),
-        gap_upper=tuple(U[:, r] for U, r in zip(upper, rows)),
+        stacks=tuple(
+            lumped(L[:, r], U[:, r], sink)
+            for L, U, r, sink in zip(lower, upper, rows,
+                                     sinks_of(reset_masks))
+        ),
         gap_index=tuple(gap_index),
         reset_masks=tuple(reset_masks),
         initial=initial,
@@ -417,9 +459,18 @@ def _from_dense(layers, lower, upper, gap_index, reset_masks, initial=0):
     )
 
 
+def _dense_rows(lower, upper, gap_index, reset_masks, initial=0):
+    """What dense_bounds gives for _from_dense's model: per layer, the
+    stored rows of the dense stacks scattered to the cell pairs."""
+    rows = _stored_states(reset_masks, initial)
+    return [
+        (L[:, r][index], U[:, r][index])
+        for L, U, index, r in zip(lower, upper, gap_index, rows)
+    ]
+
+
 def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
-                                         tandem, tandem1, tandem_weights,
-                                         dense_bounds):
+                                         tandem, tandem1, tandem_weights):
     # The gap-grouped build equals a cell-pair loop bit for bit on its
     # stored rows, over three guided refinement rounds.
     for ctmc, omega, w in (
@@ -431,7 +482,7 @@ def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
         for level in range(4):
             imdp = abstract(ctmc, omega, psi, 1e-10, cache)
             want_L, want_U = _per_pair_build(ctmc, omega, psi, 1e-10, direct)
-            dense = dense_bounds(imdp)
+            dense = dense_bounds(imdp, cache)
             assert len(dense) == len(want_L)
             for (L, U), dL, dU, rows in zip(dense, want_L, want_U,
                                             imdp.rows):
@@ -446,8 +497,7 @@ def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
             psi = apply_splits(psi, targets)
 
 
-def test_stacks_hold_exactly_the_live_rows(tandem, tandem1, tandem2,
-                                          dense_bounds):
+def test_stacks_hold_exactly_the_live_rows(tandem, tandem1, tandem2):
     # Each layer stores the rows of the states the model defines there,
     # the initial one in the anchor layer and the non-reset ones after
     # it, and they equal those rows of the dense per-pair build bit for
@@ -456,32 +506,73 @@ def test_stacks_hold_exactly_the_live_rows(tandem, tandem1, tandem2,
         psi = coarsest_partition(omega)
         for _ in range(rounds):
             psi = apply_splits(psi, psi.splittable())
-        imdp = abstract(tandem, omega, psi, 1e-10)
+        cache = _cache(tandem)
+        imdp = abstract(tandem, omega, psi, 1e-10, cache)
         want = _stored_states(imdp.reset_masks, tandem.initial)
         assert len(imdp.rows) == len(want) == imdp.n_layers - 1
         np.testing.assert_array_equal(imdp.rows[0], [tandem.initial])
         n = imdp.n_states
         want_L, want_U = _per_pair_build(tandem, omega, psi, 1e-10, {})
+        dense = dense_bounds(imdp, cache)
         for i, rows in enumerate(imdp.rows):
             np.testing.assert_array_equal(rows, want[i])
-            g = len(imdp.gap_lower[i])
-            assert imdp.gap_lower[i].shape == (g, len(rows), n)
-            assert imdp.gap_upper[i].shape == (g, len(rows), n)
-            L, U = dense_bounds(imdp)[i]
+            st, cols = imdp.stacks[i], imdp.columns[i]
+            g, k = len(st.slack), n if cols is None else len(cols)
+            assert st.lower.shape == st.room.shape == (k, g, len(rows))
+            assert st.slack.shape == st.excess.shape == (g, len(rows))
+            assert st.support.shape == (g, len(rows), n)
+            L, U = dense[i]
             np.testing.assert_array_equal(L, want_L[i][:, :, rows])
             np.testing.assert_array_equal(U, want_U[i][:, :, rows])
         assert min(len(r) for r in imdp.rows[1:]) < n
-    # A model whose stacks do not hold its rows is refused.
-    with pytest.raises(ValueError):
-        IntervalMdp(
-            layers=imdp.layers,
-            gap_lower=(imdp.gap_lower[0][:, [0, 0]], *imdp.gap_lower[1:]),
-            gap_upper=(imdp.gap_upper[0][:, [0, 0]], *imdp.gap_upper[1:]),
-            gap_index=imdp.gap_index,
-            reset_masks=imdp.reset_masks,
-            initial=imdp.initial,
-            n_states=n,
-        )
+    # A model whose arrays do not match its rows or its columns is
+    # refused: the anchor's arrays with a second row, the first layer's
+    # without their sink column, and a support of floats.
+    anchor, first, *rest = imdp.stacks
+    assert imdp.columns[0] is not None
+    two_rows = dataclasses.replace(
+        anchor, lower=anchor.lower[:, :, [0, 0]],
+        room=anchor.room[:, :, [0, 0]], slack=anchor.slack[:, [0, 0]],
+        excess=anchor.excess[:, [0, 0]], support=anchor.support[:, [0, 0]],
+    )
+    no_sink = dataclasses.replace(anchor, lower=anchor.lower[:-1],
+                                  room=anchor.room[:-1])
+    floats = dataclasses.replace(first, support=first.support * 1.0)
+    for stacks in ((two_rows, first, *rest), (no_sink, first, *rest),
+                   (anchor, floats, *rest)):
+        with pytest.raises(ValueError):
+            dataclasses.replace(imdp, stacks=stacks)
+    assert dataclasses.replace(imdp, stacks=(anchor, first, *rest))
+
+
+@pytest.mark.parametrize("chain, evidence, rounds", [
+    ("invent", "invent1", 3), ("tandem", "tandem1", 2),
+    ("tandem", "tandem2", 2),
+])
+def test_stacks_are_the_lumped_full_rows(chain, evidence, rounds, request):
+    # Assembly reduces the full rows a chunk of gaps at a time.  Every
+    # layer's lower bounds, room, slack and excess equal bit for bit the
+    # lumping of whole stacks built from the same kernels and spreads,
+    # and its support is their U > 0, over rounds of full refinement.
+    ctmc = request.getfixturevalue(chain)
+    omega = request.getfixturevalue(evidence)
+    cache = _cache(ctmc)
+    psi = coarsest_partition(omega)
+    chunks = lumps = 0
+    for level in range(rounds + 1):
+        if level:
+            psi = apply_splits(psi, psi.splittable())
+        imdp = abstract(ctmc, omega, psi, 1e-10, cache)
+        sinks = sinks_of(imdp.reset_masks)
+        for i, (st, rows) in enumerate(zip(imdp.stacks, imdp.rows)):
+            L, U = full_bounds(cache, layer_gaps(imdp, i), rows)
+            _assert_stacks_equal(st, lumped(L, U, sinks[i]))
+            chunks += len(L) > max(1, _CHUNK // L[0].size)
+            lumps += sinks[i] is not None
+    assert lumps
+    if evidence == "tandem1":
+        # Some layer's gaps took more than one chunk.
+        assert chunks
 
 
 def test_abstract_refuses_a_partition_of_another_evidence(invent, invent1,
@@ -526,16 +617,18 @@ def test_abstract_shapes(invent, invent1):
     )
 
 
-def test_feasibility_of_rows(invent, invent1, dense_bounds):
+def test_feasibility_of_rows(invent, invent1):
     psi = coarsest_partition(invent1)
     imdp = abstract(invent, invent1, psi)
-    for i, (L, U) in enumerate(dense_bounds(imdp)):
+    dense = dense_bounds(imdp, TransientBoundCache(invent))
+    for i, (L, U) in enumerate(dense):
         # Every stored row is a non-reset state's.
         assert not imdp.reset_masks[i][imdp.rows[i]].any()
         lo = L.sum(axis=3)
         hi = U.sum(axis=3)
         assert np.all(lo <= 1.0 + 1e-9)
         assert np.all(hi >= 1.0 - 1e-9)
+        assert np.all(imdp.stacks[i].excess <= 1e-9)
 
 
 def test_parent_intersection_nests(invent, invent1, invent_weights, tandem,
@@ -556,7 +649,7 @@ def test_parent_intersection_nests(invent, invent1, invent_weights, tandem,
             assert any(m.any() for m in targets)
             child_psi = apply_splits(psi, targets)
             child = abstract(ctmc, omega, child_psi, cache=cache)
-            assert_nested(child, child_psi, imdp, psi, atol=1e-12)
+            assert_nested(child, child_psi, imdp, psi, 1e-12, cache)
             psi, imdp = child_psi, child
 
 
@@ -618,7 +711,7 @@ def _reference_reachable(imdp, scheduler=None):
     reach = [np.zeros((len(row), imdp.n_states), bool) for row in imdp.layers]
     reach[0][0, imdp.initial] = True
     for i in range(imdp.n_layers - 1):
-        U, index = imdp.gap_upper[i], imdp.gap_index[i]
+        support, index = imdp.stacks[i].support, imdp.gap_index[i]
         # Row k of a stack is state ids[k]'s; no reset state has a row.
         ids = imdp.rows[i]
         assert not imdp.reset_masks[i][ids].any()
@@ -629,8 +722,8 @@ def _reference_reachable(imdp, scheduler=None):
                 if scheduler is not None:
                     rows = here & (scheduler.choices[i][j][ids] == j2)
                 if rows.any():
-                    block = U[index[j, j2]]
-                    reach[i + 1][j2] |= (block[rows] > 0).any(axis=0)
+                    block = support[index[j, j2]]
+                    reach[i + 1][j2] |= block[rows].any(axis=0)
     return tuple(reach)
 
 
@@ -694,10 +787,9 @@ def test_infeasible_intervals_raise(invent):
     n = 3
     lower = np.full((1, n, n), 0.6)
     upper = np.full((1, n, n), 0.7)
-    from condreach.abstraction import _check_feasible
-
+    excess = lumped(lower, upper).excess
     with pytest.raises(AbstractionError):
-        _check_feasible(lower, upper, np.zeros((1, 1), int), np.arange(n), 0)
+        _check_feasible(excess, np.zeros((1, 1), int), np.arange(n), 0)
 
 
 
@@ -705,8 +797,6 @@ def test_infeasible_row_is_named_by_cell_action_and_state():
     # Three gaps shared by a 3 x 2 layer.  Only gap 2's row of state 2
     # is infeasible; state 0 resets and has no row, so state 2 is the
     # second stored row, and the error must name the state itself.
-    from condreach.abstraction import _check_feasible
-
     n = 3
     rows = np.array([1, 2])
     lower = np.zeros((3, len(rows), n))
@@ -714,20 +804,18 @@ def test_infeasible_row_is_named_by_cell_action_and_state():
     upper[2, 1] = 0.2
     index = np.array([[0, 1], [1, 0], [0, 2]])
     with pytest.raises(AbstractionError) as err:
-        _check_feasible(lower, upper, index, rows, 4)
+        _check_feasible(lumped(lower, upper).excess, index, rows, 4)
     assert str(err.value) == (
         "infeasible interval row at layer 4, cell 2, action 1, state 2"
     )
     upper[2, 1] = 1.0
-    _check_feasible(lower, upper, index, rows, 4)
+    _check_feasible(lumped(lower, upper).excess, index, rows, 4)
 
 
 def test_model_is_stored_by_gap(tandem, tandem1):
     # No attribute holds a per-pair (nc, nc2, r, n) or (nc, nc2, n, n)
     # array, even on layers whose cell pairs outnumber their distinct
-    # gaps.
-    import dataclasses
-
+    # gaps, nor a float (g, r, n) stack of full rows.
     psi = coarsest_partition(tandem1)
     for _ in range(2):
         psi = apply_splits(psi, psi.splittable())
@@ -737,8 +825,8 @@ def test_model_is_stored_by_gap(tandem, tandem1):
     for i, index in enumerate(imdp.gap_index):
         nc, nc2 = imdp.n_cells(i), imdp.n_cells(i + 1)
         assert index.shape == (nc, nc2)
-        g, r = len(imdp.gap_lower[i]), len(imdp.rows[i])
-        assert imdp.gap_lower[i].shape == imdp.gap_upper[i].shape == (g, r, n)
+        g, r = len(imdp.stacks[i].slack), len(imdp.rows[i])
+        assert imdp.stacks[i].support.shape == (g, r, n)
         assert index.min() == 0 and index.max() == g - 1
         if nc * nc2 > g:
             dense.update(((nc, nc2, r, n), (nc, nc2, n, n)))
@@ -750,10 +838,19 @@ def test_model_is_stored_by_gap(tandem, tandem1):
         elif isinstance(value, tuple):
             for v in value:
                 yield from arrays(v)
+        elif dataclasses.is_dataclass(value):
+            for a in _arrays(value):
+                yield from arrays(a)
 
+    seen = 0
     for f in dataclasses.fields(imdp):
         for a in arrays(getattr(imdp, f.name)):
+            seen += 1
             assert a.shape not in dense, f.name
+            # Only the supports span every successor, as bools.
+            if a.ndim == 3 and a.shape[2] == n:
+                assert a.dtype == bool, f.name
+    assert seen > 5 * (imdp.n_layers - 1)
 
 
 def _reference_sizes(imdp, active):
@@ -774,9 +871,11 @@ def _reference_sizes(imdp, active):
                     # The stored row of state s.
                     [k] = np.flatnonzero(imdp.rows[i] == s)
                     for j2 in range(imdp.n_cells(i + 1)):
-                        block = imdp.gap_upper[i][imdp.gap_index[i][j, j2]]
+                        gap = imdp.gap_index[i][j, j2]
                         actions += 1
-                        transitions += int((block[k] > 0).sum())
+                        transitions += int(
+                            imdp.stacks[i].support[gap, k].sum()
+                        )
     return states, actions, transitions
 
 

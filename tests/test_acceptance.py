@@ -31,6 +31,7 @@ from condreach.solver import (
 from condreach.unfolding import bayes_quotient_weight, conditional_weight
 from oracles import (
     audit_consistency,
+    dense_bounds,
     refines,
     rejection_estimate,
     simulate_states_at,
@@ -232,12 +233,13 @@ def test_criterion_5_interval_soundness(invent, invent1):
 
     checked = 0
     for imdp in models:
+        # The model keeps no per-state bounds; the dense helper builds
+        # them whole from the same cache, one block per cell pair.
+        dense = dense_bounds(imdp, cache)
         for i in range(imdp.n_layers - 1):
             for j, (lo, hi) in enumerate(imdp.layers[i]):
                 for j2, (lo2, hi2) in enumerate(imdp.layers[i + 1]):
-                    gap = imdp.gap_index[i][j, j2]
-                    L = imdp.gap_lower[i][gap]
-                    U = imdp.gap_upper[i][gap]
+                    L, U = (a[j, j2] for a in dense[i])
                     ts = rng.uniform(lo, hi, 100)
                     tps = rng.uniform(lo2, hi2, 100)
                     for t, tp in zip(ts, tps):
@@ -282,7 +284,7 @@ def test_criterion_6_refinement_nesting(invent, invent1, invent_weights,
             child = abstract(chain, omega, child_psi, cache=cache)
             assert refines(child_psi, psi)
             # Child transition intervals nest inside their parents'.
-            assert_nested(child, child_psi, imdp, psi, atol=1e-9)
+            assert_nested(child, child_psi, imdp, psi, 1e-9, cache)
             psi, imdp = child_psi, child
             rounds += 1
     print(f"criterion 6: PASS nesting held over {rounds} refinement rounds")

@@ -89,15 +89,17 @@ def test_one_model_alive_at_a_time(monkeypatch, tandem, tandem1,
 
 def test_analyze_peak_memory(tandem1, tandem_weights):
     # The traced allocation peak of tandem1 at cap 8 stays under a fixed
-    # bound: 19.6 MB with one model alive on its live rows, against
-    # 34.6 MB with the previous model and dense (gap, n, n) temporaries.
+    # bound: 11.3 MB, set while the last model's gap stacks are
+    # assembled, with stacks that keep only what the solves read
+    # (lumped columns and a bool support).  Full (gap, rows, n) float
+    # stacks read 19.6 MB, and 34.6 MB with the previous model alive.
     # A dense temporary brought back fails here, not only in the
-    # benchmark's peak RSS: keeping the previous model alive read
-    # 23.8 MB, gathering whole kernels 21.0 MB and forming U - L over a
-    # whole stack 22.5 MB (before the chain kept its powers).  The chain
-    # is parsed here, so that its table of jump powers (15 of 120 x 120,
-    # 1.7 MB) is always counted, whatever ran before on a shared chain;
-    # a table stepped by doubling read 21.05 MB.
+    # benchmark's peak RSS.  Mutants that fail: keeping each gap's full
+    # float lower and upper rows beside the reduced stacks read 20.7 MB,
+    # building a layer's full rows in one chunk 22.9 MB, and a float
+    # support 24.5 MB.  The chain is parsed here, so that its table of
+    # jump powers (15 of 120 x 120, 1.7 MB) is always counted, whatever
+    # ran before on a shared chain.
     chain = parse_ctmc(fixture_text("tandem.ctmc"))
     tracemalloc.start()
     try:
@@ -105,7 +107,7 @@ def test_analyze_peak_memory(tandem1, tandem_weights):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak < 15e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_chain_keeps_the_highest_power_asked(monkeypatch, tandem1,

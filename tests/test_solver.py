@@ -4,10 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from condreach import solver
+from condreach import driver, solver
 from condreach.abstraction import abstract
 from condreach.driver import AnalysisConfig, analyze
-from condreach.evidence import coarsest_partition
+from condreach.evidence import coarsest_partition, parse_evidence
 from condreach.solver import (
     BoundsReport,
     Scheduler,
@@ -24,8 +24,9 @@ from condreach.solver import (
     robust_value_iteration,
 )
 from condreach.unfolding import ZeroLikelihoodError, conditional_weight
-from oracles import audit_consistency
+from oracles import audit_consistency, dense_bounds, lumped
 from test_abstraction import (
+    _dense_rows,
     _from_dense,
     _random_scheduler,
     _reference_reachable,
@@ -292,18 +293,21 @@ def _full_sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
 
 @pytest.mark.parametrize("outer", ["max", "min"])
 @pytest.mark.parametrize("inner", ["max", "min"])
-def test_batched_sweep_matches_row_greedy(imdp_cases, reference_sweep,
-                                         outer, inner):
+def test_batched_sweep_matches_row_greedy(imdp_cases, case_caches,
+                                         reference_sweep, outer, inner):
     v0 = 0.0375
     for name, (imdp, weights) in imdp_cases.items():
+        dense = dense_bounds(imdp, case_caches[name.split("-")[0]])
         layout = _prepare(imdp)
         got = _full_sweep(imdp, layout, weights, v0, outer, inner)
-        *want, q_vals = reference_sweep(imdp, weights, v0, outer, inner)
+        *want, q_vals = reference_sweep(imdp, dense, weights, v0, outer,
+                                        inner)
         _assert_sweep_matches(imdp, got, want, q_vals, outer, name)
         # Under one fixed scheduler both passes follow the same actions.
         fixed = Scheduler(tuple(got[2]))
         got = _full_sweep(imdp, layout, weights, v0, None, inner, fixed)
-        *want, _ = reference_sweep(imdp, weights, v0, None, inner, fixed)
+        *want, _ = reference_sweep(imdp, dense, weights, v0, None, inner,
+                                   fixed)
         _assert_sweep_matches(imdp, got, want, err_msg=name)
 
 
@@ -336,8 +340,8 @@ def test_q_values_match_greedy_on_tied_values(seed, nc, nc2, n, maximize):
     )
     # One gap per cell pair: the rows of a layer before the last.
     index = np.arange(nc * nc2).reshape(nc, nc2)
-    layer = _rows(lower.reshape(-1, n, n), upper.reshape(-1, n, n), index,
-                  np.arange(n))
+    layer = _rows(lumped(lower.reshape(-1, n, n), upper.reshape(-1, n, n)),
+                  index, np.arange(n), None)
     q = _q_values(layer, vb, maximize).reshape(nc2, 2, nc, n)
     for j in range(nc):
         for j2 in range(nc2):
@@ -379,19 +383,22 @@ def _random_gap_stacks(rng, n, counts):
 
 def _random_gap_imdp(rng, n, counts, reset_p=0.2):
     """Random interval MDP over _random_gap_stacks, storing the rows of
-    its initial anchor state and its non-reset states.  Each state of
-    each layer after the anchor resets with probability reset_p."""
+    its initial anchor state and its non-reset states, with its dense
+    bounds per cell pair.  Each state of each layer after the anchor
+    resets with probability reset_p."""
     layers, lower, upper, index = _random_gap_stacks(rng, n, counts)
     reset_masks = [rng.random(n) < reset_p for _ in layers]
     # The anchor layer violates no observation.
     reset_masks[0][:] = False
-    return _from_dense(layers, lower, upper, index, reset_masks)
+    return (_from_dense(layers, lower, upper, index, reset_masks),
+            _dense_rows(lower, upper, index, reset_masks))
 
 
-def _check_random_sweep(reference_sweep, rng, imdp, tied, outer, inner):
+def _check_random_sweep(reference_sweep, rng, imdp, dense, tied, outer,
+                        inner):
     """Check a free and a fixed-scheduler sweep of imdp against the dense
-    reference, with weights tied at three levels or not; returns the
-    layout."""
+    reference over its dense bounds, with weights tied at three levels
+    or not; returns the layout."""
     n = imdp.n_states
     if tied:
         weights = rng.integers(0, 3, n) / 2.0
@@ -400,11 +407,11 @@ def _check_random_sweep(reference_sweep, rng, imdp, tied, outer, inner):
     v0 = 0.3
     layout = _prepare(imdp)
     got = _full_sweep(imdp, layout, weights, v0, outer, inner)
-    *want, q_vals = reference_sweep(imdp, weights, v0, outer, inner)
+    *want, q_vals = reference_sweep(imdp, dense, weights, v0, outer, inner)
     _assert_sweep_matches(imdp, got, want, q_vals, outer)
     fixed = Scheduler(tuple(got[2]))
     got = _full_sweep(imdp, layout, weights, v0, None, inner, fixed)
-    *want, _ = reference_sweep(imdp, weights, v0, None, inner, fixed)
+    *want, _ = reference_sweep(imdp, dense, weights, v0, None, inner, fixed)
     _assert_sweep_matches(imdp, got, want)
     return layout
 
@@ -425,8 +432,9 @@ def test_sweep_by_gap_matches_dense_reference(reference_sweep, seed, n, cells,
     # per-row reference, with gaps repeated across cell pairs and weights
     # tied (three levels) or not.
     rng = np.random.default_rng(seed)
-    imdp = _random_gap_imdp(rng, n, [1, *cells])
-    _check_random_sweep(reference_sweep, rng, imdp, tied, outer, inner)
+    imdp, dense = _random_gap_imdp(rng, n, [1, *cells])
+    _check_random_sweep(reference_sweep, rng, imdp, dense, tied, outer,
+                        inner)
 
 
 @settings(max_examples=80, deadline=None)
@@ -452,9 +460,9 @@ def test_sweep_with_dense_resets_matches_dense_reference(
     # one sink column, or keep their columns with fewer; the sweep still
     # equals the dense per-row reference at every model row.
     rng = np.random.default_rng(seed)
-    imdp = _random_gap_imdp(rng, n, [1, *cells], reset_p)
-    layout = _check_random_sweep(reference_sweep, rng, imdp, tied, outer,
-                                 inner)
+    imdp, dense = _random_gap_imdp(rng, n, [1, *cells], reset_p)
+    layout = _check_random_sweep(reference_sweep, rng, imdp, dense, tied,
+                                 outer, inner)
     for layer, reset in zip(layout, imdp.reset_masks[1:]):
         k = n if reset.sum() < 2 else n - reset.sum() + 1
         assert layer.lower.shape[1] == k
@@ -473,11 +481,13 @@ def test_fill_memo_matches_fresh_layer(seed, n, nc, nc2, maximize):
     # the one of a freshly built layer, whatever the memo holds.
     rng = np.random.default_rng(seed)
     _, [L], [U], [index] = _random_gap_stacks(rng, n, [nc, nc2])
-    layer = _rows(L, U, index, np.arange(n))
+    stacks = lumped(L, U)
+    layer = _rows(stacks, index, np.arange(n), None)
 
     def check(vb, maximize):
         got = _q_values(layer, vb, maximize)
-        want = _q_values(_rows(L, U, index, np.arange(n)), vb, maximize)
+        want = _q_values(_rows(stacks, index, np.arange(n), None), vb,
+                         maximize)
         assert np.array_equal(got, want)
 
     vb = rng.uniform(0.0, 1.0, (nc2, 2, n))
@@ -660,3 +670,47 @@ def test_warm_start_keeps_bounds(imdp_cases):
             warm = compute_bounds(imdp, weights, start=start)
             assert warm.lower == pytest.approx(cold.lower, abs=1e-9), name
             assert warm.upper == pytest.approx(cold.upper, abs=1e-9), name
+
+
+def test_reset_fixpoint_cannot_cycle(monkeypatch, tandem, tandem_weights):
+    # On this evidence the max/min solve's g(v0) is neither convex nor
+    # concave, and at iteration 3 plain Newton steps on the reset value
+    # cycle with period 3 (1.2367e-4, 2.7491e-4, 2.2140e-4) until the
+    # sweep cap.  A step that leaves the bracket of the root falls back
+    # to the bracket's midpoint, so every solve converges in few sweeps.
+    omega = parse_evidence(
+        "evidence\n"
+        "obs !first_full @ 0.1..0.6\n"
+        "obs first_full & !second_full @ 1.0..1.5\n"
+    )
+    sweeps = []
+    bounds = solver.compute_bounds
+
+    def counted(*args, **kwargs):
+        report = bounds(*args, **kwargs)
+        sweeps.extend(report.info["sweeps"])
+        return report
+
+    monkeypatch.setattr(driver, "compute_bounds", counted)
+    trace = analyze(tandem, omega, tandem_weights, AnalysisConfig(max_iters=6))
+    assert len(trace.rows) == 6
+    assert max(sweeps) <= 20, sweeps
+    assert trace.lower <= trace.upper
+    assert trace.lower == pytest.approx(0.000306609419259, rel=1e-9)
+    assert trace.upper == pytest.approx(0.0259887837072, rel=1e-9)
+
+
+def test_last_step_reads_the_stacks_in_place(imdp_cases):
+    # The step into the last layer solves one row per gap and state,
+    # which is how its gap stacks are stored: its greedy arrays are views
+    # of them, not copies.  The other steps gather rows per cell pair.
+    for name, (imdp, _) in imdp_cases.items():
+        layout = _prepare(imdp)
+        for layer, stacks in zip(layout, imdp.stacks):
+            shared = [np.shares_memory(a, b) for a, b in (
+                (layer.lower, stacks.lower), (layer.room, stacks.room),
+                (layer.slack, stacks.slack))]
+            if layer is layout[-1]:
+                assert all(shared), name
+            else:
+                assert not any(shared), name
