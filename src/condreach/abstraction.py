@@ -134,7 +134,8 @@ class _KeyedStack:
 
 class TransientBoundCache:
     """Transparent cache of the parts of interval bounds per gap, for one
-    chain at one transient tolerance (abstract refuses any other).
+    chain at one transient tolerance; abstract takes its tolerance from
+    the cache and refuses a cache of another chain.
 
     The bounds of a gap [g_min, g_max] are built from the transient
     kernel K(g_min) and the reach matrix R of the spread g_max - g_min:
@@ -154,7 +155,7 @@ class TransientBoundCache:
 
     def __init__(self, ctmc, eps=DEFAULT_TRANSIENT_TOL):
         eps = float(eps)
-        self.ctmc, self.eps = ctmc, eps
+        self.ctmc = ctmc
         # The closures capture ctmc and eps, never self: a cache in a
         # reference cycle would wait for the cyclic collector to be freed.
         self._kernels = _KeyedStack(lambda t: transient_matrix(ctmc, t, eps))
@@ -424,7 +425,7 @@ def _sinks(reset_masks):
     )
 
 
-def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
+def abstract(ctmc, omega, psi, cache=None):
     """Build the interval MDP for evidence omega under partition psi.
 
     The model depends only on the partition and the bound cache, which
@@ -434,14 +435,15 @@ def abstract(ctmc, omega, psi, eps=DEFAULT_TRANSIENT_TOL, cache=None):
     refined partition's intervals nest inside the coarser ones because
     the gap bounds are monotone; they are not clipped to them.  A psi
     that does not tile omega's windows raises SemanticError, and a cache
-    built for another chain or tolerance raises ValueError.
+    built for another chain raises ValueError.  The transient tolerance
+    is the cache's; without a cache, a fresh one at the default.
     """
     omega.bind_check(ctmc.alphabet)
     psi.check_covers(omega)
     if cache is None:
-        cache = TransientBoundCache(ctmc, eps)
-    elif cache.ctmc is not ctmc or cache.eps != eps:
-        raise ValueError("the bound cache serves another chain or tolerance")
+        cache = TransientBoundCache(ctmc)
+    elif cache.ctmc is not ctmc:
+        raise ValueError("the bound cache serves another chain")
     layers = (np.zeros((1, 2)), *psi.cells)
     reset_masks = ctmc.reset_masks(omega.formulas)
     rows = _stack_rows(reset_masks, ctmc.initial)

@@ -8,8 +8,11 @@ truncated series is a polynomial in the uniformized jump matrix P,
 evaluated in about 2 sqrt(cut) matrix products (Paterson & Stockmeyer,
 SIAM J. Comput. 1973) on the powers P^0, P^1, ... that the chain keeps,
 stepped on demand: as whole kernels, or applied to a vector or a block
-without forming one.  Only reach matrices, whose absorbing step is not a
-product with P alone, step their series one product at a time.
+without forming one.  The rule is one: a sum of products with P alone
+is such a polynomial, and a sum whose targets are held absorbing (reach
+matrices and property weights) is the power loop, which steps its start
+one product with the chain's own P at a time and sets the targets back
+to 1 after each (Uniformization.power_sum).
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ _RATE_INFLATION = 1.0 + 1e-6
 
 # Largest Poisson mean lam * t that uniformization accepts.  A polynomial
 # takes about 2 sqrt(lam * t) products, with sqrt(lam * t) powers kept on
-# the chain, and a reach matrix about lam * t steps, so a larger mean means
-# a chain too stiff for the time asked; the bundled models stay below
-# about 250.
+# the chain, and the power loop about lam * t steps, so a larger mean
+# means a chain too stiff for the time asked; the bundled models stay
+# below about 250.
 MAX_POISSON_MEAN = 1e5
 
 
@@ -182,15 +185,6 @@ class Ctmc:
         """
         violating = (~self.satisfying(obs) for obs in formulas)
         return (np.zeros(self.n_states, dtype=bool), *violating)
-
-    def absorbing_variant(self, absorb_mask):
-        """Copy of the chain with the masked states made absorbing."""
-        jp = self.jump_probs.copy()
-        er = self.exit_rates.copy()
-        jp[absorb_mask] = 0.0
-        jp[absorb_mask, absorb_mask] = 1.0
-        er[absorb_mask] = 0.0
-        return Ctmc(self.state_names, self.initial, jp, er, self.labels)
 
 
 def from_rates(names, initial, rates, labels):
@@ -395,15 +389,16 @@ class Uniformization:
 
     powers(top) gives P^0 .. P^top of P = I + Q / lam, the rate lam being
     the max exit rate (slightly inflated), from the chain's own table
-    (Ctmc.jump_powers); it is None when no time takes a step (lam = 0, or
-    every time is 0).  The weight rows are held longest cut first, and
+    (Ctmc.jump_powers); powers(0) is P^0 on any chain, and a higher
+    power is asked for only when some time takes a step (lam > 0 and a
+    time above 0).  The weight rows are held longest cut first, and
     row rank[i] is time i's: it holds pois(k; lam * times[i]) for k <
     cuts[rank[i]] (_poisson_table), entries after them are padding, and
     tails[rank[i]] >= 0 is the mass it drops.  Built by
     :func:`uniformize`.  Each time's truncated series is a polynomial in
     P, evaluated as whole kernels (kernels) or applied to a vector or a
-    block (series); reach matrices step their start through the series
-    (power_sum).
+    block (series); a sum with targets held absorbing steps its start
+    through the series (power_sum).
     """
 
     powers: object
@@ -412,23 +407,29 @@ class Uniformization:
     tails: np.ndarray
     rank: np.ndarray
 
-    def power_sum(self, start, step):
+    def power_sum(self, start, held):
         """sum_k pois(k; lam * t) X_k with X_0 = start and X_{k+1} =
-        step(P, X_k), for every time t.
+        P @ X_k with its entries at `held` set to 1, for every time t.
 
-        The power loop, for a step that is not a product with P alone:
-        the absorbing step of reach matrices.  The powers are stepped up
-        to the longest cut among the times, and each time adds its own
-        weights in order, so its result is bit-identical to a run of its
-        own.  A time's truncated tail is put on its own last X_k, at the
-        step where its cut ends, so stochastic X_k stay within eps of
+        The power loop, for targets held absorbing: `held` indexes the
+        target entries of start, which are 1 there, as np.diag_indices(n)
+        for reach matrices (each column's target is its own state) or a
+        target mask for a column of weights.  Holding an entry at 1 is a
+        step of the chain with that row's target made absorbing, so the
+        loop runs on the chain itself.  The X_k are stepped up to the
+        longest cut among the times, and each time adds its own weights
+        in order, so its result is bit-identical to a run of its own.  A
+        time's truncated tail is put on its own last X_k, at the step
+        where its cut ends, so stochastic X_k stay within eps of
         stochastic.  Returns an array of shape (number of times,) +
         start.shape.
         """
         cuts = self.cuts
         ones = (1,) * np.ndim(start)
         W, tails = self.weights.T, self.tails.reshape(-1, *ones)
-        P = None if self.powers is None else self.powers(1)[1]
+        # P^1, or P^0 when no time takes a step.
+        top = min(self.weights.shape[1] - 1, 1)
+        P = self.powers(top)[top]
         X = start
         acc = W[0].reshape(-1, *ones) * X
         # The rows still summing are a prefix: the first `live`.
@@ -439,7 +440,8 @@ class Uniformization:
             end = cuts[live - 1]
             part = acc[:live]
             for f in W[k:end, :live].reshape(end - k, live, *ones):
-                X = step(P, X)
+                X = P @ X
+                X[held] = 1.0
                 part += f * X
             done = cuts.index(end)
             acc[done:live] += tails[done:live] * X
@@ -469,9 +471,6 @@ class Uniformization:
         coef = np.zeros(b * s)
         coef[:c] = self.weights[r, :c]
         coef[c - 1] += self.tails[r]
-        if c == 1:
-            # No power beyond P^0, and none at all when no time steps.
-            return coef[0] * start
         powers = self.powers(s if b > 1 else s - 1)
         if left:
             terms = np.matmul(start, powers[:s])
@@ -522,8 +521,7 @@ class Uniformization:
         coef[:, : self.weights.shape[1]] = self.weights
         coef[np.arange(width) >= cuts[:, None]] = 0.0
         coef[np.arange(m), cuts - 1] += self.tails
-        # A batch of cut-1 times needs P^0 alone, even when no time steps.
-        powers = self.powers(top) if top else np.eye(n)[None]
+        powers = self.powers(top)
         flat = powers.reshape(top + 1, n * n)
         times = np.argsort(self.rank)
         at = 0
@@ -558,9 +556,8 @@ def uniformize(ctmc, times, eps=DEFAULT_TRANSIENT_TOL):
     m = len(flat)
     if lam == 0.0 or top == 0.0:
         # One term 1 and no tail: every sum is its start.
-        return Uniformization(
-            None, np.ones((m, 1)), [1] * m, np.zeros(m), np.arange(m)
-        )
+        return Uniformization(ctmc.jump_powers, np.ones((m, 1)), [1] * m,
+                              np.zeros(m), np.arange(m))
     if lam * top > MAX_POISSON_MEAN:
         raise UniformizationError(
             f"Poisson mean {lam * top:.6g} of uniformization exceeds "
@@ -593,7 +590,10 @@ def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):
 
 def transient(ctmc, source, t, eps=DEFAULT_TRANSIENT_TOL):
     """Transient distribution Pr_source(t) as a dense vector: the series
-    of the row vector e_source, not a row of the full kernel."""
+    of the row vector e_source, not a row of the full kernel.  t is one
+    time; an array raises ValueError (transient_matrix takes arrays)."""
+    if np.ndim(t):
+        raise ValueError(f"transient takes one time, got shape {np.shape(t)}")
     start = np.zeros(ctmc.n_states)
     start[source] = 1.0
     dist = uniformize(ctmc, t, eps).series(start, 0, left=True)
@@ -609,22 +609,14 @@ def reach_matrix(ctmc, duration, eps=DEFAULT_TRANSIENT_TOL):
     Entry [s, s'] is the probability to visit s' at some point within
     `duration` starting from s.  A single uniformization pass serves all
     target columns: the chains with target s' made absorbing differ from
-    the base chain only in row s', so their matrix powers are obtained by
-    forcing the diagonal back to 1 after each multiplication.  Such a step
-    is not a product with one matrix, so the powers are stepped through
-    the power loop from the identity.  An array of durations gives a stack
-    of matrices from one power sequence.
+    the base chain only in row s', so the power loop steps the identity
+    with P and holds the diagonal at 1 (Uniformization.power_sum).  An
+    array of durations gives a stack of matrices from one power sequence.
     """
     n = ctmc.n_states
-    acc = uniformize(ctmc, duration, eps).power_sum(np.eye(n), _absorbing_step)
+    acc = uniformize(ctmc, duration, eps).power_sum(np.eye(n),
+                                                    np.diag_indices(n))
     return np.clip(acc.reshape(*np.shape(duration), n, n), 0.0, 1.0)
-
-
-def _absorbing_step(P, X):
-    """One step of P with every column's target state held absorbing."""
-    X = P @ X
-    np.fill_diagonal(X, 1.0)
-    return X
 
 
 def invariance_vector(ctmc, tau):
@@ -641,11 +633,16 @@ def invariance_vector(ctmc, tau):
 def weight_from_property(ctmc, target_mask, horizon, eps=DEFAULT_TRANSIENT_TOL):
     """State weights w(s) = P(reach target within horizon from s).
 
-    The series of the target's indicator column on the chain with the
-    target made absorbing.  Target states are set to exactly 1, which
-    their sum of Poisson weights and tail need not round to.  A negative
-    or nan horizon raises ValueError; an empty target warns and gives
-    all weights 0.
+    The power loop on the chain itself steps the target's indicator
+    column and holds the target at 1 (Uniformization.power_sum), as a
+    reach matrix does for each of its columns; it steps no power beyond
+    P^1 on the chain.  The weights are clipped to [0, 1], which a sum
+    near 1 can round out of, and target states are set to exactly 1,
+    which their sum of Poisson weights and tail need not round to.  The
+    Poisson mean checked against MAX_POISSON_MEAN is the chain's own
+    rate times the horizon, also when the target holds the largest exit
+    rate.  A negative or nan horizon raises ValueError; an empty target
+    warns and gives all weights 0.
     """
     if not horizon >= 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
@@ -654,9 +651,8 @@ def weight_from_property(ctmc, target_mask, horizon, eps=DEFAULT_TRANSIENT_TOL):
         warnings.warn("empty target set, all weights are 0", stacklevel=2)
         return np.zeros(ctmc.n_states)
     indicator = target_mask.astype(float)
-    if horizon == 0.0:
-        return indicator
-    absorbed = ctmc.absorbing_variant(target_mask)
-    reach = uniformize(absorbed, horizon, eps).series(indicator, 0)
+    reach = uniformize(ctmc, horizon, eps).power_sum(indicator, target_mask)
+    # A weight near 1 can round above it, as a reach matrix entry can.
+    reach = np.clip(reach[0], 0.0, 1.0)
     reach[target_mask] = 1.0
     return reach

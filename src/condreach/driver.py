@@ -127,7 +127,7 @@ def analyze(ctmc, omega, weights, config=AnalysisConfig()):
     while True:
         iteration += 1
         t0 = time.monotonic()
-        imdp = abstract(ctmc, omega, psi, eps=config.transient_tol, cache=cache)
+        imdp = abstract(ctmc, omega, psi, cache=cache)
         t1 = time.monotonic()
         active = restrict_reachable(imdp)
         t2 = time.monotonic()

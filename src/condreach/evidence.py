@@ -396,9 +396,10 @@ def parse_evidence(text):
                 raise EvidenceError(f"line {lineno}: expected 'evidence' header")
             seen_header = True
             continue
-        if not line.startswith("obs"):
+        kind, *rest = line.split(None, 1)
+        if kind != "obs":
             raise EvidenceError(f"line {lineno}: expected an obs line")
-        body = line[3:].strip()
+        body = "".join(rest)
         if "@" not in body:
             raise EvidenceError(f"line {lineno}: missing '@' time separator")
         formula_txt, times_txt = body.rsplit("@", 1)

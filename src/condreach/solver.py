@@ -295,9 +295,10 @@ def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
 
 
 def _expand(imdp, layout, vbs, choices):
-    """A sweep's (values, betas, choices), each layer an (n_cells_i,
-    n_states) array: the anchor's states other than the initial one take
-    nan, nan and -1, and reset states choice -1."""
+    """A sweep's (values, choices), each layer an (n_cells_i, n_states)
+    array: the anchor's states other than the initial one take nan and
+    -1, and reset states choice -1.  vbs is expanded in place, betas
+    included: its last layer gets one row per cell."""
     unset = ~imdp.reset_masks[0]
     unset[layout[0].rows] = False
     vbs[0][:, :, unset] = np.nan
@@ -307,7 +308,7 @@ def _expand(imdp, layout, vbs, choices):
         c = np.full((len(choice), imdp.n_states), -1)
         c[:, layer.rows] = choice
         full.append(c)
-    return [a[:, 0] for a in vbs], [a[:, 1] for a in vbs], full
+    return [a[:, 0] for a in vbs], full
 
 
 def _solve(imdp, layout, weights, outer, inner, tol, fixed=None, v0=0.0):
@@ -377,7 +378,7 @@ def robust_value_iteration(
     if layout is None:
         layout = _prepare(imdp)
     v0 = _solve(imdp, layout, weights, outer, inner, tol, v0=v0)
-    values, _, choices = _expand(
+    values, choices = _expand(
         imdp, layout, *_sweep(imdp, layout, weights, v0, outer, inner)
     )
     return values, Scheduler(tuple(choices))

@@ -6,6 +6,9 @@
   share an action, against consistency repair;
 - refines, the structural nesting check of two time partitions, against
   the partition split;
+- absorbing_chain, the chain with its targets made absorbing, against
+  the power loop that holds targets at 1 on the chain itself (reach
+  matrices and property weights);
 - the per-state interval bounds that models do not store:
   full_bounds builds whole (gaps, rows, n) lower and upper stacks,
   dense_bounds scatters a model's to its cell pairs, and lumped reduces
@@ -20,7 +23,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from condreach.abstraction import GapStacks, reachable_states
-from condreach.ctmc import invariance_vector
+from condreach.ctmc import Ctmc, invariance_vector
+
+
+def absorbing_chain(ctmc, absorb_mask):
+    """Copy of the chain with the masked states made absorbing.
+
+    A masked state jumps only to itself and keeps its exit rate, so its
+    generator row is 0 while the uniformization rate, and every other
+    row of P = I + Q / lam, stay the chain's: its truncated series has
+    the chain's Poisson weights, and differs from the power loop's by
+    rounding alone.
+    """
+    jp = ctmc.jump_probs.copy()
+    jp[absorb_mask] = 0.0
+    jp[absorb_mask, absorb_mask] = 1.0
+    return Ctmc(ctmc.state_names, ctmc.initial, jp, ctmc.exit_rates.copy(),
+                ctmc.labels)
 
 
 def simulate_states_at(ctmc, checkpoints, n, rng):

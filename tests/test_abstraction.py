@@ -235,18 +235,23 @@ def test_cache_refuses_a_second_chain(invent, invent1):
         _assert_stacks_equal(a, b)
 
 
-def test_cache_refuses_another_tolerance(invent, invent1):
-    # Kernels truncated at one tolerance must not serve another.
+def test_cache_serves_its_own_tolerance(invent, invent1):
+    # abstract takes its transient tolerance from the cache: a model
+    # built, and built again, on a 1e-6 cache is a fresh 1e-6 cache's.
     psi = coarsest_partition(invent1)
     cache = TransientBoundCache(invent, 1e-6)
-    with pytest.raises(ValueError):
-        abstract(invent, invent1, psi, cache=cache)
-    with pytest.raises(ValueError):
-        abstract(invent, invent1, psi, eps=1e-8, cache=cache)
-    built = abstract(invent, invent1, psi, eps=1e-6, cache=cache)
-    fresh = abstract(invent, invent1, psi, eps=1e-6)
-    for a, b in zip(built.stacks, fresh.stacks):
-        _assert_stacks_equal(a, b)
+    fresh = abstract(invent, invent1, psi,
+                     cache=TransientBoundCache(invent, 1e-6))
+    for built in (abstract(invent, invent1, psi, cache=cache),
+                  abstract(invent, invent1, psi, cache=cache)):
+        for a, b in zip(built.stacks, fresh.stacks):
+            _assert_stacks_equal(a, b)
+    # The default tolerance gives other bounds.
+    default = abstract(invent, invent1, psi)
+    assert any(
+        not np.array_equal(a.lower, b.lower)
+        for a, b in zip(default.stacks, fresh.stacks)
+    )
 
 
 def test_finished_cache_is_freed_without_the_cycle_collector(invent,
@@ -480,7 +485,7 @@ def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
         cache, direct = _cache(ctmc), {}
         psi = coarsest_partition(omega)
         for level in range(4):
-            imdp = abstract(ctmc, omega, psi, 1e-10, cache)
+            imdp = abstract(ctmc, omega, psi, cache=cache)
             want_L, want_U = _per_pair_build(ctmc, omega, psi, 1e-10, direct)
             dense = dense_bounds(imdp, cache)
             assert len(dense) == len(want_L)
@@ -507,7 +512,7 @@ def test_stacks_hold_exactly_the_live_rows(tandem, tandem1, tandem2):
         for _ in range(rounds):
             psi = apply_splits(psi, psi.splittable())
         cache = _cache(tandem)
-        imdp = abstract(tandem, omega, psi, 1e-10, cache)
+        imdp = abstract(tandem, omega, psi, cache=cache)
         want = _stored_states(imdp.reset_masks, tandem.initial)
         assert len(imdp.rows) == len(want) == imdp.n_layers - 1
         np.testing.assert_array_equal(imdp.rows[0], [tandem.initial])
@@ -562,7 +567,7 @@ def test_stacks_are_the_lumped_full_rows(chain, evidence, rounds, request):
     for level in range(rounds + 1):
         if level:
             psi = apply_splits(psi, psi.splittable())
-        imdp = abstract(ctmc, omega, psi, 1e-10, cache)
+        imdp = abstract(ctmc, omega, psi, cache=cache)
         sinks = sinks_of(imdp.reset_masks)
         for i, (st, rows) in enumerate(zip(imdp.stacks, imdp.rows)):
             L, U = full_bounds(cache, layer_gaps(imdp, i), rows)

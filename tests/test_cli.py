@@ -118,6 +118,17 @@ def test_exit_code_parse_error(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_exit_code_obs_prefix(runner, tmp_path):
+    # The line used to be read as `obs empty @ 1..2`.
+    ev = tmp_path / "prefix.evidence"
+    ev.write_text("evidence\nobsempty @ 1..2\n")
+    res = runner.invoke(
+        main, ["analyze", INVENT, str(ev), "--weights", WEIGHTS]
+    )
+    assert res.exit_code == 2
+    assert "expected an obs line" in res.output
+
+
 def test_exit_code_semantic_error(runner, tmp_path):
     ev = tmp_path / "unknown.evidence"
     ev.write_text("evidence\nobs green @ 1..2\n")

@@ -32,6 +32,7 @@ from condreach.ctmc import (
 )
 from condreach.evidence import Formula, parse_evidence, parse_formula
 from condreach.fixtures import fixture_path, fixture_text
+from oracles import absorbing_chain
 
 
 def test_parse_basic(invent):
@@ -76,13 +77,15 @@ def test_generator_rows_sum_to_zero(invent):
     np.testing.assert_allclose(invent.generator().sum(axis=1), 0.0, atol=1e-12)
 
 
-def test_absorbing_variant(invent):
-    mask = np.array([True, False, False])
-    absorbed = invent.absorbing_variant(mask)
-    assert absorbed.exit_rates[0] == 0.0
-    assert absorbed.jump_probs[0, 0] == 1.0
-    # Other rows untouched.
-    np.testing.assert_allclose(absorbed.rate_matrix()[1:], invent.rate_matrix()[1:])
+def test_absorbing_chain_oracle(invent):
+    mask = np.array([True, False, True])
+    absorbed = absorbing_chain(invent, mask)
+    assert absorbed.jump_probs[0, 0] == absorbed.jump_probs[2, 2] == 1.0
+    np.testing.assert_array_equal(absorbed.generator()[mask], 0.0)
+    # The rate and the other rows are the chain's.
+    assert absorbed.uniformization_rate == invent.uniformization_rate
+    np.testing.assert_array_equal(absorbed.generator()[1],
+                                  invent.generator()[1])
 
 
 def test_transient_closed_form(two_state):
@@ -352,6 +355,19 @@ def test_series_without_a_step():
     assert frozen._powers == []
 
 
+def test_kernels_and_power_loop_without_a_step():
+    # lam = 0: P^0 alone serves every kernel, reach matrix and weight,
+    # and no power is stepped.
+    frozen = from_rates(["a", "b", "c"], "a", {}, {})
+    times = [0.0, 1.0, 1e9]
+    eye = np.broadcast_to(np.eye(3), (3, 3, 3))
+    np.testing.assert_array_equal(transient_matrix(frozen, times), eye)
+    np.testing.assert_array_equal(reach_matrix(frozen, times), eye)
+    np.testing.assert_array_equal(
+        weight_from_property(frozen, [False, True, False], 1.0), [0, 1, 0])
+    assert frozen._powers == []
+
+
 def test_jump_powers_are_stepped_once_to_the_power_asked():
     chain = parse_ctmc(fixture_text("tandem.ctmc"))
     n = chain.n_states
@@ -526,7 +542,7 @@ def test_reach_matrix_against_absorbing_oracle(invent):
     for tgt in range(invent.n_states):
         mask = np.zeros(invent.n_states, dtype=bool)
         mask[tgt] = True
-        absorbed = invent.absorbing_variant(mask)
+        absorbed = absorbing_chain(invent, mask)
         oracle = expm(absorbed.generator() * t)[:, tgt]
         np.testing.assert_allclose(R[:, tgt], oracle, atol=1e-9)
 
@@ -545,7 +561,7 @@ def test_reachability_vectors_form_no_kernel(monkeypatch, model, formula):
     # kernel route, K[:, target].sum(axis=1), agrees.
     ctmc = parse_ctmc(fixture_text(model))
     target = ctmc.satisfying(parse_formula(formula))
-    absorbed = ctmc.absorbing_variant(target)
+    absorbed = absorbing_chain(ctmc, target)
     want = transient_matrix(absorbed, 0.5)[:, target].sum(axis=1)
 
     def refuse(*args, **kwargs):
@@ -557,6 +573,47 @@ def test_reachability_vectors_form_no_kernel(monkeypatch, model, formula):
     # A state in the target has reached it: its weight is exactly 1.
     np.testing.assert_array_equal(got[target], 1.0)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_weight_keeps_p0_and_p1_on_the_chain():
+    # The power loop steps the chain's own P^1: the weight used to build
+    # an absorbing copy of the chain and step a table of powers on it.
+    ctmc = parse_ctmc(fixture_text("tandem.ctmc"))
+    weight_from_property(ctmc, ctmc.satisfying(parse_formula("second_full")),
+                         0.5)
+    (powers,) = ctmc._powers
+    n = ctmc.n_states
+    assert powers.shape == (2, n, n)
+    np.testing.assert_array_equal(powers[0], np.eye(n))
+    np.testing.assert_array_equal(
+        powers[1], np.eye(n) + ctmc.generator() / ctmc.uniformization_rate
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 6),
+    horizon=st.floats(0.0, 5.0),
+    data=st.data(),
+)
+def test_weights_match_kernel_of_absorbing_chain(random_chain, poisson_oracle,
+                                                 seed, n, horizon, data):
+    # Holding the target at 1 steps the chain with the target absorbing:
+    # the weights are the absorbing chain's kernel summed over the
+    # target columns, within the rounding of the two evaluations.
+    chain = random_chain(np.random.default_rng(seed), n)
+    target = np.array(data.draw(
+        st.lists(st.booleans(), min_size=n, max_size=n).filter(any)
+    ))
+    got = weight_from_property(chain, target, horizon)
+    K = transient_matrix(absorbing_chain(chain, target), horizon)
+    want = K[:, target].sum(axis=1)
+    cut = len(poisson_oracle(chain.uniformization_rate * horizon, 1e-10))
+    rel, tiny = _kernel_tolerance(cut, n, applied=True)
+    assert np.all(got[target] == 1.0)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    assert np.all(np.abs(got - want) <= rel * want + tiny)
 
 
 @pytest.mark.parametrize("model, formula, horizon", [
@@ -689,6 +746,15 @@ def test_transient_rows_are_distributions(random_chain, seed, n, t):
     for s in range(n):
         np.testing.assert_allclose(transient(chain, s, t), K[s], rtol=0,
                                    atol=1e-14)
+
+
+def test_transient_refuses_an_array_of_times(invent):
+    # It used to return the distribution at the first time alone.
+    for t in ([0.1, 5.0], np.array([0.1])):
+        with pytest.raises(ValueError, match="one time"):
+            transient(invent, 0, t)
+    np.testing.assert_array_equal(transient(invent, 0, np.array(0.1)),
+                                  transient(invent, 0, 0.1))
 
 
 def test_transient_builds_no_kernel(monkeypatch, tandem):

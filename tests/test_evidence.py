@@ -148,6 +148,16 @@ def test_parse_evidence_rejects():
         parse_evidence("evidence\nobs a @ 1..3\nobs b @ 2..4")
 
 
+@pytest.mark.parametrize("line", ["obsa @ 1..2", "observation@1..2"])
+def test_parse_evidence_obs_is_a_whole_token(line):
+    # "obs" used to be matched as a prefix: these lines parsed as an
+    # observation of the AP `a` and of the AP `ervation`.
+    with pytest.raises(EvidenceError, match="line 2: expected an obs line"):
+        parse_evidence(f"evidence\n{line}")
+    omega = parse_evidence("evidence\nobs\ta @ 1..2")
+    assert omega.formulas == (parse_formula("a"),)
+
+
 # --- partitions -------------------------------------------------------------
 
 

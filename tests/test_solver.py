@@ -277,13 +277,15 @@ def _assert_sweep_matches(imdp, got, want, q_vals=None, outer=None,
 def _full_sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
     """A sweep's expanded (values, betas, choices).
 
-    A second sweep with the same arguments, as _solve runs it before
-    the fixpoint, must read (f, b) equal to the expanded values[0][0,
-    initial] and betas[0][0, initial] bit for bit, although it may take
-    its fills from the layers' memos.
+    _expand returns values and choices and expands the sweep's vbs in
+    place, whose betas are at [:, 1].  A second sweep with the same
+    arguments, as _solve runs it before the fixpoint, must read (f, b)
+    equal to the expanded values[0][0, initial] and betas[0][0, initial]
+    bit for bit, although it may take its fills from the layers' memos.
     """
-    full = _expand(imdp, layout,
-                   *_sweep(imdp, layout, weights, v0, outer, inner, fixed))
+    vbs, choices = _sweep(imdp, layout, weights, v0, outer, inner, fixed)
+    values, choices = _expand(imdp, layout, vbs, choices)
+    full = values, [a[:, 1] for a in vbs], choices
     vbs, _ = _sweep(imdp, layout, weights, v0, outer, inner, fixed)
     f, b = vbs[0][0, :, imdp.initial]
     assert f.tobytes() == full[0][0][0, imdp.initial].tobytes()
