@@ -16,10 +16,17 @@ layer in one batched call per model.  Each layer keeps its gap stacks
 and np.unique's inverse as an (n_cells, n_next_cells) gap index;
 nothing is scattered to the pairs.  A layer's stacks hold only the rows
 of the states the model defines there (IntervalMdp.rows): the initial
-state in the anchor layer, the non-reset states after it.  The cache,
-one per chain and transient tolerance, keeps the gap's two parts across
-layers and iterations: kernels by its minimum and reach matrices by its
-spread, each in one sorted-key stack.
+state in the anchor layer, the non-reset states after it.
+
+A model's build does only work no earlier model did.  The cache, one
+per chain and transient tolerance, keeps the gap's two parts across
+layers and iterations, kernels by its minimum and reach matrices by its
+spread, each in one sorted-key stack, and it keeps the last model's gap
+stacks per layer: a refined model assembles only the gaps it adds and
+gathers the rest.  When the evidence's window endpoints are short binary
+fractions, every gap lies on an exact binary grid, and a new kernel is
+one product of two stored ones (ctmc.marched_kernels) rather than a
+polynomial of its own.
 
 A gap's full lower and upper rows are never stored.  The cache builds
 them a chunk of gaps at a time and keeps only what is read (GapStacks):
@@ -50,6 +57,7 @@ returns its masks, and the model is never copied.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,8 +65,11 @@ import numpy as np
 
 from .ctmc import (
     DEFAULT_TRANSIENT_TOL,
+    MARCH_BITS,
     invariance_vector,
+    marched_kernels,
     reach_matrix,
+    set_bits,
     transient_matrix,
 )
 
@@ -83,53 +94,52 @@ def _chunks(m, size):
 
 
 class _KeyedStack:
-    """A stack of arrays keyed by a float, filled on demand by compute.
+    """A stack of arrays of one shape, keyed by a float, filled on demand.
 
-    compute(keys) returns the values of the sorted keys not stored yet,
-    stacked along axis 0.  They are appended to one buffer, in the order
-    they are computed, and a buffer that fills is replaced by one of
-    twice the size, so a stored value is copied O(1) times on average.
+    get(keys, compute) gives the keys not stored yet the next rows of one
+    buffer, and one call compute(sorted new keys, out) writes their
+    values into out, a view of those rows; compute may read stored rows
+    through get of stored keys.  A buffer that fills is replaced by one
+    of twice the size, so a stored value is copied O(1) times on average.
     keys is kept sorted, and rows maps keys[i] to its row in the buffer.
     get hands out buffer rows, not copies: callers gather what they read.
+    The stack keeps no compute function, so it refers to nothing that
+    refers back to it.
     """
 
-    def __init__(self, compute):
-        self.compute = compute
+    def __init__(self, shape):
         self.keys = np.empty(0)
         self.rows = np.empty(0, dtype=np.intp)
-        self.buffer = None
+        self.buffer = np.empty((0, *shape))
         self.size = 0
 
-    def get(self, queries):
+    def get(self, queries, compute=None):
         """The buffer row of every query's value, in query order.
 
-        Keys not stored yet are computed by one call compute(keys).  The
-        rows index self.buffer until the next get that computes.
+        Keys not stored yet are computed by one call compute(keys, out);
+        without compute, every key must be stored.  The rows index
+        self.buffer until the next get that computes.
         """
         uniq, inverse = np.unique(queries, return_inverse=True)
         pos = np.searchsorted(self.keys, uniq)
         stored = pos < len(self.keys)
         stored[stored] = self.keys[pos[stored]] == uniq[stored]
         if not stored.all():
+            if compute is None:
+                raise KeyError(f"not stored: {uniq[~stored]}")
             new, at = uniq[~stored], pos[~stored]
-            rows = self._append(self.compute(new))
+            start, end = self.size, self.size + len(new)
+            if end > len(self.buffer):
+                grown = np.empty((max(end, 2 * start),
+                                  *self.buffer.shape[1:]))
+                grown[:start] = self.buffer[:start]
+                self.buffer = grown
+            compute(new, self.buffer[start:end])
+            self.size = end
             self.keys = np.insert(self.keys, at, new)
-            self.rows = np.insert(self.rows, at, rows)
+            self.rows = np.insert(self.rows, at, np.arange(start, end))
             pos = np.searchsorted(self.keys, uniq)
         return self.rows[pos[inverse.reshape(-1)]]
-
-    def _append(self, fresh):
-        """Append the stack fresh to the buffer; returns its rows."""
-        start, end = self.size, self.size + len(fresh)
-        if self.buffer is None or end > len(self.buffer):
-            grown = np.empty((max(end, 2 * start), *fresh.shape[1:]),
-                             fresh.dtype)
-            if self.buffer is not None:
-                grown[:start] = self.buffer[:start]
-            self.buffer = grown
-        self.buffer[start:end] = fresh
-        self.size = end
-        return np.arange(start, end)
 
 
 class TransientBoundCache:
@@ -143,23 +153,39 @@ class TransientBoundCache:
     invariance vector, an elementwise exp taken per call.  Kernels are
     kept by gap minimum and reach matrices by spread, each in a
     _KeyedStack, so gaps that share a minimum or a spread share that
-    part, and a call computes its missing kernels and spreads in one
-    transient_matrix and one reach_matrix call.  Finished bounds are not
-    kept, nor ever formed whole: a chunk of gaps at a time, assembly
-    takes the kernels' requested rows, gathered straight from the
-    buffer, times the buffered reach matrices, and reduces these full
-    rows to the GapStacks the solver reads.  Cell endpoint arithmetic is
-    exact on representable binary fractions, so evidences with uniform
-    window spacing hit the cache across layers.
+    part, and a call computes its missing spreads in one reach_matrix
+    call and its missing kernels in one transient_matrix call.  On a grid
+    of short binary fractions (bound_matrices' march, which abstract
+    sets) a kernel is instead one product of two stored kernels where it
+    can be (marched_kernels), and only the roots of those products are
+    transient_matrix's.  A kernel is computed by the rule of the first
+    call that asks for it, so a cache serves the grid of one evidence,
+    as analyze's does; its kernels are then functions of the time alone,
+    and a warm cache gives a cold one's bits.  Cell endpoint arithmetic
+    is exact on representable binary fractions, so evidences with
+    uniform window spacing hit the cache across layers.
+
+    Full bounds are never formed whole: a chunk of gaps at a time,
+    assembly takes the kernels' requested rows, gathered straight from
+    the buffer, times the buffered reach matrices, and reduces these full
+    rows to the GapStacks the solver reads.  The cache keeps the last
+    call's GapStacks per part, with their gaps, rows and sink, and a
+    later call on the same rows and sink assembles only the gaps that
+    part did not have and gathers the rest: refinement keeps most of a
+    model's gaps.  A gap's stacks are a function of its kernel, spread,
+    rows and sink alone, whatever chunk it is assembled in, so carried
+    and fresh stacks are bit-identical.
     """
 
     def __init__(self, ctmc, eps=DEFAULT_TRANSIENT_TOL):
-        eps = float(eps)
         self.ctmc = ctmc
-        # The closures capture ctmc and eps, never self: a cache in a
-        # reference cycle would wait for the cyclic collector to be freed.
-        self._kernels = _KeyedStack(lambda t: transient_matrix(ctmc, t, eps))
-        self._spreads = _KeyedStack(lambda h: reach_matrix(ctmc, h, eps))
+        self._eps = float(eps)
+        n = ctmc.n_states
+        self._kernels = _KeyedStack((n, n))
+        self._spreads = _KeyedStack((n, n))
+        # Per part of the last call: its gaps as complex keys, rows, sink
+        # and GapStacks.
+        self._carried = []
 
     @property
     def entries(self):
@@ -170,7 +196,27 @@ class TransientBoundCache:
         """
         return np.concatenate((self._kernels.keys, self._spreads.keys))
 
-    def bound_matrices(self, gaps, rows, sinks):
+    def _parts(self, g_min, spread, march):
+        """Buffer rows of the kernels of g_min and of the reach matrices
+        of spread, computing the missing ones; the kernels are marched
+        (marched_kernels) when march is set."""
+        ctmc, eps = self.ctmc, self._eps
+
+        def root(t):
+            return transient_matrix(ctmc, t, eps)
+
+        if march:
+            kernels = marched_kernels(g_min, self._kernels, root)
+        else:
+            kernels = self._kernels.get(
+                g_min, lambda t, out: np.copyto(out, root(t))
+            )
+        spreads = self._spreads.get(
+            spread, lambda h, out: np.copyto(out, reach_matrix(ctmc, h, eps))
+        )
+        return kernels, spreads
+
+    def bound_matrices(self, gaps, rows, sinks, march=False):
         """Sound interval bounds over elapsed-time gaps, kept as read.
 
         gaps holds parts, each an (m, 2) array of (g_min, g_max) pairs,
@@ -182,8 +228,11 @@ class TransientBoundCache:
         bracket the transient probability at every tau.  The result holds
         per part a GapStacks of the m gaps, whose row k is state rows[k]'s
         and whose k columns are the kept successors, in order, then the
-        sink.  The missing parts of every part's gaps are computed
-        together.
+        sink.  A part on the rows and sink of the same part of the last
+        call gathers the gaps that part had from its stacks, and lets the
+        last call's stacks go before any new rows are built; the missing
+        kernels and spreads of the other gaps are computed together,
+        marched with march.
         """
         gaps = [np.asarray(g, dtype=float) for g in gaps]
         for g in gaps:
@@ -197,54 +246,95 @@ class TransientBoundCache:
             raise ValueError(
                 "rows and sinks must hold one entry per gap part"
             )
-        every = np.concatenate(gaps)
+        rows = [np.asarray(r, dtype=np.intp) for r in rows]
+        keys = [np.ascontiguousarray(g).view(np.complex128).reshape(-1)
+                for g in gaps]
+        parts = [self._gather(i, *part)
+                 for i, part in enumerate(zip(keys, rows, sinks))]
+        # The last call's stacks go before any new full rows are built.
+        self._carried = []
+        every = np.concatenate([g[new] for g, (_, new) in zip(gaps, parts)])
         g_min, spread = every[:, 0], every[:, 1] - every[:, 0]
-        kernels, spreads = self._kernels.get(g_min), self._spreads.get(spread)
+        kernels, spreads = self._parts(g_min, spread, march)
         inv = invariance_vector(self.ctmc, spread)
-        ends = np.cumsum([0, *map(len, gaps)])
-        return [
-            self._assemble(kernels[a:b], spreads[a:b], inv[a:b],
-                           np.asarray(r, dtype=np.intp), sink)
-            for a, b, r, sink in zip(ends, ends[1:], rows, sinks)
-        ]
+        ends = np.cumsum([0, *(len(new) for _, new in parts)])
+        for a, b, r, sink, (stacks, new) in zip(ends, ends[1:], rows, sinks,
+                                                parts):
+            self._assemble(stacks, new, kernels[a:b], spreads[a:b],
+                           inv[a:b], r, sink)
+        stacks = [st for st, _ in parts]
+        for st in stacks:
+            for f in dataclasses.fields(st):
+                getattr(st, f.name).setflags(write=False)
+        self._carried = list(zip(keys, rows, sinks, stacks))
+        return stacks
 
-    def _assemble(self, kernels, spreads, inv, rows, sink):
-        """The GapStacks of the gaps whose parts sit at buffer rows
-        kernels and spreads, with invariance vectors inv, on rows, with
-        the successors in sink lumped.
+    def _gather(self, i, keys, rows, sink):
+        """(stacks, new) for part i of a call, of gaps keys on rows with
+        the successors in sink lumped: writable GapStacks that hold the
+        gaps part i of the last call had on the same rows and sink,
+        gathered from its stacks, and the positions of the other gaps,
+        which new names and which are left to fill."""
+        m = len(keys)
+        if i < len(self._carried):
+            last, last_rows, last_sink, carried = self._carried[i]
+            # np.array_equal holds for two None sinks, not for one.
+            if (len(last) and np.array_equal(rows, last_rows)
+                    and np.array_equal(sink, last_sink)):
+                order = np.argsort(last)
+                pos = np.searchsorted(last, keys, sorter=order)
+                at = order[np.minimum(pos, len(last) - 1)]
+                # Every gap takes an old gap's rows, and the new ones are
+                # filled over them.
+                return GapStacks(
+                    *(np.take(getattr(carried, f.name), at,
+                              axis=int(f.name in ("lower", "room")))
+                      for f in dataclasses.fields(GapStacks))
+                ), np.flatnonzero(last[at] != keys)
+        n, r = self.ctmc.n_states, len(rows)
+        k = n if sink is None else n - np.count_nonzero(sink) + 1
+        lower, room = np.empty((2, k, m, r))
+        slack, excess = np.empty((2, m, r))
+        return GapStacks(lower, room, slack, excess,
+                         np.empty((m, r, n), dtype=bool)), np.arange(m)
+
+    def _assemble(self, stacks, new, kernels, spreads, inv, rows, sink):
+        """Fill the gaps at positions new of a part's writable GapStacks on
+        rows, with the successors in sink lumped, from the kernels and
+        spreads at buffer rows kernels and spreads, with invariance
+        vectors inv.
 
         Each chunk of gaps gets its full (lower, upper) rows from
         _full_rows and is reduced to what is read before the next chunk
         is built, so no whole (gaps, r, n) float stack is ever formed.
-        Chunks are cut by the r * n floats of a gap's rows, which keeps
-        every gap of the one-row anchor layer in one chunk: numpy sums
-        the gathered sink columns of a single row pairwise and those of
-        several rows in order, so a one-row chunk would round its sink
-        column otherwise.
+        Every reduction of a gap's rows is a function of those rows alone,
+        a pairwise sum of one contiguous row: the sums over full rows, and
+        the sink's columns, which are taken into contiguous rows first
+        (np.take), since numpy sums columns gathered by a mask pairwise or
+        in order by the chunk's shape.
         """
-        n, m, r = self.ctmc.n_states, len(kernels), len(rows)
-        k = n if sink is None else n - np.count_nonzero(sink) + 1
-        lower, room = np.empty((2, k, m, r))
-        slack, excess = np.empty((2, m, r))
-        support = np.empty((m, r, n), dtype=bool)
-        for part in _chunks(m, r * n):
+        n, r = self.ctmc.n_states, len(rows)
+        lumps = None if sink is None else np.flatnonzero(sink)
+        for part in _chunks(len(new), r * n):
+            to = new[part]
             lo, up = self._full_rows(kernels[part], spreads[part], inv[part],
                                      rows)
-            support[part] = up > 0
+            stacks.support[to] = up > 0
             mass = lo.sum(axis=-1)
-            slack[part] = 1.0 - mass
-            excess[part] = np.maximum(mass - 1.0, 1.0 - up.sum(axis=-1))
-            for a, out in ((lo, lower), (np.subtract(up, lo, out=up), room)):
+            stacks.slack[to] = 1.0 - mass
+            stacks.excess[to] = np.maximum(mass - 1.0,
+                                           1.0 - up.sum(axis=-1))
+            for a, out in ((lo, stacks.lower),
+                           (np.subtract(up, lo, out=up), stacks.room)):
                 if sink is not None:
                     a = np.concatenate(
-                        (a[..., ~sink],
-                         a[..., sink].sum(axis=-1, keepdims=True)),
+                        (a[..., ~sink], np.take(a, lumps, axis=-1).sum(
+                            axis=-1, keepdims=True)),
                         axis=-1,
                     )
-                out[:, part] = a.transpose(2, 0, 1)
-        for a in (lower, room, slack, excess, support):
-            a.setflags(write=False)
-        return GapStacks(lower, room, slack, excess, support)
+                out[:, to] = a.transpose(2, 0, 1)
+            # This chunk's rows go before the next chunk's are built.
+            del lo, up, a
 
     def _full_rows(self, kernels, spreads, inv, rows):
         """The full (lower, upper) rows, (m, r, n) each, of the gaps whose
@@ -430,13 +520,19 @@ def abstract(ctmc, omega, psi, cache=None):
 
     The model depends only on the partition and the bound cache, which
     it calls once with the distinct gaps and the stored rows of every
-    layer, so the missing kernels and spreads of the whole model are
-    computed in one transient_matrix and one reach_matrix call.  A
-    refined partition's intervals nest inside the coarser ones because
-    the gap bounds are monotone; they are not clipped to them.  A psi
-    that does not tile omega's windows raises SemanticError, and a cache
-    built for another chain raises ValueError.  The transient tolerance
-    is the cache's; without a cache, a fresh one at the default.
+    layer: the cache assembles only the gaps the last model lacked, and
+    computes their missing kernels and spreads in one transient_matrix
+    and one reach_matrix call.  When every window endpoint of omega is a
+    short binary fraction (MARCH_BITS set bits at most), every cell
+    endpoint and gap lies on an exact binary grid, and the cache marches
+    kernels there (marched_kernels).  Elsewhere it does not: a gap of
+    other endpoints can still be a short binary fraction by accident,
+    and its kernel stays a polynomial like its neighbours'.  A refined
+    partition's intervals nest inside the coarser ones because the gap
+    bounds are monotone; they are not clipped to them.  A psi that does
+    not tile omega's windows raises SemanticError, and a cache built for
+    another chain raises ValueError.  The transient tolerance is the
+    cache's; without a cache, a fresh one at the default.
     """
     omega.bind_check(ctmc.alphabet)
     psi.check_covers(omega)
@@ -466,8 +562,10 @@ def abstract(ctmc, omega, psi, cache=None):
         index.setflags(write=False)
         uniqs.append(uniq.view(float).reshape(-1, 2))
         gap_index.append(index)
+    march = all(set_bits(t) <= MARCH_BITS
+                for ts in omega.time_sets for t in np.ravel(ts.intervals))
     # One cache call for the whole model.
-    stacks = cache.bound_matrices(uniqs, rows, _sinks(reset_masks))
+    stacks = cache.bound_matrices(uniqs, rows, _sinks(reset_masks), march)
     for i, (st, index) in enumerate(zip(stacks, gap_index)):
         _check_feasible(st.excess, index, rows[i], i)
 

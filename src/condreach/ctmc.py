@@ -12,7 +12,10 @@ without forming one.  The rule is one: a sum of products with P alone
 is such a polynomial, and a sum whose targets are held absorbing (reach
 matrices and property weights) is the power loop, which steps its start
 one product with the chain's own P at a time and sets the targets back
-to 1 after each (Uniformization.power_sum).
+to 1 after each (Uniformization.power_sum).  On a grid of short binary
+fractions a kernel is instead marched from its binary parent, one
+product K(t - h) @ K(h) by the semigroup property, with polynomials only
+at the roots (marched_kernels).
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ _RATE_INFLATION = 1.0 + 1e-6
 # means a chain too stiff for the time asked; the bundled models stay
 # below about 250.
 MAX_POISSON_MEAN = 1e5
+
+# The most set bits in the binary expansion of a time whose kernel is
+# marched from its binary parent (binary_parent); each bit is one product
+# of two kernels.  tandem's times at cap 8 have up to 9.
+MARCH_BITS = 16
 
 
 class ModelError(ValueError):
@@ -581,11 +589,78 @@ def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):
     Uniformization: K = sum_k pois(k; lam*t) P^k, evaluated as a
     polynomial in P (Uniformization.kernels).  An array of times gives a
     stack of kernels from one set of powers, each bit-identical to a call
-    of its own.
+    of its own.  On a grid of short binary fractions most kernels are
+    cheaper marched from others (marched_kernels), with these
+    polynomials as the roots.
     """
     n = ctmc.n_states
     K = uniformize(ctmc, t, eps).kernels(n)
     return K.reshape(*np.shape(t), n, n)
+
+
+def set_bits(t):
+    """The set bits of the binary expansion of a float t >= 0: every
+    float is a binary fraction p / 2^k, and its set bits are p's."""
+    return float(t).as_integer_ratio()[0].bit_count()
+
+
+def binary_parent(t):
+    """(t - h, h), h the lowest set bit of t, when the binary expansion of
+    t has 2 to MARCH_BITS set bits; None otherwise.
+
+    Both are exact: h is a power of two, and t - h is t without one bit.
+    By the semigroup property K(t) = K(t - h) @ K(h), so such a kernel is
+    one product of its parent's, of one set bit fewer, and a power of
+    two's.  Zero, powers of two and longer expansions have no parent:
+    they are roots.
+    """
+    p, q = float(t).as_integer_ratio()
+    if not 2 <= p.bit_count() <= MARCH_BITS:
+        return None
+    h = (p & -p) / q
+    return t - h, h
+
+
+def marched_kernels(times, memo, root):
+    """Rows of memo holding the transient kernels of times, marched.
+
+    memo is a keyed stack of kernels (abstraction._KeyedStack), and
+    root(times) gives the stacked kernels of sorted times as polynomials
+    (transient_matrix).  A time with a binary parent (binary_parent) gets
+    K(t - h) @ K(h), and every other time is a root.  The kernels the
+    times are marched from are found first, and those memo lacks are
+    computed in one call of memo: the roots in one call of root, then
+    the products by rising set bits, each written in place from two
+    factors with fewer.  A kernel is so the product of its roots'
+    polynomials, one per set bit, taken from its top bit down, and its
+    bits are a function of t alone when memo holds only kernels of this
+    rule.  Each product rounds as an n-term sum of nonnegative terms, so
+    the error stays relative.
+    """
+    split = {}
+    todo = np.ravel(times).tolist()
+    while todo:
+        t = todo.pop()
+        if t not in split:
+            split[t] = binary_parent(t)
+            todo.extend(split[t] or ())
+
+    def compute(new, out):
+        keys = new.tolist()
+        at = dict(zip(keys, range(len(keys))))
+        roots = [i for i, t in enumerate(keys) if split[t] is None]
+        if roots:
+            out[roots] = root(new[roots])
+        held = [f for t in keys if split[t] for f in split[t]
+                if f not in at]
+        rows = dict(zip(held, memo.get(np.array(held)).tolist()))
+        for t in sorted((t for t in keys if split[t]), key=set_bits):
+            a, b = (out[at[f]] if f in at else memo.buffer[rows[f]]
+                    for f in split[t])
+            np.matmul(a, b, out=out[at[t]])
+
+    memo.get(np.array(sorted(split)), compute)
+    return memo.get(times)
 
 
 def transient(ctmc, source, t, eps=DEFAULT_TRANSIENT_TOL):

@@ -174,11 +174,11 @@ def full_bounds(cache, gaps, rows):
 
     Every gap's full rows come from one call of the assembly's full-row
     build, where the cache builds and reduces them a chunk at a time.
+    Parts the cache lacks are computed unmarched.
     """
     gaps = np.asarray(gaps, dtype=float).reshape(-1, 2)
     spread = gaps[:, 1] - gaps[:, 0]
-    kernels = cache._kernels.get(gaps[:, 0])
-    spreads = cache._spreads.get(spread)
+    kernels, spreads = cache._parts(gaps[:, 0], spread, march=False)
     inv = invariance_vector(cache.ctmc, spread)
     return cache._full_rows(kernels, spreads, inv,
                             np.asarray(rows, dtype=np.intp))
@@ -194,18 +194,17 @@ def lumped(lower, upper, sink=None):
     """The GapStacks of whole (g, r, n) lower and upper stacks.
 
     The columns of the successors in sink become one last column that
-    holds the sums of their lower bounds and of their rooms; slack,
-    excess and support are taken over the full rows.
+    holds the sums of their lower bounds and of their rooms, each the sum
+    of one contiguous row of the sink's columns; slack, excess and
+    support are taken over the full rows.
     """
     mass = lower.sum(axis=2)
     excess = np.maximum(mass - 1.0, 1.0 - upper.sum(axis=2))
     columns = []
     for a in (lower, upper - lower):
         if sink is not None:
-            a = np.concatenate(
-                (a[..., ~sink], a[..., sink].sum(axis=-1, keepdims=True)),
-                axis=-1,
-            )
+            total = np.ascontiguousarray(a[..., sink]).sum(axis=-1)
+            a = np.concatenate((a[..., ~sink], total[..., None]), axis=-1)
         columns.append(np.ascontiguousarray(a.transpose(2, 0, 1)))
     return GapStacks(*columns, 1.0 - mass, excess, upper > 0)
 

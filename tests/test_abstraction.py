@@ -17,7 +17,9 @@ from condreach.abstraction import (
     restrict_reachable,
 )
 from condreach.ctmc import (
+    binary_parent,
     invariance_vector,
+    marched_kernels,
     parse_ctmc,
     reach_matrix,
     transient_matrix,
@@ -134,9 +136,12 @@ def test_cache_reuses_entries(invent, computed):
     assert not any(x.flags.writeable for x in _arrays(a))
 
 
-def _direct_bounds(ctmc, g_min, g_max, eps):
-    """Unfactored build: every part computed afresh for the gap."""
-    K = transient_matrix(ctmc, g_min, eps)
+def _direct_bounds(ctmc, g_min, g_max, eps, kernel=None):
+    """Unfactored build: every part computed afresh for the gap, but the
+    kernel K(g_min), which kernel gives when it is not None."""
+    if kernel is None:
+        kernel = lambda t: transient_matrix(ctmc, t, eps)  # noqa: E731
+    K = kernel(g_min)
     if g_max == g_min:
         K = np.clip(K, 0.0, 1.0)
         return K, K
@@ -344,30 +349,35 @@ def test_in_place_assembly_keeps_the_cache_intact(tandem):
 def test_keyed_stack_computes_each_key_once():
     # Batches of overlapping keys in any order: each get returns the
     # buffer rows of its queries' values in query order and computes only
-    # the keys not stored yet, while the buffer grows and the keys stay
-    # sorted.
+    # the keys not stored yet, written in place, while the buffer grows
+    # and the keys stay sorted.  Without a compute, only stored keys are
+    # served.
     computed = []
 
-    def compute(keys):
+    def compute(keys, out):
         assert np.all(np.diff(keys) > 0)
+        assert out.shape == (len(keys), 2)
         computed.extend(keys.tolist())
-        return np.stack((keys, 2 * keys), axis=1)
+        out[:] = np.stack((keys, 2 * keys), axis=1)
 
-    store = _KeyedStack(compute)
+    store = _KeyedStack((2,))
     rng = np.random.default_rng(7)
     for size in (1, 5, 3, 17, 2, 40, 9, 60):
         queries = rng.choice(np.arange(60.0) / 4, size)
-        rows = store.get(queries)
+        rows = store.get(queries, compute)
         assert rows.shape == queries.shape and rows.max() < store.size
         pairs = store.buffer[rows]
         np.testing.assert_array_equal(pairs,
                                       np.stack((queries, 2 * queries), 1))
+        np.testing.assert_array_equal(store.get(queries), rows)
         # A gathered copy is free to be written; the buffer keeps its values.
         pairs[:] = np.nan
     assert sorted(computed) == sorted(set(computed)) == store.keys.tolist()
     assert store.size == len(computed) <= len(store.buffer)
     np.testing.assert_array_equal(store.buffer[store.rows][:, 1],
                                   2 * store.keys)
+    with pytest.raises(KeyError):
+        store.get([100.0])
 
 
 @pytest.fixture()
@@ -388,7 +398,8 @@ def part_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("chain, evidence",
-                         [("invent", "invent1"), ("tandem", "tandem1")])
+                         [("invent", "invent1"), ("tandem", "tandem1"),
+                          ("tandem", "tandem2")])
 def test_one_cache_call_per_model(chain, evidence, part_calls, request):
     ctmc = request.getfixturevalue(chain)
     omega = request.getfixturevalue(evidence)
@@ -419,8 +430,117 @@ def test_one_cache_call_per_model(chain, evidence, part_calls, request):
             np.testing.assert_array_equal(a, b)
 
 
-def _per_pair_build(ctmc, omega, psi, eps, direct):
-    """L and U of every layer, built cell pair by cell pair."""
+def _marched(ctmc, eps):
+    """K(t) of one time at a call, marched (marched_kernels) from a keyed
+    stack of its own, with roots from transient_matrix: the kernels of a
+    cache on an evidence whose window endpoints are short binary
+    fractions, computed here one pair's time at a time."""
+    memo = _KeyedStack((ctmc.n_states, ctmc.n_states))
+
+    def kernel(t):
+        [row] = marched_kernels(
+            np.array([t]), memo, lambda ts: transient_matrix(ctmc, ts, eps)
+        )
+        return memo.buffer[row]
+
+    return kernel
+
+
+def test_refined_model_assembles_only_new_gaps(tandem, tandem1,
+                                              monkeypatch):
+    # The cache carries the last model's stacks per layer: a refined
+    # model builds full rows only for the gaps of a layer that the same
+    # layer of the last model lacked, and a model of another evidence,
+    # whose rows and sinks differ, builds all of its gaps.
+    built = []
+    full_rows = TransientBoundCache._full_rows
+
+    def counted(self, kernels, *args):
+        built.append(len(kernels))
+        return full_rows(self, kernels, *args)
+
+    monkeypatch.setattr(TransientBoundCache, "_full_rows", counted)
+    cache = _cache(tandem)
+    psi = coarsest_partition(tandem1)
+    last, carried = None, 0
+    for _ in range(4):
+        imdp = abstract(tandem, tandem1, psi, cache=cache)
+        gaps = [{tuple(g) for g in layer_gaps(imdp, i).tolist()}
+                for i in range(imdp.n_layers - 1)]
+        old = last or [set()] * len(gaps)
+        assert sum(built) == sum(len(g - o) for g, o in zip(gaps, old))
+        carried += sum(len(g & o) for g, o in zip(gaps, old))
+        # Carried and freshly built stacks are bit-identical.
+        for a, b in zip(imdp.stacks, abstract(tandem, tandem1, psi).stacks):
+            _assert_stacks_equal(a, b)
+        built.clear()
+        last = gaps
+        # Split each window's first cell only, as guided refinement
+        # splits some: a full split changes every gap.
+        psi = apply_splits(psi, [np.arange(len(m)) == 0
+                                 for m in psi.splittable()])
+    assert carried
+    other = parse_evidence(fixture_text("tandem2.evidence"))
+    imdp = abstract(tandem, other, coarsest_partition(other), cache=cache)
+    assert sum(built) == sum(len(st.slack) for st in imdp.stacks)
+
+
+def test_only_binary_grids_are_marched(invent, invent1, tandem, tandem1,
+                                       computed):
+    # invent1's windows end at 0.9, 1.1, ...: its kernels are all
+    # transient_matrix's, bit for bit, also at gap minima that are short
+    # binary fractions by accident (0.875 = 0.111b).  tandem1's end at
+    # 2.5, 3.0, 5.0 and 5.5, so transient_matrix computes only roots,
+    # zero, powers of two and long expansions, and the other kernels are
+    # one product of two stored ones.
+    for ctmc, omega in ((invent, invent1), (tandem, tandem1)):
+        cache = _cache(ctmc)
+        psi = coarsest_partition(omega)
+        for _ in range(4):
+            abstract(ctmc, omega, psi, cache=cache)
+            psi = apply_splits(psi, psi.splittable())
+        stack = cache._kernels
+        keys, kernels = stack.keys, stack.buffer[stack.rows]
+        marched = [binary_parent(t) is not None for t in keys]
+        assert any(marched)
+        if ctmc is invent:
+            assert sorted(computed["kernels"]) == keys.tolist()
+            np.testing.assert_array_equal(
+                kernels, transient_matrix(ctmc, keys, 1e-10)
+            )
+        else:
+            assert not any(map(binary_parent, computed["kernels"]))
+            for t, k in zip(keys[marched], kernels[marched]):
+                [a, b] = stack.get(np.array(binary_parent(t)))
+                np.testing.assert_array_equal(
+                    k, stack.buffer[a] @ stack.buffer[b]
+                )
+        computed["kernels"].clear()
+
+
+def test_anchor_gap_bits_do_not_depend_on_its_chunk(tandem, tandem1):
+    # The anchor layer keeps the initial state's row alone and lumps the
+    # next layer's reset states into one sink column.  Each of its gaps
+    # gets the same bits assembled alone, a chunk of one one-row gap, as
+    # among the others, which is what lets a later model carry it: numpy
+    # sums the gathered sink columns of one row pairwise and of several
+    # rows in order, which differ from 8 columns on.
+    sink = tandem.reset_masks(tandem1.formulas)[1]
+    assert np.count_nonzero(sink) >= 8
+    rows = [np.array([tandem.initial])]
+    lo = 2.5 + np.arange(16) / 32
+    gaps = np.stack((lo, lo + 1 / 32), axis=1)
+    [together] = _cache(tandem).bound_matrices([gaps], rows, [sink])
+    for g in range(len(gaps)):
+        [alone] = _cache(tandem).bound_matrices([gaps[g:g + 1]], rows,
+                                                [sink])
+        for a, b in zip(_gaps_of(together, [g]), _arrays(alone)):
+            np.testing.assert_array_equal(a, b)
+
+
+def _per_pair_build(ctmc, omega, psi, eps, direct, kernel=None):
+    """L and U of every layer, built cell pair by cell pair from the
+    kernels of kernel(t), or of transient_matrix without it."""
     layers = (np.zeros((1, 2)), *psi.cells)
     n = ctmc.n_states
     lower, upper = [], []
@@ -431,7 +551,7 @@ def _per_pair_build(ctmc, omega, psi, eps, direct):
             for j2, (lo2, hi2) in enumerate(row2):
                 gap = (lo2 - hi, hi2 - lo)
                 if gap not in direct:
-                    direct[gap] = _direct_bounds(ctmc, *gap, eps)
+                    direct[gap] = _direct_bounds(ctmc, *gap, eps, kernel)
                 L[j, j2], U[j, j2] = direct[gap]
         lower.append(L)
         upper.append(U)
@@ -476,17 +596,20 @@ def _dense_rows(lower, upper, gap_index, reset_masks, initial=0):
 
 def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
                                          tandem, tandem1, tandem_weights):
-    # The gap-grouped build equals a cell-pair loop bit for bit on its
-    # stored rows, over three guided refinement rounds.
-    for ctmc, omega, w in (
-        (invent, invent1, invent_weights),
-        (tandem, tandem1, tandem_weights),
+    # The gap-grouped build, with its stacks carried across models,
+    # equals a cell-pair loop bit for bit on its stored rows, over three
+    # guided refinement rounds.  tandem1's window endpoints are short
+    # binary fractions, so its kernels are marched; invent1's are not.
+    for ctmc, omega, w, kernel in (
+        (invent, invent1, invent_weights, None),
+        (tandem, tandem1, tandem_weights, _marched(tandem, 1e-10)),
     ):
         cache, direct = _cache(ctmc), {}
         psi = coarsest_partition(omega)
         for level in range(4):
             imdp = abstract(ctmc, omega, psi, cache=cache)
-            want_L, want_U = _per_pair_build(ctmc, omega, psi, 1e-10, direct)
+            want_L, want_U = _per_pair_build(ctmc, omega, psi, 1e-10, direct,
+                                             kernel)
             dense = dense_bounds(imdp, cache)
             assert len(dense) == len(want_L)
             for (L, U), dL, dU, rows in zip(dense, want_L, want_U,
@@ -517,7 +640,8 @@ def test_stacks_hold_exactly_the_live_rows(tandem, tandem1, tandem2):
         assert len(imdp.rows) == len(want) == imdp.n_layers - 1
         np.testing.assert_array_equal(imdp.rows[0], [tandem.initial])
         n = imdp.n_states
-        want_L, want_U = _per_pair_build(tandem, omega, psi, 1e-10, {})
+        want_L, want_U = _per_pair_build(tandem, omega, psi, 1e-10, {},
+                                         _marched(tandem, 1e-10))
         dense = dense_bounds(imdp, cache)
         for i, rows in enumerate(imdp.rows):
             np.testing.assert_array_equal(rows, want[i])

@@ -13,18 +13,23 @@ from scipy.linalg import expm
 from scipy.stats import poisson
 
 import condreach
+from condreach.abstraction import _KeyedStack
 from condreach.ctmc import (
     _RATE_INFLATION,
+    MARCH_BITS,
     MAX_POISSON_MEAN,
     Ctmc,
     ModelError,
     UniformizationError,
     _poisson_table,
+    binary_parent,
     from_rates,
     invariance_vector,
+    marched_kernels,
     parse_ctmc,
     reach_matrix,
     serialize_ctmc,
+    set_bits,
     transient,
     transient_matrix,
     uniformize,
@@ -282,6 +287,88 @@ def test_batched_core_matches_per_time_loop_random(
     chain = random_chain(np.random.default_rng(seed), n)
     _assert_batch_matches_per_time(chain, times, per_time_uniformization,
                                    poisson_oracle, eps)
+
+
+def test_binary_parent_drops_the_lowest_set_bit():
+    # 2.75 = 10.11b: its parent drops the 0.25 bit.  Zero, powers of two
+    # and expansions of more than MARCH_BITS set bits are roots.
+    assert binary_parent(2.75) == (2.5, 0.25)
+    assert binary_parent(3.0) == (2.0, 1.0)
+    assert binary_parent(2 + 255 / 256) == (2 + 254 / 256, 1 / 256)
+    for root in (0.0, 1.0, 2.0, 0.5, 2.0**-30, 0.9, 0.1):
+        assert binary_parent(root) is None, root
+    longest = (2**MARCH_BITS - 1) / 2**10
+    assert set_bits(longest) == MARCH_BITS
+    assert binary_parent(longest) == (longest - 2.0**-10, 2.0**-10)
+    assert binary_parent((2**(MARCH_BITS + 1) - 1) / 2**10) is None
+    # The parent of a grid time has one set bit fewer, down to a root.
+    t, bits = 2 + 173 / 256, set_bits(2 + 173 / 256)
+    while binary_parent(t):
+        t, h = binary_parent(t)
+        assert set_bits(h) == 1 and set_bits(t) == bits - 1
+        bits -= 1
+    assert bits == 1
+
+
+def _marched(ctmc, times, eps):
+    """The marched kernels of times (marched_kernels) from a keyed stack
+    of their own, with roots from transient_matrix."""
+    n = ctmc.n_states
+    memo = _KeyedStack((n, n))
+    rows = marched_kernels(np.asarray(times, dtype=float), memo,
+                           lambda t: transient_matrix(ctmc, t, eps))
+    return memo, memo.buffer[rows]
+
+
+def _assert_marched_within_tolerance(ctmc, times, eps, poisson_oracle):
+    """Each marched kernel lies within _kernel_tolerance of the polynomial
+    kernel and of scipy's expm, once the Poisson mass that truncation
+    moves is counted: at most 0.1 eps per row, put on the last term, so
+    at most 0.2 eps per entry and per polynomial, one per set bit of the
+    time and one more for the time's own polynomial."""
+    n = ctmc.n_states
+    times = np.asarray(times, dtype=float)
+    memo, K = _marched(ctmc, times, eps)
+    assert np.all(K >= 0.0)
+    poly = transient_matrix(ctmc, times, eps)
+    Q = ctmc.generator()
+    for t, k, p in zip(times, K, poly):
+        cut = len(poisson_oracle(ctmc.uniformization_rate * t, eps))
+        rel, tiny = _kernel_tolerance(cut, n)
+        roots = max(set_bits(t), 1)
+        for want, moved in ((p, roots + 1), (expm(Q * t), roots)):
+            assert np.all(np.abs(k - want)
+                          <= rel * want + tiny + 0.2 * eps * moved), t
+        split = binary_parent(t)
+        if split:
+            # One product of the parent's kernel and the lowest bit's.
+            [a, b] = memo.get(np.array(split))
+            np.testing.assert_array_equal(k, memo.buffer[a] @ memo.buffer[b])
+
+
+def test_marched_kernels_on_the_tandem2_grid(tandem, poisson_oracle):
+    # tandem2 at cap 8 asks for every kernel of 2 + j 2^-8, j < 256; each
+    # marched one stays within tolerance of the polynomial and of expm.
+    _assert_marched_within_tolerance(tandem, 2 + np.arange(256) / 256,
+                                     1e-10, poisson_oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 6),
+    digits=st.integers(0, 10),
+    numerators=st.lists(st.integers(0, 5 * 2**10), min_size=1, max_size=5),
+    eps=st.sampled_from([1e-6, 1e-10, 1e-12]),
+)
+def test_marched_kernels_match_polynomials_random(random_chain, poisson_oracle,
+                                                  seed, n, digits, numerators,
+                                                  eps):
+    # Random chains at random binary fractions below 5 of up to 10
+    # fractional bits, with whatever set bits they have.
+    chain = random_chain(np.random.default_rng(seed), n)
+    times = [min(k / 2**digits, 5.0) for k in numerators]
+    _assert_marched_within_tolerance(chain, times, eps, poisson_oracle)
 
 
 def _assert_series_match_oracle(ctmc, times, oracle, poisson_oracle, eps,

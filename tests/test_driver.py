@@ -287,9 +287,11 @@ def test_full_mode_counts_every_splittable_cell(invent, invent1, invent_weights)
 
 # Per iteration (lower, upper, splits, IMDP states, actions, transitions)
 # of refinement runs, keyed by (chain, evidence, weights, cap, mode).  The
-# guided runs were recorded before the Poisson weights were batched and
+# invent1 run was recorded before the Poisson weights were batched and
 # the bound cache was called once per model, the full-mode tandem2 run
-# before the solver lumped reset successors into one column.  A change
+# before the solver lumped reset successors into one column, and the
+# tandem1 run, to the benchmark's cap of 8, before its kernels were
+# marched and its gap stacks carried between models.  A change
 # that moves a bound by more than 1e-12 relative, or a split or a size at
 # all, shows here.
 _GOLDEN_TRACES = {
@@ -307,10 +309,18 @@ _GOLDEN_TRACES = {
         (0.07596600891858536, 0.09036987638489843, 3, 101, 419, 1167),
         (0.0759660089185854, 0.08958844693190249, 3, 110, 493, 1381),
     ],
-    ("tandem", "tandem1", "tandem_weights", 3, "guided"): [
-        (1.6423681627444543e-05, 0.2871074334060104, 0, 241, 227, 12722),
-        (0.00011472577903939201, 0.18898181532715583, 2, 481, 662, 50404),
-        (0.0004531253552820694, 0.12375819941120243, 3, 841, 1723, 150592),
+    ("tandem", "tandem1", "tandem_weights", 8, "guided"): [
+        (1.6423681627444597e-05, 0.2871074334060104, 0, 241, 227, 12722),
+        (0.00011472577903939201, 0.18898181532720768, 2, 481, 662, 50404),
+        (0.0004531253552820719, 0.12375819941127467, 3, 841, 1723, 150592),
+        (0.000700679014614141, 0.07249506936007376, 3, 1201, 3200, 300700),
+        (0.0011083632089222894, 0.058907717161175134, 3, 1561, 5093,
+         500728),
+        (0.001363597970143333, 0.05168525387869962, 3, 1921, 7402, 750676),
+        (0.001390259668056975, 0.04541355022346746, 3, 2281, 10127,
+         1050544),
+        (0.0014142441383163528, 0.02345066926415537, 3, 2641, 13268,
+         1400332),
     ],
     ("tandem", "tandem2", "tandem_phase2_weights", 4, "full"): [
         (0.09529602445027945, 0.9635967831538439, 0, 241, 239, 2262),
