@@ -110,6 +110,8 @@ def analyze(ctmc, omega, weights, config=AnalysisConfig()):
 
     weights must hold one finite, nonnegative weight per state
     (ValueError otherwise).  Iteration 1 uses the coarsest partition.
+    Each iteration's report keeps the best witness timing so far, so the
+    inner bound never loosens.
     Termination is checked only between iterations: time budget
     exhausted, bound width at or below target, iteration cap reached, or
     nothing left to split.
@@ -118,8 +120,9 @@ def analyze(ctmc, omega, weights, config=AnalysisConfig()):
     weights = _weights(weights, ctmc.n_states)
     cache = TransientBoundCache(ctmc, config.transient_tol)
     psi = coarsest_partition(omega)
-    # Each solve starts from the previous iteration's fixpoint for it.
-    fixpoints = (0.0, 0.0, 0.0)
+    # The robust solve starts from the previous iteration's fixpoint, and
+    # the inner bound is the best witness found so far.
+    fixpoint, witness = 0.0, None
     rows = []
     pending_splits = 0
     start = time.monotonic()
@@ -132,10 +135,10 @@ def analyze(ctmc, omega, weights, config=AnalysisConfig()):
         active = restrict_reachable(imdp)
         t2 = time.monotonic()
         report = compute_bounds(
-            imdp, weights, tol=config.vi_tol, direction=config.direction,
-            start=fixpoints,
+            imdp, weights, ctmc, omega, tol=config.vi_tol,
+            direction=config.direction, start=fixpoint, best=witness,
         )
-        fixpoints = report.info["fixpoints"]
+        fixpoint, witness = report.info["fixpoint"], report.info["witness"]
         solve_s = time.monotonic() - t2
         states, actions, transitions = imdp.sizes(active)
         rows.append(

@@ -1,5 +1,11 @@
 """Robust value iteration, consistency repair, and the bound pair.
 
+One robust solve per model gives the outer bound and the scheduler
+sigma*; the inner bound is the exact weight of the timing that sigma*'s
+consistent repair realizes (compute_bounds), so no second solve runs.
+evaluate_scheduler, the value of a fixed scheduler, stays for the tests
+to compare that bound against.
+
 The layered model is acyclic except for the single reset back-edge into
 the initial abstract state, so each value sweep is one backward pass.
 The sweep also propagates, through the distributions actually chosen,
@@ -33,11 +39,10 @@ value order (greedy_distribution states it for one block and is kept as
 the tests' oracle).  What does not depend on the values, the lower
 bounds, the room U - L and the slack 1 - sum L, the model stores per
 gap, successor-major; once per compute_bounds call they are gathered to
-the cell pairs and shared by the three solves.  A sweep then sorts the
-next layer's values with one stable argsort, gathers the room rows in
-that order, clips their running sum against the slack, and takes each
-q-value as L @ v plus the clipped fill dotted with the sorted values;
-betas reuse the same fill.
+the cell pairs.  A sweep then sorts the next layer's values with one
+stable argsort, gathers the room rows in that order, clips their running
+sum against the slack, and takes each q-value as L @ v plus the clipped
+fill dotted with the sorted values; betas reuse the same fill.
 
 The fill, the mass each sorted successor takes beyond its lower bound,
 depends on the values only through their order.  Each prepared layer
@@ -45,9 +50,8 @@ keeps the last fill it built with its order, and a sweep whose argsort
 repeats that order takes the fill instead of rebuilding it.  The reuse
 is exact: the stored array is the one the rebuild would compute, and
 the q-values come from the same formula.  It hits often, because
-warm-started solves converge in few sweeps, the step into the last
-layer orders by the weights and v0 alone, and the last two solves share
-their inner direction.
+warm-started solves converge in few sweeps and the step into the last
+layer orders by the weights and v0 alone.
 
 The last observation layer carries the weights, or the reset value v0
 on its violating states, in every cell alike.  A greedy depends only on
@@ -63,11 +67,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import unfolding
 from .abstraction import reachable_states, reachable_step
+from .evidence import PreciseEvidence
 from .unfolding import ZERO_LIKELIHOOD, ZeroLikelihoodError
 
 DEFAULT_VI_TOL = 1e-9
 _MAX_SWEEPS = 10000
+# Relative margin taken off a witness's exact weight before it bounds the
+# optimum: conditional_weight truncates its Poisson series and rounds.
+# Against the decimal oracle of tests/oracles.py it read at most 3.4e-16
+# off on invent1 instances and 4.8e-15 above on tandem1's last witness.
+WITNESS_MARGIN = 1e-12
 
 
 class SolverError(ArithmeticError):
@@ -90,6 +101,15 @@ class Scheduler:
 
 @dataclass(frozen=True)
 class BoundsReport:
+    """The bound pair of one model.
+
+    guide_scheduler is sigma*, the robust solve's scheduler, which
+    guides refinement; repaired_scheduler is its consistent repair,
+    whose path of cells gives the witness timing.  info is described at
+    compute_bounds.  A lower bound above the upper by more than 1e-9
+    raises SolverError.
+    """
+
     lower: float
     upper: float
     guide_scheduler: Scheduler
@@ -231,10 +251,20 @@ def _q_values(layer, vb, maximize):
         rows = (order + k * np.arange(nc2)[:, None]).ravel()
         gathered = layer.room[rows].reshape(nc2, k, -1)
         # Room poured before each successor, then the slack left for it.
-        fill = np.cumsum(gathered, axis=1)
+        # The running sum is cumsum's, term by term; where rows outnumber
+        # successors, k - 1 adds over whole rows beat cumsum's strided
+        # loop per row.
+        if gathered.shape[2] > k:
+            fill = np.empty_like(gathered)
+            fill[:, 0] = gathered[:, 0]
+            for t in range(1, k):
+                np.add(fill[:, t - 1], gathered[:, t], out=fill[:, t])
+        else:
+            fill = np.cumsum(gathered, axis=1)
         fill -= gathered
         np.subtract(layer.slack, fill, out=fill)
-        np.clip(fill, 0.0, gathered, out=fill)
+        np.maximum(fill, 0.0, out=fill)
+        np.minimum(fill, gathered, out=fill)
         fill.flags.writeable = False
         layer.memo = (order, fill)
         layer.built += 1
@@ -432,59 +462,88 @@ def repair_consistency(imdp, sched):
     return Scheduler(tuple(choices))
 
 
-def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
-                   start=(0.0, 0.0, 0.0)):
+def witness_times(imdp, sched):
+    """The timing a repaired scheduler realizes, or None.
+
+    The path starts at the anchor cell and follows the scheduler's one
+    choice per cell, layer by layer; each chosen cell gives its midpoint,
+    a point cell its point.  A path that reaches a cell with no choice,
+    one whose states all reset, has no timing.
+    """
+    times, j = [], 0
+    for i, choices in enumerate(sched.choices):
+        chosen = choices[j][choices[j] >= 0]
+        if not len(chosen):
+            return None
+        j = int(chosen[0])
+        lo, hi = imdp.layers[i + 1][j]
+        times.append(float(0.5 * (lo + hi)))
+    return tuple(times)
+
+
+def _witness(times, ctmc, omega, weights):
+    """(times, exact weight) of the timing times of omega, or None when
+    there is no timing or its evidence has zero likelihood."""
+    if times is None:
+        return None
+    rho = PreciseEvidence(tuple(zip(times, omega.formulas)))
+    try:
+        return times, unfolding.conditional_weight(ctmc, rho, weights)
+    except ZeroLikelihoodError:
+        return None
+
+
+def compute_bounds(imdp, weights, ctmc, omega, tol=DEFAULT_VI_TOL,
+                   direction="max", start=0.0, best=None):
     """Sound bound pair on the optimal conditional weight.
 
-    Maximization: the upper bound is the unrestricted robust optimum
-    (max over schedulers, max over distributions); the lower bound
-    evaluates, pessimistically, the consistent scheduler obtained by
-    repairing the max/min-optimal one.  Minimization flips every
-    direction symmetrically.
+    imdp is omega's interval MDP over ctmc.  Maximization: the upper
+    bound is the robust optimum (max over schedulers, max over
+    distributions), and its scheduler sigma* guides refinement.  Every
+    timing of the evidence is a scheduler of the unfolding, so the exact
+    weight of one instance bounds the optimum from below: repairing
+    sigma* gives one choice per cell, the midpoints of the cells on its
+    path are an instance (witness_times), and its conditional_weight,
+    less the relative WITNESS_MARGIN, is the lower bound.  Minimization
+    flips every direction: the robust minimum is the lower bound and the
+    witness, plus the margin, the upper.
 
-    start holds the first reset-value guesses of the three solves; a
-    refinement loop passes the previous model's info["fixpoints"], which
-    are close to the refined model's and save sweeps.
+    best is the best witness so far, a previous report's
+    info["witness"]; a witness that is no better, or none, keeps it.
+    With none at all the inner bound is min(weights) (max for
+    minimization), which bounds every conditional expectation, a convex
+    combination of the weights.  start is the first reset-value guess of
+    the robust solve; a refinement loop passes the previous model's
+    info["fixpoint"], which is close to the refined model's and saves
+    sweeps.
 
-    info holds the direction, the three fixpoints, the sweeps of each
-    solve, and how many greedy fills the sweeps built and reused.  A
-    robust solve's sweeps include the one at its fixpoint that gives its
-    values and scheduler; the fixed-scheduler solve stops at the sweep
-    that finds its fixpoint.  Per layer, info["rows"] holds the rows
-    solved against the dense n_cells * n_states, and info["columns"] the
-    successor columns against n_states.
+    info holds the direction, the robust fixpoint, the witness as a pair
+    (times, exact weight) or None, the sweeps of the robust solve (the
+    one at its fixpoint that gives its values and scheduler included),
+    and how many greedy fills the sweeps built and reused.  Per layer,
+    info["rows"] holds the rows solved against the dense n_cells *
+    n_states, and info["columns"] the successor columns against
+    n_states.
     """
     if direction not in ("max", "min"):
         raise ValueError("direction must be 'max' or 'min'")
-    opt, pess = ("max", "min") if direction == "max" else ("min", "max")
     layout = _prepare(imdp)
-    # Every sweep calls _q_values once per layer, layer 0 included.
-    first = layout[0]
-    sweeps = []
-
-    def count_sweeps():
-        sweeps.append(first.built + first.reused - sum(sweeps))
-
-    vals_outer, sigma_star = robust_value_iteration(
-        imdp, weights, outer=opt, inner=opt, tol=tol, v0=start[0],
+    values, sigma_star = robust_value_iteration(
+        imdp, weights, outer=direction, inner=direction, tol=tol, v0=start,
         layout=layout,
     )
-    count_sweeps()
-    outer_bound = float(vals_outer[0][0, imdp.initial])
-
-    vals_minus, sigma_minus = robust_value_iteration(
-        imdp, weights, outer=opt, inner=pess, tol=tol, v0=start[1],
-        layout=layout,
-    )
-    count_sweeps()
-    sigma_hat = repair_consistency(imdp, sigma_minus)
-    inner_bound = float(evaluate_scheduler(
-        imdp, weights, sigma_hat, inner=pess, tol=tol, v0=start[2],
-        layout=layout,
-    ))
-    count_sweeps()
-    fixpoints = (outer_bound, float(vals_minus[0][0, imdp.initial]),
-                 inner_bound)
+    outer_bound = float(values[0][0, imdp.initial])
+    sigma_hat = repair_consistency(imdp, sigma_star)
+    witness = _witness(witness_times(imdp, sigma_hat), ctmc, omega, weights)
+    sign = 1.0 if direction == "max" else -1.0
+    if witness is None or (best is not None
+                           and sign * best[1] >= sign * witness[1]):
+        witness = best
+    if witness is None:
+        inner_bound = float(np.min(weights) if direction == "max"
+                            else np.max(weights))
+    else:
+        inner_bound = witness[1] * (1.0 - sign * WITNESS_MARGIN)
 
     if direction == "max":
         lower, upper = inner_bound, outer_bound
@@ -497,8 +556,9 @@ def compute_bounds(imdp, weights, tol=DEFAULT_VI_TOL, direction="max",
         repaired_scheduler=sigma_hat,
         info={
             "direction": direction,
-            "fixpoints": fixpoints,
-            "sweeps": tuple(sweeps),
+            "fixpoint": outer_bound,
+            "witness": witness,
+            "sweeps": layout[0].built + layout[0].reused,
             "fills_built": sum(layer.built for layer in layout),
             "fills_reused": sum(layer.reused for layer in layout),
             "rows": tuple(

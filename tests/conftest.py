@@ -440,3 +440,20 @@ def imdp_cases(invent1, invent_weights, tandem1, tandem_weights,
                 abstract(cache.ctmc, omega, psi, cache=cache), weights
             )
     return cases
+
+
+@pytest.fixture(scope="session")
+def case_bounds(imdp_cases, case_caches, invent1, tandem1):
+    """compute_bounds on the imdp_cases model of a name, with the chain
+    and evidence its witness timing is weighed on."""
+    from condreach.solver import compute_bounds
+
+    evidence = {"invent1": invent1, "tandem1": tandem1}
+
+    def bounds(name, **kwargs):
+        imdp, weights = imdp_cases[name]
+        key = name.split("-")[0]
+        return compute_bounds(imdp, weights, case_caches[key].ctmc,
+                              evidence[key], **kwargs)
+
+    return bounds

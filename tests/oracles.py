@@ -13,12 +13,16 @@
   full_bounds builds whole (gaps, rows, n) lower and upper stacks,
   dense_bounds scatters a model's to its cell pairs, and lumped reduces
   whole stacks to the GapStacks a model keeps, against the assembly's
-  reduction chunk by chunk.
+  reduction chunk by chunk;
+- decimal_conditional_weight, the Bayes quotient in exact decimal
+  arithmetic, against the float conditional_weight and the margin a
+  witness timing's weight is taken with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -233,3 +237,48 @@ def dense_bounds(imdp, cache):
         L, U = full_bounds(cache, layer_gaps(imdp, i), rows)
         dense.append((L[index], U[index]))
     return dense
+
+
+def decimal_conditional_weight(ctmc, rho, w, digits=60):
+    """Conditional weight of precise evidence rho to `digits` digits.
+
+    The chain is the one its floats define, Q = diag(E) (J - I), read
+    exactly: Decimal(float) is exact.  The forward distribution of the
+    absorb-on-violation chain is carried through each gap's uniformized
+    series, whose Poisson terms run past the mode until they fall below
+    10^-(digits + 10); the gaps are the exact differences of the times.
+    Returns E[w at t_d; evidence] / P(evidence) as a Decimal, or None on
+    zero likelihood.
+    """
+    n = ctmc.n_states
+    masks = ctmc.reset_masks(rho.formulas)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        tiny = Decimal(10) ** -(digits + 10)
+        exit_rates = [Decimal(e) for e in ctmc.exit_rates.tolist()]
+        lam = max(exit_rates)
+        jump = [[Decimal(x) for x in row] for row in ctmc.jump_probs.tolist()]
+        P = [
+            [(exit_rates[s] / lam * (jump[s][t] - (s == t)) if lam else 0)
+             + (s == t) for t in range(n)]
+            for s in range(n)
+        ]
+        dist = [Decimal(0)] * n
+        dist[ctmc.initial] = Decimal(1)
+        prev = Decimal(0)
+        for i, t in enumerate(rho.times, start=1):
+            x = lam * (Decimal(t) - prev)
+            prev = Decimal(t)
+            term, k = (-x).exp(), 0
+            vec, acc = dist, [term * d for d in dist]
+            while k <= x or term >= tiny:
+                k += 1
+                term = term * x / k
+                vec = [sum(vec[s] * P[s][u] for s in range(n))
+                       for u in range(n)]
+                acc = [a + term * v for a, v in zip(acc, vec)]
+            dist = [Decimal(0) if masks[i][u] else acc[u] for u in range(n)]
+        likelihood = sum(dist)
+        if not likelihood:
+            return None
+        return sum(d * Decimal(x) for d, x in zip(dist, w.tolist())) / likelihood

@@ -618,7 +618,7 @@ def test_abstract_matches_per_pair_build(invent, invent1, invent_weights,
                 np.testing.assert_array_equal(U, dU[:, :, rows])
             if level == 3:
                 break
-            report = compute_bounds(imdp, w)
+            report = compute_bounds(imdp, w, ctmc, omega)
             reach = reachable_under(imdp, report.guide_scheduler)
             targets = guided_split_targets(psi, reach)
             assert any(m.any() for m in targets)
@@ -772,7 +772,7 @@ def test_parent_intersection_nests(invent, invent1, invent_weights, tandem,
         psi = coarsest_partition(omega)
         imdp = abstract(ctmc, omega, psi, cache=cache)
         for _ in range(2):
-            report = compute_bounds(imdp, w)
+            report = compute_bounds(imdp, w, ctmc, omega)
             reach = reachable_under(imdp, report.guide_scheduler)
             targets = guided_split_targets(psi, reach)
             assert any(m.any() for m in targets)

@@ -16,8 +16,10 @@ from condreach.ctmc import transient_matrix
 from condreach.driver import AnalysisConfig, analyze
 from condreach.evidence import (
     ImpreciseEvidence,
+    PreciseEvidence,
     TimeSet,
     coarsest_partition,
+    is_instance,
     parse_formula,
     sample_instance,
 )
@@ -121,29 +123,6 @@ def test_criterion_1_benchmark_reproduction(invent1_cli_run, envelopes):
     )
 
 
-def _scheduler_instance(ctmc, trace, omega):
-    """Instance induced by the repaired consistent scheduler's cell path.
-
-    Follows the chosen next-layer cells from the initial abstract state
-    and takes each chosen cell's midpoint as the observation time.  The
-    repaired scheduler holds one choice per cell over its non-reset
-    states.
-    """
-    sched = trace.final_report.repaired_scheduler
-    psi = trace.final_partition
-    reset_masks = ctmc.reset_masks(omega.formulas)
-    cell = 0
-    times = []
-    for i in range(len(omega)):
-        votes = sched.choices[i][cell][~reset_masks[i]]
-        assert votes.size and (votes == votes[0]).all()
-        cell = int(votes[0])
-        times.append(psi.cells[i][cell].mean())
-    from condreach.evidence import PreciseEvidence
-
-    return PreciseEvidence(tuple(zip(times, omega.formulas)))
-
-
 def test_criterion_2_sandwich_soundness(
     invent, invent1, invent2, invent_weights, invent_runs, envelopes
 ):
@@ -152,14 +131,16 @@ def test_criterion_2_sandwich_soundness(
         env = envelopes[k]
         values = [v for _, v in env.samples]
         # Every instance value sits below the upper bound; the lower
-        # bound is witnessed by an instance consistent with the repaired
-        # scheduler (instance values below L exist by design, L bounds
-        # the best consistent scheduler, not every instance).
+        # bound is witnessed by an instance whose exact weight the report
+        # carries (instance values below L exist by design: L is one
+        # realized timing's weight, not a bound on every instance).
         assert all(v <= trace.upper + 1e-9 for v in values)
         assert env.max <= trace.upper + 1e-9
-        witness = _scheduler_instance(invent, trace, omega)
+        times, value = trace.final_report.info["witness"]
+        witness = PreciseEvidence(tuple(zip(times, omega.formulas)))
+        assert is_instance(witness, omega)
         wv = conditional_weight(invent, witness, invent_weights)
-        assert wv >= trace.lower - 1e-9
+        assert wv == value >= trace.lower
     print(
         "criterion 2: PASS "
         f"ev1 env=[{envelopes[1].min:.6f}, {envelopes[1].max:.6f}] "
@@ -272,7 +253,7 @@ def test_criterion_6_refinement_nesting(invent, invent1, invent_weights,
         psi = coarsest_partition(omega)
         imdp = abstract(chain, omega, psi, cache=cache)
         for _ in range(5):
-            report = compute_bounds(imdp, w)
+            report = compute_bounds(imdp, w, chain, omega)
             from condreach.driver import apply_splits, guided_split_targets
             from condreach.solver import reachable_under
 
@@ -314,7 +295,7 @@ def test_criterion_8_consistency_repair(invent, invent1, invent_weights,
     cache = TransientBoundCache(invent)
     for _ in range(3):
         imdp = abstract(invent, invent1, psi, cache=cache)
-        report = compute_bounds(imdp, invent_weights)
+        report = compute_bounds(imdp, invent_weights, invent, invent1)
         assert audit_consistency(imdp, report.repaired_scheduler)
         assert report.lower <= report.upper + 1e-9
         audited += 1

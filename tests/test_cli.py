@@ -50,7 +50,7 @@ def test_analyze_trace_to_stdout(runner):
     assert res.exit_code == 0
     assert "iter,elapsed_s" in res.output
     summary = res.output.strip().splitlines()[-1]
-    assert summary.startswith("lower=0.025166")
+    assert summary.startswith("lower=0.0786201633")
 
 
 def test_precise_and_likelihood(runner, tmp_path):

@@ -15,11 +15,15 @@ from condreach.driver import (
     apply_splits,
     guided_split_targets,
 )
+from condreach import driver, solver
 from condreach.evidence import (
     ImpreciseEvidence,
+    PreciseEvidence,
     SemanticError,
     TimeSet,
     coarsest_partition,
+    is_instance,
+    parse_evidence,
     parse_formula,
     sample_instance,
 )
@@ -189,7 +193,9 @@ def test_frozen_coarsest_bounds(invent, invent1, invent_weights):
         invent, invent1, invent_weights,
         AnalysisConfig(time_limit=60, max_iters=1),
     )
-    assert trace.lower == pytest.approx(0.0251660243332, abs=1e-9)
+    # The witness timing of the coarsest model is (0, 1, 2, 3), the
+    # windows' midpoints.
+    assert trace.lower == pytest.approx(0.0786201633114, abs=1e-9)
     assert trace.upper == pytest.approx(0.132121889564, abs=1e-9)
 
 
@@ -277,6 +283,56 @@ def test_min_direction(invent, invent1, invent_weights):
     assert tmin.lower <= tmax.upper + 1e-9
 
 
+def test_inner_bound_never_loosens(invent, invent1, invent_weights):
+    # The inner bound is the best witness so far: under max the lower
+    # bound never falls, under min the upper never rises, each exactly.
+    # The final witness is an instance of the evidence, and its exact
+    # weight lies inside the bounds.
+    invent3 = parse_evidence(fixture_text("invent3.evidence"))
+    for omega, direction in ((invent1, "max"), (invent3, "min")):
+        trace = analyze(invent, omega, invent_weights,
+                        AnalysisConfig(max_iters=12, direction=direction))
+        inner = [r.lower if direction == "max" else -r.upper
+                 for r in trace.rows]
+        assert all(b >= a for a, b in zip(inner, inner[1:])), direction
+        assert inner[-1] > inner[0], direction
+        times, value = trace.final_report.info["witness"]
+        rho = PreciseEvidence(tuple(zip(times, omega.formulas)))
+        assert is_instance(rho, omega)
+        assert conditional_weight(invent, rho, invent_weights) == value
+        assert trace.lower <= value <= trace.upper
+
+
+@pytest.mark.parametrize("chain, evidence, weights, cap", [
+    ("invent", "invent1", "invent_weights", 60),
+    ("tandem", "tandem1", "tandem_weights", 8),
+])
+def test_witness_dominates_the_repaired_minus_scheduler(
+    monkeypatch, request, chain, evidence, weights, cap
+):
+    # The pessimistic value of the repaired max/min scheduler is a sound
+    # inner bound too.  No theorem orders it and the witness, but on
+    # these pinned runs the best witness so far is at least that value at
+    # every iteration, less the margin.
+    bounds = solver.compute_bounds
+    seen = []
+
+    def checked(imdp, w, *args, **kwargs):
+        report = bounds(imdp, w, *args, **kwargs)
+        _, sigma_minus = solver.robust_value_iteration(imdp, w, "max", "min")
+        sigma_hat = solver.repair_consistency(imdp, sigma_minus)
+        old = solver.evaluate_scheduler(imdp, w, sigma_hat, "min")
+        seen.append((report.info["witness"][1], old))
+        return report
+
+    monkeypatch.setattr(driver, "compute_bounds", checked)
+    analyze(request.getfixturevalue(chain), request.getfixturevalue(evidence),
+            request.getfixturevalue(weights), AnalysisConfig(max_iters=cap))
+    assert len(seen) == cap
+    for k, (witness, old) in enumerate(seen, 1):
+        assert witness >= old * (1.0 - solver.WITNESS_MARGIN), k
+
+
 def test_full_mode_counts_every_splittable_cell(invent, invent1, invent_weights):
     # invent1's three windows each bisect every cell: 3, then 6 splits.
     trace = analyze(invent, invent1, invent_weights,
@@ -291,42 +347,43 @@ def test_full_mode_counts_every_splittable_cell(invent, invent1, invent_weights)
 # the bound cache was called once per model, the full-mode tandem2 run
 # before the solver lumped reset successors into one column, and the
 # tandem1 run, to the benchmark's cap of 8, before its kernels were
-# marched and its gap stacks carried between models.  A change
-# that moves a bound by more than 1e-12 relative, or a split or a size at
-# all, shows here.
+# marched and its gap stacks carried between models.  The lower bounds
+# were recorded again when the inner bound became the exact weight of the
+# best witness timing so far.  A change that moves a bound by more than
+# 1e-12 relative, or a split or a size at all, shows here.
 _GOLDEN_TRACES = {
     ("invent", "invent1", "invent_weights", 12, "guided"): [
-        (0.02516602433324143, 0.1321218895642676, 0, 11, 9, 17),
-        (0.04224589151802469, 0.11558728629001724, 3, 20, 23, 51),
-        (0.058850935806006074, 0.11232808603605017, 3, 29, 43, 103),
-        (0.058850935806006074, 0.10229332550840009, 3, 38, 69, 173),
-        (0.06981351249969345, 0.10017625254880808, 3, 47, 101, 261),
-        (0.06981351249969336, 0.09856332406702904, 3, 56, 139, 367),
-        (0.06981351249969336, 0.0973315790575859, 3, 65, 183, 491),
-        (0.06981351249969336, 0.09347777158345263, 3, 74, 233, 633),
-        (0.07596600891858533, 0.09229537995510581, 3, 83, 289, 793),
-        (0.07596600891858549, 0.09126627404507472, 3, 92, 351, 971),
-        (0.07596600891858536, 0.09036987638489843, 3, 101, 419, 1167),
-        (0.0759660089185854, 0.08958844693190249, 3, 110, 493, 1381),
+        (0.0786201633113967, 0.1321218895642676, 0, 11, 9, 17),
+        (0.08030535094140433, 0.11558728629001724, 3, 20, 23, 51),
+        (0.08030535094140433, 0.11232808603605017, 3, 29, 43, 103),
+        (0.08134239961223443, 0.10229332550840009, 3, 38, 69, 173),
+        (0.08134239961223443, 0.10017625254880808, 3, 47, 101, 261),
+        (0.08134239961223443, 0.09856332406702904, 3, 56, 139, 367),
+        (0.08134239961223443, 0.0973315790575859, 3, 65, 183, 491),
+        (0.08191850217286095, 0.09347777158345263, 3, 74, 233, 633),
+        (0.08191850217286095, 0.09229537995510581, 3, 83, 289, 793),
+        (0.08191850217286095, 0.09126627404507472, 3, 92, 351, 971),
+        (0.08191850217286095, 0.09036987638489843, 3, 101, 419, 1167),
+        (0.08191850217286095, 0.08958844693190249, 3, 110, 493, 1381),
     ],
     ("tandem", "tandem1", "tandem_weights", 8, "guided"): [
-        (1.6423681627444597e-05, 0.2871074334060104, 0, 241, 227, 12722),
-        (0.00011472577903939201, 0.18898181532720768, 2, 481, 662, 50404),
-        (0.0004531253552820719, 0.12375819941127467, 3, 841, 1723, 150592),
-        (0.000700679014614141, 0.07249506936007376, 3, 1201, 3200, 300700),
-        (0.0011083632089222894, 0.058907717161175134, 3, 1561, 5093,
+        (0.0038389012919716704, 0.2871074334060104, 0, 241, 227, 12722),
+        (0.0040259111346810745, 0.18898181532720768, 2, 481, 662, 50404),
+        (0.0040259111346810745, 0.12375819941127467, 3, 841, 1723, 150592),
+        (0.004032012172975788, 0.07249506936007376, 3, 1201, 3200, 300700),
+        (0.004043579669305294, 0.058907717161175134, 3, 1561, 5093,
          500728),
-        (0.001363597970143333, 0.05168525387869962, 3, 1921, 7402, 750676),
-        (0.001390259668056975, 0.04541355022346746, 3, 2281, 10127,
+        (0.004043579669305294, 0.05168525387869962, 3, 1921, 7402, 750676),
+        (0.004043579669305294, 0.04541355022346746, 3, 2281, 10127,
          1050544),
-        (0.0014142441383163528, 0.02345066926415537, 3, 2641, 13268,
+        (0.004043579669305294, 0.02345066926415537, 3, 2641, 13268,
          1400332),
     ],
     ("tandem", "tandem2", "tandem_phase2_weights", 4, "full"): [
-        (0.09529602445027945, 0.9635967831538439, 0, 241, 239, 2262),
-        (0.09718533983857525, 0.6361371919418881, 2, 481, 510, 8364),
-        (0.10386984368784165, 0.3209980449005693, 4, 961, 1148, 32088),
-        (0.11449089396591731, 0.21177663168658248, 8, 1921, 2808, 125616),
+        (0.14355177317917278, 0.9635967831538439, 0, 241, 239, 2262),
+        (0.14360496352497418, 0.6361371919418881, 2, 481, 510, 8364),
+        (0.14360496352497418, 0.3209980449005693, 4, 961, 1148, 32088),
+        (0.1436412205019187, 0.21177663168658248, 8, 1921, 2808, 125616),
     ],
 }
 

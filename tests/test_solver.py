@@ -1,18 +1,29 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from condreach import driver, solver
-from condreach.abstraction import abstract
-from condreach.driver import AnalysisConfig, analyze
-from condreach.evidence import coarsest_partition, parse_evidence
+from condreach import driver, solver, unfolding
+from condreach.abstraction import TransientBoundCache, abstract
+from condreach.ctmc import from_rates
+from condreach.driver import AnalysisConfig, analyze, apply_splits
+from condreach.evidence import (
+    ImpreciseEvidence,
+    PreciseEvidence,
+    TimeSet,
+    coarsest_partition,
+    parse_evidence,
+    parse_formula,
+)
 from condreach.solver import (
+    DEFAULT_VI_TOL,
+    WITNESS_MARGIN,
     BoundsReport,
     Scheduler,
     SolverError,
     _expand,
+    _Layer,
     _prepare,
     _q_values,
     _rows,
@@ -22,8 +33,13 @@ from condreach.solver import (
     greedy_distribution,
     repair_consistency,
     robust_value_iteration,
+    witness_times,
 )
-from condreach.unfolding import ZeroLikelihoodError, conditional_weight
+from condreach.unfolding import (
+    ZeroLikelihoodError,
+    conditional_weight,
+    evidence_likelihood,
+)
 from oracles import audit_consistency, dense_bounds, lumped
 from test_abstraction import (
     _dense_rows,
@@ -97,7 +113,7 @@ def test_degenerate_imdp_reproduces_exact_value(invent, invent_weights):
         )
     )
     imdp = abstract(invent, omega, coarsest_partition(omega))
-    report = compute_bounds(imdp, invent_weights)
+    report = compute_bounds(imdp, invent_weights, invent, omega)
     exact = conditional_weight(invent, omega.to_precise(), invent_weights)
     assert report.lower == pytest.approx(exact, abs=1e-9)
     assert report.upper == pytest.approx(exact, abs=1e-9)
@@ -105,19 +121,22 @@ def test_degenerate_imdp_reproduces_exact_value(invent, invent_weights):
 
 def test_bounds_order_and_direction(invent, invent1, invent_weights):
     imdp = abstract(invent, invent1, coarsest_partition(invent1))
-    rmax = compute_bounds(imdp, invent_weights, direction="max")
-    rmin = compute_bounds(imdp, invent_weights, direction="min")
+    rmax = compute_bounds(imdp, invent_weights, invent, invent1,
+                          direction="max")
+    rmin = compute_bounds(imdp, invent_weights, invent, invent1,
+                          direction="min")
     assert rmax.lower <= rmax.upper
     assert rmin.lower <= rmin.upper
     # The min problem's optimum cannot exceed the max problem's.
     assert rmin.lower <= rmax.upper
     with pytest.raises(ValueError):
-        compute_bounds(imdp, invent_weights, direction="sideways")
+        compute_bounds(imdp, invent_weights, invent, invent1,
+                       direction="sideways")
 
 
 def test_repaired_scheduler_is_consistent(invent, invent1, invent_weights):
     imdp = abstract(invent, invent1, coarsest_partition(invent1))
-    report = compute_bounds(imdp, invent_weights)
+    report = compute_bounds(imdp, invent_weights, invent, invent1)
     assert audit_consistency(imdp, report.repaired_scheduler)
     # Evaluating a consistent scheduler pessimistically stays below the
     # robust optimum.
@@ -223,7 +242,7 @@ def test_zero_likelihood_evidence_raises(invent, invent_weights):
     )
     imdp = abstract(invent, omega, coarsest_partition(omega))
     with pytest.raises(ZeroLikelihoodError):
-        compute_bounds(imdp, invent_weights)
+        compute_bounds(imdp, invent_weights, invent, omega)
 
 
 @settings(max_examples=20, deadline=None)
@@ -516,10 +535,11 @@ def test_fill_memo_matches_fresh_layer(seed, n, nc, nc2, maximize):
     assert layer.reused >= 2
 
 
-def test_fill_counters_count_every_greedy(monkeypatch, imdp_cases):
+def test_fill_counters_count_every_greedy(monkeypatch, imdp_cases,
+                                          case_bounds):
     # On refined tandem1 the sweeps reuse fills, every _q_values call
     # either builds or reuses one, and each sweep calls it once per layer.
-    imdp, weights = imdp_cases["tandem1-refined1"]
+    imdp, _ = imdp_cases["tandem1-refined1"]
     calls = []
     q_values = solver._q_values
 
@@ -528,18 +548,17 @@ def test_fill_counters_count_every_greedy(monkeypatch, imdp_cases):
         return q_values(*args)
 
     monkeypatch.setattr(solver, "_q_values", counted)
-    info = compute_bounds(imdp, weights).info
+    info = case_bounds("tandem1-refined1").info
     assert info["fills_reused"] > 0
     assert info["fills_built"] + info["fills_reused"] == len(calls)
-    assert len(info["sweeps"]) == 3 and min(info["sweeps"]) >= 2
-    assert sum(info["sweeps"]) * (imdp.n_layers - 1) == len(calls)
+    assert info["sweeps"] >= 2
+    assert info["sweeps"] * (imdp.n_layers - 1) == len(calls)
 
 
-def test_sweeps_stop_at_the_fixpoint(monkeypatch, imdp_cases):
-    # Warm-started at their own cold fixpoints, the robust solves take the
-    # sweep that finds it and one more for their values and schedulers;
-    # the fixed-scheduler solve is read only for its fixpoint and stops
-    # at the first.  Each sweep runs once per counted sweep.
+def test_sweeps_stop_at_the_fixpoint(monkeypatch, case_bounds):
+    # Warm-started at its own cold fixpoint, the robust solve takes the
+    # sweep that finds it and one more for its values and scheduler.
+    # Each sweep runs once per counted sweep.
     calls = []
     sweep = solver._sweep
 
@@ -549,22 +568,21 @@ def test_sweeps_stop_at_the_fixpoint(monkeypatch, imdp_cases):
 
     monkeypatch.setattr(solver, "_sweep", counted)
     for name in ("invent1-refined0", "tandem1-refined0"):
-        imdp, weights = imdp_cases[name]
-        cold = compute_bounds(imdp, weights)
-        assert sum(cold.info["sweeps"]) == len(calls), name
+        cold = case_bounds(name)
+        assert cold.info["sweeps"] == len(calls), name
         calls.clear()
-        warm = compute_bounds(imdp, weights, start=cold.info["fixpoints"])
-        assert warm.info["sweeps"] == (2, 2, 1), name
-        assert len(calls) == 5, name
+        warm = case_bounds(name, start=cold.info["fixpoint"])
+        assert warm.info["sweeps"] == 2, name
+        assert len(calls) == 2, name
         calls.clear()
 
 
-def test_info_counts_solved_rows_and_columns(imdp_cases):
+def test_info_counts_solved_rows_and_columns(imdp_cases, case_bounds):
     # tandem1's anchor layer solves its one state, the initial one, and
     # every layer solves only its non-reset rows, towards the next
     # layer's non-reset states and one reset sink.
-    imdp, weights = imdp_cases["tandem1-refined1"]
-    info = compute_bounds(imdp, weights).info
+    imdp, _ = imdp_cases["tandem1-refined1"]
+    info = case_bounds("tandem1-refined1").info
     n = imdp.n_states
     assert info["rows"][0] == (1, n)
     for i in range(1, imdp.n_layers - 1):
@@ -663,13 +681,13 @@ def test_one_pass_repair_matches_rerun_reachability(imdp_cases):
         _assert_one_choice_per_cell(imdp, got)
 
 
-def test_warm_start_keeps_bounds(imdp_cases):
+def test_warm_start_keeps_bounds(imdp_cases, case_bounds):
     # The reset value's first guess changes the number of sweeps, not the
-    # fixpoint the solves converge to.
-    for name, (imdp, weights) in imdp_cases.items():
-        cold = compute_bounds(imdp, weights)
-        for start in (cold.info["fixpoints"], (1.0, 0.5, 1.0)):
-            warm = compute_bounds(imdp, weights, start=start)
+    # fixpoint the solve converges to.
+    for name in imdp_cases:
+        cold = case_bounds(name)
+        for start in (cold.info["fixpoint"], 1.0):
+            warm = case_bounds(name, start=start)
             assert warm.lower == pytest.approx(cold.lower, abs=1e-9), name
             assert warm.upper == pytest.approx(cold.upper, abs=1e-9), name
 
@@ -679,26 +697,35 @@ def test_reset_fixpoint_cannot_cycle(monkeypatch, tandem, tandem_weights):
     # concave, and at iteration 3 plain Newton steps on the reset value
     # cycle with period 3 (1.2367e-4, 2.7491e-4, 2.2140e-4) until the
     # sweep cap.  A step that leaves the bracket of the root falls back
-    # to the bracket's midpoint, so every solve converges in few sweeps.
+    # to the bracket's midpoint, so every solve converges in few sweeps:
+    # each iteration's robust solve, and a max/min solve on its model.
     omega = parse_evidence(
         "evidence\n"
         "obs !first_full @ 0.1..0.6\n"
         "obs first_full & !second_full @ 1.0..1.5\n"
     )
-    sweeps = []
-    bounds = solver.compute_bounds
+    sweeps, calls = [], []
+    bounds, sweep = solver.compute_bounds, solver._sweep
 
-    def counted(*args, **kwargs):
-        report = bounds(*args, **kwargs)
-        sweeps.extend(report.info["sweeps"])
+    def counted_sweep(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    def counted(imdp, weights, *args, **kwargs):
+        report = bounds(imdp, weights, *args, **kwargs)
+        sweeps.append(report.info["sweeps"])
+        calls.clear()
+        robust_value_iteration(imdp, weights, "max", "min")
+        sweeps.append(len(calls))
         return report
 
+    monkeypatch.setattr(solver, "_sweep", counted_sweep)
     monkeypatch.setattr(driver, "compute_bounds", counted)
     trace = analyze(tandem, omega, tandem_weights, AnalysisConfig(max_iters=6))
     assert len(trace.rows) == 6
     assert max(sweeps) <= 20, sweeps
     assert trace.lower <= trace.upper
-    assert trace.lower == pytest.approx(0.000306609419259, rel=1e-9)
+    assert trace.lower == pytest.approx(0.00271958378698, rel=1e-9)
     assert trace.upper == pytest.approx(0.0259887837072, rel=1e-9)
 
 
@@ -716,3 +743,139 @@ def test_last_step_reads_the_stacks_in_place(imdp_cases):
                 assert all(shared), name
             else:
                 assert not any(shared), name
+
+
+@pytest.mark.parametrize("nc2, k, m", [(2, 5, 12), (3, 7, 4), (1, 40, 1)])
+@pytest.mark.parametrize("maximize", [True, False])
+def test_fill_is_the_clipped_cumsum_bit_for_bit(nc2, k, m, maximize):
+    # Rows outnumbering successors take k - 1 vector adds for the running
+    # sum, the others cumsum; either way the fill is cumsum's, clipped.
+    rng = np.random.default_rng(nc2 * k * m)
+    room = rng.uniform(0.0, 0.3, (nc2 * k, m))
+    room[rng.random(room.shape) < 0.3] = 0.0
+    slack = rng.uniform(0.0, 1.0, (nc2, 1, m))
+    layer = _Layer(rng.uniform(0.0, 0.1, (nc2, k, m)), room, slack, None,
+                   None)
+    vb = rng.integers(0, 4, (nc2, 2, k)) / 3.0
+    _q_values(layer, vb, maximize)
+    order, fill = layer.memo
+    gathered = room[(order + k * np.arange(nc2)[:, None]).ravel()]
+    gathered = gathered.reshape(nc2, k, m)
+    want = np.clip(slack - (np.cumsum(gathered, axis=1) - gathered), 0.0,
+                   gathered)
+    assert fill.tobytes() == want.tobytes()
+
+
+def test_witness_follows_the_repaired_path():
+    # The path's cells give their midpoints; a cell with no choice ends
+    # the path without a timing.
+    imdp = _toy_imdp()
+    sched = repair_consistency(imdp, _toy_sched([0, 1, 1]))
+    assert witness_times(imdp, sched) == (1.25, 3.25, 9.0)
+    dead = Scheduler((sched.choices[0], np.full((1, 3), -1),
+                      sched.choices[2]))
+    assert witness_times(imdp, dead) is None
+
+
+def test_zero_likelihood_witness_keeps_the_fallback(monkeypatch, invent,
+                                                    invent1, invent_weights):
+    # Observed in state a somewhere in [0, 2], a chain that leaves a at
+    # rate 30 is in a at the window's midpoint with probability e^-30,
+    # below ZERO_LIKELIHOOD: the witness has zero likelihood, and the
+    # lower bound falls back to min(w), or keeps the best witness so far.
+    ctmc = from_rates(["a", "b"], "a", {("a", "b"): 30.0},
+                      {"a": ["up"], "b": ["down"]})
+    omega = ImpreciseEvidence(
+        ((TimeSet.of((0.0, 2.0)), parse_formula("up")),))
+    imdp = abstract(ctmc, omega, coarsest_partition(omega))
+    w = np.array([0.5, 0.2])
+    report = compute_bounds(imdp, w, ctmc, omega)
+    assert report.info["witness"] is None
+    assert report.lower == 0.2
+    assert report.upper == pytest.approx(0.5, abs=1e-9)
+    best = ((0.0,), 0.5)
+    report = compute_bounds(imdp, w, ctmc, omega, best=best)
+    assert report.info["witness"] == best
+    assert report.lower == 0.5 * (1.0 - WITNESS_MARGIN)
+
+    # Under either direction, on invent1's coarsest model with every
+    # witness weighed as zero likelihood.
+    def refused(*args):
+        raise ZeroLikelihoodError("zero likelihood")
+
+    monkeypatch.setattr(unfolding, "conditional_weight", refused)
+    imdp = abstract(invent, invent1, coarsest_partition(invent1))
+    rmax = compute_bounds(imdp, invent_weights, invent, invent1)
+    rmin = compute_bounds(imdp, invent_weights, invent, invent1,
+                          direction="min")
+    assert rmax.info["witness"] is rmin.info["witness"] is None
+    assert rmax.lower == invent_weights.min()
+    assert rmin.upper == invent_weights.max()
+
+
+def _windows(formulas):
+    """Three 0.4-wide windows at 0.5, 1.5 and 2.5, and the instance at
+    their midpoints."""
+    omega = ImpreciseEvidence(tuple(
+        (TimeSet.of((a, a + 0.4)), parse_formula(f))
+        for a, f in zip((0.5, 1.5, 2.5), formulas)
+    ))
+    return omega, PreciseEvidence(tuple(zip((0.7, 1.7, 2.7), omega.formulas)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 6),
+    formulas=st.lists(st.sampled_from(("true", "a", "!a", "b", "!b")),
+                      min_size=3, max_size=3),
+    direction=st.sampled_from(["max", "min"]),
+)
+def test_witness_lies_inside_the_outer_bound(random_chain, seed, n, formulas,
+                                              direction):
+    # A witness is one timing's exact weight, so the robust optimum over
+    # all timings bounds it: below the upper bound under max, above the
+    # lower under min, over two rounds of refinement.  The outer bound is
+    # the solve's iterate, within its tolerance of the fixpoint, and a
+    # reset loop that barely contracts amplifies its rounding: the
+    # witness passed it by up to 2.8e-11 in 3 of 1296 such cases (see the
+    # next test).  As in the other random-evidence tests, the evidence is
+    # likely enough (1e-3 at the windows' midpoints); a model whose solve
+    # fails is no case of the property.
+    rng = np.random.default_rng(seed)
+    ctmc = random_chain(rng, n)
+    omega, mid = _windows(formulas)
+    assume(all(obs.aps <= ctmc.alphabet for obs in omega.formulas))
+    assume(evidence_likelihood(ctmc, mid) >= 1e-3)
+    w = rng.uniform(0.0, 1.0, n)
+    cache = TransientBoundCache(ctmc)
+    psi = coarsest_partition(omega)
+    for _ in range(2):
+        imdp = abstract(ctmc, omega, psi, cache=cache)
+        try:
+            report = compute_bounds(imdp, w, ctmc, omega, direction=direction)
+        except (SolverError, ZeroLikelihoodError):
+            assume(False)
+        value = report.info["witness"][1]
+        if direction == "max":
+            assert value <= report.upper + DEFAULT_VI_TOL
+        else:
+            assert value >= report.lower - DEFAULT_VI_TOL
+        psi = apply_splits(psi, psi.splittable())
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the robust solve stops within vi_tol of a reset fixpoint whose loop "
+    "barely contracts (b = 1 - 5.3e-9), so its upper bound undershoots"))
+def test_outer_bound_dominates_a_low_likelihood_witness(random_chain):
+    # Hypothesis's counterexample: the midpoint instance has likelihood
+    # 5.8e-4, and its exact weight 0.86280824190626 exceeds the coarsest
+    # model's upper bound 0.8628082418843689 by 2.2e-11.  A bound the
+    # solve certifies, not an iterate within its tolerance, would hold.
+    rng = np.random.default_rng(17919)
+    ctmc = random_chain(rng, 3)
+    omega, mid = _windows(["!a", "true", "!a"])
+    w = rng.uniform(0.0, 1.0, 3)
+    imdp = abstract(ctmc, omega, coarsest_partition(omega))
+    report = compute_bounds(imdp, w, ctmc, omega)
+    assert conditional_weight(ctmc, mid, w) <= report.upper + 1e-12

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,12 +17,14 @@ from condreach.evidence import (
     sample_instance,
 )
 from condreach.fixtures import fixture_text
+from condreach.solver import WITNESS_MARGIN
 from condreach.unfolding import (
     ZeroLikelihoodError,
     bayes_quotient_weight,
     conditional_weight,
     evidence_likelihood,
 )
+from oracles import decimal_conditional_weight
 
 TRUE = parse_formula("true")
 
@@ -315,3 +318,45 @@ def test_second_weight_adds_no_power(tandem1, tandem_weights):
     assert len(table) > 2
     assert _entry_points(chain, rho, tandem_weights) == first
     assert len(chain._powers) == 1 and chain._powers[0] is table
+
+
+def _assert_within_margin(ctmc, rho, w):
+    exact = decimal_conditional_weight(ctmc, rho, w)
+    got = conditional_weight(ctmc, rho, w)
+    assert abs(Decimal(got) - exact) <= Decimal(WITNESS_MARGIN) * exact, (
+        got, exact)
+
+
+def test_conditional_weight_within_witness_margin(invent, invent_weights):
+    # A witness timing's float weight, less the margin, must not exceed
+    # its exact weight.  On invent1 instances the error reads at most
+    # 3.4e-16 relative.
+    omega = parse_evidence(fixture_text("invent1.evidence"))
+    rng = np.random.default_rng(8)
+    for _ in range(8):
+        _assert_within_margin(invent, sample_instance(omega, rng),
+                              invent_weights)
+
+
+_FORMULAS = ("true", "a", "!a", "b", "!b", "a & !b")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    times=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3,
+                   unique=True),
+    formulas=st.lists(st.sampled_from(_FORMULAS), min_size=3, max_size=3),
+)
+def test_conditional_weight_within_witness_margin_random(
+    random_chain, seed, n, times, formulas
+):
+    rng = np.random.default_rng(seed)
+    ctmc = random_chain(rng, n)
+    rho = PreciseEvidence(tuple(
+        (t, parse_formula(f)) for t, f in zip(sorted(times), formulas)
+    ))
+    assume(all(obs.aps <= ctmc.alphabet for obs in rho.formulas))
+    assume(evidence_likelihood(ctmc, rho) >= 1e-3)
+    _assert_within_margin(ctmc, rho, rng.uniform(0.0, 1.0, n))
