@@ -35,7 +35,6 @@ from .evidence import (
 from .simulate import sample_envelope
 from .solver import (
     BoundsReport,
-    Scheduler,
     SolverError,
     compute_bounds,
     repair_consistency,
@@ -61,7 +60,6 @@ __all__ = [
     "IntervalMdp",
     "ModelError",
     "PreciseEvidence",
-    "Scheduler",
     "SolverError",
     "TimePartition",
     "TimeSet",

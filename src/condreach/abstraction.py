@@ -599,9 +599,9 @@ def reachable_step(imdp, i, reach, choice=None):
     """Reachable states of layer i + 1 given those of layer i.
 
     reach is layer i's (n_cells, n_states) mask and choice its scheduler
-    choices (every action is explored when None).  Each followed row is
-    a stored row of the layer's gap stacks, those of the reached states
-    in imdp.rows[i]; their stored supports are gathered grouped by next
+    choices on imdp.rows[i] (every action is explored when None).  Each
+    followed row is a stored row of the layer's gap stacks, one of a
+    reached state; their stored supports are gathered grouped by next
     cell and or-reduced per group.
     """
     index, rows = imdp.gap_index[i], imdp.rows[i]
@@ -611,7 +611,7 @@ def reachable_step(imdp, i, reach, choice=None):
     if choice is None:
         follow = np.broadcast_to(live, (nc2, nc, r))
     else:
-        follow = (choice[:, rows] == np.arange(nc2)[:, None, None]) & live
+        follow = (choice == np.arange(nc2)[:, None, None]) & live
     # follow[j2, j, k]: row k of gap index[j, j2] leads into next cell j2.
     row_ids = index.T[:, :, None] * r + np.arange(r)
     support = imdp.stacks[i].support.reshape(-1, n)[row_ids[follow]]
@@ -627,15 +627,15 @@ def reachable_step(imdp, i, reach, choice=None):
 def reachable_states(imdp, scheduler=None):
     """Per-layer masks of abstract states forward-reachable from the start.
 
-    With a scheduler, only chosen actions are followed; otherwise every
-    action is explored.  Reset states redirect to the initial abstract
-    state, which is reachable by definition, so one forward pass of
-    reachable_step suffices.
+    With a scheduler (solver.BoundsReport), only chosen actions are
+    followed; otherwise every action is explored.  Reset states redirect
+    to the initial abstract state, which is reachable by definition, so
+    one forward pass of reachable_step suffices.
     """
     reach = [np.zeros((1, imdp.n_states), dtype=bool)]
     reach[0][0, imdp.initial] = True
     for i in range(imdp.n_layers - 1):
-        choice = None if scheduler is None else scheduler.choices[i]
+        choice = None if scheduler is None else scheduler[i]
         reach.append(reachable_step(imdp, i, reach[i], choice))
     return tuple(reach)
 

@@ -344,8 +344,9 @@ def _poisson_table(means, eps):
     span = 16 + (10.0 * np.sqrt(means)).astype(np.int64)
     while True:
         ends = modes + span
-        # One column past the longest row, so every row ends in a zero.
-        k = np.arange(float(ends.max() + 1))
+        # One column past the longest row, so every row ends in a zero;
+        # the initial values keep an empty batch of means well-formed.
+        k = np.arange(float(ends.max(initial=1) + 1))
         # Left of the mode the products run from the mode down, right of
         # it from the mode up.  The ratios (k + 1) / mean and mean / k are
         # at most 1 exactly on their own side, so clipping at 1 pads the
@@ -373,7 +374,7 @@ def _poisson_table(means, eps):
     beyond = pmf[:, :0:-1].cumsum(axis=1)[:, ::-1] + rest[:, None]
     cuts = (beyond <= 0.1 * eps).argmax(axis=1) + 2
     cuts[means == 0] = 1  # a zero mean has the one term 1 at k = 0
-    return pmf[:, : cuts.max()], cuts
+    return pmf[:, : cuts.max(initial=1)], cuts
 
 
 def _row_sums(table, lengths):
@@ -561,11 +562,6 @@ def uniformize(ctmc, times, eps=DEFAULT_TRANSIENT_TOL):
     if not (flat.min(initial=0.0) >= 0 and top < math.inf):
         raise ValueError(f"times must be finite and nonnegative, got {times}")
     lam = ctmc.uniformization_rate
-    m = len(flat)
-    if lam == 0.0 or top == 0.0:
-        # One term 1 and no tail: every sum is its start.
-        return Uniformization(ctmc.jump_powers, np.ones((m, 1)), [1] * m,
-                              np.zeros(m), np.arange(m))
     if lam * top > MAX_POISSON_MEAN:
         raise UniformizationError(
             f"Poisson mean {lam * top:.6g} of uniformization exceeds "

@@ -15,9 +15,9 @@ at most the tolerance (policy iteration on a scalar, safeguarded by a
 bracket of the root; see _solve).  A sweep keeps
 only what the layer before it and this update read: each layer's values
 and betas and its solved rows' choices.  A robust solve sweeps once
-more at the fixpoint and expands that sweep to the values and the
-scheduler it returns; the fixed-scheduler solve returns the fixpoint
-alone.
+more at the fixpoint, expands that sweep's values to every state and
+returns its choices as they are, the scheduler on the model's rows;
+the fixed-scheduler solve returns the fixpoint alone.
 
 A sweep solves the rows the model defines, the only rows its gap stacks
 hold.  A reset state redirects to the initial state with probability 1,
@@ -86,34 +86,24 @@ class SolverError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class Scheduler:
-    """Chosen next-layer cell per abstract state.
-
-    choices[i] is an int array (n_cells_i, n_states); -1 marks reset
-    states, which have no choice, and, in a solved scheduler, the
-    anchor's states other than the initial one, which are not states of
-    the model.  A repaired scheduler is consistent: every non-reset
-    state of a cell holds the cell's one choice.
-    """
-
-    choices: tuple
-
-
-@dataclass(frozen=True)
 class BoundsReport:
     """The bound pair of one model.
 
     guide_scheduler is sigma*, the robust solve's scheduler, which
     guides refinement; repaired_scheduler is its consistent repair,
-    whose path of cells gives the witness timing.  info is described at
-    compute_bounds.  A lower bound above the upper by more than 1e-9
-    raises SolverError.
+    whose path of cells gives the witness timing.  A scheduler is a
+    tuple of one int array per layer below the last, its choices on the
+    model's rows: sched[i] has shape (n_cells_i, len(imdp.rows[i])), and
+    sched[i][j, k] is the next cell chosen by state imdp.rows[i][k] of
+    cell j.  A reset state has no row and so no choice.  info is
+    described at compute_bounds.  A lower bound above the upper by more
+    than 1e-9 raises SolverError.
     """
 
     lower: float
     upper: float
-    guide_scheduler: Scheduler
-    repaired_scheduler: Scheduler
+    guide_scheduler: tuple
+    repaired_scheduler: tuple
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -274,7 +264,7 @@ def _q_values(layer, vb, maximize):
 
 
 def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
-    """One backward pass; returns (vbs, choices), as _expand reads them.
+    """One backward pass; returns (vbs, choices).
 
     vbs[i] has shape (n_cells_i, 2, n_states): the values and, at [:, 1],
     the betas, the derivative of each value with respect to the injected
@@ -310,7 +300,7 @@ def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
         else:
             q = q.reshape(len(vb), 2, nc, len(rows)).swapaxes(0, 1)
         if fixed is not None:
-            choice = fixed.choices[i][:, rows]
+            choice = fixed[i]
         elif outer == "max":
             choice = q[0].argmax(axis=0)
         else:
@@ -324,21 +314,16 @@ def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
     return vbs, choices
 
 
-def _expand(imdp, layout, vbs, choices):
-    """A sweep's (values, choices), each layer an (n_cells_i, n_states)
-    array: the anchor's states other than the initial one take nan and
-    -1, and reset states choice -1.  vbs is expanded in place, betas
-    included: its last layer gets one row per cell."""
+def _expand(imdp, vbs):
+    """A sweep's values, each layer an (n_cells_i, n_states) array: the
+    anchor's states other than the initial one take nan.  vbs is
+    expanded in place, betas included: its last layer gets one row per
+    cell."""
     unset = ~imdp.reset_masks[0]
-    unset[layout[0].rows] = False
+    unset[imdp.rows[0]] = False
     vbs[0][:, :, unset] = np.nan
     vbs[-1] = np.repeat(vbs[-1], imdp.n_cells(imdp.n_layers - 1), axis=0)
-    full = []
-    for layer, choice in zip(layout, choices):
-        c = np.full((len(choice), imdp.n_states), -1)
-        c[:, layer.rows] = choice
-        full.append(c)
-    return [a[:, 0] for a in vbs], full
+    return [a[:, 0] for a in vbs]
 
 
 def _solve(imdp, layout, weights, outer, inner, tol, fixed=None, v0=0.0):
@@ -348,13 +333,15 @@ def _solve(imdp, layout, weights, outer, inner, tol, fixed=None, v0=0.0):
     reset states take v0, and b, its slope under the sweep's choices.
     Every piece of h(v) = g(v) - v has slope b - 1 < 0, so h falls
     strictly and has one root, on the side of v0 that the sign of f - v0
-    names.  The signs seen so far bracket the root in [lo, hi].  The
-    step is Newton's, the fixpoint under frozen choices, unless it
-    leaves the bracket by more than tol: then it is the bracket's
-    midpoint.  Newton alone can cycle where g is neither convex nor
-    concave, as in the max/min solve.
+    names.  Every value is a convex combination of the weights and v0,
+    so the root lies in [min(weights), max(weights)], where the bracket
+    [lo, hi] starts; the signs seen so far narrow it.  The step is
+    Newton's, the fixpoint under frozen choices, unless it leaves the
+    bracket by more than tol: then it is the bracket's midpoint.  Newton
+    alone can cycle where g is neither convex nor concave, as in the
+    max/min solve.
     """
-    lo, hi = -np.inf, np.inf
+    lo, hi = float(np.min(weights)), float(np.max(weights))
     for sweeps in range(1, _MAX_SWEEPS + 1):
         vbs, _ = _sweep(imdp, layout, weights, v0, outer, inner, fixed)
         f, b = vbs[0][0, :, imdp.initial]
@@ -398,20 +385,18 @@ def robust_value_iteration(
     reset value; layout is the model's prepared arrays, built when
     omitted.
 
-    values[i] is an (n_cells_i, n_states) array, and the scheduler's
-    choices are described at Scheduler.  Both come from one more sweep
-    at the reset fixpoint, so the choices are greedy for the values.
-    Reset states hold the reset fixpoint v0 and choice -1.  In the
-    anchor layer only the initial state is a state of the model; its
-    other entries hold nan and -1.
+    values[i] is an (n_cells_i, n_states) array, and the scheduler holds
+    choices on the model's rows (see BoundsReport).  Both come from one
+    more sweep at the reset fixpoint, so the choices are greedy for the
+    values.  Reset states hold the reset fixpoint v0.  In the anchor
+    layer only the initial state is a state of the model; its other
+    entries hold nan.
     """
     if layout is None:
         layout = _prepare(imdp)
     v0 = _solve(imdp, layout, weights, outer, inner, tol, v0=v0)
-    values, choices = _expand(
-        imdp, layout, *_sweep(imdp, layout, weights, v0, outer, inner)
-    )
-    return values, Scheduler(tuple(choices))
+    vbs, choices = _sweep(imdp, layout, weights, v0, outer, inner)
+    return _expand(imdp, vbs), tuple(choices)
 
 
 def evaluate_scheduler(imdp, weights, sched, inner, tol=DEFAULT_VI_TOL,
@@ -432,50 +417,45 @@ def reachable_under(imdp, sched):
 
 
 def repair_consistency(imdp, sched):
-    """Make each cell's choice uniform by majority vote over its states.
+    """Make each cell's choice uniform by majority vote over its rows.
 
     Layers are fixed front to back.  Reachability of layer i + 1 depends
     only on the choices at layers up to i, so it is carried forward one
     layer at a time as each layer's choices are fixed.  A cell's voters
-    are its reachable non-reset states, or all its non-reset states when
-    none is reachable.  One bincount over cell * n_next + choice counts
-    every cell's votes, and the argmax per cell breaks ties to the lowest
-    action index.  Every non-reset state of a cell then takes its cell's
-    winner, so the result holds one choice per cell, the anchor's states
-    other than the initial one included; a cell whose states are all
-    reset keeps its -1.
+    are its reachable rows (see BoundsReport), or all its rows when none
+    is reachable.  One bincount over cell * n_next + choice counts every
+    cell's votes, and the argmax per cell breaks ties to the lowest
+    action index.  Each cell's winner is written to all its rows, so the
+    result holds one choice per cell.
     """
-    choices = [c.copy() for c in sched.choices]
+    repaired = []
     reach = np.zeros((1, imdp.n_states), dtype=bool)
     reach[0, imdp.initial] = True
-    for i in range(imdp.n_layers - 1):
+    for i, choice in enumerate(sched):
         nc, n_next = imdp.n_cells(i), imdp.n_cells(i + 1)
-        eligible = np.broadcast_to(~imdp.reset_masks[i], reach.shape)
-        voters = reach & eligible
-        voters = np.where(voters.any(axis=1, keepdims=True), voters, eligible)
-        cell, state = np.nonzero(voters)
-        ballots = cell * n_next + choices[i][cell, state]
+        voters = reach[:, imdp.rows[i]]
+        voters |= ~voters.any(axis=1, keepdims=True)
+        ballots = np.nonzero(voters)[0] * n_next + choice[voters]
         votes = np.bincount(ballots, minlength=nc * n_next)
         winner = votes.reshape(nc, n_next).argmax(axis=1)
-        np.copyto(choices[i], winner[:, None], where=eligible)
-        reach = reachable_step(imdp, i, reach, choices[i])
-    return Scheduler(tuple(choices))
+        repaired.append(np.repeat(winner[:, None], choice.shape[1], axis=1))
+        reach = reachable_step(imdp, i, reach, repaired[i])
+    return tuple(repaired)
 
 
 def witness_times(imdp, sched):
     """The timing a repaired scheduler realizes, or None.
 
     The path starts at the anchor cell and follows the scheduler's one
-    choice per cell, layer by layer; each chosen cell gives its midpoint,
-    a point cell its point.  A path that reaches a cell with no choice,
-    one whose states all reset, has no timing.
+    choice per cell, sched[i][j, 0], layer by layer; each chosen cell
+    gives its midpoint, a point cell its point.  A layer where every
+    state resets has no rows, so no choice and no timing.
     """
     times, j = [], 0
-    for i, choices in enumerate(sched.choices):
-        chosen = choices[j][choices[j] >= 0]
-        if not len(chosen):
+    for i, choices in enumerate(sched):
+        if not choices.shape[1]:
             return None
-        j = int(chosen[0])
+        j = int(choices[j, 0])
         lo, hi = imdp.layers[i + 1][j]
         times.append(float(0.5 * (lo + hi)))
     return tuple(times)

@@ -306,8 +306,12 @@ def reference_sweep():
     The dense reference of the solver's sweep: dense holds each layer's
     full bounds scattered to its cell pairs (as oracles.dense_bounds
     gives them), and every (cell, action, stored state) row gets its own
-    greedy.  Returns (values, betas, choices, q-values), the q-values of
-    layer i with shape (n_cells_i, n_cells_{i+1}, n_states).
+    greedy.  Returns (values, betas, choices, q-values): values and
+    betas of layer i have shape (n_cells_i, n_states), nan at the
+    anchor's states other than the initial one, and the choices and
+    q-values are on the model's rows, shapes (n_cells_i, len(rows)) and
+    (n_cells_i, n_cells_{i+1}, len(rows)).  fixed is a scheduler in the
+    solver's format, a tuple of such choices.
     """
     from condreach.solver import greedy_distribution
 
@@ -325,32 +329,34 @@ def reference_sweep():
         for i in range(n_layers - 2, -1, -1):
             nc, nc2 = imdp.n_cells(i), imdp.n_cells(i + 1)
             L, U = dense[i]
-            # States without a stored row (resets, and the anchor's
-            # states other than the initial one) keep nan q-values.
-            q_val = np.full((nc, nc2, n), np.nan)
-            q_beta = np.full((nc, nc2, n), np.nan)
+            rows = imdp.rows[i]
+            q_val = np.empty((nc, nc2, len(rows)))
+            q_beta = np.empty((nc, nc2, len(rows)))
             for j in range(nc):
                 for j2 in range(nc2):
                     vn, bn = values[i + 1][j2], betas[i + 1][j2]
-                    for k, s in enumerate(imdp.rows[i]):
+                    for k in range(len(rows)):
                         p = greedy_distribution(
                             L[j, j2, k], U[j, j2, k], vn, inner == "max"
                         )
-                        q_val[j, j2, s] = p @ vn
-                        q_beta[j, j2, s] = p @ bn
+                        q_val[j, j2, k] = p @ vn
+                        q_beta[j, j2, k] = p @ bn
             if fixed is not None:
-                choice = fixed.choices[i].copy()
+                choice = fixed[i]
             elif outer == "max":
                 choice = q_val.argmax(axis=1)
             else:
                 choice = q_val.argmin(axis=1)
-            take = np.maximum(choice, 0)[:, None, :]
-            val = np.take_along_axis(q_val, take, axis=1)[:, 0]
-            beta = np.take_along_axis(q_beta, take, axis=1)[:, 0]
+            take = choice[:, None, :]
+            # States without a stored row that do not reset, the
+            # anchor's other than the initial one, keep nan.
+            val = np.full((nc, n), np.nan)
+            beta = np.full((nc, n), np.nan)
+            val[:, rows] = np.take_along_axis(q_val, take, axis=1)[:, 0]
+            beta[:, rows] = np.take_along_axis(q_beta, take, axis=1)[:, 0]
             reset = imdp.reset_masks[i]
             val[:, reset] = v0
             beta[:, reset] = 1.0
-            choice[:, reset] = -1
             values[i], betas[i], choices[i] = val, beta, choice
             q_vals[i] = q_val
         return values, betas, choices, q_vals

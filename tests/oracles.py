@@ -149,13 +149,15 @@ def empirical_likelihood(ctmc, rho, n, rng):
 
 
 def audit_consistency(imdp, sched, reach=None):
-    """Check that reachable states sharing a cell share an action."""
+    """Check that reachable states sharing a cell share an action.
+
+    sched is a tuple of choices on the model's rows (solver.BoundsReport).
+    """
     if reach is None:
         reach = reachable_states(imdp, sched)
-    for i in range(imdp.n_layers - 1):
-        reset = imdp.reset_masks[i]
+    for i, rows in enumerate(imdp.rows):
         for j in range(imdp.n_cells(i)):
-            acts = sched.choices[i][j][reach[i][j] & ~reset]
+            acts = sched[i][j][reach[i][j][rows]]
             if acts.size and not (acts == acts[0]).all():
                 return False
     return True

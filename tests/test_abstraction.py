@@ -32,7 +32,7 @@ from condreach.evidence import (
     parse_evidence,
 )
 from condreach.fixtures import fixture_text
-from condreach.solver import Scheduler, compute_bounds, reachable_under
+from condreach.solver import compute_bounds, reachable_under
 from oracles import dense_bounds, full_bounds, layer_gaps, lumped, sinks_of
 
 
@@ -824,12 +824,10 @@ def test_scheduler_reachability(invent, invent1):
     psi = coarsest_partition(invent1)
     imdp = abstract(invent, invent1, psi)
     choices = tuple(
-        np.zeros((imdp.n_cells(i), imdp.n_states), dtype=int)
-        for i in range(imdp.n_layers - 1)
+        np.zeros((imdp.n_cells(i), len(rows)), dtype=int)
+        for i, rows in enumerate(imdp.rows)
     )
-    for i, c in enumerate(choices):
-        c[:, imdp.reset_masks[i]] = -1
-    reach = reachable_states(imdp, Scheduler(choices))
+    reach = reachable_states(imdp, choices)
     free = reachable_states(imdp)
     for r, f in zip(reach, free):
         assert np.all(r <= f)
@@ -841,7 +839,8 @@ def _reference_reachable(imdp, scheduler=None):
     reach[0][0, imdp.initial] = True
     for i in range(imdp.n_layers - 1):
         support, index = imdp.stacks[i].support, imdp.gap_index[i]
-        # Row k of a stack is state ids[k]'s; no reset state has a row.
+        # Row k of a stack and choice k of a cell are state ids[k]'s; no
+        # reset state has a row.
         ids = imdp.rows[i]
         assert not imdp.reset_masks[i][ids].any()
         for j in range(imdp.n_cells(i)):
@@ -849,7 +848,7 @@ def _reference_reachable(imdp, scheduler=None):
             for j2 in range(imdp.n_cells(i + 1)):
                 rows = here
                 if scheduler is not None:
-                    rows = here & (scheduler.choices[i][j][ids] == j2)
+                    rows = here & (scheduler[i][j] == j2)
                 if rows.any():
                     block = support[index[j, j2]]
                     reach[i + 1][j2] |= block[rows].any(axis=0)
@@ -857,13 +856,11 @@ def _reference_reachable(imdp, scheduler=None):
 
 
 def _random_scheduler(imdp, rng):
-    choices = []
-    for i in range(imdp.n_layers - 1):
-        c = rng.integers(0, imdp.n_cells(i + 1),
-                         (imdp.n_cells(i), imdp.n_states))
-        c[:, imdp.reset_masks[i]] = -1
-        choices.append(c)
-    return Scheduler(tuple(choices))
+    """Uniform random choices on the model's rows, the solver's format."""
+    return tuple(
+        rng.integers(0, imdp.n_cells(i + 1), (imdp.n_cells(i), len(rows)))
+        for i, rows in enumerate(imdp.rows)
+    )
 
 
 def _sparse_imdp(rng):

@@ -308,7 +308,7 @@ def test_criterion_8_consistency_repair(invent, invent1, invent_weights,
     # The fixed inconsistent-vote fixture repairs to one uniform action.
     toy = _toy_imdp()
     repaired = repair_consistency(toy, _toy_sched([0, 1, 1]))
-    assert np.all(repaired.choices[1][0] == 1)
+    assert np.all(repaired[1][0] == 1)
     assert audit_consistency(toy, repaired)
     print(f"criterion 8: PASS {audited} benchmark audits + vote fixture")
 
