@@ -7,23 +7,22 @@ evaluate_scheduler, the value of a fixed scheduler, stays for the tests
 to compare that bound against.
 
 The layered model is acyclic except for the single reset back-edge into
-the initial abstract state, so each value sweep is one backward pass.
-The sweep also propagates, through the distributions actually chosen,
-the sensitivity of every value to the injected initial value; the reset
-fixpoint is then solved in closed form and re-swept until it moves by
-at most the tolerance (policy iteration on a scalar, safeguarded by a
-bracket of the root; see _solve).  A sweep keeps
-only what the layer before it and this update read: each layer's values
-and betas and its solved rows' choices.  A robust solve sweeps once
-more at the fixpoint, expands that sweep's values to every state and
-returns its choices as they are, the scheduler on the model's rows;
-the fixed-scheduler solve returns the fixpoint alone.
+the initial abstract state, so each sweep is one backward pass at a
+guess v0 of the reset value.  Each state carries two columns: the
+excess, its value less v0, and the escape, the mass of its paths that
+avoid every reset.  The excess orders successors as the value does and
+is small exactly where the escape is; _solve steps v0 by their ratio.
+A sweep keeps only what the layer before it and this update read: each
+layer's two columns and its solved rows' choices.  A robust solve sweeps once more at the fixpoint, expands that
+sweep's excess to every state's value and returns its choices as they
+are, the scheduler on the model's rows; the fixed-scheduler solve
+returns the fixpoint alone.
 
 A sweep solves the rows the model defines, the only rows its gap stacks
 hold.  A reset state redirects to the initial state with probability 1,
-so it takes v0 with beta 1 and has no row, and the anchor layer's one
-state of the model is (0, 0, initial).  Every reset successor thus
-carries (v0, 1), and a step into two or more of them reads one
+so it takes excess and escape 0 and has no row, and the anchor layer's
+one state of the model is (0, 0, initial).  Every reset successor thus
+carries (0, 0), and a step into two or more of them reads one
 reset-sink column whose bounds are the sums of theirs: the greedy below
 pours the same mass into a run of equal-valued successors whether they
 are one column or many.  The model's gap stacks are lumped so when they
@@ -42,7 +41,7 @@ gap, successor-major; once per compute_bounds call they are gathered to
 the cell pairs.  A sweep then sorts the next layer's values with one
 stable argsort, gathers the room rows in that order, clips their running
 sum against the slack, and takes each q-value as L @ v plus the clipped
-fill dotted with the sorted values; betas reuse the same fill.
+fill dotted with the sorted values; escapes reuse the same fill.
 
 The fill, the mass each sorted successor takes beyond its lower bound,
 depends on the values only through their order.  Each prepared layer
@@ -53,8 +52,8 @@ the q-values come from the same formula.  It hits often, because
 warm-started solves converge in few sweeps and the step into the last
 layer orders by the weights and v0 alone.
 
-The last observation layer carries the weights, or the reset value v0
-on its violating states, in every cell alike.  A greedy depends only on
+The last observation layer carries the weights less v0, or 0 on its
+violating states, in every cell alike.  A greedy depends only on
 its row's intervals and on the vector it orders by, so the step into
 that layer runs once per distinct gap and gathers the q-values to the
 cell pairs through the gap index; every other step has a row per
@@ -144,9 +143,9 @@ def _prepare(imdp):
     last step all next cells carry the same vectors, so a row's greedy
     depends on its gap alone: that layer gets one row per gap and state,
     numbered as if each gap were a cell with a single next cell, which
-    are its stacks as they are stored.  The last observation layer has no successors and no arrays; it carries
-    the weights.  Each layer's fill memo (see _q_values) lives as long
-    as the layout.
+    are its stacks as they are stored.  The last observation layer has
+    no successors and no arrays; it carries the weights.  Each layer's
+    fill memo (see _q_values) lives as long as the layout.
     """
     layout = []
     last = imdp.n_layers - 2
@@ -166,7 +165,7 @@ class _Layer:
     is the (cell, row) index pair _sweep gathers chosen q-values with.
     memo is None or the (order, fill) pair of the last fill _q_values
     built.  A fill depends on the direction only through the order, so
-    one slot serves both; each solve keeps one inner direction.  built
+    one slot serves both; each solve keeps one direction.  built
     and reused count the _q_values calls that computed a fill and that
     took the stored one.
     """
@@ -263,34 +262,36 @@ def _q_values(layer, vb, maximize):
     return vb @ layer.lower + ordered @ fill
 
 
-def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
-    """One backward pass; returns (vbs, choices).
+def _sweep(imdp, layout, weights, v0, direction, fixed=None):
+    """One backward pass at the reset value v0; returns (vbs, choices).
 
-    vbs[i] has shape (n_cells_i, 2, n_states): the values and, at [:, 1],
-    the betas, the derivative of each value with respect to the injected
-    initial value v0 under the choices made during this pass.  The last
-    layer takes the weights in every cell alike and holds one cell.
-    Reset states take v0 with beta 1, without a greedy.  choices[i]
-    holds the chosen next cell of each of layer i's solved rows, shape
-    (n_cells_i, len(layout[i].rows)).  The anchor's states other than
-    the initial one are not states of the model and are left unset.
+    vbs[i] has shape (n_cells_i, 2, n_states): at [:, 0] the excess, the
+    value less v0, and at [:, 1] the escape, the mass of the paths that
+    avoid every reset, both under the choices made during this pass.
+    The last layer takes (w - v0, 1) in every cell alike and holds one
+    cell; reset states take (0, 0), without a greedy.  Actions and
+    nature optimize the excess in one direction, or the actions are
+    fixed's.  choices[i] holds the chosen next cell of each of layer i's
+    solved rows, shape (n_cells_i, len(layout[i].rows)).  The anchor's
+    states other than the initial one are not states of the model and
+    are left unset.
     """
     n_layers = imdp.n_layers
     n = imdp.n_states
-    reset_vb = np.array([[v0], [1.0]])
-    # vbs[i][j, 0] and vbs[i][j, 1] are the values and betas of cell j.
+    maximize = direction == "max"
+    # vbs[i][j, 0] and vbs[i][j, 1] are the excess and escape of cell j.
     vbs = [None] * n_layers
     choices = [None] * (n_layers - 1)
     vbs[-1] = np.empty((1, 2, n))
-    vbs[-1][:, 0] = weights
-    vbs[-1][:, 1] = 0.0
-    vbs[-1][:, :, imdp.reset_masks[-1]] = reset_vb
+    vbs[-1][:, 0] = np.subtract(weights, v0)
+    vbs[-1][:, 1] = 1.0
+    vbs[-1][:, :, imdp.reset_masks[-1]] = 0.0
     for i in range(n_layers - 2, -1, -1):
         layer = layout[i]
         nc = imdp.n_cells(i)
         nxt = vbs[i + 1]
         vb = nxt if layer.cols is None else nxt[:, :, layer.cols]
-        q = _q_values(layer, vb, inner == "max")
+        q = _q_values(layer, vb, maximize)
         rows = layer.rows
         if i == n_layers - 2:
             # One greedy per gap on the one vector pair of the last
@@ -301,89 +302,76 @@ def _sweep(imdp, layout, weights, v0, outer, inner, fixed=None):
             q = q.reshape(len(vb), 2, nc, len(rows)).swapaxes(0, 1)
         if fixed is not None:
             choice = fixed[i]
-        elif outer == "max":
+        elif maximize:
             choice = q[0].argmax(axis=0)
         else:
             choice = q[0].argmin(axis=0)
         cell, row = layer.pick
         vb_i = np.empty((nc, 2, n))
-        vb_i[:, :, imdp.reset_masks[i]] = reset_vb
+        vb_i[:, :, imdp.reset_masks[i]] = 0.0
         vb_i[:, :, rows] = q[:, choice, cell, row].swapaxes(0, 1)
         vbs[i] = vb_i
         choices[i] = choice
     return vbs, choices
 
 
-def _expand(imdp, vbs):
-    """A sweep's values, each layer an (n_cells_i, n_states) array: the
-    anchor's states other than the initial one take nan.  vbs is
-    expanded in place, betas included: its last layer gets one row per
-    cell."""
+def _expand(imdp, vbs, v0):
+    """A sweep at v0's values, each layer an (n_cells_i, n_states) array
+    of excess + v0: the anchor's states other than the initial one take
+    nan.  vbs is expanded in place, escapes included: its last layer gets
+    one row per cell."""
     unset = ~imdp.reset_masks[0]
     unset[imdp.rows[0]] = False
     vbs[0][:, :, unset] = np.nan
     vbs[-1] = np.repeat(vbs[-1], imdp.n_cells(imdp.n_layers - 1), axis=0)
-    return [a[:, 0] for a in vbs]
+    return [a[:, 0] + v0 for a in vbs]
 
 
-def _solve(imdp, layout, weights, outer, inner, tol, fixed=None, v0=0.0):
+def _solve(imdp, layout, weights, direction, tol, fixed=None, v0=0.0):
     """Sweep until the reset fixpoint stabilizes; returns the fixpoint.
 
-    A sweep at v0 reads f = g(v0), the initial state's value when the
-    reset states take v0, and b, its slope under the sweep's choices.
-    Every piece of h(v) = g(v) - v has slope b - 1 < 0, so h falls
-    strictly and has one root, on the side of v0 that the sign of f - v0
-    names.  Every value is a convex combination of the weights and v0,
-    so the root lies in [min(weights), max(weights)], where the bracket
-    [lo, hi] starts; the signs seen so far narrow it.  The step is
-    Newton's, the fixpoint under frozen choices, unless it leaves the
-    bracket by more than tol: then it is the bracket's midpoint.  Newton
-    alone can cycle where g is neither convex nor concave, as in the
-    max/min solve.
+    A sweep at v0 reads the initial state's excess d and escape e under
+    the policy it picks, the actions and nature's extreme points.  That
+    policy collects the weight alpha = d + e * v0 before any reset, and
+    its fixpoint is alpha / e = v0 + d / e, the next guess: Dinkelbach's
+    step for the optimal ratio, Newton's on the excess h(v) = d(v).
+    Taken as d / e, the step's rounding stays relative to e; the same
+    step formed from the value, (f - (1 - e) * v0) / e, cancels as e
+    nears 0.  h is the optimum over policies of alpha - e * v, each line
+    falling, so h is convex under max and concave under min: every
+    tangent lies on one side of it, and each step after the first lands
+    on the same side of the root and moves towards it.  The solve stops
+    when the step is at most tol.
     """
-    lo, hi = float(np.min(weights)), float(np.max(weights))
     for sweeps in range(1, _MAX_SWEEPS + 1):
-        vbs, _ = _sweep(imdp, layout, weights, v0, outer, inner, fixed)
-        f, b = vbs[0][0, :, imdp.initial]
-        if b >= 1.0 - ZERO_LIKELIHOOD:
+        vbs, _ = _sweep(imdp, layout, weights, v0, direction, fixed)
+        d, e = vbs[0][0, :, imdp.initial]
+        if e <= ZERO_LIKELIHOOD:
             raise ZeroLikelihoodError(
                 "reset loop does not contract; the evidence has (near-)zero "
                 "likelihood"
             )
-        if f >= v0:
-            lo = max(lo, v0)
-        else:
-            hi = min(hi, v0)
-        # The pass computes f = alpha + b * v0 under frozen choices; the
-        # frozen-choice fixpoint is alpha / (1 - b).  It lies on the
-        # root's side of v0, so it can only leave the bracket across a
-        # bound already found.
-        v0_new = (f - b * v0) / (1.0 - b)
-        if not lo - tol <= v0_new <= hi + tol:
-            v0_new = 0.5 * (lo + hi)
-        delta = abs(v0_new - v0)
-        if delta <= tol:
-            return v0_new
-        v0 = v0_new
-    solve = "fixed scheduler" if fixed is not None else f"outer {outer}"
+        step = d / e
+        v0 += step
+        if abs(step) <= tol:
+            return v0
+    solve = "fixed scheduler" if fixed is not None else "robust"
     raise SolverError(
-        f"value iteration did not converge ({solve}, inner {inner}): "
-        f"sweeps {sweeps}, last reset-value change {delta:.3g}, "
-        f"b = {b:.12g}"
+        f"value iteration did not converge ({solve}, {direction}): "
+        f"sweeps {sweeps}, last reset-value change {abs(step):.3g}, "
+        f"escape {e:.12g}"
     )
 
 
-def robust_value_iteration(
-    imdp, weights, outer="max", inner="max", tol=DEFAULT_VI_TOL, v0=0.0,
-    layout=None,
-):
-    """Optimal robust values and the outer-optimal scheduler.
+def robust_value_iteration(imdp, weights, direction="max",
+                           tol=DEFAULT_VI_TOL, v0=0.0, layout=None):
+    """Optimal robust values and the optimal scheduler.
 
-    outer optimizes over actions (next-layer cells), inner over the
-    feasible distributions inside the interval bounds.  Argmax ties
-    break to the lowest-indexed action.  v0 is the first guess of the
-    reset value; layout is the model's prepared arrays, built when
-    omitted.
+    Actions (next-layer cells) and nature, over the feasible
+    distributions inside the interval bounds, both optimize in direction
+    ("max" or "min").  Argmax ties break to the lowest-indexed action.
+    v0 is the first guess of the reset value; layout is the model's
+    prepared arrays, built when omitted.
 
     values[i] is an (n_cells_i, n_states) array, and the scheduler holds
     choices on the model's rows (see BoundsReport).  Both come from one
@@ -394,9 +382,9 @@ def robust_value_iteration(
     """
     if layout is None:
         layout = _prepare(imdp)
-    v0 = _solve(imdp, layout, weights, outer, inner, tol, v0=v0)
-    vbs, choices = _sweep(imdp, layout, weights, v0, outer, inner)
-    return _expand(imdp, vbs), tuple(choices)
+    v0 = _solve(imdp, layout, weights, direction, tol, v0=v0)
+    vbs, choices = _sweep(imdp, layout, weights, v0, direction)
+    return _expand(imdp, vbs, v0), tuple(choices)
 
 
 def evaluate_scheduler(imdp, weights, sched, inner, tol=DEFAULT_VI_TOL,
@@ -408,7 +396,7 @@ def evaluate_scheduler(imdp, weights, sched, inner, tol=DEFAULT_VI_TOL,
     """
     if layout is None:
         layout = _prepare(imdp)
-    return _solve(imdp, layout, weights, None, inner, tol, fixed=sched, v0=v0)
+    return _solve(imdp, layout, weights, inner, tol, fixed=sched, v0=v0)
 
 
 def reachable_under(imdp, sched):
@@ -509,8 +497,7 @@ def compute_bounds(imdp, weights, ctmc, omega, tol=DEFAULT_VI_TOL,
         raise ValueError("direction must be 'max' or 'min'")
     layout = _prepare(imdp)
     values, sigma_star = robust_value_iteration(
-        imdp, weights, outer=direction, inner=direction, tol=tol, v0=start,
-        layout=layout,
+        imdp, weights, direction, tol=tol, v0=start, layout=layout,
     )
     outer_bound = float(values[0][0, imdp.initial])
     sigma_hat = repair_consistency(imdp, sigma_star)

@@ -303,63 +303,67 @@ def kernel_oracle():
 def reference_sweep():
     """Backward pass calling greedy_distribution once per interval row.
 
-    The dense reference of the solver's sweep: dense holds each layer's
-    full bounds scattered to its cell pairs (as oracles.dense_bounds
-    gives them), and every (cell, action, stored state) row gets its own
-    greedy.  Returns (values, betas, choices, q-values): values and
-    betas of layer i have shape (n_cells_i, n_states), nan at the
-    anchor's states other than the initial one, and the choices and
-    q-values are on the model's rows, shapes (n_cells_i, len(rows)) and
-    (n_cells_i, n_cells_{i+1}, len(rows)).  fixed is a scheduler in the
-    solver's format, a tuple of such choices.
+    The dense reference of the solver's sweep at the reset value v0:
+    dense holds each layer's full bounds scattered to its cell pairs (as
+    oracles.dense_bounds gives them), and every (cell, action, stored
+    state) row gets its own greedy.  Each state carries its excess, the
+    value less v0, and its escape, the mass that avoids every reset: the
+    last layer takes (w - v0, 1) and reset states (0, 0).  Actions and
+    nature optimize the excess in direction, or the actions are fixed's,
+    a scheduler in the solver's format, a tuple of choices.  Returns
+    (excess, escape, choices, q-values): excess and escape of layer i
+    have shape (n_cells_i, n_states), nan at the anchor's states other
+    than the initial one, and the choices and excess q-values are on the
+    model's rows, shapes (n_cells_i, len(rows)) and (n_cells_i,
+    n_cells_{i+1}, len(rows)).
     """
     from condreach.solver import greedy_distribution
 
-    def sweep(imdp, dense, weights, v0, outer, inner, fixed=None):
+    def sweep(imdp, dense, weights, v0, direction, fixed=None):
         n_layers, n = imdp.n_layers, imdp.n_states
-        values = [None] * n_layers
-        betas = [None] * n_layers
+        excess = [None] * n_layers
+        escape = [None] * n_layers
         choices = [None] * (n_layers - 1)
         q_vals = [None] * (n_layers - 1)
-        values[-1] = np.tile(np.asarray(weights, float),
+        excess[-1] = np.tile(np.asarray(weights, float) - v0,
                              (imdp.n_cells(n_layers - 1), 1))
-        betas[-1] = np.zeros_like(values[-1])
-        values[-1][:, imdp.reset_masks[-1]] = v0
-        betas[-1][:, imdp.reset_masks[-1]] = 1.0
+        escape[-1] = np.ones_like(excess[-1])
+        excess[-1][:, imdp.reset_masks[-1]] = 0.0
+        escape[-1][:, imdp.reset_masks[-1]] = 0.0
         for i in range(n_layers - 2, -1, -1):
             nc, nc2 = imdp.n_cells(i), imdp.n_cells(i + 1)
             L, U = dense[i]
             rows = imdp.rows[i]
             q_val = np.empty((nc, nc2, len(rows)))
-            q_beta = np.empty((nc, nc2, len(rows)))
+            q_esc = np.empty((nc, nc2, len(rows)))
             for j in range(nc):
                 for j2 in range(nc2):
-                    vn, bn = values[i + 1][j2], betas[i + 1][j2]
+                    dn, en = excess[i + 1][j2], escape[i + 1][j2]
                     for k in range(len(rows)):
                         p = greedy_distribution(
-                            L[j, j2, k], U[j, j2, k], vn, inner == "max"
+                            L[j, j2, k], U[j, j2, k], dn, direction == "max"
                         )
-                        q_val[j, j2, k] = p @ vn
-                        q_beta[j, j2, k] = p @ bn
+                        q_val[j, j2, k] = p @ dn
+                        q_esc[j, j2, k] = p @ en
             if fixed is not None:
                 choice = fixed[i]
-            elif outer == "max":
+            elif direction == "max":
                 choice = q_val.argmax(axis=1)
             else:
                 choice = q_val.argmin(axis=1)
             take = choice[:, None, :]
             # States without a stored row that do not reset, the
             # anchor's other than the initial one, keep nan.
-            val = np.full((nc, n), np.nan)
-            beta = np.full((nc, n), np.nan)
-            val[:, rows] = np.take_along_axis(q_val, take, axis=1)[:, 0]
-            beta[:, rows] = np.take_along_axis(q_beta, take, axis=1)[:, 0]
+            d = np.full((nc, n), np.nan)
+            e = np.full((nc, n), np.nan)
+            d[:, rows] = np.take_along_axis(q_val, take, axis=1)[:, 0]
+            e[:, rows] = np.take_along_axis(q_esc, take, axis=1)[:, 0]
             reset = imdp.reset_masks[i]
-            val[:, reset] = v0
-            beta[:, reset] = 1.0
-            values[i], betas[i], choices[i] = val, beta, choice
+            d[:, reset] = 0.0
+            e[:, reset] = 0.0
+            excess[i], escape[i], choices[i] = d, e, choice
             q_vals[i] = q_val
-        return values, betas, choices, q_vals
+        return excess, escape, choices, q_vals
 
     return sweep
 

@@ -310,17 +310,16 @@ def test_inner_bound_never_loosens(invent, invent1, invent_weights):
 def test_witness_dominates_the_repaired_minus_scheduler(
     monkeypatch, request, chain, evidence, weights, cap
 ):
-    # The pessimistic value of the repaired max/min scheduler is a sound
-    # inner bound too.  No theorem orders it and the witness, but on
-    # these pinned runs the best witness so far is at least that value at
-    # every iteration, less the margin.
+    # The value of the repaired guide scheduler under minimizing nature
+    # is a sound inner bound too.  No theorem orders it and the witness,
+    # but on these pinned runs the best witness so far is at least that
+    # value at every iteration, less the margin.
     bounds = solver.compute_bounds
     seen = []
 
     def checked(imdp, w, *args, **kwargs):
         report = bounds(imdp, w, *args, **kwargs)
-        _, sigma_minus = solver.robust_value_iteration(imdp, w, "max", "min")
-        sigma_hat = solver.repair_consistency(imdp, sigma_minus)
+        sigma_hat = solver.repair_consistency(imdp, report.guide_scheduler)
         old = solver.evaluate_scheduler(imdp, w, sigma_hat, "min")
         seen.append((report.info["witness"][1], old))
         return report
@@ -349,8 +348,11 @@ def test_full_mode_counts_every_splittable_cell(invent, invent1, invent_weights)
 # tandem1 run, to the benchmark's cap of 8, before its kernels were
 # marched and its gap stacks carried between models.  The lower bounds
 # were recorded again when the inner bound became the exact weight of the
-# best witness timing so far.  A change that moves a bound by more than
-# 1e-12 relative, or a split or a size at all, shows here.
+# best witness timing so far, and the upper bounds of tandem1's row 1 and
+# tandem2's rows 1 and 2 when the reset fixpoint was solved on the excess
+# (see test_reset_fixpoint_is_the_dense_reference_root).  A change that
+# moves a bound by more than 1e-12 relative, or a split or a size at all,
+# shows here.
 _GOLDEN_TRACES = {
     ("invent", "invent1", "invent_weights", 12, "guided"): [
         (0.0786201633113967, 0.1321218895642676, 0, 11, 9, 17),
@@ -367,7 +369,7 @@ _GOLDEN_TRACES = {
         (0.08191850217286095, 0.08958844693190249, 3, 110, 493, 1381),
     ],
     ("tandem", "tandem1", "tandem_weights", 8, "guided"): [
-        (0.0038389012919716704, 0.2871074334060104, 0, 241, 227, 12722),
+        (0.0038389012919716704, 0.28710743340087297, 0, 241, 227, 12722),
         (0.0040259111346810745, 0.18898181532720768, 2, 481, 662, 50404),
         (0.0040259111346810745, 0.12375819941127467, 3, 841, 1723, 150592),
         (0.004032012172975788, 0.07249506936007376, 3, 1201, 3200, 300700),
@@ -380,20 +382,12 @@ _GOLDEN_TRACES = {
          1400332),
     ],
     ("tandem", "tandem2", "tandem_phase2_weights", 4, "full"): [
-        (0.14355177317917278, 0.9635967831538439, 0, 241, 239, 2262),
-        (0.14360496352497418, 0.6361371919418881, 2, 481, 510, 8364),
+        (0.14355177317917278, 0.9635967831508196, 0, 241, 239, 2262),
+        (0.14360496352497418, 0.6361371919407346, 2, 481, 510, 8364),
         (0.14360496352497418, 0.3209980449005693, 4, 961, 1148, 32088),
         (0.1436412205019187, 0.21177663168658248, 8, 1921, 2808, 125616),
     ],
 }
-
-# Per golden case, a looser relative tolerance on its first rows.  The
-# outer bound of tandem2's coarse models sits near 1: the reset fixpoint
-# v0 = alpha / (1 - b) amplifies rounding by 1 / (1 - b), and summing
-# the reset successors as one column moved row 1's upper bound by
-# 3.5e-12 relative.  No padding covers that amplification yet.
-_LOOSE_ROWS = {"tandem2": (2, 1e-10)}
-
 
 @pytest.mark.parametrize("case", list(_GOLDEN_TRACES), ids=lambda c: c[1])
 def test_golden_trace(case, request):
@@ -405,10 +399,8 @@ def test_golden_trace(case, request):
     )
     golden = _GOLDEN_TRACES[case]
     assert len(trace.rows) == len(golden)
-    loose, loose_rel = _LOOSE_ROWS.get(evidence, (0, None))
-    for k, (row, (lower, upper, *counts)) in enumerate(zip(trace.rows, golden)):
-        rel = loose_rel if k < loose else 1e-12
-        assert row.lower == pytest.approx(lower, rel=rel, abs=0)
-        assert row.upper == pytest.approx(upper, rel=rel, abs=0)
+    for row, (lower, upper, *counts) in zip(trace.rows, golden):
+        assert row.lower == pytest.approx(lower, rel=1e-12, abs=0)
+        assert row.upper == pytest.approx(upper, rel=1e-12, abs=0)
         assert [row.splits, row.imdp_states, row.imdp_actions,
                 row.imdp_transitions] == counts, row.iteration
