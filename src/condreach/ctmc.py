@@ -7,12 +7,14 @@ Poisson truncation, which keeps every term nonnegative.  A time's
 truncated series is a polynomial in the uniformized jump matrix P,
 evaluated in about 2 sqrt(cut) matrix products (Paterson & Stockmeyer,
 SIAM J. Comput. 1973) on the powers P^0, P^1, ... that the chain keeps,
-stepped on demand: as whole kernels, or applied to a vector or a block
-without forming one.  The rule is one: a sum of products with P alone
-is such a polynomial, and a sum whose targets are held absorbing (reach
-matrices and property weights) is the power loop, which steps its start
-one product with the chain's own P at a time and sets the targets back
-to 1 after each (Uniformization.power_sum).  On a grid of short binary
+stepped on demand: as whole kernels, applied to a vector or a block
+without forming one, or as a kernel's initial-state row, from the
+initial rows of the powers that the chain keeps beside them.  The rule
+is one: a sum of products with P alone is such a polynomial, and a sum
+whose targets are held absorbing (reach matrices and property weights)
+is the power loop, which steps its start one product with the chain's
+own P at a time and sets the targets back to 1 after each
+(Uniformization.power_sum).  On a grid of short binary
 fractions a kernel is instead marched from its binary parent, one
 product K(t - h) @ K(h) by the semigroup property, with polynomials only
 at the roots (marched_kernels).
@@ -78,13 +80,23 @@ class Ctmc:
     jump_probs: np.ndarray
     exit_rates: np.ndarray
     labels: tuple
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
+    # The tables below are derived from the fields above; they are not
+    # __init__ parameters, so dataclasses.replace gives a chain its own.
+    _index: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
     # Per atomic proposition, the read-only boolean column of the states
     # that carry it.
-    _columns: dict = field(default_factory=dict, repr=False, compare=False)
+    _columns: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
     # The powers of the uniformized jump matrix stepped so far: empty, or
     # one read-only (k + 1, n, n) array of P^0 .. P^k (jump_powers).
-    _powers: list = field(default_factory=list, repr=False, compare=False)
+    _powers: list = field(default_factory=list, init=False, repr=False,
+                          compare=False)
+    # The initial state's rows of those powers stepped so far: empty, or
+    # one read-only (k + 1, n) array of e_init P^0 .. e_init P^k
+    # (initial_rows).
+    _rows: list = field(default_factory=list, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         n = len(self.state_names)
@@ -157,6 +169,34 @@ class Ctmc:
         powers.setflags(write=False)
         self._powers[:] = [powers]
         return powers
+
+    def initial_rows(self, top):
+        """e_init P^0 .. e_init P^top, the initial state's rows of the
+        powers of P, as a read-only (top + 1, n) array.
+
+        Kept and stepped as the powers are (jump_powers), one vector
+        product r_k = r_(k - 1) @ P at a time, to exactly the highest row
+        asked.  A kernel's initial row takes its cut's rows where the
+        power table takes about its square root's powers: the table is
+        O(cut n) floats against O(sqrt(cut) n^2), under 200 KB on the
+        bundled models, but about 98 MB against 37 MB on tandem at a
+        Poisson mean of MAX_POISSON_MEAN.
+        """
+        if self._rows:
+            have = self._rows[0]
+        else:
+            have = np.zeros((1, self.n_states))
+            have[0, self.initial] = 1.0
+        if len(have) > top:
+            return have[: top + 1]
+        rows = np.empty((top + 1, self.n_states))
+        rows[: len(have)] = have
+        P = self.jump_powers(1)[1]
+        for k in range(len(have), top + 1):
+            np.matmul(rows[k - 1], P, out=rows[k])
+        rows.setflags(write=False)
+        self._rows[:] = [rows]
+        return rows
 
     def rate_matrix(self):
         """Dense transition rate matrix R(s, s') = jump(s, s') * exit(s)."""
@@ -400,17 +440,21 @@ class Uniformization:
     the max exit rate (slightly inflated), from the chain's own table
     (Ctmc.jump_powers); powers(0) is P^0 on any chain, and a higher
     power is asked for only when some time takes a step (lam > 0 and a
-    time above 0).  The weight rows are held longest cut first, and
-    row rank[i] is time i's: it holds pois(k; lam * times[i]) for k <
-    cuts[rank[i]] (_poisson_table), entries after them are padding, and
+    time above 0).  rows(top) gives the initial state's rows of P^0 ..
+    P^top, from the chain's table of them (Ctmc.initial_rows).  The
+    weight rows are held longest cut first, and row rank[i] is time i's:
+    it holds pois(k; lam * times[i]) for k < cuts[rank[i]]
+    (_poisson_table), entries after them are padding, and
     tails[rank[i]] >= 0 is the mass it drops.  Built by
     :func:`uniformize`.  Each time's truncated series is a polynomial in
-    P, evaluated as whole kernels (kernels) or applied to a vector or a
-    block (series); a sum with targets held absorbing steps its start
-    through the series (power_sum).
+    P, evaluated as whole kernels (kernels), applied to a vector or a
+    block (series) or as its kernel's initial row (initial_row); a sum
+    with targets held absorbing steps its start through the series
+    (power_sum).
     """
 
     powers: object
+    rows: object
     weights: np.ndarray
     cuts: list
     tails: np.ndarray
@@ -473,13 +517,10 @@ class Uniformization:
         loop takes c.  The start must be nonnegative for the error to
         stay relative, as in kernels.
         """
-        r = self.rank[time]
-        c = self.cuts[r]
+        c = self.cuts[self.rank[time]]
         s = math.isqrt(c - 1) + 1
         b = -(-c // s)
-        coef = np.zeros(b * s)
-        coef[:c] = self.weights[r, :c]
-        coef[c - 1] += self.tails[r]
+        coef = self._coefficients(time, b * s)
         powers = self.powers(s if b > 1 else s - 1)
         if left:
             terms = np.matmul(start, powers[:s])
@@ -494,6 +535,30 @@ class Uniformization:
             acc = acc @ powers[s] if left else powers[s] @ acc
             acc += blocks[j]
         return acc
+
+    def initial_row(self, time):
+        """e_init @ sum_k pois(k; lam * t) P^k for the time t of index
+        `time`: the initial state's row of its kernel.
+
+        The time's polynomial coefficients (those of kernels) times the
+        rows e_init P^k, k < cut, that the chain keeps: one (cut,) @
+        (cut, n) product of nonnegative terms, so the error stays
+        relative.  A time of cut 1 (length 0, or lam = 0) gives e_init
+        exactly and steps no power.
+        """
+        c = self.cuts[self.rank[time]]
+        return self._coefficients(time, c) @ self.rows(c - 1)
+
+    def _coefficients(self, time, width):
+        """The polynomial coefficients of the time of index `time`: its
+        weights up to its cut, its tail on the last, zeros after it up to
+        width."""
+        r = self.rank[time]
+        c = self.cuts[r]
+        coef = np.zeros(width)
+        coef[:c] = self.weights[r, :c]
+        coef[c - 1] += self.tails[r]
+        return coef
 
     def kernels(self, n):
         """The transient kernels sum_k pois(k; lam * t) P^k of every time
@@ -575,7 +640,8 @@ def uniformize(ctmc, times, eps=DEFAULT_TRANSIENT_TOL):
     # mass of -2.2e-16 (and a negative kernel entry) on a tiny time.
     tails = np.maximum(1.0 - _row_sums(W, cuts), 0.0)
     return Uniformization(
-        ctmc.jump_powers, W, cuts.tolist(), tails, np.argsort(order)
+        ctmc.jump_powers, ctmc.initial_rows, W, cuts.tolist(), tails,
+        np.argsort(order)
     )
 
 

@@ -11,8 +11,11 @@ No transient kernel is formed.  Each gap between layers applies its
 truncated Poisson series of the uniformized jump matrix (Fox & Glynn,
 CACM 1988) to a vector or an (n, 2) block, as a Paterson-Stockmeyer
 polynomial in about 2 sqrt(cut) products with the start, on the powers
-the chain keeps (Uniformization.series).  One Poisson table serves all of
-the evidence's gaps.
+the chain keeps (Uniformization.series).  Of the first gap that moves
+the chain, the reset fixpoint reads only the initial state's row of the
+kernel, which is formed from the initial rows of P's powers that the
+chain keeps (Uniformization.initial_row).  One Poisson table serves all
+of the evidence's gaps.
 """
 
 from __future__ import annotations
@@ -69,20 +72,32 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     loop, so the denominator is never formed by cancellation.  The
     (alpha, 1 - beta) columns of all states start at (w, 1) on the last
     layer, reset nodes get (0, 0), and each gap's kernel K is applied as
-    K @ block without forming K.  Evidence of (near-)zero likelihood,
-    with an escape mass at or below ZERO_LIKELIHOOD, raises
-    ZeroLikelihoodError.
+    K @ block without forming K, down to the first gap f whose kernel
+    moves the chain (a cut above 1).  Every gap before f has length 0
+    (or lam = 0) and kernel K = I, so the chain is in its initial state
+    on the layers up to f, and of K(f) only the initial state's row is
+    read: the initial node's (alpha, 1 - beta) is that row times the
+    block (with no such gap, the block's initial row).  Evidence of
+    (near-)zero likelihood, with an initial state that violates an
+    observation at time 0 or an escape mass at or below
+    ZERO_LIKELIHOOD, raises ZeroLikelihoodError.
     """
     w = _weights(w, ctmc.n_states)
     masks, gaps = _layers(ctmc, rho, eps)
+    d = len(masks) - 1
+    f = next((i for i, r in enumerate(gaps.rank) if gaps.cuts[r] > 1), d)
     block = np.ones((len(w), 2))
     block[:, 0] = w
-    for i in range(len(masks) - 1, -1, -1):
+    block[masks[d]] = 0.0
+    for i in range(d - 1, f, -1):
+        block = gaps.series(block, i)
         block[masks[i]] = 0.0
-        if i:
-            block = gaps.series(block, i - 1)
-    alpha, escape = block[ctmc.initial]
-    if escape <= ZERO_LIKELIHOOD:
+    if f < d:
+        alpha, escape = gaps.initial_row(f) @ block
+    else:
+        alpha, escape = block[ctmc.initial]
+    if (escape <= ZERO_LIKELIHOOD
+            or any(m[ctmc.initial] for m in masks[: f + 1])):
         raise ZeroLikelihoodError(_UNDEFINED)
     return float(alpha / escape)
 

@@ -265,6 +265,9 @@ def decimal_conditional_weight(ctmc, rho, w, digits=60):
              + (s == t) for t in range(n)]
             for s in range(n)
         ]
+        # Each state's successors under P: a term with a zero factor is
+        # an exact zero, so skipping it changes no digit of the sums.
+        succ = [[(u, p) for u, p in enumerate(row) if p] for row in P]
         dist = [Decimal(0)] * n
         dist[ctmc.initial] = Decimal(1)
         prev = Decimal(0)
@@ -276,8 +279,12 @@ def decimal_conditional_weight(ctmc, rho, w, digits=60):
             while k <= x or term >= tiny:
                 k += 1
                 term = term * x / k
-                vec = [sum(vec[s] * P[s][u] for s in range(n))
-                       for u in range(n)]
+                step = [Decimal(0)] * n
+                for s, v in enumerate(vec):
+                    if v:
+                        for u, p in succ[s]:
+                            step[u] += v * p
+                vec = step
                 acc = [a + term * v for a, v in zip(acc, vec)]
             dist = [Decimal(0) if masks[i][u] else acc[u] for u in range(n)]
         likelihood = sum(dist)

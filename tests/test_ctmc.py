@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -35,8 +36,14 @@ from condreach.ctmc import (
     uniformize,
     weight_from_property,
 )
-from condreach.evidence import Formula, parse_evidence, parse_formula
+from condreach.evidence import (
+    Formula,
+    parse_evidence,
+    parse_formula,
+    sample_instance,
+)
 from condreach.fixtures import fixture_path, fixture_text
+from condreach.unfolding import conditional_weight
 from oracles import absorbing_chain
 
 
@@ -478,6 +485,73 @@ def test_jump_powers_are_stepped_once_to_the_power_asked():
     K = transient_matrix(chain, 0.05)
     assert chain._powers[0] is five
     np.testing.assert_allclose(K, expm(chain.generator() * 0.05), atol=1e-10)
+
+
+def test_initial_rows_are_the_powers_initial_rows(invent, tandem):
+    # The rows are stepped as vector products and the powers as matrix
+    # products, so they agree to rounding, not bit for bit: on tandem to
+    # 2.0 ulps relative up to P^20 (3.5 up to P^40).
+    for model in (invent, tandem):
+        chain = parse_ctmc(serialize_ctmc(model))
+        rows = chain.initial_rows(20)
+        assert rows.shape == (21, chain.n_states) and not rows.flags.writeable
+        np.testing.assert_allclose(
+            rows, chain.jump_powers(20)[:, chain.initial],
+            rtol=4 * np.finfo(float).eps, atol=0.0)
+        # A lower row is read from the table; a higher one steps on from
+        # it to exactly that row.
+        assert chain.initial_rows(7).base is rows
+        more = chain.initial_rows(30)
+        assert more.shape == (31, chain.n_states) and chain._rows[0] is more
+        np.testing.assert_array_equal(more[:21], rows)
+
+
+def test_initial_rows_of_p0_step_no_power():
+    frozen = from_rates(["a", "b", "c"], "b", {}, {})
+    np.testing.assert_array_equal(frozen.initial_rows(0), [[0.0, 1.0, 0.0]])
+    assert frozen._powers == []
+
+
+def _rebuilt(chain, initial, scale):
+    """chain built anew with from_rates, from `initial` and its rates
+    times scale."""
+    R, names = chain.rate_matrix(), chain.state_names
+    rates = {(names[s], names[u]): scale * R[s, u]
+             for s, u in zip(*np.nonzero(R))}
+    labels = dict(zip(names, chain.labels))
+    return from_rates(names, names[initial], rates, labels)
+
+
+def test_replace_gives_a_chain_its_own_tables(invent):
+    # dataclasses.replace used to hand the new chain the old one's
+    # tables, and crashed writing its label columns into the old ones.
+    chain = parse_ctmc(serialize_ctmc(invent))
+    omega = parse_evidence(fixture_text("invent1.evidence"))
+    rho = sample_instance(omega, np.random.default_rng(4))
+    w = np.array([0.9, 0.4, 0.1])
+    before = conditional_weight(chain, rho, w)
+    transient_matrix(chain, 1.5)
+    tables = (chain._index, chain._columns, chain._powers[0], chain._rows[0])
+    for new, want in (
+        (dataclasses.replace(chain, exit_rates=2 * chain.exit_rates),
+         _rebuilt(chain, chain.initial, 2.0)),
+        (dataclasses.replace(chain, initial=2), _rebuilt(chain, 2, 1.0)),
+    ):
+        assert new.initial == want.initial
+        np.testing.assert_array_equal(new.jump_probs, want.jump_probs)
+        np.testing.assert_array_equal(new.exit_rates, want.exit_rates)
+        assert new._powers == [] and new._rows == []
+        assert new._index is not chain._index
+        assert new._columns is not chain._columns
+        np.testing.assert_array_equal(transient_matrix(new, 1.5),
+                                      transient_matrix(want, 1.5))
+        assert conditional_weight(new, rho, w) == conditional_weight(
+            want, rho, w)
+        assert new._powers[0] is not tables[2]
+        assert new._rows[0] is not tables[3]
+    now = (chain._index, chain._columns, chain._powers[0], chain._rows[0])
+    assert all(a is b for a, b in zip(now, tables))
+    assert conditional_weight(chain, rho, w) == before
 
 
 def test_tiny_time_has_no_negative_tail(random_chain):

@@ -118,10 +118,13 @@ def test_chain_keeps_the_highest_power_asked(monkeypatch, tandem1,
                                              tandem_weights):
     # After an analyze and exact weights of sampled instances, the chain's
     # table holds P^0 .. P^s for the largest s = ceil(sqrt(cut)) that a
-    # kernel or a series asked for, and no power more.
+    # kernel or a series asked for, and no power more; its table of
+    # initial rows holds e_init P^0 .. e_init P^(c - 1) for the largest
+    # first-gap cut c that an exact weight asked for, and no row more.
     chain = parse_ctmc(fixture_text("tandem.ctmc"))
-    cuts = []
+    cuts, first_cuts = [], []
     kernels, series = Uniformization.kernels, Uniformization.series
+    initial_row = Uniformization.initial_row
 
     def seen_kernels(self, n):
         cuts.extend(self.cuts)
@@ -131,8 +134,13 @@ def test_chain_keeps_the_highest_power_asked(monkeypatch, tandem1,
         cuts.append(self.cuts[self.rank[time]])
         return series(self, start, time, left)
 
+    def seen_initial_row(self, time):
+        first_cuts.append(self.cuts[self.rank[time]])
+        return initial_row(self, time)
+
     monkeypatch.setattr(Uniformization, "kernels", seen_kernels)
     monkeypatch.setattr(Uniformization, "series", seen_series)
+    monkeypatch.setattr(Uniformization, "initial_row", seen_initial_row)
     analyze(chain, tandem1, tandem_weights, AnalysisConfig(max_iters=8))
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -141,6 +149,8 @@ def test_chain_keeps_the_highest_power_asked(monkeypatch, tandem1,
     top = max(math.isqrt(c - 1) + 1 for c in cuts)
     assert top > 1
     assert len(chain._powers[0]) == top + 1
+    assert len(first_cuts) > 20
+    assert len(chain._rows[0]) == max(first_cuts)
 
 
 def test_splittable_skips_points(invent1):

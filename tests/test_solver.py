@@ -132,6 +132,14 @@ def test_bounds_order_and_direction(invent, invent1, invent_weights):
                        direction="sideways")
 
 
+def test_robust_value_iteration_refuses_an_unknown_direction(
+        invent, invent1, invent_weights):
+    # Any direction but "max" used to minimize silently.
+    imdp = abstract(invent, invent1, coarsest_partition(invent1))
+    with pytest.raises(ValueError, match="direction must be 'max' or 'min'"):
+        robust_value_iteration(imdp, invent_weights, "sideways")
+
+
 def test_repaired_scheduler_is_consistent(invent, invent1, invent_weights):
     imdp = abstract(invent, invent1, coarsest_partition(invent1))
     report = compute_bounds(imdp, invent_weights, invent, invent1)

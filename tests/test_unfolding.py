@@ -309,15 +309,17 @@ def test_oracle_forms_no_kernel(monkeypatch, invent, invent1, invent_weights,
 
 
 def test_second_weight_adds_no_power(tandem1, tandem_weights):
-    # The powers of a chain's jump matrix are stepped once: a second call
-    # on the same chain reads them from the chain's table.
+    # The powers of a chain's jump matrix and their initial rows are
+    # stepped once: a second call on the same chain reads them from the
+    # chain's tables.
     chain = ctmc_module.parse_ctmc(fixture_text("tandem.ctmc"))
     rho = sample_instance(tandem1, np.random.default_rng(5))
     first = _entry_points(chain, rho, tandem_weights)
-    table = chain._powers[0]
-    assert len(table) > 2
+    table, rows = chain._powers[0], chain._rows[0]
+    assert len(table) > 2 and len(rows) > len(table)
     assert _entry_points(chain, rho, tandem_weights) == first
     assert len(chain._powers) == 1 and chain._powers[0] is table
+    assert len(chain._rows) == 1 and chain._rows[0] is rows
 
 
 def _assert_within_margin(ctmc, rho, w):
@@ -330,12 +332,45 @@ def _assert_within_margin(ctmc, rho, w):
 def test_conditional_weight_within_witness_margin(invent, invent_weights):
     # A witness timing's float weight, less the margin, must not exceed
     # its exact weight.  On invent1 instances the error reads at most
-    # 3.4e-16 relative.
+    # 2.9e-16 relative.
     omega = parse_evidence(fixture_text("invent1.evidence"))
     rng = np.random.default_rng(8)
     for _ in range(8):
         _assert_within_margin(invent, sample_instance(omega, rng),
                               invent_weights)
+
+
+def test_conditional_weight_within_witness_margin_tandem(tandem, tandem1,
+                                                         tandem_weights):
+    # The first gap's kernel row is read from the chain's initial rows;
+    # on tandem1 instances the error reads at most 9.7e-15 relative,
+    # mostly the Poisson truncation.
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        _assert_within_margin(tandem, sample_instance(tandem1, rng),
+                              tandem_weights)
+
+
+def test_time_zero_violation_refused_before_a_positive_gap(invent,
+                                                           invent_weights):
+    # The initial state is nonempty: observing empty at time 0 has zero
+    # likelihood also when a later observation moves the chain, and the
+    # layers at time 0 are read from the initial state alone.
+    rho = _rho((0.0, "empty"), (1.0, "true"), (2.0, "nonempty"))
+    assert evidence_likelihood(invent, rho) == 0.0
+    for fn in (conditional_weight, bayes_quotient_weight):
+        with pytest.raises(ZeroLikelihoodError):
+            fn(invent, rho, invent_weights)
+
+
+def test_all_gaps_zero_give_the_initial_weight(invent, invent_weights):
+    # One observation at time 0 that the initial state satisfies: no
+    # kernel moves the chain, and the weight is the initial state's.
+    rho = _rho((0.0, "nonempty"))
+    assert conditional_weight(invent, rho, invent_weights) == (
+        invent_weights[invent.initial])
+    assert bayes_quotient_weight(invent, rho, invent_weights) == (
+        invent_weights[invent.initial])
 
 
 _FORMULAS = ("true", "a", "!a", "b", "!b", "a & !b")
