@@ -75,12 +75,12 @@ DEFAULT_VI_TOL = 1e-9
 _MAX_SWEEPS = 10000
 # Relative margin taken off a witness's exact weight before it bounds the
 # optimum: conditional_weight truncates its Poisson series and rounds.
-# Against the decimal oracle of tests/oracles.py it read at most 2.9e-16
-# off on invent1 instances, 9.7e-15 on tandem1 instances and 8.1e-13 on
-# 600 random chains of up to 6 states.  One random chain in another 400
-# read 1.8e-12, above the margin: a gap's truncated tail, up to 0.1 eps,
+# Against the decimal oracle of tests/oracles.py it read at most 5.5e-16
+# off on 100 invent1 instances, 1.2e-14 on 300 tandem1 instances and
+# 8.5e-13 on 600 random chains of up to 6 states.  One random chain
+# reads 1.8e-12, above the margin: a gap's truncated tail, up to 0.1 eps,
 # is put on its last term, an absolute error that no relative margin
-# bounds (ROADMAP item 4).
+# bounds (ROADMAP item 4; test_truncation_exceeds_witness_margin).
 WITNESS_MARGIN = 1e-12
 
 

@@ -9,13 +9,17 @@ layer is exactly the probability of generating the evidence.
 
 No transient kernel is formed.  Each gap between layers applies its
 truncated Poisson series of the uniformized jump matrix (Fox & Glynn,
-CACM 1988) to a vector or an (n, 2) block, as a Paterson-Stockmeyer
-polynomial in about 2 sqrt(cut) products with the start, on the powers
-the chain keeps (Uniformization.series).  Of the first gap that moves
+CACM 1988) to a vector or an (n, 2) block.  Of the first gap that moves
 the chain, the reset fixpoint reads only the initial state's row of the
-kernel, which is formed from the initial rows of P's powers that the
-chain keeps (Uniformization.initial_row).  One Poisson table serves all
-of the evidence's gaps.
+kernel, formed from the initial rows of P's powers that the chain keeps
+(Uniformization.initial_row).  The last gap applies its kernel to the
+last layer's block, which is the same for every timing of one evidence
+and weight vector, from the columns P^k @ block that the chain keeps
+for it (Uniformization.final_block).  Any gap in between is a
+Paterson-Stockmeyer polynomial in about 2 sqrt(cut) products with the
+block, on the powers the chain keeps (Uniformization.series), as is
+every gap of the forward route.  One Poisson table serves all of the
+evidence's gaps.
 """
 
 from __future__ import annotations
@@ -73,14 +77,15 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     (alpha, 1 - beta) columns of all states start at (w, 1) on the last
     layer, reset nodes get (0, 0), and each gap's kernel K is applied as
     K @ block without forming K, down to the first gap f whose kernel
-    moves the chain (a cut above 1).  Every gap before f has length 0
-    (or lam = 0) and kernel K = I, so the chain is in its initial state
-    on the layers up to f, and of K(f) only the initial state's row is
-    read: the initial node's (alpha, 1 - beta) is that row times the
-    block (with no such gap, the block's initial row).  Evidence of
-    (near-)zero likelihood, with an initial state that violates an
-    observation at time 0 or an escape mass at or below
-    ZERO_LIKELIHOOD, raises ZeroLikelihoodError.
+    moves the chain (a cut above 1): the last gap from the columns that
+    the chain keeps for this block, a middle gap by its series.  Every
+    gap before f has length 0 (or lam = 0) and kernel K = I, so the
+    chain is in its initial state on the layers up to f, and of K(f)
+    only the initial state's row is read: the initial node's (alpha,
+    1 - beta) is that row times the block (with no such gap, the
+    block's initial row).  Evidence of (near-)zero likelihood, with an
+    initial state that violates an observation at time 0 or an escape
+    mass at or below ZERO_LIKELIHOOD, raises ZeroLikelihoodError.
     """
     w = _weights(w, ctmc.n_states)
     masks, gaps = _layers(ctmc, rho, eps)
@@ -90,7 +95,8 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     block[:, 0] = w
     block[masks[d]] = 0.0
     for i in range(d - 1, f, -1):
-        block = gaps.series(block, i)
+        block = (gaps.final_block(i, block) if i == d - 1
+                 else gaps.series(block, i))
         block[masks[i]] = 0.0
     if f < d:
         alpha, escape = gaps.initial_row(f) @ block

@@ -509,7 +509,66 @@ def test_initial_rows_are_the_powers_initial_rows(invent, tandem):
 def test_initial_rows_of_p0_step_no_power():
     frozen = from_rates(["a", "b", "c"], "b", {}, {})
     np.testing.assert_array_equal(frozen.initial_rows(0), [[0.0, 1.0, 0.0]])
+    block = np.arange(6.0).reshape(3, 2)
+    np.testing.assert_array_equal(frozen.final_columns(block, 0), [block])
     assert frozen._powers == []
+
+
+def test_final_columns_are_p_stepped_by_hand(invent, tandem):
+    rng = np.random.default_rng(6)
+    for model in (invent, tandem):
+        chain = parse_ctmc(serialize_ctmc(model))
+        P = chain.jump_powers(1)[1]
+        block = rng.uniform(size=(chain.n_states, 2))
+        cols = chain.final_columns(block, 20)
+        assert cols.shape == (21, *block.shape) and not cols.flags.writeable
+        want = [block]
+        for _ in range(30):
+            want.append(P @ want[-1])
+        np.testing.assert_array_equal(cols, want[:21])
+        # A lower top is read from the table; a higher one steps on from
+        # it to exactly that column.
+        assert chain.final_columns(block, 7).base is cols
+        more = chain.final_columns(block, 30)
+        assert more.shape == (31, *block.shape) and chain._finals[1] is more
+        np.testing.assert_array_equal(more, want)
+        # The kept block is a read-only copy: changing the caller's block
+        # restarts the table.
+        key = chain._finals[0]
+        assert not key.flags.writeable and key is not block
+        block[0, 0] = np.nextafter(block[0, 0], 2.0)
+        np.testing.assert_array_equal(chain.final_columns(block, 3)[1],
+                                      P @ block)
+        assert chain._finals[0] is not key and len(chain._finals[1]) == 4
+        # -0.0 == 0.0, but the blocks differ in a bit, so it restarts too.
+        block[0, 0] = 0.0
+        zero = chain.final_columns(block, 3)
+        block[0, 0] = -0.0
+        signed = chain.final_columns(block, 2)
+        assert chain._finals[1] is signed and signed is not zero
+        assert math.copysign(1.0, signed[0, 0, 0]) == -1.0
+        assert chain.final_columns(block, 1).base is signed
+
+
+@pytest.mark.parametrize("model", ["invent.ctmc", "tandem.ctmc"])
+def test_final_block_matches_series(model):
+    # The kept columns and the polynomial round differently; both lie
+    # within _kernel_tolerance of the exact series, and a time of cut 1
+    # gives the block bit for bit without stepping a power.
+    ctmc = parse_ctmc(fixture_text(model))
+    eps = 1e-10
+    times = [0.0, *_BATCH_TIMES, *_times_with_cuts(ctmc, _EDGE_CUTS, eps)]
+    gaps = uniformize(ctmc, times, eps)
+    block = np.random.default_rng(7).uniform(size=(ctmc.n_states, 2))
+    np.testing.assert_array_equal(gaps.final_block(0, block), block)
+    assert ctmc._powers == []
+    for i in range(len(times)):
+        cut = gaps.cuts[gaps.rank[i]]
+        rel, tiny = _kernel_tolerance(cut, ctmc.n_states, applied=True)
+        got = gaps.final_block(i, block)
+        want = gaps.series(block, i)
+        assert got.shape == block.shape and np.all(got >= 0.0)
+        assert np.all(np.abs(got - want) <= rel * want + tiny), times[i]
 
 
 def _rebuilt(chain, initial, scale):
@@ -531,7 +590,8 @@ def test_replace_gives_a_chain_its_own_tables(invent):
     w = np.array([0.9, 0.4, 0.1])
     before = conditional_weight(chain, rho, w)
     transient_matrix(chain, 1.5)
-    tables = (chain._index, chain._columns, chain._powers[0], chain._rows[0])
+    tables = (chain._index, chain._columns, chain._powers[0], chain._rows[0],
+              chain._finals[1])
     for new, want in (
         (dataclasses.replace(chain, exit_rates=2 * chain.exit_rates),
          _rebuilt(chain, chain.initial, 2.0)),
@@ -540,7 +600,7 @@ def test_replace_gives_a_chain_its_own_tables(invent):
         assert new.initial == want.initial
         np.testing.assert_array_equal(new.jump_probs, want.jump_probs)
         np.testing.assert_array_equal(new.exit_rates, want.exit_rates)
-        assert new._powers == [] and new._rows == []
+        assert new._powers == [] and new._rows == [] and new._finals == []
         assert new._index is not chain._index
         assert new._columns is not chain._columns
         np.testing.assert_array_equal(transient_matrix(new, 1.5),
@@ -549,7 +609,9 @@ def test_replace_gives_a_chain_its_own_tables(invent):
             want, rho, w)
         assert new._powers[0] is not tables[2]
         assert new._rows[0] is not tables[3]
-    now = (chain._index, chain._columns, chain._powers[0], chain._rows[0])
+        assert new._finals[1] is not tables[4]
+    now = (chain._index, chain._columns, chain._powers[0], chain._rows[0],
+           chain._finals[1])
     assert all(a is b for a, b in zip(now, tables))
     assert conditional_weight(chain, rho, w) == before
 
