@@ -176,16 +176,17 @@ def _open_out(out):
     return open(out, "w", encoding="utf-8", newline="\n")
 
 
-def _positive_finite(ctx, param, value):
-    """Reject a tolerance that is not a positive finite number."""
-    if not 0 < value < math.inf:
-        raise SemanticError(f"{param.opts[0]} must be positive and finite")
+def _dropped_mass(ctx, param, value):
+    """Reject a truncation tolerance outside (0, 1): it is a probability
+    mass to drop, and at 1 or above it bounds nothing."""
+    if not 0 < value < 1:
+        raise SemanticError(f"{param.opts[0]} must be in (0, 1)")
     return value
 
 
 _transient_tol_option = click.option(
     "--transient-tol", type=float, default=1e-10, show_default=True,
-    callback=_positive_finite, help="Transient truncation tolerance.",
+    callback=_dropped_mass, help="Transient truncation tolerance.",
 )
 
 

@@ -7,19 +7,20 @@ Poisson truncation, which keeps every term nonnegative.  A time's
 truncated series is a polynomial in the uniformized jump matrix P,
 evaluated in about 2 sqrt(cut) matrix products (Paterson & Stockmeyer,
 SIAM J. Comput. 1973) on the powers P^0, P^1, ... that the chain keeps,
-stepped on demand: as whole kernels, applied to a vector or a block
-without forming one, as a kernel's initial-state row, from the initial
-rows of the powers that the chain keeps beside them, or as a kernel
-applied to the last block it was asked for, from the columns P^k @ block
-that the chain keeps for that one block.  The rule
-is one: a sum of products with P alone is such a polynomial, and a sum
-whose targets are held absorbing (reach matrices and property weights)
-is the power loop, which steps its start one product with the chain's
-own P at a time and sets the targets back to 1 after each
-(Uniformization.power_sum).  On a grid of short binary
-fractions a kernel is instead marched from its binary parent, one
-product K(t - h) @ K(h) by the semigroup property, with polynomials only
-at the roots (marched_kernels).
+stepped on demand: as whole kernels, or applied to a vector or a block
+without forming one (polynomial_series).  The chain also keeps the
+initial rows of its powers and the columns P^k @ block of the last block
+it was asked for, which a Poisson row reads as a kernel's initial-state
+row or as a kernel applied to that block.  A stack of times takes its
+Poisson weights from one table, one time at a time from its own row
+(poisson_row), bit for bit the same.  The rule is one: a sum of
+products with P alone is such a polynomial, and a sum whose targets are
+held absorbing (reach matrices and property weights) is the power loop,
+which steps its start one product with the chain's own P at a time and
+sets the targets back to 1 after each (Uniformization.power_sum).  On a
+grid of short binary fractions a kernel is instead marched from its
+binary parent, one product K(t - h) @ K(h) by the semigroup property,
+with polynomials only at the roots (marched_kernels).
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ class Ctmc:
     # P^0 b .. P^k b (final_columns).
     _finals: list = field(default_factory=list, init=False, repr=False,
                           compare=False)
+    # Per formula's literals, the read-only boolean mask of the states
+    # that violate it (reset_masks); () is `true`, violated nowhere.
+    _masks: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         n = len(self.state_names)
@@ -129,7 +134,8 @@ class Ctmc:
         for s, lab in enumerate(self.labels):
             for ap in lab:
                 self._columns.setdefault(ap, np.zeros(n, dtype=bool))[s] = True
-        for column in self._columns.values():
+        self._masks[()] = np.zeros(n, dtype=bool)
+        for column in (*self._columns.values(), self._masks[()]):
             column.setflags(write=False)
         self.jump_probs.setflags(write=False)
         self.exit_rates.setflags(write=False)
@@ -152,7 +158,7 @@ class Ctmc:
     @property
     def uniformization_rate(self):
         """lam: the largest exit rate, slightly inflated."""
-        return float(np.max(self.exit_rates)) * _RATE_INFLATION
+        return float(self.exit_rates.max()) * _RATE_INFLATION
 
     def jump_powers(self, top):
         """P^0 .. P^top of the uniformized jump matrix P = I + Q / lam, as a
@@ -183,11 +189,14 @@ class Ctmc:
 
         Kept and stepped as the powers are (jump_powers), one vector
         product r_k = r_(k - 1) @ P at a time, to exactly the highest row
-        asked.  A kernel's initial row takes its cut's rows where the
-        power table takes about its square root's powers: the table is
-        O(cut n) floats against O(sqrt(cut) n^2), under 200 KB on the
-        bundled models, but about 98 MB against 37 MB on tandem at a
-        Poisson mean of MAX_POISSON_MEAN.
+        asked.  An exact weight reads its first moving gap's kernel row
+        as the gap's Poisson coefficients (poisson_row, its tail on the
+        last) times its cut's rows, one (cut,) @ (cut, n) product of
+        nonnegative terms.  It takes its cut's rows where the power table
+        takes about its square root's powers: the table is O(cut n)
+        floats against O(sqrt(cut) n^2), under 200 KB on the bundled
+        models, but about 98 MB against 37 MB on tandem at a Poisson mean
+        of MAX_POISSON_MEAN.
         """
         if self._rows:
             have = self._rows[0]
@@ -215,13 +224,15 @@ class Ctmc:
         column asked.  A block that differs from the kept one in any bit
         (compared as bytes, so -0.0 is not 0.0) restarts the table from
         it.  An exact weight asks for the same block, the last layer's
-        weights, for every timing of one evidence, so a fresh chain steps
-        no power beyond P^1 for it.  The table is O(cut n) floats per
-        column, as the initial rows: about 300 KB after a tandem1
-        analyze, and about 196 MB on tandem at a Poisson mean of
-        MAX_POISSON_MEAN.  A new block steps the full cut, one product
-        per column row (up to about 176 on tandem1), where a series
-        takes about 2 sqrt(cut).
+        weights, for every timing of one evidence, and reads its last gap
+        as the gap's Poisson coefficients (poisson_row, its tail on the
+        last) times the first cut columns, one product of nonnegative
+        terms, so a fresh chain steps no power beyond P^1 for it.  The
+        table is O(cut n) floats per column, as the initial rows: about
+        300 KB after a tandem1 analyze, and about 196 MB on tandem at a
+        Poisson mean of MAX_POISSON_MEAN.  A new block steps the full
+        cut, one product per column row (up to about 176 on tandem1),
+        where a series takes about 2 sqrt(cut).
         """
         if not (self._finals and self._finals[0].shape == block.shape
                 and self._finals[0].tobytes() == block.tobytes()):
@@ -271,10 +282,16 @@ class Ctmc:
         """Per-layer masks of the states violating each observation.
 
         The observation layers follow the anchor layer at time 0, whose
-        mask is all False.
+        mask is all False, the mask of `true`.  The masks are read-only,
+        and the chain keeps one per formula it was asked for.
         """
-        violating = (~self.satisfying(obs) for obs in formulas)
-        return (np.zeros(self.n_states, dtype=bool), *violating)
+        masks = self._masks
+        for obs in formulas:
+            if obs.literals not in masks:
+                mask = ~self.satisfying(obs)
+                mask.setflags(write=False)
+                masks[obs.literals] = mask
+        return (masks[()], *(masks[obs.literals] for obs in formulas))
 
 
 def from_rates(names, initial, rates, labels):
@@ -406,10 +423,10 @@ def _poisson_table(means, eps):
     is bit-identical to the same steps run on its mean alone: the ratio
     products are row-wise cumprods padded with 1, the mode terms come from
     math.exp and math.lgamma, and each row's sum runs over exactly its own
-    terms (_row_sums).
+    terms (_row_sums).  Each row is so also bit-identical to its mean's
+    poisson_row.
     """
-    if not 0 < eps < math.inf:
-        raise ValueError("truncation tolerance must be positive and finite")
+    _check_tolerance(eps)
     means = np.asarray(means, dtype=float).reshape(-1)
     listed = means.tolist()
     if not all(0 <= x < math.inf for x in listed):
@@ -459,6 +476,62 @@ def _poisson_table(means, eps):
     return pmf[:, : cuts.max(initial=1)], cuts
 
 
+def _check_tolerance(eps):
+    """ValueError unless eps, a probability mass to drop, is in (0, 1):
+    at 1 or above it bounds nothing."""
+    if not 0 < eps < 1:
+        raise ValueError(f"truncation tolerance must be in (0, 1), got {eps}")
+
+
+def poisson_row(mean, eps):
+    """Truncated Poisson pmf of one mean: its values at 0..cut - 1, the
+    mean's row of _poisson_table up to its cut, bit for bit.
+
+    The table's steps run on one mean: the mode term through lgamma, the
+    ratio products outward from the mode in the table's order (the left
+    side from the mode down, the right side from it up, a right side
+    that falls short doubling its span), the normalizing sum over exactly
+    the row's terms, and the tail beyond each term summed from the right.
+    A gap of an exact weight takes its row here, one mean at a time; a
+    stack of times takes one table for all of them.
+    """
+    _check_tolerance(eps)
+    if not 0 <= mean < math.inf:
+        raise ValueError("Poisson mean must be finite and nonnegative")
+    if not mean:
+        return np.ones(1)
+    mode = int(mean)
+    p_mode = math.exp(mode * math.log(mean) - mean - math.lgamma(mode + 1))
+    span = 16 + int(10.0 * math.sqrt(mean))
+    while True:
+        ends = mode + span
+        # The ratios (k + 1) / mean left of the mode and mean / k right
+        # of it, around a 1 at the mode; each side's products run from
+        # the mode outward, in place.
+        k = np.arange(1.0, ends)
+        pmf = np.empty(ends)
+        np.divide(k[:mode], mean, out=pmf[:mode])
+        np.divide(mean, k[mode:], out=pmf[mode + 1:])
+        pmf[mode] = 1.0
+        left, right = pmf[mode::-1], pmf[mode:]
+        np.multiply.accumulate(left, out=left)
+        np.multiply.accumulate(right, out=right)
+        pmf *= p_mode
+        r = mean / ends
+        last = float(pmf[-1])
+        rest = last * r / (1.0 - r)
+        if last + rest <= 1e-6 * eps:
+            break
+        span *= 2
+    pmf /= np.add.reduce(pmf) + rest
+    # beyond[j], the mass beyond term ends - 2 - j, summed from the right,
+    # rises with j; the cut is one past the first term whose mass beyond
+    # is at most 0.1 * eps.  The last term and rest are far below it.
+    beyond = pmf[:0:-1].cumsum()
+    beyond += rest
+    return pmf[: ends + 1 - int(beyond.searchsorted(0.1 * eps, "right"))]
+
+
 def _row_sums(table, lengths):
     """Sum of each row's first lengths[i] entries, rounded as a sum of
     that slice alone: numpy sums pairwise in blocks set by the length, so
@@ -473,33 +546,64 @@ def _row_sums(table, lengths):
     return sums
 
 
+def polynomial_series(powers, coef, start, left=False):
+    """sum_k coef[k] P^k @ start, or start @ P^k with left: a polynomial
+    in P applied to a vector or a block without forming it.
+
+    powers(top) gives P^0 .. P^top (Ctmc.jump_powers).  The polynomial is
+    evaluated as :meth:`Uniformization.kernels` evaluates its kernels
+    (the same blocks and Horner's rule), with every power replaced by its
+    product with the start.  With s = ceil(sqrt(c)) and b = ceil(c / s)
+    for c = len(coef), the terms P^i @ start of i < s are one stacked
+    product, the b blocks B_j @ start one matmul by the coefficients,
+    padded with zeros to b * s, and Horner's rule in P^s adds them, Y <-
+    P^s @ Y + B_j @ start from the last block down (Y @ P^s with left):
+    about 2 sqrt(c) products with the start, where the power loop takes
+    c.  The coefficients and the start must be nonnegative for the error
+    to stay relative, as in kernels.
+    """
+    c = len(coef)
+    s = math.isqrt(c - 1) + 1
+    b = -(-c // s)
+    padded = np.zeros(b * s)
+    padded[:c] = coef
+    P = powers(s if b > 1 else s - 1)
+    if left:
+        terms = np.matmul(start, P[:s])
+    else:
+        # One product of the stacked powers with the start.
+        terms = P[:s].reshape(-1, P.shape[2]) @ start
+        terms = terms.reshape(s, *np.shape(start))
+    blocks = padded.reshape(b, s) @ terms.reshape(s, -1)
+    blocks = blocks.reshape(b, *terms.shape[1:])
+    acc = blocks[b - 1]
+    for j in range(b - 2, -1, -1):
+        acc = acc @ P[s] if left else P[s] @ acc
+        acc += blocks[j]
+    return acc
+
+
 @dataclass(frozen=True)
 class Uniformization:
     """A chain's uniformized jump matrix and the truncated Poisson weights
-    of an array of times: what every uniformization sum is made of.
+    of an array of times: what every batched uniformization sum is made
+    of.
 
     powers(top) gives P^0 .. P^top of P = I + Q / lam, the rate lam being
     the max exit rate (slightly inflated), from the chain's own table
     (Ctmc.jump_powers); powers(0) is P^0 on any chain, and a higher
     power is asked for only when some time takes a step (lam > 0 and a
-    time above 0).  rows(top) gives the initial state's rows of P^0 ..
-    P^top, from the chain's table of them (Ctmc.initial_rows), and
-    columns(block, top) the columns P^0 @ block .. P^top @ block, from
-    the chain's table of its last block (Ctmc.final_columns).  The
-    weight rows are held longest cut first, and row rank[i] is time i's:
-    it holds pois(k; lam * times[i]) for k < cuts[rank[i]]
-    (_poisson_table), entries after them are padding, and
+    time above 0).  The weight rows are held longest cut first, and row
+    rank[i] is time i's: it holds pois(k; lam * times[i]) for k <
+    cuts[rank[i]] (_poisson_table), entries after them are padding, and
     tails[rank[i]] >= 0 is the mass it drops.  Built by
     :func:`uniformize`.  Each time's truncated series is a polynomial in
-    P, evaluated as whole kernels (kernels), applied to a vector or a
-    block (series, or final_block on the chain's kept columns) or as its
-    kernel's initial row (initial_row); a sum with targets held
-    absorbing steps its start through the series (power_sum).
+    P, evaluated as whole kernels (kernels) or applied to a vector or a
+    block (series); a sum with targets held absorbing steps its start
+    through the series (power_sum).
     """
 
     powers: object
-    rows: object
-    columns: object
     weights: np.ndarray
     cuts: list
     tails: np.ndarray
@@ -549,76 +653,13 @@ class Uniformization:
     def series(self, start, time, left=False):
         """sum_k pois(k; lam * t) P^k @ start, or start @ P^k with left,
         for the time t of index `time`: its kernel applied to a vector or
-        a block without forming the kernel.
-
-        The series is the time's polynomial of :meth:`kernels` (the same
-        coefficients, blocks and Horner's rule), with every power
-        replaced by its product with the start.  With s = ceil(sqrt(c))
-        and b = ceil(c / s) for the time's cut c, the terms P^i @ start
-        of i < s are one stacked product, the b blocks B_j @ start one
-        matmul by the coefficients, and Horner's rule in P^s adds them,
-        Y <- P^s @ Y + B_j @ start from the last block down (Y @ P^s with
-        left): about 2 sqrt(c) products with the start, where the power
-        loop takes c.  The start must be nonnegative for the error to
-        stay relative, as in kernels.
-        """
-        c = self.cuts[self.rank[time]]
-        s = math.isqrt(c - 1) + 1
-        b = -(-c // s)
-        coef = self._coefficients(time, b * s)
-        powers = self.powers(s if b > 1 else s - 1)
-        if left:
-            terms = np.matmul(start, powers[:s])
-        else:
-            # One product of the stacked powers with the start.
-            terms = powers[:s].reshape(-1, powers.shape[2]) @ start
-            terms = terms.reshape(s, *np.shape(start))
-        blocks = coef.reshape(b, s) @ terms.reshape(s, -1)
-        blocks = blocks.reshape(b, *terms.shape[1:])
-        acc = blocks[b - 1]
-        for j in range(b - 2, -1, -1):
-            acc = acc @ powers[s] if left else powers[s] @ acc
-            acc += blocks[j]
-        return acc
-
-    def initial_row(self, time):
-        """e_init @ sum_k pois(k; lam * t) P^k for the time t of index
-        `time`: the initial state's row of its kernel.
-
-        The time's polynomial coefficients (those of kernels) times the
-        rows e_init P^k, k < cut, that the chain keeps: one (cut,) @
-        (cut, n) product of nonnegative terms, so the error stays
-        relative.  A time of cut 1 (length 0, or lam = 0) gives e_init
-        exactly and steps no power.
-        """
-        c = self.cuts[self.rank[time]]
-        return self._coefficients(time, c) @ self.rows(c - 1)
-
-    def final_block(self, time, block):
-        """sum_k pois(k; lam * t) P^k @ block for the time t of index
-        `time`: its kernel applied to a block, as series does, from the
-        columns P^k @ block, k < cut, that the chain keeps for its last
-        block (Ctmc.final_columns).
-
-        One (cut,) @ (cut, size of block) product of nonnegative terms,
-        so the error stays relative.  A time of cut 1 gives the block
-        exactly and steps no power.
-        """
-        c = self.cuts[self.rank[time]]
-        cols = self.columns(block, c - 1)
-        return (self._coefficients(time, c) @ cols.reshape(c, -1)).reshape(
-            np.shape(block))
-
-    def _coefficients(self, time, width):
-        """The polynomial coefficients of the time of index `time`: its
-        weights up to its cut, its tail on the last, zeros after it up to
-        width."""
+        a block without forming the kernel (polynomial_series), on the
+        time's polynomial coefficients, its weights up to its cut with its
+        tail on the last."""
         r = self.rank[time]
-        c = self.cuts[r]
-        coef = np.zeros(width)
-        coef[:c] = self.weights[r, :c]
-        coef[c - 1] += self.tails[r]
-        return coef
+        coef = self.weights[r, : self.cuts[r]].copy()
+        coef[-1] += self.tails[r]
+        return polynomial_series(self.powers, coef, start, left)
 
     def kernels(self, n):
         """The transient kernels sum_k pois(k; lam * t) P^k of every time
@@ -676,10 +717,27 @@ class Uniformization:
 def uniformize(ctmc, times, eps=DEFAULT_TRANSIENT_TOL):
     """The :class:`Uniformization` of ctmc over an array of times.
 
-    All the times' Poisson weights come from one table.  A time that is
-    negative or not finite raises ValueError; a Poisson mean above
-    MAX_POISSON_MEAN raises UniformizationError before the table is
-    built.
+    All the times' Poisson weights come from one table, built once the
+    times, their means and the tolerance have passed poisson_means'
+    checks.
+    """
+    W, cuts = _poisson_table(poisson_means(ctmc, times, eps), eps)
+    order = np.argsort(-cuts, kind="stable")
+    W, cuts = W[order], cuts[order]
+    # The weights sum to 1 within rounding, which can leave a dropped
+    # mass of -2.2e-16 (and a negative kernel entry) on a tiny time.
+    tails = np.maximum(1.0 - _row_sums(W, cuts), 0.0)
+    return Uniformization(ctmc.jump_powers, W, cuts.tolist(), tails,
+                          np.argsort(order))
+
+
+def poisson_means(ctmc, times, eps):
+    """The Poisson means lam * t of an array of times, as a flat array,
+    once every check of a uniformization has passed.
+
+    A time that is negative or not finite raises ValueError, a mean
+    above MAX_POISSON_MEAN UniformizationError, and then a truncation
+    tolerance outside (0, 1) ValueError: all before any Poisson work.
     """
     flat = np.asarray(times, dtype=float).reshape(-1)
     # A nan fails both comparisons.
@@ -692,17 +750,8 @@ def uniformize(ctmc, times, eps=DEFAULT_TRANSIENT_TOL):
             f"Poisson mean {lam * top:.6g} of uniformization exceeds "
             f"{MAX_POISSON_MEAN:g}; the chain is too stiff for this time"
         )
-    means = lam * flat
-    W, cuts = _poisson_table(means, eps)
-    order = np.argsort(-cuts, kind="stable")
-    W, cuts = W[order], cuts[order]
-    # The weights sum to 1 within rounding, which can leave a dropped
-    # mass of -2.2e-16 (and a negative kernel entry) on a tiny time.
-    tails = np.maximum(1.0 - _row_sums(W, cuts), 0.0)
-    return Uniformization(
-        ctmc.jump_powers, ctmc.initial_rows, ctmc.final_columns, W,
-        cuts.tolist(), tails, np.argsort(order)
-    )
+    _check_tolerance(eps)
+    return lam * flat
 
 
 def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):

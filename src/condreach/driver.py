@@ -28,9 +28,12 @@ class AnalysisConfig:
             raise SemanticError("time limit must be positive and finite")
         if self.max_iters is not None and self.max_iters < 1:
             raise SemanticError("max iterations must be at least 1")
-        if not (0 < self.transient_tol < math.inf
-                and 0 < self.vi_tol < math.inf):
-            raise SemanticError("tolerances must be positive and finite")
+        if not 0 < self.transient_tol < 1:
+            # A probability mass to drop: at 1 or above it bounds nothing.
+            raise SemanticError("transient tolerance must be in (0, 1)")
+        if not 0 < self.vi_tol < math.inf:
+            raise SemanticError("value-iteration tolerance must be positive "
+                                "and finite")
         if self.width_target is not None and not math.isfinite(self.width_target):
             raise SemanticError("width target must be finite")
         if self.mode not in ("guided", "full"):

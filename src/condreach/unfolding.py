@@ -9,24 +9,33 @@ layer is exactly the probability of generating the evidence.
 
 No transient kernel is formed.  Each gap between layers applies its
 truncated Poisson series of the uniformized jump matrix (Fox & Glynn,
-CACM 1988) to a vector or an (n, 2) block.  Of the first gap that moves
-the chain, the reset fixpoint reads only the initial state's row of the
-kernel, formed from the initial rows of P's powers that the chain keeps
-(Uniformization.initial_row).  The last gap applies its kernel to the
-last layer's block, which is the same for every timing of one evidence
-and weight vector, from the columns P^k @ block that the chain keeps
-for it (Uniformization.final_block).  Any gap in between is a
-Paterson-Stockmeyer polynomial in about 2 sqrt(cut) products with the
-block, on the powers the chain keeps (Uniformization.series), as is
-every gap of the forward route.  One Poisson table serves all of the
-evidence's gaps.
+CACM 1988) to a vector or an (n, 2) block.  An exact weight takes each
+gap's Poisson row alone (ctmc.poisson_row), with the dropped tail on its
+last term, and reads the chain's kept tables with that row.  Of the
+first gap that moves the chain, the reset fixpoint reads only the
+initial state's row of the kernel: the gap's row times the initial rows
+of P's powers that the chain keeps (Ctmc.initial_rows).  The last gap
+applies its kernel to the last layer's block, which is the same for
+every timing of one evidence and weight vector: the gap's row times the
+columns P^k @ block that the chain keeps for it (Ctmc.final_columns).
+Any gap in between is a Paterson-Stockmeyer polynomial in about
+2 sqrt(cut) products with the block, on the powers the chain keeps
+(ctmc.polynomial_series).  The forward route takes one Poisson table
+for all of the evidence's gaps and applies each by the same polynomial
+(Uniformization.series).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ctmc import DEFAULT_TRANSIENT_TOL, uniformize
+from .ctmc import (
+    DEFAULT_TRANSIENT_TOL,
+    poisson_means,
+    poisson_row,
+    polynomial_series,
+    uniformize,
+)
 
 # transient_matrix is not called here.  It stays a module attribute,
 # because bench/run.py's tracer wraps unfolding.transient_matrix.
@@ -47,12 +56,20 @@ _UNDEFINED = (
 )
 
 
-def _layers(ctmc, rho, eps):
+def _layers(ctmc, rho):
     """The reset masks of the layers 0, t_1, ..., t_d (layer 0's is
-    all-False) and the uniformization of the d gaps between them."""
+    all-False) and the lengths of the d gaps between them."""
     rho.bind_check(ctmc.alphabet)
-    gaps = np.diff((0.0, *rho.times))
-    return ctmc.reset_masks(rho.formulas), uniformize(ctmc, gaps, eps)
+    return ctmc.reset_masks(rho.formulas), np.diff((0.0, *rho.times))
+
+
+def _coefficients(mean, eps):
+    """The polynomial coefficients of a gap of Poisson mean `mean`: its
+    Poisson row, with the mass it drops put on its last term as
+    uniformize puts each time's tail."""
+    coef = poisson_row(mean, eps)
+    coef[-1] += max(1.0 - np.add.reduce(coef), 0.0)
+    return coef
 
 
 def _weights(w, n_states):
@@ -61,7 +78,7 @@ def _weights(w, n_states):
     w = np.asarray(w, dtype=float)
     if w.shape != (n_states,):
         raise ValueError(f"weights must be a vector of {n_states} entries")
-    if not np.all((0 <= w) & (w < np.inf)):
+    if not ((0 <= w) & (w < np.inf)).all():
         raise ValueError("weights must be finite and nonnegative")
     return w
 
@@ -83,23 +100,31 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     chain is in its initial state on the layers up to f, and of K(f)
     only the initial state's row is read: the initial node's (alpha,
     1 - beta) is that row times the block (with no such gap, the
-    block's initial row).  Evidence of (near-)zero likelihood, with an
-    initial state that violates an observation at time 0 or an escape
-    mass at or below ZERO_LIKELIHOOD, raises ZeroLikelihoodError.
+    block's initial row).  Each gap's coefficients are its own Poisson
+    row, taken once all gaps have passed the checks of poisson_means.
+    Evidence of (near-)zero likelihood, with an initial state that
+    violates an observation at time 0 or an escape mass at or below
+    ZERO_LIKELIHOOD, raises ZeroLikelihoodError.
     """
     w = _weights(w, ctmc.n_states)
-    masks, gaps = _layers(ctmc, rho, eps)
-    d = len(masks) - 1
-    f = next((i for i, r in enumerate(gaps.rank) if gaps.cuts[r] > 1), d)
+    masks, lengths = _layers(ctmc, rho)
+    coefs = [_coefficients(m, eps)
+             for m in poisson_means(ctmc, lengths, eps).tolist()]
+    d = len(coefs)
+    f = next((i for i, coef in enumerate(coefs) if len(coef) > 1), d)
     block = np.ones((len(w), 2))
     block[:, 0] = w
     block[masks[d]] = 0.0
     for i in range(d - 1, f, -1):
-        block = (gaps.final_block(i, block) if i == d - 1
-                 else gaps.series(block, i))
+        coef = coefs[i]
+        if i == d - 1:
+            cols = ctmc.final_columns(block, len(coef) - 1)
+            block = (coef @ cols.reshape(len(coef), -1)).reshape(block.shape)
+        else:
+            block = polynomial_series(ctmc.jump_powers, coef, block)
         block[masks[i]] = 0.0
     if f < d:
-        alpha, escape = gaps.initial_row(f) @ block
+        alpha, escape = coefs[f] @ ctmc.initial_rows(len(coefs[f]) - 1) @ block
     else:
         alpha, escape = block[ctmc.initial]
     if (escape <= ZERO_LIKELIHOOD
@@ -114,7 +139,8 @@ def _forward(ctmc, rho, eps):
     Returns the sub-probability vector over last-layer states; its total
     is the probability of never hitting a reset node.
     """
-    masks, gaps = _layers(ctmc, rho, eps)
+    masks, lengths = _layers(ctmc, rho)
+    gaps = uniformize(ctmc, lengths, eps)
     dist = np.zeros(ctmc.n_states)
     dist[ctmc.initial] = 1.0
     for i in range(len(masks) - 1):

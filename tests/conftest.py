@@ -1,4 +1,3 @@
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -8,6 +7,7 @@ import pytest
 from condreach.ctmc import (
     from_rates,
     parse_ctmc,
+    poisson_row,
     transient_matrix,
     weight_from_property,
 )
@@ -106,53 +106,13 @@ def tandem_phase2_weights(tandem):
     return weight_from_property(tandem, target, 0.5)
 
 
-def _poisson_weights(mean, eps):
-    """Poisson pmf values 0..K of one mean, dropping at most 0.1 * eps.
-
-    The one-mean form of the package's batched table, as an oracle.  The
-    pmf is evaluated at the mode through lgamma, extended outward by the
-    ratio p(k + 1) / p(k) = mean / (k + 1) and normalized (Fox & Glynn,
-    CACM 1988).  K is one past the smallest k whose tail mass beyond k is
-    at most 0.1 * eps; the tail is summed from the right.
-    """
-    if not 0 < eps < math.inf:
-        raise ValueError("truncation tolerance must be positive and finite")
-    if not 0 <= mean < math.inf:
-        raise ValueError("Poisson mean must be finite and nonnegative")
-    if mean <= 0.0:
-        return np.array([1.0])
-    mode = int(mean)
-    p_mode = math.exp(mode * math.log(mean) - mean - math.lgamma(mode + 1))
-    left = p_mode * np.cumprod(np.arange(mode, 0, -1) / mean)[::-1]
-    # Extend the right side until the mass beyond its last term, bounded by
-    # a geometric series of ratio r = mean / (k + 1), is far below 0.1 * eps.
-    span = 16 + int(10.0 * math.sqrt(mean))
-    while True:
-        right = p_mode * np.cumprod(mean / np.arange(mode + 1, mode + span))
-        r = mean / (mode + span)
-        rest = right[-1] * r / (1.0 - r)
-        if right[-1] + rest <= 1e-6 * eps:
-            break
-        span *= 2
-    pmf = np.concatenate((left, [p_mode], right))
-    pmf /= pmf.sum() + rest
-    tail = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0) + rest
-    cut = int(np.argmax(tail <= 0.1 * eps))
-    return pmf[: cut + 2]
-
-
-@pytest.fixture(scope="session")
-def poisson_oracle():
-    """The one-mean Poisson weights (_poisson_weights) as a function."""
-    return _poisson_weights
-
-
 @pytest.fixture(scope="session")
 def per_time_uniformization():
     """The uniformization sum of one time at a time, as an oracle.
 
-    Steps its own power sequence for each time and adds the weights in
-    order, with the truncated tail on the last power; kind "transient"
+    Steps its own power sequence for each time and adds the time's
+    Poisson row (poisson_row) in order, with the truncated tail on the
+    last power; kind "transient"
     gives the kernel, "reach" the all-pairs reach matrix.  Given a start,
     it steps that in place of the identity: "transient" as start @ P^k
     (a row vector or block), "column" as P^k @ start.  The package's
@@ -184,7 +144,7 @@ def per_time_uniformization():
         if t == 0.0 or lam == 0.0:
             return X
         P = np.eye(n) + ctmc.generator() / lam
-        weights = _poisson_weights(lam * t, eps)
+        weights = poisson_row(lam * t, eps)
         acc = weights[0] * X
         for w in weights[1:]:
             X = step(P, X)

@@ -258,6 +258,10 @@ _MODEL = fixture_text("invent.ctmc")
          3),
         (["analyze", INVENT, INVENT1, "--weights", WEIGHTS,
           "--max-iters", "1", "--out", "{missing_dir}/trace.csv"], 2),
+        # A transient tolerance of 1 or more drops all the mass: it bounds
+        # nothing.
+        (["sample", INVENT, INVENT1, "--weights", WEIGHTS, "-n", "2",
+          "--transient-tol", "5"], 3),
     ],
 )
 def test_non_finite_input_exit_codes(runner, tmp_path, args, code):

@@ -28,6 +28,8 @@ from condreach.ctmc import (
     invariance_vector,
     marched_kernels,
     parse_ctmc,
+    poisson_row,
+    polynomial_series,
     reach_matrix,
     serialize_ctmc,
     set_bits,
@@ -43,7 +45,7 @@ from condreach.evidence import (
     sample_instance,
 )
 from condreach.fixtures import fixture_path, fixture_text
-from condreach.unfolding import conditional_weight
+from condreach.unfolding import _coefficients, conditional_weight
 from oracles import absorbing_chain
 
 
@@ -178,7 +180,7 @@ def _kernel_tolerance(cut, n, applied=False):
     return rel, 2 * (poly + seq) * n * _TINY
 
 
-def _assert_kernels_match_oracle(ctmc, times, oracle, poisson_oracle, eps):
+def _assert_kernels_match_oracle(ctmc, times, oracle, eps):
     """The kernels of a batch are nonnegative, each is bit-identical to
     its call alone and to its entry in a permuted batch and in a
     sub-batch, and each lies within _kernel_tolerance of the sequential
@@ -197,13 +199,12 @@ def _assert_kernels_match_oracle(ctmc, times, oracle, poisson_oracle, eps):
     for t, k in zip(times, K):
         np.testing.assert_array_equal(transient_matrix(ctmc, t, eps), k,
                                       err_msg=t)
-        rel, tiny = _kernel_tolerance(len(poisson_oracle(lam * t, eps)), n)
+        rel, tiny = _kernel_tolerance(len(poisson_row(lam * t, eps)), n)
         want = oracle(ctmc, t, eps)
         assert np.all(np.abs(k - want) <= rel * want + tiny), t
 
 
-def _assert_batch_matches_per_time(ctmc, times, oracle, poisson_oracle,
-                                   eps=1e-10):
+def _assert_batch_matches_per_time(ctmc, times, oracle, eps=1e-10):
     """Reach matrices equal the per-time oracle bit for bit; kernels pass
     _assert_kernels_match_oracle."""
     times = np.asarray(times, dtype=float)
@@ -213,7 +214,7 @@ def _assert_batch_matches_per_time(ctmc, times, oracle, poisson_oracle,
         np.testing.assert_array_equal(
             r, oracle(ctmc, t, eps, kind="reach"), err_msg=t
         )
-    _assert_kernels_match_oracle(ctmc, times, oracle, poisson_oracle, eps)
+    _assert_kernels_match_oracle(ctmc, times, oracle, eps)
 
 
 # Times with 0, repeats, and Poisson cuts from 1 term to a few hundred.
@@ -221,11 +222,9 @@ _BATCH_TIMES = [0.0, 1.0, 1e-9, 0.25, 1.0, 6.0, 0.0, 0.1, 2.0, 6.0, 3e-4]
 
 
 @pytest.mark.parametrize("model", ["invent.ctmc", "tandem.ctmc"])
-def test_batched_core_matches_per_time_loop(model, per_time_uniformization,
-                                            poisson_oracle):
+def test_batched_core_matches_per_time_loop(model, per_time_uniformization):
     ctmc = parse_ctmc(fixture_text(model))
-    _assert_batch_matches_per_time(ctmc, _BATCH_TIMES, per_time_uniformization,
-                                   poisson_oracle)
+    _assert_batch_matches_per_time(ctmc, _BATCH_TIMES, per_time_uniformization)
     # A scalar time gives one matrix, equal to its batch entry.
     np.testing.assert_array_equal(
         transient_matrix(ctmc, 0.25), transient_matrix(ctmc, [0.25])[0]
@@ -256,17 +255,16 @@ _EDGE_CUTS = (2, 3, 4, 6, 7, 9, 12, 13, 16)
 
 
 @pytest.mark.parametrize("model", ["invent.ctmc", "tandem.ctmc"])
-def test_kernel_edge_cuts_match_per_time_loop(model, per_time_uniformization,
-                                              poisson_oracle):
+def test_kernel_edge_cuts_match_per_time_loop(model, per_time_uniformization):
     ctmc = parse_ctmc(fixture_text(model))
     eps = 1e-10
     lam = float(np.max(ctmc.exit_rates)) * _RATE_INFLATION
     # t = 0 has cut 1 beside the positive times; two times repeat.
     times = [0.0, *_times_with_cuts(ctmc, _EDGE_CUTS, eps)]
-    cuts = [len(poisson_oracle(lam * t, eps)) for t in times]
+    cuts = [len(poisson_row(lam * t, eps)) for t in times]
     assert cuts == [1, *_EDGE_CUTS]
     _assert_kernels_match_oracle(ctmc, times + times[3:5],
-                                 per_time_uniformization, poisson_oracle, eps)
+                                 per_time_uniformization, eps)
 
 
 def test_kernels_without_a_step():
@@ -289,11 +287,10 @@ def test_kernels_without_a_step():
     eps=st.sampled_from([1e-6, 1e-10, 1e-12]),
 )
 def test_batched_core_matches_per_time_loop_random(
-    random_chain, per_time_uniformization, poisson_oracle, seed, n, times, eps
+    random_chain, per_time_uniformization, seed, n, times, eps
 ):
     chain = random_chain(np.random.default_rng(seed), n)
-    _assert_batch_matches_per_time(chain, times, per_time_uniformization,
-                                   poisson_oracle, eps)
+    _assert_batch_matches_per_time(chain, times, per_time_uniformization, eps)
 
 
 def test_binary_parent_drops_the_lowest_set_bit():
@@ -327,7 +324,7 @@ def _marched(ctmc, times, eps):
     return memo, memo.buffer[rows]
 
 
-def _assert_marched_within_tolerance(ctmc, times, eps, poisson_oracle):
+def _assert_marched_within_tolerance(ctmc, times, eps):
     """Each marched kernel lies within _kernel_tolerance of the polynomial
     kernel and of scipy's expm, once the Poisson mass that truncation
     moves is counted: at most 0.1 eps per row, put on the last term, so
@@ -340,7 +337,7 @@ def _assert_marched_within_tolerance(ctmc, times, eps, poisson_oracle):
     poly = transient_matrix(ctmc, times, eps)
     Q = ctmc.generator()
     for t, k, p in zip(times, K, poly):
-        cut = len(poisson_oracle(ctmc.uniformization_rate * t, eps))
+        cut = len(poisson_row(ctmc.uniformization_rate * t, eps))
         rel, tiny = _kernel_tolerance(cut, n)
         roots = max(set_bits(t), 1)
         for want, moved in ((p, roots + 1), (expm(Q * t), roots)):
@@ -353,11 +350,10 @@ def _assert_marched_within_tolerance(ctmc, times, eps, poisson_oracle):
             np.testing.assert_array_equal(k, memo.buffer[a] @ memo.buffer[b])
 
 
-def test_marched_kernels_on_the_tandem2_grid(tandem, poisson_oracle):
+def test_marched_kernels_on_the_tandem2_grid(tandem):
     # tandem2 at cap 8 asks for every kernel of 2 + j 2^-8, j < 256; each
     # marched one stays within tolerance of the polynomial and of expm.
-    _assert_marched_within_tolerance(tandem, 2 + np.arange(256) / 256,
-                                     1e-10, poisson_oracle)
+    _assert_marched_within_tolerance(tandem, 2 + np.arange(256) / 256, 1e-10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -368,18 +364,16 @@ def test_marched_kernels_on_the_tandem2_grid(tandem, poisson_oracle):
     numerators=st.lists(st.integers(0, 5 * 2**10), min_size=1, max_size=5),
     eps=st.sampled_from([1e-6, 1e-10, 1e-12]),
 )
-def test_marched_kernels_match_polynomials_random(random_chain, poisson_oracle,
-                                                  seed, n, digits, numerators,
-                                                  eps):
+def test_marched_kernels_match_polynomials_random(random_chain, seed, n,
+                                                  digits, numerators, eps):
     # Random chains at random binary fractions below 5 of up to 10
     # fractional bits, with whatever set bits they have.
     chain = random_chain(np.random.default_rng(seed), n)
     times = [min(k / 2**digits, 5.0) for k in numerators]
-    _assert_marched_within_tolerance(chain, times, eps, poisson_oracle)
+    _assert_marched_within_tolerance(chain, times, eps)
 
 
-def _assert_series_match_oracle(ctmc, times, oracle, poisson_oracle, eps,
-                                rng):
+def _assert_series_match_oracle(ctmc, times, oracle, eps, rng):
     """Each time's series of a vector and of a two-column block, from the
     right, and of a vector and a two-row block, from the left, keeps its
     start's shape, is nonnegative and lies within _kernel_tolerance of the
@@ -387,7 +381,7 @@ def _assert_series_match_oracle(ctmc, times, oracle, poisson_oracle, eps,
     n = ctmc.n_states
     gaps = uniformize(ctmc, times, eps)
     for i, t in enumerate(times):
-        cut = len(poisson_oracle(ctmc.uniformization_rate * t, eps))
+        cut = len(poisson_row(ctmc.uniformization_rate * t, eps))
         rel, tiny = _kernel_tolerance(cut, n, applied=True)
         for start in (rng.uniform(size=n), rng.uniform(size=(n, 2))):
             for left, kind in ((False, "column"), (True, "transient")):
@@ -401,15 +395,14 @@ def _assert_series_match_oracle(ctmc, times, oracle, poisson_oracle, eps,
 
 
 @pytest.mark.parametrize("model", ["invent.ctmc", "tandem.ctmc"])
-def test_series_match_power_loop(model, per_time_uniformization,
-                                 poisson_oracle):
+def test_series_match_power_loop(model, per_time_uniformization):
     # The batch times, whose zeros have cut 1 beside positive times, and
     # the polynomial's edge cuts, on vectors and blocks from both sides.
     ctmc = parse_ctmc(fixture_text(model))
     eps = 1e-10
     times = _BATCH_TIMES + _times_with_cuts(ctmc, _EDGE_CUTS, eps)
-    _assert_series_match_oracle(ctmc, times, per_time_uniformization,
-                                poisson_oracle, eps, np.random.default_rng(4))
+    _assert_series_match_oracle(ctmc, times, per_time_uniformization, eps,
+                                np.random.default_rng(4))
 
 
 @settings(max_examples=40, deadline=None)
@@ -427,12 +420,12 @@ def test_series_match_power_loop(model, per_time_uniformization,
 # smallest ones.
 @example(seed=135302, n=5, times=[0.0, 0.0, 1e-06], eps=1e-10)
 def test_series_match_power_loop_random(
-    random_chain, per_time_uniformization, poisson_oracle, seed, n, times, eps
+    random_chain, per_time_uniformization, seed, n, times, eps
 ):
     rng = np.random.default_rng(seed)
     chain = random_chain(rng, n)
-    _assert_series_match_oracle(chain, times, per_time_uniformization,
-                                poisson_oracle, eps, rng)
+    _assert_series_match_oracle(chain, times, per_time_uniformization, eps,
+                                rng)
 
 
 def test_series_without_a_step():
@@ -552,23 +545,47 @@ def test_final_columns_are_p_stepped_by_hand(invent, tandem):
 
 @pytest.mark.parametrize("model", ["invent.ctmc", "tandem.ctmc"])
 def test_final_block_matches_series(model):
-    # The kept columns and the polynomial round differently; both lie
-    # within _kernel_tolerance of the exact series, and a time of cut 1
-    # gives the block bit for bit without stepping a power.
+    # A gap's coefficient row read against the kept columns, as an exact
+    # weight reads its last gap, and the series of the same row round
+    # differently; both lie within _kernel_tolerance of the exact series.
+    # The series is the batched route's, bit for bit, and a time of cut 1
+    # reads the block bit for bit without stepping a power.
     ctmc = parse_ctmc(fixture_text(model))
     eps = 1e-10
     times = [0.0, *_BATCH_TIMES, *_times_with_cuts(ctmc, _EDGE_CUTS, eps)]
     gaps = uniformize(ctmc, times, eps)
     block = np.random.default_rng(7).uniform(size=(ctmc.n_states, 2))
-    np.testing.assert_array_equal(gaps.final_block(0, block), block)
+
+    def read(coef):
+        cols = ctmc.final_columns(block, len(coef) - 1)
+        return (coef @ cols.reshape(len(coef), -1)).reshape(block.shape)
+
+    rows = [_coefficients(m, eps)
+            for m in ctmc.uniformization_rate * np.array(times)]
+    np.testing.assert_array_equal(read(rows[0]), block)
     assert ctmc._powers == []
-    for i in range(len(times)):
-        cut = gaps.cuts[gaps.rank[i]]
-        rel, tiny = _kernel_tolerance(cut, ctmc.n_states, applied=True)
-        got = gaps.final_block(i, block)
-        want = gaps.series(block, i)
+    for i, coef in enumerate(rows):
+        rel, tiny = _kernel_tolerance(len(coef), ctmc.n_states, applied=True)
+        got = read(coef)
+        want = polynomial_series(ctmc.jump_powers, coef, block)
+        np.testing.assert_array_equal(want, gaps.series(block, i))
         assert got.shape == block.shape and np.all(got >= 0.0)
         assert np.all(np.abs(got - want) <= rel * want + tiny), times[i]
+
+
+def test_reset_masks_are_kept_per_formula(invent):
+    # Each formula's violation mask is built once and kept read-only on
+    # the chain; the anchor's all-False mask is that of `true`.
+    chain = parse_ctmc(serialize_ctmc(invent))
+    empty, nonempty = parse_formula("empty"), parse_formula("!empty")
+    masks = chain.reset_masks((empty, nonempty, parse_formula("empty")))
+    assert len(masks) == 4 and not masks[0].any()
+    for mask, obs in zip(masks[1:], (empty, nonempty, empty)):
+        np.testing.assert_array_equal(mask, ~chain.satisfying(obs))
+        assert not mask.flags.writeable
+    assert masks[3] is masks[1]
+    again = chain.reset_masks((nonempty, parse_formula("true")))
+    assert all(a is b for a, b in zip(again, (masks[0], masks[2], masks[0])))
 
 
 def _rebuilt(chain, initial, scale):
@@ -603,6 +620,7 @@ def test_replace_gives_a_chain_its_own_tables(invent):
         assert new._powers == [] and new._rows == [] and new._finals == []
         assert new._index is not chain._index
         assert new._columns is not chain._columns
+        assert new._masks is not chain._masks
         np.testing.assert_array_equal(transient_matrix(new, 1.5),
                                       transient_matrix(want, 1.5))
         assert conditional_weight(new, rho, w) == conditional_weight(
@@ -650,16 +668,18 @@ def test_stiff_uniformization_refused():
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-12])
 def test_poisson_weights_match_scipy(eps):
+    # The table's rows and the one-mean rows, each against scipy.
     means = np.concatenate((np.geomspace(1e-4, 250.0, 300), [0.5, 1, 7, 250]))
     W, cuts = _poisson_table(means, eps)
     for mean, row, cut in zip(means, W, cuts):
-        w = row[:cut]
-        # Never fewer terms than the scipy cutoff used before: 0..ppf + 1.
-        assert len(w) >= int(poisson.ppf(1.0 - 0.1 * eps, mean)) + 2
-        np.testing.assert_allclose(
-            w, poisson.pmf(np.arange(len(w)), mean), rtol=0, atol=1e-13
-        )
-        assert poisson.sf(len(w) - 1, mean) <= 0.1 * eps
+        for w in (row[:cut], poisson_row(mean, eps)):
+            # Never fewer terms than the scipy cutoff used before: 0..ppf
+            # + 1.
+            assert len(w) >= int(poisson.ppf(1.0 - 0.1 * eps, mean)) + 2
+            np.testing.assert_allclose(
+                w, poisson.pmf(np.arange(len(w)), mean), rtol=0, atol=1e-13
+            )
+            assert poisson.sf(len(w) - 1, mean) <= 0.1 * eps
 
 
 # Means at the table's edges: zero, tiny, on and just below an integer
@@ -674,23 +694,31 @@ _EDGE_MEANS = st.sampled_from(
     means=st.lists(_EDGE_MEANS | st.floats(0.0, 1e3), min_size=1, max_size=8),
     eps=st.sampled_from([1e-6, 1e-10, 1e-14]),
 )
-def test_poisson_table_matches_one_mean_oracle(poisson_oracle, means, eps):
+def test_poisson_table_matches_one_mean_oracle(means, eps):
     # Every row, and its cut, is bit-identical to its mean computed alone.
     W, cuts = _poisson_table(np.array(means), eps)
     assert W.shape == (len(means), max(cuts))
     for mean, row, cut in zip(means, W, cuts):
-        w = poisson_oracle(mean, eps)
+        w = poisson_row(mean, eps)
         assert cut == len(w)
         np.testing.assert_array_equal(row[:cut], w)
 
 
 def test_poisson_table_refuses_bad_input():
-    for eps in (0.0, -1e-10, math.inf, math.nan):
+    # A tolerance is a probability mass to drop: at 1 or above it bounds
+    # nothing.  The one-mean row refuses what the table refuses, also on
+    # a zero mean, which needs no Poisson term.
+    for eps in (0.0, -1e-10, 1.0, 5.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="tolerance"):
             _poisson_table(np.array([1.0]), eps)
+        for mean in (0.0, 1.0):
+            with pytest.raises(ValueError, match="tolerance"):
+                poisson_row(mean, eps)
     for means in ([1.0, math.nan], [2.0, -1e-3], [0.5, math.inf], [-0.5]):
         with pytest.raises(ValueError, match="mean"):
             _poisson_table(np.array(means), 1e-10)
+        with pytest.raises(ValueError, match="mean"):
+            poisson_row(means[-1], 1e-10)
 
 
 # What `import condreach` may load besides its own modules: numpy and
@@ -820,8 +848,8 @@ def test_weight_keeps_p0_and_p1_on_the_chain():
     horizon=st.floats(0.0, 5.0),
     data=st.data(),
 )
-def test_weights_match_kernel_of_absorbing_chain(random_chain, poisson_oracle,
-                                                 seed, n, horizon, data):
+def test_weights_match_kernel_of_absorbing_chain(random_chain, seed, n,
+                                                 horizon, data):
     # Holding the target at 1 steps the chain with the target absorbing:
     # the weights are the absorbing chain's kernel summed over the
     # target columns, within the rounding of the two evaluations.
@@ -832,7 +860,7 @@ def test_weights_match_kernel_of_absorbing_chain(random_chain, poisson_oracle,
     got = weight_from_property(chain, target, horizon)
     K = transient_matrix(absorbing_chain(chain, target), horizon)
     want = K[:, target].sum(axis=1)
-    cut = len(poisson_oracle(chain.uniformization_rate * horizon, 1e-10))
+    cut = len(poisson_row(chain.uniformization_rate * horizon, 1e-10))
     rel, tiny = _kernel_tolerance(cut, n, applied=True)
     assert np.all(got[target] == 1.0)
     assert np.all((got >= 0.0) & (got <= 1.0))

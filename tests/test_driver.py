@@ -8,14 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from condreach.ctmc import Uniformization, parse_ctmc
+import condreach.ctmc as ctmc_module
+from condreach.ctmc import Ctmc, Uniformization, parse_ctmc
 from condreach.driver import (
     AnalysisConfig,
     analyze,
     apply_splits,
     guided_split_targets,
 )
-from condreach import driver, solver
+from condreach import driver, solver, unfolding
 from condreach.evidence import (
     ImpreciseEvidence,
     PreciseEvidence,
@@ -46,6 +47,10 @@ def test_config_validation():
         AnalysisConfig(direction="up")
     with pytest.raises(ValueError):
         AnalysisConfig(vi_tol=-1)
+    # A transient tolerance is a probability mass to drop.
+    for bad in (1.0, 5.0, 0.0, float("nan")):
+        with pytest.raises(SemanticError, match="transient"):
+            AnalysisConfig(transient_tol=bad)
     # A bad setting is a semantic error, which the CLI maps to exit 3.
     for bad in (0, -3):
         with pytest.raises(SemanticError):
@@ -123,24 +128,25 @@ def test_chain_keeps_the_highest_power_asked(monkeypatch, tandem1,
     # first-gap cut c that an exact weight asked for, and no row more.
     chain = parse_ctmc(fixture_text("tandem.ctmc"))
     cuts, first_cuts = [], []
-    kernels, series = Uniformization.kernels, Uniformization.series
-    initial_row = Uniformization.initial_row
+    kernels, series = Uniformization.kernels, ctmc_module.polynomial_series
+    initial_rows = Ctmc.initial_rows
 
     def seen_kernels(self, n):
         cuts.extend(self.cuts)
         return kernels(self, n)
 
-    def seen_series(self, start, time, left=False):
-        cuts.append(self.cuts[self.rank[time]])
-        return series(self, start, time, left)
+    def seen_series(powers, coef, start, left=False):
+        cuts.append(len(coef))
+        return series(powers, coef, start, left)
 
-    def seen_initial_row(self, time):
-        first_cuts.append(self.cuts[self.rank[time]])
-        return initial_row(self, time)
+    def seen_initial_rows(self, top):
+        first_cuts.append(top + 1)
+        return initial_rows(self, top)
 
     monkeypatch.setattr(Uniformization, "kernels", seen_kernels)
-    monkeypatch.setattr(Uniformization, "series", seen_series)
-    monkeypatch.setattr(Uniformization, "initial_row", seen_initial_row)
+    monkeypatch.setattr(ctmc_module, "polynomial_series", seen_series)
+    monkeypatch.setattr(unfolding, "polynomial_series", seen_series)
+    monkeypatch.setattr(Ctmc, "initial_rows", seen_initial_rows)
     analyze(chain, tandem1, tandem_weights, AnalysisConfig(max_iters=8))
     rng = np.random.default_rng(11)
     for _ in range(20):

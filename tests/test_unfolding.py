@@ -81,6 +81,35 @@ def test_frozen_midpoint_values(invent, invent_weights):
     )
 
 
+# Exact weights, as float.hex, recorded before the exact route read its
+# gaps from one-mean Poisson rows; the batched table gave these bits.
+_PINNED_TANDEM1 = ("0x1.04360ac33a629p-8", "0x1.e6623121bae0ap-9",
+                   "0x1.f42d6d38f1b71p-9")
+_PINNED_INVENT1 = ("0x1.44f3160af5991p-4", "0x1.4e388020a6473p-4",
+                   "0x1.3ca7030f89f01p-4")
+
+
+def test_exact_weight_bits_are_pinned(tandem, tandem1, tandem_weights, invent,
+                                      invent1, invent_weights):
+    # CI's tandem1 point evidence; tandem1 instances, read from the first
+    # gap's initial row and the last gap's kept columns; invent1
+    # instances, whose first gap has length 0 and whose middle gap is a
+    # series; and a tandem evidence whose first observation is at 0.
+    last = "first_full & !second_full"
+    points = ((_rho((2.75, "!first_full"), (5.25, last)),
+               "0x1.f72c2700d2a05p-9"),
+              (_rho((0.0, "!first_full"), (5.25, last)),
+               "0x1.83368e6f60847p-9"))
+    for rho, want in points:
+        assert conditional_weight(tandem, rho, tandem_weights).hex() == want
+    for ctmc, omega, w, pinned in (
+            (tandem, tandem1, tandem_weights, _PINNED_TANDEM1),
+            (invent, invent1, invent_weights, _PINNED_INVENT1)):
+        for seed, want in enumerate(pinned):
+            rho = sample_instance(omega, np.random.default_rng(seed))
+            assert conditional_weight(ctmc, rho, w).hex() == want, seed
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     t1=st.floats(0.05, 2.0),
@@ -265,14 +294,18 @@ def test_zero_likelihood_after_a_positive_gap(two_state, kernel_oracle):
 
 
 def test_stiff_gap_refused_before_the_poisson_table(monkeypatch):
+    # The first gap's mean is inside the limit; no route takes a Poisson
+    # table or row for it before the second gap's mean is refused.
     chain = from_rates(["a", "b"], "a", {("a", "b"): 1e9, ("b", "a"): 1e9},
                        {"a": ["up"], "b": ["down"]})
     rho = _rho((1e-12, "true"), (100.0, "true"))
 
     def never(*args):
-        raise AssertionError("Poisson table built for a refused mean")
+        raise AssertionError("Poisson weights taken for a refused mean")
 
     monkeypatch.setattr(ctmc_module, "_poisson_table", never)
+    monkeypatch.setattr(ctmc_module, "poisson_row", never)
+    monkeypatch.setattr(unfolding, "poisson_row", never)
     for call in _calls(chain, rho, np.ones(2)):
         with pytest.raises(UniformizationError):
             call()
