@@ -7,20 +7,21 @@ Poisson truncation, which keeps every term nonnegative.  A time's
 truncated series is a polynomial in the uniformized jump matrix P,
 evaluated in about 2 sqrt(cut) matrix products (Paterson & Stockmeyer,
 SIAM J. Comput. 1973) on the powers P^0, P^1, ... that the chain keeps,
-stepped on demand: as whole kernels, or applied to a vector or a block
-without forming one (polynomial_series).  The chain also keeps the
-initial rows of its powers and the columns P^k @ block of the last block
-it was asked for, which a Poisson row reads as a kernel's initial-state
-row or as a kernel applied to that block.  A stack of times takes its
-Poisson weights from one table, one time at a time from its own row
-(poisson_row), bit for bit the same.  The rule is one: a sum of
-products with P alone is such a polynomial, and a sum whose targets are
-held absorbing (reach matrices and property weights) is the power loop,
-which steps its start one product with the chain's own P at a time and
-sets the targets back to 1 after each (Uniformization.power_sum).  On a
-grid of short binary fractions a kernel is instead marched from its
-binary parent, one product K(t - h) @ K(h) by the semigroup property,
-with polynomials only at the roots (marched_kernels).
+stepped on demand.  A stack of times takes its Poisson weights from one
+table as whole kernels; one time applied to a vector or a block takes
+its own, bit for bit the same (poisson_coefficients, polynomial_series).
+The chain also keeps the initial rows of its powers and the columns
+P^k @ block of the last block it was asked for, which one time's
+coefficients read as a kernel's initial-state row or as a kernel applied
+to that block; one helper steps all three tables.  The rule is one: a
+sum of products with P alone is such a polynomial, and a sum whose
+targets are held absorbing (reach matrices and property weights) is the
+power loop, which steps its start one product with the chain's own P at
+a time and sets the targets back to 1 after each
+(Uniformization.power_sum).  On a grid of short binary fractions a
+kernel is instead marched from its binary parent, one product
+K(t - h) @ K(h) by the semigroup property, with polynomials only at the
+roots (marched_kernels).
 """
 
 from __future__ import annotations
@@ -91,19 +92,9 @@ class Ctmc:
     # that carry it.
     _columns: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
-    # The powers of the uniformized jump matrix stepped so far: empty, or
-    # one read-only (k + 1, n, n) array of P^0 .. P^k (jump_powers).
-    _powers: list = field(default_factory=list, init=False, repr=False,
-                          compare=False)
-    # The initial state's rows of those powers stepped so far: empty, or
-    # one read-only (k + 1, n) array of e_init P^0 .. e_init P^k
-    # (initial_rows).
-    _rows: list = field(default_factory=list, init=False, repr=False,
-                        compare=False)
-    # The columns of the last weight block b asked for: empty, or a
-    # read-only copy of b and one read-only (k + 1, *b.shape) array of
-    # P^0 b .. P^k b (final_columns).
-    _finals: list = field(default_factory=list, init=False, repr=False,
+    # The tables stepped so far, read-only and keyed by name: "powers"
+    # (jump_powers), "rows" (initial_rows) and "finals" (final_columns).
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
     # Per formula's literals, the read-only boolean mask of the states
     # that violate it (reset_masks); () is `true`, violated nowhere.
@@ -160,96 +151,77 @@ class Ctmc:
         """lam: the largest exit rate, slightly inflated."""
         return float(self.exit_rates.max()) * _RATE_INFLATION
 
+    def _stepped(self, name, top, start, left=True):
+        """The kept table `name` up to row `top`, as a read-only array of
+        rows X_k = X_(k - 1) @ P, or P @ X_(k - 1) without left, from X_0 =
+        start() when none is kept.  A table too short is stepped to exactly
+        row top, one product with P per row; stepping needs lam > 0."""
+        have = self._tables.get(name)
+        if have is None:
+            have = start()[None]
+        elif len(have) > top:
+            return have[: top + 1]
+        table = np.empty((top + 1, *have.shape[1:]))
+        table[: len(have)] = have
+        if len(have) <= top:
+            # The powers' own first step forms P; every other step reads it.
+            P = (np.eye(self.n_states) + self.generator()
+                 / self.uniformization_rate
+                 if name == "powers" and len(have) == 1
+                 else self.jump_powers(1)[1])
+        for k in range(len(have), top + 1):
+            if left:
+                np.matmul(table[k - 1], P, out=table[k])
+            else:
+                np.matmul(P, table[k - 1], out=table[k])
+        table.setflags(write=False)
+        self._tables[name] = table
+        return table
+
     def jump_powers(self, top):
         """P^0 .. P^top of the uniformized jump matrix P = I + Q / lam, as a
         read-only (top + 1, n, n) array.
 
         lam, and so P, depend on the chain alone, so the chain keeps the
         powers it has stepped, P^i = P^(i - 1) @ P, and steps on only when
-        a higher power is asked for, to exactly that power.  A top of 1
-        or more needs lam > 0.
+        a higher power is asked for, to exactly that power (_stepped).
         """
-        n = self.n_states
-        have = self._powers[0] if self._powers else np.eye(n)[None]
-        if len(have) > top:
-            return have[: top + 1]
-        powers = np.empty((top + 1, n, n))
-        powers[: len(have)] = have
-        if len(have) == 1:
-            powers[1] = np.eye(n) + self.generator() / self.uniformization_rate
-        for i in range(max(len(have), 2), top + 1):
-            np.matmul(powers[i - 1], powers[1], out=powers[i])
-        powers.setflags(write=False)
-        self._powers[:] = [powers]
-        return powers
+        return self._stepped("powers", top, lambda: np.eye(self.n_states))
 
     def initial_rows(self, top):
         """e_init P^0 .. e_init P^top, the initial state's rows of the
-        powers of P, as a read-only (top + 1, n) array.
+        powers of P, as a read-only (top + 1, n) array, kept and stepped
+        (_stepped).
 
-        Kept and stepped as the powers are (jump_powers), one vector
-        product r_k = r_(k - 1) @ P at a time, to exactly the highest row
-        asked.  An exact weight reads its first moving gap's kernel row
-        as the gap's Poisson coefficients (poisson_row, its tail on the
-        last) times its cut's rows, one (cut,) @ (cut, n) product of
-        nonnegative terms.  It takes its cut's rows where the power table
-        takes about its square root's powers: the table is O(cut n)
-        floats against O(sqrt(cut) n^2), under 200 KB on the bundled
-        models, but about 98 MB against 37 MB on tandem at a Poisson mean
-        of MAX_POISSON_MEAN.
+        An exact weight reads its first moving gap's kernel row as the
+        gap's coefficients times its cut's rows, one (cut,) @ (cut, n)
+        product of nonnegative terms.  The table is O(cut n) floats where
+        the powers are O(sqrt(cut) n^2): under 200 KB on the bundled
+        models, but about 98 MB against 37 MB on tandem at a Poisson
+        mean of MAX_POISSON_MEAN.
         """
-        if self._rows:
-            have = self._rows[0]
-        else:
-            have = np.zeros((1, self.n_states))
-            have[0, self.initial] = 1.0
-        if len(have) > top:
-            return have[: top + 1]
-        rows = np.empty((top + 1, self.n_states))
-        rows[: len(have)] = have
-        P = self.jump_powers(1)[1]
-        for k in range(len(have), top + 1):
-            np.matmul(rows[k - 1], P, out=rows[k])
-        rows.setflags(write=False)
-        self._rows[:] = [rows]
-        return rows
+        return self._stepped(
+            "rows", top, lambda: np.eye(1, self.n_states, self.initial)[0])
 
     def final_columns(self, block, top):
         """P^0 b .. P^top b for a block b of columns, as a read-only
-        (top + 1, *b.shape) array.
+        (top + 1, *b.shape) array, kept and stepped (_stepped).
 
-        The chain keeps the columns of one block, the last it was asked
-        for, and steps them as it steps initial rows (initial_rows), one
-        product c_k = P @ c_(k - 1) at a time, to exactly the highest
-        column asked.  A block that differs from the kept one in any bit
-        (compared as bytes, so -0.0 is not 0.0) restarts the table from
-        it.  An exact weight asks for the same block, the last layer's
-        weights, for every timing of one evidence, and reads its last gap
-        as the gap's Poisson coefficients (poisson_row, its tail on the
-        last) times the first cut columns, one product of nonnegative
-        terms, so a fresh chain steps no power beyond P^1 for it.  The
-        table is O(cut n) floats per column, as the initial rows: about
-        300 KB after a tandem1 analyze, and about 196 MB on tandem at a
-        Poisson mean of MAX_POISSON_MEAN.  A new block steps the full
-        cut, one product per column row (up to about 176 on tandem1),
-        where a series takes about 2 sqrt(cut).
+        The chain keeps the columns of the last block it was asked for:
+        a block that differs from the kept row 0 in any bit (compared as
+        bytes, so -0.0 is not 0.0) restarts the table.  An exact weight
+        asks for the same block, the last layer's weights, for every
+        timing of one evidence, and reads its last gap as the gap's
+        coefficients times the first cut columns, so a fresh chain steps
+        no power beyond P^1 for it.  The table is O(cut n) floats per
+        column: about 300 KB after a tandem1 analyze, and about 196 MB on
+        tandem at a Poisson mean of MAX_POISSON_MEAN.
         """
-        if not (self._finals and self._finals[0].shape == block.shape
-                and self._finals[0].tobytes() == block.tobytes()):
-            key = block.copy()
-            key.setflags(write=False)
-            self._finals[:] = [key, key[None]]
-        have = self._finals[1]
-        if len(have) > top:
-            return have[: top + 1]
-        cols = np.empty((top + 1, *block.shape))
-        cols[: len(have)] = have
-        P = self.jump_powers(1)[1]
-        for k in range(len(have), top + 1):
-            np.matmul(P, cols[k - 1], out=cols[k])
-        cols.setflags(write=False)
-        self._finals[1] = cols
-        return cols
+        have = self._tables.get("finals")
+        if have is not None and (have.shape[1:] != block.shape
+                                 or have[0].tobytes() != block.tobytes()):
+            del self._tables["finals"]
+        return self._stepped("finals", top, lambda: block, left=False)
 
     def rate_matrix(self):
         """Dense transition rate matrix R(s, s') = jump(s, s') * exit(s)."""
@@ -492,7 +464,7 @@ def poisson_row(mean, eps):
     side from the mode down, the right side from it up, a right side
     that falls short doubling its span), the normalizing sum over exactly
     the row's terms, and the tail beyond each term summed from the right.
-    A gap of an exact weight takes its row here, one mean at a time; a
+    One time's series takes its row here (poisson_coefficients); a
     stack of times takes one table for all of them.
     """
     _check_tolerance(eps)
@@ -530,6 +502,15 @@ def poisson_row(mean, eps):
     beyond = pmf[:0:-1].cumsum()
     beyond += rest
     return pmf[: ends + 1 - int(beyond.searchsorted(0.1 * eps, "right"))]
+
+
+def poisson_coefficients(mean, eps):
+    """The polynomial coefficients of one time's series, of Poisson mean
+    `mean`: its Poisson row, with the mass it drops put on its last term
+    as uniformize puts each time's tail, so bit for bit its kernel's."""
+    coef = poisson_row(mean, eps)
+    coef[-1] += max(1.0 - np.add.reduce(coef), 0.0)
+    return coef
 
 
 def _row_sums(table, lengths):
@@ -598,9 +579,8 @@ class Uniformization:
     cuts[rank[i]] (_poisson_table), entries after them are padding, and
     tails[rank[i]] >= 0 is the mass it drops.  Built by
     :func:`uniformize`.  Each time's truncated series is a polynomial in
-    P, evaluated as whole kernels (kernels) or applied to a vector or a
-    block (series); a sum with targets held absorbing steps its start
-    through the series (power_sum).
+    P, evaluated as whole kernels (kernels); a sum with targets held
+    absorbing steps its start through the series (power_sum).
     """
 
     powers: object
@@ -649,17 +629,6 @@ class Uniformization:
             acc[done:live] += tails[done:live] * X
             live, k = done, end
         return acc[self.rank]
-
-    def series(self, start, time, left=False):
-        """sum_k pois(k; lam * t) P^k @ start, or start @ P^k with left,
-        for the time t of index `time`: its kernel applied to a vector or
-        a block without forming the kernel (polynomial_series), on the
-        time's polynomial coefficients, its weights up to its cut with its
-        tail on the last."""
-        r = self.rank[time]
-        coef = self.weights[r, : self.cuts[r]].copy()
-        coef[-1] += self.tails[r]
-        return polynomial_series(self.powers, coef, start, left)
 
     def kernels(self, n):
         """The transient kernels sum_k pois(k; lam * t) P^k of every time
@@ -842,7 +811,9 @@ def transient(ctmc, source, t, eps=DEFAULT_TRANSIENT_TOL):
         raise ValueError(f"transient takes one time, got shape {np.shape(t)}")
     start = np.zeros(ctmc.n_states)
     start[source] = 1.0
-    dist = uniformize(ctmc, t, eps).series(start, 0, left=True)
+    (mean,) = poisson_means(ctmc, t, eps).tolist()
+    dist = polynomial_series(ctmc.jump_powers, poisson_coefficients(mean, eps),
+                             start, left=True)
     total = dist.sum()
     if abs(total - 1.0) > 1e-9:
         raise ArithmeticError(f"transient distribution sums to {total}")

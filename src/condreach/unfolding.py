@@ -9,20 +9,19 @@ layer is exactly the probability of generating the evidence.
 
 No transient kernel is formed.  Each gap between layers applies its
 truncated Poisson series of the uniformized jump matrix (Fox & Glynn,
-CACM 1988) to a vector or an (n, 2) block.  An exact weight takes each
-gap's Poisson row alone (ctmc.poisson_row), with the dropped tail on its
-last term, and reads the chain's kept tables with that row.  Of the
-first gap that moves the chain, the reset fixpoint reads only the
+CACM 1988) to a vector or an (n, 2) block.  Each gap's coefficients are
+its own Poisson row, with the dropped tail on its last term
+(ctmc.poisson_coefficients).  The forward route applies each gap to the
+distribution as a Paterson-Stockmeyer polynomial in about 2 sqrt(cut)
+products, on the powers the chain keeps (ctmc.polynomial_series).  An
+exact weight reads the chain's kept tables with its coefficients.  Of
+the first gap that moves the chain, the reset fixpoint reads only the
 initial state's row of the kernel: the gap's row times the initial rows
 of P's powers that the chain keeps (Ctmc.initial_rows).  The last gap
 applies its kernel to the last layer's block, which is the same for
 every timing of one evidence and weight vector: the gap's row times the
 columns P^k @ block that the chain keeps for it (Ctmc.final_columns).
-Any gap in between is a Paterson-Stockmeyer polynomial in about
-2 sqrt(cut) products with the block, on the powers the chain keeps
-(ctmc.polynomial_series).  The forward route takes one Poisson table
-for all of the evidence's gaps and applies each by the same polynomial
-(Uniformization.series).
+Any gap in between is the same polynomial, applied to the block.
 """
 
 from __future__ import annotations
@@ -31,10 +30,9 @@ import numpy as np
 
 from .ctmc import (
     DEFAULT_TRANSIENT_TOL,
+    poisson_coefficients,
     poisson_means,
-    poisson_row,
     polynomial_series,
-    uniformize,
 )
 
 # transient_matrix is not called here.  It stays a module attribute,
@@ -61,15 +59,6 @@ def _layers(ctmc, rho):
     all-False) and the lengths of the d gaps between them."""
     rho.bind_check(ctmc.alphabet)
     return ctmc.reset_masks(rho.formulas), np.diff((0.0, *rho.times))
-
-
-def _coefficients(mean, eps):
-    """The polynomial coefficients of a gap of Poisson mean `mean`: its
-    Poisson row, with the mass it drops put on its last term as
-    uniformize puts each time's tail."""
-    coef = poisson_row(mean, eps)
-    coef[-1] += max(1.0 - np.add.reduce(coef), 0.0)
-    return coef
 
 
 def _weights(w, n_states):
@@ -108,7 +97,7 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     """
     w = _weights(w, ctmc.n_states)
     masks, lengths = _layers(ctmc, rho)
-    coefs = [_coefficients(m, eps)
+    coefs = [poisson_coefficients(m, eps)
              for m in poisson_means(ctmc, lengths, eps).tolist()]
     d = len(coefs)
     f = next((i for i, coef in enumerate(coefs) if len(coef) > 1), d)
@@ -140,12 +129,12 @@ def _forward(ctmc, rho, eps):
     is the probability of never hitting a reset node.
     """
     masks, lengths = _layers(ctmc, rho)
-    gaps = uniformize(ctmc, lengths, eps)
     dist = np.zeros(ctmc.n_states)
     dist[ctmc.initial] = 1.0
-    for i in range(len(masks) - 1):
-        dist = gaps.series(dist, i, left=True)
-        dist[masks[i + 1]] = 0.0
+    for mask, m in zip(masks[1:], poisson_means(ctmc, lengths, eps).tolist()):
+        dist = polynomial_series(ctmc.jump_powers,
+                                 poisson_coefficients(m, eps), dist, left=True)
+        dist[mask] = 0.0
     return dist
 
 

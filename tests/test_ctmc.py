@@ -28,6 +28,7 @@ from condreach.ctmc import (
     invariance_vector,
     marched_kernels,
     parse_ctmc,
+    poisson_coefficients,
     poisson_row,
     polynomial_series,
     reach_matrix,
@@ -45,7 +46,7 @@ from condreach.evidence import (
     sample_instance,
 )
 from condreach.fixtures import fixture_path, fixture_text
-from condreach.unfolding import _coefficients, conditional_weight
+from condreach.unfolding import conditional_weight
 from oracles import absorbing_chain
 
 
@@ -379,14 +380,13 @@ def _assert_series_match_oracle(ctmc, times, oracle, eps, rng):
     start's shape, is nonnegative and lies within _kernel_tolerance of the
     power loop on the same start."""
     n = ctmc.n_states
-    gaps = uniformize(ctmc, times, eps)
-    for i, t in enumerate(times):
-        cut = len(poisson_row(ctmc.uniformization_rate * t, eps))
-        rel, tiny = _kernel_tolerance(cut, n, applied=True)
+    for t in times:
+        coef = poisson_coefficients(ctmc.uniformization_rate * t, eps)
+        rel, tiny = _kernel_tolerance(len(coef), n, applied=True)
         for start in (rng.uniform(size=n), rng.uniform(size=(n, 2))):
             for left, kind in ((False, "column"), (True, "transient")):
                 x = start.T if left else start
-                got = gaps.series(x, i, left=left)
+                got = polynomial_series(ctmc.jump_powers, coef, x, left)
                 want = oracle(ctmc, t, eps, kind, start=x)
                 assert got.shape == x.shape
                 assert np.all(got >= 0.0)
@@ -432,14 +432,18 @@ def test_series_without_a_step():
     # lam = 0: every series is its start, bit for bit, and no power is
     # stepped.
     frozen = from_rates(["a", "b", "c"], "a", {}, {})
-    gaps = uniformize(frozen, [0.0, 1.0, 1e9])
     x = np.array([0.25, 0.5, 1.0])
-    for i in range(3):
+    for t in (0.0, 1.0, 1e9):
+        coef = poisson_coefficients(frozen.uniformization_rate * t, 1e-10)
+        np.testing.assert_array_equal(coef, [1.0])
         for start in (x, np.stack((x, 1 - x), axis=1)):
-            np.testing.assert_array_equal(gaps.series(start, i), start)
             np.testing.assert_array_equal(
-                gaps.series(start.T, i, left=True), start.T)
-    assert frozen._powers == []
+                polynomial_series(frozen.jump_powers, coef, start), start)
+            np.testing.assert_array_equal(
+                polynomial_series(frozen.jump_powers, coef, start.T, True),
+                start.T)
+    np.testing.assert_array_equal(frozen._tables["powers"], [np.eye(3)])
+    np.testing.assert_array_equal(transient(frozen, 1, 1e9), [0, 1, 0])
 
 
 def test_kernels_and_power_loop_without_a_step():
@@ -452,14 +456,14 @@ def test_kernels_and_power_loop_without_a_step():
     np.testing.assert_array_equal(reach_matrix(frozen, times), eye)
     np.testing.assert_array_equal(
         weight_from_property(frozen, [False, True, False], 1.0), [0, 1, 0])
-    assert frozen._powers == []
+    np.testing.assert_array_equal(frozen._tables["powers"], [np.eye(3)])
 
 
 def test_jump_powers_are_stepped_once_to_the_power_asked():
     chain = parse_ctmc(fixture_text("tandem.ctmc"))
     n = chain.n_states
     P = np.eye(n) + chain.generator() / chain.uniformization_rate
-    assert chain._powers == []
+    assert chain._tables == {}
     three = chain.jump_powers(3)
     assert three.shape == (4, n, n) and not three.flags.writeable
     # Each power is the one before it times P, as the kernels stepped them.
@@ -469,14 +473,14 @@ def test_jump_powers_are_stepped_once_to_the_power_asked():
     # A lower power is read from the table; a higher one steps on from
     # it to exactly that power, and keeps the powers already stepped.
     assert chain.jump_powers(2).base is three
-    assert chain._powers[0] is three
+    assert chain._tables["powers"] is three
     five = chain.jump_powers(5)
-    assert five.shape == (6, n, n) and chain._powers[0] is five
+    assert five.shape == (6, n, n) and chain._tables["powers"] is five
     np.testing.assert_array_equal(five[:4], three)
     np.testing.assert_array_equal(five[5], five[4] @ P)
     # The kernels read their powers from the same table.
     K = transient_matrix(chain, 0.05)
-    assert chain._powers[0] is five
+    assert chain._tables["powers"] is five
     np.testing.assert_allclose(K, expm(chain.generator() * 0.05), atol=1e-10)
 
 
@@ -495,7 +499,8 @@ def test_initial_rows_are_the_powers_initial_rows(invent, tandem):
         # it to exactly that row.
         assert chain.initial_rows(7).base is rows
         more = chain.initial_rows(30)
-        assert more.shape == (31, chain.n_states) and chain._rows[0] is more
+        assert more.shape == (31, chain.n_states)
+        assert chain._tables["rows"] is more
         np.testing.assert_array_equal(more[:21], rows)
 
 
@@ -504,7 +509,26 @@ def test_initial_rows_of_p0_step_no_power():
     np.testing.assert_array_equal(frozen.initial_rows(0), [[0.0, 1.0, 0.0]])
     block = np.arange(6.0).reshape(3, 2)
     np.testing.assert_array_equal(frozen.final_columns(block, 0), [block])
-    assert frozen._powers == []
+    assert "powers" not in frozen._tables
+
+
+def test_every_table_handed_out_is_read_only(invent):
+    # A fresh chain's jump_powers(0) and initial_rows(0) used to be
+    # writable arrays that the chain did not keep.  Every table, also at
+    # top 0 and on a chain that cannot step (lam = 0), is read-only and
+    # is the chain's kept table or a slice of it.
+    frozen = from_rates(["a", "b", "c"], "b", {}, {})
+    for chain, tops in ((parse_ctmc(serialize_ctmc(invent)), (0, 0, 3, 1)),
+                        (frozen, (0, 0))):
+        block = np.ones((chain.n_states, 2))
+        for top in tops:
+            for name, table in (
+                    ("powers", chain.jump_powers(top)),
+                    ("rows", chain.initial_rows(top)),
+                    ("finals", chain.final_columns(block, top))):
+                assert len(table) == top + 1 and not table.flags.writeable
+                kept = chain._tables[name]
+                assert table is kept or table.base is kept
 
 
 def test_final_columns_are_p_stepped_by_hand(invent, tandem):
@@ -523,22 +547,23 @@ def test_final_columns_are_p_stepped_by_hand(invent, tandem):
         # it to exactly that column.
         assert chain.final_columns(block, 7).base is cols
         more = chain.final_columns(block, 30)
-        assert more.shape == (31, *block.shape) and chain._finals[1] is more
+        assert more.shape == (31, *block.shape)
+        assert chain._tables["finals"] is more
         np.testing.assert_array_equal(more, want)
-        # The kept block is a read-only copy: changing the caller's block
-        # restarts the table.
-        key = chain._finals[0]
-        assert not key.flags.writeable and key is not block
+        # The kept block, the table's row 0, is a read-only copy:
+        # changing the caller's block restarts the table.
+        assert not np.shares_memory(more, block)
         block[0, 0] = np.nextafter(block[0, 0], 2.0)
         np.testing.assert_array_equal(chain.final_columns(block, 3)[1],
                                       P @ block)
-        assert chain._finals[0] is not key and len(chain._finals[1]) == 4
+        assert chain._tables["finals"] is not more
+        assert len(chain._tables["finals"]) == 4
         # -0.0 == 0.0, but the blocks differ in a bit, so it restarts too.
         block[0, 0] = 0.0
         zero = chain.final_columns(block, 3)
         block[0, 0] = -0.0
         signed = chain.final_columns(block, 2)
-        assert chain._finals[1] is signed and signed is not zero
+        assert chain._tables["finals"] is signed and signed is not zero
         assert math.copysign(1.0, signed[0, 0, 0]) == -1.0
         assert chain.final_columns(block, 1).base is signed
 
@@ -548,8 +573,8 @@ def test_final_block_matches_series(model):
     # A gap's coefficient row read against the kept columns, as an exact
     # weight reads its last gap, and the series of the same row round
     # differently; both lie within _kernel_tolerance of the exact series.
-    # The series is the batched route's, bit for bit, and a time of cut 1
-    # reads the block bit for bit without stepping a power.
+    # The row is the batched kernels' coefficients, bit for bit, and a
+    # time of cut 1 reads the block bit for bit without stepping a power.
     ctmc = parse_ctmc(fixture_text(model))
     eps = 1e-10
     times = [0.0, *_BATCH_TIMES, *_times_with_cuts(ctmc, _EDGE_CUTS, eps)]
@@ -560,15 +585,18 @@ def test_final_block_matches_series(model):
         cols = ctmc.final_columns(block, len(coef) - 1)
         return (coef @ cols.reshape(len(coef), -1)).reshape(block.shape)
 
-    rows = [_coefficients(m, eps)
+    rows = [poisson_coefficients(m, eps)
             for m in ctmc.uniformization_rate * np.array(times)]
     np.testing.assert_array_equal(read(rows[0]), block)
-    assert ctmc._powers == []
+    assert "powers" not in ctmc._tables
     for i, coef in enumerate(rows):
         rel, tiny = _kernel_tolerance(len(coef), ctmc.n_states, applied=True)
+        r = gaps.rank[i]
+        batched = gaps.weights[r, : gaps.cuts[r]].copy()
+        batched[-1] += gaps.tails[r]
+        np.testing.assert_array_equal(coef, batched)
         got = read(coef)
         want = polynomial_series(ctmc.jump_powers, coef, block)
-        np.testing.assert_array_equal(want, gaps.series(block, i))
         assert got.shape == block.shape and np.all(got >= 0.0)
         assert np.all(np.abs(got - want) <= rel * want + tiny), times[i]
 
@@ -607,8 +635,9 @@ def test_replace_gives_a_chain_its_own_tables(invent):
     w = np.array([0.9, 0.4, 0.1])
     before = conditional_weight(chain, rho, w)
     transient_matrix(chain, 1.5)
-    tables = (chain._index, chain._columns, chain._powers[0], chain._rows[0],
-              chain._finals[1])
+    tables = (chain._index, chain._columns, chain._tables,
+              *chain._tables.values())
+    assert set(chain._tables) == {"powers", "rows", "finals"}
     for new, want in (
         (dataclasses.replace(chain, exit_rates=2 * chain.exit_rates),
          _rebuilt(chain, chain.initial, 2.0)),
@@ -617,7 +646,7 @@ def test_replace_gives_a_chain_its_own_tables(invent):
         assert new.initial == want.initial
         np.testing.assert_array_equal(new.jump_probs, want.jump_probs)
         np.testing.assert_array_equal(new.exit_rates, want.exit_rates)
-        assert new._powers == [] and new._rows == [] and new._finals == []
+        assert new._tables == {} and new._tables is not chain._tables
         assert new._index is not chain._index
         assert new._columns is not chain._columns
         assert new._masks is not chain._masks
@@ -625,11 +654,10 @@ def test_replace_gives_a_chain_its_own_tables(invent):
                                       transient_matrix(want, 1.5))
         assert conditional_weight(new, rho, w) == conditional_weight(
             want, rho, w)
-        assert new._powers[0] is not tables[2]
-        assert new._rows[0] is not tables[3]
-        assert new._finals[1] is not tables[4]
-    now = (chain._index, chain._columns, chain._powers[0], chain._rows[0],
-           chain._finals[1])
+        assert all(new._tables[name] is not chain._tables[name]
+                   for name in ("powers", "rows", "finals"))
+    now = (chain._index, chain._columns, chain._tables,
+           *chain._tables.values())
     assert all(a is b for a, b in zip(now, tables))
     assert conditional_weight(chain, rho, w) == before
 
@@ -641,10 +669,13 @@ def test_tiny_time_has_no_negative_tail(random_chain):
     t, eps = 1e-6, 1e-10
     gaps = uniformize(chain, t, eps)
     assert gaps.tails[0] == 0.0
+    coef = poisson_coefficients(chain.uniformization_rate * t, eps)
+    np.testing.assert_array_equal(coef, gaps.weights[0])
     ones = np.ones(4)
     outputs = [
         transient_matrix(chain, t, eps), reach_matrix(chain, t, eps),
-        gaps.series(ones, 0), gaps.series(ones, 0, left=True),
+        polynomial_series(chain.jump_powers, coef, ones),
+        polynomial_series(chain.jump_powers, coef, ones, left=True),
         *(transient(chain, s, t, eps) for s in range(4)),
     ]
     for out in outputs:
@@ -832,7 +863,8 @@ def test_weight_keeps_p0_and_p1_on_the_chain():
     ctmc = parse_ctmc(fixture_text("tandem.ctmc"))
     weight_from_property(ctmc, ctmc.satisfying(parse_formula("second_full")),
                          0.5)
-    (powers,) = ctmc._powers
+    assert list(ctmc._tables) == ["powers"]
+    powers = ctmc._tables["powers"]
     n = ctmc.n_states
     assert powers.shape == (2, n, n)
     np.testing.assert_array_equal(powers[0], np.eye(n))

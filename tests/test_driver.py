@@ -154,9 +154,9 @@ def test_chain_keeps_the_highest_power_asked(monkeypatch, tandem1,
                            tandem_weights)
     top = max(math.isqrt(c - 1) + 1 for c in cuts)
     assert top > 1
-    assert len(chain._powers[0]) == top + 1
+    assert len(chain._tables["powers"]) == top + 1
     assert len(first_cuts) > 20
-    assert len(chain._rows[0]) == max(first_cuts)
+    assert len(chain._tables["rows"]) == max(first_cuts)
 
 
 def test_splittable_skips_points(invent1):

@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -38,7 +40,12 @@ from condreach.unfolding import (
     conditional_weight,
     evidence_likelihood,
 )
-from oracles import audit_consistency, dense_bounds, lumped
+from oracles import (
+    audit_consistency,
+    decimal_conditional_weight,
+    dense_bounds,
+    lumped,
+)
 from test_abstraction import (
     _dense_rows,
     _from_dense,
@@ -908,18 +915,28 @@ def _windows(formulas):
 # evidence has likelihood 0.12.
 @example(seed=2562843588, n=6, formulas=["a", "true", "a"], direction="min")
 @example(seed=4005490831, n=3, formulas=["!b", "!b", "b"], direction="max")
+# The outer bound equals the witness timing's 60-digit weight here, and
+# the float witness reads 1.2e-15 to 1.4e-15 relative above both: the
+# float weight's own error, which the outer bound need not cover.
+@example(seed=79547484, n=3, formulas=["a", "!a", "!a"], direction="max")
+@example(seed=262144, n=6, formulas=["true", "!a", "!b"], direction="max")
+@example(seed=177881828, n=3, formulas=["true", "a", "a"], direction="max")
+@example(seed=10, n=3, formulas=["!a", "b", "b"], direction="max")
 def test_witness_lies_inside_the_outer_bound(random_chain, seed, n, formulas,
                                               direction):
-    # A witness is one timing's exact weight, so the robust optimum over
-    # all timings bounds it: below the upper bound under max, above the
-    # lower under min, over two rounds of refinement.  The outer bound is
-    # the solve's last iterate, and its steps d / e on the excess keep
-    # their rounding relative to the escape e, so a witness may pass it
-    # by rounding alone, 1e-15 relative (6.2e-16 at most over 1,148
-    # solved models of 700 random cases).  As in the other random-evidence tests, the
-    # evidence is likely enough (1e-3 at the windows' midpoints); a model
-    # whose evidence has (near-)zero likelihood is no case of the
-    # property, but a solve that does not converge fails it.
+    # A witness timing's exact weight is one timing's, so the robust
+    # optimum over all timings bounds it: below the upper bound under
+    # max, above the lower under min, over two rounds of refinement.  The
+    # exact weight is the 60-digit oracle's (decimal_conditional_weight),
+    # so the float witness's own rounding is no part of the check.  The
+    # outer bound is the solve's last iterate, and its steps d / e on the
+    # excess keep their rounding relative to the escape e, so an exact
+    # weight may pass it by rounding alone, 1e-15 relative (6.2e-16 at
+    # most over 1,148 solved models of 700 random cases).  As in the
+    # other random-evidence tests, the evidence is likely enough (1e-3 at
+    # the windows' midpoints); a model whose evidence has (near-)zero
+    # likelihood is no case of the property, but a solve that does not
+    # converge fails it.
     rng = np.random.default_rng(seed)
     ctmc = random_chain(rng, n)
     omega, mid = _windows(formulas)
@@ -934,11 +951,13 @@ def test_witness_lies_inside_the_outer_bound(random_chain, seed, n, formulas,
             report = compute_bounds(imdp, w, ctmc, omega, direction=direction)
         except ZeroLikelihoodError:
             assume(False)
-        value = report.info["witness"][1]
+        times = report.info["witness"][0]
+        exact = decimal_conditional_weight(
+            ctmc, PreciseEvidence(tuple(zip(times, omega.formulas))), w)
         if direction == "max":
-            assert value <= report.upper * (1.0 + 1e-15)
+            assert exact <= Decimal(report.upper * (1.0 + 1e-15))
         else:
-            assert value >= report.lower * (1.0 - 1e-15)
+            assert exact >= Decimal(report.lower * (1.0 - 1e-15))
         psi = apply_splits(psi, psi.splittable())
 
 

@@ -110,6 +110,19 @@ def test_exact_weight_bits_are_pinned(tandem, tandem1, tandem_weights, invent,
             assert conditional_weight(ctmc, rho, w).hex() == want, seed
 
 
+def test_forward_route_bits_are_pinned(tandem, tandem_weights):
+    # CI's tandem1 point evidence through the forward route, which
+    # applies each gap's own coefficients to the distribution, and the
+    # transient of its first gap: the bits of the batched table's series
+    # that the route used before.
+    rho = _rho((2.75, "!first_full"), (5.25, "first_full & !second_full"))
+    assert evidence_likelihood(tandem, rho).hex() == "0x1.ef704f0851af9p-5"
+    assert (bayes_quotient_weight(tandem, rho, tandem_weights).hex()
+            == "0x1.f72c2700d2a0ap-9")
+    dist = ctmc_module.transient(tandem, tandem.initial, 2.75)
+    assert float(dist[tandem.initial]).hex() == "0x1.ebc41fbf6d48bp-43"
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     t1=st.floats(0.05, 2.0),
@@ -305,7 +318,7 @@ def test_stiff_gap_refused_before_the_poisson_table(monkeypatch):
 
     monkeypatch.setattr(ctmc_module, "_poisson_table", never)
     monkeypatch.setattr(ctmc_module, "poisson_row", never)
-    monkeypatch.setattr(unfolding, "poisson_row", never)
+    monkeypatch.setattr(unfolding, "poisson_coefficients", never)
     for call in _calls(chain, rho, np.ones(2)):
         with pytest.raises(UniformizationError):
             call()
@@ -348,13 +361,14 @@ def test_second_weight_adds_no_power(tandem1, tandem_weights):
     chain = ctmc_module.parse_ctmc(fixture_text("tandem.ctmc"))
     rho = sample_instance(tandem1, np.random.default_rng(5))
     first = _entry_points(chain, rho, tandem_weights)
-    table, rows, cols = chain._powers[0], chain._rows[0], chain._finals[1]
+    tables = dict(chain._tables)
+    assert set(tables) == {"powers", "rows", "finals"}
+    table, rows, cols = tables["powers"], tables["rows"], tables["finals"]
     assert len(table) > 2 and len(rows) > len(table)
     assert len(cols) > len(table)
     assert _entry_points(chain, rho, tandem_weights) == first
-    assert len(chain._powers) == 1 and chain._powers[0] is table
-    assert len(chain._rows) == 1 and chain._rows[0] is rows
-    assert len(chain._finals) == 2 and chain._finals[1] is cols
+    assert chain._tables == tables
+    assert all(chain._tables[name] is t for name, t in tables.items())
 
 
 def test_final_columns_follow_the_last_block(tandem1, tandem_weights):
@@ -382,8 +396,9 @@ def test_final_columns_follow_the_last_block(tandem1, tandem_weights):
         got = conditional_weight(chain, rho, weights)
         fresh = ctmc_module.parse_ctmc(fixture_text("tandem.ctmc"))
         assert got == conditional_weight(fresh, rho, weights.copy())
-        assert len(fresh._powers[0]) == 2
-        assert chain._finals[0].tobytes() == fresh._finals[0].tobytes()
+        assert len(fresh._tables["powers"]) == 2
+        assert (chain._tables["finals"][0].tobytes()
+                == fresh._tables["finals"][0].tobytes())
 
 
 def _assert_within_margin(ctmc, rho, w):
