@@ -6,22 +6,22 @@ demand.  Transient distributions are computed by uniformization with
 Poisson truncation, which keeps every term nonnegative.  A time's
 truncated series is a polynomial in the uniformized jump matrix P,
 evaluated in about 2 sqrt(cut) matrix products (Paterson & Stockmeyer,
-SIAM J. Comput. 1973) on the powers P^0, P^1, ... that the chain keeps,
-stepped on demand.  A stack of times takes its Poisson weights from one
-table as whole kernels; one time applied to a vector or a block takes
-its own, bit for bit the same (poisson_coefficients, polynomial_series).
-The chain also keeps the initial rows of its powers and the columns
-P^k @ block of the last block it was asked for, which one time's
-coefficients read as a kernel's initial-state row or as a kernel applied
-to that block; one helper steps all three tables.  The rule is one: a
-sum of products with P alone is such a polynomial, and a sum whose
-targets are held absorbing (reach matrices and property weights) is the
-power loop, which steps its start one product with the chain's own P at
-a time and sets the targets back to 1 after each
-(Uniformization.power_sum).  On a grid of short binary fractions a
-kernel is instead marched from its binary parent, one product
-K(t - h) @ K(h) by the semigroup property, with polynomials only at the
-roots (marched_kernels).
+SIAM J. Comput. 1973) by one evaluator (polynomial_series), on the
+powers P^0, P^1, ... that the chain keeps, stepped on demand.  A stack
+of times takes its Poisson weights from one table (uniformize) and gets
+whole kernels; one time applied to a vector or a block takes its own
+row, bit for bit the same (poisson_coefficients).  The chain also keeps
+the initial rows of its powers and the columns P^k @ block of the last
+block it was asked for, which one time's coefficients read as a
+kernel's initial-state row or as a kernel applied to that block; one
+helper steps all three tables.  The rule is one: a sum of products with
+P alone is such a polynomial, and a sum whose targets are held
+absorbing (reach matrices and property weights) is the power loop,
+which steps its start one product with the chain's own P at a time and
+sets the targets back to 1 after each (power_sum).  On a grid of short
+binary fractions a kernel is instead marched from its binary parent,
+one product K(t - h) @ K(h) by the semigroup property, with polynomials
+only at the roots (marched_kernels).
 """
 
 from __future__ import annotations
@@ -507,7 +507,8 @@ def poisson_row(mean, eps):
 def poisson_coefficients(mean, eps):
     """The polynomial coefficients of one time's series, of Poisson mean
     `mean`: its Poisson row, with the mass it drops put on its last term
-    as uniformize puts each time's tail, so bit for bit its kernel's."""
+    as transient_matrix puts each time's tail (uniformize), so bit for bit
+    its kernel's."""
     coef = poisson_row(mean, eps)
     coef[-1] += max(1.0 - np.add.reduce(coef), 0.0)
     return coef
@@ -527,36 +528,46 @@ def _row_sums(table, lengths):
     return sums
 
 
-def polynomial_series(powers, coef, start, left=False):
+def polynomial_series(powers, coef, start=None, left=False):
     """sum_k coef[k] P^k @ start, or start @ P^k with left: a polynomial
-    in P applied to a vector or a block without forming it.
+    in P applied to a vector or a block without forming it.  Without a
+    start the terms are the powers themselves, and the call returns the
+    polynomial; an (m, c) stack of coefficient rows returns the (m, n, n)
+    stack of their polynomials and takes no start.
 
-    powers(top) gives P^0 .. P^top (Ctmc.jump_powers).  The polynomial is
-    evaluated as :meth:`Uniformization.kernels` evaluates its kernels
-    (the same blocks and Horner's rule), with every power replaced by its
-    product with the start.  With s = ceil(sqrt(c)) and b = ceil(c / s)
-    for c = len(coef), the terms P^i @ start of i < s are one stacked
-    product, the b blocks B_j @ start one matmul by the coefficients,
-    padded with zeros to b * s, and Horner's rule in P^s adds them, Y <-
-    P^s @ Y + B_j @ start from the last block down (Y @ P^s with left):
-    about 2 sqrt(c) products with the start, where the power loop takes
-    c.  The coefficients and the start must be nonnegative for the error
-    to stay relative, as in kernels.
+    powers(top) gives P^0 .. P^top (Ctmc.jump_powers).  A polynomial of
+    c coefficients is evaluated in about 2 sqrt(c) products (Paterson &
+    Stockmeyer, SIAM J. Comput. 1973), where the power loop takes c.
+    With s = ceil(sqrt(c)) and b = ceil(c / s), the terms P^i @ start of
+    i < s are one stacked product, the b blocks B_j @ start = sum_{i < s}
+    a_{js + i} P^i @ start one matmul of the coefficients, padded with
+    zeros to b * s, by the terms, and Horner's rule in P^s adds them, Y
+    <- P^s @ Y + B_j @ start from the last block down (Y @ P^s with
+    left).  s and b depend on c alone, and each polynomial of a stack
+    takes the matmuls of a call of its own row (one matmul shared by the
+    stack would round its rows by their count), so it is bit-identical
+    to that call.  The coefficients and the start must be nonnegative:
+    then no step cancels, and each entry's rounding error stays
+    relative.
     """
-    c = len(coef)
+    coef = np.asarray(coef)
+    lead, c = coef.shape[:-1], coef.shape[-1]
     s = math.isqrt(c - 1) + 1
     b = -(-c // s)
-    padded = np.zeros(b * s)
-    padded[:c] = coef
+    padded = np.zeros((*lead, b * s))
+    padded[..., :c] = coef
     P = powers(s if b > 1 else s - 1)
-    if left:
+    if start is None:
+        terms = P[:s]
+    elif left:
         terms = np.matmul(start, P[:s])
     else:
         # One product of the stacked powers with the start.
         terms = P[:s].reshape(-1, P.shape[2]) @ start
         terms = terms.reshape(s, *np.shape(start))
-    blocks = padded.reshape(b, s) @ terms.reshape(s, -1)
-    blocks = blocks.reshape(b, *terms.shape[1:])
+    # blocks[j] holds block j of each polynomial.
+    blocks = np.matmul(padded.reshape(*lead, b, s), terms.reshape(s, -1))
+    blocks = blocks.reshape(*lead, b, *terms.shape[1:]).swapaxes(0, len(lead))
     acc = blocks[b - 1]
     for j in range(b - 2, -1, -1):
         acc = acc @ P[s] if left else P[s] @ acc
@@ -564,140 +575,64 @@ def polynomial_series(powers, coef, start, left=False):
     return acc
 
 
-@dataclass(frozen=True)
-class Uniformization:
-    """A chain's uniformized jump matrix and the truncated Poisson weights
-    of an array of times: what every batched uniformization sum is made
-    of.
-
-    powers(top) gives P^0 .. P^top of P = I + Q / lam, the rate lam being
-    the max exit rate (slightly inflated), from the chain's own table
-    (Ctmc.jump_powers); powers(0) is P^0 on any chain, and a higher
-    power is asked for only when some time takes a step (lam > 0 and a
-    time above 0).  The weight rows are held longest cut first, and row
-    rank[i] is time i's: it holds pois(k; lam * times[i]) for k <
-    cuts[rank[i]] (_poisson_table), entries after them are padding, and
-    tails[rank[i]] >= 0 is the mass it drops.  Built by
-    :func:`uniformize`.  Each time's truncated series is a polynomial in
-    P, evaluated as whole kernels (kernels); a sum with targets held
-    absorbing steps its start through the series (power_sum).
-    """
-
-    powers: object
-    weights: np.ndarray
-    cuts: list
-    tails: np.ndarray
-    rank: np.ndarray
-
-    def power_sum(self, start, held):
-        """sum_k pois(k; lam * t) X_k with X_0 = start and X_{k+1} =
-        P @ X_k with its entries at `held` set to 1, for every time t.
-
-        The power loop, for targets held absorbing: `held` indexes the
-        target entries of start, which are 1 there, as np.diag_indices(n)
-        for reach matrices (each column's target is its own state) or a
-        target mask for a column of weights.  Holding an entry at 1 is a
-        step of the chain with that row's target made absorbing, so the
-        loop runs on the chain itself.  The X_k are stepped up to the
-        longest cut among the times, and each time adds its own weights
-        in order, so its result is bit-identical to a run of its own.  A
-        time's truncated tail is put on its own last X_k, at the step
-        where its cut ends, so stochastic X_k stay within eps of
-        stochastic.  Returns an array of shape (number of times,) +
-        start.shape.
-        """
-        cuts = self.cuts
-        ones = (1,) * np.ndim(start)
-        W, tails = self.weights.T, self.tails.reshape(-1, *ones)
-        # P^1, or P^0 when no time takes a step.
-        top = min(self.weights.shape[1] - 1, 1)
-        P = self.powers(top)[top]
-        X = start
-        acc = W[0].reshape(-1, *ones) * X
-        # The rows still summing are a prefix: the first `live`.
-        live, k = len(cuts), 1
-        while live:
-            # Steps k .. end - 1 serve the first `live` rows alike; then
-            # the rows whose cut is `end` put their tail on X_{end - 1}.
-            end = cuts[live - 1]
-            part = acc[:live]
-            for f in W[k:end, :live].reshape(end - k, live, *ones):
-                X = P @ X
-                X[held] = 1.0
-                part += f * X
-            done = cuts.index(end)
-            acc[done:live] += tails[done:live] * X
-            live, k = done, end
-        return acc[self.rank]
-
-    def kernels(self, n):
-        """The transient kernels sum_k pois(k; lam * t) P^k of every time
-        t, as an (m, n, n) stack in time order.
-
-        A time of cut c has the polynomial sum_{k < c} a_k P^k, whose
-        coefficients are its weights with its tail added to a_{c - 1}.
-        It is evaluated in about 2 sqrt(c) products (Paterson & Stockmeyer,
-        SIAM J. Comput. 1973): with s = ceil(sqrt(c)) and b = ceil(c / s),
-        block j is B_j = sum_{i < s} a_{js + i} P^i, and Horner's rule in
-        P^s adds the blocks, A <- A @ P^s + B_j, from the last one down.
-        The powers P^0 .. P^s come from the chain's table.  Times of
-        equal (s, b) share stacked matmuls, which make one BLAS call per
-        kernel, and s and b depend on the time's own cut only, so every
-        kernel is bit-identical to a call of its own.  All coefficients
-        and matrices are nonnegative, so no step cancels, and each entry's
-        rounding error stays relative.
-        """
-        m = len(self.cuts)
-        out = np.empty((m, n, n))
-        if not m:
-            return out
-        cuts = np.array(self.cuts)
-        # (s, b) rises with the cut in lexicographic order, and the rows
-        # are held by cut, so times of equal (s, b) are runs of rows.
-        s = [math.isqrt(c - 1) + 1 for c in self.cuts]
-        b = [-(-c // k) for c, k in zip(self.cuts, s)]
-        width = max(k * j for k, j in zip(s, b))
-        top = max(k if j > 1 else k - 1 for k, j in zip(s, b))
-        # The coefficients: each row's weights up to its cut, its tail on
-        # the last, zeros after it to fill its last block (width is at
-        # least the longest cut, the table's width).
-        coef = np.zeros((m, width))
-        coef[:, : self.weights.shape[1]] = self.weights
-        coef[np.arange(width) >= cuts[:, None]] = 0.0
-        coef[np.arange(m), cuts - 1] += self.tails
-        powers = self.powers(top)
-        flat = powers.reshape(top + 1, n * n)
-        times = np.argsort(self.rank)
-        at = 0
-        for (k, j), run in itertools.groupby(zip(s, b)):
-            end = at + len(list(run))
-            # blocks[:, i] holds block i of every row, each a (1, s) row,
-            # so a block is a stacked product of one row per kernel.
-            blocks = coef[at:end, : k * j].reshape(end - at, j, 1, k)
-            A = np.matmul(blocks[:, j - 1], flat[:k]).reshape(-1, n, n)
-            for i in range(j - 2, -1, -1):
-                A = A @ powers[k]
-                A += np.matmul(blocks[:, i], flat[:k]).reshape(-1, n, n)
-            out[times[at:end]] = A
-            at = end
-        return out
-
-
 def uniformize(ctmc, times, eps=DEFAULT_TRANSIENT_TOL):
-    """The :class:`Uniformization` of ctmc over an array of times.
+    """The truncated Poisson weights of an array of times on ctmc, as
+    (W, cuts, tails) in time order: W[i, k] = pois(k; lam * times[i])
+    for k < cuts[i] and 0 after (_poisson_table), and tails[i] >= 0 is
+    the mass that row i drops.
 
     All the times' Poisson weights come from one table, built once the
     times, their means and the tolerance have passed poisson_means'
     checks.
     """
     W, cuts = _poisson_table(poisson_means(ctmc, times, eps), eps)
-    order = np.argsort(-cuts, kind="stable")
-    W, cuts = W[order], cuts[order]
+    W[np.arange(W.shape[1]) >= cuts[:, None]] = 0.0
     # The weights sum to 1 within rounding, which can leave a dropped
     # mass of -2.2e-16 (and a negative kernel entry) on a tiny time.
     tails = np.maximum(1.0 - _row_sums(W, cuts), 0.0)
-    return Uniformization(ctmc.jump_powers, W, cuts.tolist(), tails,
-                          np.argsort(order))
+    return W, cuts, tails
+
+
+def power_sum(ctmc, times, eps, start, held):
+    """sum_k pois(k; lam * t) X_k with X_0 = start and X_{k+1} = P @ X_k
+    with its entries at `held` set to 1, for every time t of an array.
+
+    The power loop, for targets held absorbing: `held` indexes the
+    target entries of start, which are 1 there, as np.diag_indices(n)
+    for reach matrices (each column's target is its own state) or a
+    target mask for a column of weights.  Holding an entry at 1 is a
+    step of the chain with that row's target made absorbing, so the
+    loop runs on the chain's own P.  The X_k are stepped once, up to the
+    longest cut among the times, and each step adds every time's weight:
+    a weight past a time's cut is 0 and adds exactly nothing to its
+    nonnegative sum.  A time's truncated tail is put on its own last
+    X_k, at the step where its cut ends, so stochastic X_k stay within
+    eps of stochastic; the tails of each distinct cut are added in one
+    term, 0 for the times of the other cuts.  So each time's result is
+    bit-identical to a run of its own.  Returns an array of shape
+    (number of times,) + start.shape.
+    """
+    W, cuts, tails = uniformize(ctmc, times, eps)
+    ends = sorted(set(cuts.tolist()))
+    shape = (len(cuts), *(1,) * np.ndim(start))
+    # Per distinct cut, the tails of its times and 0 for the others.
+    tails = np.where(cuts == np.reshape(ends, (-1, 1)), tails, 0.0)
+    tails = tails.reshape(len(ends), *shape)
+    W = W.T.reshape(W.shape[1], *shape)
+    # P^1, or P^0 when no time takes a step.
+    top = min(len(W) - 1, 1)
+    P = ctmc.jump_powers(top)[top]
+    X = start
+    acc = W[0] * X
+    k = 1
+    for end, tail in zip(ends, tails):
+        for f in W[k:end]:
+            X = P @ X
+            X[held] = 1.0
+            acc += f * X
+        acc += tail * X
+        k = end
+    return acc
 
 
 def poisson_means(ctmc, times, eps):
@@ -727,14 +662,25 @@ def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):
     """Full transient kernel K with K[s, s'] = Pr_s(t)(s').
 
     Uniformization: K = sum_k pois(k; lam*t) P^k, evaluated as a
-    polynomial in P (Uniformization.kernels).  An array of times gives a
-    stack of kernels from one set of powers, each bit-identical to a call
-    of its own.  On a grid of short binary fractions most kernels are
-    cheaper marched from others (marched_kernels), with these
-    polynomials as the roots.
+    polynomial in P (polynomial_series), whose coefficients are the
+    time's weights with its tail on the last.  An array of times gives a
+    stack of kernels: the times of equal blocks (s, b) are one call of
+    the evaluator, their rows as long as their longest cut, and each
+    kernel is bit-identical to a call of its own.  On a grid of short
+    binary fractions most kernels are cheaper marched from others
+    (marched_kernels), with these polynomials as the roots.
     """
     n = ctmc.n_states
-    K = uniformize(ctmc, t, eps).kernels(n)
+    W, cuts, tails = uniformize(ctmc, t, eps)
+    W[np.arange(len(cuts)), cuts - 1] += tails
+    groups = {}
+    for i, cut in enumerate(cuts.tolist()):
+        s = math.isqrt(cut - 1) + 1
+        groups.setdefault((s, -(-cut // s)), []).append(i)
+    K = np.empty((len(cuts), n, n))
+    for rows in groups.values():
+        K[rows] = polynomial_series(ctmc.jump_powers,
+                                    W[rows, : cuts[rows].max()], left=True)
     return K.reshape(*np.shape(t), n, n)
 
 
@@ -806,9 +752,13 @@ def marched_kernels(times, memo, root):
 def transient(ctmc, source, t, eps=DEFAULT_TRANSIENT_TOL):
     """Transient distribution Pr_source(t) as a dense vector: the series
     of the row vector e_source, not a row of the full kernel.  t is one
-    time; an array raises ValueError (transient_matrix takes arrays)."""
+    time; an array raises ValueError (transient_matrix takes arrays), as
+    does a source outside the chain's states 0 .. n - 1."""
     if np.ndim(t):
         raise ValueError(f"transient takes one time, got shape {np.shape(t)}")
+    if not 0 <= source < ctmc.n_states:
+        raise ValueError(f"source state {source} is not one of the chain's "
+                         f"{ctmc.n_states} states")
     start = np.zeros(ctmc.n_states)
     start[source] = 1.0
     (mean,) = poisson_means(ctmc, t, eps).tolist()
@@ -827,12 +777,11 @@ def reach_matrix(ctmc, duration, eps=DEFAULT_TRANSIENT_TOL):
     `duration` starting from s.  A single uniformization pass serves all
     target columns: the chains with target s' made absorbing differ from
     the base chain only in row s', so the power loop steps the identity
-    with P and holds the diagonal at 1 (Uniformization.power_sum).  An
-    array of durations gives a stack of matrices from one power sequence.
+    with P and holds the diagonal at 1 (power_sum).  An array of
+    durations gives a stack of matrices from one power sequence.
     """
     n = ctmc.n_states
-    acc = uniformize(ctmc, duration, eps).power_sum(np.eye(n),
-                                                    np.diag_indices(n))
+    acc = power_sum(ctmc, duration, eps, np.eye(n), np.diag_indices(n))
     return np.clip(acc.reshape(*np.shape(duration), n, n), 0.0, 1.0)
 
 
@@ -851,9 +800,9 @@ def weight_from_property(ctmc, target_mask, horizon, eps=DEFAULT_TRANSIENT_TOL):
     """State weights w(s) = P(reach target within horizon from s).
 
     The power loop on the chain itself steps the target's indicator
-    column and holds the target at 1 (Uniformization.power_sum), as a
-    reach matrix does for each of its columns; it steps no power beyond
-    P^1 on the chain.  The weights are clipped to [0, 1], which a sum
+    column and holds the target at 1 (power_sum), as a reach matrix does
+    for each of its columns; it steps no power beyond P^1 on the chain.
+    The weights are clipped to [0, 1], which a sum
     near 1 can round out of, and target states are set to exactly 1,
     which their sum of Poisson weights and tail need not round to.  The
     Poisson mean checked against MAX_POISSON_MEAN is the chain's own
@@ -868,7 +817,7 @@ def weight_from_property(ctmc, target_mask, horizon, eps=DEFAULT_TRANSIENT_TOL):
         warnings.warn("empty target set, all weights are 0", stacklevel=2)
         return np.zeros(ctmc.n_states)
     indicator = target_mask.astype(float)
-    reach = uniformize(ctmc, horizon, eps).power_sum(indicator, target_mask)
+    reach = power_sum(ctmc, horizon, eps, indicator, target_mask)
     # A weight near 1 can round above it, as a reach matrix entry can.
     reach = np.clip(reach[0], 0.0, 1.0)
     reach[target_mask] = 1.0

@@ -230,9 +230,8 @@ def test_batched_core_matches_per_time_loop(model, per_time_uniformization):
     np.testing.assert_array_equal(
         transient_matrix(ctmc, 0.25), transient_matrix(ctmc, [0.25])[0]
     )
-    assert transient_matrix(ctmc, np.empty(0)).shape == (
-        0, ctmc.n_states, ctmc.n_states
-    )
+    for fn in (transient_matrix, reach_matrix):
+        assert fn(ctmc, np.empty(0)).shape == (0, ctmc.n_states, ctmc.n_states)
 
 
 def _times_with_cuts(ctmc, cuts, eps):
@@ -287,6 +286,9 @@ def test_kernels_without_a_step():
     ),
     eps=st.sampled_from([1e-6, 1e-10, 1e-12]),
 )
+# On one state the blocks are matrix-vector products, whose rows round by
+# their count when one product serves all the kernels of a stack.
+@example(seed=1, n=1, times=[4.0, 4.734822727045805], eps=1e-06)
 def test_batched_core_matches_per_time_loop_random(
     random_chain, per_time_uniformization, seed, n, times, eps
 ):
@@ -426,6 +428,22 @@ def test_series_match_power_loop_random(
     chain = random_chain(rng, n)
     _assert_series_match_oracle(chain, times, per_time_uniformization, eps,
                                 rng)
+
+
+@pytest.mark.parametrize("model", ["invent.ctmc", "tandem.ctmc"])
+def test_kernel_is_the_series_without_a_start(model):
+    # Every kernel, alone or in a stack, is the one evaluator's polynomial
+    # of its time's coefficients, bit for bit.
+    ctmc = parse_ctmc(fixture_text(model))
+    eps = 1e-10
+    times = _BATCH_TIMES + _times_with_cuts(ctmc, _EDGE_CUTS, eps)
+    stack = transient_matrix(ctmc, times, eps)
+    for t, k in zip(times, stack):
+        coef = poisson_coefficients(ctmc.uniformization_rate * t, eps)
+        want = polynomial_series(ctmc.jump_powers, coef, left=True)
+        np.testing.assert_array_equal(transient_matrix(ctmc, t, eps), want,
+                                      err_msg=t)
+        np.testing.assert_array_equal(k, want, err_msg=t)
 
 
 def test_series_without_a_step():
@@ -578,7 +596,7 @@ def test_final_block_matches_series(model):
     ctmc = parse_ctmc(fixture_text(model))
     eps = 1e-10
     times = [0.0, *_BATCH_TIMES, *_times_with_cuts(ctmc, _EDGE_CUTS, eps)]
-    gaps = uniformize(ctmc, times, eps)
+    W, cuts, tails = uniformize(ctmc, times, eps)
     block = np.random.default_rng(7).uniform(size=(ctmc.n_states, 2))
 
     def read(coef):
@@ -591,9 +609,8 @@ def test_final_block_matches_series(model):
     assert "powers" not in ctmc._tables
     for i, coef in enumerate(rows):
         rel, tiny = _kernel_tolerance(len(coef), ctmc.n_states, applied=True)
-        r = gaps.rank[i]
-        batched = gaps.weights[r, : gaps.cuts[r]].copy()
-        batched[-1] += gaps.tails[r]
+        batched = W[i, : cuts[i]].copy()
+        batched[-1] += tails[i]
         np.testing.assert_array_equal(coef, batched)
         got = read(coef)
         want = polynomial_series(ctmc.jump_powers, coef, block)
@@ -667,10 +684,10 @@ def test_tiny_time_has_no_negative_tail(random_chain):
     # a dropped mass of -2.2e-16 and a kernel entry of -5.8e-18.
     chain = random_chain(np.random.default_rng(48656), 4)
     t, eps = 1e-6, 1e-10
-    gaps = uniformize(chain, t, eps)
-    assert gaps.tails[0] == 0.0
+    W, _, tails = uniformize(chain, t, eps)
+    assert tails[0] == 0.0
     coef = poisson_coefficients(chain.uniformization_rate * t, eps)
-    np.testing.assert_array_equal(coef, gaps.weights[0])
+    np.testing.assert_array_equal(coef, W[0])
     ones = np.ones(4)
     outputs = [
         transient_matrix(chain, t, eps), reach_matrix(chain, t, eps),
@@ -836,6 +853,23 @@ def test_reach_matrix_dominates_transient(invent):
         )
 
 
+def _refuse_kernels(monkeypatch):
+    """Make forming a transient kernel raise AssertionError: a call of
+    transient_matrix, or a series without a start, which is a kernel."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel was formed")
+
+    series = condreach.ctmc.polynomial_series
+
+    def applied(powers, coef, start=None, left=False):
+        if start is None:
+            refuse()
+        return series(powers, coef, start, left)
+
+    monkeypatch.setattr(condreach.ctmc, "transient_matrix", refuse)
+    monkeypatch.setattr(condreach.ctmc, "polynomial_series", applied)
+
+
 @pytest.mark.parametrize("model, formula", [("invent.ctmc", "empty"),
                                             ("tandem.ctmc", "second_full")])
 def test_reachability_vectors_form_no_kernel(monkeypatch, model, formula):
@@ -845,12 +879,7 @@ def test_reachability_vectors_form_no_kernel(monkeypatch, model, formula):
     target = ctmc.satisfying(parse_formula(formula))
     absorbed = absorbing_chain(ctmc, target)
     want = transient_matrix(absorbed, 0.5)[:, target].sum(axis=1)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a kernel was formed")
-
-    monkeypatch.setattr(condreach.ctmc, "transient_matrix", refuse)
-    monkeypatch.setattr(condreach.ctmc.Uniformization, "kernels", refuse)
+    _refuse_kernels(monkeypatch)
     got = weight_from_property(ctmc, target, 0.5)
     # A state in the target has reached it: its weight is exactly 1.
     np.testing.assert_array_equal(got[target], 1.0)
@@ -1040,14 +1069,16 @@ def test_transient_refuses_an_array_of_times(invent):
                                   transient(invent, 0, 0.1))
 
 
+@pytest.mark.parametrize("source", [-1, 3, 4])
+def test_transient_refuses_a_source_outside_the_chain(invent, source):
+    # -1 used to read as state 2, and 3 raised a bare IndexError.
+    with pytest.raises(ValueError, match="source state"):
+        transient(invent, source, 0.5)
+
+
 def test_transient_builds_no_kernel(monkeypatch, tandem):
     want = transient_matrix(tandem, 2.75)[tandem.initial]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("transient built a kernel")
-
-    monkeypatch.setattr(condreach.ctmc, "transient_matrix", refuse)
-    monkeypatch.setattr(condreach.ctmc.Uniformization, "kernels", refuse)
+    _refuse_kernels(monkeypatch)
     got = transient(tandem, tandem.initial, 2.75)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 

@@ -340,13 +340,22 @@ def test_bad_gap_refused(invent, invent_weights, times):
 
 def test_oracle_forms_no_kernel(monkeypatch, invent, invent1, invent_weights,
                                 tandem, tandem1, tandem_weights):
-    # The three entry points never build an n x n kernel.
+    # The three entry points never build an n x n kernel: every series
+    # they evaluate is applied to a start.
     def never(*args, **kwargs):
         raise AssertionError("transient kernel formed")
 
+    series = ctmc_module.polynomial_series
+
+    def applied(powers, coef, start=None, left=False):
+        if start is None:
+            never()
+        return series(powers, coef, start, left)
+
     monkeypatch.setattr(ctmc_module, "transient_matrix", never)
     monkeypatch.setattr(unfolding, "transient_matrix", never)
-    monkeypatch.setattr(ctmc_module.Uniformization, "kernels", never)
+    monkeypatch.setattr(ctmc_module, "polynomial_series", applied)
+    monkeypatch.setattr(unfolding, "polynomial_series", applied)
     for ctmc, omega, w in ((invent, invent1, invent_weights),
                            (tandem, tandem1, tandem_weights)):
         rho = sample_instance(omega, np.random.default_rng(3))
@@ -456,13 +465,20 @@ def test_all_gaps_zero_give_the_initial_weight(invent, invent_weights):
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "the Poisson tail, up to 0.1 eps per gap, is put on the last term and "
     "counted by no margin (ROADMAP item 4)"))
-def test_truncation_exceeds_witness_margin(random_chain):
-    # A single-gap weight: the initial row alone, no block series.  It
-    # reads 1.76e-12 relative above the decimal oracle.
-    rng = np.random.default_rng(1723590874)
+@pytest.mark.parametrize("seed, t", [
+    # 1.76e-12 relative above the decimal oracle.
+    (1723590874, 1.45207231971694),
+    # Draws of test_conditional_weight_within_witness_margin_random with
+    # three `true` formulas: 1.139e-12 and 1.545e-12 relative below it.
+    (24847, 0.96875),
+    (14665, 1.0),
+])
+def test_truncation_exceeds_witness_margin(random_chain, seed, t):
+    # A single-gap weight on a two-state chain, built as the random
+    # property builds it: the initial row alone, no block series.
+    rng = np.random.default_rng(seed)
     ctmc = random_chain(rng, 2)
-    _assert_within_margin(ctmc, _rho((1.45207231971694, "true")),
-                          rng.uniform(0.0, 1.0, 2))
+    _assert_within_margin(ctmc, _rho((t, "true")), rng.uniform(0.0, 1.0, 2))
 
 
 _FORMULAS = ("true", "a", "!a", "b", "!b", "a & !b")
