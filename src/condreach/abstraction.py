@@ -21,12 +21,12 @@ state in the anchor layer, the non-reset states after it.
 A model's build does only work no earlier model did.  The cache, one
 per chain and transient tolerance, keeps the gap's two parts across
 layers and iterations, kernels by its minimum and reach matrices by its
-spread, each in one sorted-key stack, and it keeps the last model's gap
-stacks per layer: a refined model assembles only the gaps it adds and
-gathers the rest.  When the evidence's window endpoints are short binary
-fractions, every gap lies on an exact binary grid, and a new kernel is
-one product of two stored ones (ctmc.marched_kernels) rather than a
-polynomial of its own.
+spread, each in one stack of one buffer whose rows a dict maps the keys
+to (_KeyedStack), and it keeps the last model's gap stacks per layer: a
+refined model assembles only the gaps it adds and gathers the rest.
+When the evidence's window endpoints are short binary fractions, every
+gap lies on an exact binary grid, and a new kernel is one product of two
+stored ones (marched_kernels) rather than a polynomial of its own.
 
 A gap's full lower and upper rows are never stored.  The cache builds
 them a chunk of gaps at a time and keeps only what is read (GapStacks):
@@ -66,8 +66,8 @@ import numpy as np
 from .ctmc import (
     DEFAULT_TRANSIENT_TOL,
     MARCH_BITS,
+    binary_parent,
     invariance_vector,
-    marched_kernels,
     reach_matrix,
     set_bits,
     transient_matrix,
@@ -96,22 +96,20 @@ def _chunks(m, size):
 class _KeyedStack:
     """A stack of arrays of one shape, keyed by a float, filled on demand.
 
-    get(keys, compute) gives the keys not stored yet the next rows of one
-    buffer, and one call compute(sorted new keys, out) writes their
-    values into out, a view of those rows; compute may read stored rows
-    through get of stored keys.  A buffer that fills is replaced by one
-    of twice the size, so a stored value is copied O(1) times on average.
-    keys is kept sorted, and rows maps keys[i] to its row in the buffer.
-    get hands out buffer rows, not copies: callers gather what they read.
-    The stack keeps no compute function, so it refers to nothing that
-    refers back to it.
+    index maps each stored key to its row of one buffer.  get(keys,
+    compute) gives the keys not stored yet the next rows of the buffer,
+    and one call compute(sorted new keys, out) writes their values into
+    out, a view of those rows; compute may read stored rows through
+    index.  A buffer that fills is replaced by one of twice the size, so
+    a stored value is copied O(1) times on average.  get hands out
+    buffer rows, not copies: callers gather what they read.  The stack
+    keeps no compute function, so it refers to nothing that refers back
+    to it.
     """
 
     def __init__(self, shape):
-        self.keys = np.empty(0)
-        self.rows = np.empty(0, dtype=np.intp)
+        self.index = {}
         self.buffer = np.empty((0, *shape))
-        self.size = 0
 
     def get(self, queries, compute=None):
         """The buffer row of every query's value, in query order.
@@ -120,26 +118,58 @@ class _KeyedStack:
         without compute, every key must be stored.  The rows index
         self.buffer until the next get that computes.
         """
-        uniq, inverse = np.unique(queries, return_inverse=True)
-        pos = np.searchsorted(self.keys, uniq)
-        stored = pos < len(self.keys)
-        stored[stored] = self.keys[pos[stored]] == uniq[stored]
-        if not stored.all():
+        queries, index = np.ravel(queries).tolist(), self.index
+        new = sorted({t for t in queries if t not in index})
+        if new:
             if compute is None:
-                raise KeyError(f"not stored: {uniq[~stored]}")
-            new, at = uniq[~stored], pos[~stored]
-            start, end = self.size, self.size + len(new)
+                raise KeyError(f"not stored: {new}")
+            start, end = len(index), len(index) + len(new)
             if end > len(self.buffer):
                 grown = np.empty((max(end, 2 * start),
                                   *self.buffer.shape[1:]))
                 grown[:start] = self.buffer[:start]
                 self.buffer = grown
-            compute(new, self.buffer[start:end])
-            self.size = end
-            self.keys = np.insert(self.keys, at, new)
-            self.rows = np.insert(self.rows, at, np.arange(start, end))
-            pos = np.searchsorted(self.keys, uniq)
-        return self.rows[pos[inverse.reshape(-1)]]
+            compute(np.array(new), self.buffer[start:end])
+            index.update(zip(new, range(start, end)))
+        return np.array([index[t] for t in queries], dtype=np.intp)
+
+
+def marched_kernels(times, memo, root):
+    """Rows of memo holding the transient kernels of times, marched.
+
+    memo is a _KeyedStack of kernels, and root(times) gives the stacked
+    kernels of sorted times as polynomials (transient_matrix).  A time
+    with a binary parent (ctmc.binary_parent) gets K(t - h) @ K(h), and
+    every other time is a root.  The kernels the times are marched from
+    are found first, down to stored ones, and are computed in one call
+    of memo: the roots in one call of root, then the products by rising
+    set bits, each written in place from two factors with fewer.  A
+    kernel is so the product of its roots' polynomials, one per set bit,
+    taken from its top bit down, and its bits are a function of t alone
+    when memo holds only kernels of this rule.  Each product rounds as an
+    n-term sum of nonnegative terms, so the error stays relative.
+    """
+    split = {}
+    todo = np.ravel(times).tolist()
+    while todo:
+        t = todo.pop()
+        if t not in split and t not in memo.index:
+            split[t] = binary_parent(t)
+            todo.extend(split[t] or ())
+
+    def compute(new, out):
+        keys = new.tolist()
+        at = dict(zip(keys, range(len(keys))))
+        roots = [i for i, t in enumerate(keys) if split[t] is None]
+        if roots:
+            out[roots] = root(new[roots])
+        for t in sorted((t for t in keys if split[t]), key=set_bits):
+            a, b = (out[at[f]] if f in at else memo.buffer[memo.index[f]]
+                    for f in split[t])
+            np.matmul(a, b, out=out[at[t]])
+
+    memo.get(list(split), compute)
+    return memo.get(times)
 
 
 class TransientBoundCache:
@@ -152,8 +182,8 @@ class TransientBoundCache:
     upper is K @ R, and lower is K scaled column-wise by the spread's
     invariance vector, an elementwise exp taken per call.  Kernels are
     kept by gap minimum and reach matrices by spread, each in a
-    _KeyedStack, so gaps that share a minimum or a spread share that
-    part, and a call computes its missing spreads in one reach_matrix
+    _KeyedStack, one buffer whose rows a dict finds by key, so gaps that
+    share a minimum or a spread share that part, and a call computes its missing spreads in one reach_matrix
     call and its missing kernels in one transient_matrix call.  On a grid
     of short binary fractions (bound_matrices' march, which abstract
     sets) a kernel is instead one product of two stored kernels where it
@@ -194,7 +224,7 @@ class TransientBoundCache:
         Its length grows exactly when a call computes a new part;
         bench/run.py reads it to count misses.
         """
-        return np.concatenate((self._kernels.keys, self._spreads.keys))
+        return np.array([*self._kernels.index, *self._spreads.index])
 
     def _parts(self, g_min, spread, march):
         """Buffer rows of the kernels of g_min and of the reach matrices

@@ -20,8 +20,9 @@ absorbing (reach matrices and property weights) is the power loop,
 which steps its start one product with the chain's own P at a time and
 sets the targets back to 1 after each (power_sum).  On a grid of short
 binary fractions a kernel is instead marched from its binary parent,
-one product K(t - h) @ K(h) by the semigroup property, with polynomials
-only at the roots (marched_kernels).
+one product K(t - h) @ K(h) by the semigroup property (binary_parent),
+with polynomials only at the roots; the bound cache, which stores the
+kernels, marches them (abstraction.marched_kernels).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +52,11 @@ MAX_POISSON_MEAN = 1e5
 # marched from its binary parent (binary_parent); each bit is one product
 # of two kernels.  tandem's times at cap 8 have up to 9.
 MARCH_BITS = 16
+
+# Block floats (8 MB) that one evaluator call of a stack of kernels holds
+# at most, b n^2 per kernel of b blocks.  No group of the bundled
+# workloads holds over 158400; tandem at a Poisson mean of 1e4 1.5e6 each.
+_BLOCK_FLOATS = 2**20
 
 
 class ModelError(ValueError):
@@ -135,7 +142,7 @@ class Ctmc:
     def n_states(self):
         return len(self.state_names)
 
-    @property
+    @cached_property
     def alphabet(self):
         """All atomic propositions appearing on any state."""
         return frozenset(self._columns)
@@ -146,7 +153,7 @@ class Ctmc:
         except KeyError:
             raise ModelError(f"unknown state {name!r}") from None
 
-    @property
+    @cached_property
     def uniformization_rate(self):
         """lam: the largest exit rate, slightly inflated."""
         return float(self.exit_rates.max()) * _RATE_INFLATION
@@ -636,26 +643,27 @@ def power_sum(ctmc, times, eps, start, held):
 
 
 def poisson_means(ctmc, times, eps):
-    """The Poisson means lam * t of an array of times, as a flat array,
-    once every check of a uniformization has passed.
+    """The Poisson means lam * t of a time or an array of times, as a
+    flat list of floats, once every check of a uniformization has
+    passed.
 
     A time that is negative or not finite raises ValueError, a mean
     above MAX_POISSON_MEAN UniformizationError, and then a truncation
     tolerance outside (0, 1) ValueError: all before any Poisson work.
+    Python floats round as numpy's do, and are faster on a few times.
     """
-    flat = np.asarray(times, dtype=float).reshape(-1)
+    flat = np.ravel(times).tolist()
     # A nan fails both comparisons.
-    top = flat.max(initial=0.0)
-    if not (flat.min(initial=0.0) >= 0 and top < math.inf):
+    if not all(0 <= t < math.inf for t in flat):
         raise ValueError(f"times must be finite and nonnegative, got {times}")
-    lam = ctmc.uniformization_rate
+    lam, top = ctmc.uniformization_rate, max(flat, default=0.0)
     if lam * top > MAX_POISSON_MEAN:
         raise UniformizationError(
             f"Poisson mean {lam * top:.6g} of uniformization exceeds "
             f"{MAX_POISSON_MEAN:g}; the chain is too stiff for this time"
         )
     _check_tolerance(eps)
-    return lam * flat
+    return [lam * t for t in flat]
 
 
 def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):
@@ -668,7 +676,9 @@ def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):
     the evaluator, their rows as long as their longest cut, and each
     kernel is bit-identical to a call of its own.  On a grid of short
     binary fractions most kernels are cheaper marched from others
-    (marched_kernels), with these polynomials as the roots.
+    (abstraction.marched_kernels), with these polynomials as the roots.
+    A group is evaluated in chunks of rows under _BLOCK_FLOATS: a chunk's
+    longest cut has its group's (s, b), so its kernels keep their bits.
     """
     n = ctmc.n_states
     W, cuts, tails = uniformize(ctmc, t, eps)
@@ -678,9 +688,12 @@ def transient_matrix(ctmc, t, eps=DEFAULT_TRANSIENT_TOL):
         s = math.isqrt(cut - 1) + 1
         groups.setdefault((s, -(-cut // s)), []).append(i)
     K = np.empty((len(cuts), n, n))
-    for rows in groups.values():
-        K[rows] = polynomial_series(ctmc.jump_powers,
-                                    W[rows, : cuts[rows].max()], left=True)
+    for (_, b), rows in groups.items():
+        step = max(1, _BLOCK_FLOATS // (b * n * n))
+        for at in range(0, len(rows), step):
+            part = rows[at : at + step]
+            K[part] = polynomial_series(ctmc.jump_powers,
+                                        W[part, : cuts[part].max()], left=True)
     return K.reshape(*np.shape(t), n, n)
 
 
@@ -707,48 +720,6 @@ def binary_parent(t):
     return t - h, h
 
 
-def marched_kernels(times, memo, root):
-    """Rows of memo holding the transient kernels of times, marched.
-
-    memo is a keyed stack of kernels (abstraction._KeyedStack), and
-    root(times) gives the stacked kernels of sorted times as polynomials
-    (transient_matrix).  A time with a binary parent (binary_parent) gets
-    K(t - h) @ K(h), and every other time is a root.  The kernels the
-    times are marched from are found first, and those memo lacks are
-    computed in one call of memo: the roots in one call of root, then
-    the products by rising set bits, each written in place from two
-    factors with fewer.  A kernel is so the product of its roots'
-    polynomials, one per set bit, taken from its top bit down, and its
-    bits are a function of t alone when memo holds only kernels of this
-    rule.  Each product rounds as an n-term sum of nonnegative terms, so
-    the error stays relative.
-    """
-    split = {}
-    todo = np.ravel(times).tolist()
-    while todo:
-        t = todo.pop()
-        if t not in split:
-            split[t] = binary_parent(t)
-            todo.extend(split[t] or ())
-
-    def compute(new, out):
-        keys = new.tolist()
-        at = dict(zip(keys, range(len(keys))))
-        roots = [i for i, t in enumerate(keys) if split[t] is None]
-        if roots:
-            out[roots] = root(new[roots])
-        held = [f for t in keys if split[t] for f in split[t]
-                if f not in at]
-        rows = dict(zip(held, memo.get(np.array(held)).tolist()))
-        for t in sorted((t for t in keys if split[t]), key=set_bits):
-            a, b = (out[at[f]] if f in at else memo.buffer[rows[f]]
-                    for f in split[t])
-            np.matmul(a, b, out=out[at[t]])
-
-    memo.get(np.array(sorted(split)), compute)
-    return memo.get(times)
-
-
 def transient(ctmc, source, t, eps=DEFAULT_TRANSIENT_TOL):
     """Transient distribution Pr_source(t) as a dense vector: the series
     of the row vector e_source, not a row of the full kernel.  t is one
@@ -761,7 +732,7 @@ def transient(ctmc, source, t, eps=DEFAULT_TRANSIENT_TOL):
                          f"{ctmc.n_states} states")
     start = np.zeros(ctmc.n_states)
     start[source] = 1.0
-    (mean,) = poisson_means(ctmc, t, eps).tolist()
+    (mean,) = poisson_means(ctmc, t, eps)
     dist = polynomial_series(ctmc.jump_powers, poisson_coefficients(mean, eps),
                              start, left=True)
     total = dist.sum()

@@ -58,7 +58,9 @@ def _layers(ctmc, rho):
     """The reset masks of the layers 0, t_1, ..., t_d (layer 0's is
     all-False) and the lengths of the d gaps between them."""
     rho.bind_check(ctmc.alphabet)
-    return ctmc.reset_masks(rho.formulas), np.diff((0.0, *rho.times))
+    times = (0.0, *rho.times)
+    lengths = [b - a for a, b in zip(times, times[1:])]
+    return ctmc.reset_masks(rho.formulas), lengths
 
 
 def _weights(w, n_states):
@@ -98,7 +100,7 @@ def conditional_weight(ctmc, rho, w, eps=DEFAULT_TRANSIENT_TOL):
     w = _weights(w, ctmc.n_states)
     masks, lengths = _layers(ctmc, rho)
     coefs = [poisson_coefficients(m, eps)
-             for m in poisson_means(ctmc, lengths, eps).tolist()]
+             for m in poisson_means(ctmc, lengths, eps)]
     d = len(coefs)
     f = next((i for i, coef in enumerate(coefs) if len(coef) > 1), d)
     block = np.ones((len(w), 2))
@@ -131,7 +133,7 @@ def _forward(ctmc, rho, eps):
     masks, lengths = _layers(ctmc, rho)
     dist = np.zeros(ctmc.n_states)
     dist[ctmc.initial] = 1.0
-    for mask, m in zip(masks[1:], poisson_means(ctmc, lengths, eps).tolist()):
+    for mask, m in zip(masks[1:], poisson_means(ctmc, lengths, eps)):
         dist = polynomial_series(ctmc.jump_powers,
                                  poisson_coefficients(m, eps), dist, left=True)
         dist[mask] = 0.0

@@ -13,13 +13,13 @@ from condreach.abstraction import (
     _check_feasible,
     _KeyedStack,
     abstract,
+    marched_kernels,
     reachable_states,
     restrict_reachable,
 )
 from condreach.ctmc import (
     binary_parent,
     invariance_vector,
-    marched_kernels,
     parse_ctmc,
     reach_matrix,
     transient_matrix,
@@ -325,7 +325,9 @@ def test_in_place_assembly_keeps_the_cache_intact(tandem):
     stores = (cache._kernels, cache._spreads)
     first = _stacks(cache, calls[0])
     kept = [a.copy() for a in _arrays(first)]
-    stored = [(s.keys.copy(), s.buffer[s.rows].copy()) for s in stores]
+    stored = [(list(s.index), s.buffer[list(s.index.values())].copy())
+              for s in stores]
+    buffers = [s.buffer for s in stores]
     results = [first] + [_stacks(cache, g) for g in calls[1:]]
     for gaps, got in zip(calls, results):
         _assert_stacks_equal(got, _stacks(_cache(tandem), gaps))
@@ -339,19 +341,20 @@ def test_in_place_assembly_keeps_the_cache_intact(tandem):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(_arrays(first), kept):
         np.testing.assert_array_equal(a, b)
-    # Every kernel and spread stored before the later calls keeps its bits.
+    # Every kernel and spread stored before the later calls is still
+    # stored (get without compute raises KeyError otherwise) and keeps its
+    # bits, also when the buffer has grown since.
     for (keys, values), store in zip(stored, stores):
-        at = np.searchsorted(store.keys, keys)
-        np.testing.assert_array_equal(store.keys[at], keys)
-        np.testing.assert_array_equal(store.buffer[store.rows[at]], values)
+        np.testing.assert_array_equal(store.buffer[store.get(keys)], values)
+    assert all(s.buffer is not b for s, b in zip(stores, buffers))
 
 
 def test_keyed_stack_computes_each_key_once():
-    # Batches of overlapping keys in any order: each get returns the
-    # buffer rows of its queries' values in query order and computes only
-    # the keys not stored yet, written in place, while the buffer grows
-    # and the keys stay sorted.  Without a compute, only stored keys are
-    # served.
+    # Batches of overlapping keys in any order, with duplicates: each get
+    # returns the buffer rows of its queries' values in query order and
+    # computes only the keys not stored yet, sorted and each once, written
+    # in place into the next rows while the buffer grows.  Without a
+    # compute, only stored keys are served.
     computed = []
 
     def compute(keys, out):
@@ -365,19 +368,36 @@ def test_keyed_stack_computes_each_key_once():
     for size in (1, 5, 3, 17, 2, 40, 9, 60):
         queries = rng.choice(np.arange(60.0) / 4, size)
         rows = store.get(queries, compute)
-        assert rows.shape == queries.shape and rows.max() < store.size
+        assert rows.shape == queries.shape
+        assert rows.max() < len(store.index)
         pairs = store.buffer[rows]
         np.testing.assert_array_equal(pairs,
                                       np.stack((queries, 2 * queries), 1))
         np.testing.assert_array_equal(store.get(queries), rows)
         # A gathered copy is free to be written; the buffer keeps its values.
         pairs[:] = np.nan
-    assert sorted(computed) == sorted(set(computed)) == store.keys.tolist()
-    assert store.size == len(computed) <= len(store.buffer)
-    np.testing.assert_array_equal(store.buffer[store.rows][:, 1],
-                                  2 * store.keys)
+    # Duplicate new keys are computed once, and every query gets its row.
+    before = len(computed)
+    rows = store.get([20.5, 16.25, 20.5, 20.5, 16.25], compute)
+    assert computed[before:] == [16.25, 20.5]
+    np.testing.assert_array_equal(store.buffer[rows][:, 0],
+                                  [20.5, 16.25, 20.5, 20.5, 16.25])
+    assert sorted(computed) == sorted(set(computed)) == sorted(store.index)
+    # The stored keys fill the buffer's first rows, one row each.
+    assert sorted(store.index.values()) == list(range(len(computed)))
+    assert len(computed) <= len(store.buffer)
+    keys = np.array(list(store.index))
+    np.testing.assert_array_equal(store.buffer[store.get(keys)][:, 1],
+                                  2 * keys)
     with pytest.raises(KeyError):
         store.get([100.0])
+    # 0.0 and -0.0 are one key, whichever is asked for first.
+    computed.clear()
+    zero = _KeyedStack((2,))
+    np.testing.assert_array_equal(zero.get([-0.0, 0.0, -0.0], compute),
+                                  [0, 0, 0])
+    np.testing.assert_array_equal(zero.get([0.0]), [0])
+    assert len(computed) == len(zero.index) == 1
 
 
 @pytest.fixture()
@@ -500,7 +520,8 @@ def test_only_binary_grids_are_marched(invent, invent1, tandem, tandem1,
             abstract(ctmc, omega, psi, cache=cache)
             psi = apply_splits(psi, psi.splittable())
         stack = cache._kernels
-        keys, kernels = stack.keys, stack.buffer[stack.rows]
+        keys = np.array(sorted(stack.index))
+        kernels = stack.buffer[stack.get(keys)]
         marched = [binary_parent(t) is not None for t in keys]
         assert any(marched)
         if ctmc is invent:

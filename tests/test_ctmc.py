@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.linalg import expm
 from scipy.stats import poisson
 
 import condreach
-from condreach.abstraction import _KeyedStack
+from condreach.abstraction import _KeyedStack, marched_kernels
 from condreach.ctmc import (
     _RATE_INFLATION,
     MARCH_BITS,
@@ -26,7 +27,6 @@ from condreach.ctmc import (
     binary_parent,
     from_rates,
     invariance_vector,
-    marched_kernels,
     parse_ctmc,
     poisson_coefficients,
     poisson_row,
@@ -446,6 +446,30 @@ def test_kernel_is_the_series_without_a_start(model):
         np.testing.assert_array_equal(k, want, err_msg=t)
 
 
+def test_kernel_stack_evaluates_a_group_in_chunks():
+    # Three times of one (s, b) group at a Poisson mean of 1e4 on tandem
+    # hold 1.5e6 block floats each (11.9 MB): a stack evaluated whole held
+    # all three at once and read a traced peak of 37.4 MB, three single
+    # calls 12.5 MB.  Each kernel of the stack is its single call's.
+    chain = parse_ctmc(fixture_text("tandem.ctmc"))
+    t = 1e4 / chain.uniformization_rate
+    times = [t, t * (1 + 1e-9), t * (1 - 1e-9)]
+    _, cuts, _ = uniformize(chain, times, 1e-10)
+    s = [math.isqrt(c - 1) + 1 for c in cuts.tolist()]
+    assert len({(k, -(-c // k)) for k, c in zip(s, cuts.tolist())}) == 1
+    # The singles step the chain's powers, which the trace leaves out.
+    singles = [transient_matrix(chain, u) for u in times]
+    tracemalloc.start()
+    try:
+        stack = transient_matrix(chain, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+    for k, want in zip(stack, singles):
+        np.testing.assert_array_equal(k, want)
+
+
 def test_series_without_a_step():
     # lam = 0: every series is its start, bit for bit, and no power is
     # stepped.
@@ -677,6 +701,30 @@ def test_replace_gives_a_chain_its_own_tables(invent):
            *chain._tables.values())
     assert all(a is b for a, b in zip(now, tables))
     assert conditional_weight(chain, rho, w) == before
+
+
+def test_replace_derives_its_own_constants(invent):
+    # The rate and the alphabet are derived once per chain and kept; a
+    # replaced chain with other exit rates and labels reports its own,
+    # and its kernels are those of the same chain built anew.
+    chain = parse_ctmc(serialize_ctmc(invent))
+    lam, alphabet = chain.uniformization_rate, chain.alphabet
+    old = transient_matrix(chain, [0.5, 1.5])
+    assert chain.uniformization_rate is lam and chain.alphabet is alphabet
+    new = dataclasses.replace(chain, exit_rates=2 * chain.exit_rates,
+                              labels=(frozenset({"x"}),) * chain.n_states)
+    want = _rebuilt(chain, chain.initial, 2.0)
+    assert new.uniformization_rate == want.uniformization_rate == (
+        float(new.exit_rates.max()) * _RATE_INFLATION)
+    assert new.uniformization_rate != lam
+    assert new.alphabet == {"x"}
+    kernels = transient_matrix(new, [0.5, 1.5])
+    np.testing.assert_array_equal(kernels,
+                                  transient_matrix(want, [0.5, 1.5]))
+    assert not np.array_equal(kernels, old)
+    # The chain replaced keeps its own.
+    assert chain.uniformization_rate is lam and chain.alphabet is alphabet
+    np.testing.assert_array_equal(transient_matrix(chain, [0.5, 1.5]), old)
 
 
 def test_tiny_time_has_no_negative_tail(random_chain):
